@@ -494,14 +494,17 @@ func main() {
 	}
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
 
+	// The handler goes in before the listener comes up: a SIGTERM that
+	// arrives right after the first /readyz 200 must drain, not kill.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("listening on %s", *addr)
 		errc <- httpSrv.ListenAndServe()
 	}()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		log.Fatal(err)

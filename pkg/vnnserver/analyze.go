@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"repro/internal/obs"
 	"repro/pkg/vnn"
@@ -66,28 +65,12 @@ type AnalyzeResponse struct {
 	vnn.Report
 }
 
-// preparedAnalysis is a parsed, validated analyze request.
-type preparedAnalysis struct {
-	net         *vnn.Network
-	region      *vnn.Region
-	analyses    []vnn.Analysis
-	kinds       []string
-	fingerprint string
-	compileOpts vnn.Options
-}
-
 // prepareAnalyze parses the request into engine values, validates every
-// analysis against the network, and fingerprints the base compile
-// workload. Everything that can be the client's fault is rejected here.
-func (s *Server) prepareAnalyze(req *AnalyzeRequest) (*preparedAnalysis, error) {
-	if len(req.Network) == 0 {
-		return nil, fmt.Errorf("request needs a network")
-	}
-	net, err := vnn.UnmarshalNetwork(req.Network)
-	if err != nil {
-		return nil, err
-	}
-	region, err := req.Region.Region()
+// analysis against the network, fingerprints the base compile workload and
+// plans the job. Everything that can be the client's fault is rejected
+// here.
+func (s *Server) prepareAnalyze(req *AnalyzeRequest) (*jobPlan, error) {
+	wl, err := parseWorkload(req.Network, req.Region, req.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -95,31 +78,65 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest) (*preparedAnalysis, error) 
 		return nil, fmt.Errorf("request needs at least one analysis")
 	}
 	analyses := make([]vnn.Analysis, len(req.Analyses))
-	kinds := make([]string, len(req.Analyses))
 	for i := range req.Analyses {
 		if analyses[i], err = req.Analyses[i].Analysis(); err != nil {
 			return nil, fmt.Errorf("analysis %d: %w", i, err)
 		}
-		if err := req.Analyses[i].ValidateFor(net); err != nil {
+		if err := req.Analyses[i].ValidateFor(wl.net); err != nil {
 			return nil, fmt.Errorf("analysis %d: %w", i, err)
 		}
 		if err := capAnalysisWork(&req.Analyses[i]); err != nil {
 			return nil, fmt.Errorf("analysis %d: %w", i, err)
 		}
-		kinds[i] = analyses[i].Kind()
+		// Every quantized recompile a sweep performs goes through the
+		// compile cache, like the base compile.
+		if qs, ok := analyses[i].(*vnn.QuantSweep); ok {
+			qs.Compile = s.cachedCompile
+		}
 	}
-	compileOpts := vnn.Options{Tighten: req.Options.Tighten, Workers: req.Options.Workers}
-	fp, err := vnn.Fingerprint(net, region, compileOpts)
-	if err != nil {
-		return nil, err
-	}
-	return &preparedAnalysis{
-		net:         net,
-		region:      region,
-		analyses:    analyses,
-		kinds:       kinds,
-		fingerprint: fp,
-		compileOpts: compileOpts,
+	return &jobPlan{
+		route:       "/v1/analyze",
+		status:      statusFor,
+		fingerprint: wl.fingerprint,
+		async:       req.Wait != nil && !*req.Wait,
+		timeoutMS:   req.TimeoutMS,
+		run: func(ctx context.Context, jb *job, root *obs.Span, fairWorkers int) (any, error) {
+			root.SetAttr("analyses", len(analyses))
+			// The solve span covers the whole portfolio; each analysis that
+			// streams solver progress contributes per-property children
+			// with their analysis index attributed.
+			resp, err := s.solve(ctx, jb, root, wl, req.Options, fairWorkers,
+				func(ctx context.Context, cn *vnn.CompiledNetwork) (vnn.Report, effort, error) {
+					var eff effort
+					findings, err := vnn.Analyze(ctx, cn, analyses...)
+					if err != nil {
+						return vnn.Report{}, eff, err
+					}
+					for _, f := range findings {
+						eff.add(f.Verification)
+						if f.QuantSweep != nil {
+							eff.add(f.QuantSweep.Base)
+							for _, pt := range f.QuantSweep.Points {
+								eff.add(pt.Results)
+							}
+						}
+					}
+					return vnn.NewAnalysisReport(wl.net, findings), eff, nil
+				})
+			return (*AnalyzeResponse)(resp), err
+		},
+		count: func(_ any, err error) {
+			s.analyzes.Add(1)
+			xAnalyzes.Add(1)
+			if err == nil {
+				// Per-kind accounting happens once per completed batch so
+				// the counters mean "analyses served", not "analyses
+				// attempted".
+				for _, a := range analyses {
+					s.countAnalysis(a.Kind())
+				}
+			}
+		},
 	}, nil
 }
 
@@ -145,174 +162,8 @@ func capAnalysisWork(spec *vnn.AnalysisSpec) error {
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
 	var req AnalyzeRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	q, err := s.prepareAnalyze(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// Same admission discipline as /v1/verify: the token is taken at
-	// submit time under drainMu, so overload is immediate backpressure
-	// and a request is never admitted after Drain stopped waiting.
-	async := req.Wait != nil && !*req.Wait
-	s.drainMu.Lock()
-	if s.draining.Load() {
-		s.drainMu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	if err := s.sched.Admit(); err != nil {
-		s.drainMu.Unlock()
-		writeError(w, statusFor(err), err.Error())
-		return
-	}
-	if async {
-		s.wg.Add(1)
-	}
-	s.drainMu.Unlock()
-	jb := s.jobs.create(q.fingerprint)
-	// Trace id = job id, same as /v1/verify (see handleVerify).
-	tr := s.startTrace(r, "/v1/analyze", jb.id)
-	tr.Root().SetAttr("fingerprint", q.fingerprint)
-	tr.Root().SetAttr("analyses", len(q.analyses))
-	tn := s.tenantFor(r)
-
-	if !async {
-		resp, err := s.runAnalyze(r.Context(), jb, tr, tn, q, &req)
-		if err != nil {
-			writeError(w, statusFor(err), err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	go func() {
-		defer s.wg.Done()
-		s.runAnalyze(s.queryCtx, jb, tr, tn, q, &req)
-	}()
-	writeJSON(w, http.StatusAccepted, AcceptedResponse{
-		ID: jb.id, Fingerprint: q.fingerprint, Status: "running",
-	})
-}
-
-// runAnalyze executes one prepared portfolio batch under admission
-// control. The base compile — and every quantized recompile a QuantSweep
-// performs — goes through the fingerprint-keyed cache under the server's
-// lifetime context: compiles are shared work that only drain interrupts,
-// never one impatient client.
-func (s *Server) runAnalyze(parent context.Context, jb *job, tr *obs.Trace, tn *obs.TenantStats, q *preparedAnalysis, req *AnalyzeRequest) (*AnalyzeResponse, error) {
-	start := time.Now()
-	defer tr.Finish()
-	defer observeSince(s.obs.analyzeLatency, start)
-	defer func() { tn.Route("/v1/analyze").Count(time.Since(start)) }()
-	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	var qctx context.Context
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		qctx, cancel = context.WithTimeout(parent, timeout)
-	} else {
-		qctx, cancel = context.WithCancel(parent)
-	}
-	defer cancel()
-	stop := context.AfterFunc(s.queryCtx, cancel) // drain interrupts the batch
-	defer stop()
-
-	root := tr.Root()
-	queueSpan := root.Child("queue")
-	var resp *AnalyzeResponse
-	err := s.sched.RunAdmitted(qctx, tn, func(ctx context.Context, fairWorkers int) error {
-		queueSpan.End()
-		root.SetAttr("workers", fairWorkers)
-		opts := q.compileOpts
-		if opts.Workers == 0 {
-			opts.Workers = fairWorkers
-		}
-		cacheSpan := root.Child("cache")
-		cn, hit, err := s.cache.GetOrCompile(ctx, q.fingerprint, func() (*vnn.CompiledNetwork, error) {
-			return s.compileTraced(cacheSpan, q.net, q.region, opts)
-		})
-		cacheSpan.SetAttr("hit", hit)
-		cacheSpan.End()
-		if err != nil {
-			return err
-		}
-		qopts := opts
-		qopts.Parallel = req.Options.Parallel
-		qopts.MaxNodes = req.Options.MaxNodes
-		// The solve span covers the whole portfolio; each analysis that
-		// streams solver progress contributes per-property children with
-		// their analysis index attributed (see vnn.ProgressSpans).
-		solveSpan := root.Child("solve")
-		ps := vnn.NewProgressSpans(solveSpan)
-		qopts.Progress = func(ev vnn.Event) {
-			jb.publish(ev)
-			ps.Observe(ev)
-		}
-		for _, a := range q.analyses {
-			if qs, ok := a.(*vnn.QuantSweep); ok {
-				qs.Compile = s.cachedCompile
-			}
-		}
-		findings, err := vnn.Analyze(ctx, cn.WithOptions(qopts), q.analyses...)
-		ps.Close()
-		if err != nil {
-			solveSpan.End()
-			return err
-		}
-		var nodes, pivots int64
-		for _, f := range findings {
-			for _, res := range f.Verification {
-				nodes += int64(res.Stats.Nodes)
-				pivots += int64(res.Stats.LPPivots)
-			}
-			if f.QuantSweep != nil {
-				for _, res := range f.QuantSweep.Base {
-					nodes += int64(res.Stats.Nodes)
-					pivots += int64(res.Stats.LPPivots)
-				}
-				for _, pt := range f.QuantSweep.Points {
-					for _, res := range pt.Results {
-						nodes += int64(res.Stats.Nodes)
-						pivots += int64(res.Stats.LPPivots)
-					}
-				}
-			}
-		}
-		s.nodes.Add(nodes)
-		s.pivots.Add(pivots)
-		xNodes.Add(nodes)
-		xLPPivots.Add(pivots)
-		resp = &AnalyzeResponse{
-			ID:          jb.id,
-			Fingerprint: q.fingerprint,
-			CacheHit:    hit,
-			CompileMS:   float64(cn.CompileTime().Microseconds()) / 1e3,
-			Report:      vnn.NewAnalysisReport(q.net, findings),
-		}
-		return nil
-	})
-	s.analyzes.Add(1)
-	xAnalyzes.Add(1)
-	if err == nil {
-		// Per-kind accounting happens once per completed batch so the
-		// counters mean "analyses served", not "analyses attempted".
-		for _, kind := range q.kinds {
-			s.countAnalysis(kind)
-		}
-	}
-	jb.finish(resp, err)
-	return resp, err
+	s.serveJob(w, r, &req, func() (*jobPlan, error) { return s.prepareAnalyze(&req) })
 }
 
 // cachedCompile is the CompileFunc the server injects into quantization

@@ -1,20 +1,10 @@
 package vnnserver
 
 import (
-	"container/list"
 	"context"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/pkg/vnn"
 )
-
-// defaultCacheEntries is the compile-cache capacity when the config
-// leaves it zero. Compiled networks are a few MB for the paper's
-// predictors; 64 of them fit comfortably while covering many retrain
-// iterations of several networks × regions × option sets.
-const defaultCacheEntries = 64
 
 // Cache is the fingerprint-keyed LRU cache of compiled networks with
 // singleflight semantics: N concurrent requests for the same fingerprint
@@ -27,43 +17,19 @@ const defaultCacheEntries = 64
 // compiled is never evicted (it is by construction near the front — just
 // inserted or just hit), so a capacity-1 cache still deduplicates a burst
 // of identical requests.
+//
+// It is a typed view of the service's one cache implementation (lru).
 type Cache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*list.Element
-	order    *list.List // front = most recently used
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	bytes     atomic.Int64 // resident size of completed entries (SizeBytes)
-}
-
-// cacheEntry is one cached (or in-flight) compilation.
-type cacheEntry struct {
-	key   string
-	ready chan struct{} // closed once cn/err are set
-	cn    *vnn.CompiledNetwork
-	err   error
-	// bytes is the entry's size accounting (vnn.CompiledNetwork.SizeBytes),
-	// written before ready closes; eviction only reads it for completed
-	// entries, so the channel close orders the access.
-	bytes int64
-	// added timestamps the entry's insertion (the GET /v1/workloads age).
-	added time.Time
+	*lru[*vnn.CompiledNetwork]
 }
 
 // NewCache builds a cache holding at most capacity compiled networks
 // (<= 0 means defaultCacheEntries).
 func NewCache(capacity int) *Cache {
-	if capacity <= 0 {
-		capacity = defaultCacheEntries
-	}
-	return &Cache{
-		capacity: capacity,
-		entries:  make(map[string]*list.Element),
-		order:    list.New(),
-	}
+	c := &Cache{newLRU[*vnn.CompiledNetwork](capacity)}
+	c.sizeOf = (*vnn.CompiledNetwork).SizeBytes
+	c.vars = lruVars{hits: xCacheHits, misses: xCacheMisses, evictions: xCacheEvictions, bytes: xCacheBytes}
+	return c
 }
 
 // GetOrCompile returns the compiled network cached under key, compiling
@@ -76,112 +42,17 @@ func NewCache(capacity int) *Cache {
 // uses (the server passes its lifetime context, so only drain interrupts
 // a shared compile, never one impatient client).
 func (c *Cache) GetOrCompile(ctx context.Context, key string, compile func() (*vnn.CompiledNetwork, error)) (*vnn.CompiledNetwork, bool, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*cacheEntry)
-		c.order.MoveToFront(el)
-		c.hits.Add(1)
-		xCacheHits.Add(1)
-		c.mu.Unlock()
-		select {
-		case <-e.ready:
-			return e.cn, true, e.err
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
-	}
-	e := &cacheEntry{key: key, ready: make(chan struct{}), added: time.Now()}
-	el := c.order.PushFront(e)
-	c.entries[key] = el
-	c.misses.Add(1)
-	xCacheMisses.Add(1)
-	c.evictLocked()
-	c.mu.Unlock()
-
-	e.cn, e.err = compile()
-	if e.err == nil {
-		e.bytes = e.cn.SizeBytes()
-		c.bytes.Add(e.bytes)
-		xCacheBytes.Add(e.bytes)
-	}
-	close(e.ready)
-	if e.err != nil {
-		// Do not cache failures: drop the entry (unless it was already
-		// evicted or replaced) so the next request retries.
-		c.mu.Lock()
-		if cur, ok := c.entries[key]; ok && cur == el {
-			c.order.Remove(el)
-			delete(c.entries, key)
-		}
-		c.mu.Unlock()
-	}
-	return e.cn, false, e.err
-}
-
-// evictLocked drops least-recently-used completed entries until the cache
-// fits its capacity. Callers hold c.mu.
-func (c *Cache) evictLocked() {
-	for el := c.order.Back(); el != nil && c.order.Len() > c.capacity; {
-		prev := el.Prev()
-		e := el.Value.(*cacheEntry)
-		select {
-		case <-e.ready:
-			c.order.Remove(el)
-			delete(c.entries, e.key)
-			c.evictions.Add(1)
-			xCacheEvictions.Add(1)
-			c.bytes.Add(-e.bytes)
-			xCacheBytes.Add(-e.bytes)
-		default:
-			// Still compiling: skip. See the type comment.
-		}
-		el = prev
-	}
+	return c.getOrCompute(ctx, key, compile)
 }
 
 // Keys snapshots the fingerprints of every completed entry (in-flight
 // compiles are excluded: they have no artifact to export yet). This is
 // the fleet plane's set enumeration.
 func (c *Cache) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, c.order.Len())
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		select {
-		case <-e.ready:
-			if e.err == nil {
-				out = append(out, e.key)
-			}
-		default:
-		}
-	}
-	return out
-}
-
-// cachedArtifact is one completed entry's index row — the raw material of
-// GET /v1/workloads (see workloads.go).
-type cachedArtifact struct {
-	key   string
-	bytes int64
-	added time.Time
-}
-
-// entriesInfo snapshots every completed, successful entry without
-// touching LRU order or hit counters.
-func (c *Cache) entriesInfo() []cachedArtifact {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]cachedArtifact, 0, c.order.Len())
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		select {
-		case <-e.ready:
-			if e.err == nil {
-				out = append(out, cachedArtifact{key: e.key, bytes: e.bytes, added: e.added})
-			}
-		default:
-		}
+	arts := c.snapshot()
+	out := make([]string, len(arts))
+	for i, a := range arts {
+		out[i] = a.key
 	}
 	return out
 }
@@ -190,19 +61,7 @@ func (c *Cache) entriesInfo() []cachedArtifact {
 // LRU order or hit/miss counters — a read-only export lookup, not a
 // serving access.
 func (c *Cache) Peek(key string) (*vnn.CompiledNetwork, bool) {
-	c.mu.Lock()
-	el, ok := c.entries[key]
-	c.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	select {
-	case <-e.ready:
-		return e.cn, e.err == nil
-	default:
-		return nil, false
-	}
+	return c.lookup(key, false)
 }
 
 // Import inserts an externally obtained compiled artifact under key,
@@ -212,55 +71,14 @@ func (c *Cache) Peek(key string) (*vnn.CompiledNetwork, bool) {
 // entry wins and Import reports false: a concurrent local compile and
 // a remote pull collapse to one entry either way.
 func (c *Cache) Import(key string, cn *vnn.CompiledNetwork) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return false
-	}
-	e := &cacheEntry{key: key, ready: make(chan struct{}), cn: cn, bytes: cn.SizeBytes(), added: time.Now()}
-	close(e.ready)
-	c.entries[key] = c.order.PushFront(e)
-	c.bytes.Add(e.bytes)
-	xCacheBytes.Add(e.bytes)
-	c.evictLocked()
-	return true
+	return c.add(key, cn)
 }
 
 // Contains reports whether key is cached, without touching LRU order.
-func (c *Cache) Contains(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
-}
+func (c *Cache) Contains(key string) bool { return c.contains(key) }
 
 // Len returns the number of cached (including in-flight) entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// CacheStats is a point-in-time snapshot of cache effectiveness.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Size      int   `json:"size"`
-	Capacity  int   `json:"capacity"`
-	// Bytes is the accounted resident size of completed entries
-	// (vnn.CompiledNetwork.SizeBytes summed over the cache).
-	Bytes int64 `json:"bytes"`
-}
+func (c *Cache) Len() int { return c.size() }
 
 // Stats snapshots the cache counters.
-func (c *Cache) Stats() CacheStats {
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Size:      c.Len(),
-		Capacity:  c.capacity,
-		Bytes:     c.bytes.Load(),
-	}
-}
+func (c *Cache) Stats() CacheStats { return c.stats() }

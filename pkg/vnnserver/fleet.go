@@ -78,7 +78,7 @@ func (s *Server) ImportEntry(_ context.Context, exp *vnnfleet.WorkloadExport) er
 		s.cache.Import(fp, cn)
 		// A replicated compile must serve by-fingerprint /v1/infer on this
 		// node too, without a priming full-network request.
-		s.workloads.put(fp, &inferWorkload{net: cn.Net(), region: cn.Region(), compileOpts: cn.Options()})
+		s.workloads.add(fp, &workload{net: cn.Net(), region: cn.Region(), compileOpts: cn.Options(), fingerprint: fp})
 		return nil
 	case vnnfleet.KindMonitor:
 		var doc vnn.MonitorDocJSON

@@ -168,15 +168,29 @@ type InferResponse struct {
 
 // preparedInfer is a parsed, validated infer request.
 type preparedInfer struct {
-	net         *vnn.Network
-	region      *vnn.Region
-	fingerprint string
-	compileOpts vnn.Options
+	*workload
 	monitorFP   string
 	monitorOpts vnn.MonitorOptions
 	// monitorContentFP is set for by-fingerprint monitored requests: the
 	// content hash of an already-built monitor to serve through.
 	monitorContentFP string
+}
+
+// validateInputs checks an infer batch against the serving network.
+func validateInputs(inputs FloatMatrix, net *vnn.Network) error {
+	if len(inputs) == 0 {
+		return fmt.Errorf("request needs at least one input")
+	}
+	if len(inputs) > maxInferBatch {
+		return fmt.Errorf("batch of %d inputs exceeds the %d cap", len(inputs), maxInferBatch)
+	}
+	dim := net.InputDim()
+	for i, x := range inputs {
+		if len(x) != dim {
+			return fmt.Errorf("input %d has dimension %d, network input %d", i, len(x), dim)
+		}
+	}
+	return nil
 }
 
 // prepareModelInfer validates and routes a registry-served infer request:
@@ -188,95 +202,55 @@ func (s *Server) prepareModelInfer(req *InferRequest, name string) (*preparedInf
 	if len(req.Network) > 0 || req.Fingerprint != "" || req.Monitor != nil || req.MonitorFingerprint != "" {
 		return nil, nil, fmt.Errorf("a model request routes through the registry: network, fingerprint and monitor fields must be empty")
 	}
-	if len(req.Inputs) == 0 {
-		return nil, nil, fmt.Errorf("request needs at least one input")
-	}
-	if len(req.Inputs) > maxInferBatch {
-		return nil, nil, fmt.Errorf("batch of %d inputs exceeds the %d cap", len(req.Inputs), maxInferBatch)
-	}
 	sv, err := s.registry.Resolve(name, req.Inputs)
 	if err != nil {
 		return nil, nil, err
 	}
 	net := sv.CN.Net()
-	dim := net.InputDim()
-	for i, x := range req.Inputs {
-		if len(x) != dim {
-			return nil, nil, fmt.Errorf("input %d has dimension %d, network input %d", i, len(x), dim)
-		}
+	if err := validateInputs(req.Inputs, net); err != nil {
+		return nil, nil, err
 	}
-	return &preparedInfer{net: net, region: sv.CN.Region(), fingerprint: sv.Version.Fingerprint()}, sv, nil
+	return &preparedInfer{workload: &workload{net: net, region: sv.CN.Region(), fingerprint: sv.Version.Fingerprint()}}, sv, nil
 }
 
 // prepareInfer validates everything that can be the client's fault.
 func (s *Server) prepareInfer(req *InferRequest) (*preparedInfer, error) {
-	q := &preparedInfer{}
+	q := &preparedInfer{monitorContentFP: req.MonitorFingerprint}
 	switch {
 	case len(req.Network) > 0:
-		net, err := vnn.UnmarshalNetwork(req.Network)
+		wl, err := parseWorkload(req.Network, req.Region, req.Options)
 		if err != nil {
 			return nil, err
 		}
-		region, err := req.Region.Region()
-		if err != nil {
-			return nil, err
+		if req.Fingerprint != "" && req.Fingerprint != wl.fingerprint {
+			return nil, fmt.Errorf("request fingerprint %s does not match the network/region/options sent (%s)", req.Fingerprint, wl.fingerprint)
 		}
-		q.net, q.region = net, region
-		q.compileOpts = vnn.Options{Tighten: req.Options.Tighten, Workers: req.Options.Workers}
-		fp, err := vnn.Fingerprint(net, region, q.compileOpts)
-		if err != nil {
-			return nil, err
-		}
-		if req.Fingerprint != "" && req.Fingerprint != fp {
-			return nil, fmt.Errorf("request fingerprint %s does not match the network/region/options sent (%s)", req.Fingerprint, fp)
-		}
-		q.fingerprint = fp
 		// Remember the workload so follow-up requests may send just the
 		// fingerprint.
-		s.workloads.put(fp, &inferWorkload{net: net, region: region, compileOpts: q.compileOpts})
+		s.workloads.add(wl.fingerprint, wl)
+		q.workload = wl
 	case req.Fingerprint != "":
-		wl, ok := s.workloads.get(req.Fingerprint)
+		wl, ok := s.workloads.lookup(req.Fingerprint, true)
 		if !ok {
 			return nil, fmt.Errorf("workload %s: %w (send the full network once to prime it)", req.Fingerprint, errUnknownFingerprint)
 		}
-		q.net, q.region, q.compileOpts = wl.net, wl.region, wl.compileOpts
-		q.fingerprint = req.Fingerprint
+		q.workload = wl
 	default:
 		return nil, fmt.Errorf("request needs a network or a fingerprint")
 	}
-	if len(req.Inputs) == 0 {
-		return nil, fmt.Errorf("request needs at least one input")
-	}
-	if len(req.Inputs) > maxInferBatch {
-		return nil, fmt.Errorf("batch of %d inputs exceeds the %d cap", len(req.Inputs), maxInferBatch)
-	}
-	dim := q.net.InputDim()
-	for i, x := range req.Inputs {
-		if len(x) != dim {
-			return nil, fmt.Errorf("input %d has dimension %d, network input %d", i, len(x), dim)
-		}
+	if err := validateInputs(req.Inputs, q.net); err != nil {
+		return nil, err
 	}
 	if req.Monitor != nil && req.MonitorFingerprint != "" {
 		return nil, fmt.Errorf("send a monitor spec or a monitor_fingerprint, not both")
 	}
 	if req.Monitor != nil {
-		m := req.Monitor
-		if len(m.Data) == 0 {
-			return nil, fmt.Errorf("monitor needs a build dataset")
-		}
-		if len(m.Data) > maxMonitorData {
-			return nil, fmt.Errorf("monitor dataset of %d rows exceeds the %d cap", len(m.Data), maxMonitorData)
-		}
-		q.monitorOpts = vnn.MonitorOptions{Gamma: m.Gamma, Layers: m.Layers}
-		// Network-dependent monitor validation (dims, gamma, layers) is
-		// one copy of the rules: the MonitorAudit analysis owns it.
-		audit := vnn.MonitorAudit{Data: m.Data, Gamma: m.Gamma, Layers: m.Layers}
-		if err := audit.Validate(q.net); err != nil {
+		var err error
+		if q.monitorOpts, err = validateMonitorSpec(req.Monitor, q.net); err != nil {
 			return nil, err
 		}
-		q.monitorFP = vnn.MonitorWorkloadFingerprint(q.fingerprint, m.Data, q.monitorOpts)
+		q.monitorFP = vnn.MonitorWorkloadFingerprint(q.fingerprint, req.Monitor.Data, q.monitorOpts)
 	}
-	q.monitorContentFP = req.MonitorFingerprint
 	return q, nil
 }
 
@@ -399,13 +373,8 @@ func (s *Server) runInfer(ctx context.Context, sp *obs.Span, net *vnn.Network, m
 }
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
 	var req InferRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !s.accept(w, r, &req) {
 		return
 	}
 	modelName := req.Model
@@ -438,20 +407,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(r.Context(), timeout)
-	} else {
-		ctx, cancel = context.WithCancel(r.Context())
-	}
-	defer cancel()
-	stop := context.AfterFunc(s.queryCtx, cancel) // drain interrupts the batch
-	defer stop()
+	ctx, release := s.budget(r.Context(), req.TimeoutMS)
+	defer release()
 
 	start := time.Now()
 	tr := s.startTrace(r, "/v1/infer", "")
@@ -460,7 +417,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	root.SetAttr("fingerprint", q.fingerprint)
 	root.SetAttr("batch", len(req.Inputs))
 	defer tr.Finish()
-	defer observeSince(s.obs.inferLatency, start)
+	defer observeSince(s.obs.latency["/v1/infer"], start)
 
 	resp := &InferResponse{Fingerprint: q.fingerprint}
 
@@ -473,26 +430,14 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		// work only drain may interrupt). The built monitor is then cached
 		// under its own workload fingerprint and indexed by its content
 		// hash for by-fingerprint reuse.
-		cacheSpan := root.Child("cache")
-		cn, hit, err := s.cache.GetOrCompile(ctx, q.fingerprint, func() (*vnn.CompiledNetwork, error) {
-			return s.compileTraced(cacheSpan, q.net, q.region, q.compileOpts)
-		})
-		cacheSpan.SetAttr("hit", hit)
-		cacheSpan.End()
+		cn, hit, err := s.compiled(ctx, root, q.workload, q.compileOpts)
 		if err != nil {
 			writeError(w, statusFor(err), err.Error())
 			return
 		}
 		resp.CacheHit = hit
 		monSpan := root.Child("monitor")
-		buildStart := time.Now()
-		mon, hit, err = s.monitors.getOrBuild(ctx, q.monitorFP, func() (*vnn.Monitor, error) {
-			return vnn.BuildMonitor(cn, req.Monitor.Data, q.monitorOpts)
-		})
-		if !hit {
-			// Only actual builds feed the histogram; hits are cache waits.
-			observeSince(s.obs.monitorBuild, buildStart)
-		}
+		mon, hit, err = s.buildMonitor(ctx, q.monitorFP, cn, req.Monitor.Data, q.monitorOpts)
 		monSpan.SetAttr("hit", hit)
 		monSpan.End()
 		if err != nil {
@@ -589,75 +534,6 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// inferWorkload is a remembered (network, region, compile options)
-// triple, keyed by its fingerprint so by-fingerprint requests skip the
-// network upload and parse.
-type inferWorkload struct {
-	net         *vnn.Network
-	region      *vnn.Region
-	compileOpts vnn.Options
-}
-
-// workloadCache is a small LRU of served infer workloads. Unlike the
-// compile cache there is no singleflight: entries are cheap (a parsed
-// network) and only ever stored after a full-network request succeeded.
-type workloadCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*inferWorkload
-	order    []string // LRU order, most recent last
-}
-
-func newWorkloadCache(capacity int) *workloadCache {
-	if capacity <= 0 {
-		capacity = defaultCacheEntries
-	}
-	return &workloadCache{capacity: capacity, entries: make(map[string]*inferWorkload)}
-}
-
-func (c *workloadCache) get(key string) (*inferWorkload, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	wl, ok := c.entries[key]
-	if ok {
-		c.touchLocked(key)
-	}
-	return wl, ok
-}
-
-func (c *workloadCache) put(key string, wl *inferWorkload) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		c.touchLocked(key)
-		return // fingerprints are content hashes: same key, same workload
-	}
-	c.entries[key] = wl
-	c.order = append(c.order, key)
-	for len(c.entries) > c.capacity {
-		old := c.order[0]
-		c.order = c.order[1:]
-		delete(c.entries, old)
-	}
-}
-
-func (c *workloadCache) touchLocked(key string) {
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-	c.order = append(c.order, key)
-}
-
-// Len returns the number of remembered workloads.
-func (c *workloadCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // monitorCache is the fingerprint-keyed LRU of built monitors with the
 // same singleflight semantics as the compile Cache: N concurrent
 // identical monitored-infer requests build exactly one monitor; failures
@@ -666,38 +542,40 @@ func (c *workloadCache) Len() int {
 // by-fingerprint requests (InferRequest.MonitorFingerprint) resolve
 // without re-sending the build dataset.
 type monitorCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*monitorEntry
-	order    []string // LRU order, most recent last
-	// byContent maps a built monitor's content fingerprint to its entry.
-	// Content-identical monitors from distinct workloads share a hash;
-	// the index keeps the most recently built one, and dropping an entry
-	// only clears the index if it still points at that entry.
-	byContent map[string]*monitorEntry
+	*lru[cachedMonitor]
+	// byContent maps a built monitor's content fingerprint to the key of
+	// its entry, guarded by the lru's mutex (the ready/drop hooks maintain
+	// it). Content-identical monitors from distinct workloads share a
+	// hash; the index keeps the most recently built one, and dropping an
+	// entry only clears the index if it still points at that entry.
+	byContent map[string]string
 }
 
-type monitorEntry struct {
-	key       string
-	ready     chan struct{} // closed once mon/err are set
+// cachedMonitor is a built monitor and its content hash, computed once
+// at build time (it is a SHA-256 over every stored pattern).
+type cachedMonitor struct {
 	mon       *vnn.Monitor
-	err       error
-	contentFP string // set with mon, under c.mu
-	// bytes (marshaled monitor size) and added feed the GET /v1/workloads
-	// index; bytes is written before ready closes, like cacheEntry.bytes.
-	bytes int64
-	added time.Time
+	contentFP string
 }
 
 func newMonitorCache(capacity int) *monitorCache {
-	if capacity <= 0 {
-		capacity = defaultCacheEntries
+	c := &monitorCache{lru: newLRU[cachedMonitor](capacity), byContent: make(map[string]string)}
+	c.vars = lruVars{hits: xInferMonitorHits, misses: xInferMonitorMisses}
+	// bytes (marshaled monitor size) feeds the GET /v1/workloads index.
+	c.sizeOf = func(m cachedMonitor) int64 {
+		doc, err := vnn.MarshalMonitor(m.mon)
+		if err != nil {
+			return 0
+		}
+		return int64(len(doc))
 	}
-	return &monitorCache{
-		capacity:  capacity,
-		entries:   make(map[string]*monitorEntry),
-		byContent: make(map[string]*monitorEntry),
+	c.onReady = func(key string, m cachedMonitor) { c.byContent[m.contentFP] = key }
+	c.onDrop = func(key string, m cachedMonitor) {
+		if c.byContent[m.contentFP] == key {
+			delete(c.byContent, m.contentFP)
+		}
 	}
+	return c
 }
 
 // getOrBuild returns the monitor cached under key, building it on a miss.
@@ -705,63 +583,14 @@ func newMonitorCache(capacity int) *monitorCache {
 // build). ctx bounds only this caller's wait, exactly like the compile
 // cache.
 func (c *monitorCache) getOrBuild(ctx context.Context, key string, build func() (*vnn.Monitor, error)) (*vnn.Monitor, bool, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.touchLocked(key)
-		c.mu.Unlock()
-		xInferMonitorHits.Add(1)
-		select {
-		case <-e.ready:
-			return e.mon, true, e.err
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
+	m, hit, err := c.getOrCompute(ctx, key, func() (cachedMonitor, error) {
+		mon, err := build()
+		if err != nil {
+			return cachedMonitor{}, err
 		}
-	}
-	e := &monitorEntry{key: key, ready: make(chan struct{}), added: time.Now()}
-	c.entries[key] = e
-	c.order = append(c.order, key)
-	c.evictLocked()
-	c.mu.Unlock()
-	xInferMonitorMisses.Add(1)
-
-	e.mon, e.err = build()
-	if e.err == nil {
-		if doc, err := vnn.MarshalMonitor(e.mon); err == nil {
-			e.bytes = int64(len(doc))
-		}
-	}
-	close(e.ready)
-	c.mu.Lock()
-	if e.err != nil {
-		if cur, ok := c.entries[key]; ok && cur == e {
-			c.dropLocked(key, e)
-		}
-	} else if _, ok := c.entries[key]; ok {
-		e.contentFP = e.mon.Fingerprint()
-		c.byContent[e.contentFP] = e
-	}
-	c.mu.Unlock()
-	return e.mon, false, e.err
-}
-
-// entriesInfo snapshots every completed, successful monitor entry for the
-// GET /v1/workloads index (workload key, not content hash — the index
-// lists build workloads; content hashes travel in infer responses).
-func (c *monitorCache) entriesInfo() []cachedArtifact {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]cachedArtifact, 0, len(c.order))
-	for _, key := range c.order {
-		e := c.entries[key]
-		select {
-		case <-e.ready:
-			if e.err == nil {
-				out = append(out, cachedArtifact{key: e.key, bytes: e.bytes, added: e.added})
-			}
-		default:
-		}
-	}
-	return out
+		return cachedMonitor{mon: mon, contentFP: mon.Fingerprint()}, nil
+	})
+	return m.mon, hit, err
 }
 
 // contentKeys snapshots the content fingerprints of every completed
@@ -785,80 +614,23 @@ func (c *monitorCache) contentKeys() []string {
 func (c *monitorCache) importContent(mon *vnn.Monitor) bool {
 	fp := mon.Fingerprint()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.byContent[fp]; ok {
+	_, ok := c.byContent[fp]
+	c.mu.Unlock()
+	if ok {
 		return false
 	}
-	if _, ok := c.entries[fp]; ok {
-		return false
-	}
-	e := &monitorEntry{key: fp, ready: make(chan struct{}), mon: mon, contentFP: fp, added: time.Now()}
-	if doc, err := vnn.MarshalMonitor(mon); err == nil {
-		e.bytes = int64(len(doc))
-	}
-	close(e.ready)
-	c.entries[fp] = e
-	c.order = append(c.order, fp)
-	c.byContent[fp] = e
-	c.evictLocked()
-	return true
+	return c.add(fp, cachedMonitor{mon: mon, contentFP: fp})
 }
 
 // lookupContent resolves a built monitor by its content fingerprint
 // (Monitor.Fingerprint), touching its workload entry's LRU position.
 func (c *monitorCache) lookupContent(contentFP string) (*vnn.Monitor, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.byContent[contentFP]
+	key, ok := c.byContent[contentFP]
+	c.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
-	c.touchLocked(e.key)
-	return e.mon, true
-}
-
-// touchLocked moves key to the most-recently-used position.
-func (c *monitorCache) touchLocked(key string) {
-	c.removeOrderLocked(key)
-	c.order = append(c.order, key)
-}
-
-func (c *monitorCache) removeOrderLocked(key string) {
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			return
-		}
-	}
-}
-
-// dropLocked removes entry e stored under key, including its content
-// index (unless a newer entry took the content slot).
-func (c *monitorCache) dropLocked(key string, e *monitorEntry) {
-	delete(c.entries, key)
-	c.removeOrderLocked(key)
-	if e.contentFP != "" && c.byContent[e.contentFP] == e {
-		delete(c.byContent, e.contentFP)
-	}
-}
-
-// evictLocked drops least-recently-used completed entries over capacity.
-func (c *monitorCache) evictLocked() {
-	for i := 0; len(c.entries) > c.capacity && i < len(c.order); {
-		key := c.order[i]
-		e := c.entries[key]
-		select {
-		case <-e.ready:
-			c.dropLocked(key, e)
-		default:
-			i++ // still building: never evicted (it is brand new anyway)
-		}
-	}
-}
-
-// Len returns the number of cached (including in-flight) monitors.
-func (c *monitorCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+	m, ok := c.lookup(key, true)
+	return m.mon, ok
 }

@@ -166,8 +166,8 @@ func (s *Server) Metrics() Metrics {
 			Requests:  inferRequests,
 			Inputs:    s.inferInputs.Load(),
 			Flagged:   s.inferFlagged.Load(),
-			Monitors:  s.monitors.Len(),
-			Workloads: s.workloads.Len(),
+			Monitors:  s.monitors.size(),
+			Workloads: s.workloads.size(),
 			Shards:    s.shardStats(),
 		},
 		Fleet:         s.fleet.Stats(),

@@ -23,14 +23,10 @@ import (
 type serverObs struct {
 	rec *obs.Recorder
 
-	// Per-route request latency (one histogram per route so the
-	// Prometheus family vnnd_request_duration_seconds carries a route
-	// label).
-	verifyLatency  *obs.Histogram
-	analyzeLatency *obs.Histogram
-	inferLatency   *obs.Histogram
-	falsifyLatency *obs.Histogram
-	gateLatency    *obs.Histogram
+	// Per-route request latency, keyed by latencyRoutes (one histogram
+	// per route so the Prometheus family vnnd_request_duration_seconds
+	// carries a route label).
+	latency map[string]*obs.Histogram
 
 	// Scheduler decomposition: time spent waiting for a run slot vs
 	// running (queue-wait + run ≈ request latency for scheduled routes).
@@ -58,28 +54,32 @@ type serverObs struct {
 // tenantRoutes is the fixed route universe per-tenant series exist for.
 var tenantRoutes = []string{"/v1/verify", "/v1/analyze", "/v1/infer", "/v1/falsify"}
 
+// latencyRoutes is the request-duration family in rendering order: the
+// tenant routes plus the model gate (under its trace route name).
+var latencyRoutes = []string{"/v1/verify", "/v1/analyze", "/v1/infer", "/v1/falsify", "gate"}
+
 func newServerObs(cfg Config, node string) *serverObs {
 	slowLog := cfg.SlowLog
+	latency := make(map[string]*obs.Histogram, len(latencyRoutes))
+	for _, route := range latencyRoutes {
+		latency[route] = obs.NewHistogram("vnnd_request_duration_seconds", "Request latency by route.", 1e-9)
+	}
 	return &serverObs{
+		latency: latency,
 		rec: obs.NewRecorder(obs.RecorderOptions{
 			Ring:          cfg.TraceRing,
 			SlowThreshold: cfg.SlowRequest,
 			SlowLog:       slowLog,
 			Node:          node,
 		}),
-		tenants:        obs.NewTenantSet(cfg.TenantCap, 1e-9, tenantRoutes...),
-		verifyLatency:  obs.NewHistogram("vnnd_request_duration_seconds", "Request latency by route.", 1e-9),
-		analyzeLatency: obs.NewHistogram("vnnd_request_duration_seconds", "Request latency by route.", 1e-9),
-		inferLatency:   obs.NewHistogram("vnnd_request_duration_seconds", "Request latency by route.", 1e-9),
-		falsifyLatency: obs.NewHistogram("vnnd_request_duration_seconds", "Request latency by route.", 1e-9),
-		gateLatency:    obs.NewHistogram("vnnd_request_duration_seconds", "Request latency by route.", 1e-9),
-		queueWait:      obs.NewHistogram("vnnd_queue_wait_seconds", "Time admitted queries wait for a run slot.", 1e-9),
-		runTime:        obs.NewHistogram("vnnd_run_seconds", "Time admitted queries spend running.", 1e-9),
-		compileTime:    obs.NewHistogram("vnnd_compile_seconds", "Compile cost on cache misses.", 1e-9),
-		monitorBuild:   obs.NewHistogram("vnnd_monitor_build_seconds", "Monitor build cost on cache misses.", 1e-9),
-		inferBatch:     obs.NewHistogram("vnnd_infer_batch_inputs", "Inputs per /v1/infer batch.", 1),
-		chunkTime:      obs.NewHistogram("vnnd_infer_chunk_seconds", "Per-lane kernel chunk time.", 1e-9),
-		reconcileTime:  obs.NewHistogram("vnnd_fleet_reconcile_seconds", "Wall time per fleet reconcile round.", 1e-9),
+		tenants:       obs.NewTenantSet(cfg.TenantCap, 1e-9, tenantRoutes...),
+		queueWait:     obs.NewHistogram("vnnd_queue_wait_seconds", "Time admitted queries wait for a run slot.", 1e-9),
+		runTime:       obs.NewHistogram("vnnd_run_seconds", "Time admitted queries spend running.", 1e-9),
+		compileTime:   obs.NewHistogram("vnnd_compile_seconds", "Compile cost on cache misses.", 1e-9),
+		monitorBuild:  obs.NewHistogram("vnnd_monitor_build_seconds", "Monitor build cost on cache misses.", 1e-9),
+		inferBatch:    obs.NewHistogram("vnnd_infer_batch_inputs", "Inputs per /v1/infer batch.", 1),
+		chunkTime:     obs.NewHistogram("vnnd_infer_chunk_seconds", "Per-lane kernel chunk time.", 1e-9),
+		reconcileTime: obs.NewHistogram("vnnd_fleet_reconcile_seconds", "Wall time per fleet reconcile round.", 1e-9),
 	}
 }
 
@@ -95,18 +95,9 @@ func observeSince(h *obs.Histogram, start time.Time) {
 // (name, route) — see mergeMetrics.
 func (o *serverObs) histogramsJSON() []obs.HistogramJSON {
 	out := make([]obs.HistogramJSON, 0, 12)
-	for _, rh := range []struct {
-		route string
-		h     *obs.Histogram
-	}{
-		{"/v1/verify", o.verifyLatency},
-		{"/v1/analyze", o.analyzeLatency},
-		{"/v1/infer", o.inferLatency},
-		{"/v1/falsify", o.falsifyLatency},
-		{"gate", o.gateLatency},
-	} {
-		j := rh.h.Snapshot().JSON()
-		j.Route = rh.route
+	for _, route := range latencyRoutes {
+		j := o.latency[route].Snapshot().JSON()
+		j.Route = route
 		out = append(out, j)
 	}
 	for _, h := range []*obs.Histogram{

@@ -120,51 +120,40 @@ func (s *Server) registryCompile(ctx context.Context, fp string, net *vnn.Networ
 		return cn, err
 	})
 	if err == nil {
-		s.workloads.put(fp, &inferWorkload{net: net, region: region, compileOpts: opts})
+		s.workloads.add(fp, &workload{net: net, region: region, compileOpts: opts, fingerprint: fp})
 	}
 	return cn, hit, err
 }
 
-// registryBuildMonitor routes gate-time monitor builds through the same
-// monitor cache as /v1/infer, so a version's serving monitor is also
-// reusable by monitor_fingerprint requests and fleet replication.
-func (s *Server) registryBuildMonitor(ctx context.Context, wfp string, cn *vnn.CompiledNetwork, data [][]float64, opts vnn.MonitorOptions) (*vnn.Monitor, bool, error) {
+// buildMonitor returns the monitor cached under the build-workload
+// fingerprint wfp, building it over cn on a miss. /v1/infer and gate-time
+// builds share it (it is the registry's BuildMonitorFunc), so a version's
+// serving monitor is also reusable by monitor_fingerprint requests and
+// fleet replication. Only actual builds feed the histogram; hits are
+// cache waits.
+func (s *Server) buildMonitor(ctx context.Context, wfp string, cn *vnn.CompiledNetwork, data [][]float64, opts vnn.MonitorOptions) (*vnn.Monitor, bool, error) {
 	buildStart := time.Now()
 	mon, hit, err := s.monitors.getOrBuild(ctx, wfp, func() (*vnn.Monitor, error) {
 		return vnn.BuildMonitor(cn, data, opts)
 	})
-	if err == nil && !hit {
+	if !hit {
 		observeSince(s.obs.monitorBuild, buildStart)
 	}
 	return mon, hit, err
 }
 
-// preparedSubmit is a parsed, validated model submission.
-type preparedSubmit struct {
-	sub  vnnregistry.Submission
-	gate *vnn.GateSpec
-}
-
 // prepareModelSubmit validates everything that can be the client's
-// fault: name, network, region, gate (against the network, with the
-// same per-analysis work caps as /v1/analyze) and monitor spec.
-func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*preparedSubmit, error) {
+// fault — name, network, region, gate (against the network, with the
+// same per-analysis work caps as /v1/analyze) and monitor spec — and plans
+// the gate run. The gate mirrors an analyze batch: queue span, fair
+// worker share, SSE progress through the job, drain interruption. The
+// lifecycle decision itself (admitted/rejected, persistence) belongs to
+// the registry.
+func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*jobPlan, error) {
 	if !modelNameRE.MatchString(req.Model) {
 		return nil, fmt.Errorf("model name must match %s", modelNameRE)
 	}
-	if len(req.Network) == 0 {
-		return nil, fmt.Errorf("request needs a network")
-	}
-	net, err := vnn.UnmarshalNetwork(req.Network)
-	if err != nil {
-		return nil, err
-	}
-	region, err := req.Region.Region()
-	if err != nil {
-		return nil, err
-	}
-	compileOpts := vnn.Options{Tighten: req.Options.Tighten, Workers: req.Options.Workers}
-	fp, err := vnn.Fingerprint(net, region, compileOpts)
+	wl, err := parseWorkload(req.Network, req.Region, req.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -172,8 +161,9 @@ func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*preparedSubmit, e
 	if gate == nil {
 		gate = s.cfg.DefaultGate
 	}
+	timeoutMS := req.TimeoutMS
 	if gate != nil {
-		if err := gate.ValidateFor(net); err != nil {
+		if err := gate.ValidateFor(wl.net); err != nil {
 			return nil, err
 		}
 		for i := range gate.Analyses {
@@ -181,174 +171,82 @@ func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*preparedSubmit, e
 				return nil, fmt.Errorf("gate analysis %d: %w", i, err)
 			}
 		}
+		if timeoutMS <= 0 {
+			timeoutMS = gate.TimeoutMS
+		}
 	}
 	sub := vnnregistry.Submission{
 		Model:       req.Model,
 		NetworkJSON: req.Network,
-		Net:         net,
-		Region:      region,
+		Net:         wl.net,
+		Region:      wl.region,
 		RegionSpec:  req.Region,
-		Fingerprint: fp,
+		Fingerprint: wl.fingerprint,
 		Tighten:     req.Options.Tighten,
 		Workers:     req.Options.Workers,
 		Gate:        gate,
 	}
 	if m := req.Monitor; m != nil {
-		if len(m.Data) == 0 {
-			return nil, fmt.Errorf("monitor needs a build dataset")
-		}
-		if len(m.Data) > maxMonitorData {
-			return nil, fmt.Errorf("monitor dataset of %d rows exceeds the %d cap", len(m.Data), maxMonitorData)
-		}
-		audit := vnn.MonitorAudit{Data: m.Data, Gamma: m.Gamma, Layers: m.Layers}
-		if err := audit.Validate(net); err != nil {
+		if sub.MonitorOpts, err = validateMonitorSpec(m, wl.net); err != nil {
 			return nil, err
 		}
 		sub.MonitorData = m.Data
-		sub.MonitorOpts = vnn.MonitorOptions{Gamma: m.Gamma, Layers: m.Layers}
 	}
-	return &preparedSubmit{sub: sub, gate: gate}, nil
+	var v *vnnregistry.Version // set by submit
+	return &jobPlan{
+		route:       "gate",
+		status:      registryStatus,
+		fingerprint: wl.fingerprint,
+		// The gate defaults to asynchronous — it runs real verification
+		// workloads — but follows the same admit-at-submit discipline as
+		// /v1/verify: backpressure is immediate either way.
+		async:     req.Wait == nil || !*req.Wait,
+		timeoutMS: timeoutMS,
+		// Submission is a registry mutation: it needs a recovered registry
+		// even before admission.
+		notReady: s.registry.ReadyReason(),
+		submit: func(jb *job) (err error) {
+			if v, err = s.registry.Submit(sub); err == nil {
+				xModelSubmits.Add(1)
+				s.registry.SetGateJob(v, jb.id)
+			}
+			return err
+		},
+		accepted: func(jb *job) any {
+			return ModelSubmitResponse{ID: jb.id, ModelVersionJSON: s.registry.Doc(v)}
+		},
+		run: func(ctx context.Context, jb *job, root *obs.Span, fairWorkers int) (any, error) {
+			root.SetAttr("model", v.Model())
+			root.SetAttr("version", v.Seq())
+			opts := vnn.Options{Workers: req.Options.Workers, Parallel: req.Options.Parallel, MaxNodes: req.Options.MaxNodes}
+			if opts.Workers == 0 {
+				opts.Workers = fairWorkers
+			}
+			opts.Progress = jb.publish
+			res, err := s.registry.RunGate(ctx, v, vnnregistry.GateRunOptions{Opts: opts, Span: root})
+			if err != nil {
+				return nil, err
+			}
+			resp := &ModelSubmitResponse{ID: jb.id, ModelVersionJSON: res.Doc}
+			if len(res.Findings) > 0 {
+				rep := vnn.NewAnalysisReport(nil, res.Findings)
+				resp.Report = &rep
+			}
+			return resp, nil
+		},
+		count: func(resp any, err error) {
+			if err == nil && resp.(*ModelSubmitResponse).State == string(vnnregistry.StateAdmitted) {
+				xModelAdmitted.Add(1)
+			} else {
+				xModelRejected.Add(1)
+			}
+		},
+	}, nil
 }
 
 func (s *Server) handleModelSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
 	var req ModelSubmitRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	q, err := s.prepareModelSubmit(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// Submission is a registry mutation: it needs a recovered registry
-	// even before admission.
-	if !s.registry.Ready() {
-		writeError(w, http.StatusServiceUnavailable, s.registry.ReadyReason())
-		return
-	}
-	// The gate defaults to asynchronous — it runs real verification
-	// workloads — but follows the same admit-at-submit discipline as
-	// /v1/verify: backpressure is immediate either way.
-	async := req.Wait == nil || !*req.Wait
-	s.drainMu.Lock()
-	if s.draining.Load() {
-		s.drainMu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	if err := s.sched.Admit(); err != nil {
-		s.drainMu.Unlock()
-		writeError(w, statusFor(err), err.Error())
-		return
-	}
-	if async {
-		s.wg.Add(1)
-	}
-	s.drainMu.Unlock()
-
-	v, err := s.registry.Submit(q.sub)
-	if err != nil {
-		// Undo the admission: the gate run that would release it will
-		// never start.
-		s.sched.cancelAdmitted()
-		if async {
-			s.wg.Done()
-		}
-		writeError(w, registryStatus(err), err.Error())
-		return
-	}
-	xModelSubmits.Add(1)
-	jb := s.jobs.create(q.sub.Fingerprint)
-	s.registry.SetGateJob(v, jb.id)
-	tr := s.obs.rec.Start("gate", jb.id)
-	tr.Root().SetAttr("model", v.Model())
-	tr.Root().SetAttr("version", v.Seq())
-	tr.Root().SetAttr("fingerprint", q.sub.Fingerprint)
-
-	if !async {
-		resp, err := s.runModelGate(r.Context(), jb, tr, v, q, &req)
-		if err != nil {
-			writeError(w, registryStatus(err), err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	go func() {
-		defer s.wg.Done()
-		s.runModelGate(s.queryCtx, jb, tr, v, q, &req)
-	}()
-	writeJSON(w, http.StatusAccepted, ModelSubmitResponse{
-		ID:               jb.id,
-		ModelVersionJSON: s.registry.Doc(v),
-	})
-}
-
-// runModelGate executes one version's admission gate under scheduler
-// control, mirroring runAnalyze: queue span, fair worker share, SSE
-// progress through the job, drain interruption. The lifecycle decision
-// itself (admitted/rejected, persistence) belongs to the registry.
-func (s *Server) runModelGate(parent context.Context, jb *job, tr *obs.Trace, v *vnnregistry.Version, q *preparedSubmit, req *ModelSubmitRequest) (*ModelSubmitResponse, error) {
-	start := time.Now()
-	defer tr.Finish()
-	defer observeSince(s.obs.gateLatency, start)
-	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
-	if timeout <= 0 && q.gate != nil {
-		timeout = time.Duration(q.gate.TimeoutMS) * time.Millisecond
-	}
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	var qctx context.Context
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		qctx, cancel = context.WithTimeout(parent, timeout)
-	} else {
-		qctx, cancel = context.WithCancel(parent)
-	}
-	defer cancel()
-	stop := context.AfterFunc(s.queryCtx, cancel) // drain interrupts the gate
-	defer stop()
-
-	root := tr.Root()
-	queueSpan := root.Child("queue")
-	var resp *ModelSubmitResponse
-	err := s.sched.RunAdmitted(qctx, nil, func(ctx context.Context, fairWorkers int) error {
-		queueSpan.End()
-		root.SetAttr("workers", fairWorkers)
-		opts := vnn.Options{Workers: req.Options.Workers, Parallel: req.Options.Parallel, MaxNodes: req.Options.MaxNodes}
-		if opts.Workers == 0 {
-			opts.Workers = fairWorkers
-		}
-		opts.Progress = func(ev vnn.Event) { jb.publish(ev) }
-		res, err := s.registry.RunGate(ctx, v, vnnregistry.GateRunOptions{Opts: opts, Span: root})
-		if err != nil {
-			return err
-		}
-		resp = &ModelSubmitResponse{ID: jb.id, ModelVersionJSON: res.Doc}
-		if len(res.Findings) > 0 {
-			rep := vnn.NewAnalysisReport(nil, res.Findings)
-			resp.Report = &rep
-		}
-		return nil
-	})
-	queueSpan.End()
-	if err == nil {
-		if resp.State == string(vnnregistry.StateAdmitted) {
-			xModelAdmitted.Add(1)
-		} else {
-			xModelRejected.Add(1)
-		}
-	} else {
-		xModelRejected.Add(1)
-	}
-	jb.finish(resp, err)
-	return resp, err
+	s.serveJob(w, r, &req, func() (*jobPlan, error) { return s.prepareModelSubmit(&req) })
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {

@@ -74,7 +74,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/verify"
 	"repro/pkg/vnn"
 	"repro/pkg/vnnfleet"
 	"repro/pkg/vnnregistry"
@@ -159,10 +158,15 @@ type Server struct {
 
 	// shards are the inference plane's per-core serving lanes (see
 	// inferShard): each owns its kernel scratch outright, so the hot
-	// path never contends on a sync.Pool. workloads remembers served
-	// (network, region, options) triples for by-fingerprint requests.
-	shards    *inferShards
-	workloads *workloadCache
+	// path never contends on a sync.Pool.
+	shards *inferShards
+	// workloads remembers parsed (network, region, options) triples by
+	// fingerprint, so by-fingerprint /v1/infer requests skip the network
+	// upload and parse. Entries are cheap and stored as soon as a
+	// full-network request parses — before its compile, whether or not
+	// the request then succeeds — or when a gate compile or fleet import
+	// brings the workload in.
+	workloads *lru[*workload]
 
 	// fleet is the replication peer (see fleet.go for the Store
 	// implementation); its endpoints are always mounted, its reconcile
@@ -240,7 +244,7 @@ func New(cfg Config) *Server {
 		cache:         NewCache(cfg.CacheEntries),
 		monitors:      newMonitorCache(cfg.CacheEntries),
 		shards:        newInferShards(cfg.InferWorkers),
-		workloads:     newWorkloadCache(cfg.CacheEntries),
+		workloads:     newLRU[*workload](cfg.CacheEntries),
 		sched:         NewScheduler(cfg.MaxConcurrent, cfg.QueueDepth),
 		jobs:          newRegistry(),
 		start:         time.Now(),
@@ -289,7 +293,7 @@ func New(cfg Config) *Server {
 	s.registry = vnnregistry.New(vnnregistry.Config{
 		Dir:          cfg.DataDir,
 		Compile:      s.registryCompile,
-		BuildMonitor: s.registryBuildMonitor,
+		BuildMonitor: s.buildMonitor,
 		ImportMonitor: func(m *vnn.Monitor) {
 			// Recovered serving monitors also prime the by-content monitor
 			// cache, so monitor_fingerprint requests work across restarts.
@@ -470,26 +474,10 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// preparedQuery is a parsed, validated verify request.
-type preparedQuery struct {
-	net         *vnn.Network
-	region      *vnn.Region
-	props       []vnn.Property
-	fingerprint string
-	compileOpts vnn.Options
-}
-
-// prepare parses the request into engine values and fingerprints the
-// compile workload.
-func (s *Server) prepare(req *VerifyRequest) (*preparedQuery, error) {
-	if len(req.Network) == 0 {
-		return nil, fmt.Errorf("request needs a network")
-	}
-	net, err := vnn.UnmarshalNetwork(req.Network)
-	if err != nil {
-		return nil, err
-	}
-	region, err := req.Region.Region()
+// prepare parses the verify request into engine values, validates every
+// property against the network, and plans the job.
+func (s *Server) prepare(req *VerifyRequest) (*jobPlan, error) {
+	wl, err := parseWorkload(req.Network, req.Region, req.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -501,212 +489,38 @@ func (s *Server) prepare(req *VerifyRequest) (*preparedQuery, error) {
 		if props[i], err = req.Properties[i].Property(); err != nil {
 			return nil, fmt.Errorf("property %d: %w", i, err)
 		}
-		if err := req.Properties[i].ValidateFor(net); err != nil {
+		if err := req.Properties[i].ValidateFor(wl.net); err != nil {
 			return nil, fmt.Errorf("property %d: %w", i, err)
 		}
 	}
-	compileOpts := vnn.Options{Tighten: req.Options.Tighten, Workers: req.Options.Workers}
-	fp, err := vnn.Fingerprint(net, region, compileOpts)
-	if err != nil {
-		return nil, err
-	}
-	return &preparedQuery{
-		net:         net,
-		region:      region,
-		props:       props,
-		fingerprint: fp,
-		compileOpts: compileOpts,
+	return &jobPlan{
+		route:       "/v1/verify",
+		status:      statusFor,
+		fingerprint: wl.fingerprint,
+		async:       req.Wait != nil && !*req.Wait,
+		timeoutMS:   req.TimeoutMS,
+		run: func(ctx context.Context, jb *job, root *obs.Span, fairWorkers int) (any, error) {
+			return s.solve(ctx, jb, root, wl, req.Options, fairWorkers,
+				func(ctx context.Context, cn *vnn.CompiledNetwork) (vnn.Report, effort, error) {
+					var eff effort
+					results, err := vnn.Verify(ctx, cn, props...)
+					if err != nil {
+						return vnn.Report{}, eff, err
+					}
+					eff.add(results)
+					return vnn.NewReport(wl.net, results), eff, nil
+				})
+		},
+		count: func(any, error) {
+			s.queries.Add(1)
+			xQueries.Add(1)
+		},
 	}, nil
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
 	var req VerifyRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	q, err := s.prepare(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// Admission happens at submit time so overload surfaces as immediate
-	// backpressure for sync and async clients alike; runVerify releases
-	// the token. Held under drainMu so a request is never admitted after
-	// Drain stopped waiting (and wg.Add always precedes Drain's wg.Wait).
-	async := req.Wait != nil && !*req.Wait
-	s.drainMu.Lock()
-	if s.draining.Load() {
-		s.drainMu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	if err := s.sched.Admit(); err != nil {
-		s.drainMu.Unlock()
-		writeError(w, statusFor(err), err.Error())
-		return
-	}
-	if async {
-		s.wg.Add(1)
-	}
-	s.drainMu.Unlock()
-	jb := s.jobs.create(q.fingerprint)
-	// The trace shares the job id, so the id every response (and 202
-	// acknowledgment) echoes also addresses /debug/traces/{id}; an
-	// inbound traceparent additionally enrolls it in the caller's
-	// distributed trace.
-	tr := s.startTrace(r, "/v1/verify", jb.id)
-	tr.Root().SetAttr("fingerprint", q.fingerprint)
-	tn := s.tenantFor(r)
-
-	if !async {
-		resp, err := s.runVerify(r.Context(), jb, tr, tn, q, &req)
-		if err != nil {
-			writeError(w, statusFor(err), err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	go func() {
-		defer s.wg.Done()
-		// Async queries outlive their HTTP request; only the per-request
-		// deadline and server drain bound them.
-		s.runVerify(s.queryCtx, jb, tr, tn, q, &req)
-	}()
-	writeJSON(w, http.StatusAccepted, AcceptedResponse{
-		ID: jb.id, Fingerprint: q.fingerprint, Status: "running",
-	})
-}
-
-// runVerify executes one prepared query under admission control and
-// records the outcome on its job. The compile, if this query has to
-// perform it, runs under the server's lifetime context rather than the
-// request's: a compile is shared work (other requests may be waiting on
-// the same fingerprint), so one impatient client must not abort it —
-// only server drain can.
-//
-// The trace's phase spans decompose the request: "queue" (admission
-// wait), "cache" (lookup, with a "compile" child on a miss whose
-// tighten/encode children come from internal/verify's phase clocks),
-// "solve" (branch-and-bound, one child per property from the progress
-// stream). The root's children never overlap, so their durations sum to
-// at most the trace's wall time. The trace finishes when runVerify
-// returns — it covers the work, not the HTTP response write.
-func (s *Server) runVerify(parent context.Context, jb *job, tr *obs.Trace, tn *obs.TenantStats, q *preparedQuery, req *VerifyRequest) (*VerifyResponse, error) {
-	start := time.Now()
-	defer tr.Finish()
-	defer observeSince(s.obs.verifyLatency, start)
-	defer func() { tn.Route("/v1/verify").Count(time.Since(start)) }()
-	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	var qctx context.Context
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		qctx, cancel = context.WithTimeout(parent, timeout)
-	} else {
-		qctx, cancel = context.WithCancel(parent)
-	}
-	defer cancel()
-	stop := context.AfterFunc(s.queryCtx, cancel) // drain interrupts the query
-	defer stop()
-
-	root := tr.Root()
-	queueSpan := root.Child("queue")
-	var resp *VerifyResponse
-	err := s.sched.RunAdmitted(qctx, tn, func(ctx context.Context, fairWorkers int) error {
-		queueSpan.End()
-		root.SetAttr("workers", fairWorkers)
-		opts := q.compileOpts
-		if opts.Workers == 0 {
-			opts.Workers = fairWorkers
-		}
-		cacheSpan := root.Child("cache")
-		cn, hit, err := s.cache.GetOrCompile(ctx, q.fingerprint, func() (*vnn.CompiledNetwork, error) {
-			return s.compileTraced(cacheSpan, q.net, q.region, opts)
-		})
-		cacheSpan.SetAttr("hit", hit)
-		cacheSpan.End()
-		if err != nil {
-			return err
-		}
-		qopts := opts
-		qopts.Parallel = req.Options.Parallel
-		qopts.MaxNodes = req.Options.MaxNodes
-		solveSpan := root.Child("solve")
-		ps := vnn.NewProgressSpans(solveSpan)
-		qopts.Progress = func(ev vnn.Event) {
-			jb.publish(ev)
-			ps.Observe(ev)
-		}
-		results, err := vnn.Verify(ctx, cn.WithOptions(qopts), q.props...)
-		ps.Close()
-		if err != nil {
-			solveSpan.End()
-			return err
-		}
-		var nodes, pivots int64
-		for _, res := range results {
-			nodes += int64(res.Stats.Nodes)
-			pivots += int64(res.Stats.LPPivots)
-		}
-		solveSpan.SetAttr("nodes", nodes)
-		solveSpan.SetAttr("lp_pivots", pivots)
-		solveSpan.End()
-		s.nodes.Add(nodes)
-		s.pivots.Add(pivots)
-		xNodes.Add(nodes)
-		xLPPivots.Add(pivots)
-		resp = &VerifyResponse{
-			ID:          jb.id,
-			Fingerprint: q.fingerprint,
-			CacheHit:    hit,
-			CompileMS:   float64(cn.CompileTime().Microseconds()) / 1e3,
-			Report:      vnn.NewReport(q.net, results),
-		}
-		return nil
-	})
-	queueSpan.End() // no-op if fn ran; ends the wait if admission failed
-	// Counter write order: nodes/pivots land strictly before queries, so
-	// a /metrics snapshot that reads queries first (see Metrics) never
-	// shows a counted query whose solver effort is missing.
-	s.queries.Add(1)
-	xQueries.Add(1)
-	jb.finish(resp, err)
-	return resp, err
-}
-
-// compileTraced wraps vnn.Compile with a "compile" span under parent,
-// attributing the pass to LP tightening vs MILP encoding from
-// internal/verify's process-wide phase clocks. The deltas are read
-// around this compile only; concurrent compiles in other requests can
-// inflate them (they are attribution hints, not exact sub-timers), so
-// each child is clamped to the span's own duration.
-func (s *Server) compileTraced(parent *obs.Span, net *vnn.Network, region *vnn.Region, opts vnn.Options) (*vnn.CompiledNetwork, error) {
-	sp := parent.Child("compile")
-	t0, e0 := verify.TightenNanos(), verify.EncodeNanos()
-	buildStart := time.Now()
-	cn, err := vnn.Compile(s.queryCtx, net, region, opts)
-	wall := time.Since(buildStart)
-	clamp := func(d time.Duration) time.Duration {
-		if d > wall {
-			return wall
-		}
-		return d
-	}
-	sp.ChildTimed("tighten", clamp(time.Duration(verify.TightenNanos()-t0)))
-	sp.ChildTimed("encode", clamp(time.Duration(verify.EncodeNanos()-e0)))
-	sp.SetAttr("tighten_passes", verify.TightenPasses())
-	sp.SetAttr("encode_passes", verify.EncodePasses())
-	sp.End()
-	s.obs.compileTime.Observe(int64(wall))
-	return cn, err
+	s.serveJob(w, r, &req, func() (*jobPlan, error) { return s.prepare(&req) })
 }
 
 func (s *Server) handleGetVerify(w http.ResponseWriter, r *http.Request) {
@@ -826,21 +640,11 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, jb *job) {
 }
 
 func (s *Server) handleFalsify(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
 	var req FalsifyRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !s.accept(w, r, &req) {
 		return
 	}
-	net, err := vnn.UnmarshalNetwork(req.Network)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	region, err := req.Region.Region()
+	wl, err := parseWorkload(req.Network, req.Region, QueryOptions{})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -853,22 +657,20 @@ func (s *Server) handleFalsify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, o := range req.Outputs {
-		if o < 0 || o >= net.OutputDim() {
+		if o < 0 || o >= wl.net.OutputDim() {
 			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("output %d of %d", o, net.OutputDim()))
+				fmt.Sprintf("output %d of %d", o, wl.net.OutputDim()))
 			return
 		}
 	}
 
-	qctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stop := context.AfterFunc(s.queryCtx, cancel)
-	defer stop()
+	qctx, release := s.budget(r.Context(), 0)
+	defer release()
 
 	start := time.Now()
 	tr := s.startTrace(r, "/v1/falsify", "")
 	tn := s.tenantFor(r)
-	defer observeSince(s.obs.falsifyLatency, start)
+	defer observeSince(s.obs.latency["/v1/falsify"], start)
 	defer func() { tn.Route("/v1/falsify").Count(time.Since(start)) }()
 	defer tr.Finish()
 	queueSpan := tr.Root().Child("queue")
@@ -877,12 +679,18 @@ func (s *Server) handleFalsify(w http.ResponseWriter, r *http.Request) {
 		queueSpan.End()
 		runSpan := tr.Root().Child("falsify")
 		defer runSpan.End()
-		fr, err := vnn.FalsifyCtx(ctx, net, region, req.Outputs, vnn.FalsifyOptions{
+		fr, err := vnn.FalsifyCtx(ctx, wl.net, wl.region, req.Outputs, vnn.FalsifyOptions{
 			Restarts: req.Restarts,
 			Steps:    req.Steps,
 			Seed:     req.Seed,
 		})
 		if err != nil {
+			return err
+		}
+		// The attack stops at the budget or at drain, and a cut-short
+		// pre-pass has no anytime contract (cut before its first
+		// evaluation it has no value at all): report the interruption.
+		if err := ctx.Err(); err != nil {
 			return err
 		}
 		resp = &FalsifyResponse{

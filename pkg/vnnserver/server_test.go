@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/nn"
@@ -445,6 +446,25 @@ func TestServerFalsifyAndValidation(t *testing.T) {
 	}
 	if fr.Value <= 0 || fr.Value > 1+1e-6 || fr.Evaluations == 0 || len(fr.Best) != 2 {
 		t.Fatalf("falsify response %+v", fr)
+	}
+
+	// Falsify honours the server's default budget like every other compute
+	// route: an attack the deadline cuts short is a 504, not a hang (nor a
+	// 200 carrying the -Inf of an attack that never evaluated).
+	_, tight := newTestServer(t, vnnserver.Config{DefaultTimeout: time.Nanosecond})
+	longReq, _ := json.Marshal(vnnserver.FalsifyRequest{
+		Network:  netJSON,
+		Region:   vnn.RegionSpec{Box: [][2]float64{{0, 1}, {0, 1}}},
+		Outputs:  []int{0},
+		Restarts: 1024, Steps: 10000,
+	})
+	tresp, err := http.Post(tight.URL+"/v1/falsify", "application/json", bytes.NewReader(longReq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tresp.Body.Close()
+	if tresp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("falsify past the default timeout: status %d, want 504", tresp.StatusCode)
 	}
 
 	// Falsify work caps and output validation: unbounded or mismatched

@@ -39,8 +39,8 @@ type WorkloadsResponse struct {
 // query state.
 func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 	now := time.Now()
-	compiles := s.cache.entriesInfo()
-	monitors := s.monitors.entriesInfo()
+	compiles := s.cache.snapshot()
+	monitors := s.monitors.snapshot()
 	resp := WorkloadsResponse{Workloads: make([]WorkloadIndexEntry, 0, len(compiles)+len(monitors))}
 	add := func(kind string, arts []cachedArtifact) {
 		for _, a := range arts {
