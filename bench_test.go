@@ -63,20 +63,26 @@ var (
 	state     benchState
 )
 
+// benchData generates the shared simulator dataset, sanitised.
+func benchData() []train.Sample {
+	cfg := highway.DefaultDatasetConfig()
+	cfg.Episodes = 3
+	cfg.StepsPerEpisode = 150
+	cfg.Sim.Seed = 1
+	data, err := highway.GenerateDataset(cfg)
+	if err != nil {
+		panic(err)
+	}
+	clean, _ := dataval.Sanitize(data, core.SafetyRules(1e-9))
+	return clean
+}
+
 // setup builds one shared dataset and trains every benchmark predictor
 // exactly once; benchmarks then time only the experiment itself.
 func setup(b *testing.B) *benchState {
 	b.Helper()
 	stateOnce.Do(func() {
-		cfg := highway.DefaultDatasetConfig()
-		cfg.Episodes = 3
-		cfg.StepsPerEpisode = 150
-		cfg.Sim.Seed = 1
-		data, err := highway.GenerateDataset(cfg)
-		if err != nil {
-			panic(err)
-		}
-		clean, _ := dataval.Sanitize(data, core.SafetyRules(1e-9))
+		clean := benchData()
 		state.data = clean
 		state.preds = map[int]*core.Predictor{}
 		for _, w := range benchWidths {
@@ -321,6 +327,8 @@ func BenchmarkEngineWorkers(b *testing.B) {
 			b.ReportMetric(last.Value, "maxLatVel(m/s)")
 			b.ReportMetric(float64(last.Stats.Nodes), "bbNodes")
 			b.ReportMetric(float64(last.Stats.LPPivots), "lpPivots")
+			b.ReportMetric(float64(last.Stats.LP.ColdFallbacks()), "coldFallbacks")
+			b.ReportMetric(float64(last.Stats.LPPivots)/float64(last.Stats.Nodes), "pivots/node")
 		})
 	}
 }

@@ -140,6 +140,34 @@ func TestSerializationAcrossPipeline(t *testing.T) {
 	}
 }
 
+// TestTable2ColdFallbackShare is the effort gate on the benchmark's own
+// query: I2x8 VerifySafety, the table2_cold network. Every number checked
+// is a deterministic counter, so the gate is machine-independent. Cold
+// fallbacks — warm attempts thrown away for a two-phase solve at full
+// tableau width — were 14 % of nodes before infeasible nodes got a
+// pristine-data certificate and the dual loop its tolerance; a share above
+// 2 % means the warm path has gone cold again. Pivots per node count failed
+// warm attempts too, and sat at 40 then.
+func TestTable2ColdFallbackShare(t *testing.T) {
+	pred := trainPredictor(benchData(), 8)
+	for _, workers := range []int{1, 2} {
+		res, err := pred.VerifySafety(itCtx(t, 10*time.Minute), vnn.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if st.Nodes == 0 || st.LP.WarmSolves+st.LP.ColdSolves < st.Nodes {
+			t.Fatalf("workers=%d: %d nodes, LP stats %+v", workers, st.Nodes, st.LP)
+		}
+		if fb := st.LP.ColdFallbacks(); 100*fb > 2*st.Nodes {
+			t.Errorf("workers=%d: %d cold fallbacks over %d nodes, want at most 2%%: %+v", workers, fb, st.Nodes, st.LP)
+		}
+		if st.LPPivots >= 40*st.Nodes {
+			t.Errorf("workers=%d: %d pivots over %d nodes, want fewer than 40 a node", workers, st.LPPivots, st.Nodes)
+		}
+	}
+}
+
 // itCtx builds a context with a deadline cleaned up with the test.
 func itCtx(t *testing.T, d time.Duration) context.Context {
 	t.Helper()

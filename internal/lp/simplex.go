@@ -103,6 +103,7 @@ type tableau struct {
 	maxIters           int
 	tol                float64
 	cancel             func() bool // optional cooperative-cancellation poll
+	stats              *Stats      // the owning Solver's effort counters
 }
 
 // cancelled polls the cancellation hook at most every cancelPeriod pivots.
@@ -289,6 +290,7 @@ func (tb *tableau) iterate() Status {
 		}
 
 		// Move the entering variable and every basic variable.
+		tb.stats.PrimalPivots++
 		step := dir * tMax
 		tb.x[j] += step
 		for i := 0; i < tb.m; i++ {
@@ -376,16 +378,20 @@ func (tb *tableau) computeBasics() {
 	}
 }
 
+// violated reports whether column j's value lies outside its bounds beyond
+// tolerance. It is the one feasibility test of the dual simplex — the same
+// tol·(1+|bound|) mostInfeasibleRow ranks rows by — so a row the selection
+// would not pick is never left "unresolved" over a last-bit residual.
+func (tb *tableau) violated(j int) bool {
+	v, lo, hi := tb.x[j], tb.lower[j], tb.upper[j]
+	return v < lo-tb.tol*(1+math.Abs(lo)) || v > hi+tb.tol*(1+math.Abs(hi))
+}
+
 // firstInfeasibleRow returns the first row whose basic variable violates its
 // bounds beyond tolerance, or -1 when the basis is primal feasible.
 func (tb *tableau) firstInfeasibleRow() int {
 	for i := 0; i < tb.m; i++ {
-		bi := tb.basis[i]
-		v := tb.x[bi]
-		if lo := tb.lower[bi]; v < lo-tb.tol*(1+math.Abs(lo)) {
-			return i
-		}
-		if hi := tb.upper[bi]; v > hi+tb.tol*(1+math.Abs(hi)) {
+		if tb.violated(tb.basis[i]) {
 			return i
 		}
 	}
@@ -442,44 +448,28 @@ func (tb *tableau) dualFeasible() bool {
 	return true
 }
 
-// rowProvesInfeasible checks whether row r certifies primal infeasibility
-// directly from tableau data: the basic variable's extreme achievable value
-// over the nonbasic box still violates its bound.
-func (tb *tableau) rowProvesInfeasible(r int) bool {
-	bi := tb.basis[r]
-	row := tb.t[r]
-	// x_bi = rhsInv[r] − Σ α_j x_j; maximize and minimize over the box.
-	maxV, minV := tb.rhsInv[r], tb.rhsInv[r]
-	for j := 0; j < tb.width; j++ {
-		if tb.status[j] == basic {
-			continue
-		}
-		a := row[j]
-		if a == 0 {
-			continue
-		}
-		lo, hi := tb.lower[j], tb.upper[j]
-		if math.IsInf(lo, -1) || math.IsInf(hi, 1) {
-			return false // unbounded box direction: no certificate here
-		}
-		if a > 0 {
-			maxV -= a * lo
-			minV -= a * hi
-		} else {
-			maxV -= a * hi
-			minV -= a * lo
-		}
-	}
-	slack := tb.tol * (1 + math.Abs(tb.lower[bi]) + math.Abs(tb.upper[bi]))
-	return maxV < tb.lower[bi]-slack || minV > tb.upper[bi]+slack
-}
+// dualOutcome is how a dual simplex pass ended.
+type dualOutcome int
+
+const (
+	// dualRestored: the basis is primal feasible; the primal polish takes over.
+	dualRestored dualOutcome = iota
+	// dualDeadEnd: a violated row has no admissible entering column — the
+	// node is infeasible unless roundoff hid a column, which only a
+	// certificate from pristine data can tell apart.
+	dualDeadEnd
+	// dualStalled: the step budget ran out.
+	dualStalled
+	// dualInterrupted: the pivot budget or the cancellation hook stopped it.
+	dualInterrupted
+)
 
 // dualIterate runs bounded-variable dual simplex pivots until the basis is
-// primal feasible (→ Optimal), certified primal infeasible (→ Infeasible),
-// or the pivot budget runs out. It requires (near-)dual-feasible reduced
-// costs on entry; the caller re-polishes with primal pivots, so mild sign
-// drift costs extra primal work, never correctness. ok=false means the
-// pass could not conclude and the caller must go cold.
+// primal feasible, a row has no admissible entering column (the returned
+// row; the caller asks for an infeasibility certificate), or a budget runs
+// out. It requires (near-)dual-feasible reduced costs on entry; the caller
+// re-polishes with primal pivots, so mild sign drift costs extra primal
+// work, never correctness.
 //
 // The ratio test is the long-step variant: a min-ratio column whose own
 // bound range cannot absorb the leaving variable's residual is flipped to
@@ -487,18 +477,18 @@ func (tb *tableau) rowProvesInfeasible(r int) bool {
 // and the scan continues with the next candidate. Without flips, big-M
 // verification LPs (full of boxed indicator columns with narrow ranges)
 // degenerate into long chains of full pivots.
-func (tb *tableau) dualIterate() (st Status, ok bool) {
+func (tb *tableau) dualIterate() (out dualOutcome, row int) {
 	budget := 6*tb.m + 100 // dual steps, not counting flips
 	for steps := 0; ; steps++ {
 		if tb.iters >= tb.maxIters || tb.cancelled() {
-			return IterationLimit, true
+			return dualInterrupted, -1
 		}
 		if steps > budget {
-			return 0, false // stalling; let the cold path decide
+			return dualStalled, -1
 		}
 		r := tb.mostInfeasibleRow()
 		if r < 0 {
-			return Optimal, true
+			return dualRestored, -1
 		}
 		bi := tb.basis[r]
 		below := tb.x[bi] < tb.lower[bi]
@@ -512,9 +502,10 @@ func (tb *tableau) dualIterate() (st Status, ok bool) {
 		row := tb.t[r]
 
 		// Resolve row r: flip boxed min-ratio columns that cannot absorb
-		// the residual, enter the first one that can.
-		entered := false
-		for tb.x[bi] != target {
+		// the residual, enter the first one that can. The row is resolved
+		// once its basic variable is within tolerance of its bound, not
+		// only when it sits on it exactly.
+		for tb.violated(bi) {
 			deltaB := target - tb.x[bi] // >0 when below, <0 when above
 
 			// Dual ratio test: entering column must let x_bi move toward
@@ -547,18 +538,18 @@ func (tb *tableau) dualIterate() (st Status, ok bool) {
 				}
 			}
 			if best < 0 {
-				// No admissible entering column: either a genuine
-				// infeasibility certificate or a numerical dead end.
-				if tb.rowProvesInfeasible(r) {
-					return Infeasible, true
-				}
-				return 0, false
+				return dualDeadEnd, r
 			}
 
 			deltaJ := deltaB / -row[best]
 			rng := tb.upper[best] - tb.lower[best]
-			if tb.status[best] != free && !math.IsInf(rng, 1) && math.Abs(deltaJ) > rng {
-				// Bound flip: the column saturates before the row is whole.
+			if tb.status[best] != free && !math.IsInf(rng, 1) &&
+				math.Abs(deltaB)-math.Abs(row[best])*rng > tb.tol*(1+math.Abs(target)) {
+				// Bound flip: the column saturates and the row is still
+				// violated. A column that would bring the row within
+				// tolerance enters instead, even a hair past its own bound:
+				// ending the row on a flip would leave the flipped columns
+				// with reduced costs signed for the bound they left.
 				var step float64
 				if tb.status[best] == atLower {
 					step = rng
@@ -574,6 +565,7 @@ func (tb *tableau) dualIterate() (st Status, ok bool) {
 						tb.x[tb.basis[i]] -= step * a
 					}
 				}
+				tb.stats.BoundFlips++
 				continue
 			}
 
@@ -587,12 +579,8 @@ func (tb *tableau) dualIterate() (st Status, ok bool) {
 			tb.x[bi] = target
 			tb.pivot(r, best, newXj)
 			tb.iters++
-			entered = true
+			tb.stats.DualPivots++
 			break
-		}
-		if !entered && tb.x[bi] == target {
-			// Flips alone made the row feasible; the basic variable stays.
-			continue
 		}
 	}
 }

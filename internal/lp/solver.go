@@ -2,15 +2,6 @@ package lp
 
 import "math"
 
-// Basis is a snapshot of a simplex basis: the column basic in each row plus
-// the bound status of every priced column. Snapshots are immutable once
-// taken and safe to share between solvers bound to structurally identical
-// models (branch-and-bound stores a parent's basis on each child node).
-type Basis struct {
-	rows   []int
-	status []varStatus
-}
-
 const (
 	// installPivotTol rejects unstable pivots while factorizing a basis.
 	installPivotTol = 1e-8
@@ -33,8 +24,9 @@ const (
 //   - bound changes under an unchanged objective leave the basis dual
 //     feasible, so dual simplex pivots restore primal feasibility without
 //     a phase-1 restart (the branch-and-bound access pattern, where
-//     children differ by one binary bound fix); an infeasibility signal
-//     from the dual pass is always re-confirmed by a cold phase 1;
+//     children differ by one binary bound fix); a child with no feasible
+//     point is reported Infeasible warm, on a Farkas certificate computed
+//     from the model's own constraint data, and the basis stays live;
 //   - anything the warm path cannot certify degrades to a cold solve; the
 //     warm machinery can cost time, never correctness.
 //
@@ -54,6 +46,9 @@ type Solver struct {
 	hasBasis       bool // tableau holds a consistent phase-2 state
 	dirty          bool // working tableau differs from the pristine copy
 	pivotsSinceRef int  // pivots since the last pristine (re)factorization
+
+	stats Stats
+	cert  []float64 // certificate scratch: one coefficient per structural and slack column
 }
 
 // NewSolver builds a solver for the model. The model's constraint matrix is
@@ -70,6 +65,9 @@ func (s *Solver) Model() *Model { return s.model }
 
 // Invalidate discards the saved basis; the next solve starts cold.
 func (s *Solver) Invalidate() { s.hasBasis = false }
+
+// Stats returns the effort counters accumulated over the solver's life.
+func (s *Solver) Stats() Stats { return s.stats }
 
 // rebuild ingests the model structure into pristine tableau storage.
 func (s *Solver) rebuild() {
@@ -90,6 +88,7 @@ func (s *Solver) rebuild() {
 		status:  make([]varStatus, nTotal),
 		basis:   make([]int, rows),
 		rhsInv:  make([]float64, rows),
+		stats:   &s.stats,
 	}
 	tb.t = make([][]float64, rows)
 	tb.backing = make([]float64, rows*nTotal)
@@ -98,6 +97,7 @@ func (s *Solver) rebuild() {
 		tb.t[i], backing = backing[:nTotal:nTotal], backing[nTotal:]
 	}
 
+	s.cert = make([]float64, nStruct+rows)
 	s.origRHS = make([]float64, rows)
 	s.slackLo = make([]float64, rows)
 	s.slackHi = make([]float64, rows)
@@ -139,20 +139,10 @@ func (s *Solver) resetTableau() {
 }
 
 // Solve optimizes the model under its current bounds and objective,
-// warm-starting from the previous basis when one is available.
-func (s *Solver) Solve(opts Options) (*Solution, error) {
-	return s.SolveFrom(nil, opts)
-}
-
-// SolveFrom optimizes like Solve, additionally seeding a solver that has no
-// live basis of its own from the given snapshot (typically a branch-and-
-// bound parent's optimal basis) by factorizing that basis from pristine
-// data. A solver with a live basis prefers its own: under an unchanged
-// objective that basis is already dual feasible, so dual simplex reaches
-// the new optimum directly. A nil snapshot is plain Solve; any warm path
+// warm-starting from the previous basis when one is live. Any warm path
 // that cannot be certified degrades to a cold solve, never to a wrong
 // answer.
-func (s *Solver) SolveFrom(from *Basis, opts Options) (*Solution, error) {
+func (s *Solver) Solve(opts Options) (*Solution, error) {
 	m := s.model
 	for _, v := range m.vars {
 		if v.Lower > v.Upper || math.IsNaN(v.Lower) || math.IsNaN(v.Upper) {
@@ -174,29 +164,15 @@ func (s *Solver) SolveFrom(from *Basis, opts Options) (*Solution, error) {
 	tb.cancel = opts.Cancel
 	tb.iters = 0
 
-	if s.hasBasis || from != nil {
-		if sol, ok := s.warmSolve(from); ok {
+	if s.hasBasis {
+		if sol, ok := s.warmSolve(); ok {
+			s.stats.WarmSolves++
 			return sol, nil
 		}
-		tb.iters = 0 // discard pivots spent on the failed warm attempt
 	}
+	// Pivots a failed warm attempt spent stay in tb.iters: they were work.
+	s.stats.ColdSolves++
 	return s.coldSolve()
-}
-
-// SaveBasis snapshots the current basis for later SolveFrom calls, or nil
-// when the solver holds no consistent basis.
-func (s *Solver) SaveBasis() *Basis {
-	if !s.hasBasis {
-		return nil
-	}
-	tb := s.tb
-	b := &Basis{
-		rows:   make([]int, tb.m),
-		status: make([]varStatus, tb.nStruct+tb.m),
-	}
-	copy(b.rows, tb.basis)
-	copy(b.status, tb.status[:tb.nStruct+tb.m])
-	return b
 }
 
 // loadPhase2Costs loads the model objective (in minimize direction).
@@ -250,7 +226,7 @@ func (s *Solver) coldSolve() (*Solution, error) {
 	tb := s.tb
 	nStruct, rows := tb.nStruct, tb.m
 	s.hasBasis = false
-	s.pivotsSinceRef = 0
+	startIters := tb.iters
 
 	// A one-shot solve on a fresh solver skips the pristine rebuild; any
 	// solver that has pivoted (or factorized) restores the tableau first.
@@ -322,31 +298,22 @@ func (s *Solver) coldSolve() (*Solution, error) {
 	tb.refreshReducedCosts()
 	st := tb.iterate()
 	s.hasBasis = true
-	s.pivotsSinceRef = tb.iters
+	s.pivotsSinceRef = tb.iters - startIters
 	return s.finishSolution(st), nil
 }
 
-// warmSolve re-solves from a live or seeded basis: refresh bounds and
-// costs, restore primal feasibility if a bound change broke it (dual
-// simplex when the reduced costs allow, heuristic bound repair otherwise),
-// then run phase 2 only. Returns ok=false when the warm path cannot
-// certify a trustworthy answer; the caller then solves cold.
-func (s *Solver) warmSolve(from *Basis) (*Solution, bool) {
+// warmSolve re-solves from the live basis: refresh bounds and costs,
+// restore primal feasibility if a bound change broke it (dual simplex when
+// the reduced costs allow, heuristic bound repair otherwise), then run
+// phase 2 only. Returns ok=false when the warm path cannot certify a
+// trustworthy answer; the caller then solves cold.
+func (s *Solver) warmSolve() (*Solution, bool) {
 	tb := s.tb
 	m := s.model
 	artStart := tb.nStruct + tb.m
 
-	// (Re)factorize when there is no live basis to continue from, or when
-	// accumulated pivots call for a drift reset. A solver with a live basis
-	// refactorizes onto its own basis — same vertex, fresh arithmetic.
-	if !s.hasBasis || s.pivotsSinceRef >= refactorPeriod {
-		b := from
-		if s.hasBasis {
-			b = s.SaveBasis()
-		}
-		if b == nil || !s.factorizeBasis(b) {
-			return nil, false
-		}
+	if s.pivotsSinceRef >= refactorPeriod {
+		s.refactorize()
 	}
 	tb.width = artStart
 	s.loadBounds()
@@ -400,8 +367,7 @@ func (s *Solver) warmSolve(from *Basis) (*Solution, bool) {
 	}
 
 	tb.computeBasics()
-	s.hasBasis = true
-	installIters := tb.iters // factorization pivots, already in pivotsSinceRef
+	installIters := tb.iters // refactorization pivots, already in pivotsSinceRef
 
 	if tb.firstInfeasibleRow() >= 0 {
 		// A bound mutation broke primal feasibility. When the reduced costs
@@ -410,15 +376,28 @@ func (s *Solver) warmSolve(from *Basis) (*Solution, bool) {
 		// feasibility directly. Otherwise fall back to the heuristic bound
 		// repair.
 		if tb.dualFeasible() {
-			st, ok := tb.dualIterate()
-			if !ok || st == Infeasible || st == IterationLimit {
-				// The dual infeasibility certificate reads drift-prone
-				// tableau data, so it is treated as "probably infeasible"
-				// only: the cold path re-derives the verdict from pristine
-				// data. Warm answers may cost time, never correctness.
+			switch out, r := tb.dualIterate(); out {
+			case dualDeadEnd:
+				if !s.provesInfeasible(r) {
+					s.stats.CertFailed++
+					s.stats.ColdDeadEnd++
+					return nil, false
+				}
+				// Infeasible, with the basis left live: the next solve re-rests
+				// the columns this row flipped and starts its dual pass here.
+				s.stats.CertAccepted++
+				s.pivotsSinceRef += tb.iters - installIters
+				return &Solution{Status: Infeasible, Iterations: tb.iters}, true
+			case dualStalled:
+				s.stats.ColdStall++
 				return nil, false
+			case dualInterrupted:
+				// No X: mid-pass the vertex is not primal feasible.
+				s.pivotsSinceRef += tb.iters - installIters
+				return &Solution{Status: IterationLimit, Iterations: tb.iters}, true
 			}
 		} else if !s.repairBasis() {
+			s.stats.ColdDeadEnd++
 			return nil, false
 		}
 	}
@@ -428,31 +407,107 @@ func (s *Solver) warmSolve(from *Basis) (*Solution, bool) {
 	if st == Unbounded {
 		// Genuine unboundedness will be re-detected cold; a corrupted warm
 		// state will not. Either way the cold answer is authoritative.
+		s.stats.ColdUnbounded++
 		return nil, false
 	}
 	sol := s.finishSolution(st)
 	if st == Optimal && m.FeasibilityError(sol.X) > warmFeasGuard {
+		s.stats.ColdFeasGuard++
 		return nil, false
 	}
 	return sol, true
 }
 
-// factorizeBasis rebuilds the working tableau from pristine data with the
-// snapshot's basis installed: a fresh Gaussian factorization that pivots
-// each target basic column into its row in greedy largest-pivot order.
-// Rows whose target column cannot be pivoted stably keep their (pinned)
-// artificial basic; the feasibility machinery absorbs the difference.
-func (s *Solver) factorizeBasis(b *Basis) bool {
+// impliedEquality combines the model's rows with the multipliers
+// y = row r of B⁻¹ into one equality every feasible point satisfies:
+// each row i reads aᵢ·x + sᵢ = bᵢ, so any y gives (yᵀA)·x + y·s = yᵀb.
+// y is read from the slack block of tableau row r and entries below the
+// drop tolerance are zeroed: a cleaned y still yields a valid equality, so
+// tableau drift can weaken what the equality proves but cannot make it
+// false. The coefficients c over [structural | slack] columns (valid until
+// the next call) and β are formed from the model's own constraint data.
+func (s *Solver) impliedEquality(r int) (c []float64, yMax, beta float64) {
+	tb := s.tb
+	y := tb.t[r][tb.nStruct : tb.nStruct+tb.m]
+	for _, yi := range y {
+		yMax = math.Max(yMax, math.Abs(yi))
+	}
+	drop := pivotTol * math.Max(1, yMax)
+	c = s.cert
+	for j := range c {
+		c[j] = 0
+	}
+	for i, yi := range y {
+		if math.Abs(yi) < drop {
+			continue
+		}
+		for _, term := range s.model.cons[i].Terms {
+			c[term.Var] += yi * term.Coeff
+		}
+		c[tb.nStruct+i] = yi
+		beta += yi * s.origRHS[i]
+	}
+	return c, yMax, beta
+}
+
+// provesInfeasible reports whether the equality implied by row r cannot
+// hold anywhere in the current box: the interval of c·(x, s) over the
+// bounds excludes β. It is a Farkas certificate computed from pristine
+// data, so its verdict needs no cold confirmation. The margin is the cold
+// path's own: a gap g means every point of the box misses some row by at
+// least g/‖y‖∞, which is what phase 1 would report as residual artificial
+// mass and compare against 10·tol.
+func (s *Solver) provesInfeasible(r int) bool {
+	tb := s.tb
+	c, yMax, beta := s.impliedEquality(r)
+	var lo, hi float64
+	for j, cj := range c {
+		switch {
+		case cj > 0:
+			lo += cj * tb.lower[j]
+			hi += cj * tb.upper[j]
+		case cj < 0:
+			lo += cj * tb.upper[j]
+			hi += cj * tb.lower[j]
+		}
+	}
+	margin := 10 * tb.tol * math.Max(1, yMax)
+	return lo > beta+margin || hi < beta-margin
+}
+
+// refactorize rebuilds the working tableau from pristine data onto the live
+// basis — same vertex, fresh arithmetic: full-tableau updates lose accuracy
+// with every pivot, and a Gaussian factorization that pivots each basic
+// column into a row in greedy largest-pivot order resets the drift. Rows
+// whose column cannot be pivoted stably keep their (pinned) artificial
+// basic; the feasibility machinery absorbs the difference.
+func (s *Solver) refactorize() {
 	tb := s.tb
 	artStart := tb.nStruct + tb.m
-	if len(b.rows) != tb.m || len(b.status) != artStart {
-		return false
+	s.stats.Refactorizations++
+
+	// The basis is a set of columns; its row assignment is just one valid
+	// pairing, so factorize column-by-column with row partial pivoting:
+	// each basic column claims the free row where its current tableau entry
+	// is largest. Columns whose entries are all tiny are retried after the
+	// others have pivoted (which reshuffles the entries), and only then
+	// abandoned to a pinned artificial.
+	cols := make([]int, 0, tb.m)
+	rowFree := make([]bool, tb.m)
+	for r, c := range tb.basis {
+		if c < artStart {
+			cols = append(cols, c)
+			rowFree[r] = true // artificial-basic rows stay claimed by their artificial
+		}
 	}
+
 	s.resetTableau()
-	s.dirty = true
 	tb.width = artStart
 	for j := range tb.d {
 		tb.d[j] = 0 // keep pivot's reduced-cost update inert during install
+	}
+	for _, c := range cols {
+		tb.status[c] = atLower // overwritten when the column pivots in
 	}
 	for i := 0; i < tb.m; i++ {
 		art := artStart + i
@@ -460,28 +515,7 @@ func (s *Solver) factorizeBasis(b *Basis) bool {
 		tb.status[art] = basic
 		tb.x[art] = 0
 	}
-	for j := 0; j < artStart; j++ {
-		if b.status[j] == basic {
-			tb.status[j] = atLower // overwritten when the column pivots in
-		} else {
-			tb.status[j] = b.status[j]
-		}
-	}
 
-	// The snapshot's basis is a set of columns; its row assignment is just
-	// one valid pairing, so factorize column-by-column with row partial
-	// pivoting: each basic column claims the free row where its current
-	// tableau entry is largest. Columns whose entries are all tiny are
-	// retried after the others have pivoted (which reshuffles the entries),
-	// and only then abandoned to a pinned artificial.
-	cols := make([]int, 0, tb.m)
-	rowFree := make([]bool, tb.m)
-	for r := 0; r < tb.m; r++ {
-		if c := b.rows[r]; c < artStart {
-			cols = append(cols, c)
-			rowFree[r] = true // artificial-basic rows stay claimed by their artificial
-		}
-	}
 	installed := 0
 	for pass := 0; pass < 2 && len(cols) > 0; pass++ {
 		deferred := cols[:0]
@@ -507,7 +541,6 @@ func (s *Solver) factorizeBasis(b *Basis) bool {
 		cols = deferred
 	}
 	s.pivotsSinceRef = installed
-	return true
 }
 
 // repairBasis tries to restore primal feasibility after bound mutations by
@@ -565,4 +598,3 @@ func (s *Solver) repairBasis() bool {
 	}
 	return tb.firstInfeasibleRow() < 0
 }
-

@@ -107,49 +107,6 @@ func TestWarmBinaryFixPattern(t *testing.T) {
 	}
 }
 
-// TestSolveFromBasis checks that installing a snapshot basis from a
-// structurally identical sibling solver reproduces the cold answer.
-func TestSolveFromBasis(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 10; trial++ {
-		m := randomBoxLP(rng, 5+rng.Intn(5), 3+rng.Intn(4))
-		parent := NewSolver(m)
-		if sol, err := parent.Solve(Options{}); err != nil || sol.Status != Optimal {
-			t.Fatalf("parent solve: %v / %v", sol.Status, err)
-		}
-		snap := parent.SaveBasis()
-		if snap == nil {
-			t.Fatal("no basis after optimal solve")
-		}
-
-		// A sibling worker: same structure, mutated bounds (a binary-style fix).
-		clone := m.Clone()
-		v := rng.Intn(m.NumVariables())
-		lo, hi := clone.Bounds(v)
-		mid := lo + rng.Float64()*(hi-lo)
-		clone.SetBounds(v, mid, mid)
-		sib := NewSolver(clone)
-		// Prime the sibling with one solve so SolveFrom has a live tableau.
-		if _, err := sib.Solve(Options{}); err != nil {
-			t.Fatal(err)
-		}
-		warm, err := sib.SolveFrom(snap, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := Solve(clone, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.Status != cold.Status {
-			t.Fatalf("trial %d: SolveFrom status %v, cold %v", trial, warm.Status, cold.Status)
-		}
-		if warm.Status == Optimal && math.Abs(warm.Objective-cold.Objective) > 1e-6 {
-			t.Fatalf("trial %d: SolveFrom objective %.12g, cold %.12g", trial, warm.Objective, cold.Objective)
-		}
-	}
-}
-
 // TestSolverStructureChange verifies the solver survives a model that grows
 // between solves (rebuild path).
 func TestSolverStructureChange(t *testing.T) {

@@ -4,16 +4,22 @@
 // The solver targets the network-verification MILPs in this repository:
 // every integer variable is a 0/1 ReLU phase indicator, so branching is
 // binary and big-M bound fixing (setting a binary's bounds to [0,0] or
-// [1,1]) is the only node operation. Nodes are explored best-first by
-// relaxation bound so the incumbent/bound gap shrinks monotonically.
+// [1,1]) is the only node operation. Open nodes wait on a heap ordered by
+// relaxation bound, and the search dives: a worker that branches a node
+// goes straight on into the child the fractional value rounds to, while
+// the sibling joins the heap; only when a dive ends — infeasible, integral
+// or cut off by the incumbent — does the worker take the best open node.
+// The proven bound is the minimum over everything still open, so it
+// tightens monotonically all the same.
 //
 // The engine is parallel and warm-started: Options.Workers workers each
-// own a model clone and a persistent lp.Solver, nodes are pulled from a
-// shared best-first heap in synchronized batches, and every child node
-// re-solves from its parent's saved simplex basis instead of from scratch.
-// Batch-synchronous scheduling keeps the search deterministic for a fixed
-// worker count: node counts, objectives and incumbents are reproducible
-// run to run, and Workers=1 is exactly the classical sequential search.
+// own a model clone and a persistent lp.Solver, one node per worker is
+// solved in synchronized batches, and every relaxation re-solves from the
+// basis its worker's previous node left live — for a dive child, its own
+// parent's, one bound fix away. No basis is ever copied or stored on a
+// node. Batch-synchronous scheduling keeps the search deterministic for a
+// fixed worker count: node counts, objectives and incumbents are
+// reproducible run to run.
 //
 // Solves are context-aware and anytime: SolveCtx threads cancellation and
 // deadlines from a context.Context down into every node's simplex pivot
@@ -149,6 +155,11 @@ type Result struct {
 	Nodes       int           // branch-and-bound nodes explored
 	LPPivots    int           // total simplex iterations across all nodes
 	Elapsed     time.Duration // wall-clock solve time
+	// LP sums the workers' solver counters: how the node relaxations were
+	// solved (warm, cold and why, dual and primal pivots, certificates). It
+	// covers every relaxation solved, including batch members whose results
+	// an early stop discarded before they were counted in Nodes/LPPivots.
+	LP lp.Stats
 }
 
 // Gap returns the relative incumbent/bound gap, or +Inf without an incumbent.
@@ -168,20 +179,13 @@ type Problem struct {
 	Integers []int
 }
 
-// maxBasisQueue bounds how many open nodes may hold basis snapshots:
-// past this queue size, children are pushed without one (their solve
-// warm-starts from the worker's own basis or falls back to a cold solve).
-const maxBasisQueue = 8192
-
-// node is a branch-and-bound node: a set of tightened bounds, the
-// relaxation bound inherited from its parent (best-first key), and the
-// parent's optimal simplex basis for warm-starting the node's own solve.
+// node is a branch-and-bound node: a set of tightened bounds and the
+// relaxation bound inherited from its parent (best-first key).
 type node struct {
 	fixes []fix // deduplicated: at most one entry per variable
 	bound float64
 	depth int
-	seq   int64     // creation order; deterministic heap tie-break
-	basis *lp.Basis // parent's optimal basis (nil at the root)
+	seq   int64 // creation order; deterministic heap tie-break
 }
 
 type fix struct {
@@ -218,13 +222,14 @@ type worker struct {
 
 // nodeResult carries one solved relaxation back to the coordinator.
 type nodeResult struct {
-	sol   *lp.Solution
-	basis *lp.Basis // this node's own optimal basis (nil unless Optimal)
-	err   error
+	sol *lp.Solution
+	err error
 }
 
 // solveNode applies the node's bound fixes to the worker's clone and solves
-// the relaxation, warm-starting from the parent's basis.
+// the relaxation from the worker's live basis: the node's own parent when
+// the worker dived into it, some other node of the same tree otherwise. A
+// worker's first node has no basis to start from and solves cold.
 func (w *worker) solveNode(nd *node, rootLo, rootHi []float64, lpOpts lp.Options) nodeResult {
 	for _, f := range w.applied {
 		w.model.SetBounds(f.v, rootLo[f.v], rootHi[f.v])
@@ -233,15 +238,8 @@ func (w *worker) solveNode(nd *node, rootLo, rootHi []float64, lpOpts lp.Options
 		w.model.SetBounds(f.v, f.lower, f.upper)
 	}
 	w.applied = nd.fixes
-	sol, err := w.solver.SolveFrom(nd.basis, lpOpts)
-	if err != nil {
-		return nodeResult{err: err}
-	}
-	var basis *lp.Basis
-	if sol.Status == lp.Optimal {
-		basis = w.solver.SaveBasis()
-	}
-	return nodeResult{sol: sol, basis: basis}
+	sol, err := w.solver.Solve(lpOpts)
+	return nodeResult{sol: sol, err: err}
 }
 
 // Solve runs branch-and-bound without cancellation or deadline.
@@ -337,12 +335,21 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 	// proven bound and the Optimal claim must account for them.
 	droppedBound := math.Inf(1)
 
+	// slots[i] is the node worker i solves in the coming batch: the dive
+	// child of the node it branched last, or whatever the heap hands it.
+	slots := make([]*node, nWorkers)
+
 	// openBound is the best (minimize-direction) bound over unexplored
-	// work: open queue nodes and dropped subtrees.
+	// work: open queue nodes, nodes waiting in slots, and dropped subtrees.
 	openBound := func() float64 {
 		b := droppedBound
 		if queue.Len() > 0 {
 			b = math.Min(b, (*queue)[0].bound)
+		}
+		for _, nd := range slots {
+			if nd != nil {
+				b = math.Min(b, nd.bound)
+			}
 		}
 		return b
 	}
@@ -350,6 +357,11 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 	finish := func(st Status) (*Result, error) {
 		res.Elapsed = time.Since(start)
 		res.Status = st
+		for _, w := range workers {
+			if w != nil {
+				res.LP.Add(w.solver.Stats())
+			}
+		}
 		// Best bound: min over incumbent, open nodes, and dropped nodes.
 		b := math.Min(bestMin, openBound())
 		if st == Optimal && res.HasSolution {
@@ -366,97 +378,110 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 	// progress streams an Event to the caller: forced on incumbent
 	// improvements, otherwise at most every progressPeriod nodes. Keying
 	// emission to node counts keeps the event sequence deterministic for a
-	// fixed worker count. rest holds batch members popped but not yet
-	// processed when emitting mid-batch: their subtrees are unexplored and
-	// often carry the best open bounds, so a sound Event.Bound must cover
-	// them (mirroring the gap-termination check below).
+	// fixed worker count.
 	lastEmit := 0
-	progress := func(force bool, rest []*node) {
+	progress := func(force bool) {
 		if opts.Progress == nil || (!force && res.Nodes-lastEmit < progressPeriod) {
 			return
 		}
 		lastEmit = res.Nodes
 		ev := Event{
 			Nodes:        res.Nodes,
-			Open:         queue.Len() + len(rest),
+			Open:         queue.Len(),
 			HasIncumbent: res.HasSolution,
 			Elapsed:      time.Since(start),
+		}
+		for _, nd := range slots {
+			if nd != nil {
+				ev.Open++
+			}
 		}
 		if res.HasSolution {
 			ev.Incumbent = res.Objective
 		}
-		b := math.Min(bestMin, openBound())
-		for _, nd := range rest {
-			b = math.Min(b, nd.bound)
-		}
+		ev.Bound = math.Min(bestMin, openBound())
 		if maximize {
-			b = -b
+			ev.Bound = -ev.Bound
 		}
-		ev.Bound = b
 		opts.Progress(ev)
 	}
 
-	batch := make([]*node, 0, nWorkers)
+	prunable := func(nd *node) bool { return res.HasSolution && nd.bound >= bestMin-1e-9 }
+
 	results := make([]nodeResult, nWorkers)
-	for queue.Len() > 0 {
+	for {
 		if err := ctx.Err(); err != nil {
 			return finish(ctxStatus(err))
 		}
-		batchCap := nWorkers
-		if opts.MaxNodes > 0 {
-			if rem := opts.MaxNodes - res.Nodes; rem < batchCap {
-				batchCap = rem
-			}
-			if batchCap <= 0 {
-				return finish(NodeLimit)
-			}
+		budget := nWorkers
+		if opts.MaxNodes > 0 && opts.MaxNodes-res.Nodes < budget {
+			budget = opts.MaxNodes - res.Nodes
 		}
 
-		// Form a batch of the best open nodes, dropping prunable ones.
-		batch = batch[:0]
-		for len(batch) < batchCap && queue.Len() > 0 {
-			nd := heap.Pop(queue).(*node)
-			if res.HasSolution && nd.bound >= bestMin-1e-9 {
+		// Form the batch. A slot keeps the dive child its worker left in
+		// it unless the incumbent has since cut that child off; every
+		// other slot takes the best open node, dropping prunable ones.
+		filled := 0
+		for i, nd := range slots {
+			if nd != nil && prunable(nd) {
+				slots[i] = nil
+			}
+			if filled >= budget {
+				if slots[i] != nil { // out of node budget: the child waits on the heap
+					heap.Push(queue, slots[i])
+					slots[i] = nil
+				}
 				continue
 			}
-			batch = append(batch, nd)
+			for slots[i] == nil && queue.Len() > 0 {
+				if nd := heap.Pop(queue).(*node); !prunable(nd) {
+					slots[i] = nd
+				}
+			}
+			if slots[i] != nil {
+				filled++
+			}
 		}
-		if len(batch) == 0 {
-			continue
+		if filled == 0 {
+			if queue.Len() > 0 {
+				return finish(NodeLimit)
+			}
+			break
 		}
 
-		// Solve the batch: node i on worker i. Workers share nothing, so
+		// Solve the batch: slot i on worker i. Workers share nothing, so
 		// results are independent of goroutine scheduling.
-		if len(batch) == 1 {
-			results[0] = getWorker(0).solveNode(batch[0], rootLo, rootHi, lpOpts)
-		} else {
-			var wg sync.WaitGroup
-			for i := range batch {
-				w := getWorker(i)
-				wg.Add(1)
-				go func(i int, w *worker) {
-					defer wg.Done()
-					results[i] = w.solveNode(batch[i], rootLo, rootHi, lpOpts)
-				}(i, w)
+		var wg sync.WaitGroup
+		for i, nd := range slots {
+			if nd == nil {
+				continue
 			}
-			wg.Wait()
-		}
-
-		// If processing ends the search mid-batch, the batch members after
-		// the current one — popped first, holding the best open bounds —
-		// must rejoin the queue so the reported Bound stays sound. Their
-		// already-computed LP results are deliberately discarded: finish()
-		// terminates the solve, so only the Bound matters, and counting
-		// unprocessed nodes in Nodes/LPPivots would misstate exploration.
-		requeueAfter := func(i int) {
-			for _, nd := range batch[i+1:] {
-				heap.Push(queue, nd)
+			w := getWorker(i)
+			if filled == 1 {
+				results[i] = w.solveNode(nd, rootLo, rootHi, lpOpts)
+				break
 			}
+			wg.Add(1)
+			go func(i int, nd *node) {
+				defer wg.Done()
+				results[i] = w.solveNode(nd, rootLo, rootHi, lpOpts)
+			}(i, nd)
 		}
+		wg.Wait()
 
-		// Process results in batch order — the deterministic part.
-		for i := range batch {
-			nd, r := batch[i], results[i]
+		// Process results in slot order — the deterministic part. A slot is
+		// emptied as its node is processed, so if the search ends mid-batch
+		// the members not yet reached are still in slots, where openBound
+		// sees them and the reported Bound stays sound. Their already-
+		// computed LP results are deliberately discarded: finish() ends
+		// the solve, so only the Bound matters, and counting unprocessed
+		// nodes in Nodes/LPPivots would misstate exploration.
+		for i, nd := range slots {
+			if nd == nil {
+				continue
+			}
+			slots[i] = nil
+			r := results[i]
 			if r.err != nil {
 				return nil, r.err
 			}
@@ -484,11 +509,9 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 				// is no incumbent yet.
 				droppedBound = math.Min(droppedBound, nd.bound)
 				if err := ctx.Err(); err != nil {
-					requeueAfter(i)
 					return finish(ctxStatus(err))
 				}
 				if !res.HasSolution {
-					requeueAfter(i)
 					return finish(NodeLimit)
 				}
 				continue
@@ -514,22 +537,10 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 					res.HasSolution = true
 					res.X = roundIntegers(sol.X, intSet)
 					res.Objective = sol.Objective
-					progress(true, batch[i+1:])
+					progress(true)
 					if opts.Gap > 0 {
-						// Open bound: the queue top, dropped subtrees, and
-						// any batch members still waiting to be processed.
-						openBest := droppedBound
-						if queue.Len() > 0 {
-							openBest = math.Min(openBest, (*queue)[0].bound)
-						}
-						for _, rest := range batch[i+1:] {
-							if rest.bound < openBest {
-								openBest = rest.bound
-							}
-						}
-						gap := math.Abs(bestMin-math.Min(openBest, nodeBound)) / math.Max(1e-9, math.Abs(bestMin))
+						gap := math.Abs(bestMin-math.Min(openBound(), nodeBound)) / math.Max(1e-9, math.Abs(bestMin))
 						if gap <= opts.Gap {
-							requeueAfter(i)
 							return finish(Optimal)
 						}
 					}
@@ -550,24 +561,26 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 			}
 			floorFix := fix{branchVar, effLo, math.Max(effLo, math.Floor(val))}
 			ceilFix := fix{branchVar, math.Min(effHi, math.Ceil(val)), effHi}
-			// Beyond the cap, children carry no basis snapshot: a snapshot
-			// is only consulted by a worker without a live basis of its
-			// own, and bounding retention keeps huge open queues from
-			// holding one O(model)-sized snapshot per expanded node.
-			childBasis := r.basis
-			if queue.Len() >= maxBasisQueue {
-				childBasis = nil
-			}
-			heap.Push(queue, &node{
+			down := &node{
 				fixes: childFixes(nd.fixes, floorFix), bound: nodeBound,
-				depth: nd.depth + 1, seq: nextSeq(&seq), basis: childBasis,
-			})
-			heap.Push(queue, &node{
+				depth: nd.depth + 1, seq: nextSeq(&seq),
+			}
+			up := &node{
 				fixes: childFixes(nd.fixes, ceilFix), bound: nodeBound,
-				depth: nd.depth + 1, seq: nextSeq(&seq), basis: childBasis,
-			})
+				depth: nd.depth + 1, seq: nextSeq(&seq),
+			}
+			// Dive: this worker's basis is the children's parent basis, one
+			// bound fix away from either child, so it continues into the
+			// child the fractional value rounds to; the sibling waits on
+			// the heap for whichever slot frees up.
+			dive, sibling := down, up
+			if val-math.Floor(val) >= 0.5 {
+				dive, sibling = up, down
+			}
+			slots[i] = dive
+			heap.Push(queue, sibling)
 		}
-		progress(false, nil)
+		progress(false)
 	}
 
 	if res.HasSolution {

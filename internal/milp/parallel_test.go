@@ -321,3 +321,89 @@ func TestProgressEventStream(t *testing.T) {
 		}
 	}
 }
+
+// randomReLUNet encodes a seeded one-hidden-layer ReLU network the way the
+// verifier does — inputs in a box, a pre-activation per neuron pinned by an
+// equality row, the big-M triangle around y = max(a, 0) switched by a 0/1
+// phase indicator — and asks for the maximum of a random linear output.
+// Every neuron gets an indicator, stable or not, so some phase assignments
+// are infeasible: the search meets warm-certified infeasible children.
+func randomReLUNet(rng *rand.Rand, nIn, nHidden int) Problem {
+	m := lp.NewModel()
+	in := make([]int, nIn)
+	for i := range in {
+		in[i] = m.AddVariable(-1, 1, "")
+	}
+	var ints []int
+	for h := 0; h < nHidden; h++ {
+		bias := rng.Float64() - 0.5
+		lo, hi := bias, bias
+		terms := make([]lp.Term, 0, nIn+1)
+		for _, x := range in {
+			w := rng.Float64()*2 - 1
+			lo -= math.Abs(w)
+			hi += math.Abs(w)
+			terms = append(terms, lp.Term{Var: x, Coeff: w})
+		}
+		a := m.AddVariable(lo, hi, "")
+		y := m.AddVariable(0, math.Max(hi, 0), "")
+		d := m.AddVariable(0, 1, "")
+		ints = append(ints, d)
+		m.AddConstraint(append(terms, lp.Term{Var: a, Coeff: -1}), lp.EQ, -bias, "a=Wx+b")
+		m.AddConstraint([]lp.Term{{Var: y, Coeff: 1}, {Var: a, Coeff: -1}}, lp.GE, 0, "y>=a")
+		m.AddConstraint([]lp.Term{{Var: y, Coeff: 1}, {Var: a, Coeff: -1}, {Var: d, Coeff: -lo}}, lp.LE, -lo, "y<=a-lo(1-d)")
+		m.AddConstraint([]lp.Term{{Var: y, Coeff: 1}, {Var: d, Coeff: -math.Max(hi, 0)}}, lp.LE, 0, "y<=hi*d")
+		m.SetObjective(y, rng.Float64()*2-1)
+	}
+	m.SetMaximize(true)
+	return Problem{Model: m, Integers: ints}
+}
+
+// TestReLUNetsAgainstPhaseEnumeration is the exactness oracle for the
+// diving search: on seeded ReLU encodings with at most 10 indicators the
+// optimum must equal the best of one cold LP per phase assignment, at
+// every worker count, and the worker counts must agree with each other.
+func TestReLUNetsAgainstPhaseEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	var certified int
+	for trial := 0; trial < 8; trial++ {
+		p := randomReLUNet(rng, 2+rng.Intn(3), 5+rng.Intn(6))
+		best := math.Inf(-1)
+		for mask := 0; mask < 1<<len(p.Integers); mask++ {
+			fixed := p.Model.Clone()
+			for i, v := range p.Integers {
+				val := float64((mask >> i) & 1)
+				fixed.SetBounds(v, val, val)
+			}
+			sol, err := lp.Solve(fixed, lp.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol.Status == lp.Optimal && sol.Objective > best {
+				best = sol.Objective
+			}
+		}
+		var seq float64
+		for _, w := range []int{1, 2, 4} {
+			res, err := Solve(p, Options{Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Status != Optimal || math.Abs(res.Objective-best) > 1e-6 {
+				t.Fatalf("trial %d workers=%d: %v objective %.12g, enumeration %.12g", trial, w, res.Status, res.Objective, best)
+			}
+			if w == 1 {
+				seq = res.Objective
+			} else if math.Abs(res.Objective-seq) > 1e-9 {
+				t.Fatalf("trial %d workers=%d: objective %.12g, sequential %.12g", trial, w, res.Objective, seq)
+			}
+			if res.LP.WarmSolves+res.LP.ColdSolves < res.Nodes {
+				t.Fatalf("trial %d workers=%d: %d nodes but LP stats %+v", trial, w, res.Nodes, res.LP)
+			}
+			certified += res.LP.CertAccepted
+		}
+	}
+	if certified == 0 {
+		t.Fatal("no search met a warm-certified infeasible node; the nets are too tame to test it")
+	}
+}

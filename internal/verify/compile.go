@@ -259,6 +259,7 @@ func (c *Compiled) MaxOverOutputs(ctx context.Context, outIndices []int, opts Op
 		best.Stats.Elapsed += r.Stats.Elapsed
 		best.Stats.Nodes += r.Stats.Nodes
 		best.Stats.LPPivots += r.Stats.LPPivots
+		best.Stats.LP.Add(r.Stats.LP)
 		best.Stats.Binaries = r.Stats.Binaries
 		best.Stats.StableNeurons = r.Stats.StableNeurons
 		best.Stats.HiddenNeurons = r.Stats.HiddenNeurons

@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/lp"
 	"repro/internal/milp"
 	"repro/internal/nn"
 )
@@ -88,6 +89,9 @@ type Stats struct {
 	Binaries      int // unstable neurons that required an indicator
 	StableNeurons int // neurons encoded linearly thanks to interval bounds
 	HiddenNeurons int
+	// LP is the solver's own account of the node relaxations: warm and cold
+	// solves, why warm attempts fell back, pivots by kind, certificates.
+	LP lp.Stats
 }
 
 // MaxResult is the answer to a MaxOutput query.
@@ -256,6 +260,7 @@ func (e *encoding) stats(res *milp.Result, start time.Time) Stats {
 		Elapsed:       time.Since(start),
 		Nodes:         res.Nodes,
 		LPPivots:      res.LPPivots,
+		LP:            res.LP,
 		Binaries:      len(e.binaries),
 		StableNeurons: stable,
 		HiddenNeurons: total,

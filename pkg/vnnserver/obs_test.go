@@ -122,6 +122,12 @@ func TestVerifyTraceSpanTree(t *testing.T) {
 	if _, ok := solve.Attrs["nodes"]; !ok {
 		t.Fatalf("solve span attrs = %v, want nodes", solve.Attrs)
 	}
+	// ...and the LP engine's account of them: every node is one solve,
+	// warm or cold.
+	attr := func(k string) float64 { v, _ := solve.Attrs[k].(float64); return v }
+	if got := attr("lp_warm_solves") + attr("lp_cold_solves"); got == 0 || got != attr("nodes") {
+		t.Fatalf("solve span attrs = %v: warm+cold solves %v, nodes %v", solve.Attrs, got, attr("nodes"))
+	}
 
 	// A second identical request hits the cache: no compile child.
 	var vr2 vnnserver.VerifyResponse

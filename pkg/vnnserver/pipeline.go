@@ -16,6 +16,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/lp"
 	"repro/internal/obs"
 	"repro/internal/verify"
 	"repro/pkg/vnn"
@@ -136,12 +137,43 @@ func (s *Server) compiled(ctx context.Context, root *obs.Span, wl *workload, opt
 }
 
 // effort is the solver work behind one response.
-type effort struct{ nodes, pivots int64 }
+type effort struct {
+	nodes, pivots int64
+	lp            lp.Stats
+}
 
 func (e *effort) add(results []*vnn.Result) {
 	for _, res := range results {
 		e.nodes += int64(res.Stats.Nodes)
 		e.pivots += int64(res.Stats.LPPivots)
+		e.lp.Add(res.Stats.LP)
+	}
+}
+
+// annotate puts the effort on the solve span: the two totals /metrics
+// also carries, and the LP engine's own account of how the node
+// relaxations were solved, which only the trace shows.
+func (e *effort) annotate(sp *obs.Span) {
+	sp.SetAttr("nodes", e.nodes)
+	sp.SetAttr("lp_pivots", e.pivots)
+	for _, a := range []struct {
+		key string
+		n   int
+	}{
+		{"lp_warm_solves", e.lp.WarmSolves},
+		{"lp_cold_solves", e.lp.ColdSolves},
+		{"lp_cold_dead_end", e.lp.ColdDeadEnd},
+		{"lp_cold_stall", e.lp.ColdStall},
+		{"lp_cold_unbounded", e.lp.ColdUnbounded},
+		{"lp_cold_feas_guard", e.lp.ColdFeasGuard},
+		{"lp_dual_pivots", e.lp.DualPivots},
+		{"lp_primal_pivots", e.lp.PrimalPivots},
+		{"lp_bound_flips", e.lp.BoundFlips},
+		{"lp_refactorizations", e.lp.Refactorizations},
+		{"lp_cert_accepted", e.lp.CertAccepted},
+		{"lp_cert_failed", e.lp.CertFailed},
+	} {
+		sp.SetAttr(a.key, a.n)
 	}
 }
 
@@ -175,8 +207,7 @@ func (s *Server) solve(ctx context.Context, jb *job, root *obs.Span, wl *workloa
 	if err != nil {
 		return nil, err
 	}
-	solveSpan.SetAttr("nodes", eff.nodes)
-	solveSpan.SetAttr("lp_pivots", eff.pivots)
+	eff.annotate(solveSpan)
 	s.nodes.Add(eff.nodes)
 	s.pivots.Add(eff.pivots)
 	xNodes.Add(eff.nodes)
