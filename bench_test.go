@@ -127,6 +127,7 @@ func BenchmarkTable2(b *testing.B) {
 			}
 			b.ReportMetric(last.Value, "maxLatVel(m/s)")
 			b.ReportMetric(float64(last.Stats.Nodes), "bbNodes")
+			b.ReportMetric(float64(last.Stats.LPPivots), "lpPivots")
 			b.ReportMetric(float64(last.Stats.Binaries), "binaries")
 		})
 	}

@@ -1,7 +1,9 @@
 // Command benchrun regenerates and gates the committed benchmark
 // ladders: BENCH_infer.json (the inference plane — see DESIGN.md
-// "Kernel layer") and BENCH_fleet.json (the fleet plane's riblt
-// encode/decode throughput — see DESIGN.md "Fleet replication").
+// "Kernel layer"), BENCH_fleet.json (the fleet plane's riblt
+// encode/decode throughput — see DESIGN.md "Fleet replication") and
+// BENCH_verify.json (the verification path: update kernels → LP
+// re-solves → Table II searches — see DESIGN.md "internal/lp").
 // -suite selects which (default "infer").
 //
 // Regenerate a ladder — numbers are machine-dependent, so the commit
@@ -12,14 +14,19 @@
 //	  -date 2026-08-08 -out BENCH_infer.json
 //	go run ./cmd/benchrun -suite fleet -commit $(git rev-parse --short HEAD) \
 //	  -date 2026-08-08 -out BENCH_fleet.json
+//	go run ./cmd/benchrun -suite verify -commit $(git rev-parse --short HEAD) \
+//	  -date 2026-09-27 -count 3 -out BENCH_verify.json
 //
 // Gate a change against the committed ladder — re-runs the same
 // benchmarks and fails if any hot-path benchmark regresses by more than
-// -tolerance in ns/op, or if a benchmark the baseline records as
-// allocation-free allocates:
+// -tolerance in ns/op, if a benchmark the baseline records as
+// allocation-free allocates, or if a sequential search (a "workers1"
+// row) explores a different number of nodes or pivots than recorded —
+// effort at one worker is a function of the code, not of the machine:
 //
 //	go run ./cmd/benchrun -against BENCH_infer.json \
 //	  -benchtime 1000x -count 5
+//	go run ./cmd/benchrun -suite verify -against BENCH_verify.json -count 3
 //
 // Each benchmark's best (minimum) ns/op across -count runs is compared,
 // which filters scheduler noise; allocs/op uses the maximum so a single
@@ -47,6 +54,10 @@ import (
 type suite struct {
 	pkg   string
 	bench string
+	// benchtime, when set, replaces -benchtime for this package: rows that
+	// are whole branch-and-bound searches run a handful of times, not the
+	// thousand a kernel needs.
+	benchtime string
 }
 
 // suiteSets are the benchmark ladders, keyed by -suite. "infer" walks
@@ -56,19 +67,28 @@ type suite struct {
 // rateless reconciliation codec: coded-symbol production over a large
 // set, and decode cost at several symmetric-difference sizes (the
 // decode benchmarks pin that cost scales with the difference, not the
-// set — symbols/op is the committed evidence).
+// set — symbols/op is the committed evidence). "verify" walks the
+// verification path bottom-up the same way: the two update kernels a
+// simplex pivot is made of, one LP re-solve (warm, cold, and a branch-
+// and-bound node on an I2x8-shaped tableau), then whole Table II
+// searches with their node and pivot counts.
 var suiteSets = map[string]struct {
 	schema string
 	suites []suite
 }{
 	"infer": {"bench-infer/v1", []suite{
-		{"./internal/linalg/", "BenchmarkMatVec|BenchmarkMatVecDot|BenchmarkMatMulTB"},
-		{"./internal/nn/", "BenchmarkForwardInto|BenchmarkForwardBatchInto|BenchmarkForward$"},
-		{"./internal/obs/", "BenchmarkObserve"},
-		{"./pkg/vnnserver/", "BenchmarkInferHTTP"},
+		{pkg: "./internal/linalg/", bench: "BenchmarkMatVec|BenchmarkMatVecDot|BenchmarkMatMulTB"},
+		{pkg: "./internal/nn/", bench: "BenchmarkForwardInto|BenchmarkForwardBatchInto|BenchmarkForward$"},
+		{pkg: "./internal/obs/", bench: "BenchmarkObserve"},
+		{pkg: "./pkg/vnnserver/", bench: "BenchmarkInferHTTP"},
 	}},
 	"fleet": {"bench-fleet/v1", []suite{
-		{"./internal/riblt/", "BenchmarkEncode|BenchmarkDecode"},
+		{pkg: "./internal/riblt/", bench: "BenchmarkEncode|BenchmarkDecode"},
+	}},
+	"verify": {"bench-verify/v1", []suite{
+		{pkg: "./internal/linalg/", bench: "BenchmarkAxpy|BenchmarkScale"},
+		{pkg: "./internal/lp/", bench: "BenchmarkWarmResolve|BenchmarkColdResolve|BenchmarkNodeResolve"},
+		{pkg: ".", bench: "BenchmarkTable2$/^I2x8$|BenchmarkEngineWorkers", benchtime: "3x"},
 	}},
 }
 
@@ -85,6 +105,11 @@ type Result struct {
 	// difference-scaling evidence). Zero outside the fleet suite.
 	SymbolsPerS  float64 `json:"symbols_per_s,omitempty"`
 	SymbolsPerOp float64 `json:"symbols_per_op,omitempty"`
+	// BBNodes / LPPivots are the search-effort counters of the verify
+	// suite's whole-solve rows: branch-and-bound nodes and simplex pivots
+	// of one solve. Deterministic per worker count; zero elsewhere.
+	BBNodes  int64 `json:"bb_nodes,omitempty"`
+	LPPivots int64 `json:"lp_pivots,omitempty"`
 }
 
 // File is the BENCH_infer.json document.
@@ -113,14 +138,14 @@ func main() {
 		count     = flag.Int("count", 5, "go test -count (best-of filters noise)")
 		tolerance = flag.Float64("tolerance", 0.15, "gate mode: allowed fractional ns/op regression")
 		keepBase  = flag.Bool("keep-baseline", true, "with -out and -against absent: copy the baseline block from an existing output file")
-		suiteName = flag.String("suite", "infer", "benchmark ladder to run: infer or fleet")
+		suiteName = flag.String("suite", "infer", "benchmark ladder to run: infer, fleet or verify")
 		summary   = flag.String("summary", "", "merge the committed ladders into this top-level summary file (runs nothing)")
 	)
 	flag.Parse()
 
 	set, ok := suiteSets[*suiteName]
 	if !ok {
-		fatal("unknown suite %q (want infer or fleet)", *suiteName)
+		fatal("unknown suite %q (want infer, fleet or verify)", *suiteName)
 	}
 
 	if *summary != "" {
@@ -177,6 +202,12 @@ func main() {
 // but not gated: a slow reference path is not a serving regression.
 var referenceBench = regexp.MustCompile(`^(BenchmarkForward$|BenchmarkMatVecDot(/|$))`)
 
+// sequentialBench marks the one-worker searches, whose node and pivot
+// counts do not depend on the machine and are gated exactly. The other
+// whole-solve rows run on GOMAXPROCS workers: their counts are recorded
+// (deterministic per core count) but only their time is gated.
+var sequentialBench = regexp.MustCompile(`/workers1$`)
+
 // benchLine matches one `go test -bench` result line, e.g.
 //
 //	BenchmarkForwardInto-4  1000  1292 ns/op  68123 inputs/s  0 B/op  0 allocs/op
@@ -186,8 +217,12 @@ func runSuites(suites []suite, benchtime string, count int) ([]Result, error) {
 	best := map[string]*Result{}
 	var order []string
 	for _, s := range suites {
+		bt := benchtime
+		if s.benchtime != "" {
+			bt = s.benchtime
+		}
 		args := []string{"test", "-run=NONE", "-bench=" + s.bench, "-benchmem",
-			"-benchtime=" + benchtime, "-count=" + strconv.Itoa(count), s.pkg}
+			"-benchtime=" + bt, "-count=" + strconv.Itoa(count), s.pkg}
 		cmd := exec.Command("go", args...)
 		cmd.Stderr = os.Stderr
 		outBuf, err := cmd.Output()
@@ -203,6 +238,7 @@ func runSuites(suites []suite, benchtime string, count int) ([]Result, error) {
 			ns, _ := strconv.ParseFloat(m[2], 64)
 			allocs := int64(-1)
 			inputs, symPerS, symPerOp := 0.0, 0.0, 0.0
+			var nodes, pivots int64
 			for _, f := range regexp.MustCompile(`([\d.]+) (\S+)`).FindAllStringSubmatch(m[3], -1) {
 				switch f[2] {
 				case "allocs/op":
@@ -213,12 +249,17 @@ func runSuites(suites []suite, benchtime string, count int) ([]Result, error) {
 					symPerS, _ = strconv.ParseFloat(f[1], 64)
 				case "symbols/op":
 					symPerOp, _ = strconv.ParseFloat(f[1], 64)
+				case "bbNodes":
+					nodes, _ = strconv.ParseInt(f[1], 10, 64)
+				case "lpPivots":
+					pivots, _ = strconv.ParseInt(f[1], 10, 64)
 				}
 			}
 			r, ok := best[name]
 			if !ok {
 				best[name] = &Result{Name: name, NsPerOp: ns, AllocsPerOp: allocs,
-					InputsPerS: inputs, SymbolsPerS: symPerS, SymbolsPerOp: symPerOp}
+					InputsPerS: inputs, SymbolsPerS: symPerS, SymbolsPerOp: symPerOp,
+					BBNodes: nodes, LPPivots: pivots}
 				order = append(order, name)
 				continue
 			}
@@ -238,6 +279,12 @@ func runSuites(suites []suite, benchtime string, count int) ([]Result, error) {
 			// consumes the same count, so keep the last parsed value.
 			if symPerOp > 0 {
 				r.SymbolsPerOp = symPerOp
+			}
+			// Likewise the effort counters; a run that disagrees with the
+			// one before it is not a measurement, it is a bug.
+			if nodes != r.BBNodes || pivots != r.LPPivots {
+				return nil, fmt.Errorf("%s: effort differs between runs: %d nodes / %d pivots, then %d / %d",
+					name, r.BBNodes, r.LPPivots, nodes, pivots)
 			}
 		}
 	}
@@ -285,6 +332,11 @@ func gate(path string, fresh []Result, tol float64) {
 			fmt.Printf("FAIL %-28s allocates (%d allocs/op, baseline 0)\n", b.Name, f.AllocsPerOp)
 			failed = true
 		}
+		if sequentialBench.MatchString(b.Name) && (f.BBNodes != b.BBNodes || f.LPPivots != b.LPPivots) {
+			fmt.Printf("FAIL %-28s searched %d nodes / %d pivots, baseline %d / %d\n",
+				b.Name, f.BBNodes, f.LPPivots, b.BBNodes, b.LPPivots)
+			failed = true
+		}
 		fmt.Printf("%s %-28s %12.1f ns/op  baseline %12.1f  (%.2fx)\n",
 			status, b.Name, f.NsPerOp, b.NsPerOp, ratio)
 	}
@@ -296,8 +348,9 @@ func gate(path string, fresh []Result, tol float64) {
 
 // summaryLadders maps each suite to its committed ladder file.
 var summaryLadders = map[string]string{
-	"infer": "BENCH_infer.json",
-	"fleet": "BENCH_fleet.json",
+	"infer":  "BENCH_infer.json",
+	"fleet":  "BENCH_fleet.json",
+	"verify": "BENCH_verify.json",
 }
 
 // SummaryEntry is one ladder in BENCH_summary.json, keyed by

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -164,6 +165,18 @@ func TestTable2ColdFallbackShare(t *testing.T) {
 		}
 		if st.LPPivots >= 40*st.Nodes {
 			t.Errorf("workers=%d: %d pivots over %d nodes, want fewer than 40 a node", workers, st.LPPivots, st.Nodes)
+		}
+		// The sequential search is pinned exactly: a change that claims to
+		// make the LP faster without changing a pivot decision leaves these
+		// two numbers alone, and one that moves them has to say why. (The
+		// trained weights behind them go through math.Exp, which has its own
+		// implementation per architecture, so the pin is amd64's.)
+		if workers == 1 && runtime.GOARCH == "amd64" && (st.Nodes != 1372 || st.LPPivots != 28295) {
+			t.Errorf("workers=1: %d nodes / %d pivots, want exactly 1372 / 28295", st.Nodes, st.LPPivots)
+		}
+		if st.MaxDepth < 1 || st.MaxDepth > st.Binaries || st.OpenHighWater < 1 || st.OpenHighWater > st.Nodes {
+			t.Errorf("workers=%d: max depth %d over %d binaries, open high-water %d over %d nodes",
+				workers, st.MaxDepth, st.Binaries, st.OpenHighWater, st.Nodes)
 		}
 	}
 }

@@ -24,6 +24,11 @@
 //     VFMADD is the same correctly rounded operation, so dot4 (pure Go)
 //     and the AVX2 kernel produce identical bits; TestMatVecAsmMatchesGo
 //     pins this on machines that take the assembly path.
+//   - The element-wise updates Axpy and Scale (linalg.go) are the opposite
+//     choice: multiply, round, add, round — never fused — because the
+//     training path and the simplex tableau were built on exactly that
+//     arithmetic and every pinned value depends on it. axpyGo and scaleGo
+//     below are their reference; the AVX bodies use VMULPD and VADDPD.
 //
 // This order intentionally differs from the naive sequential Dot: the
 // serving forward pass changed accumulation order once, for good (see
@@ -301,6 +306,26 @@ func matMulTBGo(c, a, b *Dense) {
 		for j := range ci {
 			ci[j] = dot4(ai, b.Data[j*k:j*k+k])
 		}
+	}
+}
+
+// axpyGo is the portable reference for Axpy: y[i] += alpha*x[i] with the
+// product rounded to float64 before the add. The explicit conversion is
+// what forbids fusing: the Go spec lets a compiler fuse x*y+z (arm64,
+// ppc64, s390x, and amd64 at GOAMD64=v3 do), and a fused update would
+// round once where the AVX kernel (VMULPD then VADDPD) rounds twice.
+// Callers guarantee len(y) >= len(x).
+func axpyGo(alpha float64, x, y []float64) {
+	y = y[:len(x)]
+	for i, v := range x {
+		y[i] += float64(alpha * v)
+	}
+}
+
+// scaleGo is the portable reference for Scale.
+func scaleGo(alpha float64, x []float64) {
+	for i := range x {
+		x[i] *= alpha
 	}
 }
 

@@ -23,6 +23,17 @@ func xgetbv0() (eax, edx uint32)
 //go:noescape
 func matvecAVX2(w, x, y *float64, rows, cols int)
 
+// axpyAVX computes y[i] += alpha*x[i] for i in [0,n) as VMULPD then
+// VADDPD — two roundings per element, exactly axpyGo's — and scaleAVX
+// computes x[i] *= alpha. Callers guarantee n > 0 and that x and y are
+// either the same vector or disjoint.
+//
+//go:noescape
+func axpyAVX(alpha float64, x, y *float64, n int)
+
+//go:noescape
+func scaleAVX(alpha float64, x *float64, n int)
+
 // useAsmKernels gates the assembly path; tests flip it to force the
 // pure-Go kernels on the same machine.
 var useAsmKernels = haveAVX2FMA()

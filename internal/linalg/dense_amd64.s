@@ -147,3 +147,120 @@ store1:
 done:
 	VZEROUPPER
 	RET
+
+// func axpyAVX(alpha float64, x, y *float64, n int)
+//
+// y[i] += alpha*x[i]. Multiply, then add: VMULPD rounds the product and
+// VADDPD rounds the sum, the two roundings of the scalar reference axpyGo
+// — deliberately not VFMADD, whose single rounding would change every
+// value the training and simplex paths have ever produced. Sixteen
+// elements per iteration while they last, then four, then one.
+TEXT ·axpyAVX(SB), NOSPLIT, $0-32
+	VBROADCASTSD alpha+0(FP), Y0
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DI
+	MOVQ n+24(FP), CX
+	XORQ AX, AX                // i
+	MOVQ CX, DX
+	ANDQ $-16, DX
+	JZ   axpy4
+
+axpy16:
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VMULPD  32(SI)(AX*8), Y0, Y2
+	VMULPD  64(SI)(AX*8), Y0, Y3
+	VMULPD  96(SI)(AX*8), Y0, Y4
+	VADDPD  (DI)(AX*8), Y1, Y1
+	VADDPD  32(DI)(AX*8), Y2, Y2
+	VADDPD  64(DI)(AX*8), Y3, Y3
+	VADDPD  96(DI)(AX*8), Y4, Y4
+	VMOVUPD Y1, (DI)(AX*8)
+	VMOVUPD Y2, 32(DI)(AX*8)
+	VMOVUPD Y3, 64(DI)(AX*8)
+	VMOVUPD Y4, 96(DI)(AX*8)
+	ADDQ    $16, AX
+	CMPQ    AX, DX
+	JLT     axpy16
+
+axpy4:
+	MOVQ CX, DX
+	ANDQ $-4, DX
+	CMPQ AX, DX
+	JGE  axpy1
+
+axpy4loop:
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VADDPD  (DI)(AX*8), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, DX
+	JLT     axpy4loop
+
+axpy1:
+	CMPQ AX, CX
+	JGE  axpydone
+
+axpy1loop:
+	VMULSD (SI)(AX*8), X0, X1
+	VADDSD (DI)(AX*8), X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    axpy1loop
+
+axpydone:
+	VZEROUPPER
+	RET
+
+// func scaleAVX(alpha float64, x *float64, n int)
+//
+// x[i] *= alpha, one VMULPD rounding per element like scaleGo.
+TEXT ·scaleAVX(SB), NOSPLIT, $0-24
+	VBROADCASTSD alpha+0(FP), Y0
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-16, DX
+	JZ   scale4
+
+scale16:
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VMULPD  32(SI)(AX*8), Y0, Y2
+	VMULPD  64(SI)(AX*8), Y0, Y3
+	VMULPD  96(SI)(AX*8), Y0, Y4
+	VMOVUPD Y1, (SI)(AX*8)
+	VMOVUPD Y2, 32(SI)(AX*8)
+	VMOVUPD Y3, 64(SI)(AX*8)
+	VMOVUPD Y4, 96(SI)(AX*8)
+	ADDQ    $16, AX
+	CMPQ    AX, DX
+	JLT     scale16
+
+scale4:
+	MOVQ CX, DX
+	ANDQ $-4, DX
+	CMPQ AX, DX
+	JGE  scale1
+
+scale4loop:
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VMOVUPD Y1, (SI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, DX
+	JLT     scale4loop
+
+scale1:
+	CMPQ AX, CX
+	JGE  scaledone
+
+scale1loop:
+	VMULSD (SI)(AX*8), X0, X1
+	VMOVSD X1, (SI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    scale1loop
+
+scaledone:
+	VZEROUPPER
+	RET

@@ -79,6 +79,34 @@ func BenchmarkMatMulTB(b *testing.B) {
 	}
 }
 
+// updateLen is the row length BenchmarkAxpy and BenchmarkScale run at: the
+// priced width of the I2x8 verification tableau, where the simplex pivot
+// spends its time.
+const updateLen = 184
+
+// BenchmarkAxpy is one row elimination of a simplex pivot.
+func BenchmarkAxpy(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x, y := randVec(rng, updateLen), randVec(rng, updateLen)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Alternating signs keep y bounded over any b.N.
+		Axpy(float64(1-2*(i&1)), x, y)
+	}
+}
+
+// BenchmarkScale is the pivot-row normalisation of a simplex pivot.
+func BenchmarkScale(b *testing.B) {
+	x := randVec(rand.New(rand.NewSource(1)), updateLen)
+	alphas := [2]float64{1.25, 0.8}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Scale(alphas[i&1], x)
+	}
+}
+
 func randVec(rng *rand.Rand, n int) []float64 {
 	x := make([]float64, n)
 	for i := range x {

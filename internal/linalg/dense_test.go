@@ -288,7 +288,7 @@ func TestAddBias(t *testing.T) {
 // per-element bounds checks. The checked accessors (At) and the asm
 // dispatchers (which take one &slice[i] address per call or per row)
 // deliberately keep their argument checks.
-var kernelFuncs = []string{"dot4", "dot4Pair", "matVecGo", "matMulTBGo", "AddBias"}
+var kernelFuncs = []string{"dot4", "dot4Pair", "matVecGo", "matMulTBGo", "AddBias", "axpyGo", "scaleGo"}
 
 // TestKernelsElementBCEFree proves the advertised bounds-check freedom:
 // compiling this package with -d=ssa/check_bce must report no IsInBounds

@@ -24,24 +24,36 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Axpy computes y += alpha*x in place.
+// Axpy computes y += alpha*x in place; alpha == 0 leaves y untouched. Every
+// element is one correctly rounded multiply followed by one correctly
+// rounded add — never fused — on every path (see axpyGo), so the result does
+// not depend on the architecture or on which kernel ran. x and y may be the
+// same slice but must not overlap partially.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("linalg: Axpy length mismatch %d != %d", len(x), len(y)))
 	}
-	if alpha == 0 {
+	if alpha == 0 || len(x) == 0 {
 		return
 	}
-	for i, v := range x {
-		y[i] += alpha * v
+	if useAsmKernels {
+		axpyAVX(alpha, &x[0], &y[0], len(x))
+		return
 	}
+	axpyGo(alpha, x, y)
 }
 
-// Scale multiplies every element of x by alpha in place.
+// Scale multiplies every element of x by alpha in place: one correctly
+// rounded multiply per element on every path.
 func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
+	if len(x) == 0 {
+		return
 	}
+	if useAsmKernels {
+		scaleAVX(alpha, &x[0], len(x))
+		return
+	}
+	scaleGo(alpha, x)
 }
 
 // Copy copies src into dst and panics on length mismatch.

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -194,6 +195,89 @@ func TestDuplicateTermsMerged(t *testing.T) {
 	wantOptimal(t, sol, 4)
 }
 
+// TestConstraintTermOrderCanonical: a row is a function of its terms as a
+// set. Two models built from the same rows with the term lists shuffled —
+// duplicates, cancelling pairs and zero coefficients included — store
+// identical Terms (sorted by variable, exact capacity) and evaluate to the
+// same bits. With the map-based merge the stored order, and so the last
+// bits of FeasibilityError, changed from run to run.
+func TestConstraintTermOrderCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const nVars = 12
+	type rowSpec struct {
+		terms []Term
+		sense Sense
+		rhs   float64
+	}
+	build := func(rows []rowSpec, shuffle bool) *Model {
+		m := NewModel()
+		for i := 0; i < nVars; i++ {
+			m.AddVariable(-1, 1, "")
+		}
+		for _, row := range rows {
+			terms := append([]Term(nil), row.terms...)
+			if shuffle {
+				rng.Shuffle(len(terms), func(i, j int) { terms[i], terms[j] = terms[j], terms[i] })
+			}
+			m.AddConstraint(terms, row.sense, row.rhs, "")
+		}
+		return m
+	}
+	for trial := 0; trial < 200; trial++ {
+		rows := make([]rowSpec, 6)
+		for r := range rows {
+			rows[r].sense, rows[r].rhs = Sense(rng.Intn(3)), rng.NormFloat64()
+			for v := 0; v < nVars; v++ {
+				switch rng.Intn(6) {
+				case 0, 1, 2:
+					rows[r].terms = append(rows[r].terms, Term{v, rng.NormFloat64()})
+				case 3: // a duplicate pair: summed
+					c := rng.NormFloat64()
+					rows[r].terms = append(rows[r].terms, Term{v, c}, Term{v, c})
+				case 4: // a cancelling pair and an explicit zero: all three vanish
+					rows[r].terms = append(rows[r].terms, Term{v, 0.75}, Term{v, -0.75}, Term{v, 0})
+				}
+			}
+		}
+		a, b := build(rows, false), build(rows, true)
+		for i := range a.cons {
+			ta, tb := a.cons[i].Terms, b.cons[i].Terms
+			if !reflect.DeepEqual(ta, tb) {
+				t.Fatalf("trial %d row %d: %v vs %v", trial, i, ta, tb)
+			}
+			if cap(ta) != len(ta) {
+				t.Fatalf("trial %d row %d: %d terms in capacity %d", trial, i, len(ta), cap(ta))
+			}
+			for k, term := range ta {
+				if term.Coeff == 0 || (k > 0 && ta[k-1].Var >= term.Var) {
+					t.Fatalf("trial %d row %d: not canonical: %v", trial, i, ta)
+				}
+			}
+		}
+		x := make([]float64, nVars)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		if fa, fb := a.FeasibilityError(x), b.FeasibilityError(x); math.Float64bits(fa) != math.Float64bits(fb) {
+			t.Fatalf("trial %d: FeasibilityError %x vs %x", trial, fa, fb)
+		}
+	}
+}
+
+// TestConstraintCopiesItsTerms: on the increasing-input fast path too, the
+// stored row is the model's own — callers reuse their term buffers.
+func TestConstraintCopiesItsTerms(t *testing.T) {
+	m := NewModel()
+	x := m.AddVariable(0, 1, "x")
+	y := m.AddVariable(0, 1, "y")
+	terms := []Term{{x, 1}, {y, 2}}
+	m.AddConstraint(terms, LE, 1, "")
+	terms[0].Coeff, terms[1].Coeff = 100, 100
+	if got := m.EvalRow(0, []float64{1, 1}); got != 3 {
+		t.Fatalf("row changed with the caller's buffer: evaluates to %g, want 3", got)
+	}
+}
+
 func TestRedundantEqualityRows(t *testing.T) {
 	// Duplicate equality rows should not break phase 1.
 	m := NewModel()
@@ -213,12 +297,22 @@ func TestCloneIndependence(t *testing.T) {
 	x := m.AddVariable(0, 1, "x")
 	m.SetObjective(x, 1)
 	m.SetMaximize(true)
+	m.AddConstraint([]Term{{x, 1}}, LE, 2, "loose")
 	c := m.Clone()
 	c.SetBounds(x, 0, 0.25)
+	c.AddConstraint([]Term{{x, 1}}, LE, 0.125, "clone-only")
 	solOrig := solveOK(t, m)
 	solClone := solveOK(t, c)
 	wantOptimal(t, solOrig, 1)
-	wantOptimal(t, solClone, 0.25)
+	wantOptimal(t, solClone, 0.125)
+	if m.NumConstraints() != 1 {
+		t.Fatalf("a row added to the clone reached the original: %d rows", m.NumConstraints())
+	}
+	// Rows are immutable once stored, so a clone costs the model, its
+	// variables and its row headers — not a copy of every term list.
+	if allocs := testing.AllocsPerRun(10, func() { m.Clone() }); allocs > 3 {
+		t.Fatalf("Clone allocates %v objects, want 3", allocs)
+	}
 }
 
 func TestEvalAndFeasibilityError(t *testing.T) {

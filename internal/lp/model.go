@@ -15,6 +15,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Inf is a convenience alias for +infinity used in variable bounds.
@@ -125,28 +126,60 @@ func (m *Model) NumVariables() int { return len(m.vars) }
 func (m *Model) NumConstraints() int { return len(m.cons) }
 
 // AddConstraint adds the row Σ terms {≤,=,≥} rhs and returns its index.
-// Duplicate variable entries in terms are summed. It panics on a term that
-// references an unknown variable.
+// The stored row lists its terms by increasing variable index, duplicate
+// entries summed (in the order given) and zero coefficients dropped, so a
+// row — and every rounding of EvalRow and FeasibilityError over it — is a
+// function of the terms as a set, not of the order they arrived in. terms
+// is not retained. It panics on a term that references an unknown variable.
 func (m *Model) AddConstraint(terms []Term, sense Sense, rhs float64, name string) int {
-	merged := make(map[int]float64, len(terms))
+	increasing, prev := true, -1
 	for _, t := range terms {
 		if t.Var < 0 || t.Var >= len(m.vars) {
 			panic(fmt.Sprintf("lp: constraint %q references unknown variable %d", name, t.Var))
 		}
-		merged[t.Var] += t.Coeff
+		increasing = increasing && t.Var > prev
+		prev = t.Var
+	}
+	if !increasing {
+		// The general case: order a copy by variable, keeping equal
+		// variables in input order, then sum each run into its first entry.
+		// Strictly increasing input — what the network encoder emits, on
+		// every request that compiles — skips this: one copy, no sort.
+		sorted := append([]Term(nil), terms...)
+		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Var < sorted[j].Var })
+		terms = sorted[:0]
+		for _, t := range sorted {
+			if n := len(terms); n > 0 && terms[n-1].Var == t.Var {
+				terms[n-1].Coeff += t.Coeff
+			} else {
+				terms = append(terms, t)
+			}
+		}
+	}
+	nonzero := 0
+	for _, t := range terms {
+		if t.Coeff != 0 {
+			nonzero++
+		}
 	}
 	row := Constraint{Sense: sense, RHS: rhs, Name: name}
-	for v, c := range merged {
-		if c != 0 {
-			row.Terms = append(row.Terms, Term{Var: v, Coeff: c})
+	if nonzero > 0 {
+		row.Terms = make([]Term, 0, nonzero) // exact: the row lives as long as the model
+		for _, t := range terms {
+			if t.Coeff != 0 {
+				row.Terms = append(row.Terms, t)
+			}
 		}
 	}
 	m.cons = append(m.cons, row)
 	return len(m.cons) - 1
 }
 
-// Clone returns a deep copy of the model. Solving a clone never mutates the
-// original, which lets branch-and-bound fork bound sets cheaply.
+// Clone returns a copy whose bounds, objective and direction can be mutated
+// — and to which variables and constraints can be added — without touching
+// the original, which lets branch-and-bound fork bound sets cheaply. The
+// term lists of existing rows are shared: no method mutates a row once
+// AddConstraint has stored it.
 func (m *Model) Clone() *Model {
 	out := &Model{
 		vars:     make([]Variable, len(m.vars)),
@@ -154,11 +187,7 @@ func (m *Model) Clone() *Model {
 		maximize: m.maximize,
 	}
 	copy(out.vars, m.vars)
-	for i, c := range m.cons {
-		terms := make([]Term, len(c.Terms))
-		copy(terms, c.Terms)
-		out.cons[i] = Constraint{Terms: terms, Sense: c.Sense, RHS: c.RHS, Name: c.Name}
-	}
+	copy(out.cons, m.cons)
 	return out
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/linalg"
 )
 
 // Status reports the outcome of a solve.
@@ -38,10 +40,14 @@ func (s Status) String() string {
 
 // Solution is the result of a successful or unsuccessful solve.
 type Solution struct {
-	Status     Status
-	Objective  float64   // objective value in the model's own direction
-	X          []float64 // one value per model variable (valid when Optimal)
-	Iterations int       // total simplex pivots across both phases
+	Status    Status
+	Objective float64 // objective value in the model's own direction
+	// X holds one value per model variable (meaningful when Optimal). It is
+	// the solver's own buffer: valid until the next Solve on the Solver that
+	// returned it, so a caller that keeps a point across solves copies it.
+	// (A package-level Solve uses a solver of its own; its X is the caller's.)
+	X          []float64
+	Iterations int // total simplex pivots across both phases
 }
 
 // Options tune the solver. The zero value selects sensible defaults.
@@ -104,6 +110,17 @@ type tableau struct {
 	tol                float64
 	cancel             func() bool // optional cooperative-cancellation poll
 	stats              *Stats      // the owning Solver's effort counters
+	cands              []ratioCand // dual ratio-test scratch, capacity nTotal
+	// onPick, set only by tests, sees every decision of the dual ratio test
+	// before it is acted on: the violated row, which bound it violates, and
+	// the column chosen to flip or enter (-1 at a dead end).
+	onPick func(r int, below bool, col int)
+}
+
+// ratioCand is one admissible entering column of a violated row.
+type ratioCand struct {
+	col        int
+	ratio, abs float64 // |d_col|/|α_col| and |α_col|
 }
 
 // cancelled polls the cancellation hook at most every cancelPeriod pivots.
@@ -171,10 +188,7 @@ func (tb *tableau) refreshReducedCosts() {
 		if cb == 0 {
 			continue
 		}
-		row := tb.t[i]
-		for j := 0; j < tb.width; j++ {
-			tb.d[j] -= cb * row[j]
-		}
+		linalg.Axpy(-cb, tb.t[i][:tb.width], tb.d[:tb.width])
 	}
 	for i := 0; i < tb.m; i++ {
 		tb.d[tb.basis[i]] = 0
@@ -327,35 +341,30 @@ func (tb *tableau) iterate() Status {
 }
 
 // pivot makes column j basic in row r, keeping its current value xj.
-// Row operations stop at width; columns beyond it are stale by design.
+// Row operations stop at width; columns beyond it are stale by design. The
+// row scale and the rank-1 update run through the linalg kernels, which
+// round each product and each sum separately on every path — the bits of
+// the scalar loops `row[k] *= inv` and `ti[k] -= f*row[k]`.
 func (tb *tableau) pivot(r, j int, xj float64) {
-	p := tb.t[r][j]
-	row := tb.t[r]
-	inv := 1 / p
-	for k := 0; k < tb.width; k++ {
-		row[k] *= inv
-	}
+	row := tb.t[r][:tb.width]
+	inv := 1 / row[j]
+	linalg.Scale(inv, row)
 	row[j] = 1
 	tb.rhsInv[r] *= inv
-	for i := 0; i < tb.m; i++ {
+	for i, ti := range tb.t {
 		if i == r {
 			continue
 		}
-		f := tb.t[i][j]
+		f := ti[j]
 		if f == 0 {
 			continue
 		}
-		ti := tb.t[i]
-		for k := 0; k < tb.width; k++ {
-			ti[k] -= f * row[k]
-		}
+		linalg.Axpy(-f, row, ti[:tb.width])
 		ti[j] = 0
 		tb.rhsInv[i] -= f * tb.rhsInv[r]
 	}
 	if f := tb.d[j]; f != 0 {
-		for k := 0; k < tb.width; k++ {
-			tb.d[k] -= f * row[k]
-		}
+		linalg.Axpy(-f, row, tb.d[:tb.width])
 	}
 	tb.d[j] = 0
 	tb.basis[r] = j
@@ -474,9 +483,18 @@ const (
 // The ratio test is the long-step variant: a min-ratio column whose own
 // bound range cannot absorb the leaving variable's residual is flipped to
 // its opposite bound — an O(m) value update instead of an O(m·n) pivot —
-// and the scan continues with the next candidate. Without flips, big-M
+// and the test moves on to the next candidate. Without flips, big-M
 // verification LPs (full of boxed indicator columns with narrow ranges)
 // degenerate into long chains of full pivots.
+//
+// A row is scanned once. Until the row's pivot, nothing the scan reads
+// changes except the flipped column's status: the row and the reduced
+// costs move only on a pivot, bounds not at all, and a flip moves values,
+// which the scan never looks at. The flipped column now rests on the bound
+// the sign condition rejects, so the admissible set after a flip is the
+// set before it minus that column, and every later decision of the row is
+// taken over the surviving candidates — same comparison, same column
+// order, hence the same column a full rescan would pick.
 func (tb *tableau) dualIterate() (out dualOutcome, row int) {
 	budget := 6*tb.m + 100 // dual steps, not counting flips
 	for steps := 0; ; steps++ {
@@ -500,6 +518,7 @@ func (tb *tableau) dualIterate() (out dualOutcome, row int) {
 			target, leaveAt = tb.upper[bi], atUpper
 		}
 		row := tb.t[r]
+		cands := tb.ratioCandidates(row, below)
 
 		// Resolve row r: flip boxed min-ratio columns that cannot absorb
 		// the residual, enter the first one that can. The row is resolved
@@ -508,34 +527,19 @@ func (tb *tableau) dualIterate() (out dualOutcome, row int) {
 		for tb.violated(bi) {
 			deltaB := target - tb.x[bi] // >0 when below, <0 when above
 
-			// Dual ratio test: entering column must let x_bi move toward
-			// its bound (sign condition) while keeping reduced-cost signs
-			// valid — smallest |d|/|α|, largest |α| on near-ties.
-			best, bestRatio, bestAbs := -1, math.Inf(1), 0.0
-			for j := 0; j < tb.width; j++ {
-				if tb.status[j] == basic || tb.lower[j] == tb.upper[j] {
-					continue
+			// Smallest |d|/|α|, largest |α| on near-ties.
+			k, bestRatio, bestAbs := -1, math.Inf(1), 0.0
+			for i, c := range cands {
+				if c.ratio < bestRatio-1e-12 || (c.ratio <= bestRatio+1e-12 && c.abs > bestAbs) {
+					k, bestRatio, bestAbs = i, c.ratio, c.abs
 				}
-				a := row[j]
-				if math.Abs(a) < pivotTol {
-					continue
-				}
-				// x_bi changes by −α_j·Δx_j; Δx_j ≥ 0 from atLower, ≤ 0
-				// from atUpper, either direction when free.
-				switch tb.status[j] {
-				case atLower:
-					if (below && a >= 0) || (!below && a <= 0) {
-						continue
-					}
-				case atUpper:
-					if (below && a <= 0) || (!below && a >= 0) {
-						continue
-					}
-				}
-				ratio := math.Abs(tb.d[j]) / math.Abs(a)
-				if ratio < bestRatio-1e-12 || (ratio <= bestRatio+1e-12 && math.Abs(a) > bestAbs) {
-					best, bestRatio, bestAbs = j, ratio, math.Abs(a)
-				}
+			}
+			best := -1
+			if k >= 0 {
+				best = cands[k].col
+			}
+			if tb.onPick != nil {
+				tb.onPick(r, below, best)
 			}
 			if best < 0 {
 				return dualDeadEnd, r
@@ -566,6 +570,7 @@ func (tb *tableau) dualIterate() (out dualOutcome, row int) {
 					}
 				}
 				tb.stats.BoundFlips++
+				cands = append(cands[:k], cands[k+1:]...)
 				continue
 			}
 
@@ -583,4 +588,35 @@ func (tb *tableau) dualIterate() (out dualOutcome, row int) {
 			break
 		}
 	}
+}
+
+// ratioCandidates lists, in column order, the columns admissible to enter
+// for violated row `row`: nonbasic, not fixed, with a stable pivot, and
+// resting where moving off their bound drives the basic variable toward
+// the bound it violates (x_basic changes by −α_j·Δx_j; Δx_j ≥ 0 from
+// atLower, ≤ 0 from atUpper, either sign when free). The list lives in the
+// tableau's scratch and is valid until the next call.
+func (tb *tableau) ratioCandidates(row []float64, below bool) []ratioCand {
+	cands := tb.cands[:0]
+	for j := 0; j < tb.width; j++ {
+		if tb.status[j] == basic || tb.lower[j] == tb.upper[j] {
+			continue
+		}
+		a := row[j]
+		if math.Abs(a) < pivotTol {
+			continue
+		}
+		switch tb.status[j] {
+		case atLower:
+			if (below && a >= 0) || (!below && a <= 0) {
+				continue
+			}
+		case atUpper:
+			if (below && a <= 0) || (!below && a >= 0) {
+				continue
+			}
+		}
+		cands = append(cands, ratioCand{col: j, ratio: math.Abs(tb.d[j]) / math.Abs(a), abs: math.Abs(a)})
+	}
+	return cands
 }

@@ -48,7 +48,12 @@ type Solver struct {
 	pivotsSinceRef int  // pivots since the last pristine (re)factorization
 
 	stats Stats
-	cert  []float64 // certificate scratch: one coefficient per structural and slack column
+
+	// Scratch, sized once per structure and reused by every solve.
+	cert     []float64 // certificate: one coefficient per structural and slack column
+	xOut     []float64 // Solution.X of the latest solve
+	instCols []int     // refactorize: basic columns still to install
+	rowFree  []bool    // refactorize: rows not yet claimed
 }
 
 // NewSolver builds a solver for the model. The model's constraint matrix is
@@ -69,17 +74,17 @@ func (s *Solver) Invalidate() { s.hasBasis = false }
 // Stats returns the effort counters accumulated over the solver's life.
 func (s *Solver) Stats() Stats { return s.stats }
 
-// rebuild ingests the model structure into pristine tableau storage.
-func (s *Solver) rebuild() {
-	m := s.model
-	nStruct := len(m.vars)
-	rows := len(m.cons)
-	nTotal := nStruct + 2*rows // slacks + artificials
+// newTableau allocates zeroed working storage for rows constraints over
+// nStruct structural columns (plus one slack and one artificial per row).
+func newTableau(rows, nStruct int, stats *Stats) *tableau {
+	nTotal := nStruct + 2*rows
 	tb := &tableau{
 		m:       rows,
 		nStruct: nStruct,
 		nTotal:  nTotal,
 		width:   nTotal,
+		t:       make([][]float64, rows),
+		backing: make([]float64, rows*nTotal),
 		lower:   make([]float64, nTotal),
 		upper:   make([]float64, nTotal),
 		cost:    make([]float64, nTotal),
@@ -88,16 +93,31 @@ func (s *Solver) rebuild() {
 		status:  make([]varStatus, nTotal),
 		basis:   make([]int, rows),
 		rhsInv:  make([]float64, rows),
-		stats:   &s.stats,
+		stats:   stats,
+		cands:   make([]ratioCand, 0, nTotal),
 	}
-	tb.t = make([][]float64, rows)
-	tb.backing = make([]float64, rows*nTotal)
 	backing := tb.backing
 	for i := range tb.t {
 		tb.t[i], backing = backing[:nTotal:nTotal], backing[nTotal:]
 	}
+	return tb
+}
 
+// allocScratch sizes the per-structure scratch buffers.
+func (s *Solver) allocScratch() {
+	nStruct, rows := s.tb.nStruct, s.tb.m
 	s.cert = make([]float64, nStruct+rows)
+	s.xOut = make([]float64, nStruct)
+	s.instCols = make([]int, 0, rows)
+	s.rowFree = make([]bool, rows)
+}
+
+// rebuild ingests the model structure into pristine tableau storage.
+func (s *Solver) rebuild() {
+	m := s.model
+	rows := len(m.cons)
+	s.tb = newTableau(rows, len(m.vars), &s.stats)
+	s.allocScratch()
 	s.origRHS = make([]float64, rows)
 	s.slackLo = make([]float64, rows)
 	s.slackHi = make([]float64, rows)
@@ -112,11 +132,46 @@ func (s *Solver) rebuild() {
 		}
 		s.origRHS[i] = c.RHS
 	}
-	s.tb = tb
 	s.resetTableau()
 	s.dirty = false
 	s.hasBasis = false
 	s.pivotsSinceRef = 0
+}
+
+// Fork returns a new solver over clone — a Clone of this solver's model, or
+// any model of the same structure — that starts from a copy of this
+// solver's live state: tableau, working bounds, statuses, basis. Its first
+// Solve is then a warm re-solve under clone's bounds and objective, exactly
+// the one this solver would perform, instead of a cold two-phase solve. The
+// fork shares nothing mutable with its origin, its counters start at zero,
+// and a solver with no live basis forks into a plain NewSolver(clone).
+func (s *Solver) Fork(clone *Model) *Solver {
+	src := s.tb
+	if !s.hasBasis || len(clone.vars) != src.nStruct || len(clone.cons) != src.m {
+		return NewSolver(clone)
+	}
+	f := &Solver{
+		model: clone,
+		// Fixed once ingested; rebuild replaces them, never writes them.
+		origRHS: s.origRHS, slackLo: s.slackLo, slackHi: s.slackHi,
+		hasBasis:       true,
+		dirty:          true,
+		pivotsSinceRef: s.pivotsSinceRef,
+	}
+	tb := newTableau(src.m, src.nStruct, &f.stats)
+	tb.width = src.width
+	copy(tb.backing, src.backing)
+	copy(tb.lower, src.lower)
+	copy(tb.upper, src.upper)
+	copy(tb.cost, src.cost)
+	copy(tb.d, src.d)
+	copy(tb.x, src.x)
+	copy(tb.status, src.status)
+	copy(tb.basis, src.basis)
+	copy(tb.rhsInv, src.rhsInv)
+	f.tb = tb
+	f.allocScratch()
+	return f
 }
 
 // resetTableau restores the working tableau to pristine data — A rows,
@@ -206,12 +261,13 @@ func (s *Solver) loadBounds() {
 }
 
 // finishSolution assembles the caller-facing solution from tableau state.
+// X is the solver's own buffer, overwritten by its next solve.
 func (s *Solver) finishSolution(st Status) *Solution {
 	tb := s.tb
 	sol := &Solution{Status: st, Iterations: tb.iters}
 	switch st {
 	case Optimal, IterationLimit:
-		sol.X = make([]float64, tb.nStruct)
+		sol.X = s.xOut
 		copy(sol.X, tb.x[:tb.nStruct])
 		sol.Objective = s.model.EvalObjective(sol.X)
 	case Unbounded:
@@ -492,12 +548,11 @@ func (s *Solver) refactorize() {
 	// is largest. Columns whose entries are all tiny are retried after the
 	// others have pivoted (which reshuffles the entries), and only then
 	// abandoned to a pinned artificial.
-	cols := make([]int, 0, tb.m)
-	rowFree := make([]bool, tb.m)
+	cols, rowFree := s.instCols[:0], s.rowFree
 	for r, c := range tb.basis {
-		if c < artStart {
+		// Artificial-basic rows stay claimed by their artificial.
+		if rowFree[r] = c < artStart; rowFree[r] {
 			cols = append(cols, c)
-			rowFree[r] = true // artificial-basic rows stay claimed by their artificial
 		}
 	}
 

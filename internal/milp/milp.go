@@ -16,10 +16,11 @@
 // own a model clone and a persistent lp.Solver, one node per worker is
 // solved in synchronized batches, and every relaxation re-solves from the
 // basis its worker's previous node left live — for a dive child, its own
-// parent's, one bound fix away. No basis is ever copied or stored on a
-// node. Batch-synchronous scheduling keeps the search deterministic for a
-// fixed worker count: node counts, objectives and incumbents are
-// reproducible run to run.
+// parent's, one bound fix away. No basis is stored on a node; the only
+// copy ever made is a late worker's fork of worker 0's solver, so that
+// only the root is solved cold. Batch-synchronous scheduling keeps the
+// search deterministic for a fixed worker count: node counts, objectives
+// and incumbents are reproducible run to run.
 //
 // Solves are context-aware and anytime: SolveCtx threads cancellation and
 // deadlines from a context.Context down into every node's simplex pivot
@@ -152,9 +153,15 @@ type Result struct {
 	Bound     float64   // best proven bound on the optimum (model direction)
 	// HasSolution reports whether any integer-feasible point was found.
 	HasSolution bool
-	Nodes       int           // branch-and-bound nodes explored
-	LPPivots    int           // total simplex iterations across all nodes
-	Elapsed     time.Duration // wall-clock solve time
+	Nodes       int // branch-and-bound nodes explored
+	LPPivots    int // total simplex iterations across all nodes
+	// MaxDepth is the deepest explored node (the root is depth 0) and
+	// OpenHighWater the most nodes ever open at once — on the heap or in a
+	// worker's slot, the root included. Both are deterministic for a fixed
+	// worker count.
+	MaxDepth      int
+	OpenHighWater int
+	Elapsed       time.Duration // wall-clock solve time
 	// LP sums the workers' solver counters: how the node relaxations were
 	// solved (warm, cold and why, dual and primal pivots, certificates). It
 	// covers every relaxation solved, including batch members whose results
@@ -228,8 +235,8 @@ type nodeResult struct {
 
 // solveNode applies the node's bound fixes to the worker's clone and solves
 // the relaxation from the worker's live basis: the node's own parent when
-// the worker dived into it, some other node of the same tree otherwise. A
-// worker's first node has no basis to start from and solves cold.
+// the worker dived into it, some other node of the same tree otherwise —
+// for a forked worker's first node, the one worker 0 solved last.
 func (w *worker) solveNode(nd *node, rootLo, rootHi []float64, lpOpts lp.Options) nodeResult {
 	for _, f := range w.applied {
 		w.model.SetBounds(f.v, rootLo[f.v], rootHi[f.v])
@@ -295,7 +302,7 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 		return v
 	}
 
-	res := &Result{Bound: math.Inf(-1)}
+	res := &Result{Bound: math.Inf(-1), OpenHighWater: 1}
 	if maximize {
 		res.Bound = math.Inf(1)
 	}
@@ -315,12 +322,20 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 
 	// Workers are created lazily: batches start at size 1 and are bounded
 	// by the open-node count, so a tree that dies early never pays for the
-	// full set of model clones and dense tableaus.
+	// full set of model clones and dense tableaus. Worker 0 solves the root
+	// cold; every later worker forks worker 0's solver, so its first node
+	// is a warm re-solve from a basis of the same tree. Workers are only
+	// created between batches, when worker 0 is at rest in the state its
+	// last batch left — a function of the search so far, not of timing.
 	workers := make([]*worker, nWorkers)
 	getWorker := func(i int) *worker {
 		if workers[i] == nil {
 			m := p.Model.Clone()
-			workers[i] = &worker{model: m, solver: lp.NewSolver(m)}
+			if i == 0 {
+				workers[i] = &worker{model: m, solver: lp.NewSolver(m)}
+			} else {
+				workers[i] = &worker{model: m, solver: workers[0].solver.Fork(m)}
+			}
 		}
 		return workers[i]
 	}
@@ -352,6 +367,17 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 			}
 		}
 		return b
+	}
+
+	// openCount is the number of unexplored nodes: on the heap or in a slot.
+	openCount := func() int {
+		n := queue.Len()
+		for _, nd := range slots {
+			if nd != nil {
+				n++
+			}
+		}
+		return n
 	}
 
 	finish := func(st Status) (*Result, error) {
@@ -387,14 +413,9 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 		lastEmit = res.Nodes
 		ev := Event{
 			Nodes:        res.Nodes,
-			Open:         queue.Len(),
+			Open:         openCount(),
 			HasIncumbent: res.HasSolution,
 			Elapsed:      time.Since(start),
-		}
-		for _, nd := range slots {
-			if nd != nil {
-				ev.Open++
-			}
 		}
 		if res.HasSolution {
 			ev.Incumbent = res.Objective
@@ -450,23 +471,31 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 		}
 
 		// Solve the batch: slot i on worker i. Workers share nothing, so
-		// results are independent of goroutine scheduling.
+		// results are independent of goroutine scheduling. Every worker the
+		// batch needs exists before any of them starts (a fork reads worker
+		// 0), and the coordinator solves the first filled slot itself rather
+		// than park while a goroutine does.
+		first := -1
+		for i, nd := range slots {
+			if nd != nil {
+				getWorker(i)
+				if first < 0 {
+					first = i
+				}
+			}
+		}
 		var wg sync.WaitGroup
 		for i, nd := range slots {
-			if nd == nil {
+			if nd == nil || i == first {
 				continue
-			}
-			w := getWorker(i)
-			if filled == 1 {
-				results[i] = w.solveNode(nd, rootLo, rootHi, lpOpts)
-				break
 			}
 			wg.Add(1)
 			go func(i int, nd *node) {
 				defer wg.Done()
-				results[i] = w.solveNode(nd, rootLo, rootHi, lpOpts)
+				results[i] = workers[i].solveNode(nd, rootLo, rootHi, lpOpts)
 			}(i, nd)
 		}
+		results[first] = workers[first].solveNode(slots[first], rootLo, rootHi, lpOpts)
 		wg.Wait()
 
 		// Process results in slot order — the deterministic part. A slot is
@@ -488,6 +517,7 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 			sol := r.sol
 			res.Nodes++
 			res.LPPivots += sol.Iterations
+			res.MaxDepth = max(res.MaxDepth, nd.depth)
 
 			switch sol.Status {
 			case lp.Infeasible:
@@ -579,6 +609,7 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 			}
 			slots[i] = dive
 			heap.Push(queue, sibling)
+			res.OpenHighWater = max(res.OpenHighWater, openCount())
 		}
 		progress(false)
 	}

@@ -121,6 +121,14 @@ func TestWorkersDeterministic(t *testing.T) {
 		t.Fatalf("node/pivot accounting differs across runs: %d/%d vs %d/%d",
 			a.Nodes, a.LPPivots, b.Nodes, b.LPPivots)
 	}
+	if a.LP != b.LP || a.MaxDepth != b.MaxDepth || a.OpenHighWater != b.OpenHighWater {
+		t.Fatalf("LP effort or tree shape differs across runs: %+v depth %d open %d vs %+v depth %d open %d",
+			a.LP, a.MaxDepth, a.OpenHighWater, b.LP, b.MaxDepth, b.OpenHighWater)
+	}
+	// Only the root is solved cold: workers 1..3 fork worker 0's basis.
+	if a.LP.ColdSolves != 1 || a.LP.WarmSolves < a.Nodes-1 {
+		t.Fatalf("%d nodes on 4 workers took %d cold and %d warm solves, want 1 cold", a.Nodes, a.LP.ColdSolves, a.LP.WarmSolves)
+	}
 	if a.Objective != b.Objective || a.Bound != b.Bound {
 		t.Fatalf("objective/bound differ across runs: %g/%g vs %g/%g",
 			a.Objective, a.Bound, b.Objective, b.Bound)
@@ -301,6 +309,9 @@ func TestProgressEventStream(t *testing.T) {
 			t.Fatalf("event %d: nodes went backwards (%d -> %d)", i, lastNodes, ev.Nodes)
 		}
 		lastNodes = ev.Nodes
+		if ev.Open > res.OpenHighWater {
+			t.Fatalf("event %d: %d nodes open, above the reported high-water %d", i, ev.Open, res.OpenHighWater)
+		}
 		if ev.HasIncumbent && ev.Incumbent > ev.Bound+1e-6 {
 			t.Fatalf("event %d: incumbent %g above bound %g (maximize)", i, ev.Incumbent, ev.Bound)
 		}

@@ -260,6 +260,8 @@ func (c *Compiled) MaxOverOutputs(ctx context.Context, outIndices []int, opts Op
 		best.Stats.Nodes += r.Stats.Nodes
 		best.Stats.LPPivots += r.Stats.LPPivots
 		best.Stats.LP.Add(r.Stats.LP)
+		best.Stats.MaxDepth = max(best.Stats.MaxDepth, r.Stats.MaxDepth)
+		best.Stats.OpenHighWater = max(best.Stats.OpenHighWater, r.Stats.OpenHighWater)
 		best.Stats.Binaries = r.Stats.Binaries
 		best.Stats.StableNeurons = r.Stats.StableNeurons
 		best.Stats.HiddenNeurons = r.Stats.HiddenNeurons

@@ -92,6 +92,11 @@ type Stats struct {
 	// LP is the solver's own account of the node relaxations: warm and cold
 	// solves, why warm attempts fell back, pivots by kind, certificates.
 	LP lp.Stats
+	// MaxDepth and OpenHighWater are the shape of the branch-and-bound tree:
+	// the deepest explored node and the most nodes ever open at once. Over
+	// several searches (one per output) each is the largest.
+	MaxDepth      int
+	OpenHighWater int
 }
 
 // MaxResult is the answer to a MaxOutput query.
@@ -261,6 +266,8 @@ func (e *encoding) stats(res *milp.Result, start time.Time) Stats {
 		Nodes:         res.Nodes,
 		LPPivots:      res.LPPivots,
 		LP:            res.LP,
+		MaxDepth:      res.MaxDepth,
+		OpenHighWater: res.OpenHighWater,
 		Binaries:      len(e.binaries),
 		StableNeurons: stable,
 		HiddenNeurons: total,

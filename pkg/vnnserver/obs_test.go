@@ -128,6 +128,11 @@ func TestVerifyTraceSpanTree(t *testing.T) {
 	if got := attr("lp_warm_solves") + attr("lp_cold_solves"); got == 0 || got != attr("nodes") {
 		t.Fatalf("solve span attrs = %v: warm+cold solves %v, nodes %v", solve.Attrs, got, attr("nodes"))
 	}
+	// ...and the shape of the tree: present even when the root settles it
+	// (depth 0), and never more open nodes than nodes.
+	if _, ok := solve.Attrs["bb_max_depth"]; !ok || attr("bb_open_high_water") > attr("nodes") {
+		t.Fatalf("solve span attrs = %v, want bb_max_depth and bb_open_high_water <= nodes", solve.Attrs)
+	}
 
 	// A second identical request hits the cache: no compile child.
 	var vr2 vnnserver.VerifyResponse

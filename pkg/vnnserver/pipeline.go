@@ -138,8 +138,9 @@ func (s *Server) compiled(ctx context.Context, root *obs.Span, wl *workload, opt
 
 // effort is the solver work behind one response.
 type effort struct {
-	nodes, pivots int64
-	lp            lp.Stats
+	nodes, pivots           int64
+	lp                      lp.Stats
+	maxDepth, openHighWater int // largest over the response's searches
 }
 
 func (e *effort) add(results []*vnn.Result) {
@@ -147,15 +148,20 @@ func (e *effort) add(results []*vnn.Result) {
 		e.nodes += int64(res.Stats.Nodes)
 		e.pivots += int64(res.Stats.LPPivots)
 		e.lp.Add(res.Stats.LP)
+		e.maxDepth = max(e.maxDepth, res.Stats.MaxDepth)
+		e.openHighWater = max(e.openHighWater, res.Stats.OpenHighWater)
 	}
 }
 
 // annotate puts the effort on the solve span: the two totals /metrics
-// also carries, and the LP engine's own account of how the node
-// relaxations were solved, which only the trace shows.
+// also carries, and the shape of the search tree and the LP engine's own
+// account of how the node relaxations were solved, which only the trace
+// shows.
 func (e *effort) annotate(sp *obs.Span) {
 	sp.SetAttr("nodes", e.nodes)
 	sp.SetAttr("lp_pivots", e.pivots)
+	sp.SetAttr("bb_max_depth", e.maxDepth)
+	sp.SetAttr("bb_open_high_water", e.openHighWater)
 	for _, a := range []struct {
 		key string
 		n   int
