@@ -91,7 +91,7 @@ func setup(b *testing.B) *benchState {
 		// Hinted variant: the same plain network fine-tuned under the
 		// property (penalty + region samples + counterexample rounds).
 		state.hinted = &core.Predictor{Net: state.preds[benchWidths[0]].Net.Clone(), K: 2}
-		if err := core.HintFineTune(state.hinted, clean, core.HintConfig{Seed: 4242}); err != nil {
+		if err := vnn.HintFineTune(state.hinted, clean, vnn.HintConfig{Seed: 4242}); err != nil {
 			panic(err)
 		}
 	})
@@ -365,7 +365,7 @@ func BenchmarkBigMAblation(b *testing.B) {
 func BenchmarkAttackVsVerify(b *testing.B) {
 	st := setup(b)
 	pred := st.preds[benchWidths[1]]
-	region := core.LeftOccupiedRegion()
+	region := vnn.LeftOccupiedRegion()
 	out := pred.MuLatOutputs()[0]
 	b.Run("pgd-attack", func(b *testing.B) {
 		var v float64
@@ -379,9 +379,15 @@ func BenchmarkAttackVsVerify(b *testing.B) {
 		b.ReportMetric(v, "attackLatVel(m/s)")
 	})
 	b.Run("milp-verify", func(b *testing.B) {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+		defer cancel()
 		var v float64
 		for i := 0; i < b.N; i++ {
-			res, err := verify.MaxOutput(pred.Net, region, out, verify.Options{TimeLimit: 10 * time.Minute})
+			c, err := verify.Compile(ctx, pred.Net, region, verify.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := c.MaxOutput(ctx, out, verify.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -396,19 +402,18 @@ func BenchmarkAttackVsVerify(b *testing.B) {
 func BenchmarkResilience(b *testing.B) {
 	st := setup(b)
 	pred := st.preds[benchWidths[0]]
-	region := core.LeftOccupiedRegion()
+	region := vnn.LeftOccupiedRegion()
 	x0 := make([]float64, pred.Net.InputDim())
 	for i, iv := range region.Box {
 		x0[i] = (iv.Lo + iv.Hi) / 2
 	}
 	out := pred.MuLatOutputs()[0]
 	thr := pred.Net.Forward(x0)[out] + 1
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+	defer cancel()
 	var eps float64
 	for i := 0; i < b.N; i++ {
-		res, err := verify.Resilience(pred.Net, x0, region.Box, out, thr, verify.ResilienceOptions{
-			MaxIterations: 6,
-			Query:         verify.Options{TimeLimit: 10 * time.Minute},
-		})
+		res, err := verify.ResilienceCtx(ctx, pred.Net, x0, region.Box, out, thr, verify.ResilienceOptions{MaxIterations: 6})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func main() {
 	var (
 		depth    = flag.Int("depth", 4, "hidden layers")
 		width    = flag.Int("width", 10, "neurons per hidden layer")
-		comps    = flag.Int("k", core.DefaultComponents, "mixture components")
+		comps    = flag.Int("k", vnn.DefaultComponents, "mixture components")
 		epochs   = flag.Int("epochs", 30, "training epochs")
 		seed     = flag.Int64("seed", 1, "random seed")
 		dataPath = flag.String("data", "", "dataset JSON (generated fresh when empty)")

@@ -40,7 +40,7 @@ func main() {
 	var (
 		depth    = flag.Int("depth", 2, "hidden layers")
 		width    = flag.Int("width", 10, "neurons per hidden layer")
-		comps    = flag.Int("k", core.DefaultComponents, "mixture components")
+		comps    = flag.Int("k", vnn.DefaultComponents, "mixture components")
 		epochs   = flag.Int("epochs", 20, "training epochs")
 		episodes = flag.Int("episodes", 0, "simulated episodes for data generation (0 = default config)")
 		steps    = flag.Int("steps", 0, "steps per episode (0 = default config)")

@@ -57,7 +57,7 @@ func TestRenderStatus(t *testing.T) {
 // which "acme" issued 20 verify requests at ~8ms.
 func topFixture(t *testing.T) (earlier, later vnnserver.FleetMetrics) {
 	t.Helper()
-	h := obs.NewHistogram("vnnd_tenant_request_duration_seconds", "", 1e-9)
+	h := obs.NewHistogram("vnnd_tenant_request_duration_seconds", 1e-9)
 	h.Observe(int64(time.Millisecond)) // pre-window traffic
 	pre := h.Snapshot().JSON()
 	earlier = vnnserver.FleetMetrics{Aggregate: vnnserver.Metrics{

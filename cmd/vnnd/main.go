@@ -149,8 +149,8 @@
 // — cutting a request from megabytes to kilobytes (unknown fingerprints
 // answer 404; re-send the full request). Repeated monitored requests hit
 // both the compile cache and the monitor cache; /metrics reports the
-// plane under "infer" (including per-lane shard throughput) and the
-// vnnd.infer.* expvars (requests, inputs, flagged, monitor hits/misses).
+// plane under "infer" (requests, inputs, flagged, per-lane shard
+// throughput).
 //
 // # Verified rollout: /v1/models, -data-dir, -gate
 //
@@ -255,9 +255,8 @@
 // rounds), intervals are jittered, failing peers back off
 // exponentially, and a draining node neither serves fleet requests nor
 // accepts imports. /metrics reports rounds, symbols sent/received,
-// entries pulled/pushed and per-peer last-sync under "fleet"
-// (vnnd.fleet.* expvars), plus the accounted cache size under
-// "cache.bytes" (vnnd.cache.bytes).
+// entries pulled/pushed and per-peer last-sync under "fleet", plus the
+// accounted cache size under "cache.bytes".
 //
 // # Observability: /metrics, /debug/traces, the flight recorder
 //
@@ -368,8 +367,7 @@
 // the node should receive traffic — the endpoint load balancers and
 // rolling restarts should watch. /metrics reports cache
 // hits/misses/evictions, queue depth, nodes, pivots and the process-wide
-// encode/tighten pass counters; /debug/vars exposes the same counters as
-// standard expvars.
+// encode/tighten pass counters.
 package main
 
 import (

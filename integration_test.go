@@ -66,7 +66,7 @@ func TestEndToEndCaseStudy(t *testing.T) {
 	}
 
 	// 4. Attack lower bound vs verified maximum.
-	region := core.LeftOccupiedRegion()
+	region := vnn.LeftOccupiedRegion()
 	atkBest := math.Inf(-1)
 	rng := rand.New(rand.NewSource(5))
 	for _, out := range pred.MuLatOutputs() {

@@ -13,22 +13,11 @@
 // pipeline (RunPipeline).
 package core
 
-import (
-	"math/rand"
-
-	"repro/pkg/vnn"
-)
-
-// DefaultComponents is the number of mixture components in the predictor's
-// Gaussian-mixture head.
-const DefaultComponents = 3
+import "repro/pkg/vnn"
 
 // Predictor wraps a trained network with its mixture-head decoding; it is
 // the public vnn.Predictor.
 type Predictor = vnn.Predictor
-
-// HintConfig tunes HintFineTune; it is the public vnn.HintConfig.
-type HintConfig = vnn.HintConfig
 
 // NewPredictorNet constructs an untrained predictor network in the paper's
 // I<depth>×<width> family (see vnn.NewPredictor).
@@ -36,26 +25,6 @@ func NewPredictorNet(depth, width, k int, seed int64) *Predictor {
 	return vnn.NewPredictor(depth, width, k, seed)
 }
 
-// LeftOccupiedRegion is the input region of the paper's safety property;
-// it lives in pkg/vnn together with the rest of the query surface.
-func LeftOccupiedRegion() *vnn.Region { return vnn.LeftOccupiedRegion() }
-
 // SafetyRules returns the data-validation rules of the case study (see
 // vnn.SafetyRules).
 func SafetyRules(latTol float64) []vnn.DataRule { return vnn.SafetyRules(latTol) }
-
-// HintAugment manufactures property-derived training samples (see
-// vnn.HintAugment).
-func HintAugment(n int, rng *rand.Rand) []vnn.Sample { return vnn.HintAugment(n, rng) }
-
-// HintFineTune fine-tunes a trained predictor under the known safety
-// property (see vnn.HintFineTune).
-func HintFineTune(pred *Predictor, data []vnn.Sample, cfg HintConfig) error {
-	return vnn.HintFineTune(pred, data, cfg)
-}
-
-// AdversarialHintRounds runs counterexample-guided hint training rounds
-// (see vnn.AdversarialHintRounds).
-func AdversarialHintRounds(pred *Predictor, trainer *vnn.Trainer, data []vnn.Sample, rounds, epochsPerRound, samplesPerRound int, rng *rand.Rand) ([]vnn.Sample, error) {
-	return vnn.AdversarialHintRounds(pred, trainer, data, rounds, epochsPerRound, samplesPerRound, rng)
-}

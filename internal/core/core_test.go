@@ -66,7 +66,7 @@ func TestMuLatOutputs(t *testing.T) {
 }
 
 func TestLeftOccupiedRegion(t *testing.T) {
-	r := LeftOccupiedRegion()
+	r := vnn.LeftOccupiedRegion()
 	if len(r.Box) != highway.FeatureDim {
 		t.Fatalf("box dim %d", len(r.Box))
 	}
@@ -291,7 +291,7 @@ func TestHintFineTuneLowersVerifiedMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := HintFineTune(pred, data, HintConfig{Seed: 9}); err != nil {
+	if err := vnn.HintFineTune(pred, data, vnn.HintConfig{Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := pred.VerifySafety(ctx, opts)

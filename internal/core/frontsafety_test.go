@@ -11,7 +11,7 @@ import (
 )
 
 func TestFrontCloseRegionPins(t *testing.T) {
-	r := FrontCloseRegion()
+	r := vnn.FrontCloseRegion()
 	if len(r.Box) != highway.FeatureDim {
 		t.Fatalf("box dim %d", len(r.Box))
 	}
@@ -20,7 +20,7 @@ func TestFrontCloseRegionPins(t *testing.T) {
 		t.Fatal("front presence not pinned")
 	}
 	g := highway.NeighborFeature(highway.Front, highway.NPGap)
-	if r.Box[g].Hi != FrontGapClose {
+	if r.Box[g].Hi != vnn.FrontGapClose {
 		t.Fatalf("front gap hi = %g", r.Box[g].Hi)
 	}
 	// A real close-front scene must fall inside the region.
@@ -57,7 +57,7 @@ func TestVerifyFrontSafety(t *testing.T) {
 		t.Fatal("small predictor should verify exactly")
 	}
 	// Witness must be a close-front scenario achieving the value.
-	if res.Witness == nil || !FrontCloseRegion().Contains(res.Witness, 1e-6) {
+	if res.Witness == nil || !vnn.FrontCloseRegion().Contains(res.Witness, 1e-6) {
 		t.Fatal("witness invalid")
 	}
 	raw := p.Net.Forward(res.Witness)

@@ -16,7 +16,7 @@ import (
 type PipelineConfig struct {
 	// Depth and Width give the I<Depth>×<Width> architecture.
 	Depth, Width int
-	// Components is the gmm head size; 0 means DefaultComponents.
+	// Components is the gmm head size; 0 means vnn.DefaultComponents.
 	Components int
 	// Seed drives data generation, initialization and training.
 	Seed int64
@@ -132,7 +132,7 @@ func (r *PipelineResult) String() string {
 func RunPipeline(ctx context.Context, cfg PipelineConfig) (*PipelineResult, error) {
 	start := time.Now()
 	if cfg.Components == 0 {
-		cfg.Components = DefaultComponents
+		cfg.Components = vnn.DefaultComponents
 	}
 	if cfg.Epochs == 0 {
 		cfg.Epochs = 30
@@ -184,8 +184,8 @@ func RunPipeline(ctx context.Context, cfg PipelineConfig) (*PipelineResult, erro
 	if cfg.Hints {
 		// Future-work item (iii): fine-tune the trained network under the
 		// known property — penalty loss, property-derived samples, and
-		// counterexample-guided rounds (see HintFineTune).
-		if err := HintFineTune(pred, trainSet, HintConfig{
+		// counterexample-guided rounds (see vnn.HintFineTune).
+		if err := vnn.HintFineTune(pred, trainSet, vnn.HintConfig{
 			Threshold: cfg.HintThreshold,
 			Seed:      cfg.Seed + 3,
 		}); err != nil {
@@ -214,7 +214,7 @@ func RunPipeline(ctx context.Context, cfg PipelineConfig) (*PipelineResult, erro
 		cctx, cancel = context.WithTimeout(ctx, cfg.VerifyTimeout)
 		defer cancel()
 	}
-	cn, err := vnn.Compile(cctx, pred.Net, LeftOccupiedRegion(), cfg.Verify)
+	cn, err := vnn.Compile(cctx, pred.Net, vnn.LeftOccupiedRegion(), cfg.Verify)
 	if err != nil {
 		return nil, fmt.Errorf("core: compile: %w", err)
 	}

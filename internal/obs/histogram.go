@@ -49,11 +49,10 @@ type histShard struct {
 // observers off each other's cache lines. Observe is two shard-local
 // atomic adds — no locks, no allocation (pinned by TestObserveAllocs).
 type Histogram struct {
-	// Name and Help feed the Prometheus rendering; Scale converts a
-	// recorded integer to the exposition unit (e.g. 1e-9 turns
-	// nanoseconds into seconds). Scale 0 means 1.
+	// Name is the Prometheus family (the renderer owns the help text);
+	// Scale converts a recorded integer to the exposition unit (e.g.
+	// 1e-9 turns nanoseconds into seconds). Scale 0 means 1.
 	Name  string
-	Help  string
 	Scale float64
 
 	shards []histShard
@@ -61,10 +60,10 @@ type Histogram struct {
 }
 
 // NewHistogram returns a histogram with one shard per core (rounded up
-// to a power of two, capped at maxShards). name/help/scale seed the
+// to a power of two, capped at maxShards). name and scale seed the
 // Prometheus exposition; pass scale 1e-9 for nanosecond observations
 // rendered as seconds, 1 (or 0) for dimensionless sizes.
-func NewHistogram(name, help string, scale float64) *Histogram {
+func NewHistogram(name string, scale float64) *Histogram {
 	n := runtime.GOMAXPROCS(0)
 	if n < 1 {
 		n = 1
@@ -79,7 +78,6 @@ func NewHistogram(name, help string, scale float64) *Histogram {
 	}
 	return &Histogram{
 		Name:   name,
-		Help:   help,
 		Scale:  scale,
 		shards: make([]histShard, shards),
 		mask:   uint64(shards - 1),
@@ -134,7 +132,6 @@ func (h *Histogram) ObserveShard(lane int, v int64) {
 // includes counted values' shards.
 type HistogramSnapshot struct {
 	Name    string
-	Help    string
 	Scale   float64
 	Buckets [NumBuckets + 1]int64
 	Count   int64
@@ -266,7 +263,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	s := HistogramSnapshot{Name: h.Name, Help: h.Help, Scale: h.Scale}
+	s := HistogramSnapshot{Name: h.Name, Scale: h.Scale}
 	if s.Scale == 0 {
 		s.Scale = 1
 	}

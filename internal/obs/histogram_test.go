@@ -31,7 +31,7 @@ func TestBucketOf(t *testing.T) {
 }
 
 func TestHistogramSnapshot(t *testing.T) {
-	h := NewHistogram("test_seconds", "test", 1e-9)
+	h := NewHistogram("test_seconds", 1e-9)
 	values := []int64{0, 1, 3, 100, 1 << 20, 1 << 50}
 	var wantSum int64
 	for _, v := range values {
@@ -61,7 +61,7 @@ func TestHistogramSnapshot(t *testing.T) {
 }
 
 func TestObserveShard(t *testing.T) {
-	h := NewHistogram("lanes", "per-lane", 1)
+	h := NewHistogram("lanes", 1)
 	for lane := 0; lane < 10; lane++ {
 		h.ObserveShard(lane, int64(lane+1))
 	}
@@ -86,7 +86,7 @@ func TestNilHistogram(t *testing.T) {
 // TestObserveAllocs pins the hot path at zero allocations — the
 // contract that lets histograms sit inside /v1/infer's chunk loop.
 func TestObserveAllocs(t *testing.T) {
-	h := NewHistogram("alloc_pin", "", 1e-9)
+	h := NewHistogram("alloc_pin", 1e-9)
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(12345) }); n != 0 {
 		t.Fatalf("Observe allocates: %.1f allocs/op", n)
 	}
@@ -96,7 +96,7 @@ func TestObserveAllocs(t *testing.T) {
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram("race", "", 1)
+	h := NewHistogram("race", 1)
 	done := make(chan struct{})
 	const goroutines, per = 8, 1000
 	for g := 0; g < goroutines; g++ {
@@ -125,7 +125,7 @@ func TestHistogramConcurrent(t *testing.T) {
 // costs two atomic adds: it is gated in BENCH_infer.json alongside the
 // kernel ladder (0 allocs/op, single-digit nanoseconds).
 func BenchmarkObserve(b *testing.B) {
-	h := NewHistogram("bench_seconds", "", 1e-9)
+	h := NewHistogram("bench_seconds", 1e-9)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i))
@@ -133,7 +133,7 @@ func BenchmarkObserve(b *testing.B) {
 }
 
 func BenchmarkObserveParallel(b *testing.B) {
-	h := NewHistogram("bench_par_seconds", "", 1e-9)
+	h := NewHistogram("bench_par_seconds", 1e-9)
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {

@@ -15,6 +15,13 @@ const (
 	OverflowTenant  = "other"
 )
 
+// The per-tenant histogram families, as named on the wire and in the
+// scrape.
+const (
+	TenantLatencyFamily   = "vnnd_tenant_request_duration_seconds"
+	TenantQueueWaitFamily = "vnnd_tenant_queue_wait_seconds"
+)
+
 // DefaultTenantCap is the default cardinality cap for per-tenant
 // accounting: the first DefaultTenantCap distinct labels get their own
 // series, the rest share OverflowTenant.
@@ -76,12 +83,12 @@ func NewTenantSet(limit int, scale float64, routes ...string) *TenantSet {
 func (ts *TenantSet) newStats(label string) *TenantStats {
 	t := &TenantStats{
 		label:     label,
-		queueWait: NewHistogram("vnnd_tenant_queue_wait_seconds", "Admission queue wait per tenant.", ts.scale),
+		queueWait: NewHistogram(TenantQueueWaitFamily, ts.scale),
 		routes:    make(map[string]*TenantRoute, len(ts.routes)),
 	}
 	for _, route := range ts.routes {
 		t.routes[route] = &TenantRoute{
-			latency: NewHistogram("vnnd_tenant_request_duration_seconds", "Request latency per tenant and route.", ts.scale),
+			latency: NewHistogram(TenantLatencyFamily, ts.scale),
 		}
 	}
 	return t

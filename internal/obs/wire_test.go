@@ -9,8 +9,8 @@ import (
 // element sums, count/sum totals, and the snapshot round trip back to
 // the fixed-array form the Prometheus renderer consumes.
 func TestHistogramJSONMerge(t *testing.T) {
-	a := NewHistogram("h", "", 1e-9)
-	b := NewHistogram("h", "", 1e-9)
+	a := NewHistogram("h", 1e-9)
+	b := NewHistogram("h", 1e-9)
 	for _, v := range []int64{3, 100, 5000} {
 		a.Observe(v)
 	}
@@ -53,7 +53,7 @@ func TestHistogramJSONMerge(t *testing.T) {
 }
 
 func TestHistogramJSONDeltaQuantile(t *testing.T) {
-	h := NewHistogram("lat", "", 1)
+	h := NewHistogram("lat", 1)
 	h.Observe(10)
 	earlier := h.Snapshot().JSON()
 	for i := 0; i < 99; i++ {

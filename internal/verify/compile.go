@@ -205,10 +205,7 @@ func (e *encoding) intervalBound(coeffs map[int]float64) float64 {
 // per output — a disjunction solved as independent problems, concurrently
 // when opts.Parallel is set), sharing the compiled encoding. With Parallel,
 // Stats.Elapsed sums per-query times and so exceeds wall-clock time.
-//
-// When opts.TimeLimit is set, it budgets each per-output MILP on its own
-// clock (the historical semantics of the free MaxOverOutputs function); the
-// ctx deadline, if any, bounds the whole call.
+// The ctx deadline, if any, bounds the whole call.
 func (c *Compiled) MaxOverOutputs(ctx context.Context, outIndices []int, opts Options) (*MaxResult, error) {
 	if len(outIndices) == 0 {
 		return nil, fmt.Errorf("verify: MaxOverOutputs needs at least one output index")
@@ -229,9 +226,7 @@ func (c *Compiled) MaxOverOutputs(ctx context.Context, outIndices []int, opts Op
 		}
 	}
 	solveOne := func(out int) (*MaxResult, error) {
-		qctx, cancel := perQueryContext(ctx, opts.TimeLimit)
-		defer cancel()
-		return maxWithEncoding(qctx, c.enc.withModelClone(), map[int]float64{out: 1}, innerOpts)
+		return maxWithEncoding(ctx, c.enc.withModelClone(), map[int]float64{out: 1}, innerOpts)
 	}
 
 	results := make([]*MaxResult, len(outIndices))
@@ -399,13 +394,4 @@ func prepareBounds(ctx context.Context, net *nn.Network, region *InputRegion, op
 		return TightenLPCtx(ctx, net, region, nb, opts.Workers)
 	}
 	return nb, nil
-}
-
-// perQueryContext derives the budget context for one inner MILP: the
-// legacy per-query TimeLimit when set, under the caller's ctx either way.
-func perQueryContext(parent context.Context, limit time.Duration) (context.Context, context.CancelFunc) {
-	if limit > 0 {
-		return context.WithTimeout(parent, limit)
-	}
-	return context.WithCancel(parent)
 }

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -32,8 +33,7 @@ func MaxOverOutputsSingleMILP(net *nn.Network, region *InputRegion, outIndices [
 		}
 	}
 	start := time.Now()
-	ctx, cancel := opts.queryContext()
-	defer cancel()
+	ctx := context.Background()
 	nb, err := prepareBounds(ctx, net, region, opts)
 	if err != nil {
 		return nil, err

@@ -39,14 +39,10 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("Outcome(%d)", int(o))
 }
 
-// Options tune a verification run.
+// Options tune a verification run. There is no time limit here: budgets
+// and cancellation are the context's (Compile and the Compiled methods
+// take one); the free query functions below run unbounded.
 type Options struct {
-	// TimeLimit bounds each MILP solve in the free query functions (and
-	// each per-output MILP in MaxOverOutputs); 0 means unlimited. The
-	// compiled API (Compile / Compiled methods, pkg/vnn) uses context
-	// deadlines instead, which also cover bound tightening; TimeLimit is
-	// kept for the convenience wrappers.
-	TimeLimit time.Duration
 	// MaxNodes bounds branch-and-bound nodes; 0 means unlimited.
 	MaxNodes int
 	// Tighten selects LP-based bound tightening before encoding
@@ -73,12 +69,6 @@ func (o Options) milpOptions() milp.Options {
 		Workers:  o.Workers,
 		Progress: o.Progress,
 	}
-}
-
-// queryContext converts the legacy TimeLimit into a context deadline for
-// the free query functions.
-func (o Options) queryContext() (context.Context, context.CancelFunc) {
-	return perQueryContext(context.Background(), o.TimeLimit)
 }
 
 // Stats describes the effort a query took.
@@ -121,8 +111,7 @@ type MaxResult struct {
 // Compiled methods (or the public pkg/vnn API).
 func MaxOutput(net *nn.Network, region *InputRegion, outIndex int, opts Options) (*MaxResult, error) {
 	start := time.Now()
-	ctx, cancel := opts.queryContext()
-	defer cancel()
+	ctx := context.Background()
 	c, err := Compile(ctx, net, region, opts)
 	if err != nil {
 		return nil, err
@@ -205,8 +194,7 @@ type ProveResult struct {
 // Compile once and use the Compiled methods (or the public pkg/vnn API).
 func ProveUpperBound(net *nn.Network, region *InputRegion, outIndex int, threshold float64, opts Options) (*ProveResult, error) {
 	start := time.Now()
-	ctx, cancel := opts.queryContext()
-	defer cancel()
+	ctx := context.Background()
 	c, err := Compile(ctx, net, region, opts)
 	if err != nil {
 		return nil, err
@@ -232,9 +220,6 @@ func ProveUpperBound(net *nn.Network, region *InputRegion, outIndex int, thresho
 // instead of re-encoding the whole network per output.
 func MaxOverOutputs(net *nn.Network, region *InputRegion, outIndices []int, opts Options) (*MaxResult, error) {
 	start := time.Now()
-	// The outer context is unlimited: as documented on Options.TimeLimit,
-	// the per-query budget applies to every per-output MILP on its own
-	// clock (handled inside Compiled.MaxOverOutputs), not to the batch.
 	ctx := context.Background()
 	c, err := Compile(ctx, net, region, opts)
 	if err != nil {

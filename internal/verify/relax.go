@@ -37,9 +37,7 @@ func RelaxationBound(net *nn.Network, region *InputRegion, outIndex int, opts Op
 	if outIndex < 0 || outIndex >= net.OutputDim() {
 		return 0, fmt.Errorf("verify: output index %d of %d", outIndex, net.OutputDim())
 	}
-	ctx, cancel := opts.queryContext()
-	defer cancel()
-	nb, err := prepareBounds(ctx, net, region, opts)
+	nb, err := prepareBounds(context.Background(), net, region, opts)
 	if err != nil {
 		return 0, err
 	}

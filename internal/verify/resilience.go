@@ -94,13 +94,11 @@ func ResilienceCtx(ctx context.Context, net *nn.Network, x0 []float64, domain []
 	lo, hi := 0.0, hiEps // lo = certified, hi = not certified (or untested)
 
 	probe := func(eps float64) (*ProveResult, error) {
-		pctx, cancel := perQueryContext(ctx, opts.Query.TimeLimit)
-		defer cancel()
-		c, err := Compile(pctx, net, ballRegion(eps), opts.Query)
+		c, err := Compile(ctx, net, ballRegion(eps), opts.Query)
 		if err != nil {
 			return nil, err
 		}
-		return c.ProveUpperBound(pctx, outIndex, threshold, opts.Query)
+		return c.ProveUpperBound(ctx, outIndex, threshold, opts.Query)
 	}
 
 	// First probe the full radius: everything may already be safe.

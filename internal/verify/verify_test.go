@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -279,14 +280,20 @@ func TestEmptyRegionRejected(t *testing.T) {
 func TestTimeoutOutcome(t *testing.T) {
 	net := randomReLUNet(6, 6, []int{14, 14, 14}, 1)
 	region := unitRegion(6)
-	res, err := MaxOutput(net, region, 0, Options{TimeLimit: time.Microsecond})
+	c, err := Compile(context.Background(), net, region, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Microsecond)
+	defer cancel()
+	res, err := c.MaxOutput(ctx, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Exact {
 		t.Fatal("microsecond budget should not produce an exact answer")
 	}
-	pr, err := ProveUpperBound(net, region, 0, 0.0001, Options{TimeLimit: time.Microsecond, MaxNodes: 1})
+	pr, err := c.ProveUpperBound(ctx, 0, 0.0001, Options{MaxNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

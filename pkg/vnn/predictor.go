@@ -24,6 +24,10 @@ type Predictor struct {
 	K   int // mixture components
 }
 
+// DefaultComponents is the number of mixture components in the case
+// study's Gaussian-mixture head.
+const DefaultComponents = 3
+
 // NewPredictor constructs an untrained predictor network in the paper's
 // I<depth>×<width> family: 84 inputs, `depth` hidden ReLU layers of
 // `width` neurons, and a linear gmm head with k components.

@@ -174,7 +174,6 @@ func (p *Peer) handleReconcile(w http.ResponseWriter, r *http.Request) {
 		if len(buf) >= flushStride*riblt.CodedSymbolSize {
 			if _, err := w.Write(buf); err != nil {
 				p.symbolsSent.Add(int64(sent + 1))
-				xFleetSymbolsSent.Add(int64(sent + 1))
 				return // puller decoded (or died); either way we are done
 			}
 			buf = buf[:0]
@@ -184,13 +183,11 @@ func (p *Peer) handleReconcile(w http.ResponseWriter, r *http.Request) {
 		}
 		if r.Context().Err() != nil {
 			p.symbolsSent.Add(int64(sent + 1))
-			xFleetSymbolsSent.Add(int64(sent + 1))
 			return
 		}
 	}
 	w.Write(buf)
 	p.symbolsSent.Add(int64(p.opts.MaxSymbols))
-	xFleetSymbolsSent.Add(int64(p.opts.MaxSymbols))
 }
 
 // handleResolve maps decoded set hashes back to fingerprint strings.
@@ -245,7 +242,6 @@ func (p *Peer) handleExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.entriesPushed.Add(1)
-	xFleetPushed.Add(1)
 	writeJSON(w, http.StatusOK, exp)
 }
 

@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"math/rand"
@@ -21,18 +20,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/riblt"
 	"repro/pkg/vnn"
-)
-
-// Process-wide fleet counters under the vnnd.fleet.* expvar namespace
-// (visible in /debug/vars next to the vnnd.* serving counters).
-var (
-	xFleetRounds          = expvar.NewInt("vnnd.fleet.rounds")
-	xFleetSymbolsSent     = expvar.NewInt("vnnd.fleet.symbols_sent")
-	xFleetSymbolsReceived = expvar.NewInt("vnnd.fleet.symbols_received")
-	xFleetPulled          = expvar.NewInt("vnnd.fleet.entries_pulled")
-	xFleetPushed          = expvar.NewInt("vnnd.fleet.entries_pushed")
-	xFleetRejected        = expvar.NewInt("vnnd.fleet.pull_rejected")
-	xFleetSkipped         = expvar.NewInt("vnnd.fleet.pull_skipped")
 )
 
 // Options tune a Peer. The zero value is serviceable.
@@ -174,7 +161,6 @@ func (p *Peer) ReconcileOnce(ctx context.Context, base string) (RoundStats, erro
 		return rs, err
 	}
 	p.rounds.Add(1)
-	xFleetRounds.Add(1)
 
 	remote := dec.Remote()
 	rs.Missing = len(remote)
@@ -220,17 +206,14 @@ func (p *Peer) ReconcileOnce(ctx context.Context, base string) (RoundStats, erro
 			entrySpan.SetAttr("outcome", "pulled")
 			rs.Pulled++
 			p.entriesPulled.Add(1)
-			xFleetPulled.Add(1)
 		case errors.Is(err, ErrVerify):
 			entrySpan.SetAttr("outcome", "rejected")
 			rs.Rejected++
 			p.pullRejected.Add(1)
-			xFleetRejected.Add(1)
 		case errors.Is(err, ErrNotFound), errors.Is(err, ErrDependency):
 			entrySpan.SetAttr("outcome", "skipped")
 			rs.Skipped++
 			p.pullSkipped.Add(1)
-			xFleetSkipped.Add(1)
 		default:
 			// Transport failure or local drain: abort the round, the
 			// loop's backoff owns the retry.
@@ -292,7 +275,6 @@ func (p *Peer) streamSymbols(ctx context.Context, base string, tr *obs.Trace, de
 		}
 	}
 	p.symbolsReceived.Add(int64(rs.SymbolsReceived))
-	xFleetSymbolsReceived.Add(int64(rs.SymbolsReceived))
 	if rs.SymbolsReceived == 0 {
 		return fmt.Errorf("reconcile %s: empty symbol stream", base)
 	}

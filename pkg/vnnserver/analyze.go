@@ -127,7 +127,6 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest) (*jobPlan, error) {
 		},
 		count: func(_ any, err error) {
 			s.analyzes.Add(1)
-			xAnalyzes.Add(1)
 			if err == nil {
 				// Per-kind accounting happens once per completed batch so
 				// the counters mean "analyses served", not "analyses

@@ -28,7 +28,6 @@ type Cache struct {
 func NewCache(capacity int) *Cache {
 	c := &Cache{newLRU[*vnn.CompiledNetwork](capacity)}
 	c.sizeOf = (*vnn.CompiledNetwork).SizeBytes
-	c.vars = lruVars{hits: xCacheHits, misses: xCacheMisses, evictions: xCacheEvictions, bytes: xCacheBytes}
 	return c
 }
 

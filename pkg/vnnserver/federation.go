@@ -50,23 +50,27 @@ type FleetMetrics struct {
 func (s *Server) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 	local := s.Metrics()
 	fm := FleetMetrics{
-		Node:  s.nodeID,
-		Nodes: map[string]Metrics{local.Node: local},
+		Node:   s.nodeID,
+		Nodes:  map[string]Metrics{local.Node: local},
+		Errors: map[string]string{},
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), fleetFetchTimeout)
 	defer cancel()
 	for _, base := range s.cfg.Peers {
 		pm, err := fetchPeerMetrics(ctx, base)
 		if err != nil {
-			if fm.Errors == nil {
-				fm.Errors = make(map[string]string)
-			}
 			fm.Errors[base] = err.Error()
 			continue
 		}
 		key := pm.Node
 		if key == "" {
 			key = base // pre-federation peer: fall back to its URL
+		}
+		if _, dup := fm.Nodes[key]; dup {
+			// Two daemons started with one -node-id: keep the first block
+			// rather than let the second replace it and shrink the aggregate.
+			fm.Errors[base] = fmt.Sprintf("duplicate node id %q: snapshot ignored", key)
+			continue
 		}
 		fm.Nodes[key] = pm
 	}
@@ -116,70 +120,43 @@ func fleetGet(ctx context.Context, url string) ([]byte, error) {
 	return body, nil
 }
 
-// mergeMetrics folds src into dst for the fleet aggregate: every
-// cumulative counter sums exactly; histograms merge bucket-wise on
-// (name, route); tenants merge by label through obs.MergeTenants.
-// Gauges that describe one process (runtime) aggregate conservatively:
-// goroutines and heap sum (fleet footprint), GC pause p99 and uptime
-// take the max (the fleet is as old as its oldest node, as slow as its
-// worst pause). Identity fields (Build, Node, Registry, Shards,
-// scheduler capacities) are per-node facts and are left out.
+// mergeMetrics folds src into dst for the fleet aggregate. Scalars
+// follow their metricTable row: counters and additive gauges sum
+// exactly, worst-case gauges take the max, per-node facts stay zero.
+// Analyses sum by kind, histograms merge bucket-wise on (name, route),
+// tenants merge by label through obs.MergeTenants. The structured
+// per-node blocks (Build, Node, Registry, Shards, Peers) are left out.
 func mergeMetrics(dst *Metrics, src Metrics) {
-	dst.Queries += src.Queries
-	dst.AnalyzeRequests += src.AnalyzeRequests
-	dst.Falsifications += src.Falsifications
+	for i := range metricTable {
+		r := &metricTable[i]
+		if r.merge == perNode {
+			continue
+		}
+		switch d := r.at(dst).(type) {
+		case *int64:
+			mergeNum(d, *r.at(&src).(*int64), r.merge)
+		case *int:
+			mergeNum(d, *r.at(&src).(*int), r.merge)
+		case *float64:
+			mergeNum(d, *r.at(&src).(*float64), r.merge)
+		}
+	}
 	if len(src.Analyses) > 0 && dst.Analyses == nil {
 		dst.Analyses = make(map[string]int64, len(src.Analyses))
 	}
 	for k, v := range src.Analyses {
 		dst.Analyses[k] += v
 	}
-
-	dst.Cache.Hits += src.Cache.Hits
-	dst.Cache.Misses += src.Cache.Misses
-	dst.Cache.Evictions += src.Cache.Evictions
-	dst.Cache.Size += src.Cache.Size
-	dst.Cache.Bytes += src.Cache.Bytes
-
-	dst.Scheduler.Active += src.Scheduler.Active
-	dst.Scheduler.Queued += src.Scheduler.Queued
-	dst.Scheduler.Rejected += src.Scheduler.Rejected
-	dst.Scheduler.Completed += src.Scheduler.Completed
-
-	dst.Infer.Requests += src.Infer.Requests
-	dst.Infer.Inputs += src.Infer.Inputs
-	dst.Infer.Flagged += src.Infer.Flagged
-	dst.Infer.Monitors += src.Infer.Monitors
-	dst.Infer.Workloads += src.Infer.Workloads
-
-	dst.Fleet.Rounds += src.Fleet.Rounds
-	dst.Fleet.SymbolsSent += src.Fleet.SymbolsSent
-	dst.Fleet.SymbolsReceived += src.Fleet.SymbolsReceived
-	dst.Fleet.EntriesPulled += src.Fleet.EntriesPulled
-	dst.Fleet.EntriesPushed += src.Fleet.EntriesPushed
-	dst.Fleet.PullRejected += src.Fleet.PullRejected
-	dst.Fleet.PullSkipped += src.Fleet.PullSkipped
-
-	dst.Nodes += src.Nodes
-	dst.LPPivots += src.LPPivots
-	dst.EncodePasses += src.EncodePasses
-	dst.TightenPasses += src.TightenPasses
-	dst.Solves += src.Solves
-
-	dst.Runtime.Goroutines += src.Runtime.Goroutines
-	dst.Runtime.HeapInuseBytes += src.Runtime.HeapInuseBytes
-	if src.Runtime.GCPauseP99MS > dst.Runtime.GCPauseP99MS {
-		dst.Runtime.GCPauseP99MS = src.Runtime.GCPauseP99MS
-	}
-	if src.Runtime.UptimeSeconds > dst.Runtime.UptimeSeconds {
-		dst.Runtime.UptimeSeconds = src.Runtime.UptimeSeconds
-	}
-	if src.UptimeMS > dst.UptimeMS {
-		dst.UptimeMS = src.UptimeMS
-	}
-
 	dst.Tenants = obs.MergeTenants(dst.Tenants, src.Tenants)
 	dst.Histograms = mergeHistograms(dst.Histograms, src.Histograms)
+}
+
+func mergeNum[T int | int64 | float64](dst *T, src T, rule mergeRule) {
+	if rule == mergeSum {
+		*dst += src
+	} else if src > *dst {
+		*dst = src
+	}
 }
 
 // mergeHistograms folds src's wire-form histograms into dst, matching

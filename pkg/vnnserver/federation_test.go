@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -112,6 +113,10 @@ func TestFleetMetricsFederation(t *testing.T) {
 		t.Fatalf("aggregate cache misses = %d, want %d",
 			fm.Aggregate.Cache.Misses, ma.Cache.Misses+mb.Cache.Misses)
 	}
+	if fm.Aggregate.Scheduler.Admitted != ma.Scheduler.Admitted+mb.Scheduler.Admitted {
+		t.Fatalf("aggregate scheduler admitted = %d, want %d",
+			fm.Aggregate.Scheduler.Admitted, ma.Scheduler.Admitted+mb.Scheduler.Admitted)
+	}
 
 	// Histograms merge bucket-wise: every bucket of the aggregate's
 	// verify-latency entry equals the sum of the per-node buckets.
@@ -168,17 +173,33 @@ func TestFleetMetricsFederation(t *testing.T) {
 	}
 }
 
-// TestFleetMetricsPeerDown: an unreachable peer degrades to an entry
-// in "errors"; the local block and aggregate still render.
+// TestFleetMetricsPeerDown: a peer whose snapshot cannot be used — it
+// is unreachable, or it reports the asking node's own id (two daemons
+// started with one -node-id) — degrades to an entry in "errors"; the
+// local block and the aggregate still render, from the local node alone.
 func TestFleetMetricsPeerDown(t *testing.T) {
-	dead := "http://127.0.0.1:1" // reserved port, nothing listens
-	_, ts := newTestServer(t, vnnserver.Config{NodeID: "solo", Peers: []string{dead}})
-	fm := getFleetMetrics(t, ts.URL)
-	if len(fm.Nodes) != 1 || fm.Nodes["solo"].Node != "solo" {
-		t.Fatalf("nodes = %v, want just solo", keysOf(fm.Nodes))
-	}
-	if fm.Errors[dead] == "" {
-		t.Fatalf("dead peer not reported in errors: %v", fm.Errors)
+	twin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(vnnserver.Metrics{Node: "solo", Queries: 5})
+	}))
+	defer twin.Close()
+	for _, tc := range []struct{ name, peer, wantErr string }{
+		{"unreachable", "http://127.0.0.1:1", ""}, // reserved port, nothing listens
+		{"duplicate node id", twin.URL, "duplicate node id"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t, vnnserver.Config{NodeID: "solo", Peers: []string{tc.peer}})
+			fm := getFleetMetrics(t, ts.URL)
+			if len(fm.Nodes) != 1 || fm.Nodes["solo"].Node != "solo" {
+				t.Fatalf("nodes = %v, want just solo", keysOf(fm.Nodes))
+			}
+			if fm.Nodes["solo"].Queries != 0 || fm.Aggregate.Queries != 0 {
+				t.Fatalf("local block queries = %d, aggregate = %d, want the local node's 0 in both",
+					fm.Nodes["solo"].Queries, fm.Aggregate.Queries)
+			}
+			if msg := fm.Errors[tc.peer]; msg == "" || !strings.Contains(msg, tc.wantErr) {
+				t.Fatalf("errors[%s] = %q, want it to mention %q", tc.peer, msg, tc.wantErr)
+			}
+		})
 	}
 }
 

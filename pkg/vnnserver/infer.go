@@ -343,7 +343,7 @@ func (s *Server) runInfer(ctx context.Context, sp *obs.Span, net *vnn.Network, m
 		// One histogram add and (when traced) one span per chunk — the
 		// per-input loop above stays observation-free.
 		d := time.Since(chunkStart)
-		s.obs.chunkTime.ObserveShard(sh.idx, int64(d))
+		s.obs.hist[hInferChunk].ObserveShard(sh.idx, int64(d))
 		cs := sp.ChildTimed("chunk", d)
 		cs.SetAttr("lane", sh.idx)
 		cs.SetAttr("inputs", hi-lo)
@@ -523,10 +523,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	s.inferInputs.Add(int64(len(req.Inputs)))
 	s.inferFlagged.Add(int64(resp.Flagged))
 	s.inferRequests.Add(1)
-	xInferInputs.Add(int64(len(req.Inputs)))
-	xInferFlagged.Add(int64(resp.Flagged))
-	xInferRequests.Add(1)
-	s.obs.inferBatch.Observe(int64(len(req.Inputs)))
+	s.obs.hist[hInferBatch].Observe(int64(len(req.Inputs)))
 	tn.CountInputs(len(req.Inputs), resp.Flagged)
 	tn.Route("/v1/infer").Count(time.Since(start))
 
@@ -560,7 +557,6 @@ type cachedMonitor struct {
 
 func newMonitorCache(capacity int) *monitorCache {
 	c := &monitorCache{lru: newLRU[cachedMonitor](capacity), byContent: make(map[string]string)}
-	c.vars = lruVars{hits: xInferMonitorHits, misses: xInferMonitorMisses}
 	// bytes (marshaled monitor size) feeds the GET /v1/workloads index.
 	c.sizeOf = func(m cachedMonitor) int64 {
 		doc, err := vnn.MarshalMonitor(m.mon)

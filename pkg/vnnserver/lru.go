@@ -3,7 +3,6 @@ package vnnserver
 import (
 	"container/list"
 	"context"
-	"expvar"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,23 +42,11 @@ type lru[V any] struct {
 	// exactly once each per stored value, so an owner can keep a
 	// secondary index in step (see monitorCache.byContent).
 	onReady, onDrop func(key string, v V)
-	// vars mirrors the counters below into process-wide expvars.
-	vars lruVars
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
 	bytes     atomic.Int64 // accounted size of completed entries
-}
-
-// lruVars names the process-wide expvar mirror of one cache's counters;
-// nil fields are skipped.
-type lruVars struct{ hits, misses, evictions, bytes *expvar.Int }
-
-func bump(v *expvar.Int, delta int64) {
-	if v != nil {
-		v.Add(delta)
-	}
 }
 
 // lruEntry is one cached (or in-flight) value.
@@ -119,7 +106,6 @@ func (c *lru[V]) getOrCompute(ctx context.Context, key string, compute func() (V
 		e := el.Value.(*lruEntry[V])
 		c.order.MoveToFront(el)
 		c.hits.Add(1)
-		bump(c.vars.hits, 1)
 		c.mu.Unlock()
 		select {
 		case <-e.ready:
@@ -132,7 +118,6 @@ func (c *lru[V]) getOrCompute(ctx context.Context, key string, compute func() (V
 	e := &lruEntry[V]{key: key, ready: make(chan struct{}), added: time.Now()}
 	el := c.insertLocked(e)
 	c.misses.Add(1)
-	bump(c.vars.misses, 1)
 	c.mu.Unlock()
 
 	v, err := compute()
@@ -178,7 +163,6 @@ func (c *lru[V]) add(key string, v V) bool {
 // storedLocked accounts a value that just entered the cache.
 func (c *lru[V]) storedLocked(e *lruEntry[V]) {
 	c.bytes.Add(e.size)
-	bump(c.vars.bytes, e.size)
 	if c.onReady != nil {
 		c.onReady(e.key, e.val)
 	}
@@ -197,9 +181,7 @@ func (c *lru[V]) insertLocked(e *lruEntry[V]) *list.Element {
 			c.order.Remove(el)
 			delete(c.entries, old.key)
 			c.evictions.Add(1)
-			bump(c.vars.evictions, 1)
 			c.bytes.Add(-old.size)
-			bump(c.vars.bytes, -old.size)
 			if c.onDrop != nil {
 				c.onDrop(old.key, old.val)
 			}

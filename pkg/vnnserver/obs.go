@@ -23,31 +23,20 @@ import (
 type serverObs struct {
 	rec *obs.Recorder
 
+	// hist holds the one-histogram families, indexed like histFamilies:
+	// scheduler queue wait vs run time (their sum ≈ request latency on
+	// scheduled routes), compile and monitor-build cost on cache misses,
+	// infer batch sizes and per-lane chunk times, fleet reconcile rounds.
+	hist [hRequest]*obs.Histogram
+
 	// Per-route request latency, keyed by latencyRoutes (one histogram
-	// per route so the Prometheus family vnnd_request_duration_seconds
-	// carries a route label).
+	// per route so the family carries a route label).
 	latency map[string]*obs.Histogram
-
-	// Scheduler decomposition: time spent waiting for a run slot vs
-	// running (queue-wait + run ≈ request latency for scheduled routes).
-	queueWait *obs.Histogram
-	runTime   *obs.Histogram
-
-	// Artifact build costs (cache misses only — hits cost nothing).
-	compileTime  *obs.Histogram
-	monitorBuild *obs.Histogram
-
-	// Inference plane: batch sizes and per-lane chunk times.
-	inferBatch *obs.Histogram
-	chunkTime  *obs.Histogram
-
-	// Fleet plane: wall time per reconcile round.
-	reconcileTime *obs.Histogram
 
 	// tenants is the per-tenant accounting plane: X-API-Key-derived
 	// labels with a hard cardinality cap (Config.TenantCap), so the
 	// request/latency/inputs/flagged counters and queue-wait histograms
-	// below gain a tenant dimension without an unbounded label space.
+	// gain a tenant dimension without an unbounded label space.
 	tenants *obs.TenantSet
 }
 
@@ -59,28 +48,23 @@ var tenantRoutes = []string{"/v1/verify", "/v1/analyze", "/v1/infer", "/v1/falsi
 var latencyRoutes = []string{"/v1/verify", "/v1/analyze", "/v1/infer", "/v1/falsify", "gate"}
 
 func newServerObs(cfg Config, node string) *serverObs {
-	slowLog := cfg.SlowLog
-	latency := make(map[string]*obs.Histogram, len(latencyRoutes))
-	for _, route := range latencyRoutes {
-		latency[route] = obs.NewHistogram("vnnd_request_duration_seconds", "Request latency by route.", 1e-9)
-	}
-	return &serverObs{
-		latency: latency,
+	o := &serverObs{
 		rec: obs.NewRecorder(obs.RecorderOptions{
 			Ring:          cfg.TraceRing,
 			SlowThreshold: cfg.SlowRequest,
-			SlowLog:       slowLog,
+			SlowLog:       cfg.SlowLog,
 			Node:          node,
 		}),
-		tenants:       obs.NewTenantSet(cfg.TenantCap, 1e-9, tenantRoutes...),
-		queueWait:     obs.NewHistogram("vnnd_queue_wait_seconds", "Time admitted queries wait for a run slot.", 1e-9),
-		runTime:       obs.NewHistogram("vnnd_run_seconds", "Time admitted queries spend running.", 1e-9),
-		compileTime:   obs.NewHistogram("vnnd_compile_seconds", "Compile cost on cache misses.", 1e-9),
-		monitorBuild:  obs.NewHistogram("vnnd_monitor_build_seconds", "Monitor build cost on cache misses.", 1e-9),
-		inferBatch:    obs.NewHistogram("vnnd_infer_batch_inputs", "Inputs per /v1/infer batch.", 1),
-		chunkTime:     obs.NewHistogram("vnnd_infer_chunk_seconds", "Per-lane kernel chunk time.", 1e-9),
-		reconcileTime: obs.NewHistogram("vnnd_fleet_reconcile_seconds", "Wall time per fleet reconcile round.", 1e-9),
+		latency: make(map[string]*obs.Histogram, len(latencyRoutes)),
+		tenants: obs.NewTenantSet(cfg.TenantCap, histFamilies[hTenantRequest].scale, tenantRoutes...),
 	}
+	for i := range o.hist {
+		o.hist[i] = histFamilies[i].new()
+	}
+	for _, route := range latencyRoutes {
+		o.latency[route] = histFamilies[hRequest].new()
+	}
+	return o
 }
 
 // observeSince records now-start into h (nanoseconds).
@@ -94,18 +78,13 @@ func observeSince(h *obs.Histogram, start time.Time) {
 // route; documents from different nodes merge entry-by-entry on
 // (name, route) — see mergeMetrics.
 func (o *serverObs) histogramsJSON() []obs.HistogramJSON {
-	out := make([]obs.HistogramJSON, 0, 12)
+	out := make([]obs.HistogramJSON, 0, len(latencyRoutes)+len(o.hist))
 	for _, route := range latencyRoutes {
 		j := o.latency[route].Snapshot().JSON()
 		j.Route = route
 		out = append(out, j)
 	}
-	for _, h := range []*obs.Histogram{
-		o.queueWait, o.runTime,
-		o.compileTime, o.monitorBuild,
-		o.inferBatch, o.chunkTime,
-		o.reconcileTime,
-	} {
+	for _, h := range o.hist {
 		out = append(out, h.Snapshot().JSON())
 	}
 	return out

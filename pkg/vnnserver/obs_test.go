@@ -326,6 +326,12 @@ func TestPromExpositionRoundTrip(t *testing.T) {
 			t.Fatalf("%s = %v, want %v", key, got, want)
 		}
 	}
+	// Every admission gauge of the JSON document is scraped too.
+	for _, name := range []string{"vnnd_scheduler_admitted", "vnnd_scheduler_active", "vnnd_scheduler_queued"} {
+		if _, ok := flat[name]; !ok || types[name] != "gauge" {
+			t.Fatalf("%s: sample present %v, type %q; want a gauge", name, ok, types[name])
+		}
+	}
 	if !anyBuildInfo(samples) {
 		t.Fatal("no vnnd_build_info sample")
 	}

@@ -128,7 +128,7 @@ func (s *Server) compiled(ctx context.Context, root *obs.Span, wl *workload, opt
 		sp.SetAttr("tighten_passes", verify.TightenPasses())
 		sp.SetAttr("encode_passes", verify.EncodePasses())
 		sp.End()
-		s.obs.compileTime.Observe(int64(wall))
+		s.obs.hist[hCompile].Observe(int64(wall))
 		return cn, err
 	})
 	cacheSpan.SetAttr("hit", hit)
@@ -216,8 +216,6 @@ func (s *Server) solve(ctx context.Context, jb *job, root *obs.Span, wl *workloa
 	eff.annotate(solveSpan)
 	s.nodes.Add(eff.nodes)
 	s.pivots.Add(eff.pivots)
-	xNodes.Add(eff.nodes)
-	xLPPivots.Add(eff.pivots)
 	return &VerifyResponse{
 		ID:          jb.id,
 		Fingerprint: wl.fingerprint,
@@ -255,9 +253,10 @@ type jobPlan struct {
 	// run is the job body, executed under scheduler control with the
 	// fair-share worker count. It bumps its own effort counters.
 	run func(ctx context.Context, jb *job, root *obs.Span, fairWorkers int) (any, error)
-	// count bumps the route's request counters, after run's effort
-	// counters: a /metrics snapshot that reads request counters first
-	// (see Metrics) never shows a counted request whose effort is missing.
+	// count, when set, bumps the route's request counters, after run's
+	// effort counters: a /metrics snapshot that reads request counters
+	// first (see Metrics) never shows a counted request whose effort is
+	// missing. The gate has no request counter.
 	count func(resp any, err error)
 }
 
@@ -373,7 +372,9 @@ func (s *Server) runJob(parent context.Context, p *jobPlan, jb *job, tr *obs.Tra
 		return err
 	})
 	queueSpan.End() // no-op if the body ran; ends the wait if the budget expired in the queue
-	p.count(resp, err)
+	if p.count != nil {
+		p.count(resp, err)
+	}
 	jb.finish(resp, err)
 	return resp, err
 }

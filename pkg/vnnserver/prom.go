@@ -79,23 +79,6 @@ func promHistogram(w io.Writer, name, labels string, s obs.HistogramSnapshot) {
 	fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, cum)
 }
 
-// promHelp maps histogram family names to their help strings. The wire
-// form (obs.HistogramJSON) drops help text to keep federated documents
-// small, so the renderer owns it — every histogram a Metrics document
-// may carry must be listed here (unknown names render an empty help).
-var promHelp = map[string]string{
-	"vnnd_request_duration_seconds":        "Request latency by route.",
-	"vnnd_queue_wait_seconds":              "Time admitted queries wait for a run slot.",
-	"vnnd_run_seconds":                     "Time admitted queries spend running.",
-	"vnnd_compile_seconds":                 "Compile cost on cache misses.",
-	"vnnd_monitor_build_seconds":           "Monitor build cost on cache misses.",
-	"vnnd_infer_batch_inputs":              "Inputs per /v1/infer batch.",
-	"vnnd_infer_chunk_seconds":             "Per-lane kernel chunk time.",
-	"vnnd_fleet_reconcile_seconds":         "Wall time per fleet reconcile round.",
-	"vnnd_tenant_request_duration_seconds": "Per-tenant request latency by route.",
-	"vnnd_tenant_queue_wait_seconds":       "Per-tenant run-slot queue wait.",
-}
-
 // writeProm renders the full Prometheus view from one metrics snapshot.
 func (s *Server) writeProm(w http.ResponseWriter) {
 	m := s.Metrics() // ONE snapshot; every family below reads from it
@@ -107,158 +90,23 @@ func (s *Server) writeProm(w http.ResponseWriter) {
 // writePromFrom renders one Metrics document — live or federated — as
 // Prometheus text exposition. Everything below reads from m only (no
 // live server state), which is what lets /v1/fleet/metrics reuse the
-// renderer for the merged aggregate.
+// renderer for the merged aggregate. Scalars come off metricTable; the
+// labelled families hang off the row they follow (metricRow.then).
 func writePromFrom(w io.Writer, m Metrics) {
 	b := m.Build
-	promFamily(w, "vnnd_build_info", "Build identity (value is always 1).", "gauge")
+	promFamily(w, "vnnd_build_info", "Build identity (value is always 1).", gauge)
 	fmt.Fprintf(w, "vnnd_build_info{version=%q,revision=%q,go=%q} 1\n",
 		promEscape(b.Version), promEscape(b.Revision), promEscape(b.Go))
 
-	gauge := func(name, help string, v float64) {
-		promFamily(w, name, help, "gauge")
-		fmt.Fprintf(w, "%s %s\n", name, promFloat(v))
-	}
-	counter := func(name, help string, v int64) {
-		promFamily(w, name, help, "counter")
-		fmt.Fprintf(w, "%s %d\n", name, v)
-	}
-
-	gauge("vnnd_uptime_seconds", "Seconds since the server started.", m.UptimeMS/1e3)
-	draining := 0.0
-	if m.Draining {
-		draining = 1
-	}
-	gauge("vnnd_draining", "1 while the server drains.", draining)
-
-	// Runtime gauges sampled from runtime/metrics at snapshot time.
-	gauge("vnnd_goroutines", "Live goroutines.", float64(m.Runtime.Goroutines))
-	gauge("vnnd_heap_inuse_bytes", "Heap bytes in use.", float64(m.Runtime.HeapInuseBytes))
-	gauge("vnnd_gc_pause_p99_seconds", "99th-percentile GC stop-the-world pause.", m.Runtime.GCPauseP99MS/1e3)
-
-	counter("vnnd_cache_hits_total", "Compile cache hits.", m.Cache.Hits)
-	counter("vnnd_cache_misses_total", "Compile cache misses.", m.Cache.Misses)
-	counter("vnnd_cache_evictions_total", "Compile cache evictions.", m.Cache.Evictions)
-	gauge("vnnd_cache_entries", "Compile cache entries resident.", float64(m.Cache.Size))
-	gauge("vnnd_cache_bytes", "Accounted bytes of cached compiles.", float64(m.Cache.Bytes))
-
-	gauge("vnnd_scheduler_active", "Queries running now.", float64(m.Scheduler.Active))
-	gauge("vnnd_scheduler_queued", "Queries waiting for a run slot.", float64(m.Scheduler.Queued))
-	counter("vnnd_scheduler_rejected_total", "Admissions rejected with queue-full.", m.Scheduler.Rejected)
-	counter("vnnd_scheduler_completed_total", "Queries completed.", m.Scheduler.Completed)
-
-	counter("vnnd_queries_total", "Verify queries served.", m.Queries)
-	counter("vnnd_analyze_requests_total", "Analyze batches served.", m.AnalyzeRequests)
-	promFamily(w, "vnnd_analyses_total", "Analyses served by kind.", "counter")
-	kinds := make([]string, 0, len(m.Analyses))
-	for k := range m.Analyses {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		fmt.Fprintf(w, "vnnd_analyses_total{kind=%q} %d\n", promEscape(k), m.Analyses[k])
-	}
-	counter("vnnd_falsifications_total", "Falsification requests served.", m.Falsifications)
-
-	counter("vnnd_infer_requests_total", "Infer batches served.", m.Infer.Requests)
-	counter("vnnd_infer_inputs_total", "Infer inputs served.", m.Infer.Inputs)
-	counter("vnnd_infer_flagged_total", "Inputs the runtime monitor flagged.", m.Infer.Flagged)
-	gauge("vnnd_infer_monitors", "Cached monitor artifacts.", float64(m.Infer.Monitors))
-	gauge("vnnd_infer_workloads", "Remembered by-fingerprint workloads.", float64(m.Infer.Workloads))
-	promFamily(w, "vnnd_infer_shard_batches_total", "Batch chunks per serving lane.", "counter")
-	for i, sh := range m.Infer.Shards {
-		fmt.Fprintf(w, "vnnd_infer_shard_batches_total{lane=\"%d\"} %d\n", i, sh.Batches)
-	}
-	promFamily(w, "vnnd_infer_shard_inputs_total", "Inputs per serving lane.", "counter")
-	for i, sh := range m.Infer.Shards {
-		fmt.Fprintf(w, "vnnd_infer_shard_inputs_total{lane=\"%d\"} %d\n", i, sh.Inputs)
-	}
-
-	ready := 0.0
-	if m.Registry.Ready {
-		ready = 1
-	}
-	gauge("vnnd_registry_ready", "1 once registry recovery completed.", ready)
-	gauge("vnnd_registry_models", "Registered models.", float64(m.Registry.Models))
-	promFamily(w, "vnnd_model_version_info", "Model version lifecycle state (value is always 1).", "gauge")
-	for _, v := range m.Registry.Versions {
-		fmt.Fprintf(w, "vnnd_model_version_info{model=%q,version=\"%d\",state=%q,fingerprint=%q} 1\n",
-			promEscape(v.Model), v.Version, promEscape(v.State), promEscape(v.Fingerprint))
-	}
-	modelCounter := func(name, help string, value func(vnnregistry.VersionMetric) int64) {
-		promFamily(w, name, help, "counter")
-		for _, v := range m.Registry.Versions {
-			fmt.Fprintf(w, "%s{model=%q,version=\"%d\"} %d\n",
-				name, promEscape(v.Model), v.Version, value(v))
+	for i := range metricTable {
+		r := &metricTable[i]
+		if r.prom != "" {
+			promFamily(w, r.prom, r.help, r.typ)
+			fmt.Fprintf(w, "%s %s\n", r.prom, r.sample(&m))
 		}
-	}
-	modelCounter("vnnd_model_requests_total", "Infer requests served per model version.",
-		func(v vnnregistry.VersionMetric) int64 { return v.Requests })
-	modelCounter("vnnd_model_inputs_total", "Infer inputs served per model version.",
-		func(v vnnregistry.VersionMetric) int64 { return v.Inputs })
-	modelCounter("vnnd_model_flagged_total", "Monitor-flagged inputs per model version.",
-		func(v vnnregistry.VersionMetric) int64 { return v.Flagged })
-
-	counter("vnnd_fleet_rounds_total", "Reconcile rounds initiated.", m.Fleet.Rounds)
-	counter("vnnd_fleet_symbols_sent_total", "Coded symbols served to peers.", m.Fleet.SymbolsSent)
-	counter("vnnd_fleet_symbols_received_total", "Coded symbols consumed from peers.", m.Fleet.SymbolsReceived)
-	counter("vnnd_fleet_entries_pulled_total", "Cache entries pulled from peers.", m.Fleet.EntriesPulled)
-	counter("vnnd_fleet_entries_pushed_total", "Cache entries exported to peers.", m.Fleet.EntriesPushed)
-	counter("vnnd_fleet_pull_rejected_total", "Pulled entries failing verification.", m.Fleet.PullRejected)
-	counter("vnnd_fleet_pull_skipped_total", "Pulls skipped by benign races.", m.Fleet.PullSkipped)
-
-	counter("vnnd_nodes_total", "Branch-and-bound nodes explored.", m.Nodes)
-	counter("vnnd_lp_pivots_total", "Simplex pivots performed.", m.LPPivots)
-	counter("vnnd_encode_passes_total", "MILP encoding passes.", m.EncodePasses)
-	counter("vnnd_tighten_passes_total", "LP bound-tightening passes.", m.TightenPasses)
-	counter("vnnd_solves_total", "Branch-and-bound solves.", m.Solves)
-
-	// Per-tenant accounting. Tenants are sorted so scrapes are stable;
-	// the label space is hard-capped upstream (obs.TenantSet), so these
-	// families cannot grow past TenantCap+1 values.
-	tenants := make([]string, 0, len(m.Tenants))
-	for t := range m.Tenants {
-		tenants = append(tenants, t)
-	}
-	sort.Strings(tenants)
-	promFamily(w, "vnnd_tenant_requests_total", "Requests served per tenant and route.", "counter")
-	for _, t := range tenants {
-		ts := m.Tenants[t]
-		routes := make([]string, 0, len(ts.Routes))
-		for rt := range ts.Routes {
-			routes = append(routes, rt)
+		if r.then != nil {
+			r.then(w, &m)
 		}
-		sort.Strings(routes)
-		for _, rt := range routes {
-			fmt.Fprintf(w, "vnnd_tenant_requests_total{tenant=%q,route=%q} %d\n",
-				promEscape(t), promEscape(rt), ts.Routes[rt].Requests)
-		}
-	}
-	promFamily(w, "vnnd_tenant_inputs_total", "Infer inputs served per tenant.", "counter")
-	for _, t := range tenants {
-		fmt.Fprintf(w, "vnnd_tenant_inputs_total{tenant=%q} %d\n", promEscape(t), m.Tenants[t].Inputs)
-	}
-	promFamily(w, "vnnd_tenant_flagged_total", "Monitor-flagged inputs per tenant.", "counter")
-	for _, t := range tenants {
-		fmt.Fprintf(w, "vnnd_tenant_flagged_total{tenant=%q} %d\n", promEscape(t), m.Tenants[t].Flagged)
-	}
-	promFamily(w, "vnnd_tenant_request_duration_seconds", promHelp["vnnd_tenant_request_duration_seconds"], "histogram")
-	for _, t := range tenants {
-		ts := m.Tenants[t]
-		routes := make([]string, 0, len(ts.Routes))
-		for rt := range ts.Routes {
-			routes = append(routes, rt)
-		}
-		sort.Strings(routes)
-		for _, rt := range routes {
-			promHistogram(w, "vnnd_tenant_request_duration_seconds",
-				fmt.Sprintf("tenant=%q,route=%q", promEscape(t), promEscape(rt)),
-				ts.Routes[rt].Latency.Snapshot())
-		}
-	}
-	promFamily(w, "vnnd_tenant_queue_wait_seconds", promHelp["vnnd_tenant_queue_wait_seconds"], "histogram")
-	for _, t := range tenants {
-		promHistogram(w, "vnnd_tenant_queue_wait_seconds",
-			fmt.Sprintf("tenant=%q", promEscape(t)), m.Tenants[t].QueueWait.Snapshot())
 	}
 
 	// Histograms come off the snapshot's wire form — the same entries a
@@ -271,7 +119,7 @@ func writePromFrom(w io.Writer, m Metrics) {
 			continue
 		}
 		if hj.Name != lastFamily {
-			promFamily(w, hj.Name, promHelp[hj.Name], "histogram")
+			promFamily(w, hj.Name, histHelp(hj.Name), histogram)
 			lastFamily = hj.Name
 		}
 		labels := ""
@@ -279,5 +127,118 @@ func writePromFrom(w io.Writer, m Metrics) {
 			labels = fmt.Sprintf("route=%q", promEscape(hj.Route))
 		}
 		promHistogram(w, hj.Name, labels, hj.Snapshot())
+	}
+}
+
+// sample formats the row's value in m: counters as exact integers,
+// gauges as floats in the exposition unit (bools as 0/1).
+func (r *metricRow) sample(m *Metrics) string {
+	var v float64
+	switch p := r.at(m).(type) {
+	case *int64:
+		if r.typ == counter {
+			return strconv.FormatInt(*p, 10)
+		}
+		v = float64(*p)
+	case *int:
+		v = float64(*p)
+	case *float64:
+		v = *p
+	case *bool:
+		if *p {
+			v = 1
+		}
+	}
+	if r.div != 0 {
+		v /= r.div
+	}
+	return promFloat(v)
+}
+
+// sortedKeys returns a map's keys in order, so scrapes are stable.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+func promAnalyses(w io.Writer, m *Metrics) {
+	promFamily(w, "vnnd_analyses_total", "Analyses served by kind.", counter)
+	for _, k := range sortedKeys(m.Analyses) {
+		fmt.Fprintf(w, "vnnd_analyses_total{kind=%q} %d\n", promEscape(k), m.Analyses[k])
+	}
+}
+
+func promShards(w io.Writer, m *Metrics) {
+	promFamily(w, "vnnd_infer_shard_batches_total", "Batch chunks per serving lane.", counter)
+	for i, sh := range m.Infer.Shards {
+		fmt.Fprintf(w, "vnnd_infer_shard_batches_total{lane=\"%d\"} %d\n", i, sh.Batches)
+	}
+	promFamily(w, "vnnd_infer_shard_inputs_total", "Inputs per serving lane.", counter)
+	for i, sh := range m.Infer.Shards {
+		fmt.Fprintf(w, "vnnd_infer_shard_inputs_total{lane=\"%d\"} %d\n", i, sh.Inputs)
+	}
+}
+
+func promModelVersions(w io.Writer, m *Metrics) {
+	promFamily(w, "vnnd_model_version_info", "Model version lifecycle state (value is always 1).", gauge)
+	for _, v := range m.Registry.Versions {
+		fmt.Fprintf(w, "vnnd_model_version_info{model=%q,version=\"%d\",state=%q,fingerprint=%q} 1\n",
+			promEscape(v.Model), v.Version, promEscape(v.State), promEscape(v.Fingerprint))
+	}
+	modelCounter := func(name, help string, value func(vnnregistry.VersionMetric) int64) {
+		promFamily(w, name, help, counter)
+		for _, v := range m.Registry.Versions {
+			fmt.Fprintf(w, "%s{model=%q,version=\"%d\"} %d\n",
+				name, promEscape(v.Model), v.Version, value(v))
+		}
+	}
+	modelCounter("vnnd_model_requests_total", "Infer requests served per model version.",
+		func(v vnnregistry.VersionMetric) int64 { return v.Requests })
+	modelCounter("vnnd_model_inputs_total", "Infer inputs served per model version.",
+		func(v vnnregistry.VersionMetric) int64 { return v.Inputs })
+	modelCounter("vnnd_model_flagged_total", "Monitor-flagged inputs per model version.",
+		func(v vnnregistry.VersionMetric) int64 { return v.Flagged })
+}
+
+// promTenants renders the per-tenant accounting families. The label
+// space is hard-capped upstream (obs.TenantSet), so they cannot grow
+// past TenantCap+1 values.
+func promTenants(w io.Writer, m *Metrics) {
+	tenants := sortedKeys(m.Tenants)
+	promFamily(w, "vnnd_tenant_requests_total", "Requests served per tenant and route.", counter)
+	for _, t := range tenants {
+		ts := m.Tenants[t]
+		for _, rt := range sortedKeys(ts.Routes) {
+			fmt.Fprintf(w, "vnnd_tenant_requests_total{tenant=%q,route=%q} %d\n",
+				promEscape(t), promEscape(rt), ts.Routes[rt].Requests)
+		}
+	}
+	promFamily(w, "vnnd_tenant_inputs_total", "Infer inputs served per tenant.", counter)
+	for _, t := range tenants {
+		fmt.Fprintf(w, "vnnd_tenant_inputs_total{tenant=%q} %d\n", promEscape(t), m.Tenants[t].Inputs)
+	}
+	promFamily(w, "vnnd_tenant_flagged_total", "Monitor-flagged inputs per tenant.", counter)
+	for _, t := range tenants {
+		fmt.Fprintf(w, "vnnd_tenant_flagged_total{tenant=%q} %d\n", promEscape(t), m.Tenants[t].Flagged)
+	}
+	lat := histFamilies[hTenantRequest]
+	promFamily(w, lat.name, lat.help, histogram)
+	for _, t := range tenants {
+		ts := m.Tenants[t]
+		for _, rt := range sortedKeys(ts.Routes) {
+			promHistogram(w, lat.name,
+				fmt.Sprintf("tenant=%q,route=%q", promEscape(t), promEscape(rt)),
+				ts.Routes[rt].Latency.Snapshot())
+		}
+	}
+	wait := histFamilies[hTenantQueueWait]
+	promFamily(w, wait.name, wait.help, histogram)
+	for _, t := range tenants {
+		promHistogram(w, wait.name,
+			fmt.Sprintf("tenant=%q", promEscape(t)), m.Tenants[t].QueueWait.Snapshot())
 	}
 }

@@ -115,7 +115,7 @@ func (s *Server) registryCompile(ctx context.Context, fp string, net *vnn.Networ
 		compileStart := time.Now()
 		cn, err := vnn.Compile(s.queryCtx, net, region, opts)
 		if err == nil {
-			s.obs.compileTime.Observe(int64(time.Since(compileStart)))
+			s.obs.hist[hCompile].Observe(int64(time.Since(compileStart)))
 		}
 		return cn, err
 	})
@@ -137,7 +137,7 @@ func (s *Server) buildMonitor(ctx context.Context, wfp string, cn *vnn.CompiledN
 		return vnn.BuildMonitor(cn, data, opts)
 	})
 	if !hit {
-		observeSince(s.obs.monitorBuild, buildStart)
+		observeSince(s.obs.hist[hMonitorBuild], buildStart)
 	}
 	return mon, hit, err
 }
@@ -207,7 +207,6 @@ func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*jobPlan, error) {
 		notReady: s.registry.ReadyReason(),
 		submit: func(jb *job) (err error) {
 			if v, err = s.registry.Submit(sub); err == nil {
-				xModelSubmits.Add(1)
 				s.registry.SetGateJob(v, jb.id)
 			}
 			return err
@@ -233,13 +232,6 @@ func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*jobPlan, error) {
 				resp.Report = &rep
 			}
 			return resp, nil
-		},
-		count: func(resp any, err error) {
-			if err == nil && resp.(*ModelSubmitResponse).State == string(vnnregistry.StateAdmitted) {
-				xModelAdmitted.Add(1)
-			} else {
-				xModelRejected.Add(1)
-			}
 		},
 	}, nil
 }
@@ -317,7 +309,6 @@ func (s *Server) handleModelPromote(w http.ResponseWriter, r *http.Request) {
 		writeError(w, registryStatus(err), err.Error())
 		return
 	}
-	xModelPromotions.Add(1)
 	writeJSON(w, http.StatusOK, ModelSubmitResponse{ModelVersionJSON: doc})
 }
 
@@ -331,7 +322,6 @@ func (s *Server) handleModelRollback(w http.ResponseWriter, r *http.Request) {
 		writeError(w, registryStatus(err), err.Error())
 		return
 	}
-	xModelRollbacks.Add(1)
 	writeJSON(w, http.StatusOK, ModelSubmitResponse{ModelVersionJSON: doc})
 }
 

@@ -80,7 +80,6 @@ func (s *Scheduler) Admit() error {
 		return nil
 	default:
 		s.rejected.Add(1)
-		xRejected.Add(1)
 		return ErrQueueFull
 	}
 }

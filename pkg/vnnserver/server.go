@@ -55,14 +55,12 @@
 //	                             registry recovery completes
 //	GET  /metrics                JSON metrics snapshot (see Metrics),
 //	                             including per-kind analysis counters
-//	GET  /debug/vars             standard expvar dump (vnnd.* counters)
 package vnnserver
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -208,13 +206,11 @@ type Server struct {
 	analysisKinds map[string]int64
 }
 
-// countAnalysis bumps the per-kind analysis counters (server snapshot and
-// process-wide expvar map).
+// countAnalysis bumps the per-kind analysis counter.
 func (s *Server) countAnalysis(kind string) {
 	s.analysisMu.Lock()
 	s.analysisKinds[kind]++
 	s.analysisMu.Unlock()
-	xAnalysisKinds.Add(kind, 1)
 }
 
 // analysisCounts snapshots the per-kind analysis counters.
@@ -255,8 +251,8 @@ func New(cfg Config) *Server {
 	}
 	// The scheduler reports its wait/run decomposition into the shared
 	// histograms (set before any traffic can reach RunAdmitted).
-	s.sched.queueWait = s.obs.queueWait
-	s.sched.runTime = s.obs.runTime
+	s.sched.queueWait = s.obs.hist[hQueueWait]
+	s.sched.runTime = s.obs.hist[hRunTime]
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/verify", s.handleVerify)
 	mux.HandleFunc("POST /v1/infer", s.handleInfer)
@@ -277,7 +273,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	mux.HandleFunc("GET /debug/traces/{id}", s.handleTrace)
 	if cfg.EnablePprof {
@@ -313,7 +308,7 @@ func New(cfg Config) *Server {
 	s.fleet = vnnfleet.NewPeer(s, vnnfleet.Options{
 		Interval: cfg.FleetInterval,
 		Recorder: s.obs.rec,
-		Latency:  s.obs.reconcileTime,
+		Latency:  s.obs.hist[hReconcile],
 	})
 	s.fleet.Mount(mux)
 	if len(cfg.Peers) > 0 {
@@ -511,10 +506,7 @@ func (s *Server) prepare(req *VerifyRequest) (*jobPlan, error) {
 					return vnn.NewReport(wl.net, results), eff, nil
 				})
 		},
-		count: func(any, error) {
-			s.queries.Add(1)
-			xQueries.Add(1)
-		},
+		count: func(any, error) { s.queries.Add(1) },
 	}, nil
 }
 
@@ -707,7 +699,6 @@ func (s *Server) handleFalsify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.falsifications.Add(1)
-	xFalsifications.Add(1)
 	writeJSON(w, http.StatusOK, resp)
 }
 
