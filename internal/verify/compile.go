@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -186,12 +187,26 @@ func (c *Compiled) LinearIntervalBound(coeffs map[int]float64) float64 {
 	return c.enc.intervalBound(coeffs)
 }
 
+// outputOrder returns the functional's output indices ascending. Floating-
+// point sums over a functional's terms run in this order, so a value that
+// is both reported and compared with a threshold is the same on every run
+// (Go randomises map iteration; float addition is not associative).
+func outputOrder(coeffs map[int]float64) []int {
+	order := make([]int, 0, len(coeffs))
+	for oi := range coeffs {
+		order = append(order, oi)
+	}
+	sort.Ints(order)
+	return order
+}
+
 // intervalBound is the proven interval upper bound on Σ coeffs·output over
 // the encoding's bound analysis — the zero-cost anytime fallback.
 func (e *encoding) intervalBound(coeffs map[int]float64) float64 {
 	outB := e.nb.Output()
 	var hi float64
-	for oi, cf := range coeffs {
+	for _, oi := range outputOrder(coeffs) {
+		cf := coeffs[oi]
 		if cf >= 0 {
 			hi += cf * outB[oi].Hi
 		} else {
@@ -251,15 +266,7 @@ func (c *Compiled) MaxOverOutputs(ctx context.Context, outIndices []int, opts Op
 		if errs[i] != nil {
 			return nil, errs[i]
 		}
-		best.Stats.Elapsed += r.Stats.Elapsed
-		best.Stats.Nodes += r.Stats.Nodes
-		best.Stats.LPPivots += r.Stats.LPPivots
-		best.Stats.LP.Add(r.Stats.LP)
-		best.Stats.MaxDepth = max(best.Stats.MaxDepth, r.Stats.MaxDepth)
-		best.Stats.OpenHighWater = max(best.Stats.OpenHighWater, r.Stats.OpenHighWater)
-		best.Stats.Binaries = r.Stats.Binaries
-		best.Stats.StableNeurons = r.Stats.StableNeurons
-		best.Stats.HiddenNeurons = r.Stats.HiddenNeurons
+		best.Stats.add(r.Stats)
 		if r.Value > best.Value {
 			best.Value = r.Value
 			best.Witness = r.Witness
@@ -341,8 +348,8 @@ func (c *Compiled) ProveLinearUpperBound(ctx context.Context, coeffs map[int]flo
 	objective := func(x []float64) float64 {
 		var v float64
 		out := c.net.Forward(x)
-		for oi, cf := range coeffs {
-			v += cf * out[oi]
+		for _, oi := range outputOrder(coeffs) {
+			v += coeffs[oi] * out[oi]
 		}
 		return v
 	}

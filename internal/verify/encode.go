@@ -4,7 +4,8 @@
 // Artificial Neural Networks", ATVA 2017) and answering safety queries with
 // the branch-and-bound solver from package milp.
 //
-// Supported queries (Table II of the paper):
+// Every query is a method on *Compiled: Compile a network over an input
+// region once, then ask (Table II of the paper):
 //
 //   - MaxOutput: the maximum value an output neuron can take while the
 //     input stays inside a constrained region ("maximum lateral velocity

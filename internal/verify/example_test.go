@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bounds"
@@ -8,15 +9,20 @@ import (
 	"repro/internal/verify"
 )
 
-// ExampleMaxOutput verifies a tiny hand-built network: the maximum of
-// |x| = relu(x) + relu(−x) over [−1, 1] is 1.
-func ExampleMaxOutput() {
+// ExampleCompiled_MaxOutput verifies a tiny hand-built network: the maximum
+// of |x| = relu(x) + relu(−x) over [−1, 1] is 1.
+func ExampleCompiled_MaxOutput() {
 	net := &nn.Network{Layers: []*nn.Layer{
 		{W: [][]float64{{1}, {-1}}, B: []float64{0, 0}, Act: nn.ReLU},
 		{W: [][]float64{{1, 1}}, B: []float64{0}, Act: nn.Identity},
 	}}
 	region := &verify.InputRegion{Box: []bounds.Interval{{Lo: -1, Hi: 1}}}
-	res, err := verify.MaxOutput(net, region, 0, verify.Options{})
+	ctx := context.Background()
+	c, err := verify.Compile(ctx, net, region, verify.Options{})
+	if err != nil {
+		panic(err)
+	}
+	res, err := c.MaxOutput(ctx, 0, verify.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -24,16 +30,21 @@ func ExampleMaxOutput() {
 	// Output: max=1.0 exact=true
 }
 
-// ExampleProveUpperBound proves a bound and exhibits a counterexample for
-// a bound that does not hold.
-func ExampleProveUpperBound() {
+// ExampleCompiled_ProveUpperBound proves a bound and exhibits a
+// counterexample for a bound that does not hold — two queries, one Compile.
+func ExampleCompiled_ProveUpperBound() {
 	net := &nn.Network{Layers: []*nn.Layer{
 		{W: [][]float64{{1}}, B: []float64{0}, Act: nn.ReLU},
 		{W: [][]float64{{2}}, B: []float64{0}, Act: nn.Identity},
 	}}
 	region := &verify.InputRegion{Box: []bounds.Interval{{Lo: -1, Hi: 1}}}
-	holds, _ := verify.ProveUpperBound(net, region, 0, 2.5, verify.Options{})
-	broken, _ := verify.ProveUpperBound(net, region, 0, 1.5, verify.Options{})
+	ctx := context.Background()
+	c, err := verify.Compile(ctx, net, region, verify.Options{})
+	if err != nil {
+		panic(err)
+	}
+	holds, _ := c.ProveUpperBound(ctx, 0, 2.5, verify.Options{})
+	broken, _ := c.ProveUpperBound(ctx, 0, 1.5, verify.Options{})
 	fmt.Printf("<=2.5: %v, <=1.5: %v (counterexample value %.1f)\n",
 		holds.Outcome, broken.Outcome, broken.CounterValue)
 	// Output: <=2.5: proved, <=1.5: violated (counterexample value 2.0)

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -21,11 +22,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}, rng)
 	region := unitRegion(4)
 	outs := []int{0, 1, 2, 3, 4}
-	seq, err := MaxOverOutputs(net, region, outs, Options{Workers: 2})
+	c := compiled(t, net, region, Options{})
+	seq, err := c.MaxOverOutputs(context.Background(), outs, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MaxOverOutputs(net, region, outs, Options{Parallel: true, Workers: 2})
+	par, err := c.MaxOverOutputs(context.Background(), outs, Options{Parallel: true, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,15 +68,9 @@ func TestWorkersMatchSequentialVerify(t *testing.T) {
 	}, rng)
 	region := unitRegion(4)
 	for _, tighten := range []bool{false, true} {
-		seq, err := MaxOutput(net, region, 0, Options{Workers: 1, Tighten: tighten})
-		if err != nil {
-			t.Fatal(err)
-		}
+		seq := maxOutput(t, net, region, 0, Options{Workers: 1, Tighten: tighten})
 		for _, w := range []int{2, 3} {
-			par, err := MaxOutput(net, region, 0, Options{Workers: w, Tighten: tighten})
-			if err != nil {
-				t.Fatal(err)
-			}
+			par := maxOutput(t, net, region, 0, Options{Workers: w, Tighten: tighten})
 			if !seq.Exact || !par.Exact {
 				t.Fatalf("tighten=%v workers=%d: exactness lost: seq=%v par=%v", tighten, w, seq.Exact, par.Exact)
 			}
@@ -98,7 +94,8 @@ func TestParallelRace(t *testing.T) {
 	}, rng)
 	region := unitRegion(3)
 	for i := 0; i < 5; i++ {
-		if _, err := MaxOverOutputs(net, region, []int{0, 1, 2, 3}, Options{Parallel: true}); err != nil {
+		c := compiled(t, net, region, Options{})
+		if _, err := c.MaxOverOutputs(context.Background(), []int{0, 1, 2, 3}, Options{Parallel: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

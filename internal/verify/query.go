@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/lp"
 	"repro/internal/milp"
-	"repro/internal/nn"
 )
 
 // Outcome classifies a verification result.
@@ -40,8 +39,8 @@ func (o Outcome) String() string {
 }
 
 // Options tune a verification run. There is no time limit here: budgets
-// and cancellation are the context's (Compile and the Compiled methods
-// take one); the free query functions below run unbounded.
+// and cancellation are the context's (Compile and every Compiled method
+// take one).
 type Options struct {
 	// MaxNodes bounds branch-and-bound nodes; 0 means unlimited.
 	MaxNodes int
@@ -52,7 +51,7 @@ type Options struct {
 	// (they are independent problems); single queries are unaffected.
 	Parallel bool
 	// Workers is the number of branch-and-bound workers inside each MILP
-	// solve, and the fan-out of TightenLP's per-neuron LPs: 0 means
+	// solve, and the fan-out of LP tightening's per-neuron LPs: 0 means
 	// GOMAXPROCS, 1 forces the sequential engine. For any fixed value the
 	// underlying search is deterministic.
 	Workers int
@@ -89,6 +88,21 @@ type Stats struct {
 	OpenHighWater int
 }
 
+// add folds the effort of one more solve into s: work is summed, tree
+// shape is the largest seen, and the encoding's neuron counts are the
+// latest solve's (they are equal across solves of one encoding).
+func (s *Stats) add(r Stats) {
+	s.Elapsed += r.Elapsed
+	s.Nodes += r.Nodes
+	s.LPPivots += r.LPPivots
+	s.LP.Add(r.LP)
+	s.MaxDepth = max(s.MaxDepth, r.MaxDepth)
+	s.OpenHighWater = max(s.OpenHighWater, r.OpenHighWater)
+	s.Binaries = r.Binaries
+	s.StableNeurons = r.StableNeurons
+	s.HiddenNeurons = r.HiddenNeurons
+}
+
 // MaxResult is the answer to a MaxOutput query.
 type MaxResult struct {
 	// Exact reports whether Value is the proven maximum (false on timeout).
@@ -102,26 +116,6 @@ type MaxResult struct {
 	// Witness is an input achieving Value, nil if none was found.
 	Witness []float64
 	Stats   Stats
-}
-
-// MaxOutput computes the maximum of output neuron outIndex over the region.
-// This is the paper's "maximum lateral velocity when a vehicle exists on
-// the left" query. It is a convenience wrapper that compiles the network
-// for one query; to run several queries, Compile once and use the
-// Compiled methods (or the public pkg/vnn API).
-func MaxOutput(net *nn.Network, region *InputRegion, outIndex int, opts Options) (*MaxResult, error) {
-	start := time.Now()
-	ctx := context.Background()
-	c, err := Compile(ctx, net, region, opts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.MaxOutput(ctx, outIndex, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.Elapsed = time.Since(start) // include compilation, as before
-	return res, nil
 }
 
 // solveObjective sets Σ coeffs[k]·output[k] as the (maximized) objective on
@@ -185,54 +179,6 @@ type ProveResult struct {
 	// BestBound ≤ Threshold.
 	BestBound float64
 	Stats     Stats
-}
-
-// ProveUpperBound proves output[outIndex] ≤ threshold over the region, or
-// returns a counterexample. This is Table II's last row: "prove that the
-// lateral velocity can never be larger than 3 m/s". It is a convenience
-// wrapper that compiles the network for one query; to run several queries,
-// Compile once and use the Compiled methods (or the public pkg/vnn API).
-func ProveUpperBound(net *nn.Network, region *InputRegion, outIndex int, threshold float64, opts Options) (*ProveResult, error) {
-	start := time.Now()
-	ctx := context.Background()
-	c, err := Compile(ctx, net, region, opts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.ProveUpperBound(ctx, outIndex, threshold, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.Elapsed = time.Since(start) // include compilation, as before
-	return res, nil
-}
-
-// MaxOverOutputs returns the maximum over several output neurons (one MILP
-// per output — a disjunction solved as independent problems, concurrently
-// when opts.Parallel is set). The verifier uses it to bound every mixture
-// component's μ_lat, which soundly bounds the mixture mean (see package
-// gmm). With Parallel, Stats.Elapsed sums per-query times and so exceeds
-// wall-clock time.
-//
-// Bound preparation (interval propagation plus optional LP tightening) and
-// the MILP encoding are shared across the outputs: the network is compiled
-// once and each per-output solve only swaps the objective on a clone,
-// instead of re-encoding the whole network per output.
-func MaxOverOutputs(net *nn.Network, region *InputRegion, outIndices []int, opts Options) (*MaxResult, error) {
-	start := time.Now()
-	ctx := context.Background()
-	c, err := Compile(ctx, net, region, opts)
-	if err != nil {
-		return nil, err
-	}
-	prepElapsed := time.Since(start)
-	res, err := c.MaxOverOutputs(ctx, outIndices, opts)
-	if err != nil {
-		return nil, err
-	}
-	// Shared bound preparation + encoding, counted once.
-	res.Stats.Elapsed += prepElapsed
-	return res, nil
 }
 
 func extractWitness(e *encoding, x []float64) []float64 {

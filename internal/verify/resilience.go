@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/bounds"
-	"repro/internal/nn"
 )
 
 // ResilienceResult reports the outcome of a Resilience query.
@@ -21,12 +20,15 @@ type ResilienceResult struct {
 	Breaking []float64
 	// BreakingValue is the output at Breaking.
 	BreakingValue float64
-	// Certified reports whether even the smallest probed radius held.
+	// Certified reports whether some probe was actually proved. A search
+	// whose every probe was violated or interrupted established nothing:
+	// it is not certified and its Epsilon is 0.
 	Certified bool
 	// Iterations is the number of binary-search steps (each one MILP query).
 	Iterations int
-	// Elapsed is the total wall-clock time.
-	Elapsed time.Duration
+	// Stats sums the probes' solver effort; Elapsed is the wall-clock time
+	// of the whole search, per-probe compilation included.
+	Stats Stats
 }
 
 // ResilienceOptions tune the binary search.
@@ -41,30 +43,27 @@ type ResilienceOptions struct {
 // input x0 under which output[outIndex] provably stays ≤ threshold — the
 // "maximum resilience" measure of Cheng et al. (ATVA 2017) that the paper's
 // verification methodology builds on. The search space is clipped to the
-// given domain box. The nominal point itself must satisfy the property.
-func Resilience(net *nn.Network, x0 []float64, domain []bounds.Interval, outIndex int, threshold float64, opts ResilienceOptions) (*ResilienceResult, error) {
-	return ResilienceCtx(context.Background(), net, x0, domain, outIndex, threshold, opts)
-}
-
-// ResilienceCtx is Resilience under a context. Each probe re-compiles the
-// shrunken ball region (the region changes every binary-search step, so
-// the encoding cannot be shared) under the context; cancellation or an
-// expired deadline ends the search early and returns the largest radius
-// certified so far — the anytime answer — with no error.
-func ResilienceCtx(ctx context.Context, net *nn.Network, x0 []float64, domain []bounds.Interval, outIndex int, threshold float64, opts ResilienceOptions) (*ResilienceResult, error) {
+// compiled region's box. The nominal point itself must satisfy the property.
+//
+// Each probe re-compiles the shrunken ball region (the region changes every
+// binary-search step, so the encoding cannot be shared) under the context;
+// cancellation or an expired deadline ends the search early and returns the
+// largest radius certified so far — the anytime answer — with no error.
+func (c *Compiled) Resilience(ctx context.Context, x0 []float64, outIndex int, threshold float64, opts ResilienceOptions) (*ResilienceResult, error) {
 	start := time.Now()
-	if len(x0) != net.InputDim() {
-		return nil, fmt.Errorf("verify: nominal point dim %d, network input %d", len(x0), net.InputDim())
+	if err := c.checkOutputs(outIndex); err != nil {
+		return nil, err
 	}
-	if len(domain) != net.InputDim() {
-		return nil, fmt.Errorf("verify: domain dim %d, network input %d", len(domain), net.InputDim())
+	domain := c.region.Box
+	if len(x0) != len(domain) {
+		return nil, fmt.Errorf("verify: nominal point dim %d, network input %d", len(x0), len(domain))
 	}
 	for i, iv := range domain {
 		if !iv.Contains(x0[i]) {
 			return nil, fmt.Errorf("verify: nominal point coordinate %d (%g) outside domain [%g, %g]", i, x0[i], iv.Lo, iv.Hi)
 		}
 	}
-	if v := net.Forward(x0)[outIndex]; v > threshold {
+	if v := c.net.Forward(x0)[outIndex]; v > threshold {
 		return nil, fmt.Errorf("verify: nominal point already violates the property (%g > %g)", v, threshold)
 	}
 	maxIter := opts.MaxIterations
@@ -93,88 +92,53 @@ func ResilienceCtx(ctx context.Context, net *nn.Network, x0 []float64, domain []
 	res := &ResilienceResult{}
 	lo, hi := 0.0, hiEps // lo = certified, hi = not certified (or untested)
 
-	probe := func(eps float64) (*ProveResult, error) {
-		c, err := Compile(ctx, net, ballRegion(eps), opts.Query)
+	// probe answers one radius and books its effort and verdict.
+	probe := func(eps float64) (Outcome, error) {
+		ball, err := Compile(ctx, c.net, ballRegion(eps), opts.Query)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		return c.ProveUpperBound(ctx, outIndex, threshold, opts.Query)
+		pr, err := ball.ProveUpperBound(ctx, outIndex, threshold, opts.Query)
+		if err != nil {
+			return 0, err
+		}
+		res.Iterations++
+		res.Stats.add(pr.Stats)
+		switch pr.Outcome {
+		case Proved:
+			res.Certified = true
+		case Violated:
+			res.Breaking = pr.CounterExample
+			res.BreakingValue = pr.CounterValue
+		}
+		return pr.Outcome, nil
 	}
 
 	// First probe the full radius: everything may already be safe.
-	pr, err := probe(hiEps)
+	outcome, err := probe(hiEps)
 	if err != nil {
 		return nil, err
 	}
-	res.Iterations++
-	if pr.Outcome == Proved {
-		res.Epsilon = hiEps
-		res.Certified = true
-		res.Elapsed = time.Since(start)
-		return res, nil
+	if outcome == Proved {
+		lo = hiEps
 	}
-	if pr.Outcome == Violated {
-		res.Breaking = pr.CounterExample
-		res.BreakingValue = pr.CounterValue
-	}
-
-	for res.Iterations < maxIter {
+	// Otherwise bisect (lo, hi) for the largest radius that still proves.
+	for lo < hiEps && res.Iterations < maxIter {
 		if ctx.Err() != nil {
 			break // anytime: report the largest radius certified so far
 		}
 		mid := (lo + hi) / 2
-		pr, err := probe(mid)
+		outcome, err := probe(mid)
 		if err != nil {
 			return nil, err
 		}
-		res.Iterations++
-		switch pr.Outcome {
-		case Proved:
+		if outcome == Proved {
 			lo = mid
-		case Violated:
-			hi = mid
-			res.Breaking = pr.CounterExample
-			res.BreakingValue = pr.CounterValue
-		default: // Timeout: conservatively treat as uncertified
+		} else { // Violated, or Timeout: conservatively uncertified
 			hi = mid
 		}
 	}
 	res.Epsilon = lo
-	res.Certified = lo > 0 || res.Breaking == nil
-	res.Elapsed = time.Since(start)
+	res.Stats.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// MinOutput computes the minimum of output neuron outIndex over the region.
-// The result reuses MaxResult with mirrored semantics: Value is the minimum
-// found and UpperBound holds the proven *lower* bound from branch-and-bound
-// (equal to Value when Exact).
-func MinOutput(net *nn.Network, region *InputRegion, outIndex int, opts Options) (*MaxResult, error) {
-	neg := negateOutput(net, outIndex)
-	res, err := MaxOutput(neg, region, 0, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Value = -res.Value
-	res.UpperBound = -res.UpperBound
-	return res, nil
-}
-
-// negateOutput builds a single-output copy of net computing −output[idx]
-// (weights of the final linear layer are negated; hidden layers shared
-// structurally via clone).
-func negateOutput(net *nn.Network, idx int) *nn.Network {
-	cl := net.Clone()
-	last := cl.Layers[len(cl.Layers)-1]
-	row := make([]float64, len(last.W[idx]))
-	for i, w := range last.W[idx] {
-		row[i] = -w
-	}
-	cl.Layers[len(cl.Layers)-1] = &nn.Layer{
-		W:   [][]float64{row},
-		B:   []float64{-last.B[idx]},
-		Act: last.Act,
-	}
-	cl.OutputNames = nil
-	return cl
 }

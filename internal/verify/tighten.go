@@ -12,35 +12,30 @@ import (
 	"repro/internal/nn"
 )
 
-// TightenLP refines interval pre-activation bounds with linear programming:
-// for every unstable hidden neuron it maximizes and minimizes the neuron's
-// affine pre-activation over the LP relaxation of everything encoded so far
-// (input region, linear scenario constraints, relaxed ReLU envelopes of
-// earlier layers). Layers are processed front to back and downstream
-// intervals are re-propagated after each layer, so later layers profit from
-// earlier tightening.
-//
-// The result is always sound: LP bounds are intersected with the interval
-// bounds, never widened. This is the preprocessing ablation benchmarked in
-// BenchmarkBigMAblation. TightenLP runs sequentially; TightenLPWorkers
-// fans the per-neuron LPs out across workers; TightenLPCtx additionally
-// honors a context deadline.
-func TightenLP(net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds) (*bounds.NetworkBounds, error) {
-	return TightenLPCtx(context.Background(), net, region, nb, 1)
-}
-
 // neuronBounds is the LP answer for one neuron's pre-activation.
 type neuronBounds struct {
 	hi, lo dirResult
 }
 
-// TightenLPWorkers is TightenLP with the per-neuron bound LPs of each layer
-// distributed over the given number of workers (0 means GOMAXPROCS). Every
-// worker owns a clone of the layer encoding and a persistent warm-started
-// lp.Solver: within a layer only the objective changes between solves, so
-// the saved simplex basis stays primal feasible and phase 1 never reruns.
-// Neurons are assigned to workers statically (round-robin by index), which
-// keeps the result deterministic for a fixed worker count.
+// TightenLPWorkers refines interval pre-activation bounds with linear
+// programming: for every unstable hidden neuron it maximizes and minimizes
+// the neuron's affine pre-activation over the LP relaxation of everything
+// encoded so far (input region, linear scenario constraints, relaxed ReLU
+// envelopes of earlier layers). Layers are processed front to back and
+// downstream intervals are re-propagated after each layer, so later layers
+// profit from earlier tightening.
+//
+// The result is always sound: LP bounds are intersected with the interval
+// bounds, never widened. This is the preprocessing ablation benchmarked in
+// BenchmarkBigMAblation.
+//
+// The per-neuron bound LPs of each layer are distributed over the given
+// number of workers (0 means GOMAXPROCS). Every worker owns a clone of the
+// layer encoding and a persistent warm-started lp.Solver: within a layer
+// only the objective changes between solves, so the saved simplex basis
+// stays primal feasible and phase 1 never reruns. Neurons are assigned to
+// workers statically (round-robin by index), which keeps the result
+// deterministic for a fixed worker count.
 func TightenLPWorkers(net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, workers int) (*bounds.NetworkBounds, error) {
 	return TightenLPCtx(context.Background(), net, region, nb, workers)
 }

@@ -28,6 +28,27 @@ func randomReLUNet(seed int64, in int, hidden []int, out int) *nn.Network {
 	}, rng)
 }
 
+// compiled is how the tests reach the engine: one Compile, fatal on error.
+func compiled(t testing.TB, net *nn.Network, region *InputRegion, opts Options) *Compiled {
+	t.Helper()
+	c, err := Compile(context.Background(), net, region, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// maxOutput compiles net over region and maximises one output, with the
+// same options for both steps.
+func maxOutput(t testing.TB, net *nn.Network, region *InputRegion, outIndex int, opts Options) *MaxResult {
+	t.Helper()
+	res, err := compiled(t, net, region, opts).MaxOutput(context.Background(), outIndex, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // gridMax brute-forces the maximum output over a dense grid (lower bound on
 // the true maximum; for piecewise-linear nets with fine grids it is close).
 func gridMax(net *nn.Network, region *InputRegion, outIndex, steps int) float64 {
@@ -71,10 +92,7 @@ func TestMaxOutputHandBuilt(t *testing.T) {
 		{W: [][]float64{{1}, {-1}}, B: []float64{0, 0}, Act: nn.ReLU},
 		{W: [][]float64{{1, 1}}, B: []float64{0}, Act: nn.Identity},
 	}}
-	res, err := MaxOutput(net, unitRegion(1), 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := maxOutput(t, net, unitRegion(1), 0, Options{})
 	if !res.Exact || math.Abs(res.Value-1) > 1e-6 {
 		t.Fatalf("max = %g (exact=%v), want 1", res.Value, res.Exact)
 	}
@@ -91,10 +109,7 @@ func TestMaxOutputAgainstBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		net := randomReLUNet(seed, 2, []int{5, 4}, 1)
 		region := unitRegion(2)
-		res, err := MaxOutput(net, region, 0, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := maxOutput(t, net, region, 0, Options{})
 		if !res.Exact {
 			t.Fatalf("seed %d: not exact", seed)
 		}
@@ -126,10 +141,7 @@ func TestMaxOutputRespectsLinearConstraint(t *testing.T) {
 	region.Linear = []LinearConstraint{{
 		Coeffs: map[int]float64{0: 1, 1: 1}, Sense: lp.LE, RHS: -0.5, Name: "cap",
 	}}
-	res, err := MaxOutput(net, region, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := maxOutput(t, net, region, 0, Options{})
 	if math.Abs(res.Value-0.5) > 1e-6 {
 		t.Fatalf("max = %g, want 0.5", res.Value)
 	}
@@ -141,11 +153,8 @@ func TestMaxOutputRespectsLinearConstraint(t *testing.T) {
 func TestProveUpperBoundProves(t *testing.T) {
 	net := randomReLUNet(3, 2, []int{6}, 1)
 	region := unitRegion(2)
-	mx, err := MaxOutput(net, region, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := ProveUpperBound(net, region, 0, mx.Value+0.1, Options{})
+	mx := maxOutput(t, net, region, 0, Options{})
+	pr, err := compiled(t, net, region, Options{}).ProveUpperBound(context.Background(), 0, mx.Value+0.1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,12 +166,9 @@ func TestProveUpperBoundProves(t *testing.T) {
 func TestProveUpperBoundFindsCounterexample(t *testing.T) {
 	net := randomReLUNet(4, 2, []int{6}, 1)
 	region := unitRegion(2)
-	mx, err := MaxOutput(net, region, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mx := maxOutput(t, net, region, 0, Options{})
 	thr := mx.Value - 0.2
-	pr, err := ProveUpperBound(net, region, 0, thr, Options{})
+	pr, err := compiled(t, net, region, Options{}).ProveUpperBound(context.Background(), 0, thr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +195,7 @@ func TestProveUpperBoundIntervalFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Far above the interval bound: must prove without any MILP nodes.
-	pr, err := ProveUpperBound(net, region, 0, nb.Output()[0].Hi+1, Options{})
+	pr, err := compiled(t, net, region, Options{}).ProveUpperBound(context.Background(), 0, nb.Output()[0].Hi+1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +208,8 @@ func TestTightenLPPreservesAnswers(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		net := randomReLUNet(seed+10, 3, []int{6, 5}, 1)
 		region := unitRegion(3)
-		plain, err := MaxOutput(net, region, 0, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tight, err := MaxOutput(net, region, 0, Options{Tighten: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		plain := maxOutput(t, net, region, 0, Options{})
+		tight := maxOutput(t, net, region, 0, Options{Tighten: true})
 		if math.Abs(plain.Value-tight.Value) > 1e-5 {
 			t.Fatalf("seed %d: tightened answer %g != plain %g", seed, tight.Value, plain.Value)
 		}
@@ -226,7 +226,7 @@ func TestTightenLPBoundsStillSound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := TightenLP(net, region, nb)
+	tight, err := TightenLPWorkers(net, region, nb, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,17 +251,17 @@ func TestTightenLPBoundsStillSound(t *testing.T) {
 func TestTanhRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	net := nn.New(nn.Config{Name: "t", InputDim: 2, Hidden: []int{3}, OutputDim: 1, HiddenAct: nn.Tanh, OutputAct: nn.Identity}, rng)
-	if _, err := MaxOutput(net, unitRegion(2), 0, Options{}); err == nil {
+	if _, err := Compile(context.Background(), net, unitRegion(2), Options{}); err == nil {
 		t.Fatal("tanh network must be rejected")
 	}
 }
 
 func TestBadOutputIndex(t *testing.T) {
-	net := randomReLUNet(1, 2, []int{3}, 1)
-	if _, err := MaxOutput(net, unitRegion(2), 5, Options{}); err == nil {
+	c := compiled(t, randomReLUNet(1, 2, []int{3}, 1), unitRegion(2), Options{})
+	if _, err := c.MaxOutput(context.Background(), 5, Options{}); err == nil {
 		t.Fatal("want error for bad output index")
 	}
-	if _, err := ProveUpperBound(net, unitRegion(2), -1, 0, Options{}); err == nil {
+	if _, err := c.ProveUpperBound(context.Background(), -1, 0, Options{}); err == nil {
 		t.Fatal("want error for negative output index")
 	}
 }
@@ -272,7 +272,7 @@ func TestEmptyRegionRejected(t *testing.T) {
 	region.Linear = []LinearConstraint{
 		{Coeffs: map[int]float64{0: 1}, Sense: lp.GE, RHS: 5, Name: "impossible"},
 	}
-	if _, err := MaxOutput(net, region, 0, Options{}); err == nil {
+	if _, err := compiled(t, net, region, Options{}).MaxOutput(context.Background(), 0, Options{}); err == nil {
 		t.Fatal("empty region should error")
 	}
 }
@@ -313,14 +313,15 @@ func TestMaxOverOutputs(t *testing.T) {
 		{W: [][]float64{{1}, {-1}}, B: []float64{0, 0}, Act: nn.ReLU},
 		{W: [][]float64{{1, 0}, {0, 1}}, B: []float64{0, 0}, Act: nn.Identity},
 	}}
-	res, err := MaxOverOutputs(net, unitRegion(1), []int{0, 1}, Options{})
+	c := compiled(t, net, unitRegion(1), Options{})
+	res, err := c.MaxOverOutputs(context.Background(), []int{0, 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.Value-1) > 1e-6 {
 		t.Fatalf("max over outputs = %g, want 1", res.Value)
 	}
-	if _, err := MaxOverOutputs(net, unitRegion(1), nil, Options{}); err == nil {
+	if _, err := c.MaxOverOutputs(context.Background(), nil, Options{}); err == nil {
 		t.Fatal("want error for empty output list")
 	}
 }
@@ -343,10 +344,7 @@ func TestRegionContains(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	net := randomReLUNet(8, 2, []int{5}, 1)
-	res, err := MaxOutput(net, unitRegion(2), 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := maxOutput(t, net, unitRegion(2), 0, Options{})
 	if res.Stats.HiddenNeurons != 5 {
 		t.Fatalf("hidden neurons = %d, want 5", res.Stats.HiddenNeurons)
 	}
@@ -355,5 +353,84 @@ func TestStatsPopulated(t *testing.T) {
 	}
 	if res.Stats.Elapsed <= 0 {
 		t.Fatal("elapsed not recorded")
+	}
+}
+
+// TestLadderOrdering verifies the precision ladder on random networks: the
+// linear-time interval bound never undercuts the exact maximum, and the
+// exact maximum is achievable (witnessed).
+func TestLadderOrdering(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		net := randomReLUNet(seed+200, 3, []int{6, 5}, 1)
+		c := compiled(t, net, unitRegion(3), Options{})
+		exact, err := c.MaxOutput(context.Background(), 0, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !exact.Exact {
+			t.Fatalf("seed %d: exact bound inconclusive", seed)
+		}
+		if interval := c.OutputBounds()[0].Hi; interval < exact.Value-1e-6 {
+			t.Fatalf("seed %d: interval %g below exact %g (interval must over-approximate)", seed, interval, exact.Value)
+		}
+		if v := net.Forward(exact.Witness)[0]; math.Abs(v-exact.Value) > 1e-6 {
+			t.Fatalf("seed %d: witness replay %g != exact %g", seed, v, exact.Value)
+		}
+	}
+}
+
+// TestLadderStrictGapExists finds at least one network where the exact rung
+// is strictly tighter than the interval one — otherwise branch-and-bound
+// would be pointless.
+func TestLadderStrictGapExists(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		net := randomReLUNet(seed+300, 3, []int{7, 6}, 1)
+		c := compiled(t, net, unitRegion(3), Options{})
+		exact, err := c.MaxOutput(context.Background(), 0, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.OutputBounds()[0].Hi > exact.Value+1e-4 {
+			return
+		}
+	}
+	t.Fatal("interval bound never strictly looser than exact over 8 nets")
+}
+
+// TestRelaxationTightWhenAllStable: every neuron is stable on the region
+// (biases push pre-activations away from zero), so no indicator exists, the
+// MILP is its own LP relaxation and the root node settles it.
+func TestRelaxationTightWhenAllStable(t *testing.T) {
+	net := &nn.Network{Layers: []*nn.Layer{
+		{W: [][]float64{{1}, {-1}}, B: []float64{10, -10}, Act: nn.ReLU},
+		{W: [][]float64{{1, 1}}, B: []float64{0}, Act: nn.Identity},
+	}}
+	// Output = relu(x+10) + relu(-x-10) = x + 10 on [-1,1]: max 11.
+	res := maxOutput(t, net, unitRegion(1), 0, Options{})
+	if !res.Exact || math.Abs(res.Value-11) > 1e-6 {
+		t.Fatalf("exact = %g (exact=%v), want 11", res.Value, res.Exact)
+	}
+	if res.Stats.Binaries != 0 || res.Stats.Nodes != 1 {
+		t.Fatalf("%d binaries, %d nodes: want none and the root only", res.Stats.Binaries, res.Stats.Nodes)
+	}
+}
+
+// TestLinearIntervalBoundRunToRunStable: the interval bound of a multi-term
+// functional is both a reported number and a fast-path verdict, so it must
+// not depend on Go's randomised map iteration order.
+func TestLinearIntervalBoundRunToRunStable(t *testing.T) {
+	c := compiled(t, randomReLUNet(9, 3, []int{8}, 6), unitRegion(3), Options{})
+	rng := rand.New(rand.NewSource(9))
+	for f := 0; f < 20; f++ {
+		coeffs := make(map[int]float64, 6)
+		for oi := 0; oi < 6; oi++ {
+			coeffs[oi] = rng.NormFloat64()
+		}
+		first := c.LinearIntervalBound(coeffs)
+		for call := 1; call < 100; call++ {
+			if got := c.LinearIntervalBound(coeffs); got != first {
+				t.Fatalf("functional %d: call %d returned %.17g, call 0 returned %.17g", f, call, got, first)
+			}
+		}
 	}
 }

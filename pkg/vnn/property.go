@@ -13,9 +13,8 @@ import (
 // Property is one element of the verification algebra: a question that
 // compiles against a CompiledNetwork and is answered by Verify. Properties
 // are plain immutable values — build them anywhere, reuse them across
-// networks, batch them freely. Each of these used to be a bespoke code
-// path (verify.MaxOverOutputs, ad-hoc prove wiring, core front-gap
-// helpers, resilience loops); here they share one compiled encoding.
+// networks, batch them freely. Every one of them is answered by a method
+// of the same verify.Compiled, the engine's only way to run a query.
 type Property interface {
 	// String renders the property for logs and reports.
 	String() string
@@ -73,7 +72,7 @@ func ResilienceRadius(x0 []float64, output int, threshold float64, maxIterations
 
 // propertyOutputs reports the output indices a property references, so
 // analysis validation can reject out-of-range queries before any work
-// runs (the engine re-checks at query time either way).
+// runs (every verify.Compiled method re-checks at query time either way).
 func propertyOutputs(p Property) []int {
 	switch q := p.(type) {
 	case maxProp:
@@ -219,11 +218,10 @@ func (p resilienceProp) String() string {
 }
 
 func (p resilienceProp) run(ctx context.Context, cn *CompiledNetwork, idx int) (*Result, error) {
-	rr, err := verify.ResilienceCtx(ctx, cn.Net(), p.x0, cn.Region().Box, p.out, p.threshold,
-		verify.ResilienceOptions{
-			MaxIterations: p.maxIter,
-			Query:         verifyOptions(cn.opts, idx),
-		})
+	rr, err := cn.c.Resilience(ctx, p.x0, p.out, p.threshold, verify.ResilienceOptions{
+		MaxIterations: p.maxIter,
+		Query:         verifyOptions(cn.opts, idx),
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +230,7 @@ func (p resilienceProp) run(ctx context.Context, cn *CompiledNetwork, idx int) (
 		Iterations: rr.Iterations,
 		LowerBound: math.Inf(-1),
 		UpperBound: math.Inf(1),
-		Stats:      Stats{Elapsed: rr.Elapsed},
+		Stats:      rr.Stats,
 	}
 	if rr.Certified {
 		r.Outcome = Proved

@@ -86,33 +86,6 @@ func TestCompileOnceNoReencodeNoRetighten(t *testing.T) {
 	}
 }
 
-// TestCompiledMatchesOneShot cross-checks the compiled path against the
-// historical one-shot engine on the same network and region.
-func TestCompiledMatchesOneShot(t *testing.T) {
-	pred := core.NewPredictorNet(2, 6, 2, 5)
-	region := vnn.LeftOccupiedRegion()
-	ctx := context.Background()
-
-	oneShot, err := verify.MaxOverOutputs(pred.Net, region, pred.MuLatOutputs(), verify.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cn, err := vnn.Compile(ctx, pred.Net, region, vnn.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := vnn.VerifyOne(ctx, cn, vnn.MaxOverOutputs(pred.MuLatOutputs()...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Exact || !oneShot.Exact {
-		t.Fatalf("exactness mismatch: compiled %v one-shot %v", res.Exact, oneShot.Exact)
-	}
-	if res.Value != oneShot.Value {
-		t.Fatalf("compiled value %.17g != one-shot %.17g", res.Value, oneShot.Value)
-	}
-}
-
 // TestPropertyAlgebraOnHandNet answers every property shape on the tiny
 // |x0-x1| network, where the answers are known in closed form.
 func TestPropertyAlgebraOnHandNet(t *testing.T) {
@@ -122,11 +95,11 @@ func TestPropertyAlgebraOnHandNet(t *testing.T) {
 		t.Fatal(err)
 	}
 	results, err := vnn.Verify(ctx, cn,
-		vnn.MaxOutput(0),                        // max |x0-x1| = 1
-		vnn.MinOutput(0),                        // min = 0
-		vnn.AtMost(0, 1.0),                      // holds (touching)
-		vnn.AtMost(0, 0.5),                      // violated
-		vnn.MaxLinear(map[int]float64{0: -2}),   // max -2|x0-x1| = 0
+		vnn.MaxOutput(0),                             // max |x0-x1| = 1
+		vnn.MinOutput(0),                             // min = 0
+		vnn.AtMost(0, 1.0),                           // holds (touching)
+		vnn.AtMost(0, 0.5),                           // violated
+		vnn.MaxLinear(map[int]float64{0: -2}),        // max -2|x0-x1| = 0
 		vnn.LinearAtMost(map[int]float64{0: 2}, 2.5), // 2|x0-x1| ≤ 2.5 fails? max=2 ≤ 2.5 holds
 	)
 	if err != nil {
@@ -268,6 +241,21 @@ func TestResilienceProperty(t *testing.T) {
 	}
 	if res.Iterations == 0 {
 		t.Fatal("no binary-search iterations recorded")
+	}
+	if res.Stats.Nodes <= 0 || res.Stats.LPPivots <= 0 {
+		t.Fatalf("%d probes reported %d nodes / %d pivots", res.Iterations, res.Stats.Nodes, res.Stats.LPPivots)
+	}
+
+	// A search that ran out of budget before proving any radius established
+	// nothing: Inconclusive with radius 0, never Proved.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	res, err = vnn.VerifyOne(cancelled, cn, vnn.ResilienceRadius([]float64{0.5, 0.5}, 0, 0.5, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != vnn.Inconclusive || res.Radius != 0 {
+		t.Fatalf("cancelled resilience search: outcome %v radius %g, want inconclusive 0", res.Outcome, res.Radius)
 	}
 }
 
