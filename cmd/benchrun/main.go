@@ -1,9 +1,8 @@
 // Command benchrun regenerates and gates the committed benchmark
 // ladders: BENCH_infer.json (the inference plane — see DESIGN.md
-// "Kernel layer"), BENCH_fleet.json (the fleet plane's riblt
-// encode/decode throughput — see DESIGN.md "Fleet replication") and
-// BENCH_verify.json (the verification path: update kernels → LP
-// re-solves → Table II searches — see DESIGN.md "internal/lp").
+// "Kernel layer") and BENCH_verify.json (the verification path: update
+// kernels → LP re-solves → Table II searches — see DESIGN.md
+// "internal/lp").
 // -suite selects which (default "infer").
 //
 // Regenerate a ladder — numbers are machine-dependent, so the commit
@@ -12,8 +11,6 @@
 //
 //	go run ./cmd/benchrun -commit $(git rev-parse --short HEAD) \
 //	  -date 2026-08-08 -out BENCH_infer.json
-//	go run ./cmd/benchrun -suite fleet -commit $(git rev-parse --short HEAD) \
-//	  -date 2026-08-08 -out BENCH_fleet.json
 //	go run ./cmd/benchrun -suite verify -commit $(git rev-parse --short HEAD) \
 //	  -date 2026-09-27 -count 3 -out BENCH_verify.json
 //
@@ -63,11 +60,7 @@ type suite struct {
 // suiteSets are the benchmark ladders, keyed by -suite. "infer" walks
 // kernels alone, packed forwards, then the end-to-end HTTP plane —
 // together they localise a regression (a slow /v1/infer with a fast
-// MatVec is protocol overhead, not kernels). "fleet" measures the
-// rateless reconciliation codec: coded-symbol production over a large
-// set, and decode cost at several symmetric-difference sizes (the
-// decode benchmarks pin that cost scales with the difference, not the
-// set — symbols/op is the committed evidence). "verify" walks the
+// MatVec is protocol overhead, not kernels). "verify" walks the
 // verification path bottom-up the same way: the two update kernels a
 // simplex pivot is made of, one LP re-solve (warm, cold, and a branch-
 // and-bound node on an I2x8-shaped tableau), then whole Table II
@@ -81,9 +74,6 @@ var suiteSets = map[string]struct {
 		{pkg: "./internal/nn/", bench: "BenchmarkForwardInto|BenchmarkForwardBatchInto|BenchmarkForward$"},
 		{pkg: "./internal/obs/", bench: "BenchmarkObserve"},
 		{pkg: "./pkg/vnnserver/", bench: "BenchmarkInferHTTP"},
-	}},
-	"fleet": {"bench-fleet/v1", []suite{
-		{pkg: "./internal/riblt/", bench: "BenchmarkEncode|BenchmarkDecode"},
 	}},
 	"verify": {"bench-verify/v1", []suite{
 		{pkg: "./internal/linalg/", bench: "BenchmarkAxpy|BenchmarkScale"},
@@ -100,11 +90,6 @@ type Result struct {
 	// InputsPerS is the custom throughput metric the HTTP benchmarks
 	// report; zero for benchmarks that do not emit it.
 	InputsPerS float64 `json:"inputs_per_s,omitempty"`
-	// SymbolsPerS / SymbolsPerOp are the riblt codec metrics: coded
-	// symbols per second, and symbols consumed per decode (the
-	// difference-scaling evidence). Zero outside the fleet suite.
-	SymbolsPerS  float64 `json:"symbols_per_s,omitempty"`
-	SymbolsPerOp float64 `json:"symbols_per_op,omitempty"`
 	// BBNodes / LPPivots are the search-effort counters of the verify
 	// suite's whole-solve rows: branch-and-bound nodes and simplex pivots
 	// of one solve. Deterministic per worker count; zero elsewhere.
@@ -138,14 +123,14 @@ func main() {
 		count     = flag.Int("count", 5, "go test -count (best-of filters noise)")
 		tolerance = flag.Float64("tolerance", 0.15, "gate mode: allowed fractional ns/op regression")
 		keepBase  = flag.Bool("keep-baseline", true, "with -out and -against absent: copy the baseline block from an existing output file")
-		suiteName = flag.String("suite", "infer", "benchmark ladder to run: infer, fleet or verify")
+		suiteName = flag.String("suite", "infer", "benchmark ladder to run: infer or verify")
 		summary   = flag.String("summary", "", "merge the committed ladders into this top-level summary file (runs nothing)")
 	)
 	flag.Parse()
 
 	set, ok := suiteSets[*suiteName]
 	if !ok {
-		fatal("unknown suite %q (want infer, fleet or verify)", *suiteName)
+		fatal("unknown suite %q (want infer or verify)", *suiteName)
 	}
 
 	if *summary != "" {
@@ -237,7 +222,7 @@ func runSuites(suites []suite, benchtime string, count int) ([]Result, error) {
 			name := m[1]
 			ns, _ := strconv.ParseFloat(m[2], 64)
 			allocs := int64(-1)
-			inputs, symPerS, symPerOp := 0.0, 0.0, 0.0
+			inputs := 0.0
 			var nodes, pivots int64
 			for _, f := range regexp.MustCompile(`([\d.]+) (\S+)`).FindAllStringSubmatch(m[3], -1) {
 				switch f[2] {
@@ -245,10 +230,6 @@ func runSuites(suites []suite, benchtime string, count int) ([]Result, error) {
 					allocs, _ = strconv.ParseInt(f[1], 10, 64)
 				case "inputs/s":
 					inputs, _ = strconv.ParseFloat(f[1], 64)
-				case "symbols/s":
-					symPerS, _ = strconv.ParseFloat(f[1], 64)
-				case "symbols/op":
-					symPerOp, _ = strconv.ParseFloat(f[1], 64)
 				case "bbNodes":
 					nodes, _ = strconv.ParseInt(f[1], 10, 64)
 				case "lpPivots":
@@ -258,8 +239,7 @@ func runSuites(suites []suite, benchtime string, count int) ([]Result, error) {
 			r, ok := best[name]
 			if !ok {
 				best[name] = &Result{Name: name, NsPerOp: ns, AllocsPerOp: allocs,
-					InputsPerS: inputs, SymbolsPerS: symPerS, SymbolsPerOp: symPerOp,
-					BBNodes: nodes, LPPivots: pivots}
+					InputsPerS: inputs, BBNodes: nodes, LPPivots: pivots}
 				order = append(order, name)
 				continue
 			}
@@ -272,16 +252,9 @@ func runSuites(suites []suite, benchtime string, count int) ([]Result, error) {
 			if inputs > r.InputsPerS {
 				r.InputsPerS = inputs
 			}
-			if symPerS > r.SymbolsPerS {
-				r.SymbolsPerS = symPerS
-			}
-			// symbols/op is a determinism check, not a race: every run
-			// consumes the same count, so keep the last parsed value.
-			if symPerOp > 0 {
-				r.SymbolsPerOp = symPerOp
-			}
-			// Likewise the effort counters; a run that disagrees with the
-			// one before it is not a measurement, it is a bug.
+			// The effort counters are a determinism check, not a race: a run
+			// that disagrees with the one before it is not a measurement, it
+			// is a bug.
 			if nodes != r.BBNodes || pivots != r.LPPivots {
 				return nil, fmt.Errorf("%s: effort differs between runs: %d nodes / %d pivots, then %d / %d",
 					name, r.BBNodes, r.LPPivots, nodes, pivots)
@@ -349,7 +322,6 @@ func gate(path string, fresh []Result, tol float64) {
 // summaryLadders maps each suite to its committed ladder file.
 var summaryLadders = map[string]string{
 	"infer":  "BENCH_infer.json",
-	"fleet":  "BENCH_fleet.json",
 	"verify": "BENCH_verify.json",
 }
 

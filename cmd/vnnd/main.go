@@ -221,14 +221,14 @@
 //
 // Several vnnd nodes form a fleet: give each the others' base URLs and
 // every node periodically reconciles its compile + monitor caches with
-// its peers via rateless set reconciliation (see DESIGN.md "Fleet
-// replication"). A reconcile round costs O(|cache difference|) coded
-// symbols — not O(cache size) — so converged nodes exchange a few
-// dozen bytes per round. Everything pulled is re-verified from content
-// (fingerprints recomputed, bounds containment-checked) before it
-// enters a cache, and imports ride the same singleflight paths local
-// requests use, so a pull never races a local compile into duplicate
-// work. Two-node walkthrough:
+// its peers (see DESIGN.md "Fleet replication"): it fetches a peer's
+// fingerprint list (GET /v1/fleet/fingerprints, ~9 KB at the default
+// -cache 64) and pulls the entries it lacks, so converged nodes
+// exchange one list per round. Everything pulled is re-verified from
+// content (fingerprints recomputed, bounds containment-checked) before
+// it enters a cache, and imports ride the same singleflight paths
+// local requests use, so a pull never races a local compile into
+// duplicate work. Two-node walkthrough:
 //
 //	# terminal 1
 //	vnnd -addr 127.0.0.1:8419 -peers http://127.0.0.1:8420 -fleet-interval 5s
@@ -254,8 +254,8 @@
 // Replication is pull-only and symmetric (each node runs its own
 // rounds), intervals are jittered, failing peers back off
 // exponentially, and a draining node neither serves fleet requests nor
-// accepts imports. /metrics reports rounds, symbols sent/received,
-// entries pulled/pushed and per-peer last-sync under "fleet", plus the
+// accepts imports. /metrics reports rounds, entries pulled/pushed,
+// rejects, skips and per-peer last-sync under "fleet", plus the
 // accounted cache size under "cache.bytes".
 //
 // # Observability: /metrics, /debug/traces, the flight recorder

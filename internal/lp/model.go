@@ -116,9 +116,6 @@ func (m *Model) Bounds(v int) (lower, upper float64) {
 	return m.vars[v].Lower, m.vars[v].Upper
 }
 
-// VarName returns the name given to variable v at creation.
-func (m *Model) VarName(v int) string { return m.vars[v].Name }
-
 // NumVariables returns the number of variables added so far.
 func (m *Model) NumVariables() int { return len(m.vars) }
 

@@ -109,6 +109,10 @@ type Event struct {
 // incumbent improvements always emit immediately.
 const progressPeriod = 64
 
+// intTol is the integrality tolerance: an LP value within it of an
+// integer counts as integral.
+const intTol = 1e-6
+
 // Options tune the branch-and-bound search.
 //
 // There is deliberately no TimeLimit here: deadlines and cancellation
@@ -118,8 +122,6 @@ const progressPeriod = 64
 type Options struct {
 	// MaxNodes bounds explored nodes; 0 means no limit.
 	MaxNodes int
-	// IntTol is the integrality tolerance; 0 means 1e-6.
-	IntTol float64
 	// Gap is the relative optimality gap at which search stops; 0 means
 	// prove optimality exactly (up to tolerances).
 	Gap float64
@@ -133,8 +135,6 @@ type Options struct {
 	// and at least every progressPeriod nodes. The callback runs on the
 	// coordinating goroutine and must not block.
 	Progress func(Event)
-	// LP forwards options to every relaxation solve.
-	LP lp.Options
 }
 
 // Result is the outcome of a MILP solve.
@@ -265,22 +265,15 @@ func ctxStatus(err error) Status {
 func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 	start := time.Now()
 	solveCount.Add(1)
-	intTol := opts.IntTol
-	if intTol <= 0 {
-		intTol = 1e-6
-	}
 	nWorkers := opts.Workers
 	if nWorkers <= 0 {
 		nWorkers = runtime.GOMAXPROCS(0)
 	}
-	lpOpts := opts.LP
+	var lpOpts lp.Options
 	if ctx.Done() != nil {
 		// Reach into each node's pivot loop: the solve must notice a
 		// cancelled or expired context mid-LP, not at the next batch.
-		userCancel := lpOpts.Cancel
-		lpOpts.Cancel = func() bool {
-			return ctx.Err() != nil || (userCancel != nil && userCancel())
-		}
+		lpOpts.Cancel = func() bool { return ctx.Err() != nil }
 	}
 
 	maximize := p.Model.Maximizing()

@@ -636,11 +636,3 @@ func (n *Network) InputName(i int) string {
 	}
 	return fmt.Sprintf("x%d", i)
 }
-
-// OutputName returns the name of output i, or a generated placeholder.
-func (n *Network) OutputName(i int) string {
-	if i < len(n.OutputNames) {
-		return n.OutputNames[i]
-	}
-	return fmt.Sprintf("y%d", i)
-}

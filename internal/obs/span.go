@@ -53,8 +53,8 @@ func (sp *Span) Child(name string) *Span {
 }
 
 // ChildTimed attaches an already-measured phase as a completed child
-// ending now, with the given duration. This is how externally
-// accumulated phase counters (LP tighten nanos, MILP encode nanos)
+// ending now, with the given duration. This is how phases timed
+// elsewhere (a compile's own LP tighten and MILP encode durations)
 // become spans without the phase code knowing about tracing.
 func (sp *Span) ChildTimed(name string, d time.Duration) *Span {
 	if sp == nil || sp.tr == nil {

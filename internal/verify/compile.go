@@ -24,13 +24,6 @@ import (
 var (
 	encodePasses  atomic.Int64
 	tightenPasses atomic.Int64
-	// encodeNanos/tightenNanos accumulate the wall time spent inside
-	// those passes. The observability plane (internal/obs via
-	// pkg/vnnserver) reads deltas around a compile to attribute its cost
-	// to the tighten vs encode phase without this package knowing about
-	// spans.
-	encodeNanos  atomic.Int64
-	tightenNanos atomic.Int64
 )
 
 // EncodePasses returns the total number of MILP encoding passes performed
@@ -41,14 +34,18 @@ func EncodePasses() int64 { return encodePasses.Load() }
 // performed by this process.
 func TightenPasses() int64 { return tightenPasses.Load() }
 
-// EncodeNanos returns the cumulative wall nanoseconds this process spent
-// in MILP encoding passes.
-func EncodeNanos() int64 { return encodeNanos.Load() }
-
-// TightenNanos returns the cumulative wall nanoseconds this process
-// spent in LP bound-tightening passes (including the prefix encodings
-// tightening performs internally, which also count toward EncodeNanos).
-func TightenNanos() int64 { return tightenNanos.Load() }
+// Phases is one compilation's own cost by phase. It rides on the
+// Compiled rather than on the process-wide counters above, so a
+// concurrent or earlier compile never shows up in another's account.
+type Phases struct {
+	// Tighten is the wall time of LP bound tightening, its prefix
+	// encodings included (zero when Options.Tighten is off); Encode is
+	// the wall time of the final full encoding.
+	Tighten, Encode time.Duration
+	// TightenPasses and EncodePasses count this compilation's passes:
+	// 0 or 1, and one per tightened hidden layer plus the final encoding.
+	TightenPasses, EncodePasses int
+}
 
 // Compiled is a network fixed to one input region whose bound analysis
 // (interval propagation plus optional LP tightening) and MILP encoding
@@ -64,31 +61,49 @@ type Compiled struct {
 
 	// CompileTime is the wall-clock cost of bound analysis plus encoding.
 	CompileTime time.Duration
+	// Phases splits CompileTime; zero for CompileWithBounds, which an
+	// import runs outside any request.
+	Phases Phases
 	// Tightened records whether LP bound tightening ran during compilation.
 	Tightened bool
 }
 
 // Compile performs the one-time preprocessing for net over region: interval
 // bound propagation, optional LP tightening (opts.Tighten, fanned across
-// opts.Workers and bounded by ctx — see TightenLPCtx), and the MILP
+// opts.Workers and bounded by ctx — see tightenLP), and the MILP
 // encoding. The ctx deadline covers the whole compilation; tightening
 // stops early (soundly) when the budget runs out.
 func Compile(ctx context.Context, net *nn.Network, region *InputRegion, opts Options) (*Compiled, error) {
 	start := time.Now()
-	nb, err := prepareBounds(ctx, net, region, opts)
+	if err := region.Validate(net); err != nil {
+		return nil, err
+	}
+	nb, err := bounds.Propagate(net, region.Box)
 	if err != nil {
 		return nil, err
 	}
+	var ph Phases
+	if opts.Tighten {
+		t0 := time.Now()
+		if nb, err = tightenLP(ctx, net, region, nb, opts.Workers, &ph.EncodePasses); err != nil {
+			return nil, err
+		}
+		ph.Tighten, ph.TightenPasses = time.Since(t0), 1
+	}
+	t0 := time.Now()
 	enc, err := encode(net, region, nb, encodeOptions{prefixLayers: -1})
 	if err != nil {
 		return nil, err
 	}
+	ph.Encode = time.Since(t0)
+	ph.EncodePasses++
 	return &Compiled{
 		net:         net,
 		region:      region,
 		nb:          nb,
 		enc:         enc,
 		CompileTime: time.Since(start),
+		Phases:      ph,
 		Tightened:   opts.Tighten,
 	}, nil
 }
@@ -385,20 +400,4 @@ func (e *encoding) addLinearFloor(coeffs map[int]float64, threshold float64) {
 		terms = append(terms, lp.Term{Var: e.outputs[oi], Coeff: cf})
 	}
 	e.model.AddConstraint(terms, lp.GE, threshold, "prove.floor")
-}
-
-// prepareBounds runs interval propagation (plus optional LP tightening,
-// bounded by ctx) over the region box.
-func prepareBounds(ctx context.Context, net *nn.Network, region *InputRegion, opts Options) (*bounds.NetworkBounds, error) {
-	if err := region.Validate(net); err != nil {
-		return nil, err
-	}
-	nb, err := bounds.Propagate(net, region.Box)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Tighten {
-		return TightenLPCtx(ctx, net, region, nb, opts.Workers)
-	}
-	return nb, nil
 }

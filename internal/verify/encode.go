@@ -20,7 +20,6 @@ package verify
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/bounds"
 	"repro/internal/lp"
@@ -129,7 +128,6 @@ type encodeOptions struct {
 // (or a tightened refinement of it).
 func encode(net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, opt encodeOptions) (*encoding, error) {
 	encodePasses.Add(1)
-	defer func(start time.Time) { encodeNanos.Add(int64(time.Since(start))) }(time.Now())
 	if err := region.Validate(net); err != nil {
 		return nil, err
 	}

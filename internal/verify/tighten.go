@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/bounds"
 	"repro/internal/lp"
@@ -37,10 +36,10 @@ type neuronBounds struct {
 // workers statically (round-robin by index), which keeps the result
 // deterministic for a fixed worker count.
 func TightenLPWorkers(net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, workers int) (*bounds.NetworkBounds, error) {
-	return TightenLPCtx(context.Background(), net, region, nb, workers)
+	return tightenLP(context.Background(), net, region, nb, workers, new(int))
 }
 
-// TightenLPCtx is TightenLPWorkers under a context: the ctx deadline (or
+// tightenLP is TightenLPWorkers under a context: the ctx deadline (or
 // cancellation) bounds preprocessing too, not only the later MILP solve,
 // so a user budget can no longer be consumed entirely by tightening. The
 // poll reaches into each bound LP's pivot loop. Interruption is graceful
@@ -48,10 +47,10 @@ func TightenLPWorkers(net *nn.Network, region *InputRegion, nb *bounds.NetworkBo
 // are returned (interval analysis alone is already sound; every completed
 // LP only shrank it), with no error. Note an interrupted pass makes the
 // resulting bounds depend on where the deadline fell — deterministic runs
-// need either no deadline or one generous enough not to fire.
-func TightenLPCtx(ctx context.Context, net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, workers int) (*bounds.NetworkBounds, error) {
+// need either no deadline or one generous enough not to fire. *encodes
+// grows by the prefix encodings performed (one per layer reached).
+func tightenLP(ctx context.Context, net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, workers int, encodes *int) (*bounds.NetworkBounds, error) {
 	tightenPasses.Add(1)
-	defer func(start time.Time) { tightenNanos.Add(int64(time.Since(start))) }(time.Now())
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -69,6 +68,7 @@ func TightenLPCtx(ctx context.Context, net *nn.Network, region *InputRegion, nb 
 		if err != nil {
 			return nil, err
 		}
+		*encodes++
 		prevVars := enc.inputs
 		if li > 0 {
 			prevVars = enc.posts[li-1]

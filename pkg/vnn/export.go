@@ -14,7 +14,6 @@
 package vnn
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -24,21 +23,6 @@ import (
 	"repro/internal/lp"
 	"repro/internal/verify"
 )
-
-// FingerprintSetHash folds a fingerprint string (vnn1-, vnnmw1-,
-// vnnm1-, any namespace) to the fixed 32-byte symbol the fleet's set
-// reconciliation sketches operate on (internal/riblt). The fold is a
-// domain-separated SHA-256, so distinct fingerprints collide with
-// negligible probability and the mapping is stable across nodes and
-// releases.
-func FingerprintSetHash(fingerprint string) [32]byte {
-	h := sha256.New()
-	h.Write([]byte("vnnfleet1\x00"))
-	h.Write([]byte(fingerprint))
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
-}
 
 // intervalJSON is one [lo, hi] pair on the wire; finite float64 values
 // round-trip bit-exactly through Go's JSON encoding.

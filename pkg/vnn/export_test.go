@@ -159,17 +159,3 @@ func TestUnmarshalCompiledRejectsTampering(t *testing.T) {
 	mutate("inverted bound", func(d *CompiledDocJSON) { d.Pre[0][0][0], d.Pre[0][0][1] = d.Pre[0][0][1]+1, d.Pre[0][0][0] })
 	mutate("dropped layer", func(d *CompiledDocJSON) { d.Post = d.Post[:1] })
 }
-
-func TestFingerprintSetHash(t *testing.T) {
-	a := FingerprintSetHash("vnn1-aaaa")
-	b := FingerprintSetHash("vnn1-aaab")
-	if a == b {
-		t.Fatal("distinct fingerprints share a set hash")
-	}
-	if a != FingerprintSetHash("vnn1-aaaa") {
-		t.Fatal("set hash is not deterministic")
-	}
-	if a == ([32]byte{}) {
-		t.Fatal("set hash is zero")
-	}
-}

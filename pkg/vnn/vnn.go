@@ -175,6 +175,14 @@ func (cn *CompiledNetwork) PreActivationBounds() [][]Interval { return cn.c.PreA
 // CompileTime reports the wall-clock cost of the one-time analysis.
 func (cn *CompiledNetwork) CompileTime() time.Duration { return cn.c.CompileTime }
 
+// CompilePhases is one compilation's own tighten/encode durations and
+// pass counts.
+type CompilePhases = verify.Phases
+
+// CompilePhases splits CompileTime by phase; zero for an imported
+// artifact (UnmarshalCompiled), which was never compiled here.
+func (cn *CompiledNetwork) CompilePhases() CompilePhases { return cn.c.Phases }
+
 // WithOptions returns a view of the compiled network whose queries run
 // under opts. The expensive compiled state is shared, not copied —
 // compile-time effects of the original options (tightened bounds) are

@@ -2,24 +2,22 @@
 // static fleet of peers, so every node serves every other node's
 // compiles and monitors without recompiling anything.
 //
-// The sync primitive is rateless set reconciliation (internal/riblt)
-// over the nodes' fingerprint sets: each cache entry — a compile
-// workload (vnn1-…) or a built monitor (vnnm1-…) — is folded to a
-// 32-byte symbol (vnn.FingerprintSetHash), and a reconciliation round
-// costs O(|difference|) coded symbols regardless of cache size, so
-// nodes with 99%-overlapping caches exchange a handful of cells
-// instead of full key lists.
+// The sync primitive is a key list: the replicable set — compile
+// workloads (vnn1-…) and built monitors (vnnm1-…) — is bounded by the
+// cache capacities (-cache × 2, 128 fingerprints by default, ~9 KB as
+// JSON), which is less than half of one compiled-artifact pull, so a
+// round fetches the peer's whole list and diffs it in a map. DESIGN.md
+// "Fleet replication" has the measured traffic and the capacity at
+// which a difference-sized sketch would pay again.
 //
 // One round, always pull-shaped (both nodes run rounds periodically,
 // which yields convergence in both directions):
 //
 //	follower                              peer
-//	POST /v1/fleet/reconcile  ───────────▶
-//	          ◀─────── binary coded-symbol stream (48-byte cells)
-//	…decoder peels; closes the body once decoded…
-//	POST /v1/fleet/resolve {hashes}  ────▶
-//	          ◀─────── {hash → fingerprint}
-//	GET /v1/workloads/{fp}  (per missing entry, compiles first) ──▶
+//	GET /v1/fleet/fingerprints  ─────────▶
+//	          ◀─────── {"fingerprints":[…]}
+//	…diff against the local set; compiles before monitors…
+//	GET /v1/workloads/{fp}  (per missing entry) ──▶
 //	          ◀─────── WorkloadExport (marshaled artifact)
 //	…verify fingerprint, check bounds, insert through singleflight…
 //
@@ -33,15 +31,12 @@ package vnnfleet
 
 import (
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 
 	"repro/internal/obs"
-	"repro/internal/riblt"
-	"repro/pkg/vnn"
 )
 
 // Workload export kinds.
@@ -55,7 +50,7 @@ const (
 // on them.
 var (
 	// ErrNotFound: the fingerprint is not cached (here) — e.g. evicted
-	// between the sketch snapshot and the pull. Skipped cleanly.
+	// between the list and the pull. Skipped cleanly.
 	ErrNotFound = errors.New("vnnfleet: entry not found")
 	// ErrDraining: the node is shutting down; no new work, no inserts.
 	ErrDraining = errors.New("vnnfleet: node is draining")
@@ -99,37 +94,25 @@ type Store interface {
 	Draining() bool
 }
 
-// resolveRequest/resolveResponse are the /v1/fleet/resolve wire forms:
-// decoded 32-byte set hashes (hex) in, hash→fingerprint out. Hashes
-// the node cannot resolve (entry evicted since the sketch was emitted)
-// are simply absent from the response.
-type resolveRequest struct {
-	Hashes []string `json:"hashes"`
-}
-
-type resolveResponse struct {
-	Fingerprints map[string]string `json:"fingerprints"`
+// listResponse is the GET /v1/fleet/fingerprints wire form.
+type listResponse struct {
+	Fingerprints []string `json:"fingerprints"`
 }
 
 const (
-	// defaultMaxSymbols caps the coded symbols one reconcile round may
-	// send or consume — a safety valve against a peer whose stream
-	// never decodes, not a tuning knob (48 KiB per 1024 cells).
-	defaultMaxSymbols = 1 << 16
-	// flushStride is how many coded symbols are written between
-	// explicit flushes, so the decoding side makes progress while the
-	// stream is still being produced.
-	flushStride = 64
-	// maxResolveHashes bounds one resolve request.
-	maxResolveHashes = 1 << 16
+	// maxListEntries and maxListBytes bound the fingerprint list a
+	// follower accepts from a peer — a safety valve against a hostile or
+	// broken peer, not a tuning knob (the cap's worth of 73-byte entries
+	// is 4.6 MiB).
+	maxListEntries = 1 << 16
+	maxListBytes   = 8 << 20
 )
 
-// Mount registers the peer-facing fleet endpoints on mux: the coded
-// symbol stream, the hash resolver, and the by-fingerprint workload
-// export. All three honor drain with 503.
+// Mount registers the peer-facing fleet endpoints on mux: the
+// fingerprint list and the by-fingerprint workload export. Both honor
+// drain with 503.
 func (p *Peer) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/fleet/reconcile", p.handleReconcile)
-	mux.HandleFunc("POST /v1/fleet/resolve", p.handleResolve)
+	mux.HandleFunc("GET /v1/fleet/fingerprints", p.handleList)
 	mux.HandleFunc("GET /v1/workloads/{fingerprint}", p.handleExport)
 }
 
@@ -150,75 +133,19 @@ func (p *Peer) traceSegment(r *http.Request, route string) *obs.Trace {
 	return p.opts.Recorder.StartRemote(route, "", tp)
 }
 
-// handleReconcile streams coded symbols of the local fingerprint set
-// until the puller hangs up (it decodes and closes the body) or the
-// symbol cap trips.
-func (p *Peer) handleReconcile(w http.ResponseWriter, r *http.Request) {
+// handleList serves the local fingerprint set to a pulling peer.
+func (p *Peer) handleList(w http.ResponseWriter, r *http.Request) {
 	if p.store.Draining() {
 		httpError(w, http.StatusServiceUnavailable, "node is draining")
 		return
 	}
-	seg := p.traceSegment(r, "fleet.symbols")
+	seg := p.traceSegment(r, "fleet.list")
 	defer seg.Finish()
-	enc := riblt.NewEncoder()
-	for _, fp := range p.store.FleetFingerprints() {
-		enc.Add(riblt.Symbol(vnn.FingerprintSetHash(fp)))
+	fps := p.store.FleetFingerprints()
+	if fps == nil {
+		fps = []string{} // an empty set is [], never null
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	buf := make([]byte, 0, flushStride*riblt.CodedSymbolSize)
-	for sent := 0; sent < p.opts.MaxSymbols; sent++ {
-		c := enc.ProduceNextCodedSymbol()
-		buf = c.AppendBinary(buf)
-		if len(buf) >= flushStride*riblt.CodedSymbolSize {
-			if _, err := w.Write(buf); err != nil {
-				p.symbolsSent.Add(int64(sent + 1))
-				return // puller decoded (or died); either way we are done
-			}
-			buf = buf[:0]
-			if fl != nil {
-				fl.Flush()
-			}
-		}
-		if r.Context().Err() != nil {
-			p.symbolsSent.Add(int64(sent + 1))
-			return
-		}
-	}
-	w.Write(buf)
-	p.symbolsSent.Add(int64(p.opts.MaxSymbols))
-}
-
-// handleResolve maps decoded set hashes back to fingerprint strings.
-func (p *Peer) handleResolve(w http.ResponseWriter, r *http.Request) {
-	if p.store.Draining() {
-		httpError(w, http.StatusServiceUnavailable, "node is draining")
-		return
-	}
-	seg := p.traceSegment(r, "fleet.resolve")
-	defer seg.Finish()
-	var req resolveRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
-		return
-	}
-	if len(req.Hashes) > maxResolveHashes {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("%d hashes exceed the %d cap", len(req.Hashes), maxResolveHashes))
-		return
-	}
-	wanted := make(map[string]bool, len(req.Hashes))
-	for _, h := range req.Hashes {
-		wanted[h] = true
-	}
-	resp := resolveResponse{Fingerprints: make(map[string]string)}
-	for _, fp := range p.store.FleetFingerprints() {
-		h := vnn.FingerprintSetHash(fp)
-		if key := hex.EncodeToString(h[:]); wanted[key] {
-			resp.Fingerprints[key] = fp
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, listResponse{Fingerprints: fps})
 }
 
 // handleExport serves GET /v1/workloads/{fingerprint}: the canonical

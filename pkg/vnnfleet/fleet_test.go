@@ -2,11 +2,16 @@ package vnnfleet
 
 import (
 	"context"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,23 +19,16 @@ import (
 )
 
 // fakeStore implements Store over a plain map, with the knobs the edge
-// case tests need: phantom set members (in the sketch but not
-// exportable), entries that vanish after the first enumeration, and
+// case tests need: phantom set members (listed but not exportable) and
 // per-fingerprint import verdicts.
 type fakeStore struct {
 	mu       sync.Mutex
 	entries  map[string]*WorkloadExport
 	draining bool
 
-	// phantom fingerprints appear in FleetFingerprints (and resolve)
-	// but ExportEntry 404s them — an entry evicted between the sketch
-	// snapshot and the pull.
+	// phantom fingerprints appear in FleetFingerprints but ExportEntry
+	// 404s them — an entry evicted between the list and the pull.
 	phantom []string
-	// dropAfterEnum is removed from the store after the first
-	// FleetFingerprints call — an entry evicted between the sketch and
-	// the resolve.
-	dropAfterEnum string
-	enumerations  int
 
 	// importErr overrides ImportEntry's verdict per fingerprint.
 	importErr map[string]error
@@ -48,10 +46,6 @@ func newFakeStore(fps ...string) *fakeStore {
 func (s *fakeStore) FleetFingerprints() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.enumerations++
-	if s.enumerations == 1 && s.dropAfterEnum != "" {
-		defer delete(s.entries, s.dropAfterEnum)
-	}
 	out := make([]string, 0, len(s.entries)+len(s.phantom))
 	for fp := range s.entries {
 		out = append(out, fp)
@@ -113,22 +107,49 @@ func serve(t *testing.T, store Store) (*Peer, *httptest.Server) {
 	return p, srv
 }
 
-func fps(prefix string, n int) []string {
+// fpOf spells a grammatical fingerprint whose digest is name in hex,
+// zero-padded to 64 digits — readable in failures, and ordered like
+// the names.
+func fpOf(prefix, name string) string {
+	digest := hex.EncodeToString([]byte(name))
+	return prefix + digest + strings.Repeat("0", 64-len(digest))
+}
+
+func fps(name string, n int) []string {
 	out := make([]string, n)
 	for i := range out {
-		out[i] = fmt.Sprintf("vnn1-%s%04d", prefix, i)
+		out[i] = fpOf(compilePrefix, fmt.Sprintf("%s%04d", name, i))
 	}
 	return out
 }
 
+// countRoutes wraps h, counting list and export requests.
+func countRoutes(h http.Handler) (_ http.Handler, lists, exports *atomic.Int64) {
+	lists, exports = new(atomic.Int64), new(atomic.Int64)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/fleet/fingerprints" {
+			lists.Add(1)
+		} else if strings.HasPrefix(r.URL.Path, "/v1/workloads/") {
+			exports.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}), lists, exports
+}
+
 // TestReconcilePullsMissing: a follower pulls exactly the entries it
-// lacks, and a second round moves nothing.
+// lacks — once each, however often the peer lists them — and a second
+// round is one list request that moves nothing.
 func TestReconcilePullsMissing(t *testing.T) {
 	shared := fps("shared", 40)
 	aOnly := fps("aonly", 7)
 	leader := newFakeStore(append(append([]string{}, shared...), aOnly...)...)
+	leader.phantom = []string{aOnly[0], aOnly[0], shared[0]} // listed again
 	follower := newFakeStore(shared...)
-	_, srv := serve(t, leader)
+	mux := http.NewServeMux()
+	NewPeer(leader, Options{}).Mount(mux)
+	counted, lists, exports := countRoutes(mux)
+	srv := httptest.NewServer(counted)
+	t.Cleanup(srv.Close)
 
 	p := NewPeer(follower, Options{})
 	rs, err := p.ReconcileOnce(context.Background(), srv.URL)
@@ -138,8 +159,8 @@ func TestReconcilePullsMissing(t *testing.T) {
 	if rs.Missing != len(aOnly) || rs.Pulled != len(aOnly) || rs.Skipped != 0 || rs.Rejected != 0 {
 		t.Fatalf("round stats %+v, want %d pulled", rs, len(aOnly))
 	}
-	if !rs.Decoded {
-		t.Fatal("stream did not decode")
+	if e := exports.Load(); e != int64(len(aOnly)) {
+		t.Fatalf("%d export requests for %d missing entries", e, len(aOnly))
 	}
 	for _, fp := range aOnly {
 		if !follower.has(fp) {
@@ -147,7 +168,9 @@ func TestReconcilePullsMissing(t *testing.T) {
 		}
 	}
 
-	// Converged: the next round decodes an empty difference fast.
+	// Converged: the next round finds an empty difference.
+	lists.Store(0)
+	exports.Store(0)
 	rs, err = p.ReconcileOnce(context.Background(), srv.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -155,20 +178,21 @@ func TestReconcilePullsMissing(t *testing.T) {
 	if rs.Missing != 0 || rs.Pulled != 0 {
 		t.Fatalf("second round moved entries: %+v", rs)
 	}
-	if rs.SymbolsReceived > 8 {
-		t.Fatalf("empty difference consumed %d symbols", rs.SymbolsReceived)
+	if l, e := lists.Load(), exports.Load(); l != 1 || e != 0 {
+		t.Fatalf("empty difference made %d list and %d export requests, want 1 and 0", l, e)
 	}
 	if st := p.Stats(); st.EntriesPulled != int64(len(aOnly)) || st.Rounds != 2 {
 		t.Fatalf("stats %+v", st)
 	}
 }
 
-// TestReconcileSkipsEvictedEntry: an entry evicted between the sketch
-// snapshot and the pull (export 404) is skipped cleanly, everything
+// TestReconcileSkipsEvictedEntry: an entry evicted between the list
+// and the pull (export 404) is skipped cleanly, everything
 // else still lands.
 func TestReconcileSkipsEvictedEntry(t *testing.T) {
 	leader := newFakeStore(fps("live", 5)...)
-	leader.phantom = []string{"vnn1-evicted"}
+	evicted := fpOf(compilePrefix, "evicted")
+	leader.phantom = []string{evicted}
 	follower := newFakeStore()
 	_, srv := serve(t, leader)
 
@@ -180,37 +204,117 @@ func TestReconcileSkipsEvictedEntry(t *testing.T) {
 	if rs.Missing != 6 || rs.Pulled != 5 || rs.Skipped != 1 || rs.Rejected != 0 {
 		t.Fatalf("round stats %+v, want 5 pulled / 1 skipped", rs)
 	}
-	if follower.has("vnn1-evicted") {
+	if follower.has(evicted) {
 		t.Fatal("evicted phantom was imported")
 	}
 }
 
-// TestReconcileSkipsUnresolvedHash: an entry evicted between the
-// sketch and the resolve call is absent from the resolve response and
-// skipped.
-func TestReconcileSkipsUnresolvedHash(t *testing.T) {
-	leader := newFakeStore(fps("live", 5)...)
-	leader.dropAfterEnum = "vnn1-live0000"
-	follower := newFakeStore()
-	_, srv := serve(t, leader)
-
-	p := NewPeer(follower, Options{})
-	rs, err := p.ReconcileOnce(context.Background(), srv.URL)
-	if err != nil {
-		t.Fatal(err)
+// TestReconcileRejectsHostileList: the fingerprint list is outside
+// input. Every malformed, oversized or never-ending list ends the round
+// with an error before a single pull, puts the peer in backoff and
+// leaves no goroutine behind.
+func TestReconcileRejectsHostileList(t *testing.T) {
+	valid := fpOf(compilePrefix, "valid")
+	list := func(elems ...string) []byte {
+		body, err := json.Marshal(listResponse{Fingerprints: elems})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
 	}
-	if rs.Missing != 5 || rs.Pulled != 4 || rs.Skipped != 1 {
-		t.Fatalf("round stats %+v, want 4 pulled / 1 skipped", rs)
+	static := func(body []byte) http.HandlerFunc {
+		return func(w http.ResponseWriter, _ *http.Request) { w.Write(body) }
+	}
+	cases := []struct {
+		name string
+		list http.HandlerFunc
+		want string // in the round's error
+		// timeout plays Options.RoundTimeout, which Run puts on the round's
+		// context the same way (0 means long enough not to matter).
+		timeout time.Duration
+	}{
+		// Valid JSON padded with whitespace: only the byte cap refuses it.
+		{name: "body over the byte cap", want: "body too large",
+			list: static([]byte(`{"fingerprints":[` + strings.Repeat(" ", maxListBytes) + `]}`))},
+		{name: "entries over the cap", want: "exceed the 65536 cap",
+			list: static(list(fps("many", maxListEntries+1)...))},
+		{name: "1 MB fingerprint", want: "is not a fingerprint",
+			list: static(list(valid, compilePrefix+strings.Repeat("a", 1<<20)))},
+		{name: "wrong prefix", want: "is not a fingerprint",
+			list: static(list(valid, "vnnmw1-"+valid[len(compilePrefix):]))},
+		{name: "non-hex digest", want: "is not a fingerprint",
+			list: static(list(valid, compilePrefix+strings.Repeat("g", 64)))},
+		{name: "upper-case digest", want: "is not a fingerprint",
+			list: static(list(valid, compilePrefix+strings.Repeat("A", 64)))},
+		{name: "short digest", want: "is not a fingerprint",
+			list: static(list(valid, valid[:len(valid)-1]))},
+		{name: "malformed JSON", want: "unexpected EOF",
+			list: static([]byte(`{"fingerprints":["` + valid + `",`))},
+		{name: "not an object", want: "cannot unmarshal",
+			list: static([]byte(`["` + valid + `"]`))},
+		{name: "never-ending body", want: "context deadline exceeded", timeout: 300 * time.Millisecond,
+			list: func(w http.ResponseWriter, r *http.Request) {
+				w.Write([]byte(`{"fingerprints":[`))
+				for r.Context().Err() == nil {
+					w.Write([]byte(`"` + valid + `",`))
+					w.(http.Flusher).Flush()
+					time.Sleep(time.Millisecond)
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			mux := http.NewServeMux()
+			mux.HandleFunc("GET /v1/fleet/fingerprints", tc.list)
+			mux.HandleFunc("GET /v1/workloads/{fingerprint}", NewPeer(newFakeStore(valid), Options{}).handleExport)
+			counted, _, exports := countRoutes(mux)
+			srv := httptest.NewServer(counted)
+			client := &http.Client{Transport: &http.Transport{}}
+
+			follower := newFakeStore()
+			p := NewPeer(follower, Options{Client: client})
+			if tc.timeout == 0 {
+				tc.timeout = time.Minute
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), tc.timeout)
+			rs, err := p.ReconcileOnce(ctx, srv.URL)
+			cancel()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("round error %v, want %q", err, tc.want)
+			}
+			if rs != (RoundStats{}) || exports.Load() != 0 || len(follower.imported) != 0 {
+				t.Fatalf("round went on after a hostile list: %+v, %d export requests, imported %v",
+					rs, exports.Load(), follower.imported)
+			}
+			st := p.Stats()
+			if st.Rounds != 0 || len(st.Peers) != 1 || st.Peers[0].Failures != 1 || st.Peers[0].LastError == "" {
+				t.Fatalf("failure not tracked: %+v", st)
+			}
+			if p.peerDue(srv.URL, time.Now()) {
+				t.Fatal("peer not in backoff after a hostile list")
+			}
+
+			client.CloseIdleConnections()
+			srv.Close()
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines before the round, %d after", before, runtime.NumGoroutine())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }
 
 // TestReconcileClassifiesImportErrors: verification failures are
 // rejections, dependency gaps are skips, and neither aborts the round.
 func TestReconcileClassifiesImportErrors(t *testing.T) {
-	leader := newFakeStore("vnn1-good", "vnn1-corrupt", "vnnm1-orphan")
+	good, corrupt, orphan := fpOf(compilePrefix, "good"), fpOf(compilePrefix, "corrupt"), fpOf(monitorPrefix, "orphan")
+	leader := newFakeStore(good, corrupt, orphan)
 	follower := newFakeStore()
-	follower.importErr["vnn1-corrupt"] = fmt.Errorf("checksum: %w", ErrVerify)
-	follower.importErr["vnnm1-orphan"] = fmt.Errorf("needs workload: %w", ErrDependency)
+	follower.importErr[corrupt] = fmt.Errorf("checksum: %w", ErrVerify)
+	follower.importErr[orphan] = fmt.Errorf("needs workload: %w", ErrDependency)
 	_, srv := serve(t, leader)
 
 	p := NewPeer(follower, Options{})
@@ -221,7 +325,7 @@ func TestReconcileClassifiesImportErrors(t *testing.T) {
 	if rs.Pulled != 1 || rs.Rejected != 1 || rs.Skipped != 1 {
 		t.Fatalf("round stats %+v, want 1/1/1", rs)
 	}
-	if !follower.has("vnn1-good") || follower.has("vnn1-corrupt") {
+	if !follower.has(good) || follower.has(corrupt) {
 		t.Fatal("wrong entries imported")
 	}
 	if st := p.Stats(); st.PullRejected != 1 || st.PullSkipped != 1 {
@@ -233,7 +337,8 @@ func TestReconcileClassifiesImportErrors(t *testing.T) {
 // and a draining leader answers 503 (no new inserts after drain
 // starts, in either direction).
 func TestReconcileDrain(t *testing.T) {
-	leader := newFakeStore("vnn1-x")
+	x := fpOf(compilePrefix, "x")
+	leader := newFakeStore(x)
 	follower := newFakeStore()
 	_, srv := serve(t, leader)
 
@@ -248,7 +353,7 @@ func TestReconcileDrain(t *testing.T) {
 	if _, err := p.ReconcileOnce(context.Background(), srv.URL); err == nil {
 		t.Fatal("round against a draining leader succeeded")
 	}
-	if follower.has("vnn1-x") {
+	if follower.has(x) {
 		t.Fatal("entry imported from a draining leader")
 	}
 
@@ -257,7 +362,7 @@ func TestReconcileDrain(t *testing.T) {
 	if _, err := p.ReconcileOnce(context.Background(), srv.URL); err != nil {
 		t.Fatal(err)
 	}
-	if !follower.has("vnn1-x") {
+	if !follower.has(x) {
 		t.Fatal("entry not pulled after drain lifted")
 	}
 }
@@ -266,7 +371,9 @@ func TestReconcileDrain(t *testing.T) {
 // before monitor entries within one round, so monitor dependencies
 // resolve in a single pass.
 func TestReconcileOrdersCompilesFirst(t *testing.T) {
-	leader := newFakeStore("vnnm1-mon-b", "vnn1-net-a", "vnnm1-mon-a", "vnn1-net-b")
+	netA, netB := fpOf(compilePrefix, "net-a"), fpOf(compilePrefix, "net-b")
+	monA, monB := fpOf(monitorPrefix, "mon-a"), fpOf(monitorPrefix, "mon-b")
+	leader := newFakeStore(monB, netA, monA, netB)
 	follower := newFakeStore()
 	_, srv := serve(t, leader)
 
@@ -274,7 +381,7 @@ func TestReconcileOrdersCompilesFirst(t *testing.T) {
 	if _, err := p.ReconcileOnce(context.Background(), srv.URL); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"vnn1-net-a", "vnn1-net-b", "vnnm1-mon-a", "vnnm1-mon-b"}
+	want := []string{netA, netB, monA, monB}
 	if len(follower.imported) != len(want) {
 		t.Fatalf("imported %v, want %v", follower.imported, want)
 	}
@@ -289,8 +396,9 @@ func TestReconcileOrdersCompilesFirst(t *testing.T) {
 // a different fingerprint than the one requested is rejected before
 // ImportEntry ever runs.
 func TestPullVerifiesClaimedFingerprint(t *testing.T) {
-	leader := newFakeStore("vnn1-honest")
-	leader.entries["vnn1-honest"].Fingerprint = "vnn1-liar"
+	honest := fpOf(compilePrefix, "honest")
+	leader := newFakeStore(honest)
+	leader.entries[honest].Fingerprint = fpOf(compilePrefix, "liar")
 	follower := newFakeStore()
 	_, srv := serve(t, leader)
 
@@ -310,7 +418,8 @@ func TestPullVerifiesClaimedFingerprint(t *testing.T) {
 // TestRunLoopConvergesAndBacksOff: the loop replicates within a few
 // jittered intervals, and a dead peer does not wedge it.
 func TestRunLoopConvergesAndBacksOff(t *testing.T) {
-	leader := newFakeStore(fps("loop", 3)...)
+	loop := fps("loop", 3)
+	leader := newFakeStore(loop...)
 	follower := newFakeStore()
 	_, srv := serve(t, leader)
 
@@ -321,7 +430,7 @@ func TestRunLoopConvergesAndBacksOff(t *testing.T) {
 
 	deadline := time.After(10 * time.Second)
 	for {
-		if follower.has("vnn1-loop0002") && follower.has("vnn1-loop0000") {
+		if follower.has(loop[2]) && follower.has(loop[0]) {
 			break
 		}
 		select {
@@ -354,10 +463,10 @@ func TestRunLoopConvergesAndBacksOff(t *testing.T) {
 
 // TestReconcileTracePropagation is the cross-node trace contract: one
 // reconcile round on the follower leaves ONE distributed trace whose
-// id also addresses the serving peer's recorder — the symbols, resolve
-// and per-entry export calls all carry the round's traceparent, and
-// the serving side records each as a segment naming the follower's
-// root span as its parent.
+// id also addresses the serving peer's recorder — the list and
+// per-entry export calls all carry the round's traceparent, and the
+// serving side records each as a segment naming the follower's root
+// span as its parent.
 func TestReconcileTracePropagation(t *testing.T) {
 	leader := newFakeStore(fps("traced", 3)...)
 	follower := newFakeStore()
@@ -389,19 +498,18 @@ func TestReconcileTracePropagation(t *testing.T) {
 	}
 	rootSpan := round.JSON().SpanID
 
-	// The symbols handler finishes asynchronously: it keeps producing
-	// coded symbols until a write to the closed connection fails, which
-	// can land after ReconcileOnce returns on the pulling side.
+	// A handler finishes its segment after the response is written, so
+	// the last export's can land just after ReconcileOnce returns.
 	var segs []*obs.Trace
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		segs = recLeader.Segments(tid)
-		if len(segs) >= 5 || time.Now().After(deadline) { // symbols + resolve + 3 exports
+		if len(segs) >= 4 || time.Now().After(deadline) { // list + 3 exports
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if len(segs) < 5 {
-		t.Fatalf("leader recorded %d segments of trace %s, want 5", len(segs), tid)
+	if len(segs) != 4 {
+		t.Fatalf("leader recorded %d segments of trace %s, want 4", len(segs), tid)
 	}
 	routes := map[string]int{}
 	for _, seg := range segs {
@@ -417,8 +525,8 @@ func TestReconcileTracePropagation(t *testing.T) {
 		}
 		routes[doc.Route]++
 	}
-	if routes["fleet.symbols"] != 1 || routes["fleet.resolve"] != 1 || routes["fleet.export"] != 3 {
-		t.Fatalf("segment routes = %v, want 1 symbols, 1 resolve, 3 exports", routes)
+	if routes["fleet.list"] != 1 || routes["fleet.export"] != 3 {
+		t.Fatalf("segment routes = %v, want 1 list, 3 exports", routes)
 	}
 
 	// Without a recorder on the pulling side no traceparent is minted,

@@ -1,10 +1,7 @@
 package vnnfleet
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,8 +15,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/riblt"
-	"repro/pkg/vnn"
 )
 
 // Options tune a Peer. The zero value is serviceable.
@@ -28,9 +23,6 @@ type Options struct {
 	// is jittered to ±50% so a fleet booted together does not
 	// synchronize its rounds.
 	Interval time.Duration
-	// MaxSymbols caps coded symbols per round in each direction
-	// (default 65536 ≈ 3 MiB; a round needs ~1.4·|difference|).
-	MaxSymbols int
 	// RoundTimeout bounds one ReconcileOnce call in the loop
 	// (default 2m).
 	RoundTimeout time.Duration
@@ -41,8 +33,8 @@ type Options struct {
 	// per-round deadlines come from the context).
 	Client *http.Client
 	// Recorder, when set, records one flight-recorder trace per
-	// ReconcileOnce round (route "fleet.reconcile") with symbol/resolve/
-	// pull phases. Nil disables tracing.
+	// ReconcileOnce round (route "fleet.reconcile") with list and pull
+	// phases. Nil disables tracing.
 	Recorder *obs.Recorder
 	// Latency, when set, observes each round's wall time in nanoseconds.
 	// Nil disables the histogram.
@@ -52,9 +44,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Interval <= 0 {
 		o.Interval = 30 * time.Second
-	}
-	if o.MaxSymbols <= 0 {
-		o.MaxSymbols = defaultMaxSymbols
 	}
 	if o.RoundTimeout <= 0 {
 		o.RoundTimeout = 2 * time.Minute
@@ -79,13 +68,11 @@ type Peer struct {
 	store Store
 	opts  Options
 
-	rounds          atomic.Int64
-	symbolsSent     atomic.Int64
-	symbolsReceived atomic.Int64
-	entriesPulled   atomic.Int64
-	entriesPushed   atomic.Int64
-	pullRejected    atomic.Int64
-	pullSkipped     atomic.Int64
+	rounds        atomic.Int64
+	entriesPulled atomic.Int64
+	entriesPushed atomic.Int64
+	pullRejected  atomic.Int64
+	pullSkipped   atomic.Int64
 
 	mu    sync.Mutex
 	peers map[string]*peerState
@@ -108,24 +95,19 @@ func NewPeer(store Store, opts Options) *Peer {
 
 // RoundStats reports what one reconcile round did.
 type RoundStats struct {
-	// SymbolsReceived is the coded symbols consumed before decoding.
-	SymbolsReceived int
-	// Decoded reports whether the stream fully decoded (false means
-	// the symbol cap tripped; whatever was peeled was still pulled).
-	Decoded bool
-	// Missing is the number of remote-only entries decoded; Pulled of
-	// them were fetched, verified and inserted, Skipped vanished
-	// upstream before the pull (or need a dependency), Rejected failed
-	// verification.
+	// Missing is the number of entries the peer lists and this node
+	// lacks; Pulled of them were fetched, verified and inserted, Skipped
+	// vanished upstream before the pull (or need a dependency), Rejected
+	// failed verification.
 	Missing, Pulled, Skipped, Rejected int
 }
 
 // ReconcileOnce runs one pull round against the peer at base (e.g.
-// "http://10.0.0.2:8419"): stream coded symbols until the local
-// decoder finishes, resolve the missing hashes, pull and import each
-// missing entry (compiles before monitors, so monitor imports find
-// their workload). Partial progress is normal: eviction races and
-// dependency gaps are skips, not errors.
+// "http://10.0.0.2:8419"): fetch the peer's fingerprint list, diff it
+// against the local set, pull and import each missing entry (compiles
+// before monitors, so monitor imports find their workload). Partial
+// progress is normal: eviction races and dependency gaps are skips,
+// not errors.
 func (p *Peer) ReconcileOnce(ctx context.Context, base string) (RoundStats, error) {
 	var rs RoundStats
 	if p.store.Draining() {
@@ -144,49 +126,37 @@ func (p *Peer) ReconcileOnce(ctx context.Context, base string) (RoundStats, erro
 		}
 	}()
 
-	dec := riblt.NewDecoder()
-	local := make(map[string]bool)
-	for _, fp := range p.store.FleetFingerprints() {
-		dec.AddSymbol(riblt.Symbol(vnn.FingerprintSetHash(fp)))
-		local[fp] = true
-	}
-
-	symSpan := root.Child("symbols")
-	err := p.streamSymbols(ctx, base, tr, dec, &rs)
-	symSpan.SetAttr("received", rs.SymbolsReceived)
-	symSpan.SetAttr("decoded", rs.Decoded)
-	symSpan.End()
+	listSpan := root.Child("list")
+	remote, err := p.list(ctx, base, tr)
+	listSpan.SetAttr("received", len(remote))
+	listSpan.End()
 	if err != nil {
 		p.noteRound(base, err)
 		return rs, err
 	}
 	p.rounds.Add(1)
 
-	remote := dec.Remote()
-	rs.Missing = len(remote)
+	// seen starts as the local set and grows with each missing entry, so
+	// a fingerprint the peer lists twice is pulled once.
+	seen := make(map[string]bool)
+	for _, fp := range p.store.FleetFingerprints() {
+		seen[fp] = true
+	}
+	var fps []string
+	for _, fp := range remote {
+		if !seen[fp] {
+			seen[fp] = true
+			fps = append(fps, fp)
+		}
+	}
+	rs.Missing = len(fps)
 	root.SetAttr("missing", rs.Missing)
-	if len(remote) == 0 {
-		p.noteRound(base, nil)
-		return rs, nil
-	}
-
-	resolveSpan := root.Child("resolve")
-	fps, err := p.resolve(ctx, base, tr, remote)
-	resolveSpan.SetAttr("resolved", len(fps))
-	resolveSpan.End()
-	if err != nil {
-		p.noteRound(base, err)
-		return rs, err
-	}
-	// Hashes the peer no longer recognizes (entries evicted since its
-	// sketch snapshot) are skips.
-	rs.Skipped += len(remote) - len(fps)
 
 	// Compiles strictly before monitors: a monitor import requires its
 	// compile workload to be cached. Lexicographic within a kind keeps
 	// rounds deterministic.
 	sort.Slice(fps, func(i, j int) bool {
-		ci, cj := strings.HasPrefix(fps[i], "vnn1-"), strings.HasPrefix(fps[j], "vnn1-")
+		ci, cj := strings.HasPrefix(fps[i], compilePrefix), strings.HasPrefix(fps[j], compilePrefix)
 		if ci != cj {
 			return ci
 		}
@@ -196,9 +166,6 @@ func (p *Peer) ReconcileOnce(ctx context.Context, base string) (RoundStats, erro
 	pullSpan := root.Child("pull")
 	defer pullSpan.End()
 	for _, fp := range fps {
-		if local[fp] {
-			continue // set-hash collision or duplicate; nothing to pull
-		}
 		entrySpan := pullSpan.Child(fp)
 		err := p.pullOne(ctx, base, tr, fp)
 		switch {
@@ -238,83 +205,62 @@ func propagate(req *http.Request, tr *obs.Trace) {
 	}
 }
 
-// streamSymbols consumes the peer's coded-symbol stream into dec until
-// it decodes or the cap trips. Closing the response body early is the
-// signal the serving side keys off to stop producing.
-func (p *Peer) streamSymbols(ctx context.Context, base string, tr *obs.Trace, dec *riblt.Decoder, rs *RoundStats) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/fleet/reconcile", nil)
-	if err != nil {
-		return err
+// Fingerprint namespaces the fleet replicates: compile workloads and
+// built-monitor content hashes, each followed by 64 lowercase hex digits.
+const (
+	compilePrefix = "vnn1-"
+	monitorPrefix = "vnnm1-"
+)
+
+// validFingerprint reports whether fp is a replicable fingerprint: one
+// of the two prefixes plus a hex SHA-256.
+func validFingerprint(fp string) bool {
+	digest, ok := strings.CutPrefix(fp, compilePrefix)
+	if !ok {
+		digest, ok = strings.CutPrefix(fp, monitorPrefix)
 	}
-	propagate(req, tr)
-	resp, err := p.opts.Client.Do(req)
-	if err != nil {
-		return fmt.Errorf("reconcile %s: %w", base, err)
+	if !ok || len(digest) != 64 {
+		return false
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("reconcile %s: HTTP %d", base, resp.StatusCode)
-	}
-	br := bufio.NewReaderSize(resp.Body, flushStride*riblt.CodedSymbolSize)
-	frame := make([]byte, riblt.CodedSymbolSize)
-	for rs.SymbolsReceived < p.opts.MaxSymbols {
-		if _, err := io.ReadFull(br, frame); err != nil {
-			// EOF: the peer hit its own cap. Work with the partial decode.
-			break
-		}
-		c, err := riblt.DecodeCodedSymbol(frame)
-		if err != nil {
-			return err
-		}
-		dec.AddCodedSymbol(c)
-		rs.SymbolsReceived++
-		if dec.Decoded() {
-			rs.Decoded = true
-			break
+	for i := 0; i < len(digest); i++ {
+		if c := digest[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
 		}
 	}
-	p.symbolsReceived.Add(int64(rs.SymbolsReceived))
-	if rs.SymbolsReceived == 0 {
-		return fmt.Errorf("reconcile %s: empty symbol stream", base)
-	}
-	return nil
+	return true
 }
 
-// resolve maps decoded remote-only set hashes to fingerprint strings.
-func (p *Peer) resolve(ctx context.Context, base string, tr *obs.Trace, remote []riblt.Symbol) ([]string, error) {
-	hashes := make([]string, len(remote))
-	for i, s := range remote {
-		hashes[i] = hex.EncodeToString(s[:])
-	}
-	body, err := json.Marshal(resolveRequest{Hashes: hashes})
+// list fetches the peer's fingerprint list. It is outside input: the
+// body is size-capped, the entry count is capped, and one element off
+// the fingerprint grammar fails the whole round.
+func (p *Peer) list(ctx context.Context, base string, tr *obs.Trace) ([]string, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/fleet/fingerprints", nil)
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/fleet/resolve", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
 	propagate(req, tr)
 	resp, err := p.opts.Client.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("resolve %s: %w", base, err)
+		return nil, fmt.Errorf("list %s: %w", base, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("resolve %s: HTTP %d", base, resp.StatusCode)
+		return nil, fmt.Errorf("list %s: HTTP %d", base, resp.StatusCode)
 	}
-	var rr resolveResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		return nil, fmt.Errorf("resolve %s: %w", base, err)
+	var lr listResponse
+	if err := json.NewDecoder(http.MaxBytesReader(nil, resp.Body, maxListBytes)).Decode(&lr); err != nil {
+		return nil, fmt.Errorf("list %s: %w", base, err)
 	}
-	fps := make([]string, 0, len(rr.Fingerprints))
-	for _, fp := range rr.Fingerprints {
-		fps = append(fps, fp)
+	if len(lr.Fingerprints) > maxListEntries {
+		return nil, fmt.Errorf("list %s: %d fingerprints exceed the %d cap", base, len(lr.Fingerprints), maxListEntries)
 	}
-	return fps, nil
+	for _, fp := range lr.Fingerprints {
+		if !validFingerprint(fp) {
+			return nil, fmt.Errorf("list %s: %.80q is not a fingerprint", base, fp)
+		}
+	}
+	return lr.Fingerprints, nil
 }
 
 // pullOne fetches one workload export and imports it through the store.
@@ -435,12 +381,9 @@ type PeerStats struct {
 
 // Stats is the /metrics "fleet" block.
 type Stats struct {
-	// Rounds counts completed symbol exchanges initiated by this node.
+	// Rounds counts rounds initiated by this node whose fingerprint list
+	// arrived intact.
 	Rounds int64 `json:"rounds"`
-	// SymbolsSent/SymbolsReceived count coded symbols served to pulling
-	// peers and consumed from them.
-	SymbolsSent     int64 `json:"symbols_sent"`
-	SymbolsReceived int64 `json:"symbols_received"`
 	// EntriesPulled/EntriesPushed count artifacts imported from peers
 	// and exported to them.
 	EntriesPulled int64 `json:"entries_pulled"`
@@ -457,13 +400,11 @@ type Stats struct {
 // Stats snapshots the fleet counters.
 func (p *Peer) Stats() Stats {
 	s := Stats{
-		Rounds:          p.rounds.Load(),
-		SymbolsSent:     p.symbolsSent.Load(),
-		SymbolsReceived: p.symbolsReceived.Load(),
-		EntriesPulled:   p.entriesPulled.Load(),
-		EntriesPushed:   p.entriesPushed.Load(),
-		PullRejected:    p.pullRejected.Load(),
-		PullSkipped:     p.pullSkipped.Load(),
+		Rounds:        p.rounds.Load(),
+		EntriesPulled: p.entriesPulled.Load(),
+		EntriesPushed: p.entriesPushed.Load(),
+		PullRejected:  p.pullRejected.Load(),
+		PullSkipped:   p.pullSkipped.Load(),
 	}
 	p.mu.Lock()
 	for url, st := range p.peers {

@@ -687,21 +687,6 @@ func (r *Registry) Models() []ModelDoc {
 	return docs
 }
 
-// FindVersion returns a version by model name and sequence number.
-func (r *Registry) FindVersion(name string, seq int) (*Version, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.models[name]
-	if m == nil {
-		return nil, ErrUnknownModel
-	}
-	v, ok := m.version(seq)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s has no version %d", ErrUnknownVersion, name, seq)
-	}
-	return v, nil
-}
-
 // VersionMetric is the per-version slice of the registry's metrics block:
 // rollout state plus serving/monitor counters.
 type VersionMetric struct {

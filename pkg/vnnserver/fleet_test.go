@@ -184,7 +184,6 @@ func corruptingProxy(t *testing.T, target string) *httptest.Server {
 		t.Fatal(err)
 	}
 	rp := httputil.NewSingleHostReverseProxy(tu)
-	rp.FlushInterval = -1 // pass the coded-symbol stream through live
 	rp.ModifyResponse = func(resp *http.Response) error {
 		if !strings.HasPrefix(resp.Request.URL.Path, "/v1/workloads/") {
 			return nil
@@ -269,13 +268,13 @@ func TestFleetDrain(t *testing.T) {
 
 	// A draining node's fleet endpoints answer 503.
 	leader.Drain(0)
-	resp, err := http.Post(lts.URL+"/v1/fleet/reconcile", "application/octet-stream", nil)
+	resp, err := http.Get(lts.URL + "/v1/fleet/fingerprints")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining reconcile endpoint: HTTP %d, want 503", resp.StatusCode)
+		t.Fatalf("draining list endpoint: HTTP %d, want 503", resp.StatusCode)
 	}
 	resp, err = http.Get(fts.URL + "/v1/workloads/vnn1-anything")
 	if err != nil {

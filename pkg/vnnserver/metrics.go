@@ -48,8 +48,8 @@ type Metrics struct {
 	Falsifications  int64            `json:"falsifications"`
 	// Infer snapshots the online inference plane.
 	Infer InferStats `json:"infer"`
-	// Fleet snapshots the replication plane: reconcile rounds, coded
-	// symbols exchanged, entries pulled/pushed, per-peer last-sync.
+	// Fleet snapshots the replication plane: reconcile rounds,
+	// entries pulled/pushed, per-peer last-sync.
 	Fleet vnnfleet.Stats `json:"fleet"`
 	// Registry snapshots the verified-rollout plane: readiness, versions
 	// by lifecycle state, and per-version serving/monitor counters.
@@ -226,8 +226,6 @@ var metricTable = []metricRow{
 	{at: func(m *Metrics) any { return &m.Registry.Models }, prom: "vnnd_registry_models", help: "Registered models.", typ: gauge, merge: perNode, then: promModelVersions},
 
 	{at: func(m *Metrics) any { return &m.Fleet.Rounds }, prom: "vnnd_fleet_rounds_total", help: "Reconcile rounds initiated.", typ: counter},
-	{at: func(m *Metrics) any { return &m.Fleet.SymbolsSent }, prom: "vnnd_fleet_symbols_sent_total", help: "Coded symbols served to peers.", typ: counter},
-	{at: func(m *Metrics) any { return &m.Fleet.SymbolsReceived }, prom: "vnnd_fleet_symbols_received_total", help: "Coded symbols consumed from peers.", typ: counter},
 	{at: func(m *Metrics) any { return &m.Fleet.EntriesPulled }, prom: "vnnd_fleet_entries_pulled_total", help: "Cache entries pulled from peers.", typ: counter},
 	{at: func(m *Metrics) any { return &m.Fleet.EntriesPushed }, prom: "vnnd_fleet_entries_pushed_total", help: "Cache entries exported to peers.", typ: counter},
 	{at: func(m *Metrics) any { return &m.Fleet.PullRejected }, prom: "vnnd_fleet_pull_rejected_total", help: "Pulled entries failing verification.", typ: counter},

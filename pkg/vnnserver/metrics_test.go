@@ -67,7 +67,7 @@ func goldenDoc() Metrics {
 			Shards: []InferShardStats{{Batches: 406, Inputs: 407}, {Batches: 408, Inputs: 409}},
 		},
 		Fleet: vnnfleet.Stats{
-			Rounds: 501, SymbolsSent: 502, SymbolsReceived: 503, EntriesPulled: 504,
+			Rounds: 501, EntriesPulled: 504,
 			EntriesPushed: 505, PullRejected: 506, PullSkipped: 507,
 			Peers: []vnnfleet.PeerStats{{URL: "http://peer:1", Rounds: 508, Failures: 509, LastSyncMS: &lastSync}},
 		},
@@ -174,8 +174,7 @@ func doubledDoc() Metrics {
 			Monitors: 2 * m.Infer.Monitors, Workloads: 2 * m.Infer.Workloads,
 		},
 		Fleet: vnnfleet.Stats{
-			Rounds: 2 * m.Fleet.Rounds, SymbolsSent: 2 * m.Fleet.SymbolsSent,
-			SymbolsReceived: 2 * m.Fleet.SymbolsReceived, EntriesPulled: 2 * m.Fleet.EntriesPulled,
+			Rounds: 2 * m.Fleet.Rounds, EntriesPulled: 2 * m.Fleet.EntriesPulled,
 			EntriesPushed: 2 * m.Fleet.EntriesPushed, PullRejected: 2 * m.Fleet.PullRejected,
 			PullSkipped: 2 * m.Fleet.PullSkipped,
 		},

@@ -147,6 +147,39 @@ func TestVerifyTraceSpanTree(t *testing.T) {
 	if len(cache2.Children) != 0 {
 		t.Fatalf("cache hit grew a compile span: %+v", cache2.Children)
 	}
+
+	// The compile span is this compile's own account: one tightening pass
+	// and one prefix encoding per hidden layer plus the final one above;
+	// an untightened compile of the same network afterwards reports no
+	// tightening at all, whatever the process did before it.
+	passes := func(sp *obs.SpanJSON) [2]float64 {
+		tp, _ := sp.Attrs["tighten_passes"].(float64)
+		ep, _ := sp.Attrs["encode_passes"].(float64)
+		return [2]float64{tp, ep}
+	}
+	if got, want := passes(compile), [2]float64{1, float64(len(pred.Net.Layers))}; got != want {
+		t.Fatalf("tightened compile span passes (tighten, encode) = %v, want %v", got, want)
+	}
+	plain := verifyBody(t, pred.Net,
+		[]vnn.PropertySpec{{Kind: "max", Outputs: pred.MuLatOutputs()}},
+		vnnserver.QueryOptions{Workers: 1}, nil)
+	var vr3 vnnserver.VerifyResponse
+	if status := postVerify(t, ts.URL, plain, &vr3); status != http.StatusOK {
+		t.Fatalf("untightened verify: status %d", status)
+	}
+	cache3 := getTrace(t, ts.URL, vr3.ID).Root.Children[1]
+	if len(cache3.Children) != 1 || cache3.Children[0].Name != "compile" {
+		t.Fatalf("untightened request: cache children = %+v, want one compile span", cache3.Children)
+	}
+	compile3 := cache3.Children[0]
+	if got, want := passes(compile3), [2]float64{0, 1}; got != want {
+		t.Fatalf("untightened compile span passes (tighten, encode) = %v, want %v", got, want)
+	}
+	for _, sub := range compile3.Children {
+		if sub.Name == "tighten" && sub.DurationUS != 0 {
+			t.Fatalf("untightened compile has a %v us tighten child", sub.DurationUS)
+		}
+	}
 }
 
 func slicesEqual(a, b []string) bool {

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/lp"
 	"repro/internal/obs"
-	"repro/internal/verify"
 	"repro/pkg/vnn"
 )
 
@@ -111,22 +110,23 @@ func (s *Server) budget(parent context.Context, timeoutMS int) (context.Context,
 // server drain can.
 //
 // The compile span attributes the pass to LP tightening vs MILP encoding
-// from internal/verify's process-wide phase clocks. The deltas are read
-// around this compile only; concurrent compiles in other requests can
-// inflate them (they are attribution hints, not exact sub-timers), so
-// each child is clamped to the span's own duration.
+// from the durations and pass counts this compile measured on itself
+// (vnn.CompilePhases), so no other request's compile shows up in it.
 func (s *Server) compiled(ctx context.Context, root *obs.Span, wl *workload, opts vnn.Options) (*vnn.CompiledNetwork, bool, error) {
 	cacheSpan := root.Child("cache")
 	cn, hit, err := s.cache.GetOrCompile(ctx, wl.fingerprint, func() (*vnn.CompiledNetwork, error) {
 		sp := cacheSpan.Child("compile")
-		t0, e0 := verify.TightenNanos(), verify.EncodeNanos()
 		buildStart := time.Now()
 		cn, err := vnn.Compile(s.queryCtx, wl.net, wl.region, opts)
 		wall := time.Since(buildStart)
-		sp.ChildTimed("tighten", min(wall, time.Duration(verify.TightenNanos()-t0)))
-		sp.ChildTimed("encode", min(wall, time.Duration(verify.EncodeNanos()-e0)))
-		sp.SetAttr("tighten_passes", verify.TightenPasses())
-		sp.SetAttr("encode_passes", verify.EncodePasses())
+		var ph vnn.CompilePhases // stays zero when the compile failed
+		if err == nil {
+			ph = cn.CompilePhases()
+		}
+		sp.ChildTimed("tighten", ph.Tighten)
+		sp.ChildTimed("encode", ph.Encode)
+		sp.SetAttr("tighten_passes", ph.TightenPasses)
+		sp.SetAttr("encode_passes", ph.EncodePasses)
 		sp.End()
 		s.obs.hist[hCompile].Observe(int64(wall))
 		return cn, err
