@@ -71,7 +71,7 @@ var suiteSets = map[string]struct {
 }{
 	"infer": {"bench-infer/v1", []suite{
 		{pkg: "./internal/linalg/", bench: "BenchmarkMatVec|BenchmarkMatVecDot|BenchmarkMatMulTB"},
-		{pkg: "./internal/nn/", bench: "BenchmarkForwardInto|BenchmarkForwardBatchInto|BenchmarkForward$"},
+		{pkg: "./internal/nn/", bench: "BenchmarkForwardBatchInto|BenchmarkForward$"},
 		{pkg: "./internal/obs/", bench: "BenchmarkObserve"},
 		{pkg: "./pkg/vnnserver/", bench: "BenchmarkInferHTTP"},
 	}},
@@ -195,7 +195,7 @@ var sequentialBench = regexp.MustCompile(`/workers1$`)
 
 // benchLine matches one `go test -bench` result line, e.g.
 //
-//	BenchmarkForwardInto-4  1000  1292 ns/op  68123 inputs/s  0 B/op  0 allocs/op
+//	BenchmarkInferHTTP-4  1000  622470 ns/op  102831 inputs/s  65536 B/op  1107 allocs/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(.*)$`)
 
 func runSuites(suites []suite, benchtime string, count int) ([]Result, error) {

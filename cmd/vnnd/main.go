@@ -104,8 +104,9 @@
 //
 // The service does not only certify networks — it runs them. POST
 // /v1/infer evaluates a batch of inputs on the blocked serving kernels
-// (predictions bit-identical to nn.ForwardInto, deterministic across
-// runs and worker counts; see DESIGN.md "Kernel layer") plus, when
+// (predictions bit-identical to nn.ForwardBatchInto however the inputs
+// are batched, deterministic across runs and worker counts; see
+// DESIGN.md "Kernel layer") plus, when
 // "monitor" is present, a per-input runtime verdict: an
 // activation-pattern monitor is built from the given dataset against the
 // compiled network's proven pre-activation bounds (patterns the bounds

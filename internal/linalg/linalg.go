@@ -56,14 +56,6 @@ func Scale(alpha float64, x []float64) {
 	scaleGo(alpha, x)
 }
 
-// Copy copies src into dst and panics on length mismatch.
-func Copy(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("linalg: Copy length mismatch %d != %d", len(dst), len(src)))
-	}
-	copy(dst, src)
-}
-
 // Clone returns a newly allocated copy of x.
 func Clone(x []float64) []float64 {
 	out := make([]float64, len(x))
@@ -133,92 +125,6 @@ func AddOuter(a [][]float64, alpha float64, x, y []float64) {
 	for i, row := range a {
 		Axpy(alpha*x[i], y, row)
 	}
-}
-
-// NormInf returns max_i |x_i|, or 0 for an empty slice.
-func NormInf(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Norm1 returns the sum of absolute values of x.
-func Norm1(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// ArgMax returns the index of the largest element of x, or -1 when empty.
-// Ties resolve to the lowest index.
-func ArgMax(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(x); i++ {
-		if x[i] > x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the smallest element of x, or -1 when empty.
-func ArgMin(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(x); i++ {
-		if x[i] < x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// Sum returns the sum of the elements of x.
-func Sum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of x, or 0 for an empty slice.
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return Sum(x) / float64(len(x))
-}
-
-// Clamp returns v limited to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // AllFinite reports whether every element of x is finite (not NaN or ±Inf).

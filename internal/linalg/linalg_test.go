@@ -92,38 +92,6 @@ func TestAddOuter(t *testing.T) {
 	}
 }
 
-func TestNorms(t *testing.T) {
-	x := []float64{3, -4}
-	if NormInf(x) != 4 {
-		t.Fatalf("NormInf = %g", NormInf(x))
-	}
-	if Norm2(x) != 5 {
-		t.Fatalf("Norm2 = %g", Norm2(x))
-	}
-	if Norm1(x) != 7 {
-		t.Fatalf("Norm1 = %g", Norm1(x))
-	}
-}
-
-func TestArgMaxMin(t *testing.T) {
-	x := []float64{2, 7, 7, -1}
-	if ArgMax(x) != 1 {
-		t.Fatalf("ArgMax tie should take lowest index, got %d", ArgMax(x))
-	}
-	if ArgMin(x) != 3 {
-		t.Fatalf("ArgMin = %d", ArgMin(x))
-	}
-	if ArgMax(nil) != -1 || ArgMin(nil) != -1 {
-		t.Fatal("empty slices should return -1")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Fatal("Clamp broken")
-	}
-}
-
 func TestAllFinite(t *testing.T) {
 	if !AllFinite([]float64{1, 2}) {
 		t.Fatal("finite slice reported non-finite")
@@ -173,17 +141,5 @@ func TestQuickAxpyLinearity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSumMean(t *testing.T) {
-	if Sum([]float64{1, 2, 3}) != 6 {
-		t.Fatal("Sum")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Fatal("Mean")
-	}
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil)")
 	}
 }

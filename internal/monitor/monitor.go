@@ -25,9 +25,11 @@
 //     machines yields byte-identical marshals and fingerprints, and the
 //     same input always yields the same verdict.
 //
-// The hot path is allocation-free: CheckInto fuses the monitored forward
-// pass with nn.ForwardObserved, so one pass produces both the prediction
-// and the verdict using only caller-provided (poolable) scratch.
+// There is one monitored forward pass, CheckBatchInto (a single input is
+// a batch of one): it fuses the pattern check into nn.ForwardBatchObserved,
+// so one pass produces both the predictions and the verdicts using only
+// caller-provided scratch, allocation-free in steady state. Build runs the
+// dataset through that same pass.
 package monitor
 
 import (
@@ -140,6 +142,11 @@ func (ps *patternSet) add(pat []byte) bool {
 	return true
 }
 
+// row returns input i's pattern within a batch pattern buffer of this set.
+func (ps *patternSet) row(buf []byte, i int) []byte {
+	return buf[i*ps.nbytes : (i+1)*ps.nbytes]
+}
+
 // distance returns the Hamming distance from pat to the nearest stored
 // pattern, or neurons+1 when the set is empty. Exact matches short-circuit
 // through the index (the common case on in-distribution traffic) without
@@ -178,8 +185,8 @@ func (ps *patternSet) distance(pat []byte, w []uint64) int {
 }
 
 // Monitor is an immutable activation-pattern monitor bound to one
-// network. It is safe for concurrent use: Check and CheckInto only read
-// the pattern sets (per-call state lives in the caller's Scratch).
+// network. It is safe for concurrent use: checks only read the pattern
+// sets (per-call state lives in the caller's BatchScratch).
 type Monitor struct {
 	net    *nn.Network
 	gamma  int
@@ -188,6 +195,10 @@ type Monitor struct {
 	sets   []*patternSet
 	stats  BuildStats
 }
+
+// buildChunk is how many dataset rows Build sends through the serving
+// pass at once.
+const buildChunk = 64
 
 // Build constructs a monitor for net from the activation patterns the
 // dataset exercises. preBounds, when non-nil, are the proven
@@ -246,21 +257,29 @@ func Build(net *nn.Network, data [][]float64, preBounds [][]bounds.Interval, opt
 		}
 	}
 
-	sc := m.NewScratch()
-	dst := make([]float64, net.OutputDim())
 	dim := net.InputDim()
 	for i, x := range data {
 		if len(x) != dim {
 			return nil, fmt.Errorf("monitor: data row %d has dimension %d, network input %d", i, len(x), dim)
 		}
-		m.observeInto(sc, dst, x)
-		m.stats.Inputs++
-		if preBounds != nil && m.unreachable(sc, preBounds) {
-			m.stats.Rejected++
-			continue
-		}
-		for s := range m.sets {
-			m.sets[s].add(sc.pat[s])
+	}
+	// The dataset goes through the serving pass itself, a chunk at a time;
+	// batch-split invariance makes the chunk size unobservable, and rows
+	// are admitted in dataset order, so insertion order is the dataset's.
+	var sc BatchScratch
+	dst := linalg.NewMatrix(min(buildChunk, len(data)), net.OutputDim())
+	m.stats.Inputs = len(data)
+	for lo := 0; lo < len(data); lo += buildChunk {
+		xs := data[lo:min(lo+buildChunk, len(data))]
+		m.observeBatch(dst[:len(xs)], &sc, xs)
+		for i := range xs {
+			if preBounds != nil && m.unreachable(&sc, i, preBounds) {
+				m.stats.Rejected++
+				continue
+			}
+			for s, set := range m.sets {
+				set.add(set.row(sc.pat[s], i))
+			}
 		}
 	}
 	m.stats.Patterns = make([]int, len(m.sets))
@@ -275,14 +294,15 @@ func Build(net *nn.Network, data [][]float64, preBounds [][]bounds.Interval, opt
 	return m, nil
 }
 
-// unreachable reports whether the pattern currently held in sc contradicts
-// the proven pre-activation bounds: a neuron recorded active although its
-// interval proves z ≤ 0 everywhere in the region, or recorded inactive
-// although the interval proves z > 0.
-func (m *Monitor) unreachable(sc *Scratch, preBounds [][]bounds.Interval) bool {
+// unreachable reports whether the pattern of input i of the batch held in
+// sc contradicts the proven pre-activation bounds: a neuron recorded
+// active although its interval proves z ≤ 0 everywhere in the region, or
+// recorded inactive although the interval proves z > 0.
+func (m *Monitor) unreachable(sc *BatchScratch, i int, preBounds [][]bounds.Interval) bool {
 	for s, li := range m.layers {
+		pat := m.sets[s].row(sc.pat[s], i)
 		for j, iv := range preBounds[li] {
-			active := sc.pat[s][j/8]&(1<<(j%8)) != 0
+			active := pat[j/8]&(1<<(j%8)) != 0
 			if active && iv.Hi <= 0 {
 				return true
 			}
@@ -319,178 +339,91 @@ func (m *Monitor) PatternCount() int {
 	return n
 }
 
-// Scratch is the per-call state of one checking goroutine: the forward
-// scratch, the observed pattern buffers, and the prebuilt observation
-// hook. A Scratch must not be shared between concurrent calls; servers
-// pool them.
-type Scratch struct {
-	m       *Monitor
-	fwd     *nn.Scratch
-	pat     [][]byte
-	wpat    [][]uint64
-	observe func(layer int, pre []float64)
-}
-
-// NewScratch allocates check state for this monitor.
-func (m *Monitor) NewScratch() *Scratch {
-	sc := &Scratch{
-		m:    m,
-		fwd:  m.net.NewScratch(),
-		pat:  make([][]byte, len(m.sets)),
-		wpat: make([][]uint64, len(m.sets)),
-	}
-	for s, set := range m.sets {
-		sc.pat[s] = make([]byte, set.nbytes)
-		sc.wpat[s] = make([]uint64, set.nwords)
-	}
-	sc.observe = func(layer int, pre []float64) {
-		s := sc.m.slot[layer]
-		if s < 0 {
-			return
-		}
-		buf := sc.pat[s]
-		for i := range buf {
-			buf[i] = 0
-		}
-		for j, z := range pre {
-			if z > 0 {
-				buf[j/8] |= 1 << (j % 8)
-			}
-		}
-	}
-	return sc
-}
-
-// observeInto runs the fused forward pass, leaving the prediction in dst
-// and the per-layer pattern in sc.pat. Zero allocations.
-func (m *Monitor) observeInto(sc *Scratch, dst []float64, x []float64) {
-	m.net.ForwardObserved(dst, sc.fwd, x, sc.observe)
-}
-
-// verdict classifies the pattern currently held in sc.
-func (m *Monitor) verdict(sc *Scratch) Verdict {
-	maxDist, maxLayer := 0, m.layers[0]
-	for s, set := range m.sets {
-		d := set.distance(sc.pat[s], sc.wpat[s])
-		if d > m.gamma {
-			return Verdict{OK: false, Layer: m.layers[s], Distance: d}
-		}
-		if d > maxDist {
-			maxDist, maxLayer = d, m.layers[s]
-		}
-	}
-	return Verdict{OK: true, Layer: maxLayer, Distance: maxDist}
-}
-
-// CheckInto is the allocation-free serving path: one fused forward pass
-// writes the prediction into dst (length OutputDim) and returns the
-// monitoring verdict, using only the state in sc. The prediction is
-// bit-identical to nn.ForwardInto (the serving numerics; within
-// documented tolerance of nn.Forward — see DESIGN.md "Kernel layer").
-// sc must come from this monitor's NewScratch and must not be used
-// concurrently.
-func (m *Monitor) CheckInto(dst []float64, sc *Scratch, x []float64) Verdict {
-	if sc.m != m {
-		panic("monitor: CheckInto called with a Scratch from a different monitor")
-	}
-	m.observeInto(sc, dst, x)
-	return m.verdict(sc)
-}
-
-// Check classifies one input, allocating its own transient state — the
-// convenience form for tests and offline audits. Servers use CheckInto.
+// Check classifies one input as a batch of one, allocating its own
+// transient state — the convenience form for tests and offline use.
 func (m *Monitor) Check(x []float64) Verdict {
-	dst := make([]float64, m.net.OutputDim())
-	return m.CheckInto(dst, m.NewScratch(), x)
+	var v [1]Verdict
+	m.CheckBatchInto(linalg.NewMatrix(1, m.net.OutputDim()), new(BatchScratch), [][]float64{x}, v[:])
+	return v[0]
 }
 
-// BatchScratch is the per-goroutine state of the batched serving path:
-// the batched forward scratch plus per-layer pattern buffers for a whole
-// batch. Buffers grow to the largest batch seen and are then reused, so
-// steady-state batches allocate nothing. A BatchScratch must not be used
-// by two goroutines at once.
+// BatchScratch is the per-goroutine state of the serving path: the
+// forward scratch plus per-layer pattern buffers for a whole batch. It
+// holds buffers only — the zero value is ready to use and one
+// BatchScratch serves any monitor over any network — which grow to the
+// largest batch seen and are then reused, so steady-state batches
+// allocate nothing. A BatchScratch must not be used by two goroutines at
+// once.
 type BatchScratch struct {
-	m   *Monitor
-	fwd *nn.Scratch
+	// Forward is the forward-pass scratch; a lane that also serves
+	// unmonitored batches passes it to nn.ForwardBatchInto directly.
+	Forward nn.Scratch
 	// pat[s] holds the batch's patterns for monitored set s, input i at
 	// [i*nbytes, (i+1)*nbytes); wbuf is the shared word-form scratch.
-	pat   [][]byte
-	wbuf  []uint64
-	batch int
+	pat  [][]byte
+	wbuf []uint64
 }
 
-// NewBatchScratch allocates batched check state for this monitor.
-func (m *Monitor) NewBatchScratch() *BatchScratch {
-	sc := &BatchScratch{m: m, fwd: m.net.NewScratch(), pat: make([][]byte, len(m.sets))}
-	maxWords := 0
-	for _, set := range m.sets {
-		if set.nwords > maxWords {
-			maxWords = set.nwords
-		}
-	}
-	sc.wbuf = make([]uint64, maxWords)
-	return sc
-}
-
-// CheckBatchInto is the batched serving path: one layer-major forward
-// pass (nn.ForwardBatchObserved) produces predictions for every input of
-// the batch — each row bit-identical to CheckInto on that input — while
-// the observation hook records all activation patterns; the verdicts are
-// then classified in one tight pass over the pattern buffers, which
-// amortizes the per-input exact-hit map lookups into a single
-// cache-resident scan. dst and verdicts receive input i's prediction and
-// verdict; all three slices must be len(xs) long, and each dst row
-// OutputDim() long. sc must come from this monitor's NewBatchScratch and
-// must not be used concurrently.
-func (m *Monitor) CheckBatchInto(dst [][]float64, sc *BatchScratch, xs [][]float64, verdicts []Verdict) {
-	if sc.m != m {
-		panic("monitor: CheckBatchInto called with a BatchScratch from a different monitor")
-	}
-	if len(dst) != len(xs) || len(verdicts) != len(xs) {
-		panic(fmt.Sprintf("monitor: CheckBatchInto %d outputs and %d verdicts for %d inputs", len(dst), len(verdicts), len(xs)))
-	}
+// observeBatch runs the fused forward pass over xs, leaving the
+// predictions in dst and every input's per-layer pattern in sc.pat.
+func (m *Monitor) observeBatch(dst [][]float64, sc *BatchScratch, xs [][]float64) {
 	batch := len(xs)
-	if batch == 0 {
-		return
+	for len(sc.pat) < len(m.sets) {
+		sc.pat = append(sc.pat, nil)
 	}
-	if batch > sc.batch {
-		for s, set := range m.sets {
+	for s, set := range m.sets {
+		if cap(sc.pat[s]) < batch*set.nbytes {
 			sc.pat[s] = make([]byte, batch*set.nbytes)
 		}
-		sc.batch = batch
+		if cap(sc.wbuf) < set.nwords {
+			sc.wbuf = make([]uint64, set.nwords)
+		}
 	}
-	m.net.ForwardBatchObserved(dst, sc.fwd, xs, func(layer int, pre *linalg.Dense) {
+	m.net.ForwardBatchObserved(dst, &sc.Forward, xs, func(layer int, pre *linalg.Dense) {
 		s := m.slot[layer]
 		if s < 0 {
 			return
 		}
-		nb := m.sets[s].nbytes
-		buf := sc.pat[s]
-		for i := 0; i < batch*nb; i++ {
-			buf[i] = 0
-		}
+		set := m.sets[s]
+		buf := sc.pat[s][:batch*set.nbytes]
+		clear(buf)
 		for i := 0; i < pre.Rows; i++ {
-			row := pre.Row(i)
-			bs := buf[i*nb : (i+1)*nb]
-			for j, z := range row {
+			bs := set.row(buf, i)
+			for j, z := range pre.Row(i) {
 				if z > 0 {
 					bs[j/8] |= 1 << (j % 8)
 				}
 			}
 		}
 	})
+}
+
+// CheckBatchInto is the serving path: one layer-major forward pass
+// (nn.ForwardBatchObserved) produces predictions for every input of the
+// batch while the observation hook records all activation patterns; the
+// verdicts are then classified in one tight pass over the pattern
+// buffers, which amortizes the per-input exact-hit map lookups into a
+// single cache-resident scan. Predictions are bit-identical to
+// nn.ForwardBatchInto, and both they and the verdicts are batch-split
+// invariant: however a stream of inputs is cut into batches, input i gets
+// the same bits and the same verdict. dst and verdicts receive input i's
+// prediction and verdict; all three slices must be len(xs) long, and each
+// dst row OutputDim() long. sc must not be used concurrently.
+func (m *Monitor) CheckBatchInto(dst [][]float64, sc *BatchScratch, xs [][]float64, verdicts []Verdict) {
+	if len(dst) != len(xs) || len(verdicts) != len(xs) {
+		panic(fmt.Sprintf("monitor: CheckBatchInto %d outputs and %d verdicts for %d inputs", len(dst), len(verdicts), len(xs)))
+	}
+	m.observeBatch(dst, sc, xs)
 	for i := range xs {
-		verdicts[i] = m.batchVerdict(sc, i)
+		verdicts[i] = m.verdict(sc, i)
 	}
 }
 
-// batchVerdict classifies input i of the batch held in sc, with the same
-// tie-breaking as the single-input verdict.
-func (m *Monitor) batchVerdict(sc *BatchScratch, i int) Verdict {
+// verdict classifies input i of the batch held in sc.
+func (m *Monitor) verdict(sc *BatchScratch, i int) Verdict {
 	maxDist, maxLayer := 0, m.layers[0]
 	for s, set := range m.sets {
-		pat := sc.pat[s][i*set.nbytes : (i+1)*set.nbytes]
-		d := set.distance(pat, sc.wbuf[:set.nwords])
+		d := set.distance(set.row(sc.pat[s], i), sc.wbuf[:set.nwords])
 		if d > m.gamma {
 			return Verdict{OK: false, Layer: m.layers[s], Distance: d}
 		}
@@ -552,6 +485,12 @@ func Unmarshal(data []byte, net *nn.Network) (*Monitor, error) {
 	if doc.Gamma < 0 {
 		return nil, fmt.Errorf("monitor: gamma %d is negative", doc.Gamma)
 	}
+	// The build statistics are outside the fingerprint, so nothing
+	// downstream can catch a forged count; no build produces these (nor,
+	// below, more patterns in a layer than inputs were admitted).
+	if doc.Inputs < 0 || doc.Rejected < 0 || doc.Rejected > doc.Inputs {
+		return nil, fmt.Errorf("monitor: %d inputs with %d rejected is no build's statistics", doc.Inputs, doc.Rejected)
+	}
 	if len(doc.Layers) == 0 {
 		return nil, fmt.Errorf("monitor: document monitors no layers")
 	}
@@ -600,6 +539,9 @@ func Unmarshal(data []byte, net *nn.Network) (*Monitor, error) {
 				return nil, fmt.Errorf("monitor: layer %d pattern %q sets bits beyond its %d neurons", lj.Layer, h, lj.Neurons)
 			}
 			set.add(pat)
+		}
+		if len(set.pats) > doc.Inputs-doc.Rejected {
+			return nil, fmt.Errorf("monitor: layer %d stores %d patterns from %d admitted inputs", lj.Layer, len(set.pats), doc.Inputs-doc.Rejected)
 		}
 		m.slot[lj.Layer] = len(m.layers)
 		m.layers = append(m.layers, lj.Layer)

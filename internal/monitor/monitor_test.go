@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bounds"
+	"repro/internal/linalg"
 	"repro/internal/nn"
 )
 
@@ -27,6 +28,18 @@ func mustBuild(t *testing.T, net *nn.Network, data [][]float64, pre [][]bounds.I
 		t.Fatal(err)
 	}
 	return m
+}
+
+// randRows draws n rows of dim standard normals scaled by scale.
+func randRows(rng *rand.Rand, n, dim int, scale float64) [][]float64 {
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, dim)
+		for j := range rows[i] {
+			rows[i][j] = rng.NormFloat64() * scale
+		}
+	}
+	return rows
 }
 
 func TestExactMatchAndGammaRelaxation(t *testing.T) {
@@ -169,6 +182,26 @@ func TestUnmarshalRejectsPaddingBits(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsForgedStats: inputs and rejected sit outside the
+// fingerprint, so the decoder is the only place a peer that forges them
+// can be stopped (monitor_rejected is echoed in every infer reply).
+func TestUnmarshalRejectsForgedStats(t *testing.T) {
+	net := signNet()
+	for _, tc := range []struct{ name, stats string }{
+		{"negative inputs", `"inputs":-1,"rejected":0`},
+		{"negative rejected", `"inputs":1,"rejected":-1`},
+		{"both negative", `"inputs":-5,"rejected":-7`},
+		{"rejected exceeds inputs", `"inputs":1,"rejected":2`},
+		{"a pattern from no admitted input", `"inputs":3,"rejected":3`},
+		{"no inputs at all", `"inputs":0,"rejected":0`},
+	} {
+		doc := []byte(`{"version":1,"gamma":0,` + tc.stats + `,"layers":[{"layer":0,"neurons":2,"patterns":["01"]}]}`)
+		if _, err := Unmarshal(doc, net); err == nil {
+			t.Errorf("%s: document accepted", tc.name)
+		}
+	}
+}
+
 func TestEmptyLayersMeansAllLayers(t *testing.T) {
 	// Wire decoders produce empty non-nil slices for "layers": []; the
 	// build must treat them exactly like nil (monitor everything), so a
@@ -181,147 +214,233 @@ func TestEmptyLayersMeansAllLayers(t *testing.T) {
 	}
 }
 
+// TestCheckIntoZeroAllocsAndBitIdentity: a monitored batch of one costs
+// no allocation once the scratch has seen it, and the monitored pass
+// predicts the very bits the unmonitored serving forward does (the
+// reference nn.Forward may differ by kernel-order ULPs).
 func TestCheckIntoZeroAllocsAndBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	net := nn.New(nn.Config{Name: "z", InputDim: 6, Hidden: []int{16, 16}, OutputDim: 3, HiddenAct: nn.ReLU, OutputAct: nn.Identity}, rng)
-	data := make([][]float64, 32)
-	for i := range data {
-		row := make([]float64, 6)
-		for j := range row {
-			row[j] = rng.NormFloat64()
-		}
-		data[i] = row
-	}
+	data := randRows(rng, 32, 6, 1)
 	m := mustBuild(t, net, data, nil, Options{Gamma: 2})
-	sc := m.NewScratch()
-	dst := make([]float64, net.OutputDim())
-	x := data[0]
+	var sc BatchScratch
+	dst := linalg.NewMatrix(1, net.OutputDim())
+	var v [1]Verdict
+	m.CheckBatchInto(dst, &sc, data[:1], v[:]) // warm the buffers
 	allocs := testing.AllocsPerRun(200, func() {
-		m.CheckInto(dst, sc, x)
+		m.CheckBatchInto(dst, &sc, data[:1], v[:])
 	})
 	if allocs != 0 {
-		t.Fatalf("CheckInto allocates %v per op, want 0", allocs)
+		t.Fatalf("a one-row CheckBatchInto allocates %v per op, want 0", allocs)
 	}
-	fwdSc := net.NewScratch()
-	serving := make([]float64, net.OutputDim())
-	for _, x := range data {
-		m.CheckInto(dst, sc, x)
-		net.ForwardInto(serving, fwdSc, x)
-		for i := range serving {
-			// Bit-identical to the serving forward; the reference
-			// nn.Forward may differ by kernel-order ULPs.
-			if dst[i] != serving[i] {
-				t.Fatal("CheckInto prediction differs from nn.ForwardInto")
+	serving := linalg.NewMatrix(1, net.OutputDim())
+	for i := range data {
+		m.CheckBatchInto(dst, &sc, data[i:i+1], v[:])
+		net.ForwardBatchInto(serving, net.NewScratch(), data[i:i+1])
+		ref := net.Forward(data[i])
+		for j := range ref {
+			if dst[0][j] != serving[0][j] {
+				t.Fatal("monitored prediction differs from nn.ForwardBatchInto")
 			}
-		}
-		ref := net.Forward(x)
-		for i := range ref {
-			if d := dst[i] - ref[i]; d > 1e-10 || d < -1e-10 {
-				t.Fatalf("CheckInto prediction outside tolerance of nn.Forward: %v vs %v", dst[i], ref[i])
+			if d := dst[0][j] - ref[j]; d > 1e-10 || d < -1e-10 {
+				t.Fatalf("monitored prediction outside tolerance of nn.Forward: %v vs %v", dst[0][j], ref[j])
 			}
 		}
 	}
 }
 
-// TestCheckBatchIntoMatchesSingle pins the batched serving path: every
-// batch verdict and prediction row is bit-identical to CheckInto on that
-// input, for batch sizes spanning the blocking factors, and steady-state
-// batches allocate nothing.
-func TestCheckBatchIntoMatchesSingle(t *testing.T) {
+// observation is everything the monitored pass says about one input.
+type observation struct {
+	out      []float64
+	patterns [][]byte // per monitored layer
+	verdict  Verdict
+}
+
+// TestCheckBatchIntoSplitInvariant is the monitor's half of the
+// determinism contract: however a 257-row stream is cut into batches,
+// every input gets the same prediction bits, the same activation patterns
+// and the same verdict — including one row at a time, which is all that
+// "checking a single input" means.
+func TestCheckBatchIntoSplitInvariant(t *testing.T) {
+	const rows = 257
 	rng := rand.New(rand.NewSource(23))
-	net := nn.New(nn.Config{Name: "b", InputDim: 6, Hidden: []int{16, 16}, OutputDim: 3, HiddenAct: nn.ReLU, OutputAct: nn.Identity}, rng)
-	data := make([][]float64, 32)
-	for i := range data {
-		row := make([]float64, 6)
-		for j := range row {
-			row[j] = rng.NormFloat64()
+	for _, tc := range []struct {
+		cfg   nn.Config
+		gamma int
+		tanh  int // index of a hidden layer switched to tanh, -1 for none
+	}{
+		{nn.Config{Name: "odd", InputDim: 7, Hidden: []int{13, 5, 9}, OutputDim: 3, HiddenAct: nn.ReLU, OutputAct: nn.Identity}, 1, -1},
+		// 70 neurons: the word-form distance scan crosses a uint64 boundary.
+		{nn.Config{Name: "two-words", InputDim: 6, Hidden: []int{70}, OutputDim: 1, HiddenAct: nn.ReLU, OutputAct: nn.Identity}, 9, -1},
+		// A tanh layer between two monitored ones: the hook must skip it.
+		{nn.Config{Name: "tanh-between", InputDim: 3, Hidden: []int{10, 6, 9}, OutputDim: 2, HiddenAct: nn.ReLU, OutputAct: nn.Identity}, 1, 1},
+	} {
+		cfg := tc.cfg
+		net := nn.New(cfg, rng)
+		if tc.tanh >= 0 {
+			net.Layers[tc.tanh].Act = nn.Tanh
 		}
-		data[i] = row
-	}
-	m := mustBuild(t, net, data, nil, Options{Gamma: 2})
-	single := m.NewScratch()
-	singleDst := make([]float64, net.OutputDim())
-	bsc := m.NewBatchScratch()
-	for _, batch := range []int{1, 2, 3, 4, 5, 7, 8, 17} {
-		xs := make([][]float64, batch)
-		dst := make([][]float64, batch)
-		verdicts := make([]Verdict, batch)
-		for i := range xs {
-			row := make([]float64, 6)
-			for j := range row {
-				row[j] = rng.NormFloat64() * 1.5
+		m := mustBuild(t, net, randRows(rng, 40, cfg.InputDim, 1), nil, Options{Gamma: tc.gamma})
+		xs := randRows(rng, rows, cfg.InputDim, 1.5)
+		run := func(chunk int) []observation {
+			got := make([]observation, rows)
+			dst := linalg.NewMatrix(rows, net.OutputDim())
+			verdicts := make([]Verdict, rows)
+			var sc BatchScratch
+			for lo := 0; lo < rows; lo += chunk {
+				hi := min(lo+chunk, rows)
+				m.CheckBatchInto(dst[lo:hi], &sc, xs[lo:hi], verdicts[lo:hi])
+				for i := lo; i < hi; i++ {
+					got[i] = observation{out: dst[i], verdict: verdicts[i]}
+					for s, set := range m.sets {
+						got[i].patterns = append(got[i].patterns, append([]byte(nil), set.row(sc.pat[s], i-lo)...))
+					}
+				}
 			}
-			xs[i] = row
-			dst[i] = make([]float64, net.OutputDim())
+			return got
 		}
-		m.CheckBatchInto(dst, bsc, xs, verdicts)
-		for i, x := range xs {
-			want := m.CheckInto(singleDst, single, x)
-			if verdicts[i] != want {
-				t.Fatalf("batch %d input %d: verdict %v, single %v", batch, i, verdicts[i], want)
+		want := run(rows)
+		flagged := 0
+		for _, o := range want {
+			if !o.verdict.OK {
+				flagged++
 			}
-			for j := range singleDst {
-				if dst[i][j] != singleDst[j] {
-					t.Fatalf("batch %d input %d: prediction differs from CheckInto", batch, i)
+		}
+		if flagged == 0 || flagged == rows {
+			t.Fatalf("%s: %d of %d flagged; the property needs both verdicts", cfg.Name, flagged, rows)
+		}
+		for _, chunk := range []int{1, 2, 3, 4, 5, 7, 8, 17, 64, 256} {
+			for i, o := range run(chunk) {
+				if o.verdict != want[i].verdict {
+					t.Fatalf("%s chunk %d input %d: verdict %v, whole batch %v", cfg.Name, chunk, i, o.verdict, want[i].verdict)
+				}
+				for j := range o.out {
+					if o.out[j] != want[i].out[j] {
+						t.Fatalf("%s chunk %d input %d: prediction bits differ from the whole batch", cfg.Name, chunk, i)
+					}
+				}
+				for s := range o.patterns {
+					if !bytes.Equal(o.patterns[s], want[i].patterns[s]) {
+						t.Fatalf("%s chunk %d input %d layer slot %d: pattern %x, whole batch %x", cfg.Name, chunk, i, s, o.patterns[s], want[i].patterns[s])
+					}
+				}
+				if chunk != 1 {
+					continue
+				}
+				if got := m.Check(xs[i]); got != want[i].verdict {
+					t.Fatalf("%s input %d: Check %v, batch verdict %v", cfg.Name, i, got, want[i].verdict)
 				}
 			}
 		}
 	}
-	// Steady state: re-running the largest batch allocates nothing.
-	xs := make([][]float64, 17)
-	dst := make([][]float64, 17)
-	verdicts := make([]Verdict, 17)
-	for i := range xs {
-		xs[i] = data[i%len(data)]
-		dst[i] = make([]float64, net.OutputDim())
+}
+
+// TestCheckBatchIntoOneScratchServesAnyMonitor: a BatchScratch holds
+// buffers only, so one scratch alternating between two monitors over
+// networks of different widths — at batch 1 and at batch 64 — gives each
+// the verdicts a private scratch would, and allocates nothing once it has
+// seen the larger of the two.
+func TestCheckBatchIntoOneScratchServesAnyMonitor(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	type lane struct {
+		m        *Monitor
+		xs, dst  [][]float64
+		verdicts []Verdict
+		want     []Verdict
 	}
-	m.CheckBatchInto(dst, bsc, xs, verdicts)
-	allocs := testing.AllocsPerRun(50, func() {
-		m.CheckBatchInto(dst, bsc, xs, verdicts)
-	})
-	if allocs != 0 {
-		t.Fatalf("CheckBatchInto allocates %v per batch, want 0", allocs)
+	var lanes []*lane
+	for _, cfg := range []nn.Config{
+		{Name: "narrow", InputDim: 3, Hidden: []int{6}, OutputDim: 1, HiddenAct: nn.ReLU, OutputAct: nn.Identity},
+		{Name: "wide", InputDim: 9, Hidden: []int{70, 33}, OutputDim: 4, HiddenAct: nn.ReLU, OutputAct: nn.Identity},
+	} {
+		net := nn.New(cfg, rng)
+		l := &lane{
+			m:        mustBuild(t, net, randRows(rng, 24, cfg.InputDim, 1), nil, Options{Gamma: 1}),
+			xs:       randRows(rng, 64, cfg.InputDim, 1.5),
+			dst:      linalg.NewMatrix(64, cfg.OutputDim),
+			verdicts: make([]Verdict, 64),
+			want:     make([]Verdict, 64),
+		}
+		l.m.CheckBatchInto(linalg.NewMatrix(64, cfg.OutputDim), new(BatchScratch), l.xs, l.want)
+		lanes = append(lanes, l)
 	}
-	// Wrong-monitor and mismatched-length panics.
-	other := mustBuild(t, net, data, nil, Options{Gamma: 1})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("foreign BatchScratch must panic")
+	var shared BatchScratch
+	round := func() {
+		for _, n := range []int{1, 64} {
+			for _, l := range lanes {
+				l.m.CheckBatchInto(l.dst[:n], &shared, l.xs[:n], l.verdicts[:n])
 			}
-		}()
-		other.CheckBatchInto(dst, bsc, xs, verdicts)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("mismatched verdict length must panic")
+		}
+	}
+	round() // grow to the larger monitor
+	for _, l := range lanes {
+		for i := range l.want {
+			if l.verdicts[i] != l.want[i] {
+				t.Fatalf("input %d: shared-scratch verdict %v, private scratch %v", i, l.verdicts[i], l.want[i])
 			}
-		}()
-		m.CheckBatchInto(dst, bsc, xs, verdicts[:3])
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Fatalf("a warmed scratch alternating between monitors allocates %v per round, want 0", allocs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mismatched verdict length must panic")
+		}
 	}()
+	lanes[0].m.CheckBatchInto(lanes[0].dst, &shared, lanes[0].xs, lanes[0].verdicts[:3])
+}
+
+// TestBuildPinnedAtParent pins chunked Build to the per-input Build it
+// replaced: fingerprint, marshal length and stats below were recorded at
+// the parent commit (ca97312) from this exact workload — 300 rows, not a
+// multiple of buildChunk, every third drawn wide of a box small enough
+// that interval analysis proves neurons stable — so the same patterns are
+// stored in the same order and the same rows are rejected.
+func TestBuildPinnedAtParent(t *testing.T) {
+	rng := rand.New(rand.NewSource(2301))
+	net := nn.New(nn.Config{Name: "pin", InputDim: 5, Hidden: []int{11, 9}, OutputDim: 3, HiddenAct: nn.ReLU, OutputAct: nn.Identity}, rng)
+	box := make([]bounds.Interval, 5)
+	for i := range box {
+		box[i] = bounds.Interval{Lo: 0.1, Hi: 0.5}
+	}
+	nb, err := bounds.Propagate(net, box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([][]float64, 300)
+	for i := range data {
+		data[i] = make([]float64, 5)
+		for j := range data[i] {
+			if i%3 == 2 {
+				data[i][j] = rng.NormFloat64()
+			} else {
+				data[i][j] = 0.1 + 0.4*rng.Float64()
+			}
+		}
+	}
+	if len(data)%buildChunk == 0 {
+		t.Fatal("the pin needs a ragged last chunk")
+	}
+	m := mustBuild(t, net, data, [][]bounds.Interval{nb.Layers[0].Pre, nb.Layers[1].Pre}, Options{Gamma: 1})
+	doc, err := m.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantFP = "vnnm1-7e3c9d90a78555124522854809d49d36eabcf0718557434e7d6cb9f6a5cd5b40"
+	if fp := m.Fingerprint(); fp != wantFP || len(doc) != 514 {
+		t.Fatalf("fingerprint %s, marshal %d bytes; parent built %s, 514 bytes", fp, len(doc), wantFP)
+	}
+	if st := m.Stats(); st.Inputs != 300 || st.Rejected != 71 || len(st.Patterns) != 2 || st.Patterns[0] != 42 || st.Patterns[1] != 12 {
+		t.Fatalf("stats %+v; parent counted 300 inputs, 71 rejected, patterns [42 12]", st)
+	}
 }
 
 func TestConcurrentChecksAreDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	net := nn.New(nn.Config{Name: "c", InputDim: 5, Hidden: []int{12, 12}, OutputDim: 2, HiddenAct: nn.ReLU, OutputAct: nn.Identity}, rng)
-	data := make([][]float64, 48)
-	for i := range data {
-		row := make([]float64, 5)
-		for j := range row {
-			row[j] = rng.NormFloat64()
-		}
-		data[i] = row
-	}
-	m := mustBuild(t, net, data, nil, Options{Gamma: 1})
-	probes := make([][]float64, 64)
-	for i := range probes {
-		row := make([]float64, 5)
-		for j := range row {
-			row[j] = rng.NormFloat64() * 2
-		}
-		probes[i] = row
-	}
+	m := mustBuild(t, net, randRows(rng, 48, 5, 1), nil, Options{Gamma: 1})
+	probes := randRows(rng, 64, 5, 2)
 	want := make([]Verdict, len(probes))
 	for i, x := range probes {
 		want[i] = m.Check(x)
@@ -329,17 +448,21 @@ func TestConcurrentChecksAreDeterministic(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func() {
+		go func(chunk int) {
 			defer wg.Done()
-			sc := m.NewScratch()
-			dst := make([]float64, net.OutputDim())
-			for i, x := range probes {
-				if got := m.CheckInto(dst, sc, x); got != want[i] {
-					t.Errorf("probe %d: concurrent verdict %v, want %v", i, got, want[i])
-					return
+			var sc BatchScratch
+			dst := linalg.NewMatrix(chunk, net.OutputDim())
+			got := make([]Verdict, chunk)
+			for lo := 0; lo+chunk <= len(probes); lo += chunk {
+				m.CheckBatchInto(dst, &sc, probes[lo:lo+chunk], got)
+				for i, v := range got {
+					if v != want[lo+i] {
+						t.Errorf("probe %d: concurrent verdict %v, want %v", lo+i, v, want[lo+i])
+						return
+					}
 				}
 			}
-		}()
+		}(1 << (g % 4)) // goroutines check in batches of 1, 2, 4 and 8
 	}
 	wg.Wait()
 }

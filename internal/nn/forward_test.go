@@ -66,6 +66,23 @@ func randInput(rng *rand.Rand, dim int) []float64 {
 	return x
 }
 
+// forwardOne runs x through the serving path as a batch of one — the
+// subject of the TestForwardInto… tests below.
+func forwardOne(n *Network, sc *Scratch, x []float64) []float64 {
+	dst := make([]float64, n.OutputDim())
+	n.ForwardBatchInto([][]float64{dst}, sc, [][]float64{x})
+	return dst
+}
+
+// randBatch draws rows inputs for n and allocates matching output rows.
+func randBatch(rng *rand.Rand, n *Network, rows int) (xs, out [][]float64) {
+	xs = make([][]float64, rows)
+	for i := range xs {
+		xs[i] = randInput(rng, n.InputDim())
+	}
+	return xs, linalg.NewMatrix(rows, n.OutputDim())
+}
+
 var forwardCases = []Config{
 	{Name: "deep", InputDim: 5, Hidden: []int{9, 3, 7}, OutputDim: 2, HiddenAct: ReLU, OutputAct: Identity},
 	{Name: "tanh", InputDim: 4, Hidden: []int{6, 6}, OutputDim: 3, HiddenAct: Tanh, OutputAct: Tanh},
@@ -98,15 +115,14 @@ func TestForwardIntoBitIdenticalToServingReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, cfg := range forwardCases {
 		net := New(cfg, rng)
-		dst := make([]float64, net.OutputDim())
 		scratch := net.NewScratch()
 		for trial := 0; trial < 50; trial++ {
 			x := randInput(rng, net.InputDim())
 			want := servingReference(net, x)
-			net.ForwardInto(dst, scratch, x)
+			got := forwardOne(net, scratch, x)
 			for i := range want {
-				if dst[i] != want[i] { // bit-identical, no tolerance
-					t.Fatalf("%s: ForwardInto[%d] = %v, serving reference %v", cfg.Name, i, dst[i], want[i])
+				if got[i] != want[i] { // bit-identical, no tolerance
+					t.Fatalf("%s: serving[%d] = %v, serving reference %v", cfg.Name, i, got[i], want[i])
 				}
 			}
 		}
@@ -125,17 +141,15 @@ func TestForwardIntoWithinToleranceOfForward(t *testing.T) {
 		Name: "tol", InputDim: 84, Hidden: []int{40, 40, 40, 40}, OutputDim: 15,
 		HiddenAct: ReLU, OutputAct: Identity,
 	}, rng)
-	dst := make([]float64, net.OutputDim())
-	scratch := net.NewScratch()
-	for trial := 0; trial < 20; trial++ {
-		x := randInput(rng, net.InputDim())
+	xs, out := randBatch(rng, net, 20)
+	net.ForwardBatchInto(out, net.NewScratch(), xs)
+	for r, x := range xs {
 		want := net.Forward(x)
-		net.ForwardInto(dst, scratch, x)
 		for i := range want {
-			diff := math.Abs(dst[i] - want[i])
+			diff := math.Abs(out[r][i] - want[i])
 			tol := 1e-10 * math.Max(1, math.Abs(want[i]))
 			if diff > tol {
-				t.Fatalf("output %d: |%v - %v| = %v > %v", i, dst[i], want[i], diff, tol)
+				t.Fatalf("row %d output %d: |%v - %v| = %v > %v", r, i, out[r][i], want[i], diff, tol)
 			}
 		}
 	}
@@ -149,12 +163,10 @@ func TestForwardIntoDeterministic(t *testing.T) {
 		HiddenAct: ReLU, OutputAct: Identity,
 	}, rng)
 	x := randInput(rng, net.InputDim())
-	first := make([]float64, net.OutputDim())
 	scratch := net.NewScratch()
-	net.ForwardInto(first, scratch, x)
-	dst := make([]float64, net.OutputDim())
+	first := forwardOne(net, scratch, x)
 	for run := 1; run < 100; run++ {
-		net.ForwardInto(dst, scratch, x)
+		dst := forwardOne(net, scratch, x)
 		for i := range dst {
 			if dst[i] != first[i] {
 				t.Fatalf("run %d output %d: %x != %x", run, i, dst[i], first[i])
@@ -174,71 +186,62 @@ func TestPackedWriteThrough(t *testing.T) {
 		HiddenAct: ReLU, OutputAct: Identity,
 	}, rng)
 	x := randInput(rng, 4)
+	sameBits := func(n *Network, x []float64, msg string) {
+		t.Helper()
+		got, want := forwardOne(n, n.NewScratch(), x), servingReference(n, x)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatal(msg)
+			}
+		}
+	}
 	// In-place element write through W.
 	net.Layers[0].W[2][1] = 7.5
-	dst := make([]float64, 2)
-	net.ForwardInto(dst, net.NewScratch(), x)
-	want := servingReference(net, x)
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatal("in-place W write not visible to serving kernels")
-		}
-	}
+	sameBits(net, x, "in-place W write not visible to serving kernels")
 	// Wholesale row replacement breaks the alias; packed() must re-pack.
 	net.Layers[0].W[0] = []float64{1, 2, 3, 4}
-	net.ForwardInto(dst, net.NewScratch(), x)
-	want = servingReference(net, x)
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatal("row replacement not picked up by lazy re-pack")
-		}
-	}
+	sameBits(net, x, "row replacement not picked up by lazy re-pack")
 	// A layer built literally (never packed) must also serve correctly.
 	lit := &Network{Layers: []*Layer{{W: [][]float64{{1, 0.5}, {-1, 2}}, B: []float64{0.1, -0.2}, Act: ReLU}}}
-	litDst := make([]float64, 2)
-	lit.ForwardInto(litDst, lit.NewScratch(), []float64{0.3, 0.7})
-	litWant := servingReference(lit, []float64{0.3, 0.7})
-	for i := range litWant {
-		if litDst[i] != litWant[i] {
-			t.Fatal("literal-built layer serving mismatch")
-		}
-	}
+	sameBits(lit, []float64{0.3, 0.7}, "literal-built layer serving mismatch")
 }
 
 func TestForwardIntoDoesNotWriteInput(t *testing.T) {
 	net := testNet(t, []int{6, 6})
 	x := []float64{0.3, -0.7, 1.1}
 	orig := append([]float64(nil), x...)
-	net.ForwardInto(make([]float64, net.OutputDim()), net.NewScratch(), x)
+	forwardOne(net, net.NewScratch(), x)
 	for i := range x {
 		if x[i] != orig[i] {
-			t.Fatalf("ForwardInto mutated its input: %v -> %v", orig, x)
+			t.Fatalf("the serving forward mutated its input: %v -> %v", orig, x)
 		}
 	}
 }
 
+// TestForwardIntoZeroAllocs: a batch of one costs no allocation once the
+// scratch has seen it.
 func TestForwardIntoZeroAllocs(t *testing.T) {
 	net := testNet(t, []int{16, 16, 16})
-	x := []float64{0.1, 0.2, 0.3}
-	dst := make([]float64, net.OutputDim())
+	xs := [][]float64{{0.1, 0.2, 0.3}}
+	out := [][]float64{make([]float64, net.OutputDim())}
 	scratch := net.NewScratch()
+	net.ForwardBatchInto(out, scratch, xs) // warm the buffers
 	allocs := testing.AllocsPerRun(200, func() {
-		net.ForwardInto(dst, scratch, x)
+		net.ForwardBatchInto(out, scratch, xs)
 	})
 	if allocs != 0 {
-		t.Fatalf("ForwardInto allocates %v per op, want 0", allocs)
+		t.Fatalf("a one-row batch allocates %v per op, want 0", allocs)
 	}
 }
 
+// TestForwardBatchIntoZeroAllocsAndBitIdentity: steady-state batches
+// allocate nothing, and a Scratch carries no state between calls — one
+// that last served a wider network and a larger batch yields the same
+// bits as a fresh one.
 func TestForwardBatchIntoZeroAllocsAndBitIdentity(t *testing.T) {
 	net := testNet(t, []int{12, 12})
-	xs := make([][]float64, 32)
-	out := make([][]float64, 32)
 	rng := rand.New(rand.NewSource(3))
-	for i := range xs {
-		xs[i] = randInput(rng, net.InputDim())
-		out[i] = make([]float64, net.OutputDim())
-	}
+	xs, out := randBatch(rng, net, 32)
 	scratch := net.NewScratch()
 	net.ForwardBatchInto(out, scratch, xs) // warm the batch buffers
 	allocs := testing.AllocsPerRun(50, func() {
@@ -247,14 +250,16 @@ func TestForwardBatchIntoZeroAllocsAndBitIdentity(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("ForwardBatchInto allocates %v per batch, want 0", allocs)
 	}
-	// Batch rows are bit-identical to the single-input serving path.
-	single := make([]float64, net.OutputDim())
-	sc := net.NewScratch()
-	for i, x := range xs {
-		net.ForwardInto(single, sc, x)
-		for j := range single {
-			if out[i][j] != single[j] {
-				t.Fatalf("batch row %d differs from ForwardInto", i)
+	wide := testNet(t, []int{31, 17})
+	wxs, wout := randBatch(rng, wide, 50)
+	used := new(Scratch)
+	wide.ForwardBatchInto(wout, used, wxs)
+	again := linalg.NewMatrix(len(xs), net.OutputDim())
+	net.ForwardBatchInto(again, used, xs)
+	for i := range out {
+		for j := range out[i] {
+			if again[i][j] != out[i][j] {
+				t.Fatalf("row %d differs through a scratch another network used", i)
 			}
 		}
 	}
@@ -271,52 +276,56 @@ func TestForwardIntoPanicsOnBadShapes(t *testing.T) {
 		}()
 		f()
 	}
+	good := [][]float64{{1, 2, 3}}
 	expectPanic("short dst", func() {
-		net.ForwardInto(make([]float64, 1), net.NewScratch(), []float64{1, 2, 3})
-	})
-	expectPanic("short scratch", func() {
-		net.ForwardInto(make([]float64, net.OutputDim()), &Scratch{buf: make([]float64, 1)}, []float64{1, 2, 3})
+		net.ForwardBatchInto([][]float64{make([]float64, 1)}, net.NewScratch(), good)
 	})
 	expectPanic("nil scratch", func() {
-		net.ForwardInto(make([]float64, net.OutputDim()), nil, []float64{1, 2, 3})
+		net.ForwardBatchInto(linalg.NewMatrix(1, net.OutputDim()), nil, good)
 	})
 	expectPanic("bad input", func() {
-		net.ForwardInto(make([]float64, net.OutputDim()), net.NewScratch(), []float64{1})
+		net.ForwardBatchInto(linalg.NewMatrix(1, net.OutputDim()), net.NewScratch(), [][]float64{{1}})
 	})
 	expectPanic("batch shape", func() {
 		net.ForwardBatchInto(make([][]float64, 2), net.NewScratch(), make([][]float64, 3))
 	})
-	expectPanic("batch nil scratch", func() {
-		net.ForwardBatchInto([][]float64{{0}}, nil, [][]float64{{1, 2, 3}})
-	})
-	expectPanic("batch bad row", func() {
-		net.ForwardBatchInto([][]float64{make([]float64, 1)}, net.NewScratch(), [][]float64{{1, 2, 3}})
-	})
+	// A zero Scratch is not a bad shape: it grows on first use.
+	net.ForwardBatchInto(linalg.NewMatrix(1, net.OutputDim()), new(Scratch), good)
 }
 
+// TestForwardObservedSeesPreActivations: the hook sees every layer's
+// pre-activations in serving numerics, compared against the independent
+// serving reference layer by layer, and the outputs follow from them.
 func TestForwardObservedSeesPreActivations(t *testing.T) {
 	net := testNet(t, []int{5, 4})
-	x := []float64{0.4, -0.2, 0.8}
-	dst := make([]float64, net.OutputDim())
-	// The observed pre-activations follow serving numerics; compare
-	// against the serving reference layer by layer.
-	preWant := make([][]float64, len(net.Layers))
-	cur := x
-	for li, l := range net.Layers {
-		pre := make([]float64, l.OutDim())
-		post := make([]float64, l.OutDim())
-		for i, row := range l.W {
-			pre[i] = servingDot(row, cur) + l.B[i]
-			post[i] = l.Act.Apply(pre[i])
+	xs := [][]float64{{0.4, -0.2, 0.8}, {-1.3, 0.6, 0.1}, {0, 0, 0}}
+	preWant := make([][][]float64, len(xs)) // [input][layer][neuron]
+	outWant := make([][]float64, len(xs))
+	for r, x := range xs {
+		cur := x
+		for _, l := range net.Layers {
+			pre := make([]float64, l.OutDim())
+			post := make([]float64, l.OutDim())
+			for i, row := range l.W {
+				pre[i] = servingDot(row, cur) + l.B[i]
+				post[i] = l.Act.Apply(pre[i])
+			}
+			preWant[r] = append(preWant[r], pre)
+			cur = post
 		}
-		preWant[li] = pre
-		cur = post
+		outWant[r] = cur
 	}
+	out := linalg.NewMatrix(len(xs), net.OutputDim())
 	seen := 0
-	net.ForwardObserved(dst, net.NewScratch(), x, func(layer int, pre []float64) {
-		for j, z := range pre {
-			if z != preWant[layer][j] {
-				t.Fatalf("layer %d neuron %d: observed pre %v, want %v", layer, j, z, preWant[layer][j])
+	net.ForwardBatchObserved(out, net.NewScratch(), xs, func(layer int, pre *linalg.Dense) {
+		if pre.Rows != len(xs) {
+			t.Fatalf("layer %d: %d batch rows, want %d", layer, pre.Rows, len(xs))
+		}
+		for r := 0; r < pre.Rows; r++ {
+			for j, z := range pre.Row(r) {
+				if z != preWant[r][layer][j] {
+					t.Fatalf("layer %d input %d neuron %d: observed pre %v, want %v", layer, r, j, z, preWant[r][layer][j])
+				}
 			}
 		}
 		seen++
@@ -324,71 +333,109 @@ func TestForwardObservedSeesPreActivations(t *testing.T) {
 	if seen != len(net.Layers) {
 		t.Fatalf("observed %d layers, want %d", seen, len(net.Layers))
 	}
-	for i := range dst {
-		if dst[i] != cur[i] {
-			t.Fatal("ForwardObserved output differs from serving reference")
+	for r := range out {
+		for i := range out[r] {
+			if out[r][i] != outWant[r][i] {
+				t.Fatal("observed forward output differs from serving reference")
+			}
 		}
 	}
 }
 
-// TestForwardBatchObservedMatchesSingle pins the batched monitor hook:
-// every layer's batch pre-activation row i is bit-identical to the
-// single-input observation on xs[i].
-func TestForwardBatchObservedMatchesSingle(t *testing.T) {
-	net := testNet(t, []int{8, 6})
-	rng := rand.New(rand.NewSource(9))
-	xs := make([][]float64, 5)
-	out := make([][]float64, 5)
-	for i := range xs {
-		xs[i] = randInput(rng, net.InputDim())
-		out[i] = make([]float64, net.OutputDim())
-	}
-	// Record single-input observations.
-	singlePre := make([][][]float64, len(xs)) // [input][layer][neuron]
-	dst := make([]float64, net.OutputDim())
-	sc := net.NewScratch()
-	for i, x := range xs {
-		singlePre[i] = make([][]float64, len(net.Layers))
-		idx := i
-		net.ForwardObserved(dst, sc, x, func(layer int, pre []float64) {
-			singlePre[idx][layer] = append([]float64(nil), pre...)
-		})
-	}
-	calls := 0
-	net.ForwardBatchObserved(out, net.NewScratch(), xs, func(layer int, pre *linalg.Dense) {
-		calls++
-		if pre.Rows != len(xs) {
-			t.Fatalf("layer %d: %d batch rows, want %d", layer, pre.Rows, len(xs))
+// splitCases are the networks of the batch-split property tests: hidden
+// widths that are no multiple of the kernels' blocking factor 4, a
+// one-layer net (no hidden layer, no ping-pong), and a tanh hidden layer.
+var splitCases = []Config{
+	{Name: "odd", InputDim: 7, Hidden: []int{13, 5, 9}, OutputDim: 3, HiddenAct: ReLU, OutputAct: Identity},
+	{Name: "one-layer", InputDim: 6, Hidden: nil, OutputDim: 5, HiddenAct: ReLU, OutputAct: Identity},
+	{Name: "tanh", InputDim: 3, Hidden: []int{10, 6}, OutputDim: 2, HiddenAct: Tanh, OutputAct: Identity},
+}
+
+// TestForwardBatchSplitInvariant is the determinism contract of the one
+// serving path: however a 257-row batch is cut into consecutive chunks —
+// one row at a time, across the kernels' blocking factors, at the server's
+// shard and stride sizes, or whole — every row's output and every observed
+// pre-activation has the same bits.
+func TestForwardBatchSplitInvariant(t *testing.T) {
+	const rows = 257
+	rng := rand.New(rand.NewSource(47))
+	for _, cfg := range splitCases {
+		net := New(cfg, rng)
+		xs, _ := randBatch(rng, net, rows)
+		// run returns every row's output followed by its pre-activations,
+		// layer by layer, for one chunking of xs.
+		run := func(chunk int) [][]float64 {
+			got := make([][]float64, rows)
+			out := linalg.NewMatrix(rows, net.OutputDim())
+			sc := net.NewScratch()
+			for lo := 0; lo < rows; lo += chunk {
+				hi := min(lo+chunk, rows)
+				net.ForwardBatchObserved(out[lo:hi], sc, xs[lo:hi], func(_ int, pre *linalg.Dense) {
+					for r := 0; r < pre.Rows; r++ {
+						got[lo+r] = append(got[lo+r], pre.Row(r)...)
+					}
+				})
+			}
+			for r := range got {
+				got[r] = append(out[r], got[r]...)
+			}
+			return got
 		}
-		for i := 0; i < pre.Rows; i++ {
-			row := pre.Row(i)
-			for j, z := range row {
-				if z != singlePre[i][layer][j] {
-					t.Fatalf("layer %d input %d neuron %d: batch pre %x, single %x", layer, i, j, z, singlePre[i][layer][j])
+		want := run(rows)
+		for _, chunk := range []int{1, 2, 3, 4, 5, 7, 8, 17, 64, 256} {
+			got := run(chunk)
+			for r := range want {
+				if len(got[r]) != len(want[r]) {
+					t.Fatalf("%s chunk %d row %d: %d values, want %d", cfg.Name, chunk, r, len(got[r]), len(want[r]))
+				}
+				for k := range want[r] {
+					if math.Float64bits(got[r][k]) != math.Float64bits(want[r][k]) {
+						t.Fatalf("%s chunk %d row %d value %d: %x, whole batch %x", cfg.Name, chunk, r, k, got[r][k], want[r][k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestForwardBatchHandComputed pins both numerics to a case small enough
+// to do on paper: 2 inputs → 3 ReLU neurons → 1 linear output.
+//
+//	x = (1, 2):    pre = (0.5·1 − 1·2 + 0.25, 2·1 + 0.5·2 − 1, −1·1 + 1·2) = (−1.25, 2, 1)
+//	               y = 3·0 − 2·2 + 0.5·1 + 0.125 = −3.375
+//	x = (−2, 0.5): pre = (−1 − 0.5 + 0.25, −4 + 0.25 − 1, 2 + 0.5) = (−1.25, −4.75, 2.5)
+//	               y = 0.5·2.5 + 0.125 = 1.375
+func TestForwardBatchHandComputed(t *testing.T) {
+	net := &Network{Layers: []*Layer{
+		{W: [][]float64{{0.5, -1}, {2, 0.5}, {-1, 1}}, B: []float64{0.25, -1, 0}, Act: ReLU},
+		{W: [][]float64{{3, -2, 0.5}}, B: []float64{0.125}, Act: Identity},
+	}}
+	if err := net.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	xs := [][]float64{{1, 2}, {-2, 0.5}}
+	want := []float64{-3.375, 1.375}
+	preWant := [][]float64{{-1.25, 2, 1}, {-1.25, -4.75, 2.5}}
+	out := linalg.NewMatrix(2, 1)
+	net.ForwardBatchObserved(out, new(Scratch), xs, func(layer int, pre *linalg.Dense) {
+		if layer != 0 {
+			return
+		}
+		for r := range preWant {
+			for j, w := range preWant[r] {
+				if math.Abs(pre.Row(r)[j]-w) > 1e-12 {
+					t.Fatalf("input %d neuron %d: pre-activation %v, by hand %v", r, j, pre.Row(r)[j], w)
 				}
 			}
 		}
 	})
-	if calls != len(net.Layers) {
-		t.Fatalf("observed %d layers, want %d", calls, len(net.Layers))
-	}
-}
-
-// BenchmarkForwardInto is the hot-path benchmark the CI bench job records:
-// steady-state inference must report 0 allocs/op.
-func BenchmarkForwardInto(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	net := New(Config{
-		Name: "bench", InputDim: 84, Hidden: []int{40, 40, 40, 40}, OutputDim: 15,
-		HiddenAct: ReLU, OutputAct: Identity,
-	}, rng)
-	x := randInput(rng, net.InputDim())
-	dst := make([]float64, net.OutputDim())
-	scratch := net.NewScratch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.ForwardInto(dst, scratch, x)
+	for r, x := range xs {
+		if got := net.Forward(x)[0]; math.Abs(got-want[r]) > 1e-12 {
+			t.Fatalf("Forward(%v) = %v, by hand %v", x, got, want[r])
+		}
+		if math.Abs(out[r][0]-want[r]) > 1e-12 {
+			t.Fatalf("ForwardBatchInto(%v) = %v, by hand %v", x, out[r][0], want[r])
+		}
 	}
 }
 

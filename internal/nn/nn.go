@@ -289,7 +289,7 @@ func (n *Network) Validate() error {
 // using the reference numerics: one sequential linalg.Dot per neuron.
 // This is the accumulation order the verifier, trainer, quantizer and
 // every certification analysis are pinned to; it never changes. The
-// serving paths (ForwardInto and friends) use the blocked kernels, whose
+// serving path (ForwardBatchInto) uses the blocked kernels, whose
 // outputs agree with Forward to within the tolerance documented there.
 // It panics if len(x) != InputDim().
 func (n *Network) Forward(x []float64) []float64 {
@@ -308,17 +308,13 @@ func (n *Network) Forward(x []float64) []float64 {
 }
 
 // Scratch is the caller-owned state of the allocation-free serving
-// forwards: ForwardInto, ForwardObserved, ForwardBatchInto and
-// ForwardBatchObserved all take the same type, so a pooled Scratch
-// serves every entry point and cannot be sized wrong. A Scratch must not
-// be used by two goroutines at once; servers pool them per worker.
+// forwards. It holds buffers only, so the zero value is ready to use and
+// one Scratch serves networks of any shape: the buffers grow to the
+// largest batch × width seen and are then reused (zero steady-state
+// allocations). A Scratch must not be used by two goroutines at once;
+// servers keep one per worker.
 type Scratch struct {
-	// buf is the single-input ping-pong buffer: two halves, each wide
-	// enough for the widest non-output layer.
-	buf []float64
-	// batch[0]/batch[1] are the batched ping-pong matrices, grown on
-	// demand by ForwardBatchObserved and reused across batches (zero
-	// steady-state allocations).
+	// batch[0]/batch[1] are the ping-pong matrices of the layer loop.
 	batch [2][]float64
 	// dm holds the two Dense headers over batch[0]/batch[1]; keeping
 	// them here (rather than as locals) stops the header passed to the
@@ -326,38 +322,8 @@ type Scratch struct {
 	dm [2]linalg.Dense
 }
 
-// ScratchLen returns the single-input scratch length the serving
-// forwards require: two ping-pong buffers of the widest non-output
-// layer. Networks with a single layer need no scratch at all.
-func (n *Network) ScratchLen() int {
-	m := 0
-	for i := 0; i+1 < len(n.Layers); i++ {
-		if d := n.Layers[i].OutDim(); d > m {
-			m = d
-		}
-	}
-	return 2 * m
-}
-
-// NewScratch allocates a Scratch sized for this network's single-input
-// forwards; the batched buffers grow on first batched use.
-func (n *Network) NewScratch() *Scratch { return &Scratch{buf: make([]float64, n.ScratchLen())} }
-
-// GrowScratch returns a Scratch sized for this network, reusing sc's
-// buffers whenever they are already large enough. Servers that serve
-// many networks through one long-lived per-worker Scratch call this
-// instead of NewScratch so a smaller network never reallocates.
-func (n *Network) GrowScratch(sc *Scratch) *Scratch {
-	if sc == nil {
-		return n.NewScratch()
-	}
-	if need := n.ScratchLen(); cap(sc.buf) < need {
-		sc.buf = make([]float64, need)
-	} else {
-		sc.buf = sc.buf[:cap(sc.buf)]
-	}
-	return sc
-}
+// NewScratch returns an empty Scratch; its buffers grow on first use.
+func (n *Network) NewScratch() *Scratch { return new(Scratch) }
 
 // maxDim returns the widest vector the forward pass touches: input,
 // every hidden width, and output.
@@ -371,82 +337,25 @@ func (n *Network) maxDim() int {
 	return m
 }
 
-// ForwardInto evaluates the network at x, writing the raw output vector
-// into dst. All intermediate layer values live in the caller-provided
+// ForwardBatchInto is the serving forward pass: it evaluates the network
+// at every row of xs, writing row i's output into out[i]; a single input
+// is a batch of one. All intermediate values live in the caller's
 // Scratch, so a steady-state caller — the inference server's hot path —
-// performs zero allocations per evaluation.
+// performs zero allocations per batch, and xs is never written.
 //
-// ForwardInto runs the blocked serving kernels (linalg.Dense.MatVec):
-// deterministic — bit-identical run-to-run, across batch sizes and
-// GOMAXPROCS, and across the assembly/pure-Go kernel paths — but in a
-// different accumulation order than Forward's reference numerics. The
-// two agree to within ~n ULPs of the accumulated magnitude per neuron
-// (see linalg's TestMatVecMatchesDotWithinTolerance and DESIGN.md
-// "Kernel layer").
+// The pass runs the blocked serving kernels layer-major (linalg.MatMulTB
+// streams each weight row across the whole batch). Every output cell is
+// accumulated in one fixed order whatever the batch size, so the result
+// is batch-split invariant: any division of xs into consecutive batches
+// yields the same bits, run after run, across GOMAXPROCS and across the
+// assembly/pure-Go kernel paths. That order differs from Forward's
+// reference numerics; the two agree to within ~n ULPs of the accumulated
+// magnitude per neuron (see linalg's TestMatVecMatchesDotWithinTolerance
+// and DESIGN.md "Kernel layer").
 //
-// It panics with sized messages when dst is not OutputDim() long,
-// scratch is nil or undersized, or x is not InputDim() long. x is never
-// written.
-func (n *Network) ForwardInto(dst []float64, sc *Scratch, x []float64) {
-	n.ForwardObserved(dst, sc, x, nil)
-}
-
-// ForwardObserved is ForwardInto with a per-layer hook: when observe is
-// non-nil it is called once per layer, after that layer's pre-activation
-// values are computed and before the activation overwrites them in place.
-// The slice passed to observe is only valid for the duration of the call
-// and must not be written. The runtime monitor uses this to read
-// activation signs during the same pass that produces the prediction
-// instead of paying a second forward.
-func (n *Network) ForwardObserved(dst []float64, sc *Scratch, x []float64, observe func(layer int, pre []float64)) {
-	if len(x) != n.InputDim() {
-		panic(fmt.Sprintf("nn: ForwardInto input dim %d, want %d", len(x), n.InputDim()))
-	}
-	if len(dst) != n.OutputDim() {
-		panic(fmt.Sprintf("nn: ForwardInto dst dim %d, want %d", len(dst), n.OutputDim()))
-	}
-	if sc == nil || len(sc.buf) < n.ScratchLen() {
-		got := -1
-		if sc != nil {
-			got = len(sc.buf)
-		}
-		panic(fmt.Sprintf("nn: ForwardInto scratch len %d, want >= %d (use Network.NewScratch)", got, n.ScratchLen()))
-	}
-	half := len(sc.buf) / 2
-	last := len(n.Layers) - 1
-	cur := x
-	for li, l := range n.Layers {
-		var out []float64
-		switch {
-		case li == last:
-			out = dst
-		case li%2 == 0:
-			out = sc.buf[:l.OutDim()]
-		default:
-			out = sc.buf[half : half+l.OutDim()]
-		}
-		l.packed().MatVec(out, cur)
-		for i, b := range l.B {
-			out[i] += b
-		}
-		if observe != nil {
-			observe(li, out)
-		}
-		l.Act.applyInPlace(out)
-		cur = out
-	}
-}
-
-// ForwardBatchInto evaluates the network at every row of xs, writing row
-// i's output into out[i], through the layer-major batched kernel
-// (linalg.MatMulTB): each weight row is streamed across the whole batch
-// instead of being reloaded per input. Row i's output is bit-identical
-// to ForwardInto on xs[i] — the batched kernel accumulates every cell in
-// the same order as MatVec — so batching is purely a throughput choice.
-// The Scratch is the same type every other forward takes; its batched
-// buffers grow to the batch size on first use and are then reused. Each
-// out row must be OutputDim() long; shape mismatches panic with sized
-// messages as in ForwardInto.
+// It panics with sized messages when sc is nil, out and xs differ in
+// length, a row of xs is not InputDim() long or a row of out is not
+// OutputDim() long.
 func (n *Network) ForwardBatchInto(out [][]float64, sc *Scratch, xs [][]float64) {
 	n.ForwardBatchObserved(out, sc, xs, nil)
 }
@@ -456,8 +365,8 @@ func (n *Network) ForwardBatchInto(out [][]float64, sc *Scratch, xs [][]float64)
 // pre-activation matrix (row i = input i), after the bias add and before
 // the activation overwrites it in place. The matrix passed to observe is
 // scratch memory, valid only for the duration of the call and not to be
-// written. This is how the batched monitor reads activation signs for a
-// whole batch in one pass.
+// written. The runtime monitor reads activation signs this way, in the
+// same pass that produces the predictions.
 func (n *Network) ForwardBatchObserved(out [][]float64, sc *Scratch, xs [][]float64, observe func(layer int, pre *linalg.Dense)) {
 	if len(out) != len(xs) {
 		panic(fmt.Sprintf("nn: ForwardBatchInto %d output rows for %d inputs", len(out), len(xs)))

@@ -169,11 +169,11 @@ func TestActivationPatternSingleLayerNet(t *testing.T) {
 	if pat := net.ActivationPattern([]float64{1, 1}); len(pat) != 0 {
 		t.Fatalf("single-layer pattern = %v, want empty", pat)
 	}
-	if net.ScratchLen() != 0 {
-		t.Fatalf("single-layer ScratchLen = %d, want 0", net.ScratchLen())
-	}
 	if got := net.Forward([]float64{1, 1})[0]; got != 4 {
 		t.Fatalf("single-layer Forward = %g, want 4", got)
+	}
+	if got := forwardOne(net, new(Scratch), []float64{1, 1})[0]; got != 4 {
+		t.Fatalf("single-layer serving forward = %g, want 4", got)
 	}
 }
 

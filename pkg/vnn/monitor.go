@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"repro/internal/coverage"
+	"repro/internal/linalg"
 	"repro/internal/monitor"
 )
 
@@ -28,12 +29,11 @@ type (
 	// MonitorVerdict is the outcome of one runtime check: OK or
 	// out-of-pattern with the offending layer and Hamming distance.
 	MonitorVerdict = monitor.Verdict
-	// MonitorScratch is the per-goroutine state of the allocation-free
-	// checking path (see Monitor.CheckInto); servers pool these.
-	MonitorScratch = monitor.Scratch
-	// MonitorBatchScratch is the per-goroutine state of the batched
-	// checking path (see Monitor.CheckBatchInto); servers keep one per
-	// inference shard.
+	// MonitorBatchScratch is the per-goroutine state of the serving path
+	// (see Monitor.CheckBatchInto): buffers only, so the zero value is
+	// ready and one scratch serves any monitor over any network — and,
+	// through its Forward field, unmonitored batches too. Servers keep
+	// one per inference shard.
 	MonitorBatchScratch = monitor.BatchScratch
 	// MonitorBuildStats reports what a monitor build did.
 	MonitorBuildStats = monitor.BuildStats
@@ -52,8 +52,8 @@ type MonitorOptions struct {
 
 // Monitor is a runtime activation-pattern monitor bound to the network of
 // the CompiledNetwork it was built from. It is immutable and safe for
-// concurrent use; the serving hot path checks through CheckInto with
-// pooled scratch, everything else through Check.
+// concurrent use; the serving hot path checks through CheckBatchInto with
+// per-lane scratch, everything else through Check.
 type Monitor struct {
 	m *monitor.Monitor
 	// networkFingerprint identifies the compile workload (network, region,
@@ -83,29 +83,20 @@ func BuildMonitor(cn *CompiledNetwork, data [][]float64, opts MonitorOptions) (*
 	return &Monitor{m: m, networkFingerprint: fp}, nil
 }
 
-// Check classifies one input: a fused forward pass produces the verdict.
-// For the allocation-free form see CheckInto.
+// Check classifies one input as a batch of one, allocating its own
+// transient state. For the allocation-free form see CheckBatchInto.
 func (m *Monitor) Check(x []float64) MonitorVerdict { return m.m.Check(x) }
 
-// NewScratch allocates per-goroutine state for CheckInto.
-func (m *Monitor) NewScratch() *MonitorScratch { return m.m.NewScratch() }
+// NewBatchScratch returns an empty scratch for CheckBatchInto; the zero
+// MonitorBatchScratch is equally valid.
+func (m *Monitor) NewBatchScratch() *MonitorBatchScratch { return new(MonitorBatchScratch) }
 
-// CheckInto is the allocation-free serving path: one fused forward pass
-// writes the prediction (bit-identical to Network.ForwardInto, the
-// serving kernels) into dst and returns the monitoring verdict, using
-// only the state in sc.
-func (m *Monitor) CheckInto(dst []float64, sc *MonitorScratch, x []float64) MonitorVerdict {
-	return m.m.CheckInto(dst, sc, x)
-}
-
-// NewBatchScratch allocates per-goroutine state for CheckBatchInto.
-func (m *Monitor) NewBatchScratch() *MonitorBatchScratch { return m.m.NewBatchScratch() }
-
-// CheckBatchInto is the batched serving path: one layer-major forward
-// pass predicts and checks every input of the batch, each row and
-// verdict bit-identical to CheckInto on that input. dst, xs and verdicts
-// must have equal length; sc must come from this monitor's
-// NewBatchScratch and must not be used concurrently.
+// CheckBatchInto is the serving path: one layer-major forward pass
+// predicts and checks every input of the batch (a single input is a batch
+// of one). Predictions are bit-identical to Network.ForwardBatchInto, and
+// they and the verdicts do not depend on how inputs are cut into batches.
+// dst, xs and verdicts must have equal length; sc must not be used
+// concurrently.
 func (m *Monitor) CheckBatchInto(dst [][]float64, sc *MonitorBatchScratch, xs [][]float64, verdicts []MonitorVerdict) {
 	m.m.CheckBatchInto(dst, sc, xs, verdicts)
 }
@@ -286,11 +277,11 @@ func (ma *MonitorAudit) Run(ctx context.Context, cn *CompiledNetwork) (*Finding,
 	// analysis with this seed would generate — the audit measures how much
 	// of that freshly exercised behaviour the dataset's patterns span.
 	_, probes := coverage.Generate(cn.Net(), lo, hi, coverageSource(ma.Seed), genOpts)
-	sc := mon.NewScratch()
-	dst := make([]float64, cn.Net().OutputDim())
-	for _, x := range probes {
-		f.Audited++
-		if v := mon.CheckInto(dst, sc, x); !v.OK {
+	f.Audited = len(probes)
+	verdicts := make([]MonitorVerdict, len(probes))
+	mon.CheckBatchInto(linalg.NewMatrix(len(probes), cn.Net().OutputDim()), new(MonitorBatchScratch), probes, verdicts)
+	for _, v := range verdicts {
+		if !v.OK {
 			f.Flagged++
 		}
 	}

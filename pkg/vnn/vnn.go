@@ -61,8 +61,8 @@ type (
 	// Network is a feed-forward ReLU network (see internal/nn).
 	Network = nn.Network
 	// ForwardScratch is the caller-owned state of the allocation-free
-	// serving forwards (Network.ForwardInto and ForwardBatchInto); create
-	// one per goroutine with Network.NewScratch.
+	// serving forward (Network.ForwardBatchInto; a single input is a batch
+	// of one). Buffers only: the zero value is ready, one per goroutine.
 	ForwardScratch = nn.Scratch
 	// Interval is a closed [Lo, Hi] range.
 	Interval = bounds.Interval

@@ -16,8 +16,8 @@
 //     are allocation-free in steady state. Sharding cannot change bits:
 //     every output is produced in the fixed kernel accumulation order
 //     regardless of how the batch is split (see DESIGN.md "Kernel
-//     layer"), so predictions are bit-identical to nn.ForwardInto and
-//     deterministic across worker counts.
+//     layer"), so predictions are the bits a one-row batch would yield
+//     and deterministic across worker counts.
 //   - Clients that re-serve a warm workload skip the network upload
 //     entirely: every response echoes the workload fingerprint (and the
 //     monitor fingerprint), and a follow-up request may carry just
@@ -157,8 +157,9 @@ type InferResponse struct {
 	MonitorPatterns int `json:"monitor_patterns,omitempty"`
 	MonitorRejected int `json:"monitor_rejected,omitempty"`
 	// Outputs[i] is the raw network output for Inputs[i], bit-identical
-	// to nn.ForwardInto (the serving kernels; within documented
-	// tolerance of nn.Forward — see DESIGN.md "Kernel layer").
+	// to nn.ForwardBatchInto on any batch holding it (the serving
+	// kernels; within documented tolerance of nn.Forward — see DESIGN.md
+	// "Kernel layer").
 	Outputs FloatMatrix `json:"outputs"`
 	// Verdicts[i] classifies Inputs[i]; nil without a monitor.
 	Verdicts []VerdictJSON `json:"verdicts,omitempty"`
@@ -263,15 +264,11 @@ type inferShard struct {
 	// used as the histogram shard and the `lane` label/attr in traces
 	// and the Prometheus rendering.
 	idx int
-	// fwd serves unmonitored batches; GrowScratch reuses it across
-	// networks of any size.
-	fwd *vnn.ForwardScratch
-	// bsc serves monitored batches; it is bound to the monitor instance
-	// mon and remade only when the shard switches monitors, so a
-	// steady-state single-model server performs zero scratch allocations
-	// per request.
-	mon *vnn.Monitor
-	bsc *vnn.MonitorBatchScratch
+	// sc serves every batch the lane runs, monitored or not, whatever the
+	// network or monitor: it holds buffers only, grown to the largest
+	// batch seen, so a warmed lane allocates nothing and keeps no
+	// reference to a monitor the cache has evicted.
+	sc vnn.MonitorBatchScratch
 
 	batches atomic.Int64
 	inputs  atomic.Int64
@@ -315,16 +312,6 @@ func (s *Server) runInfer(ctx context.Context, sp *obs.Span, net *vnn.Network, m
 	run := func(lo, hi int) {
 		sh := <-s.shards.tokens
 		defer func() { s.shards.tokens <- sh }()
-		if mon != nil {
-			if sh.mon != mon {
-				// Identity, not fingerprint: content-identical monitors can
-				// be distinct instances, and a BatchScratch is only valid
-				// for the instance that created it.
-				sh.mon, sh.bsc = mon, mon.NewBatchScratch()
-			}
-		} else {
-			sh.fwd = net.GrowScratch(sh.fwd)
-		}
 		sh.batches.Add(1)
 		chunkStart := time.Now()
 		for i := lo; i < hi; i += inferCancelStride {
@@ -334,9 +321,9 @@ func (s *Server) runInfer(ctx context.Context, sp *obs.Span, net *vnn.Network, m
 			}
 			j := min(i+inferCancelStride, hi)
 			if mon != nil {
-				mon.CheckBatchInto(outputs[i:j], sh.bsc, inputs[i:j], verdicts[i:j])
+				mon.CheckBatchInto(outputs[i:j], &sh.sc, inputs[i:j], verdicts[i:j])
 			} else {
-				net.ForwardBatchInto(outputs[i:j], sh.fwd, inputs[i:j])
+				net.ForwardBatchInto(outputs[i:j], &sh.sc.Forward, inputs[i:j])
 			}
 			sh.inputs.Add(int64(j - i))
 		}

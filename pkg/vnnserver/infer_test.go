@@ -79,12 +79,13 @@ func postInfer(t *testing.T, url string, body []byte, out any) int {
 	return resp.StatusCode
 }
 
-// servingForward runs the serving-kernel forward (nn.ForwardInto) — the
-// numerics /v1/infer promises bit-identity with. nn.Forward keeps the
-// legacy sequential order and may differ by kernel-order ULPs.
+// servingForward runs the serving-kernel forward on x alone — a one-row
+// nn.ForwardBatchInto, the numerics /v1/infer promises bit-identity with
+// however the server batches and shards. nn.Forward keeps the legacy
+// sequential order and may differ by kernel-order ULPs.
 func servingForward(net *nn.Network, x []float64) []float64 {
 	dst := make([]float64, net.OutputDim())
-	net.ForwardInto(dst, net.NewScratch(), x)
+	net.ForwardBatchInto([][]float64{dst}, net.NewScratch(), [][]float64{x})
 	return dst
 }
 
@@ -94,8 +95,8 @@ const inferTol = 1e-10
 
 // TestInfer64ConcurrentBitIdenticalAndDeterministic is the inference
 // plane's acceptance contract: 64 concurrent monitored clients against
-// one warm server receive predictions bit-identical to direct
-// nn.ForwardInto (and within documented tolerance of nn.Forward),
+// one warm server receive predictions bit-identical to a direct one-row
+// nn.ForwardBatchInto (and within documented tolerance of nn.Forward),
 // identical deterministic verdicts, and the monitor is built exactly once
 // (singleflight over the monitor cache).
 func TestInfer64ConcurrentBitIdenticalAndDeterministic(t *testing.T) {
@@ -153,7 +154,7 @@ func TestInfer64ConcurrentBitIdenticalAndDeterministic(t *testing.T) {
 		for i := range inputs {
 			for j := range want[i] {
 				if ir.Outputs[i][j] != want[i][j] { // bit-identical, no tolerance
-					t.Fatalf("client %d input %d: output %v, nn.ForwardInto %v", c, i, ir.Outputs[i], want[i])
+					t.Fatalf("client %d input %d: output %v, one-row serving forward %v", c, i, ir.Outputs[i], want[i])
 				}
 			}
 			if ir.Verdicts[i] != first.Verdicts[i] {
@@ -297,12 +298,11 @@ func TestInferValidation(t *testing.T) {
 	}
 }
 
-// TestInferContentIdenticalMonitorsDistinctInstances pins the pooled
-// scratch being keyed by monitor *instance*: "layers": null and an
-// explicit all-layers list are distinct monitor-cache workloads that
-// build content-identical monitors (equal fingerprints). A scratch
-// pooled after serving the first must not be handed to the second —
-// that used to panic ("Scratch from a different monitor").
+// TestInferContentIdenticalMonitorsDistinctInstances: "layers": null and
+// an explicit all-layers list are distinct monitor-cache workloads that
+// build content-identical monitors (equal fingerprints), and a lane's
+// scratch goes from one instance to the other: scratch must carry nothing
+// that ties it to the monitor it last served.
 func TestInferContentIdenticalMonitorsDistinctInstances(t *testing.T) {
 	net := inferNet(13)
 	rng := rand.New(rand.NewSource(14))
