@@ -95,9 +95,11 @@
 //	  ]
 //	}'
 //
-// "verify", "falsify" and "monitor_audit" analysis kinds complete the
-// portfolio; "wait": false and GET /v1/analyze/{id}[/events] work exactly
-// as for verify (progress events carry the emitting analysis's index).
+// "verify", "falsify" (the PGD pre-pass, {"kind": "falsify", "outputs":
+// [1]} — there is no separate falsification route) and "monitor_audit"
+// analysis kinds complete the portfolio; "wait": false and GET
+// /v1/analyze/{id}[/events] work exactly as for verify (progress events
+// carry the emitting analysis's index).
 // /metrics reports served analyses by kind under "analyses".
 //
 // # Online inference with runtime monitoring: /v1/infer
@@ -190,10 +192,12 @@
 //	curl -s localhost:8419/v1/models/occupancy            # full rollout document
 //	curl -s localhost:8419/debug/traces/q00000001         # the gate's trace
 //
-// — the trace has a "gate" root with cache/monitor children plus one
-// "analysis:<kind>" child per gate analysis. A version whose gate fails
-// is rejected and never serves; a passing one becomes admitted. Roll it
-// out — first to a deterministic canary share, then fully:
+// — the trace is an analyze batch's under a "gate" root: queue, cache,
+// monitor (the serving monitor's build), then solve with one child per
+// property, and the gate's branch-and-bound counts in /metrics "nodes"
+// and "lp_pivots" like any query's. A version whose gate fails is
+// rejected and never serves; a passing one becomes admitted. Roll it out
+// — first to a deterministic canary share, then fully:
 //
 //	curl -s localhost:8419/v1/models/occupancy/promote -d '{"canary_percent": 10}'
 //	curl -s localhost:8419/v1/infer?model=occupancy -d '{"inputs": [[0.5, 0.5, ...]]}'

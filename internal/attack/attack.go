@@ -130,20 +130,6 @@ func Maximize(net *nn.Network, region *verify.InputRegion, outIndex int, rng *ra
 	return res, nil
 }
 
-// Falsify searches for an input whose output exceeds the threshold. It
-// returns (counterexample, true) on success and (nil, false) when the
-// attack budget found nothing — which proves nothing.
-func Falsify(net *nn.Network, region *verify.InputRegion, outIndex int, threshold float64, rng *rand.Rand, opts Options) ([]float64, bool, error) {
-	res, err := Maximize(net, region, outIndex, rng, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	if res.Value > threshold {
-		return res.Best, true, nil
-	}
-	return nil, false, nil
-}
-
 // samplePoint rejection-samples a box point satisfying the region's linear
 // constraints (up to a fixed budget; nil when the budget runs out).
 func samplePoint(region *verify.InputRegion, rng *rand.Rand) []float64 {

@@ -111,26 +111,24 @@ func TestAttackUsuallyNearVerifiedMax(t *testing.T) {
 	}
 }
 
+// TestFalsify uses Maximize the way a falsifier does: a threshold is
+// violated when the attack's value exceeds it, and the input reaching the
+// value is the counterexample.
 func TestFalsify(t *testing.T) {
 	net := &nn.Network{Layers: []*nn.Layer{
 		{W: [][]float64{{1}}, B: []float64{0}, Act: nn.Identity},
 	}}
-	region := unitRegion(1)
-	cx, found, err := Falsify(net, region, 0, 0.5, rand.New(rand.NewSource(2)), Options{})
+	res, err := Maximize(net, unitRegion(1), 0, rand.New(rand.NewSource(2)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !found {
+	if res.Value <= 0.5 {
 		t.Fatal("violation of y<=0.5 exists (y can reach 1) but was not found")
 	}
-	if net.Forward(cx)[0] <= 0.5 {
+	if net.Forward(res.Best)[0] <= 0.5 {
 		t.Fatal("counterexample does not violate the threshold")
 	}
-	_, found, err = Falsify(net, region, 0, 2.0, rand.New(rand.NewSource(2)), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if found {
+	if res.Value > 2.0 {
 		t.Fatal("claimed violation of an unviolable bound")
 	}
 }

@@ -83,7 +83,7 @@ func TestWarmVerdictsAgainstCold(t *testing.T) {
 				t.Fatal(err)
 			}
 			after := s.Stats()
-			cold, err := Solve(m, Options{})
+			cold, err := NewSolver(m).Solve(Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +190,7 @@ func TestCertificateHandComputed(t *testing.T) {
 	if st := s.Stats(); st.CertAccepted != 1 || st.CertFailed != 0 || st.ColdSolves != 1 {
 		t.Fatalf("child verdict did not come from the warm certificate: %+v", st)
 	}
-	if cold, err := Solve(m, Options{}); err != nil || cold.Status != Infeasible {
+	if cold, err := NewSolver(m).Solve(Options{}); err != nil || cold.Status != Infeasible {
 		t.Fatalf("cold confirmation: %+v err=%v", cold, err)
 	}
 

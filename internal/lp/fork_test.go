@@ -136,7 +136,7 @@ func TestForkWithoutBasis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Solve(clone, Options{})
+		want, err := NewSolver(clone).Solve(Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestSolutionXLifetime(t *testing.T) {
 	if &first.X[0] != &second.X[0] {
 		t.Fatal("consecutive solves of one Solver returned distinct X buffers")
 	}
-	oneShot, err := Solve(m, Options{})
+	oneShot, err := NewSolver(m).Solve(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

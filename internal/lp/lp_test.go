@@ -11,7 +11,7 @@ const testTol = 1e-6
 
 func solveOK(t *testing.T, m *Model) *Solution {
 	t.Helper()
-	sol, err := Solve(m, Options{})
+	sol, err := NewSolver(m).Solve(Options{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -459,7 +459,7 @@ func TestIterationLimit(t *testing.T) {
 		m.SetObjective(i, 1)
 	}
 	m.SetMaximize(true)
-	sol, err := Solve(m, Options{MaxIterations: 1})
+	sol, err := NewSolver(m).Solve(Options{MaxIterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

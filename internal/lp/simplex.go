@@ -45,7 +45,6 @@ type Solution struct {
 	// X holds one value per model variable (meaningful when Optimal). It is
 	// the solver's own buffer: valid until the next Solve on the Solver that
 	// returned it, so a caller that keeps a point across solves copies it.
-	// (A package-level Solve uses a solver of its own; its X is the caller's.)
 	X          []float64
 	Iterations int // total simplex pivots across both phases
 }
@@ -126,13 +125,6 @@ type ratioCand struct {
 // cancelled polls the cancellation hook at most every cancelPeriod pivots.
 func (tb *tableau) cancelled() bool {
 	return tb.cancel != nil && tb.iters%cancelPeriod == 0 && tb.cancel()
-}
-
-// Solve optimizes the model and returns a solution.
-// The model is not mutated. Each call builds and solves from scratch; use
-// a Solver for repeated solves of one model under bound/objective changes.
-func Solve(m *Model, opts Options) (*Solution, error) {
-	return NewSolver(m).Solve(opts)
 }
 
 // phase1Objective sums the absolute values of artificial variables.

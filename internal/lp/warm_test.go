@@ -15,7 +15,7 @@ func checkAgainstCold(t *testing.T, s *Solver, tag string) {
 	if err != nil {
 		t.Fatalf("%s: warm solve: %v", tag, err)
 	}
-	cold, err := Solve(s.Model(), Options{})
+	cold, err := NewSolver(s.Model()).Solve(Options{})
 	if err != nil {
 		t.Fatalf("%s: cold solve: %v", tag, err)
 	}
@@ -172,7 +172,7 @@ func TestWarmManySolvesDriftGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 		if step%23 == 0 { // spot-check against cold (cold every step is slow)
-			cold, err := Solve(m, Options{})
+			cold, err := NewSolver(m).Solve(Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,7 +231,7 @@ func BenchmarkColdResolve(b *testing.B) {
 		} else {
 			m.SetBounds(v, orig[v][0], orig[v][1])
 		}
-		if _, err := Solve(m, Options{}); err != nil {
+		if _, err := NewSolver(m).Solve(Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

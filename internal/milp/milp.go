@@ -241,12 +241,6 @@ func (w *worker) solveNode(nd *node, rootLo, rootHi []float64, lpOpts lp.Options
 	return nodeResult{sol: sol, err: err}
 }
 
-// Solve runs branch-and-bound without cancellation or deadline.
-// The problem's model is not mutated.
-func Solve(p Problem, opts Options) (*Result, error) {
-	return SolveCtx(context.Background(), p, opts)
-}
-
 // ctxStatus maps a context error to the solve status it terminates with.
 func ctxStatus(err error) Status {
 	if err == context.DeadlineExceeded {

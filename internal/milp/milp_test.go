@@ -14,7 +14,7 @@ const tol = 1e-6
 
 func solveOK(t *testing.T, p Problem, opts Options) *Result {
 	t.Helper()
-	res, err := Solve(p, opts)
+	res, err := SolveCtx(context.Background(), p, opts)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}

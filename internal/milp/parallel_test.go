@@ -69,12 +69,12 @@ func TestWorkersMatchSequential(t *testing.T) {
 		problems = append(problems, randomMixed(rng, 2+rng.Intn(5), 2+rng.Intn(3)))
 	}
 	for pi, p := range problems {
-		seqRes, err := Solve(p, Options{Workers: 1})
+		seqRes, err := SolveCtx(context.Background(), p, Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("problem %d sequential: %v", pi, err)
 		}
 		for _, w := range []int{2, 4} {
-			parRes, err := Solve(p, Options{Workers: w})
+			parRes, err := SolveCtx(context.Background(), p, Options{Workers: w})
 			if err != nil {
 				t.Fatalf("problem %d workers=%d: %v", pi, w, err)
 			}
@@ -109,11 +109,11 @@ func TestWorkersMatchSequential(t *testing.T) {
 func TestWorkersDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	p := randomKnapsack(rng, 14)
-	a, err := Solve(p, Options{Workers: 4})
+	a, err := SolveCtx(context.Background(), p, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(p, Options{Workers: 4})
+	b, err := SolveCtx(context.Background(), p, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestWorkersAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		n := 4 + rng.Intn(7)
 		p := randomKnapsack(rng, n)
-		res, err := Solve(p, Options{Workers: 3})
+		res, err := SolveCtx(context.Background(), p, Options{Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,14 +181,14 @@ func TestWorkersAgainstBruteForce(t *testing.T) {
 func TestWarmStartReducesPivots(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	p := randomKnapsack(rng, 16)
-	res, err := Solve(p, Options{Workers: 1})
+	res, err := SolveCtx(context.Background(), p, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != Optimal {
 		t.Fatalf("status %v", res.Status)
 	}
-	rootSol, err := lp.Solve(p.Model, lp.Options{})
+	rootSol, err := lp.NewSolver(p.Model).Solve(lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestCancellationAnytime(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	p := randomKnapsack(rng, 26)
 
-	full, err := Solve(p, Options{Workers: 2})
+	full, err := SolveCtx(context.Background(), p, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestCancellationAnytime(t *testing.T) {
 
 	// A cancelled run must not perturb later runs: the search stays a pure
 	// function of (problem, worker count).
-	again, err := Solve(p, Options{Workers: 2})
+	again, err := SolveCtx(context.Background(), p, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestProgressEventStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	p := randomKnapsack(rng, 22)
 	var evs []Event
-	res, err := Solve(p, Options{Workers: 2, Progress: func(ev Event) { evs = append(evs, ev) }})
+	res, err := SolveCtx(context.Background(), p, Options{Workers: 2, Progress: func(ev Event) { evs = append(evs, ev) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestProgressEventStream(t *testing.T) {
 	}
 	// Determinism of the stream itself (minus wall-clock fields).
 	var evs2 []Event
-	if _, err := Solve(p, Options{Workers: 2, Progress: func(ev Event) { evs2 = append(evs2, ev) }}); err != nil {
+	if _, err := SolveCtx(context.Background(), p, Options{Workers: 2, Progress: func(ev Event) { evs2 = append(evs2, ev) }}); err != nil {
 		t.Fatal(err)
 	}
 	if len(evs) != len(evs2) {
@@ -386,7 +386,7 @@ func TestReLUNetsAgainstPhaseEnumeration(t *testing.T) {
 				val := float64((mask >> i) & 1)
 				fixed.SetBounds(v, val, val)
 			}
-			sol, err := lp.Solve(fixed, lp.Options{})
+			sol, err := lp.NewSolver(fixed).Solve(lp.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -396,7 +396,7 @@ func TestReLUNetsAgainstPhaseEnumeration(t *testing.T) {
 		}
 		var seq float64
 		for _, w := range []int{1, 2, 4} {
-			res, err := Solve(p, Options{Workers: w})
+			res, err := SolveCtx(context.Background(), p, Options{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,7 +26,7 @@ func TestEqualityPartition(t *testing.T) {
 	}
 	m.SetMaximize(true)
 	m.AddConstraint(terms, lp.EQ, float64(k), "pick-k")
-	res, err := Solve(Problem{Model: m, Integers: ints}, Options{})
+	res, err := SolveCtx(context.Background(), Problem{Model: m, Integers: ints}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestBigMDisjunction(t *testing.T) {
 	m.AddConstraint([]lp.Term{{Var: a, Coeff: 1}, {Var: y, Coeff: -1}}, lp.LE, 0, "y>=a")
 	m.AddConstraint([]lp.Term{{Var: a, Coeff: 1}, {Var: y, Coeff: -1}, {Var: d, Coeff: -2}}, lp.GE, -2, "y<=a+2(1-d)")
 	m.AddConstraint([]lp.Term{{Var: y, Coeff: 1}, {Var: d, Coeff: -3}}, lp.LE, 0, "y<=3d")
-	res, err := Solve(Problem{Model: m, Integers: []int{d}}, Options{})
+	res, err := SolveCtx(context.Background(), Problem{Model: m, Integers: []int{d}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestManyBinariesBoundedDepth(t *testing.T) {
 		ints = append(ints, v)
 	}
 	m.SetMaximize(true) // unconstrained: optimum all ones, relaxation integral
-	res, err := Solve(Problem{Model: m, Integers: ints}, Options{})
+	res, err := SolveCtx(context.Background(), Problem{Model: m, Integers: ints}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestRandomMixedProblemsAgainstEnumeration(t *testing.T) {
 				m.AddConstraint(terms, lp.LE, rng.Float64()+0.1, "")
 			}
 		}
-		res, err := Solve(Problem{Model: m, Integers: ints}, Options{})
+		res, err := SolveCtx(context.Background(), Problem{Model: m, Integers: ints}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +170,7 @@ func TestRandomMixedProblemsAgainstEnumeration(t *testing.T) {
 				val := float64((mask >> i) & 1)
 				fixed.SetBounds(v, val, val)
 			}
-			sol, err := lp.Solve(fixed, lp.Options{})
+			sol, err := lp.NewSolver(fixed).Solve(lp.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -328,7 +328,8 @@ func (tr *Traceability) Run(ctx context.Context, cn *CompiledNetwork) (*Finding,
 // caching implementation need not hash the model again. The default
 // ignores the fingerprint and calls Compile; the verification service
 // substitutes a fingerprint-keyed cached compile so identical sweeps from
-// many clients collapse to one compilation per width.
+// many clients collapse to one compilation per width (and hands its model
+// registry the same shape for recovery's recompiles).
 type CompileFunc func(ctx context.Context, fingerprint string, net *Network, region *Region, opts Options) (*CompiledNetwork, error)
 
 // QuantPoint is one rung of the bit-width ladder.
@@ -570,6 +571,12 @@ func (fa *Falsification) Run(ctx context.Context, cn *CompiledNetwork) (*Finding
 	})
 	if err != nil {
 		return nil, err
+	}
+	if res.Best == nil {
+		// Cut before its first evaluation the attack has no value at all
+		// (Value is still -Inf, which JSON cannot carry): unlike a partial
+		// attack that is not an anytime finding, it is the interruption.
+		return nil, ctx.Err()
 	}
 	return &Finding{Falsification: res}, nil
 }

@@ -2,6 +2,7 @@ package vnn
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -491,6 +492,21 @@ func TestAnalysisReportWithoutFormalVerdictIsInconclusive(t *testing.T) {
 	rep := NewAnalysisReport(net, findings)
 	if rep.Worst != "inconclusive" {
 		t.Fatalf("worst = %q for a formal-free batch, want inconclusive", rep.Worst)
+	}
+}
+
+// TestFalsificationCutBeforeFirstEvaluation: an attack interrupted before
+// it evaluated anything has no value to report (-Inf is not a finding, and
+// not JSON either), so the analysis answers with the interruption.
+func TestFalsificationCutBeforeFirstEvaluation(t *testing.T) {
+	cn, err := Compile(context.Background(), portfolioNet(t, 4), unitBoxRegion(3), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if f, err := AnalyzeOne(ctx, cn, &Falsification{Outputs: []int{0}}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled attack answered %+v, %v; want context.Canceled", f, err)
 	}
 }
 

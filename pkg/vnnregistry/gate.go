@@ -1,193 +1,70 @@
-// The gate runner: one pending version's certification, executed through
-// the injected compile/monitor caches and the vnn portfolio, decided by
-// vnn.GateSpec.Evaluate, and recorded as a lifecycle transition. The host
-// provides scheduling (admission tokens, timeouts) and tracing context;
-// the registry owns the state change.
+// The gate's outcome: the host runs a pending version's certification —
+// compile, serving-monitor build and the gate's portfolio analyses, on the
+// same solve path as any other query — and reports how it ended. The
+// registry evaluates the findings (vnn.GateSpec.Evaluate) and owns the
+// state change.
 
 package vnnregistry
 
 import (
-	"context"
+	"encoding/json"
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/pkg/vnn"
 )
 
-// GateRunOptions carries the host's execution context into a gate run.
-type GateRunOptions struct {
-	// Opts are the fully-resolved run options (workers, progress sink);
-	// the registry only adds per-analysis progress attribution.
-	Opts vnn.Options
-	// Span, when set, is the gate trace's root: the run hangs compile,
-	// monitor-build, and one child per analysis off it.
-	Span *obs.Span
-}
-
-// GateResult is a completed gate run: the version's post-decision wire
-// document plus the findings that produced it, for the host to ship in
-// the job result.
-type GateResult struct {
-	Doc      vnn.ModelVersionJSON
-	Findings []*vnn.Finding
-	CacheHit bool
-	// CompileMS is the version's base-compile cost (whoever paid it).
-	CompileMS float64
-}
-
-// RunGate executes the admission gate of a pending version: compile the
-// serving artifact (through the host's cache), build the serving monitor
-// when the submission carried one, run the gate's portfolio analyses, and
-// evaluate the findings against the gate thresholds. The version
-// transitions to admitted or rejected; either way the compiled artifact
-// stays attached so an admitted version promotes without recompiling. A
-// nil gate admits after the compile — the version is explicitly recorded
-// as ungated.
-//
-// Execution errors (compile failure, analysis error, expired budget on a
-// non-anytime path) reject the version with the error recorded: a version
-// whose certification did not complete must never become routable.
-func (r *Registry) RunGate(ctx context.Context, v *Version, o GateRunOptions) (*GateResult, error) {
+// Decide settles a pending version from its completed gate run: cn is the
+// serving artifact, mon the serving monitor (nil when the submission
+// carried no monitor workload) and findings the gate's portfolio, one per
+// gate analysis in order. The version transitions to admitted or rejected
+// as the gate's thresholds decide; a nil gate admits — the version is
+// explicitly recorded as ungated. Either way the artifacts stay attached,
+// so an admitted version promotes without recompiling and a rejected
+// one's dossier can be re-examined. An error leaves the version pending:
+// report it through FailGate.
+func (r *Registry) Decide(v *Version, cn *vnn.CompiledNetwork, mon *vnn.Monitor, findings []*vnn.Finding) (vnn.ModelVersionJSON, error) {
 	if !r.ready.Load() {
-		return nil, ErrNotReady
+		return vnn.ModelVersionJSON{}, ErrNotReady
 	}
-	r.mu.Lock()
-	if v.state != StatePending {
-		st := v.state
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: gate on version %d in state %s", ErrBadTransition, v.seq, st)
+	var monDoc json.RawMessage
+	if mon != nil {
+		var err error
+		if monDoc, err = vnn.MarshalMonitor(mon); err != nil {
+			return vnn.ModelVersionJSON{}, fmt.Errorf("monitor marshal: %w", err)
+		}
 	}
-	r.mu.Unlock()
-
-	res, err := r.runGateWork(ctx, v, o)
-
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err != nil {
-		v.gateErr = err.Error()
-		r.transitionLocked(v, StateRejected, "gate failed: "+err.Error())
-		r.rebuildRoutesLocked()
-		r.saveLocked()
-		return nil, err
+	if v.state != StatePending {
+		return vnn.ModelVersionJSON{}, fmt.Errorf("%w: gate on version %d in state %s", ErrBadTransition, v.seq, v.state)
 	}
-	if res.decision.Pass {
-		r.transitionLocked(v, StateAdmitted, res.reason)
-	} else {
-		r.transitionLocked(v, StateRejected, res.reason)
+	decision, reason := vnn.GateDecisionJSON{Pass: true}, "admitted without gate (none configured)"
+	if v.gate != nil {
+		decision = v.gate.Evaluate(findings)
+		reason = fmt.Sprintf("gate passed (%d checks)", len(decision.Checks))
 	}
-	v.decision = &res.decision
-	v.monitorData = nil // build input served its purpose; free it
-	r.rebuildRoutesLocked()
+	to := StateAdmitted
+	if !decision.Pass {
+		to, reason = StateRejected, "gate failed: "+decision.FailReason()
+	}
+	v.cn, v.monitor, v.monitorDoc, v.decision = cn, mon, monDoc, &decision
+	r.transitionLocked(v, to, reason)
 	r.saveLocked()
-	return &GateResult{
-		Doc:       r.docLocked(v),
-		Findings:  res.findings,
-		CacheHit:  res.cacheHit,
-		CompileMS: res.compileMS,
-	}, nil
+	return r.docLocked(v), nil
 }
 
-// gateWork is the lock-free portion of a gate run.
-type gateWork struct {
-	decision  vnn.GateDecisionJSON
-	reason    string
-	findings  []*vnn.Finding
-	cacheHit  bool
-	compileMS float64
-}
-
-func (r *Registry) runGateWork(ctx context.Context, v *Version, o GateRunOptions) (*gateWork, error) {
-	span := o.Span
-	if span == nil {
-		// A detached span keeps the instrumentation unconditional; it is
-		// simply never collected.
-		span = obs.NewRecorder(obs.RecorderOptions{Ring: 1}).Start("gate", "detached").Root()
-	}
-
-	compileOpts := vnn.Options{Tighten: v.tighten, Workers: o.Opts.Workers}
-	cacheSpan := span.Child("cache")
-	cn, hit, err := r.cfg.Compile(ctx, v.fingerprint, v.net, v.region, compileOpts)
-	cacheSpan.SetAttr("hit", hit)
-	cacheSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("compile: %w", err)
-	}
-	w := &gateWork{cacheHit: hit, compileMS: float64(cn.CompileTime().Microseconds()) / 1e3}
-
-	if len(v.monitorData) > 0 {
-		if r.cfg.BuildMonitor == nil {
-			return nil, fmt.Errorf("monitor workload submitted but registry has no monitor builder")
-		}
-		wfp := vnn.MonitorWorkloadFingerprint(v.fingerprint, v.monitorData, v.monitorOpts)
-		monSpan := span.Child("monitor")
-		mon, monHit, err := r.cfg.BuildMonitor(ctx, wfp, cn, v.monitorData, v.monitorOpts)
-		monSpan.SetAttr("hit", monHit)
-		monSpan.End()
-		if err != nil {
-			return nil, fmt.Errorf("monitor build: %w", err)
-		}
-		doc, err := vnn.MarshalMonitor(mon)
-		if err != nil {
-			return nil, fmt.Errorf("monitor marshal: %w", err)
-		}
-		r.mu.Lock()
-		v.monitor, v.monitorFP, v.monitorDoc = mon, wfp, doc
-		r.mu.Unlock()
-	}
-
-	// The compiled artifact attaches before the decision so even a
-	// rejected version's dossier can be re-examined without recompiling,
-	// and an admitted one promotes warm.
+// FailGate rejects a pending version whose gate run did not complete —
+// compile failure, analysis error, a budget that expired where no anytime
+// answer exists — with the cause recorded: a version whose certification
+// did not finish must never become routable.
+func (r *Registry) FailGate(v *Version, cause error) error {
 	r.mu.Lock()
-	v.cn = cn
-	gate := v.gate
-	r.mu.Unlock()
-
-	if gate == nil {
-		w.decision = vnn.GateDecisionJSON{Pass: true}
-		w.reason = "admitted without gate (none configured)"
-		return w, nil
+	defer r.mu.Unlock()
+	if v.state != StatePending {
+		return fmt.Errorf("%w: gate on version %d in state %s", ErrBadTransition, v.seq, v.state)
 	}
-
-	solveSpan := span.Child("solve")
-	defer solveSpan.End()
-	w.findings = make([]*vnn.Finding, 0, len(gate.Analyses))
-	for i := range gate.Analyses {
-		spec := &gate.Analyses[i]
-		a, err := spec.Analysis()
-		if err != nil {
-			return nil, fmt.Errorf("analysis %d: %w", i, err)
-		}
-		if qs, ok := a.(*vnn.QuantSweep); ok {
-			compile := r.cfg.Compile
-			qs.Compile = func(ctx context.Context, fp string, net *vnn.Network, region *vnn.Region, opts vnn.Options) (*vnn.CompiledNetwork, error) {
-				qcn, _, err := compile(ctx, fp, net, region, opts)
-				return qcn, err
-			}
-		}
-		runOpts := o.Opts
-		runOpts.Tighten = v.tighten
-		if p := o.Opts.Progress; p != nil {
-			idx := i
-			runOpts.Progress = func(ev vnn.Event) {
-				ev.Analysis = idx
-				p(ev)
-			}
-		}
-		aSpan := solveSpan.Child("analysis:" + a.Kind())
-		aSpan.SetAttr("analysis", i)
-		f, err := vnn.AnalyzeOne(ctx, cn.WithOptions(runOpts), a)
-		aSpan.End()
-		if err != nil {
-			return nil, fmt.Errorf("analysis %d (%s): %w", i, a.Kind(), err)
-		}
-		w.findings = append(w.findings, f)
-	}
-	w.decision = gate.Evaluate(w.findings)
-	if w.decision.Pass {
-		w.reason = fmt.Sprintf("gate passed (%d checks)", len(w.decision.Checks))
-	} else {
-		w.reason = "gate failed: " + w.decision.FailReason()
-	}
-	return w, nil
+	v.gateErr = cause.Error()
+	r.transitionLocked(v, StateRejected, "gate failed: "+v.gateErr)
+	r.saveLocked()
+	return nil
 }

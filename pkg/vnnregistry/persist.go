@@ -2,8 +2,9 @@
 // via tmp+rename on every state change) plus an append-only transition log
 // (transitions.log, one JSON line per lifecycle step — the audit trail the
 // snapshot's per-version history summarizes). Recovery replays the
-// snapshot through the injected compile/monitor builders so a restarted
-// daemon rebuilds its warm serving table from durable state alone.
+// snapshot through the injected compile cache — monitors are restored from
+// their persisted documents — so a restarted daemon rebuilds its warm
+// serving table from durable state alone.
 
 package vnnregistry
 
@@ -15,6 +16,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"repro/pkg/vnn"
@@ -125,12 +127,7 @@ func (r *Registry) saveLocked() {
 	for name := range r.models {
 		names = append(names, name)
 	}
-	// Deterministic file content: models sorted by name.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	sort.Strings(names) // deterministic file content
 	for _, name := range names {
 		m := r.models[name]
 		ms := modelSnapshotJSON{Name: m.name, PrevLive: m.prevLive}
@@ -286,7 +283,7 @@ func (r *Registry) loadVersion(ctx context.Context, modelName string, vs *versio
 	// admitted/canary/live/retired all keep warm artifacts: live and
 	// canary to serve, admitted to promote, retired to roll back to.
 	opts := vnn.Options{Tighten: v.tighten, Workers: v.workers}
-	cn, _, err := r.cfg.Compile(ctx, v.fingerprint, net, region, opts)
+	cn, err := r.cfg.Compile(ctx, v.fingerprint, net, region, opts)
 	if err != nil {
 		return nil, fmt.Errorf("recompile: %w", err)
 	}

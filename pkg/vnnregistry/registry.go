@@ -13,14 +13,14 @@
 // plus an append-only transition log (see persist.go) so a daemon restart
 // recovers the serving table.
 //
-// The package is deliberately engine-agnostic glue: compiles and monitor
-// builds are injected (the server wires its fingerprint-keyed
-// singleflight cache in), and the gate decision logic lives on
-// vnn.GateSpec where every other wire shape lives.
+// The package runs no engine work of its own. The host runs a version's
+// gate on its one solve path and reports the outcome (Decide, FailGate —
+// see gate.go); the decision logic lives on vnn.GateSpec where every other
+// wire shape lives. The one engine call left here is recovery's recompile
+// of persisted versions, through the host's injected compile cache.
 package vnnregistry
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -66,25 +66,15 @@ var (
 	ErrBadTransition = errors.New("vnnregistry: illegal transition")
 )
 
-// CompileFunc produces (or cache-hits) the compiled artifact for a
-// fingerprinted workload. The server injects its singleflight LRU here so
-// gate runs, recovery and /v1/analyze all share one compile per workload.
-type CompileFunc func(ctx context.Context, fingerprint string, net *vnn.Network, region *vnn.Region, opts vnn.Options) (*vnn.CompiledNetwork, bool, error)
-
-// BuildMonitorFunc produces (or cache-hits) the serving monitor for a
-// monitor-workload fingerprint.
-type BuildMonitorFunc func(ctx context.Context, workloadFingerprint string, cn *vnn.CompiledNetwork, data [][]float64, opts vnn.MonitorOptions) (*vnn.Monitor, bool, error)
-
 // Config wires a Registry into its host.
 type Config struct {
 	// Dir is the persistence directory (-data-dir); "" disables
 	// persistence (state lives for the process only).
 	Dir string
-	// Compile builds serving/gate artifacts; required.
-	Compile CompileFunc
-	// BuildMonitor builds serving monitors; required when submissions
-	// carry monitor workloads.
-	BuildMonitor BuildMonitorFunc
+	// Compile recompiles a recovered version's serving artifact; required.
+	// The server injects its singleflight compile cache, so recovery shares
+	// one compile per workload with every request.
+	Compile vnn.CompileFunc
 	// ImportMonitor, when set, is offered every monitor reconstructed
 	// during recovery so the host can prime its own serving caches.
 	ImportMonitor func(*vnn.Monitor)
@@ -114,7 +104,6 @@ type Version struct {
 	submitted     time.Time
 	transitions   []vnn.TransitionJSON
 
-	monitorData [][]float64 // gate-time build input; not persisted
 	monitorOpts vnn.MonitorOptions
 	monitorDoc  json.RawMessage // marshaled monitor, persisted for recovery
 	monitorFP   string
@@ -317,8 +306,8 @@ func (r *Registry) logf(format string, args ...any) {
 }
 
 // Submission is a validated POST /v1/models body, parsed by the host into
-// engine values. The registry records it as a pending version; the gate
-// decides its fate asynchronously (RunGate).
+// engine values. The registry records it as a pending version; the host's
+// gate run decides its fate (Decide, FailGate).
 type Submission struct {
 	Model       string
 	NetworkJSON json.RawMessage
@@ -329,8 +318,11 @@ type Submission struct {
 	Tighten     bool
 	Workers     int
 	Gate        *vnn.GateSpec // nil admits without analysis (ungated)
-	MonitorData [][]float64
-	MonitorOpts vnn.MonitorOptions
+	// MonitorFingerprint keys the serving-monitor build workload (see
+	// vnn.MonitorWorkloadFingerprint) and MonitorOpts are its options;
+	// both zero when the submission carries no monitor.
+	MonitorFingerprint string
+	MonitorOpts        vnn.MonitorOptions
 }
 
 // Submit registers a new pending version of sub.Model (creating the model
@@ -360,7 +352,7 @@ func (r *Registry) Submit(sub Submission) (*Version, error) {
 		tighten:     sub.Tighten,
 		workers:     sub.Workers,
 		gate:        sub.Gate,
-		monitorData: sub.MonitorData,
+		monitorFP:   sub.MonitorFingerprint,
 		monitorOpts: sub.MonitorOpts,
 		submitted:   time.Now(),
 		net:         sub.Net,

@@ -38,16 +38,11 @@ func scaledNet() *vnn.Network {
 func testConfig(dir string, compiles *atomic.Int64) Config {
 	return Config{
 		Dir: dir,
-		Compile: func(ctx context.Context, fp string, net *vnn.Network, region *vnn.Region, opts vnn.Options) (*vnn.CompiledNetwork, bool, error) {
+		Compile: func(ctx context.Context, fp string, net *vnn.Network, region *vnn.Region, opts vnn.Options) (*vnn.CompiledNetwork, error) {
 			if compiles != nil {
 				compiles.Add(1)
 			}
-			cn, err := vnn.Compile(ctx, net, region, opts)
-			return cn, false, err
-		},
-		BuildMonitor: func(ctx context.Context, wfp string, cn *vnn.CompiledNetwork, data [][]float64, opts vnn.MonitorOptions) (*vnn.Monitor, bool, error) {
-			m, err := vnn.BuildMonitor(cn, data, opts)
-			return m, false, err
+			return vnn.Compile(ctx, net, region, opts)
 		},
 	}
 }
@@ -101,26 +96,48 @@ func gateSpec(t *testing.T, raw string) *vnn.GateSpec {
 	return g
 }
 
-// admit submits and gates a version, requiring admission.
-func admit(t *testing.T, r *Registry, sub Submission) *Version {
+// verifyFinding is a hand-made verification finding with the given
+// per-property outcomes — what a host's gate run would report.
+func verifyFinding(outcomes ...vnn.Outcome) *vnn.Finding {
+	f := &vnn.Finding{Kind: vnn.KindVerify}
+	for _, o := range outcomes {
+		f.Verification = append(f.Verification, &vnn.Result{Outcome: o})
+	}
+	return f
+}
+
+// admit submits a version and plays the host's part of its gate run — the
+// compile, a serving monitor over data when given — then has the registry
+// decide on the findings, requiring admission.
+func admit(t *testing.T, r *Registry, sub Submission, data [][]float64, findings ...*vnn.Finding) *Version {
 	t.Helper()
 	v, err := r.Submit(sub)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RunGate(context.Background(), v, GateRunOptions{})
+	cn, err := vnn.Compile(context.Background(), sub.Net, sub.Region, vnn.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Doc.State != string(StateAdmitted) {
-		t.Fatalf("gate left version in state %s: %+v", res.Doc.State, res.Doc.Gate)
+	var mon *vnn.Monitor
+	if data != nil {
+		if mon, err = vnn.BuildMonitor(cn, data, sub.MonitorOpts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc, err := r.Decide(v, cn, mon, findings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.State != string(StateAdmitted) {
+		t.Fatalf("gate left version in state %s: %+v", doc.State, doc.Gate)
 	}
 	return v
 }
 
 func TestLifecyclePromoteRollback(t *testing.T) {
 	r := newReady(t, testConfig("", nil))
-	v1 := admit(t, r, submission(t, "m", absNet(), nil))
+	v1 := admit(t, r, submission(t, "m", absNet(), nil), nil)
 
 	// Canary with no live version is illegal: there is nothing to split
 	// traffic with.
@@ -139,7 +156,7 @@ func TestLifecyclePromoteRollback(t *testing.T) {
 		t.Fatalf("re-promote live: %v", err)
 	}
 
-	admit(t, r, submission(t, "m", scaledNet(), nil))
+	admit(t, r, submission(t, "m", scaledNet(), nil), nil)
 	doc, err = r.Promote("m", 2, 30)
 	if err != nil {
 		t.Fatal(err)
@@ -191,72 +208,92 @@ func TestLifecyclePromoteRollback(t *testing.T) {
 	}
 }
 
-func TestGateRejectsViolatedProperty(t *testing.T) {
-	r := newReady(t, testConfig("", nil))
-	gate := gateSpec(t, `{"analyses":[{"kind":"verify","properties":[{"kind":"at_most","output":0,"threshold":0.5}]}]}`)
-	v, err := r.Submit(submission(t, "m", absNet(), gate))
-	if err != nil {
-		t.Fatal(err)
+// TestGateDecisions walks the gate's corner of the state machine on
+// hand-made findings: no compile, no solve — the registry only evaluates,
+// transitions and persists.
+func TestGateDecisions(t *testing.T) {
+	const oneProperty = `"analyses":[{"kind":"verify","properties":[{"kind":"at_most","output":0,"threshold":0.5}]}]`
+	for _, tc := range []struct {
+		name     string
+		gate     string // "" submits ungated
+		findings []*vnn.Finding
+		want     State
+		reason   string // substring of the decision's fail reason
+	}{
+		{"violated rejects", `{` + oneProperty + `}`, []*vnn.Finding{verifyFinding(vnn.Violated)}, StateRejected, "violated"},
+		{"inconclusive rejects by default", `{` + oneProperty + `}`, []*vnn.Finding{verifyFinding(vnn.Inconclusive)}, StateRejected, "requires proved"},
+		{"inconclusive admits when not requiring proved", `{` + oneProperty + `,"require_proved":false}`, []*vnn.Finding{verifyFinding(vnn.Inconclusive)}, StateAdmitted, ""},
+		{"proved admits", `{` + oneProperty + `}`, []*vnn.Finding{verifyFinding(vnn.Proved)}, StateAdmitted, ""},
+		{"ungated admits", "", nil, StateAdmitted, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newReady(t, testConfig("", nil))
+			var gate *vnn.GateSpec
+			if tc.gate != "" {
+				gate = gateSpec(t, tc.gate)
+			}
+			v, err := r.Submit(submission(t, "m", absNet(), gate))
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc, err := r.Decide(v, nil, nil, tc.findings)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if doc.State != string(tc.want) || doc.Gate == nil || doc.Gate.Pass != (tc.want == StateAdmitted) {
+				t.Fatalf("state %s, decision %+v, want %s", doc.State, doc.Gate, tc.want)
+			}
+			if got := doc.Gate.FailReason(); !strings.Contains(got, tc.reason) || (tc.reason == "") != (got == "") {
+				t.Fatalf("fail reason %q, want it to contain %q", got, tc.reason)
+			}
+			if last := doc.Transitions[len(doc.Transitions)-1]; last.From != string(StatePending) || last.To != string(tc.want) {
+				t.Fatalf("last transition %+v", last)
+			}
+			// A decided version is decided: neither outcome can be recorded
+			// over it.
+			if _, err := r.Decide(v, nil, nil, tc.findings); !errors.Is(err, ErrBadTransition) {
+				t.Fatalf("second Decide: %v", err)
+			}
+			if err := r.FailGate(v, errors.New("late")); !errors.Is(err, ErrBadTransition) {
+				t.Fatalf("FailGate after Decide: %v", err)
+			}
+			if tc.want == StateRejected {
+				// A rejected version never routes — the model is known but
+				// unservable — and cannot be promoted around the gate.
+				if _, err := r.Resolve("m", [][]float64{{0.5, 0.5}}); !errors.Is(err, ErrNoServing) {
+					t.Fatalf("resolve after rejection: %v", err)
+				}
+				if _, err := r.Promote("m", v.Seq(), 100); !errors.Is(err, ErrBadTransition) {
+					t.Fatalf("promote rejected: %v", err)
+				}
+			}
+		})
 	}
-	res, err := r.RunGate(context.Background(), v, GateRunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Doc.State != string(StateRejected) {
-		t.Fatalf("violated gate admitted the version: %+v", res.Doc)
-	}
-	if res.Doc.Gate == nil || res.Doc.Gate.Pass || res.Doc.Gate.FailReason() == "" {
-		t.Fatalf("decision: %+v", res.Doc.Gate)
-	}
-	// A rejected version never routes; the model is known but unservable.
-	if _, err := r.Resolve("m", [][]float64{{0.5, 0.5}}); !errors.Is(err, ErrNoServing) {
-		t.Fatalf("resolve after rejection: %v", err)
-	}
-	// Rejected versions cannot be promoted around the gate.
-	if _, err := r.Promote("m", v.Seq(), 100); !errors.Is(err, ErrBadTransition) {
-		t.Fatalf("promote rejected: %v", err)
-	}
-	// The gate cannot be re-run on a decided version.
-	if _, err := r.RunGate(context.Background(), v, GateRunOptions{}); !errors.Is(err, ErrBadTransition) {
-		t.Fatalf("re-run gate: %v", err)
-	}
-}
 
-func TestGateAdmitsProvedPropertyWithMonitor(t *testing.T) {
-	r := newReady(t, testConfig("", nil))
-	gate := gateSpec(t, `{"analyses":[
-		{"kind":"verify","properties":[{"kind":"at_most","output":0,"threshold":1.5}]},
-		{"kind":"monitor_audit","data":[[0.9,0.1],[0.1,0.9]],"gamma":0}],
-		"max_flag_rate":1.0}`)
-	sub := submission(t, "m", absNet(), gate)
-	sub.MonitorData = [][]float64{{0.9, 0.1}, {0.1, 0.9}}
-	v, err := r.Submit(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.RunGate(context.Background(), v, GateRunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Doc.State != string(StateAdmitted) {
-		t.Fatalf("state %s: %+v", res.Doc.State, res.Doc.Gate)
-	}
-	if res.Doc.MonitorFingerprint == "" {
-		t.Fatal("admitted version lost its serving monitor")
-	}
-	if len(res.Findings) != 2 {
-		t.Fatalf("%d findings for a 2-analysis gate", len(res.Findings))
-	}
-	if _, err := r.Promote("m", 0, 100); err != nil {
-		t.Fatal(err)
-	}
-	sv, err := r.Resolve("m", [][]float64{{0.9, 0.1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sv.Monitor == nil || sv.CN == nil || sv.Route != "live" {
-		t.Fatalf("resolved version not warm: %+v", sv)
-	}
+	t.Run("failed run rejects with the cause", func(t *testing.T) {
+		r := newReady(t, testConfig("", nil))
+		v, err := r.Submit(submission(t, "m", absNet(), nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.FailGate(v, errors.New("compile: boom")); err != nil {
+			t.Fatal(err)
+		}
+		doc := r.Doc(v)
+		if doc.State != string(StateRejected) || doc.GateError != "compile: boom" || doc.Gate != nil {
+			t.Fatalf("failed gate: %+v", doc)
+		}
+		if _, err := r.Decide(v, nil, nil, nil); !errors.Is(err, ErrBadTransition) {
+			t.Fatalf("Decide after FailGate: %v", err)
+		}
+	})
+
+	t.Run("not ready", func(t *testing.T) {
+		r := New(testConfig("", nil))
+		if _, err := r.Decide(&Version{state: StatePending}, nil, nil, nil); !errors.Is(err, ErrNotReady) {
+			t.Fatalf("Decide before recover: %v", err)
+		}
+	})
 }
 
 func TestRouteHashDeterministic(t *testing.T) {
@@ -271,11 +308,11 @@ func TestRouteHashDeterministic(t *testing.T) {
 
 func TestCanaryRoutingDeterministicAndMonotone(t *testing.T) {
 	r := newReady(t, testConfig("", nil))
-	admit(t, r, submission(t, "m", absNet(), nil))
+	admit(t, r, submission(t, "m", absNet(), nil), nil)
 	if _, err := r.Promote("m", 1, 100); err != nil {
 		t.Fatal(err)
 	}
-	admit(t, r, submission(t, "m", scaledNet(), nil))
+	admit(t, r, submission(t, "m", scaledNet(), nil), nil)
 	if _, err := r.Promote("m", 2, 40); err != nil {
 		t.Fatal(err)
 	}
@@ -333,11 +370,24 @@ func TestCanaryRoutingDeterministicAndMonotone(t *testing.T) {
 func TestPersistenceRecovery(t *testing.T) {
 	dir := t.TempDir()
 	r1 := newReady(t, testConfig(dir, nil))
-	admit(t, r1, submission(t, "m", absNet(), nil))
+	// Version 1 passes a real gate and carries a serving monitor: decision,
+	// monitor document and monitor fingerprint must all survive the restart.
+	monData := [][]float64{{0.9, 0.1}, {0.1, 0.9}}
+	sub1 := submission(t, "m", absNet(), gateSpec(t,
+		`{"analyses":[{"kind":"verify","properties":[{"kind":"at_most","output":0,"threshold":1.5}]}]}`))
+	sub1.MonitorFingerprint = vnn.MonitorWorkloadFingerprint(sub1.Fingerprint, monData, sub1.MonitorOpts)
+	v1 := admit(t, r1, sub1, monData, verifyFinding(vnn.Proved))
 	if _, err := r1.Promote("m", 1, 100); err != nil {
 		t.Fatal(err)
 	}
-	admit(t, r1, submission(t, "m", scaledNet(), nil))
+	before, err := r1.Resolve("m", monData[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Version != v1 || before.Monitor == nil || before.CN == nil || before.Route != "live" {
+		t.Fatalf("resolved version not warm: %+v", before)
+	}
+	admit(t, r1, submission(t, "m", scaledNet(), nil), nil)
 	if _, err := r1.Promote("m", 2, 25); err != nil {
 		t.Fatal(err)
 	}
@@ -394,8 +444,19 @@ func TestPersistenceRecovery(t *testing.T) {
 	if n := compiles.Load(); n != 2 {
 		t.Fatalf("recovery ran %d compiles, want 2", n)
 	}
-	if _, err := r2.Resolve("m", [][]float64{{0.3, 0.7}}); err != nil {
-		t.Fatal(err)
+	rv1 := md.Versions[0]
+	if rv1.Gate == nil || !rv1.Gate.Pass || rv1.MonitorFingerprint != sub1.MonitorFingerprint {
+		t.Fatalf("recovered v1 lost its gate decision or monitor fingerprint: %+v", rv1)
+	}
+	// Three quarters of the hash space still routes to the live v1.
+	var after *Resolved
+	for x := 0.0; after == nil || after.Route != "live"; x += 0.125 {
+		if after, err = r2.Resolve("m", [][]float64{{x, 1 - x}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after.Version.Seq() != 1 || after.CN == nil || after.Monitor == nil || after.Monitor.Fingerprint() != before.Monitor.Fingerprint() {
+		t.Fatalf("recovered v1 serves without its monitor: %+v", after)
 	}
 }
 

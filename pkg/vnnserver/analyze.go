@@ -2,10 +2,9 @@
 // request compiles (or cache-hits) a network against a region and runs
 // any mix of analyses — property verification, structural coverage,
 // traceability, quantization sweeps, data validation, falsification —
-// through vnn.Analyze on the shared compiled artifact. Quantization
-// sweeps route their per-width recompiles through the same
-// fingerprint-keyed compile cache as everything else, so N concurrent
-// identical sweeps still perform exactly one compile per bit-width.
+// through vnn.Analyze on the shared compiled artifact. The model gate
+// (registry.go) is the same portfolio under another route: both build
+// their analyses with buildAnalyses and run them with Server.analyze.
 
 package vnnserver
 
@@ -22,11 +21,10 @@ import (
 // Per-request work caps. Unlike property verification — whose budget is
 // the request timeout and whose anytime contract makes interruption
 // useful — these analyses do open-ended iteration work, so the service
-// bounds what one request can demand up front (the same hardening the
-// falsify endpoint has always had).
+// bounds what one request can demand up front.
 const (
-	// maxFalsifyRestarts and maxFalsifySteps bound PGD work per request,
-	// for /v1/falsify and falsify-kind analyses alike.
+	// maxFalsifyRestarts and maxFalsifySteps bound one falsify analysis's
+	// PGD work.
 	maxFalsifyRestarts = 1024
 	maxFalsifySteps    = 10000
 	// maxCoverageTests bounds one coverage analysis's sampling budget.
@@ -56,13 +54,71 @@ type AnalyzeRequest struct {
 
 // AnalyzeResponse is the analyze answer: the shared wire Report (findings
 // under "analyses", verification results also flattened into "results")
-// plus service metadata about the base compile.
-type AnalyzeResponse struct {
-	ID          string  `json:"id"`
-	Fingerprint string  `json:"fingerprint"`
-	CacheHit    bool    `json:"cache_hit"`
-	CompileMS   float64 `json:"compile_ms"`
-	vnn.Report
+// plus service metadata about the base compile — the verify answer's
+// shape exactly.
+type AnalyzeResponse = VerifyResponse
+
+// buildAnalyses turns the analysis specs of a request — an /v1/analyze
+// batch or a model gate — into engine values: each is validated against
+// the network and held to the per-request work caps (see the max*
+// constants). Whatever it rejects is the client's fault.
+func buildAnalyses(specs []vnn.AnalysisSpec, net *vnn.Network) ([]vnn.Analysis, error) {
+	analyses := make([]vnn.Analysis, len(specs))
+	for i := range specs {
+		spec := &specs[i]
+		err := spec.ValidateFor(net)
+		switch {
+		case err != nil:
+		case spec.Kind == vnn.KindFalsify && (spec.Restarts > maxFalsifyRestarts || spec.Steps > maxFalsifySteps):
+			err = fmt.Errorf("restarts must be in [0, %d] and steps in [0, %d]", maxFalsifyRestarts, maxFalsifySteps)
+		case spec.Kind == vnn.KindCoverage && spec.MaxTests > maxCoverageTests:
+			err = fmt.Errorf("max_tests must be at most %d", maxCoverageTests)
+		case spec.Kind == vnn.KindQuantSweep && len(spec.Bits) > maxSweepWidths:
+			err = fmt.Errorf("a sweep may request at most %d bit-widths", maxSweepWidths)
+		default:
+			analyses[i], err = spec.Analysis()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("analysis %d: %w", i, err)
+		}
+	}
+	return analyses, nil
+}
+
+// analyze runs a portfolio on the compiled artifact under solve's span sp:
+// the answer /v1/analyze and the model gate give solve. A quantization
+// sweep's per-width recompiles come through the compile door like the
+// base compile — one "cache" span each under sp, and N concurrent
+// identical sweeps still perform exactly one compile per bit-width. The
+// effort is summed over verification and sweep findings. No analyses (an
+// ungated submission) is no findings.
+func (s *Server) analyze(ctx context.Context, sp *obs.Span, cn *vnn.CompiledNetwork, analyses []vnn.Analysis) ([]*vnn.Finding, effort, error) {
+	var eff effort
+	if len(analyses) == 0 {
+		return nil, eff, nil
+	}
+	for _, a := range analyses {
+		if qs, ok := a.(*vnn.QuantSweep); ok {
+			qs.Compile = func(ctx context.Context, fp string, net *vnn.Network, region *vnn.Region, opts vnn.Options) (*vnn.CompiledNetwork, error) {
+				qcn, _, err := s.compiled(ctx, sp, &workload{net: net, region: region, fingerprint: fp}, vnn.Options{Tighten: opts.Tighten, Workers: opts.Workers})
+				return qcn, err
+			}
+		}
+	}
+	findings, err := vnn.Analyze(ctx, cn, analyses...)
+	if err != nil {
+		return nil, eff, err
+	}
+	for _, f := range findings {
+		eff.add(f.Verification)
+		if f.QuantSweep != nil {
+			eff.add(f.QuantSweep.Base)
+			for _, pt := range f.QuantSweep.Points {
+				eff.add(pt.Results)
+			}
+		}
+	}
+	return findings, eff, nil
 }
 
 // prepareAnalyze parses the request into engine values, validates every
@@ -77,22 +133,9 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest) (*jobPlan, error) {
 	if len(req.Analyses) == 0 {
 		return nil, fmt.Errorf("request needs at least one analysis")
 	}
-	analyses := make([]vnn.Analysis, len(req.Analyses))
-	for i := range req.Analyses {
-		if analyses[i], err = req.Analyses[i].Analysis(); err != nil {
-			return nil, fmt.Errorf("analysis %d: %w", i, err)
-		}
-		if err := req.Analyses[i].ValidateFor(wl.net); err != nil {
-			return nil, fmt.Errorf("analysis %d: %w", i, err)
-		}
-		if err := capAnalysisWork(&req.Analyses[i]); err != nil {
-			return nil, fmt.Errorf("analysis %d: %w", i, err)
-		}
-		// Every quantized recompile a sweep performs goes through the
-		// compile cache, like the base compile.
-		if qs, ok := analyses[i].(*vnn.QuantSweep); ok {
-			qs.Compile = s.cachedCompile
-		}
+	analyses, err := buildAnalyses(req.Analyses, wl.net)
+	if err != nil {
+		return nil, err
 	}
 	return &jobPlan{
 		route:       "/v1/analyze",
@@ -105,25 +148,11 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest) (*jobPlan, error) {
 			// The solve span covers the whole portfolio; each analysis that
 			// streams solver progress contributes per-property children
 			// with their analysis index attributed.
-			resp, err := s.solve(ctx, jb, root, wl, req.Options, fairWorkers,
-				func(ctx context.Context, cn *vnn.CompiledNetwork) (vnn.Report, effort, error) {
-					var eff effort
-					findings, err := vnn.Analyze(ctx, cn, analyses...)
-					if err != nil {
-						return vnn.Report{}, eff, err
-					}
-					for _, f := range findings {
-						eff.add(f.Verification)
-						if f.QuantSweep != nil {
-							eff.add(f.QuantSweep.Base)
-							for _, pt := range f.QuantSweep.Points {
-								eff.add(pt.Results)
-							}
-						}
-					}
-					return vnn.NewAnalysisReport(wl.net, findings), eff, nil
+			return s.solve(ctx, jb, root, wl, req.Options, fairWorkers, nil,
+				func(ctx context.Context, sp *obs.Span, cn *vnn.CompiledNetwork) (vnn.Report, effort, error) {
+					findings, eff, err := s.analyze(ctx, sp, cn, analyses)
+					return vnn.NewAnalysisReport(wl.net, findings), eff, err
 				})
-			return (*AnalyzeResponse)(resp), err
 		},
 		count: func(_ any, err error) {
 			s.analyzes.Add(1)
@@ -139,40 +168,7 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest) (*jobPlan, error) {
 	}, nil
 }
 
-// capAnalysisWork enforces the service's per-request work bounds on one
-// analysis spec (see the max* constants).
-func capAnalysisWork(spec *vnn.AnalysisSpec) error {
-	switch spec.Kind {
-	case vnn.KindFalsify:
-		if spec.Restarts > maxFalsifyRestarts || spec.Steps > maxFalsifySteps {
-			return fmt.Errorf("restarts must be in [0, %d] and steps in [0, %d]",
-				maxFalsifyRestarts, maxFalsifySteps)
-		}
-	case vnn.KindCoverage:
-		if spec.MaxTests > maxCoverageTests {
-			return fmt.Errorf("max_tests must be at most %d", maxCoverageTests)
-		}
-	case vnn.KindQuantSweep:
-		if len(spec.Bits) > maxSweepWidths {
-			return fmt.Errorf("a sweep may request at most %d bit-widths", maxSweepWidths)
-		}
-	}
-	return nil
-}
-
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
 	s.serveJob(w, r, &req, func() (*jobPlan, error) { return s.prepareAnalyze(&req) })
-}
-
-// cachedCompile is the CompileFunc the server injects into quantization
-// sweeps: share one compile per distinct quantized model through the
-// LRU/singleflight cache, keyed on the fingerprint the sweep already
-// computed for its finding.
-func (s *Server) cachedCompile(ctx context.Context, fp string, net *vnn.Network, region *vnn.Region, opts vnn.Options) (*vnn.CompiledNetwork, error) {
-	copts := vnn.Options{Tighten: opts.Tighten, Workers: opts.Workers}
-	cn, _, err := s.cache.GetOrCompile(ctx, fp, func() (*vnn.CompiledNetwork, error) {
-		return vnn.Compile(s.queryCtx, net, region, copts)
-	})
-	return cn, err
 }

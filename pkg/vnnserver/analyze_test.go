@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/verify"
@@ -231,8 +232,12 @@ func TestAnalyzePortfolioRoundTrip(t *testing.T) {
 		t.Fatalf("verification: %+v", ver.Results)
 	}
 	fa := resp.Analyses[4].Falsification
-	if fa == nil || len(fa.Best) != 2 {
+	if fa == nil || len(fa.Best) != 2 || fa.Evaluations <= 0 {
 		t.Fatalf("falsification: %+v", fa)
+	}
+	// The finding is a witness: the network really outputs Value at Best.
+	if got := net.Forward(fa.Best)[0]; math.Abs(got-fa.Value) > 1e-12 {
+		t.Fatalf("falsifier value %g replays to %g", fa.Value, got)
 	}
 	// The attack's reach can never exceed the verified maximum.
 	if fa.Value > *ver.Results[0].Value+1e-9 {
@@ -263,8 +268,8 @@ func TestAnalyzeValidationErrors(t *testing.T) {
 		{{Kind: vnn.KindFalsify, Outputs: []int{5}}},           // bad output
 		{{Kind: vnn.KindQuantSweep, Bits: []int{64}, Properties: []vnn.PropertySpec{{Kind: "max", Outputs: []int{0}}}}},
 		{{Kind: vnn.KindVerify, Properties: []vnn.PropertySpec{{Kind: "max", Outputs: []int{9}}}}},
-		// Per-request work caps: the analyze endpoint must refuse the
-		// same open-ended compute /v1/falsify refuses.
+		// Per-request work caps: the analyze endpoint refuses open-ended
+		// compute.
 		{{Kind: vnn.KindFalsify, Outputs: []int{0}, Restarts: 100000000, Steps: 10}},
 		{{Kind: vnn.KindCoverage, MaxTests: 1 << 24}},
 		{{Kind: vnn.KindQuantSweep, Bits: bitsLadder(40), Properties: []vnn.PropertySpec{{Kind: "max", Outputs: []int{0}}}}},
@@ -274,6 +279,28 @@ func TestAnalyzeValidationErrors(t *testing.T) {
 		var eresp map[string]any
 		if status := postAnalyze(t, ts.URL, body, &eresp); status != http.StatusBadRequest {
 			t.Fatalf("case %d: status %d, want 400 (%v)", i, status, eresp)
+		}
+	}
+}
+
+// TestAnalyzeFalsifyCutShort pins what a falsify analysis answers when
+// the budget fires before its first PGD evaluation: the attack has no
+// value at all then (-Inf, which JSON cannot carry), so every attempt is a
+// 504 with the JSON error envelope — whether the deadline catches the job
+// in the queue or in the attack — never a 200 with an empty body.
+func TestAnalyzeFalsifyCutShort(t *testing.T) {
+	net, region := smallNet(t)
+	_, ts := newTestServer(t, vnnserver.Config{DefaultTimeout: time.Nanosecond})
+	body := analyzeBody(t, net, region, []vnn.AnalysisSpec{
+		{Kind: vnn.KindFalsify, Outputs: []int{0}, Restarts: 1024, Steps: 10000},
+	}, vnnserver.QueryOptions{Workers: 1}, nil)
+	for i := 0; i < 16; i++ {
+		st, raw := post(t, ts.URL+"/v1/analyze", body)
+		var envelope struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(raw, &envelope); st != http.StatusGatewayTimeout || err != nil || envelope.Error == "" {
+			t.Fatalf("attempt %d: status %d body %q (%v), want 504 with a JSON error", i, st, raw, err)
 		}
 	}
 }

@@ -423,10 +423,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.CacheHit = hit
-		monSpan := root.Child("monitor")
-		mon, hit, err = s.buildMonitor(ctx, q.monitorFP, cn, req.Monitor.Data, q.monitorOpts)
-		monSpan.SetAttr("hit", hit)
-		monSpan.End()
+		mon, hit, err = s.buildMonitor(ctx, root, q.monitorFP, cn, req.Monitor.Data, q.monitorOpts)
 		if err != nil {
 			writeError(w, statusFor(err), err.Error())
 			return
@@ -559,6 +556,26 @@ func newMonitorCache(capacity int) *monitorCache {
 		}
 	}
 	return c
+}
+
+// buildMonitor returns the monitor cached under the build-workload
+// fingerprint wfp, building it over cn on a miss, and records the "monitor"
+// span under root either way. /v1/infer and the model gate share it, so a
+// version's serving monitor is also reusable by monitor_fingerprint
+// requests and fleet replication. Only actual builds feed the histogram;
+// hits are cache waits.
+func (s *Server) buildMonitor(ctx context.Context, root *obs.Span, wfp string, cn *vnn.CompiledNetwork, data [][]float64, opts vnn.MonitorOptions) (*vnn.Monitor, bool, error) {
+	sp := root.Child("monitor")
+	defer sp.End()
+	buildStart := time.Now()
+	mon, hit, err := s.monitors.getOrBuild(ctx, wfp, func() (*vnn.Monitor, error) {
+		return vnn.BuildMonitor(cn, data, opts)
+	})
+	if !hit {
+		observeSince(s.obs.hist[hMonitorBuild], buildStart)
+	}
+	sp.SetAttr("hit", hit)
+	return mon, hit, err
 }
 
 // getOrBuild returns the monitor cached under key, building it on a miss.

@@ -45,7 +45,6 @@ type Metrics struct {
 	// served analyses down by kind (coverage, quant_sweep, ...).
 	AnalyzeRequests int64            `json:"analyze_requests"`
 	Analyses        map[string]int64 `json:"analyses"`
-	Falsifications  int64            `json:"falsifications"`
 	// Infer snapshots the online inference plane.
 	Infer InferStats `json:"infer"`
 	// Fleet snapshots the replication plane: reconcile rounds,
@@ -113,7 +112,6 @@ func (s *Server) Metrics() Metrics {
 	// Request counters first (handlers bump these LAST)...
 	queries := s.queries.Load()
 	analyzes := s.analyzes.Load()
-	falsifications := s.falsifications.Load()
 	inferRequests := s.inferRequests.Load()
 	// ...then effort counters (handlers bump these FIRST), so every
 	// counted request's effort is already visible.
@@ -127,7 +125,6 @@ func (s *Server) Metrics() Metrics {
 		Queries:         queries,
 		AnalyzeRequests: analyzes,
 		Analyses:        s.analysisCounts(),
-		Falsifications:  falsifications,
 		Infer: InferStats{
 			Requests:  inferRequests,
 			Inputs:    s.inferInputs.Load(),
@@ -214,7 +211,6 @@ var metricTable = []metricRow{
 
 	{at: func(m *Metrics) any { return &m.Queries }, prom: "vnnd_queries_total", help: "Verify queries served.", typ: counter},
 	{at: func(m *Metrics) any { return &m.AnalyzeRequests }, prom: "vnnd_analyze_requests_total", help: "Analyze batches served.", typ: counter, then: promAnalyses},
-	{at: func(m *Metrics) any { return &m.Falsifications }, prom: "vnnd_falsifications_total", help: "Falsification requests served.", typ: counter},
 
 	{at: func(m *Metrics) any { return &m.Infer.Requests }, prom: "vnnd_infer_requests_total", help: "Infer batches served.", typ: counter},
 	{at: func(m *Metrics) any { return &m.Infer.Inputs }, prom: "vnnd_infer_inputs_total", help: "Infer inputs served.", typ: counter},

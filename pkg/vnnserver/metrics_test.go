@@ -61,7 +61,6 @@ func goldenDoc() Metrics {
 		Queries:         301,
 		AnalyzeRequests: 302,
 		Analyses:        map[string]int64{"coverage": 303, "quant_sweep": 304},
-		Falsifications:  305,
 		Infer: InferStats{
 			Requests: 401, Inputs: 402, Flagged: 403, Monitors: 404, Workloads: 405,
 			Shards: []InferShardStats{{Batches: 406, Inputs: 407}, {Batches: 408, Inputs: 409}},
@@ -168,7 +167,6 @@ func doubledDoc() Metrics {
 		Queries:         2 * m.Queries,
 		AnalyzeRequests: 2 * m.AnalyzeRequests,
 		Analyses:        map[string]int64{"coverage": 2 * 303, "quant_sweep": 2 * 304},
-		Falsifications:  2 * m.Falsifications,
 		Infer: InferStats{
 			Requests: 2 * m.Infer.Requests, Inputs: 2 * m.Infer.Inputs, Flagged: 2 * m.Infer.Flagged,
 			Monitors: 2 * m.Infer.Monitors, Workloads: 2 * m.Infer.Workloads,

@@ -5,7 +5,9 @@
 // admission wait, cache lookup, compile (with tighten/encode attributed
 // from internal/verify's phase clocks), branch-and-bound, monitor
 // build, per-lane infer chunks — so a single /debug/traces/{id} fetch
-// answers "where did this request spend its time".
+// answers "where did this request spend its time". Each phase has one
+// owner (runJob, compiled, solve, buildMonitor, runInfer), so the gate's
+// trace is an analyze batch's and every compile's looks the same.
 
 package vnnserver
 
@@ -41,11 +43,11 @@ type serverObs struct {
 }
 
 // tenantRoutes is the fixed route universe per-tenant series exist for.
-var tenantRoutes = []string{"/v1/verify", "/v1/analyze", "/v1/infer", "/v1/falsify"}
+var tenantRoutes = []string{"/v1/verify", "/v1/analyze", "/v1/infer"}
 
 // latencyRoutes is the request-duration family in rendering order: the
 // tenant routes plus the model gate (under its trace route name).
-var latencyRoutes = []string{"/v1/verify", "/v1/analyze", "/v1/infer", "/v1/falsify", "gate"}
+var latencyRoutes = []string{"/v1/verify", "/v1/analyze", "/v1/infer", "gate"}
 
 func newServerObs(cfg Config, node string) *serverObs {
 	o := &serverObs{

@@ -1,10 +1,12 @@
 // The one request pipeline: the scheduled-job skeleton /v1/verify,
-// /v1/analyze and POST /v1/models run through (serveJob/runJob), and the
-// leaf steps every compute route shares — workload parsing, the budget
-// context, compile-through-cache, monitor-spec validation, effort
-// accounting. /v1/infer and /v1/falsify use the leaves but keep their own
-// control flow: they create no scheduler job and stream no SSE, so forcing
-// them through the skeleton would make it branch on its caller.
+// /v1/analyze and POST /v1/models run through (serveJob/runJob), their one
+// run body (solve, the only place the server questions a compiled
+// network), and the leaf steps every compute route shares — workload
+// parsing, the budget context, the compile door (compiled, the only place
+// it compiles one), monitor-spec validation, effort accounting. /v1/infer
+// alone uses the leaves but keeps its own control flow: a forward pass is
+// microseconds, so it creates no scheduler job and streams no SSE, and
+// forcing it through the skeleton would make that branch on its caller.
 
 package vnnserver
 
@@ -101,17 +103,20 @@ func (s *Server) budget(parent context.Context, timeoutMS int) (context.Context,
 	return ctx, func() { stop(); cancel() }
 }
 
-// compiled returns the workload's compiled artifact through the
-// fingerprint-keyed cache, recording a "cache" span under root with a
-// "compile" child on a miss. ctx bounds only this caller's wait; the
-// compile itself runs under the server's lifetime context rather than the
-// request's — it is shared work (other requests may be waiting on the
-// same fingerprint), so one impatient client must not abort it, only
-// server drain can.
+// compiled is the server's one compile door: a request's base compile, a
+// quantization sweep's per-width recompiles and a recovered model version
+// all come through the fingerprint-keyed cache here, recording a "cache"
+// span under root (nil records nothing) with a "compile" child on a miss.
+// ctx bounds only this caller's wait; the compile itself runs under the
+// server's lifetime context rather than the request's — it is shared work
+// (other requests may be waiting on the same fingerprint), so one
+// impatient client must not abort it, only server drain can.
 //
 // The compile span attributes the pass to LP tightening vs MILP encoding
 // from the durations and pass counts this compile measured on itself
-// (vnn.CompilePhases), so no other request's compile shows up in it.
+// (vnn.CompilePhases), so no other request's compile shows up in it. Every
+// compile that runs, failed ones included, is one vnnd_compile_seconds
+// observation; cache hits and waiters are none.
 func (s *Server) compiled(ctx context.Context, root *obs.Span, wl *workload, opts vnn.Options) (*vnn.CompiledNetwork, bool, error) {
 	cacheSpan := root.Child("cache")
 	cn, hit, err := s.cache.GetOrCompile(ctx, wl.fingerprint, func() (*vnn.CompiledNetwork, error) {
@@ -183,14 +188,18 @@ func (e *effort) annotate(sp *obs.Span) {
 	}
 }
 
-// solve is the run body /v1/verify and /v1/analyze share: compile the
-// workload through the cache, then let answer question the compiled
-// artifact while its progress streams to the job's subscribers and into
-// per-property children of the trace's "solve" span (see
-// vnn.ProgressSpans). Effort counters land here, before the caller's
-// request counter — the write half of the Metrics ordering guarantee.
+// solve is the run body /v1/verify, /v1/analyze and the model gate share:
+// compile the workload through the cache, then let answer question the
+// compiled artifact under the trace's "solve" span while its progress
+// streams to the job's subscribers and into per-property children of that
+// span (see vnn.ProgressSpans). compiledReady, when non-nil, sees the
+// artifact in between: the gate builds its serving monitor there, so its
+// trace reads cache → monitor → solve. Effort counters land here, before
+// the caller's request counter — the write half of the Metrics ordering
+// guarantee.
 func (s *Server) solve(ctx context.Context, jb *job, root *obs.Span, wl *workload, qo QueryOptions, fairWorkers int,
-	answer func(context.Context, *vnn.CompiledNetwork) (vnn.Report, effort, error)) (*VerifyResponse, error) {
+	compiledReady func(context.Context, *vnn.CompiledNetwork) error,
+	answer func(context.Context, *obs.Span, *vnn.CompiledNetwork) (vnn.Report, effort, error)) (*VerifyResponse, error) {
 	opts := wl.compileOpts
 	if opts.Workers == 0 {
 		opts.Workers = fairWorkers
@@ -198,6 +207,11 @@ func (s *Server) solve(ctx context.Context, jb *job, root *obs.Span, wl *workloa
 	cn, hit, err := s.compiled(ctx, root, wl, opts)
 	if err != nil {
 		return nil, err
+	}
+	if compiledReady != nil {
+		if err := compiledReady(ctx, cn); err != nil {
+			return nil, err
+		}
 	}
 	opts.Parallel = qo.Parallel
 	opts.MaxNodes = qo.MaxNodes
@@ -208,7 +222,7 @@ func (s *Server) solve(ctx context.Context, jb *job, root *obs.Span, wl *workloa
 		jb.publish(ev)
 		ps.Observe(ev)
 	}
-	report, eff, err := answer(ctx, cn.WithOptions(opts))
+	report, eff, err := answer(ctx, solveSpan, cn.WithOptions(opts))
 	ps.Close()
 	if err != nil {
 		return nil, err
@@ -348,8 +362,8 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, req any, prepa
 // the outcome on it.
 //
 // The trace's phase spans decompose the request: "queue" (admission
-// wait), then whatever the route's run body hangs off the root — for
-// verify and analyze "cache" (lookup, with a "compile" child on a miss)
+// wait), then what solve hangs off the root — "cache" (lookup, with a
+// "compile" child on a miss), for a gate with a serving monitor "monitor",
 // and "solve" (branch-and-bound, one child per property from the progress
 // stream). The root's children never overlap, so their durations sum to
 // at most the trace's wall time. The trace finishes when runJob returns —

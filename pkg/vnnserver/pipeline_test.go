@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/pkg/vnn"
 	"repro/pkg/vnnserver"
 )
@@ -23,7 +24,7 @@ type jobRoute struct {
 	path string
 	// syncByDefault is what an absent "wait" means on this route.
 	syncByDefault bool
-	body          func(t *testing.T, net *nn.Network, wait *bool) []byte
+	body          func(t *testing.T, net *nn.Network, props []vnn.PropertySpec, wait *bool) []byte
 	// resultPath and eventsPath address an accepted job by its id. The job
 	// registry is route-agnostic, so a gate job's terminal answer is also
 	// readable under the generic job route.
@@ -37,6 +38,12 @@ const contractModel = "contract"
 func contractProps() []vnn.PropertySpec {
 	threshold := 1.5
 	return []vnn.PropertySpec{{Kind: "at_most", Output: new(int), Threshold: &threshold}}
+}
+
+// searchProps is one property no bound settles: answering it takes at
+// least one branch-and-bound node and its LP.
+func searchProps() []vnn.PropertySpec {
+	return []vnn.PropertySpec{{Kind: "max", Outputs: []int{0}}}
 }
 
 func jobRoutes() []jobRoute {
@@ -54,13 +61,15 @@ func jobRoutes() []jobRoute {
 		return body
 	}
 	opts := vnnserver.QueryOptions{Workers: 1}
-	analyses := []vnn.AnalysisSpec{{Kind: vnn.KindVerify, Properties: contractProps()}}
+	analyses := func(props []vnn.PropertySpec) []vnn.AnalysisSpec {
+		return []vnn.AnalysisSpec{{Kind: vnn.KindVerify, Properties: props}}
+	}
 	return []jobRoute{
 		{
 			name: "verify", path: "/v1/verify", syncByDefault: true,
-			body: func(t *testing.T, net *nn.Network, wait *bool) []byte {
+			body: func(t *testing.T, net *nn.Network, props []vnn.PropertySpec, wait *bool) []byte {
 				return marshal(t, net, func(n json.RawMessage) any {
-					return vnnserver.VerifyRequest{Network: n, Region: unitBox, Properties: contractProps(), Options: opts, Wait: wait}
+					return vnnserver.VerifyRequest{Network: n, Region: unitBox, Properties: props, Options: opts, Wait: wait}
 				})
 			},
 			resultPath: func(id string) string { return "/v1/verify/" + id },
@@ -68,9 +77,9 @@ func jobRoutes() []jobRoute {
 		},
 		{
 			name: "analyze", path: "/v1/analyze", syncByDefault: true,
-			body: func(t *testing.T, net *nn.Network, wait *bool) []byte {
+			body: func(t *testing.T, net *nn.Network, props []vnn.PropertySpec, wait *bool) []byte {
 				return marshal(t, net, func(n json.RawMessage) any {
-					return vnnserver.AnalyzeRequest{Network: n, Region: unitBox, Analyses: analyses, Options: opts, Wait: wait}
+					return vnnserver.AnalyzeRequest{Network: n, Region: unitBox, Analyses: analyses(props), Options: opts, Wait: wait}
 				})
 			},
 			resultPath: func(id string) string { return "/v1/analyze/" + id },
@@ -78,10 +87,10 @@ func jobRoutes() []jobRoute {
 		},
 		{
 			name: "gate", path: "/v1/models", syncByDefault: false,
-			body: func(t *testing.T, net *nn.Network, wait *bool) []byte {
+			body: func(t *testing.T, net *nn.Network, props []vnn.PropertySpec, wait *bool) []byte {
 				return marshal(t, net, func(n json.RawMessage) any {
 					return vnnserver.ModelSubmitRequest{Model: contractModel, Network: n, Region: unitBox,
-						Options: opts, Gate: &vnn.GateSpec{Analyses: analyses}, Wait: wait}
+						Options: opts, Gate: &vnn.GateSpec{Analyses: analyses(props)}, Wait: wait}
 				})
 			},
 			resultPath: func(id string) string { return "/v1/verify/" + id },
@@ -169,20 +178,78 @@ func drainWithin(t *testing.T, srv *vnnserver.Server, d time.Duration) {
 	}
 }
 
+// spanNames lists the names of a span's children in order.
+func spanNames(sp *obs.SpanJSON) []string {
+	names := make([]string, len(sp.Children))
+	for i, c := range sp.Children {
+		names[i] = c.Name
+	}
+	return names
+}
+
+// compileCount reads how many compiles the server has observed into
+// vnnd_compile_seconds.
+func compileCount(srv *vnnserver.Server) int64 {
+	return findHistogram(srv.Metrics().Histograms, "vnnd_compile_seconds", "").Count
+}
+
 // TestJobPipelineContract pins, for every scheduled-job route, the
 // behaviour the shared skeleton owns: drain refusal before any side
 // effect, immediate backpressure that creates nothing, async jobs whose
-// result and event stream agree, and a drain that accounts for queued
-// jobs.
+// result and event stream agree, a drain that accounts for queued jobs,
+// and — the shared run body's half — solver effort that reaches /metrics
+// and a trace that decomposes into queue, cache and solve.
 func TestJobPipelineContract(t *testing.T) {
 	for _, rt := range jobRoutes() {
+		t.Run(rt.name+"/effort", func(t *testing.T) {
+			srv, ts := newTestServer(t, vnnserver.Config{})
+			waitRegistryReady(t, srv)
+			before := srv.Metrics()
+			wait := true
+			st, raw := post(t, ts.URL+rt.path, rt.body(t, rolloutNet(), searchProps(), &wait))
+			if st != http.StatusOK {
+				t.Fatalf("sync submit answered %d %s", st, raw)
+			}
+			if after := srv.Metrics(); after.Nodes <= before.Nodes || after.LPPivots <= before.LPPivots {
+				t.Fatalf("/metrics effort did not grow with the job: nodes %d → %d, lp_pivots %d → %d",
+					before.Nodes, after.Nodes, before.LPPivots, after.LPPivots)
+			}
+			root := getTrace(t, ts.URL, jobID(t, raw)).Root
+			if got, want := spanNames(root), []string{"queue", "cache", "solve"}; !slicesEqual(got, want) {
+				t.Fatalf("root children %v, want %v", got, want)
+			}
+			cache, solve := root.Children[1], root.Children[2]
+			if hit, ok := cache.Attrs["hit"].(bool); !ok || hit || !slicesEqual(spanNames(cache), []string{"compile"}) {
+				t.Fatalf("cache span attrs %v children %v, want a miss with one compile child", cache.Attrs, spanNames(cache))
+			}
+			compile := cache.Children[0]
+			if got := spanNames(compile); !slicesEqual(got, []string{"encode"}) && !slicesEqual(got, []string{"tighten", "encode"}) {
+				t.Fatalf("compile children %v, want [tighten?, encode]", got)
+			}
+			for _, k := range []string{"tighten_passes", "encode_passes"} {
+				if _, ok := compile.Attrs[k]; !ok {
+					t.Fatalf("compile span attrs %v lack %s", compile.Attrs, k)
+				}
+			}
+			for _, k := range []string{"nodes", "lp_pivots"} {
+				if v, _ := solve.Attrs[k].(float64); v <= 0 {
+					t.Fatalf("solve span attrs %v, want %s > 0", solve.Attrs, k)
+				}
+			}
+			for _, k := range []string{"bb_max_depth", "lp_warm_solves", "lp_cold_solves"} {
+				if _, ok := solve.Attrs[k]; !ok {
+					t.Fatalf("solve span attrs %v lack %s", solve.Attrs, k)
+				}
+			}
+		})
+
 		t.Run(rt.name+"/draining", func(t *testing.T) {
 			srv, ts := newTestServer(t, vnnserver.Config{})
 			waitRegistryReady(t, srv)
 			srv.Drain(0)
 			// Even an undecodable body is refused as draining, not as
 			// malformed: the check precedes the decode.
-			for _, body := range [][]byte{[]byte(`{`), rt.body(t, rolloutNet(), nil)} {
+			for _, body := range [][]byte{[]byte(`{`), rt.body(t, rolloutNet(), contractProps(), nil)} {
 				if st, raw := post(t, ts.URL+rt.path, body); st != http.StatusServiceUnavailable {
 					t.Fatalf("draining server answered %d %s, want 503", st, raw)
 				}
@@ -200,7 +267,7 @@ func TestJobPipelineContract(t *testing.T) {
 			waitRegistryReady(t, srv)
 			occupyOnlySlot(t, srv, ts.URL)
 			for _, wait := range []bool{true, false} {
-				st, raw := post(t, ts.URL+rt.path, rt.body(t, rolloutNet(), &wait))
+				st, raw := post(t, ts.URL+rt.path, rt.body(t, rolloutNet(), contractProps(), &wait))
 				if st != http.StatusTooManyRequests || !strings.Contains(string(raw), "queue") {
 					t.Fatalf("saturated server (wait=%v) answered %d %s, want 429", wait, st, raw)
 				}
@@ -228,12 +295,12 @@ func TestJobPipelineContract(t *testing.T) {
 			if rt.syncByDefault {
 				wantDefault = http.StatusOK
 			}
-			if st, raw := post(t, ts.URL+rt.path, rt.body(t, rolloutNetV2(), nil)); st != wantDefault {
+			if st, raw := post(t, ts.URL+rt.path, rt.body(t, rolloutNetV2(), contractProps(), nil)); st != wantDefault {
 				t.Fatalf("default wait answered %d %s, want %d", st, raw, wantDefault)
 			}
 
 			wait := false
-			st, raw := post(t, ts.URL+rt.path, rt.body(t, rolloutNet(), &wait))
+			st, raw := post(t, ts.URL+rt.path, rt.body(t, rolloutNet(), contractProps(), &wait))
 			if st != http.StatusAccepted {
 				t.Fatalf("async submit answered %d %s", st, raw)
 			}
@@ -274,7 +341,7 @@ func TestJobPipelineContract(t *testing.T) {
 			waitRegistryReady(t, srv)
 			occupyOnlySlot(t, srv, ts.URL)
 			wait := false
-			st, raw := post(t, ts.URL+rt.path, rt.body(t, rolloutNet(), &wait))
+			st, raw := post(t, ts.URL+rt.path, rt.body(t, rolloutNet(), contractProps(), &wait))
 			if st != http.StatusAccepted {
 				t.Fatalf("queued submit answered %d %s", st, raw)
 			}
@@ -289,6 +356,43 @@ func TestJobPipelineContract(t *testing.T) {
 			}
 		})
 	}
+
+	// A quantization sweep's per-width recompiles go through the same
+	// compile door as the base compile: each is one vnnd_compile_seconds
+	// observation and one "cache" span — the base compile under the root,
+	// one per width under "solve".
+	t.Run("analyze/quant-sweep", func(t *testing.T) {
+		srv, ts := newTestServer(t, vnnserver.Config{})
+		// Random weights, so each width quantizes to a network of its own.
+		net, region := smallNet(t)
+		body := analyzeBody(t, net, region,
+			[]vnn.AnalysisSpec{{Kind: vnn.KindQuantSweep, Bits: []int{8, 4}, Properties: searchProps()}},
+			vnnserver.QueryOptions{Workers: 1}, nil)
+		before := compileCount(srv)
+		st, raw := post(t, ts.URL+"/v1/analyze", body)
+		if st != http.StatusOK {
+			t.Fatalf("sweep answered %d %s", st, raw)
+		}
+		if got := compileCount(srv) - before; got != 3 {
+			t.Fatalf("vnnd_compile_seconds counted %d compiles, want 3 (base + one per width)", got)
+		}
+		root := getTrace(t, ts.URL, jobID(t, raw)).Root
+		if got, want := spanNames(root), []string{"queue", "cache", "solve"}; !slicesEqual(got, want) {
+			t.Fatalf("root children %v, want %v", got, want)
+		}
+		var sweepCompiles int
+		for _, c := range root.Children[2].Children {
+			if c.Name == "cache" {
+				if hit, ok := c.Attrs["hit"].(bool); !ok || hit || !slicesEqual(spanNames(c), []string{"compile"}) {
+					t.Fatalf("sweep cache span attrs %v children %v, want a miss with one compile child", c.Attrs, spanNames(c))
+				}
+				sweepCompiles++
+			}
+		}
+		if sweepCompiles != 2 {
+			t.Fatalf("solve span children %v, want one cache span per width", spanNames(root.Children[2]))
+		}
+	})
 }
 
 // TestGateJoinsInboundTrace pins that POST /v1/models joins a caller's
@@ -308,7 +412,7 @@ func TestGateJoinsInboundTrace(t *testing.T) {
 			gate = rt
 		}
 	}
-	req, err := http.NewRequest(http.MethodPost, ts.URL+gate.path, bytes.NewReader(gate.body(t, rolloutNet(), &wait)))
+	req, err := http.NewRequest(http.MethodPost, ts.URL+gate.path, bytes.NewReader(gate.body(t, rolloutNet(), contractProps(), &wait)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 // The verified-rollout HTTP surface: /v1/models and friends, backed by
 // pkg/vnnregistry. Submitting a version runs its certification gate
-// asynchronously through the same admission scheduler and job registry
-// as /v1/verify — the gate IS a portfolio batch, so it queues, streams
-// SSE progress, and traces exactly like one (trace id = job id, "gate"
-// root with per-analysis children). Serving integration lives in
-// infer.go (?model= resolution); readiness in handleReadyz below.
+// asynchronously through the same admission scheduler, job registry and
+// solve path as /v1/analyze — the gate IS a portfolio batch, so it
+// queues, streams SSE progress, counts its effort and traces exactly like
+// one (trace id = job id, "gate" root, per-property children under
+// "solve"); the registry only records the outcome. Serving integration
+// lives in infer.go (?model= resolution); readiness in handleReadyz below.
 
 package vnnserver
 
@@ -17,7 +18,6 @@ import (
 	"net/http"
 	"regexp"
 	"strconv"
-	"time"
 
 	"repro/internal/obs"
 	"repro/pkg/vnn"
@@ -103,52 +103,13 @@ func registryStatus(err error) int {
 	}
 }
 
-// registryCompile is the CompileFunc the server injects into the
-// registry: the shared fingerprint-keyed singleflight cache, compiling
-// under the server's lifetime context (a gate compile is shared work —
-// /v1/verify requests for the same fingerprint hit it). Successful
-// compiles also prime the by-fingerprint infer workload cache, so a
-// version's artifact is immediately servable via plain fingerprint
-// requests and exportable to fleet peers.
-func (s *Server) registryCompile(ctx context.Context, fp string, net *vnn.Network, region *vnn.Region, opts vnn.Options) (*vnn.CompiledNetwork, bool, error) {
-	cn, hit, err := s.cache.GetOrCompile(ctx, fp, func() (*vnn.CompiledNetwork, error) {
-		compileStart := time.Now()
-		cn, err := vnn.Compile(s.queryCtx, net, region, opts)
-		if err == nil {
-			s.obs.hist[hCompile].Observe(int64(time.Since(compileStart)))
-		}
-		return cn, err
-	})
-	if err == nil {
-		s.workloads.add(fp, &workload{net: net, region: region, compileOpts: opts, fingerprint: fp})
-	}
-	return cn, hit, err
-}
-
-// buildMonitor returns the monitor cached under the build-workload
-// fingerprint wfp, building it over cn on a miss. /v1/infer and gate-time
-// builds share it (it is the registry's BuildMonitorFunc), so a version's
-// serving monitor is also reusable by monitor_fingerprint requests and
-// fleet replication. Only actual builds feed the histogram; hits are
-// cache waits.
-func (s *Server) buildMonitor(ctx context.Context, wfp string, cn *vnn.CompiledNetwork, data [][]float64, opts vnn.MonitorOptions) (*vnn.Monitor, bool, error) {
-	buildStart := time.Now()
-	mon, hit, err := s.monitors.getOrBuild(ctx, wfp, func() (*vnn.Monitor, error) {
-		return vnn.BuildMonitor(cn, data, opts)
-	})
-	if !hit {
-		observeSince(s.obs.hist[hMonitorBuild], buildStart)
-	}
-	return mon, hit, err
-}
-
 // prepareModelSubmit validates everything that can be the client's
-// fault — name, network, region, gate (against the network, with the
-// same per-analysis work caps as /v1/analyze) and monitor spec — and plans
-// the gate run. The gate mirrors an analyze batch: queue span, fair
-// worker share, SSE progress through the job, drain interruption. The
+// fault — name, network, region, gate (its analyses built exactly as
+// /v1/analyze builds its own) and monitor spec — and plans the gate run.
+// The gate is an analyze batch: queue span, fair worker share, SSE
+// progress through the job, drain interruption, all from solve. The
 // lifecycle decision itself (admitted/rejected, persistence) belongs to
-// the registry.
+// the registry: the run body hands it the outcome.
 func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*jobPlan, error) {
 	if !modelNameRE.MatchString(req.Model) {
 		return nil, fmt.Errorf("model name must match %s", modelNameRE)
@@ -162,14 +123,13 @@ func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*jobPlan, error) {
 		gate = s.cfg.DefaultGate
 	}
 	timeoutMS := req.TimeoutMS
+	var analyses []vnn.Analysis // none: an ungated submission
 	if gate != nil {
-		if err := gate.ValidateFor(wl.net); err != nil {
+		if err := gate.Validate(); err != nil {
 			return nil, err
 		}
-		for i := range gate.Analyses {
-			if err := capAnalysisWork(&gate.Analyses[i]); err != nil {
-				return nil, fmt.Errorf("gate analysis %d: %w", i, err)
-			}
+		if analyses, err = buildAnalyses(gate.Analyses, wl.net); err != nil {
+			return nil, fmt.Errorf("gate %w", err)
 		}
 		if timeoutMS <= 0 {
 			timeoutMS = gate.TimeoutMS
@@ -190,7 +150,7 @@ func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*jobPlan, error) {
 		if sub.MonitorOpts, err = validateMonitorSpec(m, wl.net); err != nil {
 			return nil, err
 		}
-		sub.MonitorData = m.Data
+		sub.MonitorFingerprint = vnn.MonitorWorkloadFingerprint(wl.fingerprint, m.Data, sub.MonitorOpts)
 	}
 	var v *vnnregistry.Version // set by submit
 	return &jobPlan{
@@ -217,19 +177,38 @@ func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*jobPlan, error) {
 		run: func(ctx context.Context, jb *job, root *obs.Span, fairWorkers int) (any, error) {
 			root.SetAttr("model", v.Model())
 			root.SetAttr("version", v.Seq())
-			opts := vnn.Options{Workers: req.Options.Workers, Parallel: req.Options.Parallel, MaxNodes: req.Options.MaxNodes}
-			if opts.Workers == 0 {
-				opts.Workers = fairWorkers
+			var (
+				cn       *vnn.CompiledNetwork
+				mon      *vnn.Monitor
+				findings []*vnn.Finding
+			)
+			solved, err := s.solve(ctx, jb, root, wl, req.Options, fairWorkers,
+				func(ctx context.Context, compiled *vnn.CompiledNetwork) (err error) {
+					cn = compiled
+					// Compiled, the version's artifact is servable by plain
+					// fingerprint requests — admitted or not.
+					s.workloads.add(wl.fingerprint, wl)
+					if m := req.Monitor; m != nil {
+						mon, _, err = s.buildMonitor(ctx, root, sub.MonitorFingerprint, cn, m.Data, sub.MonitorOpts)
+					}
+					return err
+				},
+				func(ctx context.Context, sp *obs.Span, cn *vnn.CompiledNetwork) (_ vnn.Report, eff effort, err error) {
+					findings, eff, err = s.analyze(ctx, sp, cn, analyses)
+					return vnn.NewAnalysisReport(nil, findings), eff, err
+				})
+			resp := &ModelSubmitResponse{ID: jb.id}
+			if err == nil {
+				resp.ModelVersionJSON, err = s.registry.Decide(v, cn, mon, findings)
 			}
-			opts.Progress = jb.publish
-			res, err := s.registry.RunGate(ctx, v, vnnregistry.GateRunOptions{Opts: opts, Span: root})
 			if err != nil {
+				// A version whose certification did not complete is rejected
+				// with the cause recorded, never left pending.
+				s.registry.FailGate(v, err)
 				return nil, err
 			}
-			resp := &ModelSubmitResponse{ID: jb.id, ModelVersionJSON: res.Doc}
-			if len(res.Findings) > 0 {
-				rep := vnn.NewAnalysisReport(nil, res.Findings)
-				resp.Report = &rep
+			if len(findings) > 0 {
+				resp.Report = &solved.Report
 			}
 			return resp, nil
 		},

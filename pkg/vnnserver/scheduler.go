@@ -10,7 +10,7 @@ import (
 	"repro/internal/obs"
 )
 
-// ErrQueueFull is returned by Scheduler.Run when the bounded admission
+// ErrQueueFull is returned by Scheduler.Admit when the bounded admission
 // queue is full — the backpressure signal the HTTP layer maps to 429.
 var ErrQueueFull = errors.New("vnnserver: admission queue full")
 
@@ -89,23 +89,14 @@ func (s *Scheduler) Admit() error {
 // release must happen here instead.
 func (s *Scheduler) cancelAdmitted() { <-s.queue }
 
-// Run admits fn under the budget and executes it on the calling
-// goroutine. It returns ErrQueueFull when the queue is saturated, the
-// context error if ctx fires while waiting for a run slot, and otherwise
-// whatever fn returns. fn receives the derived fair-share worker count.
-// tn, when non-nil, receives the requesting tenant's queue-wait
-// observation alongside the global histogram — the demand signal the
-// per-tenant accounting plane exists for.
-func (s *Scheduler) Run(ctx context.Context, tn *obs.TenantStats, fn func(ctx context.Context, workers int) error) error {
-	if err := s.Admit(); err != nil {
-		return err
-	}
-	return s.RunAdmitted(ctx, tn, fn)
-}
-
-// RunAdmitted executes fn for a query that already holds an admission
-// token (see Admit), waiting for a run slot and releasing the token when
-// done.
+// RunAdmitted executes fn on the calling goroutine for a query that
+// already holds an admission token (see Admit), waiting for a run slot and
+// releasing the token when done. It returns the context error if ctx fires
+// while waiting for the slot, and otherwise whatever fn returns. fn
+// receives the derived fair-share worker count. tn, when non-nil, receives
+// the requesting tenant's queue-wait observation alongside the global
+// histogram — the demand signal the per-tenant accounting plane exists
+// for.
 func (s *Scheduler) RunAdmitted(ctx context.Context, tn *obs.TenantStats, fn func(ctx context.Context, workers int) error) error {
 	defer func() { <-s.queue }()
 

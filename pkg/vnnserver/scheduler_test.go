@@ -8,6 +8,15 @@ import (
 	"time"
 )
 
+// run admits fn and executes it, the two steps the request pipeline takes
+// apart (serveJob admits, runJob runs).
+func run(ctx context.Context, s *Scheduler, fn func(ctx context.Context, workers int) error) error {
+	if err := s.Admit(); err != nil {
+		return err
+	}
+	return s.RunAdmitted(ctx, nil, fn)
+}
+
 // TestSchedulerBackpressure pins admission semantics: one query runs, one
 // waits, the next is rejected immediately with ErrQueueFull.
 func TestSchedulerBackpressure(t *testing.T) {
@@ -20,7 +29,7 @@ func TestSchedulerBackpressure(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.Run(ctx, nil, func(context.Context, int) error {
+		run(ctx, s, func(context.Context, int) error {
 			close(running)
 			<-release
 			return nil
@@ -32,7 +41,7 @@ func TestSchedulerBackpressure(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.Run(ctx, nil, func(context.Context, int) error {
+		run(ctx, s, func(context.Context, int) error {
 			close(queuedStarted)
 			return nil
 		})
@@ -46,7 +55,7 @@ func TestSchedulerBackpressure(t *testing.T) {
 	}
 
 	// Queue is now full: a third query bounces without blocking.
-	if err := s.Run(ctx, nil, func(context.Context, int) error { return nil }); !errors.Is(err, ErrQueueFull) {
+	if err := run(ctx, s, func(context.Context, int) error { return nil }); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third query err = %v, want ErrQueueFull", err)
 	}
 	if got := s.Stats().Rejected; got != 1 {
@@ -71,7 +80,7 @@ func TestSchedulerFairShare(t *testing.T) {
 	ctx := context.Background()
 
 	var solo int
-	if err := s.Run(ctx, nil, func(_ context.Context, workers int) error {
+	if err := run(ctx, s, func(_ context.Context, workers int) error {
 		solo = workers
 		return nil
 	}); err != nil {
@@ -87,7 +96,7 @@ func TestSchedulerFairShare(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.Run(ctx, nil, func(_ context.Context, workers int) error {
+		run(ctx, s, func(_ context.Context, workers int) error {
 			first <- workers
 			<-release
 			return nil
@@ -99,7 +108,7 @@ func TestSchedulerFairShare(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.Run(ctx, nil, func(_ context.Context, workers int) error {
+		run(ctx, s, func(_ context.Context, workers int) error {
 			w2 = workers
 			close(release)
 			return nil
@@ -121,7 +130,7 @@ func TestSchedulerQueuedCancellation(t *testing.T) {
 	s := NewScheduler(1, 1)
 	running := make(chan struct{})
 	release := make(chan struct{})
-	go s.Run(context.Background(), nil, func(context.Context, int) error {
+	go run(context.Background(), s, func(context.Context, int) error {
 		close(running)
 		<-release
 		return nil
@@ -132,7 +141,7 @@ func TestSchedulerQueuedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	err := s.Run(ctx, nil, func(context.Context, int) error { ran = true; return nil })
+	err := run(ctx, s, func(context.Context, int) error { ran = true; return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

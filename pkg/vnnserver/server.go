@@ -38,11 +38,10 @@
 //	                             + per-input runtime-monitor verdicts,
 //	                             low-latency (no queue, no SSE) — see
 //	                             InferRequest
-//	POST /v1/falsify             PGD falsification pre-pass
 //	POST /v1/models              submit a named model version for the
 //	                             certification-gated rollout plane
-//	                             (pkg/vnnregistry); the gate runs async
-//	                             through the scheduler/job registry
+//	                             (pkg/vnnregistry); the gate is an analyze
+//	                             batch, async by default
 //	GET  /v1/models              every model's rollout document
 //	GET  /v1/models/{name}       one model's rollout document
 //	GET  /v1/models/{name}/events  SSE gate progress for a version
@@ -162,8 +161,8 @@ type Server struct {
 	// fingerprint, so by-fingerprint /v1/infer requests skip the network
 	// upload and parse. Entries are cheap and stored as soon as a
 	// full-network request parses — before its compile, whether or not
-	// the request then succeeds — or when a gate compile or fleet import
-	// brings the workload in.
+	// the request then succeeds — or when a gate compile, a recovered
+	// model version or a fleet import brings the workload in.
 	workloads *lru[*workload]
 
 	// fleet is the replication peer (see fleet.go for the Store
@@ -191,14 +190,13 @@ type Server struct {
 	drainMu sync.Mutex
 	wg      sync.WaitGroup // async (wait:false) queries in flight
 
-	queries        atomic.Int64
-	analyzes       atomic.Int64
-	falsifications atomic.Int64
-	nodes          atomic.Int64
-	pivots         atomic.Int64
-	inferRequests  atomic.Int64
-	inferInputs    atomic.Int64
-	inferFlagged   atomic.Int64
+	queries       atomic.Int64
+	analyzes      atomic.Int64
+	nodes         atomic.Int64
+	pivots        atomic.Int64
+	inferRequests atomic.Int64
+	inferInputs   atomic.Int64
+	inferFlagged  atomic.Int64
 
 	// analysisMu guards analysisKinds, the per-kind count of analyses
 	// served through /v1/analyze.
@@ -261,7 +259,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
 	mux.HandleFunc("GET /v1/analyze/{id}", s.handleGetVerify)
 	mux.HandleFunc("GET /v1/analyze/{id}/events", s.handleEvents)
-	mux.HandleFunc("POST /v1/falsify", s.handleFalsify)
 	mux.HandleFunc("POST /v1/models", s.handleModelSubmit)
 	mux.HandleFunc("GET /v1/models", s.handleModels)
 	mux.HandleFunc("GET /v1/models/{name}", s.handleModel)
@@ -286,9 +283,15 @@ func New(cfg Config) *Server {
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
 	s.registry = vnnregistry.New(vnnregistry.Config{
-		Dir:          cfg.DataDir,
-		Compile:      s.registryCompile,
-		BuildMonitor: s.buildMonitor,
+		Dir: cfg.DataDir,
+		// Recovery recompiles through the compile door (no request, so no
+		// trace); a recovered version serves by-fingerprint requests again.
+		Compile: func(ctx context.Context, fp string, net *vnn.Network, region *vnn.Region, opts vnn.Options) (*vnn.CompiledNetwork, error) {
+			wl := &workload{net: net, region: region, compileOpts: opts, fingerprint: fp}
+			s.workloads.add(fp, wl)
+			cn, _, err := s.compiled(ctx, nil, wl, opts)
+			return cn, err
+		},
 		ImportMonitor: func(m *vnn.Monitor) {
 			// Recovered serving monitors also prime the by-content monitor
 			// cache, so monitor_fingerprint requests work across restarts.
@@ -325,9 +328,6 @@ func New(cfg Config) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
-
-// NodeID returns this node's stable observability identity.
-func (s *Server) NodeID() string { return s.nodeID }
 
 // defaultNodeID derives a boot-stable node identity: hostname plus a
 // short random suffix, so co-hosted nodes (tests, CI fleets on one
@@ -446,24 +446,6 @@ type AcceptedResponse struct {
 	Status      string `json:"status"`
 }
 
-// FalsifyRequest is the POST /v1/falsify body.
-type FalsifyRequest struct {
-	Network  json.RawMessage `json:"network"`
-	Region   vnn.RegionSpec  `json:"region"`
-	Outputs  []int           `json:"outputs"`
-	Restarts int             `json:"restarts,omitempty"`
-	Steps    int             `json:"steps,omitempty"`
-	Seed     int64           `json:"seed,omitempty"`
-}
-
-// FalsifyResponse reports the strongest violating input found.
-type FalsifyResponse struct {
-	Value       float64   `json:"value"`
-	Best        []float64 `json:"best,omitempty"`
-	Output      int       `json:"output"`
-	Evaluations int       `json:"evaluations"`
-}
-
 // errorResponse is the JSON error envelope.
 type errorResponse struct {
 	Error string `json:"error"`
@@ -495,8 +477,8 @@ func (s *Server) prepare(req *VerifyRequest) (*jobPlan, error) {
 		async:       req.Wait != nil && !*req.Wait,
 		timeoutMS:   req.TimeoutMS,
 		run: func(ctx context.Context, jb *job, root *obs.Span, fairWorkers int) (any, error) {
-			return s.solve(ctx, jb, root, wl, req.Options, fairWorkers,
-				func(ctx context.Context, cn *vnn.CompiledNetwork) (vnn.Report, effort, error) {
+			return s.solve(ctx, jb, root, wl, req.Options, fairWorkers, nil,
+				func(ctx context.Context, _ *obs.Span, cn *vnn.CompiledNetwork) (vnn.Report, effort, error) {
 					var eff effort
 					results, err := vnn.Verify(ctx, cn, props...)
 					if err != nil {
@@ -629,77 +611,6 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, jb *job) {
 			return
 		}
 	}
-}
-
-func (s *Server) handleFalsify(w http.ResponseWriter, r *http.Request) {
-	var req FalsifyRequest
-	if !s.accept(w, r, &req) {
-		return
-	}
-	wl, err := parseWorkload(req.Network, req.Region, QueryOptions{})
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// Bound the work a single request can demand; the endpoint is a cheap
-	// pre-pass, not an open-ended compute API.
-	if req.Restarts < 0 || req.Restarts > maxFalsifyRestarts || req.Steps < 0 || req.Steps > maxFalsifySteps {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("restarts must be in [0, %d] and steps in [0, %d]", maxFalsifyRestarts, maxFalsifySteps))
-		return
-	}
-	for _, o := range req.Outputs {
-		if o < 0 || o >= wl.net.OutputDim() {
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("output %d of %d", o, wl.net.OutputDim()))
-			return
-		}
-	}
-
-	qctx, release := s.budget(r.Context(), 0)
-	defer release()
-
-	start := time.Now()
-	tr := s.startTrace(r, "/v1/falsify", "")
-	tn := s.tenantFor(r)
-	defer observeSince(s.obs.latency["/v1/falsify"], start)
-	defer func() { tn.Route("/v1/falsify").Count(time.Since(start)) }()
-	defer tr.Finish()
-	queueSpan := tr.Root().Child("queue")
-	var resp *FalsifyResponse
-	err = s.sched.Run(qctx, tn, func(ctx context.Context, _ int) error {
-		queueSpan.End()
-		runSpan := tr.Root().Child("falsify")
-		defer runSpan.End()
-		fr, err := vnn.FalsifyCtx(ctx, wl.net, wl.region, req.Outputs, vnn.FalsifyOptions{
-			Restarts: req.Restarts,
-			Steps:    req.Steps,
-			Seed:     req.Seed,
-		})
-		if err != nil {
-			return err
-		}
-		// The attack stops at the budget or at drain, and a cut-short
-		// pre-pass has no anytime contract (cut before its first
-		// evaluation it has no value at all): report the interruption.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		resp = &FalsifyResponse{
-			Value:       fr.Value,
-			Best:        fr.Best,
-			Output:      fr.Output,
-			Evaluations: fr.Evaluations,
-		}
-		return nil
-	})
-	queueSpan.End()
-	if err != nil {
-		writeError(w, statusFor(err), err.Error())
-		return
-	}
-	s.falsifications.Add(1)
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -12,10 +12,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/nn"
 	"repro/internal/verify"
 	"repro/pkg/vnn"
 	"repro/pkg/vnnserver"
@@ -408,79 +406,15 @@ func TestServerBackpressure(t *testing.T) {
 	srv.Drain(0) // interrupt the slow query so the test exits promptly
 }
 
-// TestServerFalsifyAndValidation covers the falsify endpoint and the
-// request validation surface.
+// TestServerFalsifyAndValidation covers the verify request validation
+// surface. (Falsification is the "falsify" analysis kind of /v1/analyze:
+// TestAnalyzePortfolioRoundTrip, TestAnalyzeValidationErrors and
+// TestAnalyzeFalsifyCutShort cover what the /v1/falsify legs here did.)
 func TestServerFalsifyAndValidation(t *testing.T) {
 	_, ts := newTestServer(t, vnnserver.Config{})
-
-	// Falsify on the hand-made |x0-x1| network: the attack must find a
-	// positive value and can never beat the true maximum of 1.
-	abs := &nn.Network{
-		Name: "absdiff",
-		Layers: []*nn.Layer{
-			{W: [][]float64{{1, -1}, {-1, 1}}, B: []float64{0, 0}, Act: nn.ReLU},
-			{W: [][]float64{{1, 1}}, B: []float64{0}, Act: nn.Identity},
-		},
-	}
-	netJSON, err := vnn.MarshalNetwork(abs)
+	netJSON, err := vnn.MarshalNetwork(rolloutNet())
 	if err != nil {
 		t.Fatal(err)
-	}
-	fReq, _ := json.Marshal(vnnserver.FalsifyRequest{
-		Network:  netJSON,
-		Region:   vnn.RegionSpec{Box: [][2]float64{{0, 1}, {0, 1}}},
-		Outputs:  []int{0},
-		Restarts: 2, Steps: 25, Seed: 7,
-	})
-	resp, err := http.Post(ts.URL+"/v1/falsify", "application/json", bytes.NewReader(fReq))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fr vnnserver.FalsifyResponse
-	if err := json.NewDecoder(resp.Body).Decode(&fr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("falsify status %d", resp.StatusCode)
-	}
-	if fr.Value <= 0 || fr.Value > 1+1e-6 || fr.Evaluations == 0 || len(fr.Best) != 2 {
-		t.Fatalf("falsify response %+v", fr)
-	}
-
-	// Falsify honours the server's default budget like every other compute
-	// route: an attack the deadline cuts short is a 504, not a hang (nor a
-	// 200 carrying the -Inf of an attack that never evaluated).
-	_, tight := newTestServer(t, vnnserver.Config{DefaultTimeout: time.Nanosecond})
-	longReq, _ := json.Marshal(vnnserver.FalsifyRequest{
-		Network:  netJSON,
-		Region:   vnn.RegionSpec{Box: [][2]float64{{0, 1}, {0, 1}}},
-		Outputs:  []int{0},
-		Restarts: 1024, Steps: 10000,
-	})
-	tresp, err := http.Post(tight.URL+"/v1/falsify", "application/json", bytes.NewReader(longReq))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tresp.Body.Close()
-	if tresp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("falsify past the default timeout: status %d, want 504", tresp.StatusCode)
-	}
-
-	// Falsify work caps and output validation: unbounded or mismatched
-	// requests are rejected up front.
-	for i, bad := range []string{
-		fmt.Sprintf(`{"network":%s,"region":{"box":[[0,1],[0,1]]},"outputs":[0],"restarts":2000000000}`, netJSON),
-		fmt.Sprintf(`{"network":%s,"region":{"box":[[0,1],[0,1]]},"outputs":[5]}`, netJSON),
-	} {
-		fresp, err := http.Post(ts.URL+"/v1/falsify", "application/json", strings.NewReader(bad))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresp.Body.Close()
-		if fresp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("bad falsify %d: status %d, want 400", i, fresp.StatusCode)
-		}
 	}
 
 	// Validation: every malformed request is a 400, never a hang or 500.
