@@ -371,8 +371,8 @@
 // server drains and before registry recovery completes, 200 only when
 // the node should receive traffic — the endpoint load balancers and
 // rolling restarts should watch. /metrics reports cache
-// hits/misses/evictions, queue depth, nodes, pivots and the process-wide
-// encode/tighten pass counters.
+// hits/misses/evictions, queue depth, and this node's nodes, pivots,
+// solves and encode/tighten passes.
 package main
 
 import (

@@ -2,8 +2,8 @@
 // concurrent queries at it — many identical, a few distinct — and show
 // what the service layer adds over bare pkg/vnn: the identical workloads
 // collapse into ONE compile (fingerprinted cache + singleflight), proven
-// here by the same EncodePasses/TightenPasses instrumentation counters
-// the API tests pin.
+// here by the server's own encode/tighten pass totals (Metrics deltas),
+// which the service tests pin too.
 package main
 
 import (
@@ -50,7 +50,7 @@ func main() {
 		distinct[i] = requestBody(int64(100 + i))
 	}
 
-	encBefore, tightBefore := vnn.EncodePasses(), vnn.TightenPasses()
+	before := srv.Metrics()
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -92,8 +92,9 @@ func main() {
 	fmt.Printf("\n%d concurrent requests (%d identical + %d distinct):\n",
 		identicalClients+distinctClients, identicalClients, distinctClients)
 	fmt.Printf("  cache hits   %d\n  cache misses %d (one compile per distinct workload)\n", hits, misses)
+	after := srv.Metrics()
 	fmt.Printf("  encode passes  +%d\n  tighten passes +%d\n",
-		vnn.EncodePasses()-encBefore, vnn.TightenPasses()-tightBefore)
+		after.EncodePasses-before.EncodePasses, after.TightenPasses-before.TightenPasses)
 
 	// The service's own view of the same numbers.
 	mresp, err := http.Get(base + "/metrics")

@@ -21,10 +21,10 @@ import (
 )
 
 // propagatePasses counts full interval-propagation passes performed by this
-// process. Like internal/verify's EncodePasses/TightenPasses it exists so
-// tests can assert that an analysis consuming a CompiledNetwork's
-// already-computed bounds (e.g. traceability interval conditions) performs
-// zero additional propagation passes.
+// process — the one process-wide effort counter left (the frozen benchmark
+// harness reads it). It exists so tests can assert that an analysis
+// consuming a CompiledNetwork's already-computed bounds (e.g. traceability
+// interval conditions) performs zero additional propagation passes.
 var propagatePasses atomic.Int64
 
 // Passes returns the total number of interval-propagation passes performed

@@ -37,20 +37,10 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/lp"
 )
-
-// Process-wide instrumentation: branch-and-bound solves performed. Like
-// verify's EncodePasses/TightenPasses it lets the serving layer count the
-// solves a request ran without this package knowing about spans.
-var solveCount atomic.Int64
-
-// Solves returns the total number of branch-and-bound solves this
-// process has run (including interrupted ones).
-func Solves() int64 { return solveCount.Load() }
 
 // Status reports the outcome of a MILP solve.
 type Status int
@@ -258,7 +248,6 @@ func ctxStatus(err error) Status {
 // The problem's model is not mutated.
 func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 	start := time.Now()
-	solveCount.Add(1)
 	nWorkers := opts.Workers
 	if nWorkers <= 0 {
 		nWorkers = runtime.GOMAXPROCS(0)

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bounds"
@@ -16,27 +15,11 @@ import (
 	"repro/internal/nn"
 )
 
-// Instrumentation counters: every full encoding pass and every LP
-// bound-tightening pass bumps one of these. They exist so tests (and the
-// public pkg/vnn API) can assert that a compiled network is actually
-// reused — running several queries against one Compiled must not re-encode
-// or re-tighten.
-var (
-	encodePasses  atomic.Int64
-	tightenPasses atomic.Int64
-)
-
-// EncodePasses returns the total number of MILP encoding passes performed
-// by this process (full or prefix encodings alike).
-func EncodePasses() int64 { return encodePasses.Load() }
-
-// TightenPasses returns the total number of LP bound-tightening passes
-// performed by this process.
-func TightenPasses() int64 { return tightenPasses.Load() }
-
 // Phases is one compilation's own cost by phase. It rides on the
-// Compiled rather than on the process-wide counters above, so a
-// concurrent or earlier compile never shows up in another's account.
+// Compiled, so a concurrent or earlier compile never shows up in
+// another's account; whoever runs compiles (the server) sums them.
+// Queries never re-encode or re-tighten: encode and tightenLP are called
+// only from compile.go and tighten.go (a CI guard pins it).
 type Phases struct {
 	// Tighten is the wall time of LP bound tightening, its prefix
 	// encodings included (zero when Options.Tighten is off); Encode is

@@ -127,7 +127,6 @@ type encodeOptions struct {
 // constants. nb must come from bounds.Propagate over the same region box
 // (or a tightened refinement of it).
 func encode(net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, opt encodeOptions) (*encoding, error) {
-	encodePasses.Add(1)
 	if err := region.Validate(net); err != nil {
 		return nil, err
 	}

@@ -72,7 +72,10 @@ func (o Options) milpOptions() milp.Options {
 
 // Stats describes the effort a query took.
 type Stats struct {
-	Elapsed       time.Duration
+	Elapsed time.Duration
+	// Solves counts the branch-and-bound searches run: 1 per MILP, 0 when
+	// interval bounds alone answered.
+	Solves        int
 	Nodes         int
 	LPPivots      int
 	Binaries      int // unstable neurons that required an indicator
@@ -93,6 +96,7 @@ type Stats struct {
 // latest solve's (they are equal across solves of one encoding).
 func (s *Stats) add(r Stats) {
 	s.Elapsed += r.Elapsed
+	s.Solves += r.Solves
 	s.Nodes += r.Nodes
 	s.LPPivots += r.LPPivots
 	s.LP.Add(r.LP)
@@ -194,6 +198,7 @@ func (e *encoding) stats(res *milp.Result, start time.Time) Stats {
 	stable, total := e.nb.StableNeurons()
 	return Stats{
 		Elapsed:       time.Since(start),
+		Solves:        1,
 		Nodes:         res.Nodes,
 		LPPivots:      res.LPPivots,
 		LP:            res.LP,

@@ -50,7 +50,6 @@ func TightenLPWorkers(net *nn.Network, region *InputRegion, nb *bounds.NetworkBo
 // need either no deadline or one generous enough not to fire. *encodes
 // grows by the prefix encodings performed (one per layer reached).
 func tightenLP(ctx context.Context, net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, workers int, encodes *int) (*bounds.NetworkBounds, error) {
-	tightenPasses.Add(1)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/lp"
-	"repro/internal/verify"
 )
 
 // portfolioNet builds a small deterministic ReLU network for analysis
@@ -209,15 +208,18 @@ func TestQuantSweepCompilesOncePerWidth(t *testing.T) {
 	props := []Property{MaxOutput(0), AtMost(0, 100)}
 	bitsList := []int{8, 6, 4}
 
-	var compiles int
+	var compiles, encodes int
 	countingCompile := func(ctx context.Context, fp string, n *Network, r *Region, o Options) (*CompiledNetwork, error) {
 		if fp == "" {
 			t.Error("compile func received no fingerprint")
 		}
 		compiles++
-		return Compile(ctx, n, r, o)
+		qcn, err := Compile(ctx, n, r, o)
+		if err == nil {
+			encodes += qcn.CompilePhases().EncodePasses
+		}
+		return qcn, err
 	}
-	before := verify.EncodePasses()
 	f, err := AnalyzeOne(context.Background(), cn, &QuantSweep{
 		Bits: bitsList, Properties: props, Compile: countingCompile,
 	})
@@ -227,7 +229,7 @@ func TestQuantSweepCompilesOncePerWidth(t *testing.T) {
 	if compiles != len(bitsList) {
 		t.Fatalf("%d compiles for %d widths", compiles, len(bitsList))
 	}
-	if got := verify.EncodePasses() - before; got != int64(len(bitsList)) {
+	if got := encodes; got != len(bitsList) {
 		t.Fatalf("%d encoding passes for %d widths, want exactly one each", got, len(bitsList))
 	}
 	qs := f.QuantSweep

@@ -148,8 +148,8 @@ func importIntervals(rows []intervalJSON, plain []Interval, what string, layer i
 
 // UnmarshalCompiled reconstructs a compiled artifact from its wire
 // form without recompiling (no bound propagation or tightening passes
-// beyond one plain propagation used as the soundness check; zero
-// vnn.Compile calls — see CompileCalls). The document's fingerprint is
+// beyond one plain propagation used as the soundness check, and zero
+// CompilePhases). The document's fingerprint is
 // recomputed from its decoded content and must match, so a tampered
 // network, region or option never enters a cache under a healthy key;
 // the bound analysis must be contained in a fresh plain propagation,

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/lp"
-	"repro/internal/verify"
 )
 
 func exportNet(t *testing.T) *Network {
@@ -56,19 +55,18 @@ func TestCompiledRoundTrip(t *testing.T) {
 		t.Fatal("MarshalCompiled is not deterministic")
 	}
 
-	compiles, tightens := CompileCalls(), verify.TightenPasses()
 	propagates := bounds.Passes()
 	got, fp, err := UnmarshalCompiled(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := CompileCalls() - compiles; d != 0 {
-		t.Fatalf("import performed %d Compile calls", d)
+	// Never compiled here: no phases of its own (a Compile would report at
+	// least its final encoding)...
+	if ph := got.CompilePhases(); ph != (CompilePhases{}) {
+		t.Fatalf("import reports compile phases %+v", ph)
 	}
-	if d := verify.TightenPasses() - tightens; d != 0 {
-		t.Fatalf("import performed %d tightening passes", d)
-	}
-	// Exactly one plain propagation: the soundness containment check.
+	// ...and exactly one plain propagation — the soundness containment
+	// check — so no Compile, which propagates too, ran behind it.
 	if d := bounds.Passes() - propagates; d != 1 {
 		t.Fatalf("import performed %d propagation passes, want 1", d)
 	}

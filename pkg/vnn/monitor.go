@@ -60,6 +60,9 @@ type Monitor struct {
 	// compile options) the monitor belongs to; the wire form carries it so
 	// a service never pairs a monitor with the wrong artifact.
 	networkFingerprint string
+	// fingerprint is the content hash (a SHA-256 over every stored
+	// pattern), computed once: the monitor never changes.
+	fingerprint string
 }
 
 // BuildMonitor builds a runtime monitor from the activation patterns data
@@ -80,7 +83,7 @@ func BuildMonitor(cn *CompiledNetwork, data [][]float64, opts MonitorOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	return &Monitor{m: m, networkFingerprint: fp}, nil
+	return &Monitor{m: m, networkFingerprint: fp, fingerprint: m.Fingerprint()}, nil
 }
 
 // Check classifies one input as a batch of one, allocating its own
@@ -117,7 +120,7 @@ func (m *Monitor) PatternCount() int { return m.m.PatternCount() }
 // Fingerprint returns the content hash of the monitor artifact itself:
 // identical builds hash identically, any admitted-pattern or γ difference
 // changes the hash.
-func (m *Monitor) Fingerprint() string { return m.m.Fingerprint() }
+func (m *Monitor) Fingerprint() string { return m.fingerprint }
 
 // NetworkFingerprint returns the fingerprint of the compile workload the
 // monitor was built against (the vnnd cache key of its network).
@@ -165,7 +168,7 @@ func UnmarshalMonitor(data []byte, cn *CompiledNetwork) (*Monitor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vnn: unmarshal monitor: %w", err)
 	}
-	return &Monitor{m: m, networkFingerprint: fp}, nil
+	return &Monitor{m: m, networkFingerprint: fp, fingerprint: m.Fingerprint()}, nil
 }
 
 // MonitorFinding is the runtime-monitoring row of the portfolio: what the

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/gmm"
 	"repro/internal/train"
-	"repro/internal/verify"
 )
 
 type (
@@ -53,13 +52,3 @@ func SplitData(data []Sample, valFrac float64, rng *rand.Rand) (trainSet, valSet
 
 // DecodeGMM decodes raw network outputs into an action distribution.
 func DecodeGMM(raw []float64) Mixture { return gmm.Decode(raw) }
-
-// EncodePasses returns the process-wide count of MILP encoding passes —
-// the instrumentation counter that proves compiled artifacts are reused
-// (a cache hit adds zero passes). TightenPasses is its LP-tightening
-// sibling.
-func EncodePasses() int64 { return verify.EncodePasses() }
-
-// TightenPasses returns the process-wide count of LP bound-tightening
-// passes (see EncodePasses).
-func TightenPasses() int64 { return verify.TightenPasses() }

@@ -38,15 +38,14 @@
 //	    vnn.MaxOverOutputs(vnn.MuLatOutputs(k)...),
 //	    vnn.AtMost(vnn.MuLatOutputs(k)[0], 3.0))
 //
-// Compiling once and asking many questions is the intended idiom; the
-// instrumentation counters in internal/verify let tests assert that no
-// re-encoding or re-tightening sneaks back in.
+// Compiling once and asking many questions is the intended idiom; each
+// compile reports its own passes (CompiledNetwork.CompilePhases) and each
+// result its own solves (Stats.Solves).
 package vnn
 
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bounds"
@@ -130,23 +129,11 @@ type CompiledNetwork struct {
 	opts Options
 }
 
-// compileCalls counts full Compile invocations process-wide. Like the
-// verify/bounds pass counters it exists so tests (and the fleet plane)
-// can assert deduplication: replicating a compiled artifact between
-// nodes must not add a Compile call anywhere.
-var compileCalls atomic.Int64
-
-// CompileCalls returns the total number of vnn.Compile invocations in
-// this process. Importing a marshaled compiled artifact
-// (UnmarshalCompiled) does not count — that is the point of shipping it.
-func CompileCalls() int64 { return compileCalls.Load() }
-
 // Compile performs the one-time analysis of net over region. The context
 // bounds the whole compilation including LP tightening (a deadline that
 // fires mid-tightening stops it early and soundly, so preprocessing can
 // no longer consume the entire verification budget).
 func Compile(ctx context.Context, net *Network, region *Region, opts Options) (*CompiledNetwork, error) {
-	compileCalls.Add(1)
 	c, err := verify.Compile(ctx, net, region, verifyOptions(opts, 0))
 	if err != nil {
 		return nil, err

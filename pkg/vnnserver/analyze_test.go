@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/verify"
 	"repro/pkg/vnn"
 	"repro/pkg/vnnserver"
 )
@@ -69,8 +68,8 @@ func smallNet(t *testing.T) (*vnn.Network, vnn.RegionSpec) {
 // TestAnalyzeQuantSweep16ConcurrentOneCompilePerWidth is the analyze
 // endpoint's acceptance contract: 16 concurrent identical quant-sweep
 // requests over 3 bit-widths perform exactly one compile for the base
-// model plus one per width — pinned by the process-wide EncodePasses
-// counter — and every per-width verified bound is bit-identical to the
+// model plus one per width — pinned by the server's encode-pass total —
+// and every per-width verified bound is bit-identical to the
 // CLI path (vnn.Quantize + vnn.Compile + vnn.Verify with the same pinned
 // worker count).
 func TestAnalyzeQuantSweep16ConcurrentOneCompilePerWidth(t *testing.T) {
@@ -113,7 +112,7 @@ func TestAnalyzeQuantSweep16ConcurrentOneCompilePerWidth(t *testing.T) {
 		}},
 		vnnserver.QueryOptions{Workers: 1}, nil)
 
-	encBefore := verify.EncodePasses()
+	before := srv.Metrics()
 	const clients = 16
 	responses := make([]vnnserver.AnalyzeResponse, clients)
 	statuses := make([]int, clients)
@@ -130,7 +129,8 @@ func TestAnalyzeQuantSweep16ConcurrentOneCompilePerWidth(t *testing.T) {
 	// Exactly one compile for the base model plus one per width, across
 	// the whole stampede.
 	want := int64(1 + len(bits))
-	if d := verify.EncodePasses() - encBefore; d != want {
+	m := srv.Metrics()
+	if d := m.EncodePasses - before.EncodePasses; d != want {
 		t.Fatalf("server performed %d encode passes for %d identical sweeps, want %d (base + one per width)",
 			d, clients, want)
 	}
@@ -166,11 +166,10 @@ func TestAnalyzeQuantSweep16ConcurrentOneCompilePerWidth(t *testing.T) {
 	}
 
 	// The cache now holds every distinct artifact: base + one per width.
-	if got := srv.Cache().Len(); got != 1+len(bits) {
+	if got := m.Cache.Size; got != 1+len(bits) {
 		t.Fatalf("cache holds %d artifacts, want %d", got, 1+len(bits))
 	}
 	// Per-kind accounting: every completed batch counted its sweep.
-	m := srv.Metrics()
 	if m.Analyses[vnn.KindQuantSweep] != clients || m.AnalyzeRequests != clients {
 		t.Fatalf("metrics: %+v", m.Analyses)
 	}

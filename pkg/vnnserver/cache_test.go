@@ -1,17 +1,24 @@
-package vnnserver_test
+package vnnserver
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/verify"
 	"repro/pkg/vnn"
-	"repro/pkg/vnnserver"
 )
+
+// newCompileCache is the server's compile cache on its own: the bare lru
+// of compiled networks, sized as New sizes it.
+func newCompileCache(capacity int) *lru[*vnn.CompiledNetwork] {
+	c := newLRU[*vnn.CompiledNetwork](capacity)
+	c.sizeOf = (*vnn.CompiledNetwork).SizeBytes
+	return c
+}
 
 // fakeCompile returns a distinct (empty) compiled-network pointer; cache
 // mechanics tests don't need a real compilation.
@@ -23,10 +30,10 @@ func fakeCompile() (*vnn.CompiledNetwork, error) {
 // protects it, the least recently used one goes first.
 func TestCacheLRUEvictionOrder(t *testing.T) {
 	ctx := context.Background()
-	c := vnnserver.NewCache(2)
+	c := newCompileCache(2)
 	mustGet := func(key string) bool {
 		t.Helper()
-		_, hit, err := c.GetOrCompile(ctx, key, fakeCompile)
+		_, hit, err := c.getOrCompute(ctx, key, fakeCompile)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,13 +49,13 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 	}
 	mustGet("C") // evicts B: A was touched more recently
 
-	if !c.Contains("A") || !c.Contains("C") {
+	if !c.contains("A") || !c.contains("C") {
 		t.Fatal("A and C should have survived")
 	}
-	if c.Contains("B") {
+	if c.contains("B") {
 		t.Fatal("B should have been evicted (LRU)")
 	}
-	st := c.Stats()
+	st := c.stats()
 	if st.Evictions != 1 || st.Size != 2 || st.Hits != 1 || st.Misses != 3 {
 		t.Fatalf("stats %+v, want 1 eviction, size 2, 1 hit, 3 misses", st)
 	}
@@ -59,36 +66,23 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestCacheSingleflight64 is the satellite contract: 64 goroutines
-// requesting the same fingerprint perform EXACTLY one compile —
-// established not by the cache's own accounting alone but by the
-// process-wide EncodePasses/TightenPasses instrumentation counters, which
-// must advance by precisely one compilation's worth of passes across the
-// whole stampede.
+// TestCacheSingleflight64: 64 goroutines requesting the same fingerprint
+// while its compile is in flight run the compute exactly once and share
+// its value. The compile is held open until every other caller has
+// joined, so the stampede is real. (That a server's stampede costs one
+// compile's passes is TestServer64ConcurrentIdenticalOneCompile's half.)
 func TestCacheSingleflight64(t *testing.T) {
-	pred := core.NewPredictorNet(1, 10, 1, 1)
-	region := vnn.LeftOccupiedRegion()
-	opts := vnn.Options{Tighten: true, Workers: 1}
-	fp, err := vnn.Fingerprint(pred.Net, region, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference: the passes one solo compile performs.
-	encBefore, tightBefore := verify.EncodePasses(), verify.TightenPasses()
-	if _, err := vnn.Compile(context.Background(), pred.Net, region, opts); err != nil {
-		t.Fatal(err)
-	}
-	encPerCompile := verify.EncodePasses() - encBefore
-	tightPerCompile := verify.TightenPasses() - tightBefore
-	if encPerCompile == 0 || tightPerCompile != 1 {
-		t.Fatalf("reference compile: %d encode, %d tighten passes", encPerCompile, tightPerCompile)
-	}
-
-	c := vnnserver.NewCache(4)
-	encBefore, tightBefore = verify.EncodePasses(), verify.TightenPasses()
-
 	const clients = 64
+	c := newCompileCache(4)
+	var computes atomic.Int64
+	compile := func() (*vnn.CompiledNetwork, error) {
+		computes.Add(1)
+		for c.hits.Load() < clients-1 {
+			runtime.Gosched()
+		}
+		return fakeCompile()
+	}
+
 	var wg sync.WaitGroup
 	cns := make([]*vnn.CompiledNetwork, clients)
 	hits := make([]bool, clients)
@@ -97,19 +91,13 @@ func TestCacheSingleflight64(t *testing.T) {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			cns[slot], hits[slot], errs[slot] = c.GetOrCompile(context.Background(), fp,
-				func() (*vnn.CompiledNetwork, error) {
-					return vnn.Compile(context.Background(), pred.Net, region, opts)
-				})
+			cns[slot], hits[slot], errs[slot] = c.getOrCompute(context.Background(), "K", compile)
 		}(i)
 	}
 	wg.Wait()
 
-	if d := verify.EncodePasses() - encBefore; d != encPerCompile {
-		t.Fatalf("64 concurrent requests performed %d encode passes, want %d (one compile)", d, encPerCompile)
-	}
-	if d := verify.TightenPasses() - tightBefore; d != tightPerCompile {
-		t.Fatalf("64 concurrent requests performed %d tighten passes, want %d (one compile)", d, tightPerCompile)
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("64 concurrent requests ran the compile %d times, want 1", n)
 	}
 	misses := 0
 	for i := 0; i < clients; i++ {
@@ -126,8 +114,7 @@ func TestCacheSingleflight64(t *testing.T) {
 	if misses != 1 {
 		t.Fatalf("%d cache misses across the stampede, want exactly 1", misses)
 	}
-	st := c.Stats()
-	if st.Misses != 1 || st.Hits != clients-1 {
+	if st := c.stats(); st.Misses != 1 || st.Hits != clients-1 {
 		t.Fatalf("cache stats %+v, want 1 miss / %d hits", st, clients-1)
 	}
 }
@@ -136,7 +123,7 @@ func TestCacheSingleflight64(t *testing.T) {
 // poisoned into the cache.
 func TestCacheErrorNotCached(t *testing.T) {
 	ctx := context.Background()
-	c := vnnserver.NewCache(4)
+	c := newCompileCache(4)
 	boom := errors.New("boom")
 	calls := 0
 	compile := func() (*vnn.CompiledNetwork, error) {
@@ -146,13 +133,13 @@ func TestCacheErrorNotCached(t *testing.T) {
 		}
 		return fakeCompile()
 	}
-	if _, _, err := c.GetOrCompile(ctx, "K", compile); !errors.Is(err, boom) {
+	if _, _, err := c.getOrCompute(ctx, "K", compile); !errors.Is(err, boom) {
 		t.Fatalf("first call err = %v, want boom", err)
 	}
-	if c.Contains("K") {
+	if c.contains("K") {
 		t.Fatal("failed compile was cached")
 	}
-	cn, hit, err := c.GetOrCompile(ctx, "K", compile)
+	cn, hit, err := c.getOrCompute(ctx, "K", compile)
 	if err != nil || hit || cn == nil {
 		t.Fatalf("retry: cn=%v hit=%v err=%v", cn, hit, err)
 	}
@@ -164,13 +151,13 @@ func TestCacheErrorNotCached(t *testing.T) {
 // TestCacheWaiterContext pins that a waiter's dead context stops its wait
 // without killing the in-flight compile for everyone else.
 func TestCacheWaiterContext(t *testing.T) {
-	c := vnnserver.NewCache(4)
+	c := newCompileCache(4)
 	gate := make(chan struct{})
 	started := make(chan struct{})
 
 	ownerDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetOrCompile(context.Background(), "K", func() (*vnn.CompiledNetwork, error) {
+		_, _, err := c.getOrCompute(context.Background(), "K", func() (*vnn.CompiledNetwork, error) {
 			close(started)
 			<-gate
 			return fakeCompile()
@@ -181,7 +168,7 @@ func TestCacheWaiterContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.GetOrCompile(ctx, "K", fakeCompile); !errors.Is(err, context.Canceled) {
+	if _, _, err := c.getOrCompute(ctx, "K", fakeCompile); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled waiter err = %v", err)
 	}
 
@@ -190,10 +177,48 @@ func TestCacheWaiterContext(t *testing.T) {
 		t.Fatalf("owner: %v", err)
 	}
 	// The entry completed and is served from cache afterwards.
-	cn, hit, err := c.GetOrCompile(context.Background(), "K", func() (*vnn.CompiledNetwork, error) {
+	cn, hit, err := c.getOrCompute(context.Background(), "K", func() (*vnn.CompiledNetwork, error) {
 		return nil, fmt.Errorf("must not recompile")
 	})
 	if err != nil || !hit || cn == nil {
 		t.Fatalf("post-stampede get: cn=%v hit=%v err=%v", cn, hit, err)
+	}
+}
+
+// TestCacheImportAndBytes pins the fleet's non-counting import path and
+// the byte accounting: imports are not misses, collide safely with
+// cached keys, and bytes fall on eviction.
+func TestCacheImportAndBytes(t *testing.T) {
+	c := newCompileCache(1)
+	if !c.add("A", &vnn.CompiledNetwork{}) {
+		t.Fatal("import into empty cache failed")
+	}
+	st := c.stats()
+	if st.Misses != 0 || st.Hits != 0 {
+		t.Fatalf("import counted as traffic: %+v", st)
+	}
+	if st.Bytes <= 0 {
+		t.Fatalf("imported entry accounts %d bytes", st.Bytes)
+	}
+	perEntry := st.Bytes
+
+	if c.add("A", &vnn.CompiledNetwork{}) {
+		t.Fatal("duplicate import succeeded")
+	}
+	if !c.add("B", &vnn.CompiledNetwork{}) { // evicts A (capacity 1)
+		t.Fatal("second import failed")
+	}
+	st = c.stats()
+	if st.Size != 1 || st.Bytes != perEntry {
+		t.Fatalf("eviction did not release bytes: %+v", st)
+	}
+	if arts := c.snapshot(); len(arts) != 1 || arts[0].key != "B" {
+		t.Fatalf("snapshot %v, want just B", arts)
+	}
+	if _, ok := c.lookup("B", false); !ok {
+		t.Fatal("export lookup missed the imported entry")
+	}
+	if st := c.stats(); st.Hits != 0 {
+		t.Fatal("export lookup counted as a hit")
 	}
 }

@@ -7,6 +7,7 @@ package vnnserver_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -71,25 +72,52 @@ func findHistogram(hs []obs.HistogramJSON, name, route string) *obs.HistogramJSO
 }
 
 // TestFleetMetricsFederation is the federation plane's arithmetic
-// contract, pinned against two live nodes: the aggregate's counters
-// are the EXACT sum of the per-node blocks, its histograms the
-// bucket-wise sum, and its tenant map the label-wise union.
+// contract, pinned against two live nodes in one process: each node's
+// effort block counts its own work only, the aggregate's counters are
+// the EXACT sum of the per-node blocks, its histograms the bucket-wise
+// sum, and its tenant map the label-wise union.
 func TestFleetMetricsFederation(t *testing.T) {
 	pred := core.NewPredictorNet(1, 10, 1, 1)
 	body := verifyBody(t, pred.Net,
 		[]vnn.PropertySpec{{Kind: "max", Outputs: pred.MuLatOutputs()}},
 		vnnserver.QueryOptions{Tighten: true, Workers: 1}, nil)
+	// What that request costs: one compile's passes, one answer's solves.
+	ctx := context.Background()
+	cn, err := vnn.Compile(ctx, pred.Net, vnn.LeftOccupiedRegion(), vnn.Options{Tighten: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := vnn.VerifyOne(ctx, cn, vnn.MaxOverOutputs(pred.MuLatOutputs()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ph := cn.CompilePhases()
+	wantA := [3]int64{int64(ph.EncodePasses), int64(ph.TightenPasses), int64(ref.Stats.Solves)}
 
 	_, tsB := newTestServer(t, vnnserver.Config{NodeID: "b"})
 	_, tsA := newTestServer(t, vnnserver.Config{NodeID: "a", Peers: []string{tsB.URL}})
 
-	// Known traffic: 2 keyed verifies on A, 1 keyed + 1 anonymous on B.
+	// A tightened verify on A only: B's effort block stays zero, and the
+	// aggregate counts A's work once.
 	postVerifyKeyed(t, tsA.URL, "acme", body)
+	effortOf := func(m vnnserver.Metrics) [3]int64 { return [3]int64{m.EncodePasses, m.TightenPasses, m.Solves} }
+	fm := getFleetMetrics(t, tsA.URL)
+	if got := effortOf(fm.Nodes["b"]); got != [3]int64{} {
+		t.Fatalf("idle node b reports encode/tighten/solves %v, want zeros", got)
+	}
+	if got := effortOf(fm.Nodes["a"]); got != wantA || wantA[0] == 0 || wantA[1] != 1 || wantA[2] == 0 {
+		t.Fatalf("node a reports encode/tighten/solves %v, want its compile's and answer's %v", got, wantA)
+	}
+	if got := effortOf(fm.Aggregate); got != wantA {
+		t.Fatalf("aggregate encode/tighten/solves %v, want node a's %v", got, wantA)
+	}
+
+	// Known traffic: 2 keyed verifies on A, 1 keyed + 1 anonymous on B.
 	postVerifyKeyed(t, tsA.URL, "acme", body)
 	postVerifyKeyed(t, tsB.URL, "acme", body)
 	postVerifyKeyed(t, tsB.URL, "", body)
 
-	fm := getFleetMetrics(t, tsA.URL)
+	fm = getFleetMetrics(t, tsA.URL)
 	if fm.Node != "a" {
 		t.Fatalf("federated document node = %q, want a", fm.Node)
 	}

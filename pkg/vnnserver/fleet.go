@@ -20,7 +20,10 @@ import (
 // FleetFingerprints snapshots every replicable fingerprint: completed
 // compiles and built monitors.
 func (s *Server) FleetFingerprints() []string {
-	keys := s.cache.Keys()
+	var keys []string
+	for _, a := range s.cache.snapshot() {
+		keys = append(keys, a.key)
+	}
 	return append(keys, s.monitors.contentKeys()...)
 }
 
@@ -41,7 +44,7 @@ func (s *Server) ExportEntry(fingerprint string) (*vnnfleet.WorkloadExport, erro
 			Monitor:     doc,
 		}, nil
 	}
-	cn, ok := s.cache.Peek(fingerprint)
+	cn, ok := s.cache.lookup(fingerprint, false)
 	if !ok {
 		return nil, vnnfleet.ErrNotFound
 	}
@@ -75,17 +78,15 @@ func (s *Server) ImportEntry(_ context.Context, exp *vnnfleet.WorkloadExport) er
 		if fp != exp.Fingerprint {
 			return fmt.Errorf("%w: document content hashes to %s, export claims %s", vnnfleet.ErrVerify, fp, exp.Fingerprint)
 		}
-		s.cache.Import(fp, cn)
-		// A replicated compile must serve by-fingerprint /v1/infer on this
-		// node too, without a priming full-network request.
-		s.workloads.add(fp, &workload{net: cn.Net(), region: cn.Region(), compileOpts: cn.Options(), fingerprint: fp})
+		// Cached, the compile also serves by-fingerprint /v1/infer here.
+		s.cache.add(fp, cn)
 		return nil
 	case vnnfleet.KindMonitor:
 		var doc vnn.MonitorDocJSON
 		if err := json.Unmarshal(exp.Monitor, &doc); err != nil {
 			return fmt.Errorf("%w: %v", vnnfleet.ErrVerify, err)
 		}
-		cn, ok := s.cache.Peek(doc.NetworkFingerprint)
+		cn, ok := s.cache.lookup(doc.NetworkFingerprint, false)
 		if !ok {
 			return fmt.Errorf("monitor %s needs workload %s: %w", exp.Fingerprint, doc.NetworkFingerprint, vnnfleet.ErrDependency)
 		}

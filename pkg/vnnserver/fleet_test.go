@@ -56,9 +56,10 @@ func byFingerprintBody(t *testing.T, fp, monFP string, inputs [][]float64) []byt
 // TestFleetConvergence is the fleet plane's acceptance contract: three
 // nodes with disjoint monitored workloads converge, via pairwise
 // reconcile rounds, to one compile per distinct fingerprint fleet-wide
-// (vnn.CompileCalls delta == distinct workloads), and every node then
-// serves every workload by fingerprint with bit-identical outputs and
-// verdicts — zero local compiles on the nodes that pulled.
+// (the nodes' vnnd_compile_seconds counts sum to the distinct
+// workloads), and every node then serves every workload by fingerprint
+// with bit-identical outputs and verdicts — zero local compiles on the
+// nodes that pulled.
 func TestFleetConvergence(t *testing.T) {
 	const nodes = 3
 	rng := rand.New(rand.NewSource(77))
@@ -70,8 +71,13 @@ func TestFleetConvergence(t *testing.T) {
 		srv, ts := newTestServer(t, vnnserver.Config{})
 		srvs[i], urls[i] = srv, ts.URL
 	}
-
-	base := vnn.CompileCalls()
+	// fleetCompiles sums every node's own compile count.
+	fleetCompiles := func() (n int64) {
+		for _, srv := range srvs {
+			n += compileCount(srv)
+		}
+		return n
+	}
 
 	// Phase 1: disjoint workloads — node k compiles (and monitors) only
 	// its own network.
@@ -92,7 +98,7 @@ func TestFleetConvergence(t *testing.T) {
 			t.Fatalf("node %d response has no monitor fingerprint", k)
 		}
 	}
-	if d := vnn.CompileCalls() - base; d != nodes {
+	if d := fleetCompiles(); d != nodes {
 		t.Fatalf("phase 1 performed %d compiles, want %d", d, nodes)
 	}
 
@@ -116,11 +122,11 @@ func TestFleetConvergence(t *testing.T) {
 
 	// Convergence invariant: replication added zero compiles anywhere,
 	// and each node still counts exactly its own compile miss.
-	if d := vnn.CompileCalls() - base; d != nodes {
+	if d := fleetCompiles(); d != nodes {
 		t.Fatalf("fleet performed %d compiles for %d distinct workloads", d, nodes)
 	}
 	for i, srv := range srvs {
-		st := srv.Cache().Stats()
+		st := srv.Metrics().Cache
 		if st.Misses != 1 {
 			t.Fatalf("node %d compile cache misses = %d, want 1 (only its own)", i, st.Misses)
 		}
@@ -169,7 +175,7 @@ func TestFleetConvergence(t *testing.T) {
 			}
 		}
 	}
-	if d := vnn.CompileCalls() - base; d != nodes {
+	if d := fleetCompiles(); d != nodes {
 		t.Fatalf("serving replicated workloads performed %d compiles, want %d", d, nodes)
 	}
 }
@@ -233,7 +239,7 @@ func TestFleetRejectsCorruptedPull(t *testing.T) {
 	if rs.Rejected == 0 || rs.Pulled != 0 {
 		t.Fatalf("round stats %+v, want every pull rejected", rs)
 	}
-	if n := follower.Cache().Len(); n != 0 {
+	if n := follower.Metrics().Cache.Size; n != 0 {
 		t.Fatalf("follower cached %d corrupted entries", n)
 	}
 	if st := follower.Fleet().Stats(); st.PullRejected == 0 {
@@ -262,7 +268,7 @@ func TestFleetDrain(t *testing.T) {
 	if err := follower.ImportEntry(context.Background(), exp); !errors.Is(err, vnnfleet.ErrDraining) {
 		t.Fatalf("draining follower accepted an import: %v", err)
 	}
-	if follower.Cache().Len() != 0 {
+	if follower.Metrics().Cache.Size != 0 {
 		t.Fatal("entry inserted after drain started")
 	}
 
@@ -325,44 +331,5 @@ func TestFleetExportEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown export: HTTP %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestCacheImportAndBytes pins the non-counting import path and the
-// byte accounting: imports are not misses, collide safely with cached
-// keys, and bytes fall on eviction.
-func TestCacheImportAndBytes(t *testing.T) {
-	c := vnnserver.NewCache(1)
-	if !c.Import("A", &vnn.CompiledNetwork{}) {
-		t.Fatal("import into empty cache failed")
-	}
-	st := c.Stats()
-	if st.Misses != 0 || st.Hits != 0 {
-		t.Fatalf("import counted as traffic: %+v", st)
-	}
-	if st.Bytes <= 0 {
-		t.Fatalf("imported entry accounts %d bytes", st.Bytes)
-	}
-	perEntry := st.Bytes
-
-	if c.Import("A", &vnn.CompiledNetwork{}) {
-		t.Fatal("duplicate import succeeded")
-	}
-	if !c.Import("B", &vnn.CompiledNetwork{}) { // evicts A (capacity 1)
-		t.Fatal("second import failed")
-	}
-	st = c.Stats()
-	if st.Size != 1 || st.Bytes != perEntry {
-		t.Fatalf("eviction did not release bytes: %+v", st)
-	}
-	keys := c.Keys()
-	if len(keys) != 1 || keys[0] != "B" {
-		t.Fatalf("keys %v, want [B]", keys)
-	}
-	if _, ok := c.Peek("B"); !ok {
-		t.Fatal("peek missed the imported entry")
-	}
-	if st := c.Stats(); st.Hits != 0 {
-		t.Fatal("peek counted as a hit")
 	}
 }

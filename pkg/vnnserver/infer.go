@@ -233,7 +233,13 @@ func (s *Server) prepareInfer(req *InferRequest) (*preparedInfer, error) {
 	case req.Fingerprint != "":
 		wl, ok := s.workloads.lookup(req.Fingerprint, true)
 		if !ok {
-			return nil, fmt.Errorf("workload %s: %w (send the full network once to prime it)", req.Fingerprint, errUnknownFingerprint)
+			// Only compiled here (verify, a gate, recovery, a fleet pull):
+			// the compiled artifact carries the whole workload.
+			cn, cached := s.cache.lookup(req.Fingerprint, true)
+			if !cached {
+				return nil, fmt.Errorf("workload %s: %w (send the full network once to prime it)", req.Fingerprint, errUnknownFingerprint)
+			}
+			wl = &workload{net: cn.Net(), region: cn.Region(), compileOpts: cn.Options(), fingerprint: req.Fingerprint}
 		}
 		q.workload = wl
 	default:
@@ -516,14 +522,14 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 }
 
 // monitorCache is the fingerprint-keyed LRU of built monitors with the
-// same singleflight semantics as the compile Cache: N concurrent
+// same singleflight semantics as the compile cache: N concurrent
 // identical monitored-infer requests build exactly one monitor; failures
 // are not cached. Monitors are immutable and safe to share. Completed
 // entries are additionally indexed by the monitor's content hash, so
 // by-fingerprint requests (InferRequest.MonitorFingerprint) resolve
 // without re-sending the build dataset.
 type monitorCache struct {
-	*lru[cachedMonitor]
+	*lru[*vnn.Monitor]
 	// byContent maps a built monitor's content fingerprint to the key of
 	// its entry, guarded by the lru's mutex (the ready/drop hooks maintain
 	// it). Content-identical monitors from distinct workloads share a
@@ -532,27 +538,20 @@ type monitorCache struct {
 	byContent map[string]string
 }
 
-// cachedMonitor is a built monitor and its content hash, computed once
-// at build time (it is a SHA-256 over every stored pattern).
-type cachedMonitor struct {
-	mon       *vnn.Monitor
-	contentFP string
-}
-
 func newMonitorCache(capacity int) *monitorCache {
-	c := &monitorCache{lru: newLRU[cachedMonitor](capacity), byContent: make(map[string]string)}
+	c := &monitorCache{lru: newLRU[*vnn.Monitor](capacity), byContent: make(map[string]string)}
 	// bytes (marshaled monitor size) feeds the GET /v1/workloads index.
-	c.sizeOf = func(m cachedMonitor) int64 {
-		doc, err := vnn.MarshalMonitor(m.mon)
+	c.sizeOf = func(m *vnn.Monitor) int64 {
+		doc, err := vnn.MarshalMonitor(m)
 		if err != nil {
 			return 0
 		}
 		return int64(len(doc))
 	}
-	c.onReady = func(key string, m cachedMonitor) { c.byContent[m.contentFP] = key }
-	c.onDrop = func(key string, m cachedMonitor) {
-		if c.byContent[m.contentFP] == key {
-			delete(c.byContent, m.contentFP)
+	c.onReady = func(key string, m *vnn.Monitor) { c.byContent[m.Fingerprint()] = key }
+	c.onDrop = func(key string, m *vnn.Monitor) {
+		if c.byContent[m.Fingerprint()] == key {
+			delete(c.byContent, m.Fingerprint())
 		}
 	}
 	return c
@@ -568,7 +567,7 @@ func (s *Server) buildMonitor(ctx context.Context, root *obs.Span, wfp string, c
 	sp := root.Child("monitor")
 	defer sp.End()
 	buildStart := time.Now()
-	mon, hit, err := s.monitors.getOrBuild(ctx, wfp, func() (*vnn.Monitor, error) {
+	mon, hit, err := s.monitors.getOrCompute(ctx, wfp, func() (*vnn.Monitor, error) {
 		return vnn.BuildMonitor(cn, data, opts)
 	})
 	if !hit {
@@ -576,21 +575,6 @@ func (s *Server) buildMonitor(ctx context.Context, root *obs.Span, wfp string, c
 	}
 	sp.SetAttr("hit", hit)
 	return mon, hit, err
-}
-
-// getOrBuild returns the monitor cached under key, building it on a miss.
-// The bool reports a cache hit (true for waiters that joined an in-flight
-// build). ctx bounds only this caller's wait, exactly like the compile
-// cache.
-func (c *monitorCache) getOrBuild(ctx context.Context, key string, build func() (*vnn.Monitor, error)) (*vnn.Monitor, bool, error) {
-	m, hit, err := c.getOrCompute(ctx, key, func() (cachedMonitor, error) {
-		mon, err := build()
-		if err != nil {
-			return cachedMonitor{}, err
-		}
-		return cachedMonitor{mon: mon, contentFP: mon.Fingerprint()}, nil
-	})
-	return m.mon, hit, err
 }
 
 // contentKeys snapshots the content fingerprints of every completed
@@ -619,7 +603,7 @@ func (c *monitorCache) importContent(mon *vnn.Monitor) bool {
 	if ok {
 		return false
 	}
-	return c.add(fp, cachedMonitor{mon: mon, contentFP: fp})
+	return c.add(fp, mon)
 }
 
 // lookupContent resolves a built monitor by its content fingerprint
@@ -631,6 +615,5 @@ func (c *monitorCache) lookupContent(contentFP string) (*vnn.Monitor, bool) {
 	if !ok {
 		return nil, false
 	}
-	m, ok := c.lookup(key, true)
-	return m.mon, ok
+	return c.lookup(key, true)
 }

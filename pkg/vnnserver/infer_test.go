@@ -521,6 +521,26 @@ func TestInferByFingerprint(t *testing.T) {
 	if status := postInfer(t, ts.URL, contradiction, nil); status != http.StatusBadRequest {
 		t.Fatalf("contradictory fingerprint: status %d, want 400", status)
 	}
+
+	// A workload this node only compiled (a verify, never an infer) serves
+	// by fingerprint too: the compiled artifact carries the workload.
+	compiledOnly := inferNet(25)
+	var vr vnnserver.VerifyResponse
+	if status := postVerify(t, ts.URL, boxVerifyBody(t, compiledOnly), &vr); status != http.StatusOK {
+		t.Fatalf("verify: status %d", status)
+	}
+	byFP, _ := json.Marshal(vnnserver.InferRequest{Fingerprint: vr.Fingerprint, Inputs: inputs})
+	var cr vnnserver.InferResponse
+	if status := postInfer(t, ts.URL, byFP, &cr); status != http.StatusOK {
+		t.Fatalf("by-fingerprint infer after verify: status %d, want 200", status)
+	}
+	for i, x := range inputs {
+		for j, want := range servingForward(compiledOnly, x) {
+			if got := cr.Outputs[i][j]; got != want {
+				t.Fatalf("by-fingerprint after verify: output[%d][%d] = %v, want %v", i, j, got, want)
+			}
+		}
+	}
 }
 
 // BenchmarkInferHTTP measures end-to-end monitored inference throughput

@@ -15,8 +15,8 @@ import (
 const defaultCacheEntries = 64
 
 // lru is the service's one artifact cache: a string-keyed LRU with
-// singleflight semantics. The compile cache (Cache), the monitor cache
-// and the by-fingerprint workload cache are all instances of it.
+// singleflight semantics. The compile cache, the monitor cache and the
+// by-fingerprint workload cache are all instances of it, used bare.
 //
 // N concurrent getOrCompute calls for the same key run compute exactly
 // once — the first caller computes, the rest wait on the same entry and

@@ -3,18 +3,17 @@ package vnnserver
 import (
 	"io"
 
-	"repro/internal/milp"
 	"repro/internal/obs"
-	"repro/internal/verify"
 	"repro/pkg/vnnfleet"
 	"repro/pkg/vnnregistry"
 )
 
 // Metrics is the /metrics snapshot: cache effectiveness, admission state,
-// and cumulative solver effort. EncodePasses/TightenPasses are the
-// process-wide instrumentation counters from internal/verify — the ground
-// truth that cached compilations are actually reused (cache hits add
-// zero passes).
+// and this node's cumulative solver effort. EncodePasses/TightenPasses sum
+// the passes of every compile this server ran (vnn.CompilePhases; cache
+// hits and fleet imports add zero) and Solves the MILPs behind its
+// answers (vnn.Stats.Solves) — per Server, so in-process nodes never see
+// each other's work.
 //
 // Consistency: one Metrics value is a single-pass snapshot with a
 // monotone guarantee between request counters and effort counters.
@@ -57,8 +56,7 @@ type Metrics struct {
 	LPPivots      int64               `json:"lp_pivots"`
 	EncodePasses  int64               `json:"encode_passes"`
 	TightenPasses int64               `json:"tighten_passes"`
-	// Solves counts branch-and-bound solver invocations process-wide
-	// (from internal/milp).
+	// Solves counts branch-and-bound searches behind answered requests.
 	Solves int64 `json:"solves"`
 	// Runtime carries process gauges (goroutines, heap in use, GC pause
 	// p99, uptime) sampled from runtime/metrics at snapshot time.
@@ -120,7 +118,7 @@ func (s *Server) Metrics() Metrics {
 		UptimeMS:        msSince(s.start),
 		Build:           Build(),
 		Draining:        s.draining.Load(),
-		Cache:           s.cache.Stats(),
+		Cache:           s.cache.stats(),
 		Scheduler:       s.sched.Stats(),
 		Queries:         queries,
 		AnalyzeRequests: analyzes,
@@ -137,9 +135,9 @@ func (s *Server) Metrics() Metrics {
 		Registry:      s.registry.Snapshot(),
 		Nodes:         s.nodes.Load(),
 		LPPivots:      s.pivots.Load(),
-		EncodePasses:  verify.EncodePasses(),
-		TightenPasses: verify.TightenPasses(),
-		Solves:        milp.Solves(),
+		EncodePasses:  s.encodePasses.Load(),
+		TightenPasses: s.tightenPasses.Load(),
+		Solves:        s.solves.Load(),
 		Runtime:       obs.ReadRuntime(s.start),
 		Tenants:       s.obs.tenants.Snapshot(),
 		Histograms:    s.obs.histogramsJSON(),

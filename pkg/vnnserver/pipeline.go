@@ -114,12 +114,13 @@ func (s *Server) budget(parent context.Context, timeoutMS int) (context.Context,
 //
 // The compile span attributes the pass to LP tightening vs MILP encoding
 // from the durations and pass counts this compile measured on itself
-// (vnn.CompilePhases), so no other request's compile shows up in it. Every
+// (vnn.CompilePhases), so no other request's compile shows up in it; the
+// same counts are what the server's encode/tighten totals add up. Every
 // compile that runs, failed ones included, is one vnnd_compile_seconds
 // observation; cache hits and waiters are none.
 func (s *Server) compiled(ctx context.Context, root *obs.Span, wl *workload, opts vnn.Options) (*vnn.CompiledNetwork, bool, error) {
 	cacheSpan := root.Child("cache")
-	cn, hit, err := s.cache.GetOrCompile(ctx, wl.fingerprint, func() (*vnn.CompiledNetwork, error) {
+	cn, hit, err := s.cache.getOrCompute(ctx, wl.fingerprint, func() (*vnn.CompiledNetwork, error) {
 		sp := cacheSpan.Child("compile")
 		buildStart := time.Now()
 		cn, err := vnn.Compile(s.queryCtx, wl.net, wl.region, opts)
@@ -127,6 +128,8 @@ func (s *Server) compiled(ctx context.Context, root *obs.Span, wl *workload, opt
 		var ph vnn.CompilePhases // stays zero when the compile failed
 		if err == nil {
 			ph = cn.CompilePhases()
+			s.encodePasses.Add(int64(ph.EncodePasses))
+			s.tightenPasses.Add(int64(ph.TightenPasses))
 		}
 		sp.ChildTimed("tighten", ph.Tighten)
 		sp.ChildTimed("encode", ph.Encode)
@@ -143,13 +146,14 @@ func (s *Server) compiled(ctx context.Context, root *obs.Span, wl *workload, opt
 
 // effort is the solver work behind one response.
 type effort struct {
-	nodes, pivots           int64
+	solves, nodes, pivots   int64
 	lp                      lp.Stats
 	maxDepth, openHighWater int // largest over the response's searches
 }
 
 func (e *effort) add(results []*vnn.Result) {
 	for _, res := range results {
+		e.solves += int64(res.Stats.Solves)
 		e.nodes += int64(res.Stats.Nodes)
 		e.pivots += int64(res.Stats.LPPivots)
 		e.lp.Add(res.Stats.LP)
@@ -228,6 +232,7 @@ func (s *Server) solve(ctx context.Context, jb *job, root *obs.Span, wl *workloa
 		return nil, err
 	}
 	eff.annotate(solveSpan)
+	s.solves.Add(eff.solves)
 	s.nodes.Add(eff.nodes)
 	s.pivots.Add(eff.pivots)
 	return &VerifyResponse{
@@ -345,16 +350,18 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, req any, prepa
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
+	// The acknowledgement is rendered before the job starts, so it reports
+	// the job as submitted even when a fast run finishes first.
+	var ack any = AcceptedResponse{ID: jb.id, Fingerprint: p.fingerprint, Status: "running"}
+	if p.accepted != nil {
+		ack = p.accepted(jb)
+	}
 	go func() {
 		defer s.wg.Done()
 		// Async jobs outlive their HTTP request; only the budget and
 		// server drain bound them.
 		s.runJob(s.queryCtx, p, jb, tr, tn)
 	}()
-	var ack any = AcceptedResponse{ID: jb.id, Fingerprint: p.fingerprint, Status: "running"}
-	if p.accepted != nil {
-		ack = p.accepted(jb)
-	}
 	writeJSON(w, http.StatusAccepted, ack)
 }
 

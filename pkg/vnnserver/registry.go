@@ -185,9 +185,6 @@ func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*jobPlan, error) {
 			solved, err := s.solve(ctx, jb, root, wl, req.Options, fairWorkers,
 				func(ctx context.Context, compiled *vnn.CompiledNetwork) (err error) {
 					cn = compiled
-					// Compiled, the version's artifact is servable by plain
-					// fingerprint requests — admitted or not.
-					s.workloads.add(wl.fingerprint, wl)
 					if m := req.Monitor; m != nil {
 						mon, _, err = s.buildMonitor(ctx, root, sub.MonitorFingerprint, cn, m.Data, sub.MonitorOpts)
 					}

@@ -213,7 +213,7 @@ func TestModelRolloutEndToEnd(t *testing.T) {
 		t.Fatalf("post-cutover serving: version %d outputs %v", v3.ModelVersion, v3.Outputs)
 	}
 
-	compilesBefore := vnn.CompileCalls()
+	compilesBefore := compileCount(srv)
 	resp, err := http.Post(ts.URL+"/v1/models/demo/rollback", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +237,7 @@ func TestModelRolloutEndToEnd(t *testing.T) {
 	if back.Verdicts[0] != v2.Verdicts[0] {
 		t.Fatalf("rollback verdict %+v differs from v2's %+v", back.Verdicts[0], v2.Verdicts[0])
 	}
-	if d := vnn.CompileCalls() - compilesBefore; d != 0 {
+	if d := compileCount(srv) - compilesBefore; d != 0 {
 		t.Fatalf("rollback triggered %d compiles, want 0 (warm artifacts)", d)
 	}
 

@@ -4,10 +4,11 @@
 //
 // Three pieces turn the library API into a service:
 //
-//   - A fingerprint-keyed LRU compile cache with singleflight (Cache):
-//     vnn.Compile — the expensive, reusable part of every query — runs at
-//     most once per distinct (network, region, compile options) workload,
-//     no matter how many clients ask concurrently.
+//   - A fingerprint-keyed LRU compile cache with singleflight (lru, behind
+//     Server.compiled): vnn.Compile — the expensive, reusable part of
+//     every query — runs at most once per distinct (network, region,
+//     compile options) workload, no matter how many clients ask
+//     concurrently.
 //
 //   - An admission scheduler (Scheduler): a bounded FIFO queue with
 //     immediate backpressure when full, a cap on concurrently running
@@ -96,8 +97,8 @@ type Config struct {
 	InferWorkers int
 	// Peers is the static fleet membership: base URLs of sibling vnnd
 	// nodes (e.g. "http://10.0.0.2:8419") whose compile and monitor
-	// caches this server replicates via rateless set reconciliation
-	// (pkg/vnnfleet). Empty means no reconcile loop; the fleet
+	// caches this server replicates by pulling what their fingerprint
+	// lists name (pkg/vnnfleet). Empty means no reconcile loop; the fleet
 	// endpoints are mounted regardless, so other nodes may still pull
 	// from this one.
 	Peers []string
@@ -146,7 +147,7 @@ type Config struct {
 type Server struct {
 	cfg      Config
 	nodeID   string
-	cache    *Cache
+	cache    *lru[*vnn.CompiledNetwork]
 	monitors *monitorCache
 	sched    *Scheduler
 	jobs     *registry
@@ -160,9 +161,10 @@ type Server struct {
 	// workloads remembers parsed (network, region, options) triples by
 	// fingerprint, so by-fingerprint /v1/infer requests skip the network
 	// upload and parse. Entries are cheap and stored as soon as a
-	// full-network request parses — before its compile, whether or not
-	// the request then succeeds — or when a gate compile, a recovered
-	// model version or a fleet import brings the workload in.
+	// full-network /v1/infer request parses — before its compile, whether
+	// or not the request then succeeds. A workload that is only compiled
+	// (verify, a gate, recovery, a fleet import) is served from the
+	// compile cache instead.
 	workloads *lru[*workload]
 
 	// fleet is the replication peer (see fleet.go for the Store
@@ -192,11 +194,13 @@ type Server struct {
 
 	queries       atomic.Int64
 	analyzes      atomic.Int64
-	nodes         atomic.Int64
-	pivots        atomic.Int64
 	inferRequests atomic.Int64
 	inferInputs   atomic.Int64
 	inferFlagged  atomic.Int64
+	// The effort totals: this node's own work, from its compiles' phases
+	// and its answers' stats — never another Server's in the process.
+	nodes, pivots, solves       atomic.Int64
+	encodePasses, tightenPasses atomic.Int64
 
 	// analysisMu guards analysisKinds, the per-kind count of analyses
 	// served through /v1/analyze.
@@ -235,7 +239,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:           cfg,
 		nodeID:        nodeID,
-		cache:         NewCache(cfg.CacheEntries),
+		cache:         newLRU[*vnn.CompiledNetwork](cfg.CacheEntries),
 		monitors:      newMonitorCache(cfg.CacheEntries),
 		shards:        newInferShards(cfg.InferWorkers),
 		workloads:     newLRU[*workload](cfg.CacheEntries),
@@ -247,6 +251,7 @@ func New(cfg Config) *Server {
 		cancelQueries: cancel,
 		analysisKinds: make(map[string]int64),
 	}
+	s.cache.sizeOf = (*vnn.CompiledNetwork).SizeBytes
 	// The scheduler reports its wait/run decomposition into the shared
 	// histograms (set before any traffic can reach RunAdmitted).
 	s.sched.queueWait = s.obs.hist[hQueueWait]
@@ -287,9 +292,7 @@ func New(cfg Config) *Server {
 		// Recovery recompiles through the compile door (no request, so no
 		// trace); a recovered version serves by-fingerprint requests again.
 		Compile: func(ctx context.Context, fp string, net *vnn.Network, region *vnn.Region, opts vnn.Options) (*vnn.CompiledNetwork, error) {
-			wl := &workload{net: net, region: region, compileOpts: opts, fingerprint: fp}
-			s.workloads.add(fp, wl)
-			cn, _, err := s.compiled(ctx, nil, wl, opts)
+			cn, _, err := s.compiled(ctx, nil, &workload{net: net, region: region, compileOpts: opts, fingerprint: fp}, opts)
 			return cn, err
 		},
 		ImportMonitor: func(m *vnn.Monitor) {
@@ -359,9 +362,6 @@ func (s *Server) startTrace(r *http.Request, route, id string) *obs.Trace {
 func (s *Server) tenantFor(r *http.Request) *obs.TenantStats {
 	return s.obs.tenants.Tenant(r.Header.Get("X-API-Key"))
 }
-
-// Cache exposes the compile cache (read-mostly: stats and tests).
-func (s *Server) Cache() *Cache { return s.cache }
 
 // Drain moves the server into drain mode: new queries are rejected with
 // 503 while everything already admitted keeps running. Queries get grace

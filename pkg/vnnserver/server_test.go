@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/verify"
 	"repro/pkg/vnn"
 	"repro/pkg/vnnserver"
 )
@@ -67,24 +66,22 @@ func postVerify(t *testing.T, url string, body []byte, out any) int {
 
 // TestServer64ConcurrentIdenticalOneCompile is the subsystem's acceptance
 // contract: 64 concurrent identical requests against vnnd perform exactly
-// one compile — pinned by the process-wide EncodePasses/TightenPasses
-// instrumentation counters — and every response's Table II width-10 value
-// is bit-identical to the CLI path (vnn.Compile + vnn.Verify with the
-// same pinned worker count).
+// one compile — pinned by the server's own encode/tighten pass totals,
+// which must grow by exactly one compile's phases — and every response's
+// Table II width-10 value is bit-identical to the CLI path (vnn.Compile +
+// vnn.Verify with the same pinned worker count).
 func TestServer64ConcurrentIdenticalOneCompile(t *testing.T) {
 	pred := core.NewPredictorNet(1, 10, 1, 1) // a width-10 Table II shape
 	outs := pred.MuLatOutputs()
 	ctx := context.Background()
 
-	// The CLI path, measuring the passes one compile performs.
-	encBefore, tightBefore := verify.EncodePasses(), verify.TightenPasses()
+	// The CLI path, and the passes its one compile performs.
 	cliOpts := vnn.Options{Tighten: true, Workers: 1}
 	cn, err := vnn.Compile(ctx, pred.Net, vnn.LeftOccupiedRegion(), cliOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	encPerCompile := verify.EncodePasses() - encBefore
-	tightPerCompile := verify.TightenPasses() - tightBefore
+	ph := cn.CompilePhases()
 	ref, err := vnn.VerifyOne(ctx, cn, vnn.MaxOverOutputs(outs...))
 	if err != nil {
 		t.Fatal(err)
@@ -93,12 +90,12 @@ func TestServer64ConcurrentIdenticalOneCompile(t *testing.T) {
 		t.Fatal("CLI reference did not conclude")
 	}
 
-	_, ts := newTestServer(t, vnnserver.Config{QueueDepth: 128})
+	srv, ts := newTestServer(t, vnnserver.Config{QueueDepth: 128})
 	body := verifyBody(t, pred.Net,
 		[]vnn.PropertySpec{{Kind: "max", Outputs: outs}},
 		vnnserver.QueryOptions{Tighten: true, Workers: 1}, nil)
 
-	encBefore, tightBefore = verify.EncodePasses(), verify.TightenPasses()
+	before := srv.Metrics()
 	const clients = 64
 	responses := make([]vnnserver.VerifyResponse, clients)
 	statuses := make([]int, clients)
@@ -112,13 +109,21 @@ func TestServer64ConcurrentIdenticalOneCompile(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Exactly one compile across the whole stampede.
-	if d := verify.EncodePasses() - encBefore; d != encPerCompile {
-		t.Fatalf("server performed %d encode passes for %d identical requests, want %d (one compile)",
-			d, clients, encPerCompile)
+	// Exactly one compile across the whole stampede, and every request's
+	// own searches.
+	after := srv.Metrics()
+	if ph.EncodePasses == 0 || ph.TightenPasses != 1 {
+		t.Fatalf("reference compile: %+v", ph)
 	}
-	if d := verify.TightenPasses() - tightBefore; d != tightPerCompile {
-		t.Fatalf("server performed %d tighten passes, want %d (one compile)", d, tightPerCompile)
+	if d := after.EncodePasses - before.EncodePasses; d != int64(ph.EncodePasses) {
+		t.Fatalf("server performed %d encode passes for %d identical requests, want %d (one compile)",
+			d, clients, ph.EncodePasses)
+	}
+	if d := after.TightenPasses - before.TightenPasses; d != int64(ph.TightenPasses) {
+		t.Fatalf("server performed %d tighten passes, want %d (one compile)", d, ph.TightenPasses)
+	}
+	if d := after.Solves - before.Solves; d != int64(clients*ref.Stats.Solves) {
+		t.Fatalf("server counted %d solves, want %d per request", d, ref.Stats.Solves)
 	}
 
 	misses := 0
@@ -474,5 +479,62 @@ func TestServerMetrics(t *testing.T) {
 	}
 	if m.Draining {
 		t.Fatal("fresh server reports draining")
+	}
+}
+
+// TestEffortTotalsSequence pins one node's /metrics effort totals over a
+// fixed sequence — verify, verify tightened, analyze with a two-width
+// quant sweep, then a cache-hit repeat of each — at the per-step deltas
+// the process-wide counters gave before each Server owned its own: the
+// move changed the scope of encode_passes, tighten_passes and solves,
+// not one count.
+func TestEffortTotalsSequence(t *testing.T) {
+	net, region := smallNet(t)
+	netJSON, err := vnn.MarshalNetwork(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyReq := func(tighten bool) []byte {
+		body, err := json.Marshal(vnnserver.VerifyRequest{
+			Network: netJSON, Region: region,
+			Properties: []vnn.PropertySpec{{Kind: "max", Outputs: []int{0}}},
+			Options:    vnnserver.QueryOptions{Tighten: tighten, Workers: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	sweep := analyzeBody(t, net, region, []vnn.AnalysisSpec{{
+		Kind: vnn.KindQuantSweep, Bits: []int{8, 4},
+		Properties: []vnn.PropertySpec{{Kind: "max", Outputs: []int{0, 1}}},
+	}}, vnnserver.QueryOptions{Workers: 1}, nil)
+	steps := []struct {
+		name, path string
+		body       []byte
+		want       [3]int64 // encode passes, tighten passes, solves
+	}{
+		{"verify", "/v1/verify", verifyReq(false), [3]int64{1, 0, 1}},
+		{"verify tightened", "/v1/verify", verifyReq(true), [3]int64{2, 1, 1}},
+		{"quant sweep", "/v1/analyze", sweep, [3]int64{2, 0, 6}},
+	}
+
+	srv, ts := newTestServer(t, vnnserver.Config{})
+	for _, repeat := range []bool{false, true} {
+		for _, st := range steps {
+			before := srv.Metrics()
+			if code, raw := post(t, ts.URL+st.path, st.body); code != http.StatusOK {
+				t.Fatalf("%s: %d %s", st.name, code, raw)
+			}
+			after := srv.Metrics()
+			got := [3]int64{after.EncodePasses - before.EncodePasses, after.TightenPasses - before.TightenPasses, after.Solves - before.Solves}
+			want := st.want
+			if repeat { // every compile is a cache hit; the searches run again
+				want[0], want[1] = 0, 0
+			}
+			if got != want {
+				t.Fatalf("%s (repeat %v): encode/tighten/solves deltas %v, want %v", st.name, repeat, got, want)
+			}
+		}
 	}
 }
