@@ -383,7 +383,7 @@ func BenchmarkAttackVsVerify(b *testing.B) {
 		defer cancel()
 		var v float64
 		for i := 0; i < b.N; i++ {
-			c, err := verify.Compile(ctx, pred.Net, region, verify.Options{})
+			c, err := verify.Compile(ctx, pred.Net, region, false)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -411,7 +411,7 @@ func BenchmarkResilience(b *testing.B) {
 	thr := pred.Net.Forward(x0)[out] + 1
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
-	c, err := verify.Compile(ctx, pred.Net, region, verify.Options{})
+	c, err := verify.Compile(ctx, pred.Net, region, false)
 	if err != nil {
 		b.Fatal(err)
 	}

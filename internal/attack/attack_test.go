@@ -24,7 +24,7 @@ func unitRegion(n int) *verify.InputRegion {
 func verifiedMax(t *testing.T, net *nn.Network, region *verify.InputRegion) float64 {
 	t.Helper()
 	ctx := context.Background()
-	c, err := verify.Compile(ctx, net, region, verify.Options{})
+	c, err := verify.Compile(ctx, net, region, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // only from compile.go and tighten.go (a CI guard pins it).
 type Phases struct {
 	// Tighten is the wall time of LP bound tightening, its prefix
-	// encodings included (zero when Options.Tighten is off); Encode is
+	// encodings included (zero when Compile's tighten is off); Encode is
 	// the wall time of the final full encoding.
 	Tighten, Encode time.Duration
 	// TightenPasses and EncodePasses count this compilation's passes:
@@ -48,11 +48,12 @@ type Compiled struct {
 }
 
 // Compile performs the one-time preprocessing for net over region: interval
-// bound propagation, optional LP tightening (opts.Tighten, fanned across
-// opts.Workers and bounded by ctx — see tightenLP), and the MILP
-// encoding. The ctx deadline covers the whole compilation; tightening
-// stops early (soundly) when the budget runs out.
-func Compile(ctx context.Context, net *nn.Network, region *InputRegion, opts Options) (*Compiled, error) {
+// bound propagation, optional LP tightening (one warm chain per layer —
+// see tightenLP) and the MILP encoding. The result is a function of
+// (net, region, tighten) alone; no query option reaches it. The ctx
+// deadline covers the whole compilation; tightening stops early (soundly)
+// when the budget runs out.
+func Compile(ctx context.Context, net *nn.Network, region *InputRegion, tighten bool) (*Compiled, error) {
 	start := time.Now()
 	if err := region.Validate(net); err != nil {
 		return nil, err
@@ -62,9 +63,9 @@ func Compile(ctx context.Context, net *nn.Network, region *InputRegion, opts Opt
 		return nil, err
 	}
 	var ph Phases
-	if opts.Tighten {
+	if tighten {
 		t0 := time.Now()
-		if nb, err = tightenLP(ctx, net, region, nb, opts.Workers, &ph.EncodePasses); err != nil {
+		if nb, err = tightenLP(ctx, net, region, nb, &ph.EncodePasses); err != nil {
 			return nil, err
 		}
 		ph.Tighten, ph.TightenPasses = time.Since(t0), 1
@@ -83,7 +84,7 @@ func Compile(ctx context.Context, net *nn.Network, region *InputRegion, opts Opt
 		enc:         enc,
 		CompileTime: time.Since(start),
 		Phases:      ph,
-		Tightened:   opts.Tighten,
+		Tightened:   tighten,
 	}, nil
 }
 
@@ -132,11 +133,12 @@ func (c *Compiled) Region() *InputRegion { return c.region }
 func (c *Compiled) OutputBounds() []bounds.Interval { return c.nb.Output() }
 
 // PreActivationBounds returns the proven pre-activation intervals of every
-// hidden layer (one row per hidden layer), as computed — and, under
-// opts.Tighten, LP-tightened — during compilation. The rows are views into
-// the compiled state and must be treated as read-only. Analyses that need
-// activation-phase information over the region (e.g. traceability interval
-// conditions) consume these instead of re-running propagation.
+// hidden layer (one row per hidden layer), as computed — and, when
+// compiled with tighten, LP-tightened — during compilation. The rows are
+// views into the compiled state and must be treated as read-only.
+// Analyses that need activation-phase information over the region (e.g.
+// traceability interval conditions) consume these instead of re-running
+// propagation.
 func (c *Compiled) PreActivationBounds() [][]bounds.Interval {
 	out := make([][]bounds.Interval, 0, len(c.nb.Layers)-1)
 	for li := 0; li+1 < len(c.nb.Layers); li++ {

@@ -18,7 +18,7 @@ func ExampleCompiled_MaxLinear() {
 	}}
 	region := &verify.InputRegion{Box: []bounds.Interval{{Lo: -1, Hi: 1}}}
 	ctx := context.Background()
-	c, err := verify.Compile(ctx, net, region, verify.Options{})
+	c, err := verify.Compile(ctx, net, region, false)
 	if err != nil {
 		panic(err)
 	}
@@ -39,7 +39,7 @@ func ExampleCompiled_ProveLinearUpperBound() {
 	}}
 	region := &verify.InputRegion{Box: []bounds.Interval{{Lo: -1, Hi: 1}}}
 	ctx := context.Background()
-	c, err := verify.Compile(ctx, net, region, verify.Options{})
+	c, err := verify.Compile(ctx, net, region, false)
 	if err != nil {
 		panic(err)
 	}

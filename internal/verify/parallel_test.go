@@ -23,7 +23,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}, rng)
 	region := unitRegion(4)
 	outs := []int{0, 1, 2, 3, 4}
-	c := compiled(t, net, region, Options{})
+	c := compiled(t, net, region, false)
 	seq, err := c.MaxOverOutputs(context.Background(), outs, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -79,9 +79,9 @@ func TestWorkersMatchSequentialVerify(t *testing.T) {
 	}, rng)
 	region := unitRegion(4)
 	for _, tighten := range []bool{false, true} {
-		seq := maxOutput(t, net, region, 0, Options{Workers: 1, Tighten: tighten})
+		seq := maxOutput(t, net, region, 0, tighten, Options{Workers: 1})
 		for _, w := range []int{2, 3} {
-			par := maxOutput(t, net, region, 0, Options{Workers: w, Tighten: tighten})
+			par := maxOutput(t, net, region, 0, tighten, Options{Workers: w})
 			if seq.Outcome != Proved || par.Outcome != Proved {
 				t.Fatalf("tighten=%v workers=%d: exactness lost: seq=%v par=%v", tighten, w, seq.Outcome, par.Outcome)
 			}
@@ -106,7 +106,7 @@ func TestParallelRace(t *testing.T) {
 	}, rng)
 	region := unitRegion(3)
 	for i := 0; i < 5; i++ {
-		c := compiled(t, net, region, Options{})
+		c := compiled(t, net, region, false)
 		var wg sync.WaitGroup
 		for o := 0; o < 4; o++ {
 			wg.Add(1)

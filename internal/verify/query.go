@@ -43,20 +43,17 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("Outcome(%d)", int(o))
 }
 
-// Options tune a verification run. There is no time limit here: budgets
-// and cancellation are the context's (Compile and every Compiled method
-// take one).
+// Options tune a query on a Compiled; compilation reads none of them.
+// There is no time limit here: budgets and cancellation are the context's
+// (Compile and every Compiled method take one).
 type Options struct {
 	// MaxNodes bounds branch-and-bound nodes; 0 means unlimited.
 	MaxNodes int
-	// Tighten selects LP-based bound tightening before encoding
-	// (slower preprocessing, smaller search trees).
-	Tighten bool
 	// Workers is the only concurrency option: the number of
-	// branch-and-bound workers inside a MILP solve, and the fan-out of LP
-	// tightening's per-neuron LPs; 0 means GOMAXPROCS, 1 the sequential
-	// engine. A query's MILP solves (one per output in MaxOverOutputs) run
-	// one after another. For any fixed value the search is deterministic.
+	// branch-and-bound workers inside a MILP solve; 0 means GOMAXPROCS,
+	// 1 the sequential engine. A query's MILP solves (one per output in
+	// MaxOverOutputs) run one after another. For any fixed value the
+	// search is deterministic.
 	Workers int
 	// Progress, when non-nil, streams incumbent/bound/node events from
 	// every MILP solve the query runs (see milp.Options.Progress).

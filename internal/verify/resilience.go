@@ -46,7 +46,8 @@ type ResilienceOptions struct {
 // compiled region's box. The nominal point itself must satisfy the property.
 //
 // Each probe re-compiles the shrunken ball region (the region changes every
-// binary-search step, so the encoding cannot be shared) under the context;
+// binary-search step, so the encoding cannot be shared), tightened exactly
+// when c was, under the context;
 // cancellation or an expired deadline ends the search early and returns the
 // largest radius certified so far — the anytime answer — with no error.
 func (c *Compiled) Resilience(ctx context.Context, x0 []float64, outIndex int, threshold float64, opts ResilienceOptions) (*ResilienceResult, error) {
@@ -94,7 +95,7 @@ func (c *Compiled) Resilience(ctx context.Context, x0 []float64, outIndex int, t
 
 	// probe answers one radius and books its effort and verdict.
 	probe := func(eps float64) (Outcome, error) {
-		ball, err := Compile(ctx, c.net, ballRegion(eps), opts.Query)
+		ball, err := Compile(ctx, c.net, ballRegion(eps), c.Tightened)
 		if err != nil {
 			return 0, err
 		}

@@ -16,7 +16,7 @@ func TestResilienceLinearExact(t *testing.T) {
 	net := &nn.Network{Layers: []*nn.Layer{
 		{W: [][]float64{{1}}, B: []float64{0}, Act: nn.Identity},
 	}}
-	c := compiled(t, net, unitRegion(1), Options{})
+	c := compiled(t, net, unitRegion(1), false)
 	res, err := c.Resilience(context.Background(), []float64{0}, 0, 0.5, ResilienceOptions{MaxIterations: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestResilienceWholeDomainSafe(t *testing.T) {
 	net := &nn.Network{Layers: []*nn.Layer{
 		{W: [][]float64{{1}}, B: []float64{0}, Act: nn.Identity},
 	}}
-	c := compiled(t, net, unitRegion(1), Options{})
+	c := compiled(t, net, unitRegion(1), false)
 	res, err := c.Resilience(context.Background(), []float64{0}, 0, 5, ResilienceOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestResilienceValidation(t *testing.T) {
 	net := &nn.Network{Layers: []*nn.Layer{
 		{W: [][]float64{{1}}, B: []float64{0}, Act: nn.Identity},
 	}}
-	c := compiled(t, net, unitRegion(1), Options{})
+	c := compiled(t, net, unitRegion(1), false)
 	for _, tc := range []struct {
 		name      string
 		x0        []float64
@@ -80,7 +80,7 @@ func TestResilienceCertifiedRadiusIsSound(t *testing.T) {
 	dom := []bounds.Interval{{Lo: -1, Hi: 1}, {Lo: -1, Hi: 1}}
 	x0 := []float64{0.1, -0.2}
 	thr := net.Forward(x0)[0] + 0.3
-	c := compiled(t, net, &InputRegion{Box: dom}, Options{})
+	c := compiled(t, net, &InputRegion{Box: dom}, false)
 	res, err := c.Resilience(context.Background(), x0, 0, thr, ResilienceOptions{MaxIterations: 12})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestResilienceCertifiedRadiusIsSound(t *testing.T) {
 // Certified as Proved, the word a require_proved gate passes on.
 func TestResilienceInterruptedIsNotCertified(t *testing.T) {
 	net := randomReLUNet(41, 3, []int{8, 8}, 1)
-	c := compiled(t, net, unitRegion(3), Options{})
+	c := compiled(t, net, unitRegion(3), false)
 	x0 := []float64{0, 0, 0}
 	thr := net.Forward(x0)[0] + 0.05
 	if c.OutputBounds()[0].Hi <= thr {
@@ -128,7 +128,7 @@ func TestResilienceInterruptedIsNotCertified(t *testing.T) {
 // result, which is what the reply's nodes/lp_pivots and /metrics effort sum.
 func TestResilienceReportsEffort(t *testing.T) {
 	net := randomReLUNet(41, 3, []int{8, 8}, 1)
-	c := compiled(t, net, unitRegion(3), Options{})
+	c := compiled(t, net, unitRegion(3), false)
 	x0 := []float64{0, 0, 0}
 	res, err := c.Resilience(context.Background(), x0, 0, net.Forward(x0)[0]+0.05, ResilienceOptions{MaxIterations: 6})
 	if err != nil {
@@ -162,7 +162,7 @@ func TestMinOutput(t *testing.T) {
 		{W: [][]float64{{1}}, B: []float64{0}, Act: nn.ReLU},
 		{W: [][]float64{{1}}, B: []float64{-1}, Act: nn.Identity},
 	}}
-	c := compiled(t, net, unitRegion(1), Options{})
+	c := compiled(t, net, unitRegion(1), false)
 	mn := minOutput(t, c, 0)
 	if math.Abs(mn+1) > 1e-6 {
 		t.Fatalf("min = %g, want -1", mn)
@@ -180,7 +180,7 @@ func TestMinMaxConsistencyRandom(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed + 30))
 		net := nn.New(nn.Config{Name: "m", InputDim: 2, Hidden: []int{5}, OutputDim: 2, HiddenAct: nn.ReLU, OutputAct: nn.Identity}, rng)
-		c := compiled(t, net, unitRegion(2), Options{})
+		c := compiled(t, net, unitRegion(2), false)
 		mn := minOutput(t, c, 1)
 		mx, err := c.MaxLinear(context.Background(), map[int]float64{1: 1}, Options{})
 		if err != nil {

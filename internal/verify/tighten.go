@@ -3,18 +3,11 @@ package verify
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/bounds"
 	"repro/internal/lp"
 	"repro/internal/nn"
 )
-
-// neuronBounds is the LP answer for one neuron's pre-activation.
-type neuronBounds struct {
-	hi, lo dirResult
-}
 
 // TightenLPWorkers refines interval pre-activation bounds with linear
 // programming: for every unstable hidden neuron it maximizes and minimizes
@@ -28,15 +21,14 @@ type neuronBounds struct {
 // bounds, never widened. This is the preprocessing ablation benchmarked in
 // BenchmarkBigMAblation.
 //
-// The per-neuron bound LPs of each layer are distributed over the given
-// number of workers (0 means GOMAXPROCS). Every worker owns a clone of the
-// layer encoding and a persistent warm-started lp.Solver: within a layer
-// only the objective changes between solves, so the saved simplex basis
-// stays primal feasible and phase 1 never reruns. Neurons are assigned to
-// workers statically (round-robin by index), which keeps the result
-// deterministic for a fixed worker count.
+// Each layer's bound LPs run as one warm-started chain in neuron order:
+// within a layer only the objective changes between solves, so the saved
+// simplex basis stays primal feasible and phase 1 never reruns. The
+// bounds are therefore a function of (net, region, nb) alone. workers is
+// ignored; the parameter stays only because the benchmark harness, frozen
+// until ROADMAP item 6 lifts the freeze, calls this signature.
 func TightenLPWorkers(net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, workers int) (*bounds.NetworkBounds, error) {
-	return tightenLP(context.Background(), net, region, nb, workers, new(int))
+	return tightenLP(context.Background(), net, region, nb, new(int))
 }
 
 // tightenLP is TightenLPWorkers under a context: the ctx deadline (or
@@ -49,10 +41,7 @@ func TightenLPWorkers(net *nn.Network, region *InputRegion, nb *bounds.NetworkBo
 // resulting bounds depend on where the deadline fell — deterministic runs
 // need either no deadline or one generous enough not to fire. *encodes
 // grows by the prefix encodings performed (one per layer reached).
-func tightenLP(ctx context.Context, net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, workers int, encodes *int) (*bounds.NetworkBounds, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func tightenLP(ctx context.Context, net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, encodes *int) (*bounds.NetworkBounds, error) {
 	cancelled := func() bool { return ctx.Err() != nil }
 	hints := make([][]bounds.Interval, len(net.Layers))
 	cur := nb
@@ -75,87 +64,33 @@ func tightenLP(ctx context.Context, net *nn.Network, region *InputRegion, nb *bo
 		layer := net.Layers[li]
 		tightened := make([]bounds.Interval, layer.OutDim())
 		copy(tightened, cur.Layers[li].Pre)
-
-		// The unstable neurons are the LP work items for this layer.
-		jobs := make([]int, 0, layer.OutDim())
-		for j := range layer.W {
-			if cur.Layers[li].Pre[j].StraddlesZero() {
-				jobs = append(jobs, j)
+		solver := lp.NewSolver(enc.model)
+		for j, row := range layer.W {
+			iv := tightened[j]
+			if !iv.StraddlesZero() || cancelled() {
+				continue // stable, or out of budget: keep the interval bound
 			}
-		}
-		if len(jobs) == 0 {
-			hints[li] = tightened
-			next, err := bounds.PropagateWithHints(net, region.Box, hints)
+			for k, w := range row {
+				enc.model.SetObjective(prevVars[k], w)
+			}
+			hi, err := solveDirection(solver, true, cancelled)
 			if err != nil {
 				return nil, err
 			}
-			cur = next
-			continue
-		}
-
-		nw := workers
-		if nw > len(jobs) {
-			nw = len(jobs)
-		}
-		results := make([]neuronBounds, layer.OutDim())
-		errs := make([]error, nw)
-		run := func(slot int, model *lp.Model) {
-			solver := lp.NewSolver(model)
-			for idx := slot; idx < len(jobs); idx += nw {
-				if cancelled() {
-					return // remaining neurons keep their interval bounds
-				}
-				j := jobs[idx]
-				row := layer.W[j]
-				for k, w := range row {
-					model.SetObjective(prevVars[k], w)
-				}
-				hi, err := solveDirection(solver, true, cancelled)
-				if err != nil {
-					errs[slot] = err
-					return
-				}
-				lo, err := solveDirection(solver, false, cancelled)
-				if err != nil {
-					errs[slot] = err
-					return
-				}
-				for k := range row {
-					model.SetObjective(prevVars[k], 0)
-				}
-				results[j] = neuronBounds{hi: hi, lo: lo}
-			}
-		}
-		if nw == 1 {
-			run(0, enc.model)
-		} else {
-			var wg sync.WaitGroup
-			for slot := 0; slot < nw; slot++ {
-				wg.Add(1)
-				go func(slot int, model *lp.Model) {
-					defer wg.Done()
-					run(slot, model)
-				}(slot, enc.model.Clone())
-			}
-			wg.Wait()
-		}
-		for _, err := range errs {
+			lo, err := solveDirection(solver, false, cancelled)
 			if err != nil {
 				return nil, err
 			}
-		}
-
-		// Intersect in neuron order — deterministic regardless of scheduling.
-		for _, j := range jobs {
-			iv := cur.Layers[li].Pre[j]
-			r := results[j]
-			if r.hi.ok {
-				if v := r.hi.val + layer.B[j]; v < iv.Hi {
+			for k := range row {
+				enc.model.SetObjective(prevVars[k], 0)
+			}
+			if hi.ok {
+				if v := hi.val + layer.B[j]; v < iv.Hi {
 					iv.Hi = v
 				}
 			}
-			if r.lo.ok {
-				if v := r.lo.val + layer.B[j]; v > iv.Lo {
+			if lo.ok {
+				if v := lo.val + layer.B[j]; v > iv.Lo {
 					iv.Lo = v
 				}
 			}
@@ -181,7 +116,7 @@ type dirResult struct {
 	val float64
 }
 
-// solveDirection re-solves the worker's persistent model for one objective
+// solveDirection re-solves the layer's persistent model for one objective
 // direction. Flipping the direction only changes costs, so every solve
 // after the first warm-starts from the previous basis. A cancellation mid-
 // solve surfaces as IterationLimit and leaves the interval untouched.

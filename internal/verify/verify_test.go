@@ -29,20 +29,19 @@ func randomReLUNet(seed int64, in int, hidden []int, out int) *nn.Network {
 }
 
 // compiled is how the tests reach the engine: one Compile, fatal on error.
-func compiled(t testing.TB, net *nn.Network, region *InputRegion, opts Options) *Compiled {
+func compiled(t testing.TB, net *nn.Network, region *InputRegion, tighten bool) *Compiled {
 	t.Helper()
-	c, err := Compile(context.Background(), net, region, opts)
+	c, err := Compile(context.Background(), net, region, tighten)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
-// maxOutput compiles net over region and maximises one output, with the
-// same options for both steps.
-func maxOutput(t testing.TB, net *nn.Network, region *InputRegion, outIndex int, opts Options) *MaxResult {
+// maxOutput compiles net over region and maximises one output under opts.
+func maxOutput(t testing.TB, net *nn.Network, region *InputRegion, outIndex int, tighten bool, opts Options) *MaxResult {
 	t.Helper()
-	res, err := compiled(t, net, region, opts).MaxLinear(context.Background(), map[int]float64{outIndex: 1}, opts)
+	res, err := compiled(t, net, region, tighten).MaxLinear(context.Background(), map[int]float64{outIndex: 1}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +91,7 @@ func TestMaxOutputHandBuilt(t *testing.T) {
 		{W: [][]float64{{1}, {-1}}, B: []float64{0, 0}, Act: nn.ReLU},
 		{W: [][]float64{{1, 1}}, B: []float64{0}, Act: nn.Identity},
 	}}
-	res := maxOutput(t, net, unitRegion(1), 0, Options{})
+	res := maxOutput(t, net, unitRegion(1), 0, false, Options{})
 	if res.Outcome != Proved || math.Abs(res.Value-1) > 1e-6 {
 		t.Fatalf("max = %g (%v), want 1", res.Value, res.Outcome)
 	}
@@ -109,7 +108,7 @@ func TestMaxOutputAgainstBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		net := randomReLUNet(seed, 2, []int{5, 4}, 1)
 		region := unitRegion(2)
-		res := maxOutput(t, net, region, 0, Options{})
+		res := maxOutput(t, net, region, 0, false, Options{})
 		if res.Outcome != Proved {
 			t.Fatalf("seed %d: not exact", seed)
 		}
@@ -141,7 +140,7 @@ func TestMaxOutputRespectsLinearConstraint(t *testing.T) {
 	region.Linear = []LinearConstraint{{
 		Coeffs: map[int]float64{0: 1, 1: 1}, Sense: lp.LE, RHS: -0.5, Name: "cap",
 	}}
-	res := maxOutput(t, net, region, 0, Options{})
+	res := maxOutput(t, net, region, 0, false, Options{})
 	if math.Abs(res.Value-0.5) > 1e-6 {
 		t.Fatalf("max = %g, want 0.5", res.Value)
 	}
@@ -153,8 +152,8 @@ func TestMaxOutputRespectsLinearConstraint(t *testing.T) {
 func TestProveUpperBoundProves(t *testing.T) {
 	net := randomReLUNet(3, 2, []int{6}, 1)
 	region := unitRegion(2)
-	mx := maxOutput(t, net, region, 0, Options{})
-	pr, err := compiled(t, net, region, Options{}).ProveLinearUpperBound(context.Background(), map[int]float64{0: 1}, mx.Value+0.1, Options{})
+	mx := maxOutput(t, net, region, 0, false, Options{})
+	pr, err := compiled(t, net, region, false).ProveLinearUpperBound(context.Background(), map[int]float64{0: 1}, mx.Value+0.1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +165,9 @@ func TestProveUpperBoundProves(t *testing.T) {
 func TestProveUpperBoundFindsCounterexample(t *testing.T) {
 	net := randomReLUNet(4, 2, []int{6}, 1)
 	region := unitRegion(2)
-	mx := maxOutput(t, net, region, 0, Options{})
+	mx := maxOutput(t, net, region, 0, false, Options{})
 	thr := mx.Value - 0.2
-	pr, err := compiled(t, net, region, Options{}).ProveLinearUpperBound(context.Background(), map[int]float64{0: 1}, thr, Options{})
+	pr, err := compiled(t, net, region, false).ProveLinearUpperBound(context.Background(), map[int]float64{0: 1}, thr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +194,7 @@ func TestProveUpperBoundIntervalFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Far above the interval bound: must prove without any MILP nodes.
-	pr, err := compiled(t, net, region, Options{}).ProveLinearUpperBound(context.Background(), map[int]float64{0: 1}, nb.Output()[0].Hi+1, Options{})
+	pr, err := compiled(t, net, region, false).ProveLinearUpperBound(context.Background(), map[int]float64{0: 1}, nb.Output()[0].Hi+1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +208,7 @@ func TestProveUpperBoundIntervalFastPath(t *testing.T) {
 // on the unit-coefficient floor and on the prove.floor row alike.
 func TestProveInfiniteThresholds(t *testing.T) {
 	net := randomReLUNet(5, 2, []int{4}, 2)
-	c := compiled(t, net, unitRegion(2), Options{})
+	c := compiled(t, net, unitRegion(2), false)
 	ctx := context.Background()
 	for _, coeffs := range []map[int]float64{{0: 1}, {0: 1, 1: -2}} {
 		up, err := c.ProveLinearUpperBound(ctx, coeffs, math.Inf(1), Options{})
@@ -236,8 +235,8 @@ func TestTightenLPPreservesAnswers(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		net := randomReLUNet(seed+10, 3, []int{6, 5}, 1)
 		region := unitRegion(3)
-		plain := maxOutput(t, net, region, 0, Options{})
-		tight := maxOutput(t, net, region, 0, Options{Tighten: true})
+		plain := maxOutput(t, net, region, 0, false, Options{})
+		tight := maxOutput(t, net, region, 0, true, Options{})
 		if math.Abs(plain.Value-tight.Value) > 1e-5 {
 			t.Fatalf("seed %d: tightened answer %g != plain %g", seed, tight.Value, plain.Value)
 		}
@@ -279,13 +278,13 @@ func TestTightenLPBoundsStillSound(t *testing.T) {
 func TestTanhRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	net := nn.New(nn.Config{Name: "t", InputDim: 2, Hidden: []int{3}, OutputDim: 1, HiddenAct: nn.Tanh, OutputAct: nn.Identity}, rng)
-	if _, err := Compile(context.Background(), net, unitRegion(2), Options{}); err == nil {
+	if _, err := Compile(context.Background(), net, unitRegion(2), false); err == nil {
 		t.Fatal("tanh network must be rejected")
 	}
 }
 
 func TestBadOutputIndex(t *testing.T) {
-	c := compiled(t, randomReLUNet(1, 2, []int{3}, 1), unitRegion(2), Options{})
+	c := compiled(t, randomReLUNet(1, 2, []int{3}, 1), unitRegion(2), false)
 	if _, err := c.MaxLinear(context.Background(), map[int]float64{5: 1}, Options{}); err == nil {
 		t.Fatal("want error for bad output index")
 	}
@@ -300,7 +299,7 @@ func TestEmptyRegionRejected(t *testing.T) {
 	region.Linear = []LinearConstraint{
 		{Coeffs: map[int]float64{0: 1}, Sense: lp.GE, RHS: 5, Name: "impossible"},
 	}
-	if _, err := compiled(t, net, region, Options{}).MaxLinear(context.Background(), map[int]float64{0: 1}, Options{}); err == nil {
+	if _, err := compiled(t, net, region, false).MaxLinear(context.Background(), map[int]float64{0: 1}, Options{}); err == nil {
 		t.Fatal("empty region should error")
 	}
 }
@@ -308,7 +307,7 @@ func TestEmptyRegionRejected(t *testing.T) {
 func TestTimeoutOutcome(t *testing.T) {
 	net := randomReLUNet(6, 6, []int{14, 14, 14}, 1)
 	region := unitRegion(6)
-	c, err := Compile(context.Background(), net, region, Options{})
+	c, err := Compile(context.Background(), net, region, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +340,7 @@ func TestMaxOverOutputs(t *testing.T) {
 		{W: [][]float64{{1}, {-1}}, B: []float64{0, 0}, Act: nn.ReLU},
 		{W: [][]float64{{1, 0}, {0, 1}}, B: []float64{0, 0}, Act: nn.Identity},
 	}}
-	c := compiled(t, net, unitRegion(1), Options{})
+	c := compiled(t, net, unitRegion(1), false)
 	res, err := c.MaxOverOutputs(context.Background(), []int{0, 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +371,7 @@ func TestRegionContains(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	net := randomReLUNet(8, 2, []int{5}, 1)
-	res := maxOutput(t, net, unitRegion(2), 0, Options{})
+	res := maxOutput(t, net, unitRegion(2), 0, false, Options{})
 	if res.Stats.HiddenNeurons != 5 {
 		t.Fatalf("hidden neurons = %d, want 5", res.Stats.HiddenNeurons)
 	}
@@ -390,7 +389,7 @@ func TestStatsPopulated(t *testing.T) {
 func TestLadderOrdering(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		net := randomReLUNet(seed+200, 3, []int{6, 5}, 1)
-		c := compiled(t, net, unitRegion(3), Options{})
+		c := compiled(t, net, unitRegion(3), false)
 		exact, err := c.MaxLinear(context.Background(), map[int]float64{0: 1}, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -413,7 +412,7 @@ func TestLadderOrdering(t *testing.T) {
 func TestLadderStrictGapExists(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		net := randomReLUNet(seed+300, 3, []int{7, 6}, 1)
-		c := compiled(t, net, unitRegion(3), Options{})
+		c := compiled(t, net, unitRegion(3), false)
 		exact, err := c.MaxLinear(context.Background(), map[int]float64{0: 1}, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -434,7 +433,7 @@ func TestRelaxationTightWhenAllStable(t *testing.T) {
 		{W: [][]float64{{1, 1}}, B: []float64{0}, Act: nn.Identity},
 	}}
 	// Output = relu(x+10) + relu(-x-10) = x + 10 on [-1,1]: max 11.
-	res := maxOutput(t, net, unitRegion(1), 0, Options{})
+	res := maxOutput(t, net, unitRegion(1), 0, false, Options{})
 	if res.Outcome != Proved || math.Abs(res.Value-11) > 1e-6 {
 		t.Fatalf("exact = %g (%v), want 11", res.Value, res.Outcome)
 	}
@@ -448,7 +447,7 @@ func TestRelaxationTightWhenAllStable(t *testing.T) {
 // a fast-path verdict, so it must not depend on Go's randomised map
 // iteration order.
 func TestLinearIntervalBoundRunToRunStable(t *testing.T) {
-	c := compiled(t, randomReLUNet(9, 3, []int{8}, 6), unitRegion(3), Options{})
+	c := compiled(t, randomReLUNet(9, 3, []int{8}, 6), unitRegion(3), false)
 	rng := rand.New(rand.NewSource(9))
 	bound := func(coeffs map[int]float64) float64 {
 		pr, err := c.ProveLinearUpperBound(context.Background(), coeffs, 1e300, Options{})
@@ -485,7 +484,7 @@ func TestWitnessValuedByForwardPass(t *testing.T) {
 		Box:    []bounds.Interval{{Lo: 0, Hi: 1}},
 		Linear: []LinearConstraint{{Coeffs: map[int]float64{0: 1}, Sense: lp.LE, RHS: 1e-7, Name: "cut"}},
 	}
-	c := compiled(t, net, region, Options{})
+	c := compiled(t, net, region, false)
 	y := map[int]float64{0: 1}
 	ctx := context.Background()
 	for _, tc := range []struct {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 	"repro/internal/lp"
 )
 
-func exportNet(t *testing.T) *Network {
+func exportNet(t testing.TB) *Network {
 	t.Helper()
 	rng := rand.New(rand.NewSource(23))
 	return NewNetwork(NetworkConfig{
@@ -38,7 +39,7 @@ func constrainedRegion(dim int) *Region {
 func TestCompiledRoundTrip(t *testing.T) {
 	net := exportNet(t)
 	region := constrainedRegion(3)
-	cn, err := Compile(context.Background(), net, region, Options{Tighten: true, Workers: 1})
+	cn, err := Compile(context.Background(), net, region, Options{Tighten: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +114,60 @@ func TestCompiledRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnmarshalCompiledRejectsTampering: any content change must fail
-// the fingerprint re-verification, and bounds widened beyond the plain
-// propagation must fail containment even when the fingerprint is left
-// intact (bounds are not part of the fingerprint preimage).
-func TestUnmarshalCompiledRejectsTampering(t *testing.T) {
-	cn, err := Compile(context.Background(), exportNet(t), unitBoxRegion(3), Options{Tighten: true, Workers: 1})
+// TestCompileIndependentOfWorkers: a compiled artifact is a function of
+// its fingerprint, which excludes Workers, so a tightened compile at any
+// worker count exports the same bytes. On these 6→12→10→8→3 nets,
+// splitting a layer's bound LPs over several warm chains moves bounds in
+// the last ulps, so any worker-dependent schedule shows up here.
+func TestCompileIndependentOfWorkers(t *testing.T) {
+	region := unitBoxRegion(6)
+	for seed := int64(70); seed < 90; seed++ {
+		net := NewNetwork(NetworkConfig{
+			Name: "w", InputDim: 6, Hidden: []int{12, 10, 8}, OutputDim: 3,
+			HiddenAct: ReLU, OutputAct: Identity,
+		}, rand.New(rand.NewSource(seed)))
+		var want []byte
+		for w := 0; w <= 4; w++ {
+			cn, err := Compile(context.Background(), net, region, Options{Tighten: true, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc, err := MarshalCompiled(cn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = doc
+			} else if !bytes.Equal(doc, want) {
+				t.Errorf("seed %d: workers %d exports a different artifact than workers 0", seed, w)
+			}
+		}
+	}
+}
+
+// tamperings are content changes an honest export never shows: any one
+// of them must fail the fingerprint re-verification, and bounds widened
+// beyond the plain propagation must fail containment even when the
+// fingerprint is left intact (bounds are not part of its preimage).
+var tamperings = []struct {
+	name string
+	f    func(d *CompiledDocJSON)
+}{
+	{"weight", func(d *CompiledDocJSON) {
+		d.Network = json.RawMessage(strings.Replace(string(d.Network), `"b":[`, `"b":[0.125,`, 1))
+	}},
+	{"region", func(d *CompiledDocJSON) { d.Region.Box[0][1] = 2 }},
+	{"option", func(d *CompiledDocJSON) { d.Tighten = false }},
+	{"claimed fingerprint", func(d *CompiledDocJSON) { d.Fingerprint = "vnn1-deadbeef" }},
+	{"widened bound", func(d *CompiledDocJSON) { d.Pre[0][0][0] -= 1000 }},
+	{"inverted bound", func(d *CompiledDocJSON) { d.Pre[0][0][0], d.Pre[0][0][1] = d.Pre[0][0][1]+1, d.Pre[0][0][0] }},
+	{"dropped layer", func(d *CompiledDocJSON) { d.Post = d.Post[:1] }},
+}
+
+// tightenedExport is a real tightened export of exportNet over [-1, 1]³.
+func tightenedExport(t testing.TB) []byte {
+	t.Helper()
+	cn, err := Compile(context.Background(), exportNet(t), unitBoxRegion(3), Options{Tighten: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,34 +175,88 @@ func TestUnmarshalCompiledRejectsTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return data
+}
 
-	var doc CompiledDocJSON
-	if err := json.Unmarshal(data, &doc); err != nil {
+// tampered applies one tampering to a decoded copy of data.
+func tampered(t testing.TB, data []byte, f func(d *CompiledDocJSON)) []byte {
+	t.Helper()
+	var d CompiledDocJSON
+	if err := json.Unmarshal(data, &d); err != nil {
 		t.Fatal(err)
 	}
+	f(&d)
+	buf, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
 
-	mutate := func(name string, f func(d *CompiledDocJSON)) {
-		var d CompiledDocJSON
-		if err := json.Unmarshal(data, &d); err != nil {
-			t.Fatal(err)
+// TestUnmarshalCompiledRejectsTampering: every tampering is refused.
+func TestUnmarshalCompiledRejectsTampering(t *testing.T) {
+	data := tightenedExport(t)
+	for _, tc := range tamperings {
+		if _, _, err := UnmarshalCompiled(tampered(t, data, tc.f)); err == nil {
+			t.Fatalf("%s: tampered document imported cleanly", tc.name)
 		}
-		f(&d)
-		buf, err := json.Marshal(d)
+	}
+}
+
+// FuzzUnmarshalCompiled drives arbitrary bytes through the fleet import.
+// It must never panic, and whatever it accepts must be what an honest
+// export looks like: the fingerprint recomputes from the content, a
+// re-marshal is accepted again and reproduces itself byte for byte, and
+// every bound lies inside a fresh plain propagation of the region.
+func FuzzUnmarshalCompiled(f *testing.F) {
+	data := tightenedExport(f)
+	f.Add(data)
+	for _, tc := range tamperings {
+		f.Add(tampered(f, data, tc.f))
+	}
+	// The first pre bound replaced by values JSON floats cannot carry or
+	// that only compare equal: NaN, ±Inf (out of range), −0.
+	first := regexp.MustCompile(`"pre":\[\[\[[^,]+,`)
+	if !first.Match(data) {
+		f.Fatal("export has no pre bound to replace")
+	}
+	for _, v := range []string{"NaN", "1e999", "-1e999", "-0"} {
+		f.Add(first.ReplaceAll(data, []byte(`"pre":[[[`+v+`,`)))
+	}
+	f.Add(tampered(f, data, func(d *CompiledDocJSON) { d.Pre = nil }))
+	f.Add(tampered(f, data, func(d *CompiledDocJSON) { d.Pre[0] = nil }))
+	f.Add(tampered(f, data, func(d *CompiledDocJSON) { d.Pre = make([][]intervalJSON, 1<<16) }))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cn, fp, err := UnmarshalCompiled(data)
+		if err != nil {
+			return
+		}
+		if want, err := Fingerprint(cn.Net(), cn.Region(), cn.Options()); err != nil || want != fp {
+			t.Fatalf("accepted fingerprint %s, content hashes to %s (%v)", fp, want, err)
+		}
+		again, err := MarshalCompiled(cn)
+		if err != nil {
+			t.Fatalf("accepted document does not re-marshal: %v", err)
+		}
+		cn2, fp2, err := UnmarshalCompiled(again)
+		if err != nil || fp2 != fp {
+			t.Fatalf("re-marshalled document refused (%v) or rekeyed %s → %s", err, fp, fp2)
+		}
+		if third, err := MarshalCompiled(cn2); err != nil || !bytes.Equal(third, again) {
+			t.Fatalf("re-import changed the document (%v)", err)
+		}
+		plain, err := bounds.Propagate(cn.Net(), cn.Region().Box)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := UnmarshalCompiled(buf); err == nil {
-			t.Fatalf("%s: tampered document imported cleanly", name)
+		for li, l := range cn.c.Bounds().Layers {
+			for _, pair := range [][2][]Interval{{l.Pre, plain.Layers[li].Pre}, {l.Post, plain.Layers[li].Post}} {
+				for j, iv := range pair[0] {
+					if p := pair[1][j]; !(iv.Lo <= iv.Hi && p.Lo <= iv.Lo && iv.Hi <= p.Hi) {
+						t.Fatalf("layer %d bound %d %+v not inside the propagated %+v", li, j, iv, p)
+					}
+				}
+			}
 		}
-	}
-
-	mutate("weight", func(d *CompiledDocJSON) {
-		d.Network = json.RawMessage(strings.Replace(string(d.Network), `"b":[`, `"b":[0.125,`, 1))
 	})
-	mutate("region", func(d *CompiledDocJSON) { d.Region.Box[0][1] = 2 })
-	mutate("option", func(d *CompiledDocJSON) { d.Tighten = false })
-	mutate("claimed fingerprint", func(d *CompiledDocJSON) { d.Fingerprint = "vnn1-deadbeef" })
-	mutate("widened bound", func(d *CompiledDocJSON) { d.Pre[0][0][0] -= 1000 })
-	mutate("inverted bound", func(d *CompiledDocJSON) { d.Pre[0][0][0], d.Pre[0][0][1] = d.Pre[0][0][1]+1, d.Pre[0][0][0] })
-	mutate("dropped layer", func(d *CompiledDocJSON) { d.Post = d.Post[:1] })
 }

@@ -59,11 +59,11 @@ func UnmarshalNetwork(data []byte) (*Network, error) {
 //
 // Metadata that cannot influence a verification answer is deliberately
 // excluded: network, input, output and constraint names. Query-time
-// options (MaxNodes, Progress) are excluded too, and so is Workers.
-// Tightened bounds built at different worker counts are each sound but
-// not bit-identical (they differ in the last ulps, see DESIGN.md's
-// determinism notes), so a cached tightened artifact may carry another
-// worker count's bounds; Tighten is the one option hashed.
+// options (MaxNodes, Workers, Progress) are excluded too, because
+// compilation never reads them; Tighten is the one option hashed. The
+// compiled artifact is a function of the hash: a cache hit, a fleet
+// import and a recovered registry version carry bit for bit the bounds a
+// fresh Compile would give.
 //
 // Floats are hashed as their IEEE-754 bit patterns, so any perturbation a
 // float64 can represent — one ulp on one weight — changes the hash.

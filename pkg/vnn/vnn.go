@@ -80,10 +80,10 @@ type Options struct {
 	// preprocessing, smaller search trees for every later query).
 	Tighten bool
 	// Workers is the only concurrency option: the branch-and-bound worker
-	// count per MILP solve and the tightening fan-out; 0 means GOMAXPROCS,
-	// 1 the sequential engine. A property's MILPs (one per output for
-	// MaxOverOutputs) are solved one after another. Results are
-	// deterministic for any fixed value.
+	// count per MILP solve, and nothing else — Compile never reads it.
+	// 0 means GOMAXPROCS, 1 the sequential engine. A property's MILPs (one
+	// per output for MaxOverOutputs) are solved one after another. Results
+	// are deterministic for any fixed value.
 	Workers int
 	// MaxNodes bounds branch-and-bound nodes per MILP; 0 means unlimited.
 	MaxNodes int
@@ -129,9 +129,11 @@ type CompiledNetwork struct {
 // Compile performs the one-time analysis of net over region. The context
 // bounds the whole compilation including LP tightening (a deadline that
 // fires mid-tightening stops it early and soundly, so preprocessing can
-// no longer consume the entire verification budget).
+// no longer consume the entire verification budget). Of opts only Tighten
+// shapes the artifact, so it is a function of Fingerprint(net, region,
+// opts); the rest applies to the queries run on it.
 func Compile(ctx context.Context, net *Network, region *Region, opts Options) (*CompiledNetwork, error) {
-	c, err := verify.Compile(ctx, net, region, verifyOptions(opts, 0))
+	c, err := verify.Compile(ctx, net, region, opts.Tighten)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +185,6 @@ func (cn *CompiledNetwork) WithOptions(opts Options) *CompiledNetwork {
 // the public callback never sees overlapping invocations.
 func verifyOptions(o Options, propIndex int) verify.Options {
 	vo := verify.Options{
-		Tighten:  o.Tighten,
 		Workers:  o.Workers,
 		MaxNodes: o.MaxNodes,
 	}

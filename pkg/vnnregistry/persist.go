@@ -92,9 +92,10 @@ type modelSnapshotJSON struct {
 
 // versionSnapshotJSON carries everything needed to rebuild a version's
 // serving state: the canonical network document, region and compile
-// options reproduce the compiled artifact (bit-identically — compilation
-// is deterministic for a fingerprint), and the marshaled monitor document
-// restores the exact serving monitor without its build dataset.
+// option reproduce the compiled artifact (bit-identically — compilation
+// is a function of the fingerprint), and the marshaled monitor document
+// restores the exact serving monitor without its build dataset. Fields
+// an older snapshot carries that this struct no longer has are ignored.
 type versionSnapshotJSON struct {
 	Version            int                   `json:"version"`
 	State              State                 `json:"state"`
@@ -102,7 +103,6 @@ type versionSnapshotJSON struct {
 	Network            json.RawMessage       `json:"network"`
 	Region             vnn.RegionSpec        `json:"region"`
 	Tighten            bool                  `json:"tighten,omitempty"`
-	Workers            int                   `json:"workers,omitempty"`
 	CanaryPercent      int                   `json:"canary_percent,omitempty"`
 	Gate               *vnn.GateSpec         `json:"gate,omitempty"`
 	Decision           *vnn.GateDecisionJSON `json:"decision,omitempty"`
@@ -139,7 +139,6 @@ func (r *Registry) saveLocked() {
 				Network:            v.networkJSON,
 				Region:             v.regionSpec,
 				Tighten:            v.tighten,
-				Workers:            v.workers,
 				CanaryPercent:      v.canaryPercent,
 				Gate:               v.gate,
 				Decision:           v.decision,
@@ -257,7 +256,6 @@ func (r *Registry) loadVersion(ctx context.Context, modelName string, vs *versio
 		networkJSON:   vs.Network,
 		regionSpec:    vs.Region,
 		tighten:       vs.Tighten,
-		workers:       vs.Workers,
 		canaryPercent: vs.CanaryPercent,
 		gate:          vs.Gate,
 		decision:      vs.Decision,
@@ -282,8 +280,7 @@ func (r *Registry) loadVersion(ctx context.Context, modelName string, vs *versio
 	}
 	// admitted/canary/live/retired all keep warm artifacts: live and
 	// canary to serve, admitted to promote, retired to roll back to.
-	opts := vnn.Options{Tighten: v.tighten, Workers: v.workers}
-	cn, err := r.cfg.Compile(ctx, v.fingerprint, net, region, opts)
+	cn, err := r.cfg.Compile(ctx, v.fingerprint, net, region, vnn.Options{Tighten: v.tighten})
 	if err != nil {
 		return nil, fmt.Errorf("recompile: %w", err)
 	}

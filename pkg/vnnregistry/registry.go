@@ -96,7 +96,6 @@ type Version struct {
 	networkJSON   json.RawMessage
 	regionSpec    vnn.RegionSpec
 	tighten       bool
-	workers       int
 	gate          *vnn.GateSpec
 	decision      *vnn.GateDecisionJSON
 	gateErr       string
@@ -316,7 +315,6 @@ type Submission struct {
 	RegionSpec  vnn.RegionSpec
 	Fingerprint string
 	Tighten     bool
-	Workers     int
 	Gate        *vnn.GateSpec // nil admits without analysis (ungated)
 	// MonitorFingerprint keys the serving-monitor build workload (see
 	// vnn.MonitorWorkloadFingerprint) and MonitorOpts are its options;
@@ -350,7 +348,6 @@ func (r *Registry) Submit(sub Submission) (*Version, error) {
 		networkJSON: sub.NetworkJSON,
 		regionSpec:  sub.RegionSpec,
 		tighten:     sub.Tighten,
-		workers:     sub.Workers,
 		gate:        sub.Gate,
 		monitorFP:   sub.MonitorFingerprint,
 		monitorOpts: sub.MonitorOpts,

@@ -100,7 +100,7 @@ func (s *Server) analyze(ctx context.Context, sp *obs.Span, cn *vnn.CompiledNetw
 	for _, a := range analyses {
 		if qs, ok := a.(*vnn.QuantSweep); ok {
 			qs.Compile = func(ctx context.Context, fp string, net *vnn.Network, region *vnn.Region, opts vnn.Options) (*vnn.CompiledNetwork, error) {
-				qcn, _, err := s.compiled(ctx, sp, &workload{net: net, region: region, fingerprint: fp}, vnn.Options{Tighten: opts.Tighten, Workers: opts.Workers})
+				qcn, _, err := s.compiled(ctx, sp, &workload{net: net, region: region, compileOpts: vnn.Options{Tighten: opts.Tighten}, fingerprint: fp})
 				return qcn, err
 			}
 		}

@@ -83,7 +83,7 @@ func TestFleetMetricsFederation(t *testing.T) {
 		vnnserver.QueryOptions{Tighten: true, Workers: 1}, nil)
 	// What that request costs: one compile's passes, one answer's solves.
 	ctx := context.Background()
-	cn, err := vnn.Compile(ctx, pred.Net, vnn.LeftOccupiedRegion(), vnn.Options{Tighten: true, Workers: 1})
+	cn, err := vnn.Compile(ctx, pred.Net, vnn.LeftOccupiedRegion(), vnn.Options{Tighten: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/nn"
 	"repro/pkg/vnn"
 	"repro/pkg/vnnfleet"
 	"repro/pkg/vnnserver"
@@ -332,4 +333,61 @@ func TestFleetExportEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown export: HTTP %d, want 404", resp.StatusCode)
 	}
+}
+
+// TestFleetExportIndependentOfWorkers: the worker count is a search
+// option, not a compile input, so two nodes that compile one tightened
+// workload at different worker counts hold the same artifact — one
+// fingerprint, byte-identical exports.
+func TestFleetExportIndependentOfWorkers(t *testing.T) {
+	net := nn.New(nn.Config{
+		Name: "workers", InputDim: 6, Hidden: []int{12, 10, 8}, OutputDim: 3,
+		HiddenAct: nn.ReLU, OutputAct: nn.Identity,
+	}, rand.New(rand.NewSource(70)))
+	netJSON, err := vnn.MarshalNetwork(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exports [][]byte
+	fp := ""
+	for _, workers := range []int{1, 3} {
+		_, ts := newTestServer(t, vnnserver.Config{})
+		body, err := json.Marshal(vnnserver.VerifyRequest{
+			Network:    netJSON,
+			Region:     vnn.RegionSpec{Box: inferBox(6)},
+			Properties: []vnn.PropertySpec{{Kind: "max", Outputs: []int{0}}},
+			Options:    vnnserver.QueryOptions{Tighten: true, Workers: workers},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vr vnnserver.VerifyResponse
+		if status := postVerify(t, ts.URL, body, &vr); status != http.StatusOK {
+			t.Fatalf("workers %d: HTTP %d", workers, status)
+		}
+		if fp == "" {
+			fp = vr.Fingerprint
+		} else if vr.Fingerprint != fp {
+			t.Fatalf("workers %d: fingerprint %s, want %s", workers, vr.Fingerprint, fp)
+		}
+		exports = append(exports, getExport(t, ts.URL, fp))
+	}
+	if !bytes.Equal(exports[0], exports[1]) {
+		t.Fatal("a tightened workload compiled at workers 1 and workers 3 exports different artifacts")
+	}
+}
+
+// getExport fetches a cached workload's export document, byte for byte.
+func getExport(t *testing.T, url, fp string) []byte {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/workloads/" + fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	doc, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("export %s: HTTP %d, %v", fp, resp.StatusCode, err)
+	}
+	return doc
 }

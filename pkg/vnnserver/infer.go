@@ -423,7 +423,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		// work only drain may interrupt). The built monitor is then cached
 		// under its own workload fingerprint and indexed by its content
 		// hash for by-fingerprint reuse.
-		cn, hit, err := s.compiled(ctx, root, q.workload, q.compileOpts)
+		cn, hit, err := s.compiled(ctx, root, q.workload)
 		if err != nil {
 			writeError(w, statusFor(err), err.Error())
 			return

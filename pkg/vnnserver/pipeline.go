@@ -24,7 +24,8 @@ import (
 )
 
 // workload is a parsed (network, region, compile options) triple and the
-// fingerprint that keys it in every cache.
+// fingerprint that keys it in every cache. compileOpts holds only what
+// the fingerprint hashes (Tighten), so the artifact is a function of it.
 type workload struct {
 	net         *vnn.Network
 	region      *vnn.Region
@@ -46,7 +47,7 @@ func parseWorkload(network json.RawMessage, region vnn.RegionSpec, o QueryOption
 	if err != nil {
 		return nil, err
 	}
-	wl := &workload{net: net, region: reg, compileOpts: vnn.Options{Tighten: o.Tighten, Workers: o.Workers}}
+	wl := &workload{net: net, region: reg, compileOpts: vnn.Options{Tighten: o.Tighten}}
 	if wl.fingerprint, err = vnn.Fingerprint(net, reg, wl.compileOpts); err != nil {
 		return nil, err
 	}
@@ -118,12 +119,12 @@ func (s *Server) budget(parent context.Context, timeoutMS int) (context.Context,
 // same counts are what the server's encode/tighten totals add up. Every
 // compile that runs, failed ones included, is one vnnd_compile_seconds
 // observation; cache hits and waiters are none.
-func (s *Server) compiled(ctx context.Context, root *obs.Span, wl *workload, opts vnn.Options) (*vnn.CompiledNetwork, bool, error) {
+func (s *Server) compiled(ctx context.Context, root *obs.Span, wl *workload) (*vnn.CompiledNetwork, bool, error) {
 	cacheSpan := root.Child("cache")
 	cn, hit, err := s.cache.getOrCompute(ctx, wl.fingerprint, func() (*vnn.CompiledNetwork, error) {
 		sp := cacheSpan.Child("compile")
 		buildStart := time.Now()
-		cn, err := vnn.Compile(s.queryCtx, wl.net, wl.region, opts)
+		cn, err := vnn.Compile(s.queryCtx, wl.net, wl.region, wl.compileOpts)
 		wall := time.Since(buildStart)
 		var ph vnn.CompilePhases // stays zero when the compile failed
 		if err == nil {
@@ -200,15 +201,12 @@ func (e *effort) annotate(sp *obs.Span) {
 // artifact in between: the gate builds its serving monitor there, so its
 // trace reads cache → monitor → solve. Effort counters land here, before
 // the caller's request counter — the write half of the Metrics ordering
-// guarantee.
+// guarantee. The query options are built after the compile, which never
+// reads them: qo.Workers, or fairWorkers when that is 0, and MaxNodes.
 func (s *Server) solve(ctx context.Context, jb *job, root *obs.Span, wl *workload, qo QueryOptions, fairWorkers int,
 	compiledReady func(context.Context, *vnn.CompiledNetwork) error,
 	answer func(context.Context, *obs.Span, *vnn.CompiledNetwork) (vnn.Report, effort, error)) (*VerifyResponse, error) {
-	opts := wl.compileOpts
-	if opts.Workers == 0 {
-		opts.Workers = fairWorkers
-	}
-	cn, hit, err := s.compiled(ctx, root, wl, opts)
+	cn, hit, err := s.compiled(ctx, root, wl)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +215,11 @@ func (s *Server) solve(ctx context.Context, jb *job, root *obs.Span, wl *workloa
 			return nil, err
 		}
 	}
-	opts.MaxNodes = qo.MaxNodes
+	opts := wl.compileOpts
+	opts.Workers, opts.MaxNodes = qo.Workers, qo.MaxNodes
+	if opts.Workers == 0 {
+		opts.Workers = fairWorkers
+	}
 	solveSpan := root.Child("solve")
 	defer solveSpan.End()
 	ps := vnn.NewProgressSpans(solveSpan)

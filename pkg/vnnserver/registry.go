@@ -143,7 +143,6 @@ func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*jobPlan, error) {
 		RegionSpec:  req.Region,
 		Fingerprint: wl.fingerprint,
 		Tighten:     req.Options.Tighten,
-		Workers:     req.Options.Workers,
 		Gate:        gate,
 	}
 	if m := req.Monitor; m != nil {

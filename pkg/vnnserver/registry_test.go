@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -51,9 +54,15 @@ func gateAtMost(threshold float64) *vnn.GateSpec {
 	}}}
 }
 
-// submitModel posts a synchronous model submission and returns the
-// decided document.
+// submitModel posts a synchronous model submission pinned to one worker
+// and returns the decided document.
 func submitModel(t *testing.T, url, model string, net *nn.Network, gate *vnn.GateSpec, mon *vnnserver.InferMonitorSpec) vnnserver.ModelSubmitResponse {
+	t.Helper()
+	return submitModelOpts(t, url, model, net, gate, mon, vnnserver.QueryOptions{Workers: 1})
+}
+
+// submitModelOpts is submitModel under explicit query options.
+func submitModelOpts(t *testing.T, url, model string, net *nn.Network, gate *vnn.GateSpec, mon *vnnserver.InferMonitorSpec, opts vnnserver.QueryOptions) vnnserver.ModelSubmitResponse {
 	t.Helper()
 	netJSON, err := vnn.MarshalNetwork(net)
 	if err != nil {
@@ -64,7 +73,7 @@ func submitModel(t *testing.T, url, model string, net *nn.Network, gate *vnn.Gat
 		Model:   model,
 		Network: netJSON,
 		Region:  vnn.RegionSpec{Box: [][2]float64{{0, 1}, {0, 1}}},
-		Options: vnnserver.QueryOptions{Workers: 1},
+		Options: opts,
 		Monitor: mon,
 		Gate:    gate,
 		Wait:    &wait,
@@ -437,6 +446,11 @@ func TestModelRestartRecovery(t *testing.T) {
 	mon := &vnnserver.InferMonitorSpec{Data: [][]float64{{0.9, 0.1}, {0.1, 0.9}}, Gamma: 0}
 	submitModel(t, ts1.URL, "demo", rolloutNet(), gateAtMost(1.5), mon)
 	promoteModel(t, ts1.URL, "demo", `{}`)
+	// A tightened version with no worker pin: its recompile must carry the
+	// gate compile's bounds bit for bit.
+	tight := submitModelOpts(t, ts1.URL, "tight", tightNet(), nil, nil, vnnserver.QueryOptions{Tighten: true})
+	promoteModel(t, ts1.URL, "tight", `{}`)
+	tightBefore := getExport(t, ts1.URL, tight.Fingerprint)
 	var before vnnserver.InferResponse
 	if status := modelInfer(t, ts1.URL, "demo", [][]float64{{0.9, 0.1}}, &before); status != http.StatusOK {
 		t.Fatalf("pre-restart infer status %d", status)
@@ -458,6 +472,75 @@ func TestModelRestartRecovery(t *testing.T) {
 	}
 	if len(after.Verdicts) != 1 || after.Verdicts[0] != before.Verdicts[0] {
 		t.Fatalf("recovered monitor verdicts %+v, want %+v", after.Verdicts, before.Verdicts)
+	}
+	if !bytes.Equal(getExport(t, ts2.URL, tight.Fingerprint), tightBefore) {
+		t.Fatal("recovered tightened artifact differs from the one the gate compiled")
+	}
+}
+
+// tightNet is a 2→12→10→8→1 ReLU net with many unstable neurons over
+// [0, 1]², so LP tightening has real work on it.
+func tightNet() *nn.Network {
+	return nn.New(nn.Config{
+		Name: "tight", InputDim: 2, Hidden: []int{12, 10, 8}, OutputDim: 1,
+		HiddenAct: nn.ReLU, OutputAct: nn.Identity,
+	}, rand.New(rand.NewSource(70)))
+}
+
+// TestModelRecoveryIgnoresLegacyWorkers: snapshots written before the
+// worker count left compilation carry a "workers" field on each version.
+// Such a live tightened version recovers under its fingerprint with the
+// artifact a fresh compile gives, serves, and the recovery save drops the
+// field.
+func TestModelRecoveryIgnoresLegacyWorkers(t *testing.T) {
+	dir := t.TempDir()
+	srv1, ts1 := newTestServer(t, vnnserver.Config{DataDir: dir})
+	waitRegistryReady(t, srv1)
+	sub := submitModelOpts(t, ts1.URL, "tight", tightNet(), nil, nil, vnnserver.QueryOptions{Tighten: true})
+	promoteModel(t, ts1.URL, "tight", `{}`)
+	want := getExport(t, ts1.URL, sub.Fingerprint)
+	srv1.Drain(time.Second)
+	ts1.Close()
+
+	path := filepath.Join(dir, "registry.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]any
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	v := snap["models"].([]any)[0].(map[string]any)["versions"].([]any)[0].(map[string]any)
+	if v["state"] != "live" || v["tighten"] != true {
+		t.Fatalf("snapshot version %v, want a live tightened one", v)
+	}
+	v["workers"] = 3
+	if raw, err = json.Marshal(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, ts2 := newTestServer(t, vnnserver.Config{DataDir: dir})
+	waitRegistryReady(t, srv2)
+	var out vnnserver.InferResponse
+	if status := modelInfer(t, ts2.URL, "tight", [][]float64{{0.5, 0.5}}, &out); status != http.StatusOK {
+		t.Fatalf("post-restart infer status %d", status)
+	}
+	if out.Fingerprint != sub.Fingerprint || out.Route != "live" {
+		t.Fatalf("recovered %+v, want live under %s", out, sub.Fingerprint)
+	}
+	if !bytes.Equal(getExport(t, ts2.URL, sub.Fingerprint), want) {
+		t.Fatal("recovered artifact differs from the gate's compile")
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(saved, []byte(`"workers"`)) {
+		t.Fatalf("recovery save kept the legacy worker count:\n%s", saved)
 	}
 }
 

@@ -292,7 +292,7 @@ func New(cfg Config) *Server {
 		// Recovery recompiles through the compile door (no request, so no
 		// trace); a recovered version serves by-fingerprint requests again.
 		Compile: func(ctx context.Context, fp string, net *vnn.Network, region *vnn.Region, opts vnn.Options) (*vnn.CompiledNetwork, error) {
-			cn, _, err := s.compiled(ctx, nil, &workload{net: net, region: region, compileOpts: opts, fingerprint: fp}, opts)
+			cn, _, err := s.compiled(ctx, nil, &workload{net: net, region: region, compileOpts: vnn.Options{Tighten: opts.Tighten}, fingerprint: fp})
 			return cn, err
 		},
 		ImportMonitor: func(m *vnn.Monitor) {
@@ -399,11 +399,11 @@ func (s *Server) Drain(grace time.Duration) {
 // Draining reports whether Drain has been initiated.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// QueryOptions is the request-level slice of vnn.Options. Workers left at
-// 0 receives the scheduler's fair share; an explicit value is honored
-// as-is (a fixed worker count makes the search on one compiled artifact
-// reproducible run to run; a cached tightened artifact may have been
-// built at another count, with bounds that differ in the last ulps).
+// QueryOptions is the request-level slice of vnn.Options. Tighten is the
+// one compile option: it is part of the workload's fingerprint. Workers
+// and MaxNodes only shape the search; Workers left at 0 receives the
+// scheduler's fair share, and an explicit value is honored as-is (a fixed
+// worker count makes the search reproducible run to run).
 type QueryOptions struct {
 	Tighten  bool `json:"tighten,omitempty"`
 	Workers  int  `json:"workers,omitempty"`
