@@ -113,7 +113,7 @@
 // activation-pattern monitor is built from the given dataset against the
 // compiled network's proven pre-activation bounds (patterns the bounds
 // prove unreachable over the region are rejected at build time — see
-// "monitor_rejected"), cached under its own workload fingerprint, and
+// "monitor_rejected"), cached under its content fingerprint, and
 // every input whose pattern is farther than "gamma" (Hamming distance,
 // per monitored layer) from anything the dataset exercised is flagged
 // before its prediction is trusted:

@@ -3,7 +3,9 @@ package vnn
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
+	"regexp"
 	"testing"
 
 	"repro/internal/nn"
@@ -209,4 +211,86 @@ func TestMonitorAuditSpecDecoding(t *testing.T) {
 	if err := dupLayer.ValidateFor(signNet()); err == nil {
 		t.Fatal("duplicate monitored layers must fail validation")
 	}
+}
+
+// monitorExport builds a real two-layer monitor over exportNet and returns
+// its compiled network with the monitor's wire document.
+func monitorExport(t testing.TB) (*CompiledNetwork, []byte) {
+	t.Helper()
+	cn, err := Compile(context.Background(), exportNet(t), unitBoxRegion(3), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := BuildMonitor(cn, randomInputs(24, 3, 31), MonitorOptions{Gamma: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := MarshalMonitor(mon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cn, doc
+}
+
+// FuzzUnmarshalMonitor drives arbitrary bytes through the monitor decoder
+// behind fleet and registry imports. It must never panic, and whatever it
+// accepts must be what an honest export looks like: bound to the compiled
+// workload, with a fingerprint its re-marshal re-derives, and a re-marshal
+// that reproduces itself byte for byte.
+func FuzzUnmarshalMonitor(f *testing.F) {
+	cn, data := monitorExport(f)
+	f.Add(data)
+	// The internal decoder's forged build statistics.
+	stats := regexp.MustCompile(`"inputs":\d+,"rejected":\d+`)
+	if !stats.Match(data) {
+		f.Fatal("export has no build statistics to forge")
+	}
+	for _, forged := range []string{
+		`"inputs":-1,"rejected":0`, `"inputs":1,"rejected":-1`, `"inputs":-5,"rejected":-7`,
+		`"inputs":1,"rejected":2`, `"inputs":3,"rejected":3`, `"inputs":0,"rejected":0`,
+	} {
+		f.Add(stats.ReplaceAll(data, []byte(forged)))
+	}
+	// Gamma replaced by values an integer field cannot carry or that only
+	// compare equal: NaN, ±Inf (out of range), −0.
+	gamma := regexp.MustCompile(`"gamma":\d+`)
+	for _, v := range []string{"NaN", "1e999", "-1e999", "-0"} {
+		f.Add(gamma.ReplaceAll(data, []byte(`"gamma":`+v)))
+	}
+	f.Add([]byte{})
+	// A huge layer count: the first layer repeated 1<<16 times.
+	var doc MonitorDocJSON
+	var inner struct {
+		Layers []json.RawMessage `json:"layers"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil || json.Unmarshal(doc.Monitor, &inner) != nil || len(inner.Layers) == 0 {
+		f.Fatalf("export does not decode: %v", err)
+	}
+	layers := bytes.Repeat(append([]byte(","), inner.Layers[0]...), 1<<16)[1:]
+	huge := regexp.MustCompile(`"layers":\[.*\]`).ReplaceAll(data, append(append([]byte(`"layers":[`), layers...), ']'))
+	f.Add(huge)
+	workload, err := Fingerprint(cn.Net(), cn.Region(), cn.Options())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mon, err := UnmarshalMonitor(data, cn)
+		if err != nil {
+			return
+		}
+		if mon.NetworkFingerprint() != workload {
+			t.Fatalf("accepted monitor bound to %s, not the compiled workload", mon.NetworkFingerprint())
+		}
+		again, err := MarshalMonitor(mon)
+		if err != nil {
+			t.Fatalf("accepted monitor does not re-marshal: %v", err)
+		}
+		mon2, err := UnmarshalMonitor(again, cn)
+		if err != nil || mon2.Fingerprint() != mon.Fingerprint() {
+			t.Fatalf("re-marshalled monitor refused (%v) or rekeyed", err)
+		}
+		if third, err := MarshalMonitor(mon2); err != nil || !bytes.Equal(third, again) {
+			t.Fatalf("re-import changed the document (%v)", err)
+		}
+	})
 }

@@ -117,28 +117,6 @@ type Version struct {
 	requests atomic.Int64
 	inputs   atomic.Int64
 	flagged  atomic.Int64
-
-	// tenantMu guards tenants: per-tenant serving counters, capped at
-	// maxVersionTenants labels (overflow folds into "other"). The caller
-	// passes already-capped labels (vnnserver derives them through
-	// internal/obs's TenantSet), so the cap here is defense in depth for
-	// library users, not the primary guard.
-	tenantMu sync.Mutex
-	tenants  map[string]*ServeCounters
-}
-
-// maxVersionTenants bounds the per-version tenant label space.
-const maxVersionTenants = 64
-
-// overflowTenant absorbs serving counts past the per-version cap.
-const overflowTenant = "other"
-
-// ServeCounters is one tenant's cumulative serving volume against one
-// model version.
-type ServeCounters struct {
-	Requests int64 `json:"requests"`
-	Inputs   int64 `json:"inputs"`
-	Flagged  int64 `json:"flagged"`
 }
 
 // Model returns the owning model name.
@@ -155,50 +133,6 @@ func (v *Version) CountServe(inputs, flagged int) {
 	v.requests.Add(1)
 	v.inputs.Add(int64(inputs))
 	v.flagged.Add(int64(flagged))
-}
-
-// CountServeTenant records one served inference request against the
-// version, attributed to a tenant label. Empty labels count only the
-// version totals.
-func (v *Version) CountServeTenant(tenant string, inputs, flagged int) {
-	v.CountServe(inputs, flagged)
-	if tenant == "" {
-		return
-	}
-	v.tenantMu.Lock()
-	defer v.tenantMu.Unlock()
-	if v.tenants == nil {
-		v.tenants = make(map[string]*ServeCounters)
-	}
-	sc, ok := v.tenants[tenant]
-	if !ok {
-		if len(v.tenants) >= maxVersionTenants {
-			tenant = overflowTenant
-		}
-		sc = v.tenants[tenant]
-		if sc == nil {
-			sc = &ServeCounters{}
-			v.tenants[tenant] = sc
-		}
-	}
-	sc.Requests++
-	sc.Inputs += int64(inputs)
-	sc.Flagged += int64(flagged)
-}
-
-// tenantCounters snapshots the per-tenant serving counters (nil when
-// the version never served attributed traffic).
-func (v *Version) tenantCounters() map[string]ServeCounters {
-	v.tenantMu.Lock()
-	defer v.tenantMu.Unlock()
-	if len(v.tenants) == 0 {
-		return nil
-	}
-	out := make(map[string]ServeCounters, len(v.tenants))
-	for t, sc := range v.tenants {
-		out[t] = *sc
-	}
-	return out
 }
 
 // model groups a name's versions plus the one-step rollback pointer.
@@ -687,10 +621,6 @@ type VersionMetric struct {
 	Requests      int64  `json:"requests"`
 	Inputs        int64  `json:"inputs"`
 	Flagged       int64  `json:"flagged"`
-	// Tenants breaks the serving counters down by tenant label (absent
-	// until the version serves attributed traffic; label space capped —
-	// see CountServeTenant).
-	Tenants map[string]ServeCounters `json:"tenants,omitempty"`
 }
 
 // Metrics summarizes the registry for /metrics: readiness, totals by
@@ -723,7 +653,6 @@ func (r *Registry) Snapshot() Metrics {
 				Requests:    v.requests.Load(),
 				Inputs:      v.inputs.Load(),
 				Flagged:     v.flagged.Load(),
-				Tenants:     v.tenantCounters(),
 			}
 			if v.state == StateCanary {
 				vm.CanaryPercent = v.canaryPercent

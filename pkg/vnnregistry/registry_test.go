@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -512,46 +511,5 @@ func TestResolveErrors(t *testing.T) {
 	}
 	if _, err := r.Promote("m", 1, 101); err == nil {
 		t.Fatal("promote accepted canary_percent 101")
-	}
-}
-
-// TestCountServeTenant pins the per-tenant per-version accounting: the
-// version totals stay the sum over tenants, labels past the cap fold
-// into "other", and empty labels count only the totals.
-func TestCountServeTenant(t *testing.T) {
-	v := &Version{model: "m", seq: 1}
-	v.CountServeTenant("acme", 4, 1)
-	v.CountServeTenant("acme", 2, 0)
-	v.CountServeTenant("beta", 1, 1)
-	v.CountServeTenant("", 5, 0) // unattributed: totals only
-
-	if got := v.requests.Load(); got != 4 {
-		t.Fatalf("requests = %d, want 4", got)
-	}
-	tc := v.tenantCounters()
-	if len(tc) != 2 {
-		t.Fatalf("tenant labels = %d (%v), want 2", len(tc), tc)
-	}
-	if acme := tc["acme"]; acme.Requests != 2 || acme.Inputs != 6 || acme.Flagged != 1 {
-		t.Fatalf("acme counters = %+v", acme)
-	}
-
-	// Overflow: labels past the cap land on "other".
-	for i := 0; i < maxVersionTenants+10; i++ {
-		v.CountServeTenant(fmt.Sprintf("t%03d", i), 1, 0)
-	}
-	tc = v.tenantCounters()
-	if len(tc) > maxVersionTenants+1 {
-		t.Fatalf("tenant labels = %d, want <= cap+1 = %d", len(tc), maxVersionTenants+1)
-	}
-	var reqs int64
-	for _, sc := range tc {
-		reqs = reqs + sc.Requests
-	}
-	if reqs != v.requests.Load()-1 { // the one empty-label request has no row
-		t.Fatalf("tenant-attributed requests = %d, want %d", reqs, v.requests.Load()-1)
-	}
-	if tc[overflowTenant].Requests == 0 {
-		t.Fatal("overflow tenant absorbed nothing")
 	}
 }

@@ -21,16 +21,16 @@ import (
 // compiles and built monitors.
 func (s *Server) FleetFingerprints() []string {
 	var keys []string
-	for _, a := range s.cache.snapshot() {
+	for _, a := range append(s.cache.snapshot(), s.monitors.snapshot()...) {
 		keys = append(keys, a.key)
 	}
-	return append(keys, s.monitors.contentKeys()...)
+	return keys
 }
 
 // ExportEntry renders one cached entry in its canonical wire form.
 func (s *Server) ExportEntry(fingerprint string) (*vnnfleet.WorkloadExport, error) {
 	if strings.HasPrefix(fingerprint, "vnnm1-") {
-		mon, ok := s.monitors.lookupContent(fingerprint)
+		mon, ok := s.monitors.lookup(fingerprint, false)
 		if !ok {
 			return nil, vnnfleet.ErrNotFound
 		}
@@ -100,7 +100,7 @@ func (s *Server) ImportEntry(_ context.Context, exp *vnnfleet.WorkloadExport) er
 		if mon.Fingerprint() != exp.Fingerprint {
 			return fmt.Errorf("%w: monitor content hashes to %s, export claims %s", vnnfleet.ErrVerify, mon.Fingerprint(), exp.Fingerprint)
 		}
-		s.monitors.importContent(mon)
+		s.monitors.add(mon.Fingerprint(), mon)
 		return nil
 	default:
 		return fmt.Errorf("%w: unknown workload kind %q", vnnfleet.ErrVerify, exp.Kind)

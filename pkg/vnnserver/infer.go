@@ -27,9 +27,9 @@
 //   - Artifacts are cached and deduplicated exactly like compiles: the
 //     monitor's bounds cross-check needs the compiled network, which
 //     routes through the fingerprint-keyed compile cache (singleflight),
-//     and built monitors live in their own fingerprint-keyed LRU, so N
-//     concurrent identical monitored-infer requests build one monitor
-//     over one compile.
+//     and built monitors live in their own LRU keyed by content hash,
+//     with a build memo deduplicating builds, so N concurrent identical
+//     monitored-infer requests build one monitor over one compile.
 
 package vnnserver
 
@@ -170,6 +170,7 @@ type InferResponse struct {
 // preparedInfer is a parsed, validated infer request.
 type preparedInfer struct {
 	*workload
+	// monitorFP is the build-workload key (vnnmw1-) of a monitor spec.
 	monitorFP   string
 	monitorOpts vnn.MonitorOptions
 	// monitorContentFP is set for by-fingerprint monitored requests: the
@@ -420,9 +421,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		// The monitor's static cross-check needs the compiled bounds: the
 		// compile routes through the same fingerprint-keyed singleflight
 		// cache as /v1/verify, under the server's lifetime context (shared
-		// work only drain may interrupt). The built monitor is then cached
-		// under its own workload fingerprint and indexed by its content
-		// hash for by-fingerprint reuse.
+		// work only drain may interrupt). The built monitor is then stored
+		// under its content hash, the key by-fingerprint requests send.
 		cn, hit, err := s.compiled(ctx, root, q.workload)
 		if err != nil {
 			writeError(w, statusFor(err), err.Error())
@@ -437,7 +437,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		resp.MonitorCacheHit = hit
 	case q.monitorContentFP != "":
 		var ok bool
-		mon, ok = s.monitors.lookupContent(q.monitorContentFP)
+		mon, ok = s.monitors.lookup(q.monitorContentFP, true)
 		if !ok {
 			writeError(w, http.StatusNotFound,
 				fmt.Sprintf("monitor %s: %s (send the full monitor spec once to rebuild it)", q.monitorContentFP, errUnknownFingerprint))
@@ -504,7 +504,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if sv != nil {
-		sv.Version.CountServeTenant(tn.Label(), len(req.Inputs), resp.Flagged)
+		sv.Version.CountServe(len(req.Inputs), resp.Flagged)
 	}
 	// Effort counters before the request counter — the write half of the
 	// Metrics snapshot ordering guarantee (see metrics.go). The tenant's
@@ -521,99 +521,38 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// monitorCache is the fingerprint-keyed LRU of built monitors with the
-// same singleflight semantics as the compile cache: N concurrent
-// identical monitored-infer requests build exactly one monitor; failures
-// are not cached. Monitors are immutable and safe to share. Completed
-// entries are additionally indexed by the monitor's content hash, so
-// by-fingerprint requests (InferRequest.MonitorFingerprint) resolve
-// without re-sending the build dataset.
-type monitorCache struct {
-	*lru[*vnn.Monitor]
-	// byContent maps a built monitor's content fingerprint to the key of
-	// its entry, guarded by the lru's mutex (the ready/drop hooks maintain
-	// it). Content-identical monitors from distinct workloads share a
-	// hash; the index keeps the most recently built one, and dropping an
-	// entry only clears the index if it still points at that entry.
-	byContent map[string]string
-}
-
-func newMonitorCache(capacity int) *monitorCache {
-	c := &monitorCache{lru: newLRU[*vnn.Monitor](capacity), byContent: make(map[string]string)}
-	// bytes (marshaled monitor size) feeds the GET /v1/workloads index.
-	c.sizeOf = func(m *vnn.Monitor) int64 {
-		doc, err := vnn.MarshalMonitor(m)
-		if err != nil {
-			return 0
-		}
-		return int64(len(doc))
-	}
-	c.onReady = func(key string, m *vnn.Monitor) { c.byContent[m.Fingerprint()] = key }
-	c.onDrop = func(key string, m *vnn.Monitor) {
-		if c.byContent[m.Fingerprint()] == key {
-			delete(c.byContent, m.Fingerprint())
-		}
-	}
-	return c
-}
-
-// buildMonitor returns the monitor cached under the build-workload
-// fingerprint wfp, building it over cn on a miss, and records the "monitor"
-// span under root either way. /v1/infer and the model gate share it, so a
-// version's serving monitor is also reusable by monitor_fingerprint
-// requests and fleet replication. Only actual builds feed the histogram;
-// hits are cache waits.
+// buildMonitor returns the monitor for the build workload wfp and records
+// the "monitor" span under root. The build memo (wfp → content
+// fingerprint) deduplicates concurrent identical builds; the monitor
+// itself lives in the store under its content fingerprint, the one key
+// every reader uses. A memo hit whose monitor the store has since evicted
+// rebuilds it, so resident monitors stay bounded by the store. /v1/infer
+// and the model gate share this path, so a version's serving monitor is
+// also reusable by monitor_fingerprint requests and fleet replication.
+// Only actual builds feed the histogram.
 func (s *Server) buildMonitor(ctx context.Context, root *obs.Span, wfp string, cn *vnn.CompiledNetwork, data [][]float64, opts vnn.MonitorOptions) (*vnn.Monitor, bool, error) {
 	sp := root.Child("monitor")
 	defer sp.End()
-	buildStart := time.Now()
-	mon, hit, err := s.monitors.getOrCompute(ctx, wfp, func() (*vnn.Monitor, error) {
-		return vnn.BuildMonitor(cn, data, opts)
-	})
-	if !hit {
+	var built *vnn.Monitor
+	build := func() (string, error) {
+		buildStart := time.Now()
+		mon, err := vnn.BuildMonitor(cn, data, opts)
 		observeSince(s.obs.hist[hMonitorBuild], buildStart)
+		if err != nil {
+			return "", err
+		}
+		s.monitors.add(mon.Fingerprint(), mon)
+		built = mon
+		return mon.Fingerprint(), nil
+	}
+	fp, hit, err := s.monitorBuilds.getOrCompute(ctx, wfp, build)
+	if err == nil && hit {
+		var ok bool
+		if built, ok = s.monitors.lookup(fp, true); !ok {
+			hit = false
+			_, err = build()
+		}
 	}
 	sp.SetAttr("hit", hit)
-	return mon, hit, err
-}
-
-// contentKeys snapshots the content fingerprints of every completed
-// monitor — the monitor half of the fleet plane's set enumeration.
-func (c *monitorCache) contentKeys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.byContent))
-	for fp := range c.byContent {
-		out = append(out, fp)
-	}
-	return out
-}
-
-// importContent inserts an externally obtained (already verified)
-// monitor, keyed by its content fingerprint — a pulled monitor has no
-// local build-workload key, and the vnnm1-/vnnmw1- namespaces are
-// disjoint so content keys never collide with build keys. Reports
-// false when the content is already cached (local build raced the
-// pull and won; the entries are content-identical either way).
-func (c *monitorCache) importContent(mon *vnn.Monitor) bool {
-	fp := mon.Fingerprint()
-	c.mu.Lock()
-	_, ok := c.byContent[fp]
-	c.mu.Unlock()
-	if ok {
-		return false
-	}
-	return c.add(fp, mon)
-}
-
-// lookupContent resolves a built monitor by its content fingerprint
-// (Monitor.Fingerprint), touching its workload entry's LRU position.
-func (c *monitorCache) lookupContent(contentFP string) (*vnn.Monitor, bool) {
-	c.mu.Lock()
-	key, ok := c.byContent[contentFP]
-	c.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return c.lookup(key, true)
+	return built, hit, err
 }

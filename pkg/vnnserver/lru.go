@@ -15,8 +15,9 @@ import (
 const defaultCacheEntries = 64
 
 // lru is the service's one artifact cache: a string-keyed LRU with
-// singleflight semantics. The compile cache, the monitor cache and the
-// by-fingerprint workload cache are all instances of it, used bare.
+// singleflight semantics. The compile cache, the monitor store, the
+// monitor build memo and the by-fingerprint workload cache are all
+// instances of it, used bare.
 //
 // N concurrent getOrCompute calls for the same key run compute exactly
 // once — the first caller computes, the rest wait on the same entry and
@@ -37,11 +38,6 @@ type lru[V any] struct {
 	// it); the sum over completed entries is the cache's bytes figure. It
 	// runs outside mu.
 	sizeOf func(V) int64
-	// onReady and onDrop, when set, run under mu as a value enters the
-	// cache (completed compute, or add) and as eviction removes it —
-	// exactly once each per stored value, so an owner can keep a
-	// secondary index in step (see monitorCache.byContent).
-	onReady, onDrop func(key string, v V)
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -79,7 +75,7 @@ var closedReady = func() chan struct{} {
 }()
 
 // newLRU builds a cache holding at most capacity values (<= 0 means
-// defaultCacheEntries). Hooks and the size func are set by the owner
+// defaultCacheEntries). The size func is set by the owner
 // before first use.
 func newLRU[V any](capacity int) *lru[V] {
 	if capacity <= 0 {
@@ -135,7 +131,7 @@ func (c *lru[V]) getOrCompute(ctx context.Context, key string, compute func() (V
 		c.order.Remove(el)
 		delete(c.entries, key)
 	} else {
-		c.storedLocked(e)
+		c.bytes.Add(size)
 	}
 	c.mu.Unlock()
 	return v, false, err
@@ -152,20 +148,11 @@ func (c *lru[V]) add(key string, v V) bool {
 		c.order.MoveToFront(el)
 		return false
 	}
-	e := &lruEntry[V]{key: key, ready: closedReady, val: v, size: size, added: time.Now()}
-	// Stored before inserted: if everything older is still in flight the
-	// insert evicts e itself, and onDrop must not precede onReady.
-	c.storedLocked(e)
-	c.insertLocked(e)
+	// Accounted before inserted: if everything older is still in flight
+	// the insert evicts the new entry itself.
+	c.bytes.Add(size)
+	c.insertLocked(&lruEntry[V]{key: key, ready: closedReady, val: v, size: size, added: time.Now()})
 	return true
-}
-
-// storedLocked accounts a value that just entered the cache.
-func (c *lru[V]) storedLocked(e *lruEntry[V]) {
-	c.bytes.Add(e.size)
-	if c.onReady != nil {
-		c.onReady(e.key, e.val)
-	}
 }
 
 // insertLocked makes e the most recently used entry, then drops
@@ -182,9 +169,6 @@ func (c *lru[V]) insertLocked(e *lruEntry[V]) *list.Element {
 			delete(c.entries, old.key)
 			c.evictions.Add(1)
 			c.bytes.Add(-old.size)
-			if c.onDrop != nil {
-				c.onDrop(old.key, old.val)
-			}
 		}
 		el = prev
 	}

@@ -8,6 +8,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -614,5 +617,28 @@ func TestWorkloadsIndex(t *testing.T) {
 	}
 	if !foundMonitor {
 		t.Fatalf("monitor artifact missing from index: %v", kinds)
+	}
+
+	// Every index row names an exportable artifact, and the monitor rows
+	// are exactly the monitors the fleet list offers: one name per monitor.
+	var indexMonitors, fleetMonitors []string
+	for _, w := range idx.Workloads {
+		getExport(t, ts.URL, w.Fingerprint)
+		if w.Kind == "monitor" {
+			indexMonitors = append(indexMonitors, w.Fingerprint)
+		}
+	}
+	var list struct {
+		Fingerprints []string `json:"fingerprints"`
+	}
+	getJSON(t, ts.URL+"/v1/fleet/fingerprints", http.StatusOK, &list)
+	for _, fp := range list.Fingerprints {
+		if strings.HasPrefix(fp, "vnnm1-") {
+			fleetMonitors = append(fleetMonitors, fp)
+		}
+	}
+	sort.Strings(fleetMonitors)
+	if !reflect.DeepEqual(indexMonitors, fleetMonitors) {
+		t.Fatalf("index monitors %v, fleet list monitors %v", indexMonitors, fleetMonitors)
 	}
 }

@@ -145,14 +145,19 @@ type Config struct {
 // http.Handler, and call Drain before process exit so in-flight queries
 // deliver their anytime results.
 type Server struct {
-	cfg      Config
-	nodeID   string
-	cache    *lru[*vnn.CompiledNetwork]
-	monitors *monitorCache
-	sched    *Scheduler
-	jobs     *registry
-	mux      *http.ServeMux
-	start    time.Time
+	cfg    Config
+	nodeID string
+	cache  *lru[*vnn.CompiledNetwork]
+	sched  *Scheduler
+	jobs   *registry
+	mux    *http.ServeMux
+	start  time.Time
+
+	// monitors holds built monitors under their content fingerprint
+	// (vnnm1-); monitorBuilds memoises each build workload (vnnmw1-) to
+	// the content fingerprint it built (see buildMonitor).
+	monitors      *lru[*vnn.Monitor]
+	monitorBuilds *lru[string]
 
 	// shards are the inference plane's per-core serving lanes (see
 	// inferShard): each owns its kernel scratch outright, so the hot
@@ -240,7 +245,8 @@ func New(cfg Config) *Server {
 		cfg:           cfg,
 		nodeID:        nodeID,
 		cache:         newLRU[*vnn.CompiledNetwork](cfg.CacheEntries),
-		monitors:      newMonitorCache(cfg.CacheEntries),
+		monitors:      newLRU[*vnn.Monitor](cfg.CacheEntries),
+		monitorBuilds: newLRU[string](cfg.CacheEntries),
 		shards:        newInferShards(cfg.InferWorkers),
 		workloads:     newLRU[*workload](cfg.CacheEntries),
 		sched:         NewScheduler(cfg.MaxConcurrent, cfg.QueueDepth),
@@ -252,6 +258,14 @@ func New(cfg Config) *Server {
 		analysisKinds: make(map[string]int64),
 	}
 	s.cache.sizeOf = (*vnn.CompiledNetwork).SizeBytes
+	// A monitor's bytes (its marshaled document) feed GET /v1/workloads.
+	s.monitors.sizeOf = func(m *vnn.Monitor) int64 {
+		doc, err := vnn.MarshalMonitor(m)
+		if err != nil {
+			return 0
+		}
+		return int64(len(doc))
+	}
 	// The scheduler reports its wait/run decomposition into the shared
 	// histograms (set before any traffic can reach RunAdmitted).
 	s.sched.queueWait = s.obs.hist[hQueueWait]
@@ -296,9 +310,9 @@ func New(cfg Config) *Server {
 			return cn, err
 		},
 		ImportMonitor: func(m *vnn.Monitor) {
-			// Recovered serving monitors also prime the by-content monitor
-			// cache, so monitor_fingerprint requests work across restarts.
-			s.monitors.importContent(m)
+			// Recovered serving monitors also prime the monitor store, so
+			// monitor_fingerprint requests work across restarts.
+			s.monitors.add(m.Fingerprint(), m)
 		},
 		Logf: cfg.Log,
 	})

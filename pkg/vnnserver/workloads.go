@@ -16,8 +16,10 @@ import (
 // WorkloadIndexEntry is one cached artifact in the GET /v1/workloads
 // index.
 type WorkloadIndexEntry struct {
-	// Fingerprint is the artifact's cache key: a vnn1- compile workload
-	// or a vnnmw1- monitor build workload (the namespaces are disjoint).
+	// Fingerprint is the artifact's cache key, the one GET
+	// /v1/workloads/{fingerprint} exports it under: a vnn1- compile
+	// workload or a vnnm1- monitor content hash (the namespaces are
+	// disjoint).
 	Fingerprint string `json:"fingerprint"`
 	// Kind is "compile" or "monitor".
 	Kind string `json:"kind"`
