@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -37,6 +38,231 @@ func (tb *tableau) rescanPick(r int, below bool) int {
 		}
 	}
 	return best
+}
+
+// eagerDualIterate is dualIterate as it ran before the movable list:
+// candidates rebuilt from a full-width scan for every row, every flip
+// walked down its column at once, and the selection rescanned from the
+// first candidate after every flip. It is the reference the list-based
+// pass must reproduce bit for bit.
+func (tb *tableau) eagerDualIterate() (dualOutcome, int) {
+	budget := 6*tb.m + 100
+	for steps := 0; ; steps++ {
+		if tb.iters >= tb.maxIters || tb.cancelled() {
+			return dualInterrupted, -1
+		}
+		if steps > budget {
+			return dualStalled, -1
+		}
+		r := tb.mostInfeasibleRow()
+		if r < 0 {
+			return dualRestored, -1
+		}
+		bi := tb.basis[r]
+		below := tb.x[bi] < tb.lower[bi]
+		var target float64
+		var leaveAt varStatus
+		if below {
+			target, leaveAt = tb.lower[bi], atLower
+		} else {
+			target, leaveAt = tb.upper[bi], atUpper
+		}
+		row := tb.t[r]
+		var cands []ratioCand
+		for j := 0; j < tb.width; j++ {
+			if tb.status[j] == basic || tb.lower[j] == tb.upper[j] {
+				continue
+			}
+			a := row[j]
+			if math.Abs(a) < pivotTol {
+				continue
+			}
+			switch tb.status[j] {
+			case atLower:
+				if (below && a >= 0) || (!below && a <= 0) {
+					continue
+				}
+			case atUpper:
+				if (below && a <= 0) || (!below && a >= 0) {
+					continue
+				}
+			}
+			cands = append(cands, ratioCand{col: j, ratio: math.Abs(tb.d[j]) / math.Abs(a), abs: math.Abs(a)})
+		}
+		for tb.violated(bi) {
+			deltaB := target - tb.x[bi]
+			k, bestRatio, bestAbs := -1, math.Inf(1), 0.0
+			for i, c := range cands {
+				if c.ratio < bestRatio-1e-12 || (c.ratio <= bestRatio+1e-12 && c.abs > bestAbs) {
+					k, bestRatio, bestAbs = i, c.ratio, c.abs
+				}
+			}
+			if k < 0 {
+				return dualDeadEnd, r
+			}
+			best := cands[k].col
+			deltaJ := deltaB / -row[best]
+			rng := tb.upper[best] - tb.lower[best]
+			if tb.status[best] != free && !math.IsInf(rng, 1) &&
+				math.Abs(deltaB)-math.Abs(row[best])*rng > tb.tol*(1+math.Abs(target)) {
+				var step float64
+				if tb.status[best] == atLower {
+					step = rng
+					tb.status[best] = atUpper
+					tb.x[best] = tb.upper[best]
+				} else {
+					step = -rng
+					tb.status[best] = atLower
+					tb.x[best] = tb.lower[best]
+				}
+				for i := 0; i < tb.m; i++ {
+					if a := tb.t[i][best]; a != 0 {
+						tb.x[tb.basis[i]] -= step * a
+					}
+				}
+				tb.stats.BoundFlips++
+				cands = append(cands[:k], cands[k+1:]...)
+				continue
+			}
+			newXj := tb.x[best] + deltaJ
+			for i := 0; i < tb.m; i++ {
+				if a := tb.t[i][best]; a != 0 {
+					tb.x[tb.basis[i]] -= deltaJ * a
+				}
+			}
+			tb.status[bi] = leaveAt
+			tb.x[bi] = target
+			tb.pivot(r, best, newXj)
+			tb.iters++
+			tb.stats.DualPivots++
+			break
+		}
+	}
+}
+
+// eagerComputeBasics is computeBasics as a full-width walk of every row.
+func (tb *tableau) eagerComputeBasics() {
+	for i := 0; i < tb.m; i++ {
+		v := tb.rhsInv[i]
+		row := tb.t[i]
+		for j := 0; j < tb.width; j++ {
+			if tb.status[j] != basic && tb.x[j] != 0 {
+				v -= row[j] * tb.x[j]
+			}
+		}
+		tb.x[tb.basis[i]] = v
+	}
+}
+
+// eagerTwin solves a model with two solvers: the one under test and one
+// running the eager reference loops.
+type eagerTwin struct {
+	s, ref *Solver
+}
+
+func newEagerTwin(m *Model) *eagerTwin {
+	ref := NewSolver(m)
+	ref.tb.refDual, ref.tb.refBasics = ref.tb.eagerDualIterate, ref.tb.eagerComputeBasics
+	return &eagerTwin{s: NewSolver(m), ref: ref}
+}
+
+// solve re-solves both and demands the same solution and the same tableau
+// state, bit for bit.
+func (e *eagerTwin) solve(t *testing.T, where string) {
+	t.Helper()
+	got, err := e.s.Solve(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.ref.Solve(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSolution(t, where, got, want)
+	a, b := e.s.tb, e.ref.tb
+	for _, f := range []struct {
+		name string
+		x, y []float64
+	}{{"x", a.x, b.x}, {"d", a.d, b.d}, {"rhsInv", a.rhsInv, b.rhsInv}, {"tableau", a.backing, b.backing}} {
+		if !sameBits(f.x, f.y) {
+			t.Fatalf("%s: %s differs from the reference", where, f.name)
+		}
+	}
+	for j := range a.status {
+		if a.status[j] != b.status[j] {
+			t.Fatalf("%s: column %d status %d, reference %d", where, j, a.status[j], b.status[j])
+		}
+	}
+	for i := range a.basis {
+		if a.basis[i] != b.basis[i] {
+			t.Fatalf("%s: row %d basic %d, reference %d", where, i, a.basis[i], b.basis[i])
+		}
+	}
+	if e.s.Stats() != e.ref.Stats() {
+		t.Fatalf("%s: stats %+v, reference %+v", where, e.s.Stats(), e.ref.Stats())
+	}
+}
+
+func sameBits(x, y []float64) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDualPassMatchesEager runs TestRatioListMatchesRescan's two streams
+// through the list-based dual pass and through the eager reference loops,
+// and demands identical solutions, tableaus, values and counters after
+// every solve.
+func TestDualPassMatchesEager(t *testing.T) {
+	rng := rand.New(rand.NewSource(2718))
+	var flips int
+	for trial := 0; trial < 2000; trial++ {
+		n := 3 + rng.Intn(7)
+		m := randomSensedLP(rng, n, 2+rng.Intn(6))
+		orig := make([][2]float64, n)
+		for v := range orig {
+			orig[v][0], orig[v][1] = m.Bounds(v)
+		}
+		e := newEagerTwin(m)
+		for step := 0; step <= 10; step++ {
+			if step > 0 {
+				v := rng.Intn(n)
+				switch rng.Intn(5) {
+				case 0:
+					m.SetBounds(v, orig[v][0], orig[v][1])
+				case 1, 2:
+					m.SetBounds(v, orig[v][0], orig[v][0])
+				default:
+					m.SetBounds(v, orig[v][1], orig[v][1])
+				}
+			}
+			e.solve(t, fmt.Sprintf("random trial %d step %d", trial, step))
+		}
+		flips += e.s.Stats().BoundFlips
+	}
+	if flips < 2000 {
+		t.Fatalf("random stream too tame: %d flips", flips)
+	}
+
+	flips = 0
+	for trial := 0; trial < 4; trial++ {
+		m, ind := bigMNetLP(rand.New(rand.NewSource(int64(100+trial))), 84, []int{8, 8}, 10)
+		e := newEagerTwin(m)
+		for step := 0; step < 150; step++ {
+			fixIndicator(m, ind, step)
+			e.solve(t, fmt.Sprintf("big-M trial %d step %d", trial, step))
+		}
+		flips += e.s.Stats().BoundFlips
+	}
+	if flips < 10000 {
+		t.Fatalf("big-M stream too tame: %d flips", flips)
+	}
 }
 
 // pickAudit checks every ratio-test decision of a solver against the

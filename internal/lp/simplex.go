@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/linalg"
 )
@@ -110,16 +111,37 @@ type tableau struct {
 	cancel             func() bool // optional cooperative-cancellation poll
 	stats              *Stats      // the owning Solver's effort counters
 	cands              []ratioCand // dual ratio-test scratch, capacity nTotal
-	// onPick, set only by tests, sees every decision of the dual ratio test
+	// movable lists, ascending, the columns below width that are neither
+	// basic nor fixed: the only columns a dual ratio test can admit. A dual
+	// pass builds it once and swaps the two columns of each of its pivots.
+	movable []int
+	nonzero []int       // computeBasics scratch: nonbasic columns with x ≠ 0
+	flips   []boundFlip // the current dual row's flips not yet applied to the other rows
+	// Set only by tests. onPick sees every decision of the dual ratio test
 	// before it is acted on: the violated row, which bound it violates, and
-	// the column chosen to flip or enter (-1 at a dead end).
-	onPick func(r int, below bool, col int)
+	// the column chosen to flip or enter (-1 at a dead end). refDual and
+	// refBasics, when set, run in place of dualIterate and computeBasics:
+	// the eager reference loops the lists must reproduce bit for bit.
+	onPick    func(r int, below bool, col int)
+	refDual   func() (dualOutcome, int)
+	refBasics func()
 }
 
 // ratioCand is one admissible entering column of a violated row.
 type ratioCand struct {
 	col        int
+	at         int     // col's position in movable
 	ratio, abs float64 // |d_col|/|α_col| and |α_col|
+	// prev is the candidate that was best when this one took over, -1 for
+	// none: the selection's state just before it, so a flip that strikes
+	// this candidate resumes the scan from its position.
+	prev int
+}
+
+// boundFlip is a flipped column and how far it moved.
+type boundFlip struct {
+	col  int
+	step float64
 }
 
 // cancelled polls the cancellation hook at most every cancelPeriod pivots.
@@ -365,15 +387,25 @@ func (tb *tableau) pivot(r, j int, xj float64) {
 }
 
 // computeBasics recomputes every basic variable's value from the invariant
-// T·x = B⁻¹·b given the current nonbasic rest values.
+// T·x = B⁻¹·b given the current nonbasic rest values. The nonbasic columns
+// with a nonzero value are gathered once; each row then subtracts exactly
+// the terms a full-width walk would, in the same column order.
 func (tb *tableau) computeBasics() {
+	if tb.refBasics != nil {
+		tb.refBasics()
+		return
+	}
+	nz := tb.nonzero[:0]
+	for j := 0; j < tb.width; j++ {
+		if tb.status[j] != basic && tb.x[j] != 0 {
+			nz = append(nz, j)
+		}
+	}
 	for i := 0; i < tb.m; i++ {
 		v := tb.rhsInv[i]
 		row := tb.t[i]
-		for j := 0; j < tb.width; j++ {
-			if tb.status[j] != basic && tb.x[j] != 0 {
-				v -= row[j] * tb.x[j]
-			}
+		for _, j := range nz {
+			v -= row[j] * tb.x[j]
 		}
 		tb.x[tb.basis[i]] = v
 	}
@@ -486,8 +518,25 @@ const (
 // the sign condition rejects, so the admissible set after a flip is the
 // set before it minus that column, and every later decision of the row is
 // taken over the surviving candidates — same comparison, same column
-// order, hence the same column a full rescan would pick.
+// order, hence the same column a full rescan would pick. Nor does the
+// selection rescan the survivors: the candidates before the struck one,
+// and the state the scan had reached there, are unchanged, so it resumes
+// at the struck position.
+//
+// A flip updates its own row's basic value at once, since the row's next
+// decision reads it, and leaves the other rows to settleRows, which runs
+// before anything reads them: per row, the same updates in the same order
+// as a walk down each flipped column would have made.
 func (tb *tableau) dualIterate() (out dualOutcome, row int) {
+	if tb.refDual != nil {
+		return tb.refDual()
+	}
+	tb.movable = tb.movable[:0]
+	for j := 0; j < tb.width; j++ {
+		if tb.status[j] != basic && tb.lower[j] != tb.upper[j] {
+			tb.movable = append(tb.movable, j)
+		}
+	}
 	budget := 6*tb.m + 100 // dual steps, not counting flips
 	for steps := 0; ; steps++ {
 		if tb.iters >= tb.maxIters || tb.cancelled() {
@@ -516,16 +565,19 @@ func (tb *tableau) dualIterate() (out dualOutcome, row int) {
 		// the residual, enter the first one that can. The row is resolved
 		// once its basic variable is within tolerance of its bound, not
 		// only when it sits on it exactly.
+		k, bestRatio, bestAbs := -1, math.Inf(1), 0.0
+		next := 0 // where the selection scan resumes
 		for tb.violated(bi) {
 			deltaB := target - tb.x[bi] // >0 when below, <0 when above
 
 			// Smallest |d|/|α|, largest |α| on near-ties.
-			k, bestRatio, bestAbs := -1, math.Inf(1), 0.0
-			for i, c := range cands {
-				if c.ratio < bestRatio-1e-12 || (c.ratio <= bestRatio+1e-12 && c.abs > bestAbs) {
+			for i := next; i < len(cands); i++ {
+				if c := &cands[i]; c.ratio < bestRatio-1e-12 || (c.ratio <= bestRatio+1e-12 && c.abs > bestAbs) {
+					c.prev = k
 					k, bestRatio, bestAbs = i, c.ratio, c.abs
 				}
 			}
+			next = len(cands)
 			best := -1
 			if k >= 0 {
 				best = cands[k].col
@@ -534,6 +586,7 @@ func (tb *tableau) dualIterate() (out dualOutcome, row int) {
 				tb.onPick(r, below, best)
 			}
 			if best < 0 {
+				tb.settleRows(r, -1, 0)
 				return dualDeadEnd, r
 			}
 
@@ -556,44 +609,89 @@ func (tb *tableau) dualIterate() (out dualOutcome, row int) {
 					tb.status[best] = atLower
 					tb.x[best] = tb.lower[best]
 				}
-				for i := 0; i < tb.m; i++ {
-					if a := tb.t[i][best]; a != 0 {
-						tb.x[tb.basis[i]] -= step * a
-					}
+				if a := row[best]; a != 0 {
+					tb.x[bi] -= step * a
 				}
+				tb.flips = append(tb.flips, boundFlip{best, step})
 				tb.stats.BoundFlips++
-				cands = append(cands[:k], cands[k+1:]...)
+				// Strike the candidate and resume the scan where it stood,
+				// with the best of the candidates before it.
+				next, k = k, cands[k].prev
+				bestRatio, bestAbs = math.Inf(1), 0.0
+				if k >= 0 {
+					bestRatio, bestAbs = cands[k].ratio, cands[k].abs
+				}
+				cands = append(cands[:next], cands[next+1:]...)
 				continue
 			}
 
 			newXj := tb.x[best] + deltaJ
-			for i := 0; i < tb.m; i++ {
-				if a := tb.t[i][best]; a != 0 {
-					tb.x[tb.basis[i]] -= deltaJ * a
-				}
-			}
+			tb.settleRows(r, best, deltaJ)
 			tb.status[bi] = leaveAt
 			tb.x[bi] = target
 			tb.pivot(r, best, newXj)
+			tb.swapMovable(bi, cands[k].at)
 			tb.iters++
 			tb.stats.DualPivots++
 			break
 		}
+		tb.settleRows(r, -1, 0) // a row can end on a flip, within tolerance
+	}
+}
+
+// settleRows applies the current row's pending flips to every other row,
+// in flip order, then moves every basic variable — row r's included — by
+// delta along column col (col < 0: no move), and clears the pending list.
+func (tb *tableau) settleRows(r, col int, delta float64) {
+	if len(tb.flips) == 0 && col < 0 {
+		return
+	}
+	for i, ti := range tb.t {
+		b := tb.basis[i]
+		if i != r {
+			for _, f := range tb.flips {
+				if a := ti[f.col]; a != 0 {
+					tb.x[b] -= f.step * a
+				}
+			}
+		}
+		if col >= 0 {
+			if a := ti[col]; a != 0 {
+				tb.x[b] -= delta * a
+			}
+		}
+	}
+	tb.flips = tb.flips[:0]
+}
+
+// swapMovable keeps the movable list in step with a dual pivot: the
+// entering column, at position at, leaves it, and the leaving column joins
+// it in column order unless it is fixed or beyond width.
+func (tb *tableau) swapMovable(leaving, at int) {
+	mv := tb.movable
+	switch {
+	case leaving >= tb.width || tb.lower[leaving] == tb.upper[leaving]:
+		tb.movable = append(mv[:at], mv[at+1:]...)
+	case leaving < mv[at]:
+		q := sort.SearchInts(mv[:at], leaving)
+		copy(mv[q+1:at+1], mv[q:at])
+		mv[q] = leaving
+	default:
+		q := at + sort.SearchInts(mv[at+1:], leaving)
+		copy(mv[at:q], mv[at+1:q+1])
+		mv[q] = leaving
 	}
 }
 
 // ratioCandidates lists, in column order, the columns admissible to enter
-// for violated row `row`: nonbasic, not fixed, with a stable pivot, and
-// resting where moving off their bound drives the basic variable toward
-// the bound it violates (x_basic changes by −α_j·Δx_j; Δx_j ≥ 0 from
-// atLower, ≤ 0 from atUpper, either sign when free). The list lives in the
-// tableau's scratch and is valid until the next call.
+// for violated row `row`: movable, with a stable pivot, and resting where
+// moving off their bound drives the basic variable toward the bound it
+// violates (x_basic changes by −α_j·Δx_j; Δx_j ≥ 0 from atLower, ≤ 0 from
+// atUpper, either sign when free). The list lives in the tableau's scratch
+// and is valid until the next call.
 func (tb *tableau) ratioCandidates(row []float64, below bool) []ratioCand {
 	cands := tb.cands[:0]
-	for j := 0; j < tb.width; j++ {
-		if tb.status[j] == basic || tb.lower[j] == tb.upper[j] {
-			continue
-		}
+	for at, j := range tb.movable {
 		a := row[j]
 		if math.Abs(a) < pivotTol {
 			continue
@@ -608,7 +706,7 @@ func (tb *tableau) ratioCandidates(row []float64, below bool) []ratioCand {
 				continue
 			}
 		}
-		cands = append(cands, ratioCand{col: j, ratio: math.Abs(tb.d[j]) / math.Abs(a), abs: math.Abs(a)})
+		cands = append(cands, ratioCand{col: j, at: at, ratio: math.Abs(tb.d[j]) / math.Abs(a), abs: math.Abs(a)})
 	}
 	return cands
 }

@@ -95,6 +95,9 @@ func newTableau(rows, nStruct int, stats *Stats) *tableau {
 		rhsInv:  make([]float64, rows),
 		stats:   stats,
 		cands:   make([]ratioCand, 0, nTotal),
+		movable: make([]int, 0, nTotal),
+		nonzero: make([]int, 0, nTotal),
+		flips:   make([]boundFlip, 0, nTotal),
 	}
 	backing := tb.backing
 	for i := range tb.t {

@@ -35,7 +35,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/lp"
@@ -199,16 +199,95 @@ func (q *nodeQueue) Pop() interface{} {
 }
 
 // worker owns one model clone and one persistent warm-started solver.
+// Worker 0 is driven by the coordinator; every other worker has a resident
+// goroutine for the whole solve, and its fields below applied form the
+// mailbox a batch reaches it through: the coordinator writes nd and
+// signals work, the goroutine writes res and signals done.
 type worker struct {
 	model   *lp.Model
 	solver  *lp.Solver
 	applied []fix // fixes currently applied to model, for cheap undo
+
+	nd         *node      // the node to solve; nil tells the goroutine to exit
+	res        nodeResult // the solved relaxation of nd
+	work, done handoff
 }
 
 // nodeResult carries one solved relaxation back to the coordinator.
 type nodeResult struct {
 	sol *lp.Solution
 	err error
+}
+
+// spinFor bounds how long a waiting side of a hand-off spins before it
+// parks. A node of BenchmarkTable2/I2x8's search takes 220–230 µs at two
+// workers (2 shared Xeon vCPUs, Go 1.24). With a goroutine started per
+// batch, the second node of a two-node batch started 82–85 µs after its
+// batch did; with resident workers it starts 31–34 µs after at this bound
+// and 20–25 µs after at 150 µs. The bound is a fifth of a node rather than
+// a whole one because spinning is paid in CPU: on the table2_cold
+// benchmark, vnnd's CPU time per request was 6 % above parking at once at
+// 50 µs, 14 % at 100 µs and 28 % at 250 µs, with no lower median latency
+// at the longer bounds.
+const spinFor = 50 * time.Microsecond
+
+// Hand-off states.
+const (
+	hoEmpty int32 = iota
+	hoReady
+	hoParked
+)
+
+// handoff is a one-slot signal from one goroutine to one waiter. The waiter
+// spins for spinFor, yielding the processor on each turn so the signaller
+// can run even on one, then parks on a channel; the signaller sends on the
+// channel only when the waiter parked.
+type handoff struct {
+	state atomic.Int32
+	wake  chan struct{}
+}
+
+func (h *handoff) signal() {
+	if h.state.Swap(hoReady) == hoParked {
+		h.wake <- struct{}{}
+	}
+}
+
+func (h *handoff) wait() {
+	for start := time.Now(); h.state.Load() != hoReady; runtime.Gosched() {
+		if time.Since(start) > spinFor {
+			if h.state.CompareAndSwap(hoEmpty, hoParked) {
+				<-h.wake
+			}
+			break
+		}
+	}
+	h.state.Store(hoEmpty)
+}
+
+// post hands nd to the worker's goroutine.
+func (w *worker) post(nd *node) {
+	w.nd = nd
+	w.work.signal()
+}
+
+// collect waits until the posted node's result is in w.res.
+func (w *worker) collect() {
+	w.done.wait()
+}
+
+// run is a resident worker's goroutine: solve each posted node until a nil
+// one says the solve is over.
+func (w *worker) run(rootLo, rootHi []float64, lpOpts lp.Options) {
+	for {
+		w.work.wait()
+		if w.nd == nil {
+			w.done.signal()
+			return
+		}
+		w.res = w.solveNode(w.nd, rootLo, rootHi, lpOpts)
+		w.done.signal()
+	}
 }
 
 // solveNode applies the node's bound fixes to the worker's clone and solves
@@ -223,9 +302,18 @@ func (w *worker) solveNode(nd *node, rootLo, rootHi []float64, lpOpts lp.Options
 		w.model.SetBounds(f.v, f.lower, f.upper)
 	}
 	w.applied = nd.fixes
+	if testNodeHook != nil {
+		if err := testNodeHook(nd); err != nil {
+			return nodeResult{err: err}
+		}
+	}
 	sol, err := w.solver.Solve(lpOpts)
 	return nodeResult{sol: sol, err: err}
 }
+
+// testNodeHook, set only by tests, runs before every node solve on the
+// goroutine that solves it; an error it returns stands in for the LP's.
+var testNodeHook func(nd *node) error
 
 // ctxStatus maps a context error to the solve status it terminates with.
 func ctxStatus(err error) Status {
@@ -290,6 +378,8 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 	// is a warm re-solve from a basis of the same tree. Workers are only
 	// created between batches, when worker 0 is at rest in the state its
 	// last batch left — a function of the search so far, not of timing.
+	// Every worker but worker 0 starts its resident goroutine here, and
+	// every return path below stops them all before SolveCtx returns.
 	workers := make([]*worker, nWorkers)
 	getWorker := func(i int) *worker {
 		if workers[i] == nil {
@@ -297,11 +387,22 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 			if i == 0 {
 				workers[i] = &worker{model: m, solver: lp.NewSolver(m)}
 			} else {
-				workers[i] = &worker{model: m, solver: workers[0].solver.Fork(m)}
+				w := &worker{model: m, solver: workers[0].solver.Fork(m)}
+				w.work.wake, w.done.wake = make(chan struct{}, 1), make(chan struct{}, 1)
+				workers[i] = w
+				go w.run(rootLo, rootHi, lpOpts)
 			}
 		}
 		return workers[i]
 	}
+	defer func() {
+		for _, w := range workers[1:] {
+			if w != nil {
+				w.post(nil)
+				w.collect()
+			}
+		}
+	}()
 
 	var seq int64
 	queue := &nodeQueue{{bound: math.Inf(-1)}}
@@ -392,7 +493,6 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 
 	prunable := func(nd *node) bool { return res.HasSolution && nd.bound >= bestMin-1e-9 }
 
-	results := make([]nodeResult, nWorkers)
 	for {
 		if err := ctx.Err(); err != nil {
 			return finish(ctxStatus(err))
@@ -434,32 +534,29 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 		}
 
 		// Solve the batch: slot i on worker i. Workers share nothing, so
-		// results are independent of goroutine scheduling. Every worker the
-		// batch needs exists before any of them starts (a fork reads worker
-		// 0), and the coordinator solves the first filled slot itself rather
-		// than park while a goroutine does.
+		// results are independent of goroutine scheduling. The coordinator
+		// solves the first filled slot itself and posts the others to their
+		// resident goroutines. A fork reads worker 0, which only the
+		// coordinator ever runs, and only after every worker this batch
+		// needs exists.
 		first := -1
 		for i, nd := range slots {
-			if nd != nil {
-				getWorker(i)
-				if first < 0 {
-					first = i
-				}
-			}
-		}
-		var wg sync.WaitGroup
-		for i, nd := range slots {
-			if nd == nil || i == first {
+			if nd == nil {
 				continue
 			}
-			wg.Add(1)
-			go func(i int, nd *node) {
-				defer wg.Done()
-				results[i] = workers[i].solveNode(nd, rootLo, rootHi, lpOpts)
-			}(i, nd)
+			w := getWorker(i)
+			if first < 0 {
+				first = i
+			} else {
+				w.post(nd)
+			}
 		}
-		results[first] = workers[first].solveNode(slots[first], rootLo, rootHi, lpOpts)
-		wg.Wait()
+		workers[first].res = workers[first].solveNode(slots[first], rootLo, rootHi, lpOpts)
+		for i, nd := range slots {
+			if nd != nil && i != first {
+				workers[i].collect()
+			}
+		}
 
 		// Process results in slot order — the deterministic part. A slot is
 		// emptied as its node is processed, so if the search ends mid-batch
@@ -473,7 +570,7 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 				continue
 			}
 			slots[i] = nil
-			r := results[i]
+			r := workers[i].res
 			if r.err != nil {
 				return nil, r.err
 			}
