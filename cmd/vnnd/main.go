@@ -390,6 +390,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/obs"
 	"repro/pkg/vnn"
 	"repro/pkg/vnnserver"
 )
@@ -438,7 +439,7 @@ func main() {
 		peers         = flag.String("peers", "", "comma-separated base URLs of sibling vnnd nodes to replicate caches with (empty = no reconcile loop)")
 		fleetInterval = flag.Duration("fleet-interval", 0, "fleet reconcile period, jittered per round (0 = 30s)")
 		nodeID        = flag.String("node-id", "", "stable node id used in traces, /metrics and /v1/fleet/metrics (empty = hostname plus a random suffix)")
-		tenantCap     = flag.Int("tenant-cap", 0, "distinct tenant labels tracked per node before new API keys fold into \"other\" (0 = 64)")
+		tenantCap     = flag.Int("tenant-cap", 0, fmt.Sprintf("distinct tenant labels tracked per node before new API keys fold into \"other\" (0 = %d)", obs.DefaultTenantCap))
 		traceRing     = flag.Int("trace-ring", 0, "completed traces kept for /debug/traces (0 = 256, rounded up to a power of two)")
 		slowLog       = flag.Duration("slow-log", 0, "log any request slower than this, with its trace id (0 = off)")
 		pprofOn       = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default; profiling endpoints expose internals)")

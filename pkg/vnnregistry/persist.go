@@ -1,10 +1,10 @@
-// Registry persistence: a JSON snapshot (registry.json, written atomically
-// via tmp+rename on every state change) plus an append-only transition log
-// (transitions.log, one JSON line per lifecycle step — the audit trail the
-// snapshot's per-version history summarizes). Recovery replays the
-// snapshot through the injected compile cache — monitors are restored from
-// their persisted documents — so a restarted daemon rebuilds its warm
-// serving table from durable state alone.
+// Registry persistence: one JSON snapshot, registry.json, written
+// atomically via tmp+rename on every state change. It is the rollout
+// plane's only record: each version carries its full transition history,
+// the audit trail GET /v1/models serves. Recovery replays the snapshot
+// through the injected compile cache — monitors are restored from their
+// persisted documents — so a restarted daemon rebuilds its warm serving
+// table from durable state alone.
 
 package vnnregistry
 
@@ -26,57 +26,7 @@ const (
 	// snapshotSchema versions the on-disk format.
 	snapshotSchema = "vnnd-registry/v1"
 	snapshotFile   = "registry.json"
-	transitionsLog = "transitions.log"
 )
-
-// persister owns the registry's file handles. Mutating methods are called
-// under the registry lock.
-type persister struct {
-	dir  string
-	logf func(format string, args ...any)
-	log  *os.File
-}
-
-// transitionRecord is one line of transitions.log.
-type transitionRecord struct {
-	AtUnixMS int64  `json:"at_unix_ms"`
-	Model    string `json:"model"`
-	Version  int    `json:"version"`
-	From     string `json:"from,omitempty"`
-	To       string `json:"to"`
-	Reason   string `json:"reason,omitempty"`
-}
-
-func (p *persister) appendTransition(rec transitionRecord) {
-	if p.dir == "" {
-		return
-	}
-	if p.log == nil {
-		f, err := os.OpenFile(filepath.Join(p.dir, transitionsLog),
-			os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			p.logf("vnnregistry: transition log: %v", err)
-			return
-		}
-		p.log = f
-	}
-	line, err := json.Marshal(rec)
-	if err == nil {
-		_, err = p.log.Write(append(line, '\n'))
-	}
-	if err != nil {
-		p.logf("vnnregistry: transition log: %v", err)
-	}
-}
-
-func (p *persister) close() error {
-	if p.log == nil {
-		return nil
-	}
-	err := p.log.Close()
-	p.log = nil
-	return err
-}
 
 // snapshotJSON is the registry.json document.
 type snapshotJSON struct {
@@ -119,7 +69,7 @@ type versionSnapshotJSON struct {
 // logged, not fatal: in-memory state remains authoritative for this
 // process, and the next successful save catches the disk up.
 func (r *Registry) saveLocked() {
-	if r.persist.dir == "" {
+	if r.cfg.Dir == "" {
 		return
 	}
 	snap := snapshotJSON{Schema: snapshotSchema}
@@ -158,7 +108,7 @@ func (r *Registry) saveLocked() {
 		r.logf("vnnregistry: snapshot marshal: %v", err)
 		return
 	}
-	path := filepath.Join(r.persist.dir, snapshotFile)
+	path := filepath.Join(r.cfg.Dir, snapshotFile)
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
 		r.logf("vnnregistry: snapshot write: %v", err)
@@ -182,15 +132,14 @@ func (r *Registry) Recover(ctx context.Context) error {
 	fail := func(err error) error {
 		msg := err.Error()
 		r.readyErr.Store(&msg)
-		r.recovering.Store(false)
 		r.logf("vnnregistry: %v", err)
 		return err
 	}
-	if r.persist.dir != "" {
-		if err := os.MkdirAll(r.persist.dir, 0o755); err != nil {
+	if r.cfg.Dir != "" {
+		if err := os.MkdirAll(r.cfg.Dir, 0o755); err != nil {
 			return fail(fmt.Errorf("recover: %w", err))
 		}
-		data, err := os.ReadFile(filepath.Join(r.persist.dir, snapshotFile))
+		data, err := os.ReadFile(filepath.Join(r.cfg.Dir, snapshotFile))
 		switch {
 		case errors.Is(err, fs.ErrNotExist):
 			// Fresh data dir: nothing to recover.
@@ -213,7 +162,6 @@ func (r *Registry) Recover(ctx context.Context) error {
 	r.rebuildRoutesLocked()
 	r.saveLocked()
 	r.mu.Unlock()
-	r.recovering.Store(false)
 	r.ready.Store(true)
 	return nil
 }

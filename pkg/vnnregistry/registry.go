@@ -9,9 +9,9 @@
 // and serves it through a single atomically-swapped route table, so
 // cutover and rollback are one pointer store: the previous version's
 // compiled artifact and monitor stay warm in memory, making rollback a
-// route change rather than a recompile. State persists as a JSON snapshot
-// plus an append-only transition log (see persist.go) so a daemon restart
-// recovers the serving table.
+// route change rather than a recompile. State persists as one JSON
+// snapshot (see persist.go), whose per-version transition history is the
+// audit trail, so a daemon restart recovers the serving table.
 //
 // The package runs no engine work of its own. The host runs a version's
 // gate on its one solve path and reports the outcome (Decide, FailGate —
@@ -68,8 +68,9 @@ var (
 
 // Config wires a Registry into its host.
 type Config struct {
-	// Dir is the persistence directory (-data-dir); "" disables
-	// persistence (state lives for the process only).
+	// Dir is the persistence directory (-data-dir), which holds the one
+	// snapshot file registry.json; "" disables persistence (state lives
+	// for the process only).
 	Dir string
 	// Compile recompiles a recovered version's serving artifact; required.
 	// The server injects its singleflight compile cache, so recovery shares
@@ -191,11 +192,8 @@ type Registry struct {
 
 	routes atomic.Pointer[routeTable]
 
-	ready      atomic.Bool
-	readyErr   atomic.Pointer[string]
-	recovering atomic.Bool
-
-	persist persister
+	ready    atomic.Bool
+	readyErr atomic.Pointer[string]
 }
 
 // New creates a registry. Snapshot loading is deferred to Recover so the
@@ -203,11 +201,7 @@ type Registry struct {
 // (see /readyz); until Recover completes, serving and mutations fail with
 // ErrNotReady.
 func New(cfg Config) *Registry {
-	r := &Registry{cfg: cfg, models: make(map[string]*model)}
-	r.persist.dir = cfg.Dir
-	r.persist.logf = r.logf
-	r.recovering.Store(true)
-	return r
+	return &Registry{cfg: cfg, models: make(map[string]*model)}
 }
 
 // Ready reports whether recovery completed and the route table serves.
@@ -223,13 +217,6 @@ func (r *Registry) ReadyReason() string {
 		return "registry recovery failed: " + *msg
 	}
 	return "registry recovery in progress"
-}
-
-// Close releases the transition log handle.
-func (r *Registry) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.persist.close()
 }
 
 func (r *Registry) logf(format string, args ...any) {
@@ -255,14 +242,18 @@ type Submission struct {
 	// both zero when the submission carries no monitor.
 	MonitorFingerprint string
 	MonitorOpts        vnn.MonitorOptions
+	// GateJob is the job/trace id of the host's gate run, recorded with
+	// the version so its events are addressable from the moment it exists.
+	GateJob string
 }
 
 // Submit registers a new pending version of sub.Model (creating the model
 // on first submission) and persists the snapshot so a crash mid-gate is
-// recovered as a rejected version, never a silently lost one.
+// recovered as a rejected version, never a silently lost one. A registry
+// that is not ready refuses with ErrNotReady, wrapped with the reason.
 func (r *Registry) Submit(sub Submission) (*Version, error) {
 	if !r.ready.Load() {
-		return nil, ErrNotReady
+		return nil, fmt.Errorf("%w: %s", ErrNotReady, r.ReadyReason())
 	}
 	if sub.Model == "" {
 		return nil, fmt.Errorf("vnnregistry: submission needs a model name")
@@ -285,25 +276,15 @@ func (r *Registry) Submit(sub Submission) (*Version, error) {
 		gate:        sub.Gate,
 		monitorFP:   sub.MonitorFingerprint,
 		monitorOpts: sub.MonitorOpts,
+		jobID:       sub.GateJob,
 		submitted:   time.Now(),
 		net:         sub.Net,
 		region:      sub.Region,
 	}
 	m.versions = append(m.versions, v)
 	v.transitions = []vnn.TransitionJSON{{To: string(StatePending), Reason: "submitted", AtUnixMS: v.submitted.UnixMilli()}}
-	r.persist.appendTransition(transitionRecord{
-		AtUnixMS: v.submitted.UnixMilli(), Model: v.model, Version: v.seq,
-		From: "", To: string(StatePending), Reason: "submitted",
-	})
 	r.saveLocked()
 	return v, nil
-}
-
-// SetGateJob records the job/trace id of the version's gate run.
-func (r *Registry) SetGateJob(v *Version, jobID string) {
-	r.mu.Lock()
-	v.jobID = jobID
-	r.mu.Unlock()
 }
 
 // GateJob returns the gate job id for a model version.
@@ -324,16 +305,12 @@ func (r *Registry) GateJob(name string, seq int) (string, error) {
 	return v.jobID, nil
 }
 
-// transition moves a version to a new state, records the step in the
-// version history and the append-only log. Callers hold r.mu.
+// transitionLocked moves a version to a new state and records the step in
+// the version history; the caller's snapshot save persists it. Callers
+// hold r.mu.
 func (r *Registry) transitionLocked(v *Version, to State, reason string) {
-	now := time.Now()
 	v.transitions = append(v.transitions, vnn.TransitionJSON{
-		From: string(v.state), To: string(to), Reason: reason, AtUnixMS: now.UnixMilli(),
-	})
-	r.persist.appendTransition(transitionRecord{
-		AtUnixMS: now.UnixMilli(), Model: v.model, Version: v.seq,
-		From: string(v.state), To: string(to), Reason: reason,
+		From: string(v.state), To: string(to), Reason: reason, AtUnixMS: time.Now().UnixMilli(),
 	})
 	v.state = to
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -58,7 +59,6 @@ func newReady(t *testing.T, cfg Config) *Registry {
 	if !r.Ready() || r.ReadyReason() != "" {
 		t.Fatalf("not ready after Recover: %q", r.ReadyReason())
 	}
-	t.Cleanup(func() { r.Close() })
 	return r
 }
 
@@ -390,15 +390,28 @@ func TestPersistenceRecovery(t *testing.T) {
 	if _, err := r1.Promote("m", 2, 25); err != nil {
 		t.Fatal(err)
 	}
-	// A third version is left pending: the "crash mid-gate" case.
+	// A third version is left pending: the "crash mid-gate" case. The
+	// crash itself is r1 going out of use with no shutdown step.
 	if _, err := r1.Submit(submission(t, "m", absNet(), nil)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r1.Close(); err != nil {
+	pre, err := r1.Model("m")
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The snapshot and audit log must both exist and be well-formed.
+	// The snapshot is the data dir's only file, and it is well-formed.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != snapshotFile {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("data dir holds %v, want only %s", names, snapshotFile)
+	}
 	raw, err := os.ReadFile(filepath.Join(dir, snapshotFile))
 	if err != nil {
 		t.Fatal(err)
@@ -410,21 +423,6 @@ func TestPersistenceRecovery(t *testing.T) {
 	if snap.Schema != snapshotSchema || len(snap.Models) != 1 || len(snap.Models[0].Versions) != 3 {
 		t.Fatalf("snapshot: schema %q, %d models", snap.Schema, len(snap.Models))
 	}
-	logRaw, err := os.ReadFile(filepath.Join(dir, transitionsLog))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(logRaw)), "\n")
-	// 3 submissions + admit×2 + live + canary = 7 lifecycle steps.
-	if len(lines) != 7 {
-		t.Fatalf("%d transition-log lines, want 7:\n%s", len(lines), logRaw)
-	}
-	for _, line := range lines {
-		var rec transitionRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("transition line %q: %v", line, err)
-		}
-	}
 
 	var compiles atomic.Int64
 	r2 := newReady(t, testConfig(dir, &compiles))
@@ -435,9 +433,25 @@ func TestPersistenceRecovery(t *testing.T) {
 	if md.Live != 1 || md.Canary != 2 || md.CanaryPercent != 25 {
 		t.Fatalf("recovered routing: %+v", md)
 	}
+	// The snapshot is the whole audit trail: the settled versions' histories
+	// come back step for step, and the interrupted gate gains exactly the
+	// one step that rejects it.
+	for i := 0; i < 2; i++ {
+		if got, want := md.Versions[i].Transitions, pre.Versions[i].Transitions; !reflect.DeepEqual(got, want) {
+			t.Fatalf("v%d history after restart %+v, want %+v", i+1, got, want)
+		}
+	}
 	v3 := md.Versions[2]
-	if v3.State != string(StateRejected) || !strings.Contains(v3.GateError, "interrupted") {
+	const interrupted = "gate interrupted by daemon restart"
+	if v3.State != string(StateRejected) || v3.GateError != interrupted {
 		t.Fatalf("interrupted pending version recovered as %q (%q)", v3.State, v3.GateError)
+	}
+	preV3 := pre.Versions[2].Transitions
+	if n := len(v3.Transitions); n != len(preV3)+1 || !reflect.DeepEqual(v3.Transitions[:n-1], preV3) {
+		t.Fatalf("v3 history after restart %+v, want %+v plus one step", v3.Transitions, preV3)
+	}
+	if last := v3.Transitions[len(v3.Transitions)-1]; last.From != string(StatePending) || last.To != string(StateRejected) || last.Reason != interrupted {
+		t.Fatalf("v3 recovery step %+v", last)
 	}
 	// Only the routable versions recompile; the interrupted one is dead.
 	if n := compiles.Load(); n != 2 {

@@ -139,7 +139,6 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest) (*jobPlan, error) {
 	}
 	return &jobPlan{
 		route:       "/v1/analyze",
-		status:      statusFor,
 		fingerprint: wl.fingerprint,
 		async:       req.Wait != nil && !*req.Wait,
 		timeoutMS:   req.TimeoutMS,

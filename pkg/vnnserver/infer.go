@@ -199,7 +199,7 @@ func validateInputs(inputs FloatMatrix, net *vnn.Network) error {
 // the model name resolves through the atomically-published route table to
 // a certified version whose compiled artifact and monitor are already
 // warm. Registry sentinel errors pass through for status mapping
-// (registryStatus); everything else is the client's fault.
+// (statusFor); everything else is the client's fault.
 func (s *Server) prepareModelInfer(req *InferRequest, name string) (*preparedInfer, *vnnregistry.Resolved, error) {
 	if len(req.Network) > 0 || req.Fingerprint != "" || req.Monitor != nil || req.MonitorFingerprint != "" {
 		return nil, nil, fmt.Errorf("a model request routes through the registry: network, fingerprint and monitor fields must be empty")
@@ -387,7 +387,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			status := http.StatusBadRequest
 			if errors.Is(err, vnnregistry.ErrNotReady) || errors.Is(err, vnnregistry.ErrUnknownModel) || errors.Is(err, vnnregistry.ErrNoServing) {
-				status = registryStatus(err)
+				status = statusFor(err)
 			}
 			writeError(w, status, err.Error())
 			return

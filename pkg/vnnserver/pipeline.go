@@ -253,8 +253,6 @@ type jobPlan struct {
 	// one of tenantRoutes the request is also accounted under its
 	// X-API-Key tenant (the gate has no per-tenant series).
 	route string
-	// status maps a run-stage error to its HTTP status.
-	status func(error) int
 
 	fingerprint string
 	// async answers 202 at once and runs the job detached from the HTTP
@@ -262,11 +260,9 @@ type jobPlan struct {
 	async bool
 	// timeoutMS is the request's own budget; 0 means the server default.
 	timeoutMS int
-	// notReady, when non-empty, answers 503 before admission.
-	notReady string
 	// submit, when set, runs right after admission with the job the
 	// request will run as; its failure releases the admission token again,
-	// fails the job and answers status(err).
+	// fails the job and answers statusFor(err).
 	submit func(jb *job) error
 	// accepted renders the 202 body; nil means AcceptedResponse.
 	accepted func(jb *job) any
@@ -298,10 +294,6 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, req any, prepa
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if p.notReady != "" {
-		writeError(w, http.StatusServiceUnavailable, p.notReady)
-		return
-	}
 	s.drainMu.Lock()
 	if s.draining.Load() {
 		s.drainMu.Unlock()
@@ -327,7 +319,7 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, req any, prepa
 				s.wg.Done()
 			}
 			jb.finish(nil, err)
-			writeError(w, p.status(err), err.Error())
+			writeError(w, statusFor(err), err.Error())
 			return
 		}
 	}
@@ -345,7 +337,7 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, req any, prepa
 	if !p.async {
 		resp, err := s.runJob(r.Context(), p, jb, tr, tn)
 		if err != nil {
-			writeError(w, p.status(err), err.Error())
+			writeError(w, statusFor(err), err.Error())
 			return
 		}
 		writeJSON(w, http.StatusOK, resp)

@@ -3,6 +3,7 @@ package vnnserver
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,16 +11,16 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/pkg/vnnregistry"
 )
 
 // TestServeJobSubmitFailureReleasesAdmission pins the undo half of the
-// gate's admit-then-Submit sequence, which no request can provoke from
-// outside (registry.Submit only fails in a race with readiness): when a
-// plan's submit hook fails after admission, the token is released, the
-// error maps through the route's status func, the run body never starts,
-// and — for async plans — the drain waitgroup is balanced.
+// gate's admit-then-Submit sequence: when a plan's submit hook fails after
+// admission, the token is released, the error maps through statusFor, the
+// run body never starts, and — for async plans — the drain waitgroup is
+// balanced.
 func TestServeJobSubmitFailureReleasesAdmission(t *testing.T) {
-	errSubmit := errors.New("submit refused")
+	errSubmit := fmt.Errorf("submit refused: %w", vnnregistry.ErrBadTransition)
 	for _, async := range []bool{false, true} {
 		s := New(Config{})
 		var failed *job
@@ -29,7 +30,6 @@ func TestServeJobSubmitFailureReleasesAdmission(t *testing.T) {
 			return &jobPlan{
 				route:  "gate",
 				async:  async,
-				status: func(error) int { return http.StatusConflict },
 				submit: func(jb *job) error { failed = jb; return errSubmit },
 				run: func(context.Context, *job, *obs.Span, int) (any, error) {
 					t.Error("run body started after a failed submit")

@@ -87,22 +87,6 @@ type ModelsResponse struct {
 // Registry exposes the rollout registry (tests, embedding hosts).
 func (s *Server) Registry() *vnnregistry.Registry { return s.registry }
 
-// registryStatus maps registry errors onto HTTP statuses: not-ready to
-// 503 (readiness, not failure), unknown names to 404, lifecycle misuse
-// to 409 — then the shared statusFor rules.
-func registryStatus(err error) int {
-	switch {
-	case errors.Is(err, vnnregistry.ErrNotReady):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, vnnregistry.ErrUnknownModel), errors.Is(err, vnnregistry.ErrUnknownVersion):
-		return http.StatusNotFound
-	case errors.Is(err, vnnregistry.ErrNoServing), errors.Is(err, vnnregistry.ErrBadTransition):
-		return http.StatusConflict
-	default:
-		return statusFor(err)
-	}
-}
-
 // prepareModelSubmit validates everything that can be the client's
 // fault — name, network, region, gate (its analyses built exactly as
 // /v1/analyze builds its own) and monitor spec — and plans the gate run.
@@ -154,20 +138,17 @@ func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*jobPlan, error) {
 	var v *vnnregistry.Version // set by submit
 	return &jobPlan{
 		route:       "gate",
-		status:      registryStatus,
 		fingerprint: wl.fingerprint,
 		// The gate defaults to asynchronous — it runs real verification
 		// workloads — but follows the same admit-at-submit discipline as
 		// /v1/verify: backpressure is immediate either way.
 		async:     req.Wait == nil || !*req.Wait,
 		timeoutMS: timeoutMS,
-		// Submission is a registry mutation: it needs a recovered registry
-		// even before admission.
-		notReady: s.registry.ReadyReason(),
+		// A registry that is not ready refuses the submission here
+		// (ErrNotReady, 503), and serveJob hands the admission back.
 		submit: func(jb *job) (err error) {
-			if v, err = s.registry.Submit(sub); err == nil {
-				s.registry.SetGateJob(v, jb.id)
-			}
+			sub.GateJob = jb.id
+			v, err = s.registry.Submit(sub)
 			return err
 		},
 		accepted: func(jb *job) any {
@@ -223,7 +204,7 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	doc, err := s.registry.Model(r.PathValue("name"))
 	if err != nil {
-		writeError(w, registryStatus(err), err.Error())
+		writeError(w, statusFor(err), err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, doc)
@@ -246,14 +227,14 @@ func (s *Server) handleModelEvents(w http.ResponseWriter, r *http.Request) {
 	if seq == 0 {
 		doc, err := s.registry.Model(name)
 		if err != nil {
-			writeError(w, registryStatus(err), err.Error())
+			writeError(w, statusFor(err), err.Error())
 			return
 		}
 		seq = len(doc.Versions)
 	}
 	jobID, err := s.registry.GateJob(name, seq)
 	if err != nil {
-		writeError(w, registryStatus(err), err.Error())
+		writeError(w, statusFor(err), err.Error())
 		return
 	}
 	jb := s.jobs.get(jobID)
@@ -281,7 +262,7 @@ func (s *Server) handleModelPromote(w http.ResponseWriter, r *http.Request) {
 	}
 	doc, err := s.registry.Promote(r.PathValue("name"), req.Version, pct)
 	if err != nil {
-		writeError(w, registryStatus(err), err.Error())
+		writeError(w, statusFor(err), err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, ModelSubmitResponse{ModelVersionJSON: doc})
@@ -294,7 +275,7 @@ func (s *Server) handleModelRollback(w http.ResponseWriter, r *http.Request) {
 	}
 	doc, err := s.registry.Rollback(r.PathValue("name"))
 	if err != nil {
-		writeError(w, registryStatus(err), err.Error())
+		writeError(w, statusFor(err), err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, ModelSubmitResponse{ModelVersionJSON: doc})

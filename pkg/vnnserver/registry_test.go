@@ -481,6 +481,71 @@ func TestModelRestartRecovery(t *testing.T) {
 	}
 }
 
+// TestModelSubmitNotReadyReleasesAdmission: a data dir whose snapshot has
+// a foreign schema parks the registry not-ready. A submission, sync or
+// async, is admitted, refused by Submit and answered 503 with the
+// recovery failure; the admission token and the async drain slot are
+// handed back, and nothing is registered.
+func TestModelSubmitNotReadyReleasesAdmission(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "registry.json"), []byte(`{"schema":"bogus/v9"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newTestServer(t, vnnserver.Config{DataDir: dir})
+	deadline := time.Now().Add(10 * time.Second)
+	for !strings.Contains(srv.Registry().ReadyReason(), "recovery failed") {
+		if time.Now().After(deadline) {
+			t.Fatalf("registry did not park not-ready: %q", srv.Registry().ReadyReason())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	netJSON, err := vnn.MarshalNetwork(rolloutNet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := true
+	for _, w := range []*bool{&wait, nil} {
+		body, err := json.Marshal(vnnserver.ModelSubmitRequest{
+			Model:   "demo",
+			Network: netJSON,
+			Region:  vnn.RegionSpec{Box: [][2]float64{{0, 1}, {0, 1}}},
+			Gate:    gateAtMost(1.5),
+			Wait:    w,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/models", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			Error string `json:"error"`
+		}
+		json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(out.Error, "registry recovery failed") {
+			t.Fatalf("wait=%v: status %d, error %q", w != nil, resp.StatusCode, out.Error)
+		}
+	}
+	if n := srv.Metrics().Scheduler.Admitted; n != 0 {
+		t.Fatalf("%d admission tokens outstanding", n)
+	}
+	if docs := srv.Registry().Models(); len(docs) != 0 {
+		t.Fatalf("a refused submission registered %+v", docs)
+	}
+	drained := make(chan struct{})
+	go func() {
+		srv.Drain(0) // hangs on the waitgroup if the async slot leaked
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain did not return")
+	}
+}
+
 // tightNet is a 2→12→10→8→1 ReLU net with many unstable neurons over
 // [0, 1]², so LP tightening has real work on it.
 func tightNet() *nn.Network {

@@ -118,8 +118,9 @@ type Config struct {
 	// node's workload that they are opt-in.
 	EnablePprof bool
 	// DataDir is the model registry's persistence directory (cmd/vnnd's
-	// -data-dir flag): registry.json snapshot plus transitions.log. Empty
-	// means registry state lives for the process only.
+	// -data-dir flag). It holds one file, the registry.json snapshot,
+	// whose per-version transitions are the rollout record. Empty means
+	// registry state lives for the process only.
 	DataDir string
 	// DefaultGate applies to model submissions that carry no gate of
 	// their own (cmd/vnnd's -gate flag). Nil means ungated submissions
@@ -405,9 +406,6 @@ func (s *Server) Drain(grace time.Duration) {
 	}
 	s.cancelQueries()
 	s.wg.Wait()
-	// Every gate run has finished; release the transition log handle so
-	// the data dir is clean for the next process.
-	s.registry.Close()
 }
 
 // Draining reports whether Drain has been initiated.
@@ -486,7 +484,6 @@ func (s *Server) prepare(req *VerifyRequest) (*jobPlan, error) {
 	}
 	return &jobPlan{
 		route:       "/v1/verify",
-		status:      statusFor,
 		fingerprint: wl.fingerprint,
 		async:       req.Wait != nil && !*req.Wait,
 		timeoutMS:   req.TimeoutMS,
@@ -651,14 +648,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Metrics())
 }
 
-// statusFor maps a run-stage error to its HTTP status: saturation to 429,
-// an expired budget that never got to run to 504, drain/disconnect to
-// 503, and anything else to 500 — by this point the request has passed
-// validation (prepare rejects malformed inputs with 400 directly), so a
-// failure here is the server's inability to answer, not the client's
-// fault.
+// statusFor maps a run-stage or registry error to its HTTP status:
+// saturation to 429, an expired budget that never got to run to 504,
+// drain/disconnect and a registry that is not ready to 503, an unknown
+// model or version to 404, a model with nothing to serve or an illegal
+// lifecycle change to 409, and anything else to 500 — by this point the
+// request has passed validation (prepare rejects malformed inputs with
+// 400 directly), so a failure here is the server's inability to answer,
+// not the client's fault.
 func statusFor(err error) int {
 	switch {
+	case errors.Is(err, vnnregistry.ErrNotReady):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, vnnregistry.ErrUnknownModel), errors.Is(err, vnnregistry.ErrUnknownVersion):
+		return http.StatusNotFound
+	case errors.Is(err, vnnregistry.ErrNoServing), errors.Is(err, vnnregistry.ErrBadTransition):
+		return http.StatusConflict
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
 	case errors.Is(err, context.DeadlineExceeded):
