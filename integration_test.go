@@ -151,6 +151,7 @@ func TestSerializationAcrossPipeline(t *testing.T) {
 // warm attempts too, and sat at 40 then.
 func TestTable2ColdFallbackShare(t *testing.T) {
 	pred := trainPredictor(benchData(), 8)
+	var seqNodes int
 	for _, workers := range []int{1, 2} {
 		res, err := pred.VerifySafety(itCtx(t, 10*time.Minute), vnn.Options{Workers: workers})
 		if err != nil {
@@ -171,8 +172,17 @@ func TestTable2ColdFallbackShare(t *testing.T) {
 		// two numbers alone, and one that moves them has to say why. (The
 		// trained weights behind them go through math.Exp, which has its own
 		// implementation per architecture, so the pin is amd64's.)
-		if workers == 1 && runtime.GOARCH == "amd64" && (st.Nodes != 1372 || st.LPPivots != 28295) {
-			t.Errorf("workers=1: %d nodes / %d pivots, want exactly 1372 / 28295", st.Nodes, st.LPPivots)
+		if workers == 1 && runtime.GOARCH == "amd64" && (st.Nodes != 1260 || st.LPPivots != 26638) {
+			t.Errorf("workers=1: %d nodes / %d pivots, want exactly 1260 / 26638", st.Nodes, st.LPPivots)
+		}
+		// Two workers run epochs of several nodes between barriers and must
+		// not pay for them in speculation: their tree may differ from the
+		// sequential one, but not grow by more than 5 %. (Which tree each
+		// draws is as arch-dependent as the pin above.)
+		if workers == 1 {
+			seqNodes = st.Nodes
+		} else if runtime.GOARCH == "amd64" && 100*st.Nodes > 105*seqNodes {
+			t.Errorf("workers=%d: %d nodes, more than 5%% above workers=1's %d", workers, st.Nodes, seqNodes)
 		}
 		if st.MaxDepth < 1 || st.MaxDepth > st.Binaries || st.OpenHighWater < 1 || st.OpenHighWater > st.Nodes {
 			t.Errorf("workers=%d: max depth %d over %d binaries, open high-water %d over %d nodes",

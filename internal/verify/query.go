@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
+	"repro/internal/linalg"
 	"repro/internal/lp"
 	"repro/internal/milp"
+	"repro/internal/nn"
 )
 
 // Outcome is the verdict of one query — the one verdict enum of the
@@ -85,10 +88,15 @@ type Stats struct {
 	// solves, why warm attempts fell back, pivots by kind, certificates.
 	LP lp.Stats
 	// MaxDepth and OpenHighWater are the shape of the branch-and-bound tree:
-	// the deepest explored node and the most nodes ever open at once. Over
+	// the deepest explored node and the most nodes open at a barrier. Over
 	// several searches (one per output) each is the largest.
 	MaxDepth      int
 	OpenHighWater int
+	// FirstIncumbentNode is how many nodes a search had explored when its
+	// first incumbent reached the coordinator: exact at one worker, at most
+	// one epoch late at more (see milp.Options.Workers). 0 when no search
+	// found one; over several searches, the largest.
+	FirstIncumbentNode int
 }
 
 // add folds the effort of one more solve into s: work is summed, tree
@@ -102,6 +110,7 @@ func (s *Stats) add(r Stats) {
 	s.LP.Add(r.LP)
 	s.MaxDepth = max(s.MaxDepth, r.MaxDepth)
 	s.OpenHighWater = max(s.OpenHighWater, r.OpenHighWater)
+	s.FirstIncumbentNode = max(s.FirstIncumbentNode, r.FirstIncumbentNode)
 	s.Binaries = r.Binaries
 	s.StableNeurons = r.StableNeurons
 	s.HiddenNeurons = r.HiddenNeurons
@@ -161,11 +170,23 @@ func (c *Compiled) search(ctx context.Context, coeffs map[int]float64, floorp *f
 	if prove && floor > math.Inf(-1) { // a -Inf floor cuts nothing, and the LP takes no infinite row
 		enc.addFloor(coeffs, floor)
 	}
-	res, err := solveObjective(ctx, enc, coeffs, opts)
+	mo := opts.milpOptions()
+	mo.Heuristic = c.heuristic(enc, coeffs, floor)
+	firstInc, progress := 0, mo.Progress
+	mo.Progress = func(ev milp.Event) {
+		if firstInc == 0 && ev.HasIncumbent {
+			firstInc = ev.Nodes
+		}
+		if progress != nil {
+			progress(ev)
+		}
+	}
+	res, err := solveObjective(ctx, enc, coeffs, mo)
 	if err != nil {
 		return nil, err
 	}
 	out.Stats = enc.stats(res, start)
+	out.Stats.FirstIncumbentNode = firstInc
 	if res.Status == milp.Infeasible {
 		if !prove {
 			return nil, fmt.Errorf("verify: region is empty (MILP infeasible)")
@@ -205,23 +226,92 @@ func (c *Compiled) search(ctx context.Context, coeffs map[int]float64, floorp *f
 // outputOrder: what a witness is worth, whatever the relaxation at its
 // leaf claimed.
 func (c *Compiled) value(coeffs map[int]float64, x []float64) float64 {
-	y := c.net.Forward(x)
-	var v float64
-	for _, oi := range outputOrder(coeffs) {
-		v += coeffs[oi] * y[oi]
+	return newValuer(c.net, coeffs).value(x)
+}
+
+// valuer values inputs for one functional: nn.Network.Forward's reference
+// numerics (one linalg.Dot per neuron) in two buffers it owns, then the
+// functional's terms summed in outputOrder. One valuer serves one
+// goroutine at a time.
+type valuer struct {
+	net    *nn.Network
+	outs   []int
+	coeffs []float64
+	in     []float64 // an input-sized buffer for the caller
+	buf    [2][]float64
+}
+
+func newValuer(net *nn.Network, coeffs map[int]float64) *valuer {
+	v := &valuer{net: net, outs: outputOrder(coeffs), in: make([]float64, net.InputDim())}
+	for _, oi := range v.outs {
+		v.coeffs = append(v.coeffs, coeffs[oi])
 	}
+	width := 0
+	for _, l := range net.Layers {
+		width = max(width, l.OutDim())
+	}
+	v.buf = [2][]float64{make([]float64, width), make([]float64, width)}
 	return v
+}
+
+func (v *valuer) value(x []float64) float64 {
+	cur := x
+	for li, l := range v.net.Layers {
+		next := v.buf[li%2][:l.OutDim()]
+		for i, row := range l.W {
+			next[i] = l.Act.Apply(linalg.Dot(row, cur) + l.B[i])
+		}
+		cur = next
+	}
+	var s float64
+	for k, oi := range v.outs {
+		s += v.coeffs[k] * cur[oi]
+	}
+	return s
+}
+
+// regionTol is how far outside a linear region row the heuristic still
+// takes a point to lie inside it.
+const regionTol = 1e-9
+
+// heuristic is a search's primal heuristic (milp.Options.Heuristic). It
+// turns a node's LP point into a region point by clamping its input
+// coordinates to the box, declines it when a linear region row fails, and
+// values it by the forward pass; in a threshold proof (a floor above -Inf)
+// it declines values below the floor. A region point's forward pass is
+// reached by the exact encoding, so the MILP's maximum is at least its
+// value. The valuers are pooled, so the workers' concurrent calls share
+// nothing and allocate nothing in steady state.
+func (c *Compiled) heuristic(enc *encoding, coeffs map[int]float64, floor float64) func(x, point []float64) (float64, bool) {
+	pool := &sync.Pool{New: func() any { return newValuer(c.net, coeffs) }}
+	return func(x, point []float64) (float64, bool) {
+		v := pool.Get().(*valuer)
+		defer pool.Put(v)
+		copy(point, x)
+		for i, iv := range c.region.Box {
+			v.in[i] = math.Min(math.Max(x[enc.inputs[i]], iv.Lo), iv.Hi)
+			point[enc.inputs[i]] = v.in[i]
+		}
+		if !c.region.Contains(v.in, regionTol) {
+			return 0, false
+		}
+		val := v.value(v.in)
+		if val < floor {
+			return 0, false
+		}
+		return val, true
+	}
 }
 
 // solveObjective sets Σ coeffs[k]·output[k] as the (maximized) objective on
 // the encoding's model and runs the MILP under ctx. The encoding's model is
 // mutated; callers pass a clone when the encoding is shared.
-func solveObjective(ctx context.Context, enc *encoding, coeffs map[int]float64, opts Options) (*milp.Result, error) {
+func solveObjective(ctx context.Context, enc *encoding, coeffs map[int]float64, opts milp.Options) (*milp.Result, error) {
 	for oi, cf := range coeffs {
 		enc.model.SetObjective(enc.outputs[oi], cf)
 	}
 	enc.model.SetMaximize(true)
-	return milp.SolveCtx(ctx, milp.Problem{Model: enc.model, Integers: enc.binaries}, opts.milpOptions())
+	return milp.SolveCtx(ctx, milp.Problem{Model: enc.model, Integers: enc.binaries}, opts)
 }
 
 // addFloor restricts the encoding's model to Σ coeffs[k]·output[k] ≥ floor:

@@ -133,6 +133,10 @@ func TestVerifyTraceSpanTree(t *testing.T) {
 	if _, ok := solve.Attrs["bb_max_depth"]; !ok || attr("bb_open_high_water") > attr("nodes") {
 		t.Fatalf("solve span attrs = %v, want bb_max_depth and bb_open_high_water <= nodes", solve.Attrs)
 	}
+	// ...and how far into the search its first incumbent came.
+	if _, ok := solve.Attrs["bb_first_incumbent_node"]; !ok || attr("bb_first_incumbent_node") > attr("nodes") {
+		t.Fatalf("solve span attrs = %v, want bb_first_incumbent_node <= nodes", solve.Attrs)
+	}
 
 	// A second identical request hits the cache: no compile child.
 	var vr2 vnnserver.VerifyResponse

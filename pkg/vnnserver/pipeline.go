@@ -150,6 +150,7 @@ type effort struct {
 	solves, nodes, pivots   int64
 	lp                      lp.Stats
 	maxDepth, openHighWater int // largest over the response's searches
+	firstIncumbentNode      int // likewise
 }
 
 func (e *effort) add(results []*vnn.Result) {
@@ -160,18 +161,20 @@ func (e *effort) add(results []*vnn.Result) {
 		e.lp.Add(res.Stats.LP)
 		e.maxDepth = max(e.maxDepth, res.Stats.MaxDepth)
 		e.openHighWater = max(e.openHighWater, res.Stats.OpenHighWater)
+		e.firstIncumbentNode = max(e.firstIncumbentNode, res.Stats.FirstIncumbentNode)
 	}
 }
 
 // annotate puts the effort on the solve span: the two totals /metrics
-// also carries, and the shape of the search tree and the LP engine's own
-// account of how the node relaxations were solved, which only the trace
-// shows.
+// also carries, and the shape of the search tree — with how many nodes it
+// took to the first incumbent — and the LP engine's own account of how the
+// node relaxations were solved, which only the trace shows.
 func (e *effort) annotate(sp *obs.Span) {
 	sp.SetAttr("nodes", e.nodes)
 	sp.SetAttr("lp_pivots", e.pivots)
 	sp.SetAttr("bb_max_depth", e.maxDepth)
 	sp.SetAttr("bb_open_high_water", e.openHighWater)
+	sp.SetAttr("bb_first_incumbent_node", e.firstIncumbentNode)
 	for _, a := range []struct {
 		key string
 		n   int
