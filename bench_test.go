@@ -3,6 +3,7 @@
 // index and EXPERIMENTS.md for measured results):
 //
 //	BenchmarkTable2/*            — Table II: verification of I<d>×<w> predictors
+//	                               (the I2 sweep and one I3x8 row)
 //	BenchmarkTable2ProveBound    — Table II last row: prove lat vel ≤ 3 m/s
 //	BenchmarkFig1Snapshot        — Fig. 1: scene + predicted action distribution
 //	BenchmarkCertificationPipeline — Table I: the full methodology
@@ -52,9 +53,15 @@ var benchWidths = []int{4, 6, 8, 10}
 
 const benchDepth = 2
 
+// benchDeepWidth is the width of the ladder's one depth-3 row, I3x8: deep
+// enough for the branching order to show, small enough to prove in a
+// fraction of a second.
+const benchDeepWidth = 8
+
 type benchState struct {
 	data   []train.Sample
 	preds  map[int]*core.Predictor // by width, plain MDN training
+	deep   *core.Predictor         // I3x8, trained the same way
 	hinted *core.Predictor
 }
 
@@ -86,8 +93,9 @@ func setup(b *testing.B) *benchState {
 		state.data = clean
 		state.preds = map[int]*core.Predictor{}
 		for _, w := range benchWidths {
-			state.preds[w] = trainPredictor(clean, w)
+			state.preds[w] = trainPredictor(clean, benchDepth, w)
 		}
+		state.deep = trainPredictor(clean, 3, benchDeepWidth)
 		// Hinted variant: the same plain network fine-tuned under the
 		// property (penalty + region samples + counterexample rounds).
 		state.hinted = &core.Predictor{Net: state.preds[benchWidths[0]].Net.Clone(), K: 2}
@@ -98,8 +106,8 @@ func setup(b *testing.B) *benchState {
 	return &state
 }
 
-func trainPredictor(data []train.Sample, width int) *core.Predictor {
-	pred := core.NewPredictorNet(benchDepth, width, 2, int64(width)*31+7)
+func trainPredictor(data []train.Sample, depth, width int) *core.Predictor {
+	pred := core.NewPredictorNet(depth, width, 2, int64(width)*31+7)
 	tr := &train.Trainer{
 		Net: pred.Net, Loss: train.MDN{K: 2}, Opt: train.NewAdam(0.003),
 		BatchSize: 64, Rng: rand.New(rand.NewSource(int64(width))), ClipNorm: 20,
@@ -113,9 +121,18 @@ func trainPredictor(data []train.Sample, width int) *core.Predictor {
 // it. The reported custom metrics carry the table's two columns.
 func BenchmarkTable2(b *testing.B) {
 	st := setup(b)
+	type row struct {
+		arch string
+		pred *core.Predictor
+	}
+	var rows []row
 	for _, w := range benchWidths {
-		pred := st.preds[w]
-		b.Run(fmt.Sprintf("I%dx%d", benchDepth, w), func(b *testing.B) {
+		rows = append(rows, row{fmt.Sprintf("I%dx%d", benchDepth, w), st.preds[w]})
+	}
+	rows = append(rows, row{fmt.Sprintf("I3x%d", benchDeepWidth), st.deep})
+	for _, r := range rows {
+		pred := r.pred
+		b.Run(r.arch, func(b *testing.B) {
 			var last *vnn.Result
 			ctx := benchCtx(b)
 			for i := 0; i < b.N; i++ {

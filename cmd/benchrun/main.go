@@ -17,9 +17,12 @@
 // Gate a change against the committed ladder — re-runs the same
 // benchmarks and fails if any hot-path benchmark regresses by more than
 // -tolerance in ns/op, if a benchmark the baseline records as
-// allocation-free allocates, or if a sequential search (a "workers1"
-// row) explores a different number of nodes or pivots than recorded —
-// effort at one worker is a function of the code, not of the machine:
+// allocation-free allocates, or if a whole search explores a different
+// number of nodes or pivots than recorded. Effort at one worker (a
+// "workers1" row) is a function of the code, not of the machine, and is
+// gated everywhere; effort at GOMAXPROCS workers is a function of the
+// code and the worker count, and is gated when the machine's GOMAXPROCS
+// is the ladder's:
 //
 //	go run ./cmd/benchrun -against BENCH_infer.json \
 //	  -benchtime 1000x -count 5
@@ -73,7 +76,7 @@ var suiteSets = map[string]struct {
 	"verify": {"bench-verify/v1", []suite{
 		{pkg: "./internal/linalg/", bench: "BenchmarkAxpy|BenchmarkScale"},
 		{pkg: "./internal/lp/", bench: "BenchmarkWarmResolve|BenchmarkColdResolve|BenchmarkNodeResolve"},
-		{pkg: ".", bench: "BenchmarkTable2$/^I2x8$|BenchmarkEngineWorkers", benchtime: "3x"},
+		{pkg: ".", bench: "BenchmarkTable2$/^(I2x8|I3x8)$|BenchmarkEngineWorkers", benchtime: "3x"},
 	}},
 }
 
@@ -176,8 +179,9 @@ var referenceBench = regexp.MustCompile(`^(BenchmarkForward$|BenchmarkMatVecDot(
 
 // sequentialBench marks the one-worker searches, whose node and pivot
 // counts do not depend on the machine and are gated exactly. The other
-// whole-solve rows run on GOMAXPROCS workers: their counts are recorded
-// (deterministic per core count) but only their time is gated.
+// whole-solve rows run on GOMAXPROCS workers: their counts are
+// deterministic per worker count, so they are gated exactly only on a
+// machine with the ladder's GOMAXPROCS.
 var sequentialBench = regexp.MustCompile(`/workers1$`)
 
 // benchLine matches one `go test -bench` result line, e.g.
@@ -218,9 +222,9 @@ func runSuites(suites []suite, benchtime string, count int) ([]Result, error) {
 				case "inputs/s":
 					inputs, _ = strconv.ParseFloat(f[1], 64)
 				case "bbNodes":
-					nodes, _ = strconv.ParseInt(f[1], 10, 64)
+					nodes = parseCount(f[1])
 				case "lpPivots":
-					pivots, _ = strconv.ParseInt(f[1], 10, 64)
+					pivots = parseCount(f[1])
 				}
 			}
 			r, ok := best[name]
@@ -259,6 +263,13 @@ func runSuites(suites []suite, benchtime string, count int) ([]Result, error) {
 	return results, nil
 }
 
+// parseCount reads a count a benchmark reported through ReportMetric,
+// which prints a small one with a fraction ("394.0 bbNodes").
+func parseCount(s string) int64 {
+	v, _ := strconv.ParseFloat(s, 64)
+	return int64(v)
+}
+
 func gate(path string, fresh []Result, tol float64) {
 	base, err := load(path)
 	if err != nil {
@@ -292,7 +303,8 @@ func gate(path string, fresh []Result, tol float64) {
 			fmt.Printf("FAIL %-28s allocates (%d allocs/op, baseline 0)\n", b.Name, f.AllocsPerOp)
 			failed = true
 		}
-		if sequentialBench.MatchString(b.Name) && (f.BBNodes != b.BBNodes || f.LPPivots != b.LPPivots) {
+		sameWorkers := sequentialBench.MatchString(b.Name) || base.GOMAXPROCS == runtime.GOMAXPROCS(0)
+		if sameWorkers && (f.BBNodes != b.BBNodes || f.LPPivots != b.LPPivots) {
 			fmt.Printf("FAIL %-28s searched %d nodes / %d pivots, baseline %d / %d\n",
 				b.Name, f.BBNodes, f.LPPivots, b.BBNodes, b.LPPivots)
 			failed = true

@@ -150,7 +150,7 @@ func TestSerializationAcrossPipeline(t *testing.T) {
 // 2 % means the warm path has gone cold again. Pivots per node count failed
 // warm attempts too, and sat at 40 then.
 func TestTable2ColdFallbackShare(t *testing.T) {
-	pred := trainPredictor(benchData(), 8)
+	pred := trainPredictor(benchData(), benchDepth, 8)
 	var seqNodes int
 	for _, workers := range []int{1, 2} {
 		res, err := pred.VerifySafety(itCtx(t, 10*time.Minute), vnn.Options{Workers: workers})
@@ -172,8 +172,8 @@ func TestTable2ColdFallbackShare(t *testing.T) {
 		// two numbers alone, and one that moves them has to say why. (The
 		// trained weights behind them go through math.Exp, which has its own
 		// implementation per architecture, so the pin is amd64's.)
-		if workers == 1 && runtime.GOARCH == "amd64" && (st.Nodes != 1260 || st.LPPivots != 26638) {
-			t.Errorf("workers=1: %d nodes / %d pivots, want exactly 1260 / 26638", st.Nodes, st.LPPivots)
+		if workers == 1 && runtime.GOARCH == "amd64" && (st.Nodes != 395 || st.LPPivots != 7390) {
+			t.Errorf("workers=1: %d nodes / %d pivots, want exactly 395 / 7390", st.Nodes, st.LPPivots)
 		}
 		// Two workers run epochs of several nodes between barriers and must
 		// not pay for them in speculation: their tree may differ from the

@@ -11,7 +11,9 @@
 // incumbent — does the worker take the best open node it holds. The proven
 // bound is the minimum over everything still open, so it tightens
 // monotonically all the same. An optional primal heuristic
-// (Options.Heuristic) turns fractional LP points into incumbents.
+// (Options.Heuristic) turns fractional LP points into incumbents, and an
+// optional score (Options.Score) picks which fractional integer a node
+// branches on.
 //
 // The engine is parallel and warm-started: Options.Workers workers each
 // own a model clone and a persistent lp.Solver, and every relaxation
@@ -153,6 +155,13 @@ type Options struct {
 	// prune the node at once. Workers call it concurrently, and it must not
 	// keep x or point.
 	Heuristic func(x, point []float64) (obj float64, ok bool)
+	// Score, when non-nil, chooses the branching variable: among the
+	// integers fractional beyond intTol at a node's LP point x, the search
+	// branches on Problem.Integers[i] for the i with the largest
+	// Score(x, i), the lowest such i on a tie. It is called only for
+	// fractional integers. Nil branches on the most fractional one. Workers
+	// call it concurrently, and it must not keep x.
+	Score func(x []float64, i int) float64
 }
 
 // Result is the outcome of a MILP solve.
@@ -244,6 +253,7 @@ type tree struct {
 	lpOpts         lp.Options
 	maximize       bool
 	heuristic      func(x, point []float64) (float64, bool)
+	score          func(x []float64, i int) float64
 }
 
 // toMin maps a model-direction objective to the minimize direction the
@@ -468,15 +478,7 @@ func (w *worker) process(nd *node, sol *lp.Solution, t *tree) bool {
 		return true
 	}
 
-	// Find the most fractional integer variable.
-	branchVar, worst := -1, intTol
-	for _, v := range t.integers {
-		f := sol.X[v]
-		frac := math.Abs(f - math.Round(f))
-		if frac > worst {
-			branchVar, worst = v, frac
-		}
-	}
+	branchVar := t.branchVar(sol.X)
 	if branchVar < 0 {
 		// Integer feasible: candidate incumbent.
 		if nodeBound < ep.bestMin {
@@ -520,6 +522,28 @@ func (w *worker) process(nd *node, sol *lp.Solution, t *tree) bool {
 	w.dive = dive
 	heap.Push(&ep.open, sibling)
 	return true
+}
+
+// branchVar returns the integer variable to branch on at LP point x: of
+// those fractional beyond intTol, the one with the largest score, or the
+// most fractional one without a score; the first in Problem.Integers order
+// on a tie. -1 means x is integer feasible.
+func (t *tree) branchVar(x []float64) int {
+	branchVar, best := -1, intTol
+	for i, v := range t.integers {
+		frac := math.Abs(x[v] - math.Round(x[v]))
+		if frac <= intTol {
+			continue
+		}
+		key := frac
+		if t.score != nil {
+			key = t.score(x, i)
+		}
+		if branchVar < 0 || key > best {
+			branchVar, best = v, key
+		}
+	}
+	return branchVar
 }
 
 // incumbent records a better point found by the worker.
@@ -584,6 +608,7 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 		intSet:    make(map[int]bool, len(p.Integers)),
 		maximize:  p.Model.Maximizing(),
 		heuristic: opts.Heuristic,
+		score:     opts.Score,
 	}
 	if ctx.Done() != nil {
 		// Reach into each node's pivot loop: the solve must notice a

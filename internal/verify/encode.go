@@ -24,6 +24,7 @@ package verify
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bounds"
 	"repro/internal/lp"
@@ -68,6 +69,10 @@ func (r *InputRegion) Validate(net *nn.Network) error {
 }
 
 // Contains reports whether x satisfies the region (box and linear parts).
+// A linear row is summed in ascending input index, the rule outputOrder
+// sets for functionals, so a point near a row's boundary gets the same
+// answer on every call (Go randomises map iteration; float addition is
+// not associative).
 func (r *InputRegion) Contains(x []float64, tol float64) bool {
 	for i, iv := range r.Box {
 		if x[i] < iv.Lo-tol || x[i] > iv.Hi+tol {
@@ -76,8 +81,10 @@ func (r *InputRegion) Contains(x []float64, tol float64) bool {
 	}
 	for _, lc := range r.Linear {
 		var lhs float64
-		for v, c := range lc.Coeffs {
-			lhs += c * x[v]
+		for v, xv := range x {
+			if c, ok := lc.Coeffs[v]; ok {
+				lhs += c * xv
+			}
 		}
 		switch lc.Sense {
 		case lp.LE:
@@ -104,8 +111,35 @@ type encoding struct {
 	posts    [][]int // model variable per neuron post-activation, per layer
 	outputs  []int   // model variable per network output
 	binaries []int   // ReLU phase indicators
+	relus    []relu  // the neuron behind each binary, in binaries order
 	nb       *bounds.NetworkBounds
 	stable   int // hidden neurons encoded without a binary
+}
+
+// relu is an unstable neuron as the branching score reads it: its post
+// variable and its affine form Σ w[k]·x[prev[k]] + b over the previous
+// layer's variables. prev and w are shared with the encoding and the
+// network and are read-only.
+type relu struct {
+	post int
+	prev []int
+	w    []float64
+	b    float64
+}
+
+// score is the search's branching score (milp.Options.Score) for the i-th
+// binary at LP point x: the neuron's relaxed output less its true ReLU
+// value there, x[post] − max(0, z) with z summed in row order. The big-M
+// rows keep x[post] ≥ max(0, z), so the score is the relaxation's error
+// at x: the slack that splitting the neuron takes out of the LP point.
+// It reads only the encoding, so workers may call it concurrently.
+func (e *encoding) score(x []float64, i int) float64 {
+	r := &e.relus[i]
+	var z float64
+	for k, w := range r.w {
+		z += w * x[r.prev[k]]
+	}
+	return x[r.post] - math.Max(0, z+r.b)
 }
 
 // withModelClone returns a copy of the encoding whose model is an
@@ -214,6 +248,7 @@ func encode(net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, opt 
 				e.model.AddConstraint([]lp.Term{{Var: p, Coeff: 1}, {Var: d, Coeff: -pre.Hi}}, lp.LE, 0, name+"<=U*d")
 				if !opt.relaxBinaries {
 					e.binaries = append(e.binaries, d)
+					e.relus = append(e.relus, relu{post: p, prev: prev, w: row, b: layer.B[j]})
 				}
 				vars[j] = p
 			}

@@ -172,6 +172,7 @@ func (c *Compiled) search(ctx context.Context, coeffs map[int]float64, floorp *f
 	}
 	mo := opts.milpOptions()
 	mo.Heuristic = c.heuristic(enc, coeffs, floor)
+	mo.Score = enc.score
 	firstInc, progress := 0, mo.Progress
 	mo.Progress = func(ev milp.Event) {
 		if firstInc == 0 && ev.HasIncumbent {

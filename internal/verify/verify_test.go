@@ -369,6 +369,23 @@ func TestRegionContains(t *testing.T) {
 	}
 }
 
+// TestRegionContainsOrderIndependent: a row whose sum depends on the order
+// of its terms gets the same answer on every call. Summed in ascending
+// input index, 1e17 − 1e17 + 1 = 1 > 0.5 lies outside the row; an order
+// that adds 1 to 1e17 first loses it and would take the point.
+func TestRegionContainsOrderIndependent(t *testing.T) {
+	region := unitRegion(3)
+	region.Linear = []LinearConstraint{
+		{Coeffs: map[int]float64{0: 1e17, 1: -1e17, 2: 1}, Sense: lp.LE, RHS: 0.5, Name: "cancel"},
+	}
+	x := []float64{1, 1, 1}
+	for call := 0; call < 200; call++ {
+		if region.Contains(x, regionTol) {
+			t.Fatalf("call %d: took a point whose row sums to 1 in input order, above 0.5", call)
+		}
+	}
+}
+
 func TestStatsPopulated(t *testing.T) {
 	net := randomReLUNet(8, 2, []int{5}, 1)
 	res := maxOutput(t, net, unitRegion(2), 0, false, Options{})
