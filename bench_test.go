@@ -1,6 +1,5 @@
 // Package repro holds the benchmark harness that regenerates every table
-// and figure of the paper's evaluation (see DESIGN.md for the experiment
-// index and EXPERIMENTS.md for measured results):
+// and figure of the paper's evaluation (see DESIGN.md "Experiment index"):
 //
 //	BenchmarkTable2/*            — Table II: verification of I<d>×<w> predictors
 //	                               (the I2 sweep and one I3x8 row)

@@ -13,7 +13,7 @@
 // Absolute times differ from the paper (pure-Go simplex vs CPLEX on a
 // 12-core VM); the shape — steep growth of verification time with width and
 // per-network variation in the attained maximum — is the reproduction
-// target. See EXPERIMENTS.md.
+// target. See DESIGN.md "Experiment index".
 //
 // Usage:
 //

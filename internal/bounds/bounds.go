@@ -156,16 +156,6 @@ func applyAct(a nn.Activation, iv Interval) (Interval, error) {
 	}
 }
 
-// PropagatePoint is Propagate on the degenerate box {x}; its output bounds
-// collapse to the network's forward value (used as a sanity check).
-func PropagatePoint(net *nn.Network, x []float64) (*NetworkBounds, error) {
-	box := make([]Interval, len(x))
-	for i, v := range x {
-		box[i] = Point(v)
-	}
-	return Propagate(net, box)
-}
-
 // WidthStats summarizes pre-activation interval widths layer by layer; the
 // blow-up of widths with depth is the reason pure interval analysis cannot
 // verify deep networks and MILP is needed (paper Sec. II (B)).

@@ -92,21 +92,6 @@ func TestPropagateSound(t *testing.T) {
 	}
 }
 
-func TestPropagatePointCollapses(t *testing.T) {
-	net := randomNet(5, 3, []int{6, 6}, 2, nn.ReLU)
-	x := []float64{0.3, -0.7, 0.1}
-	nb, err := PropagatePoint(net, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := net.Forward(x)
-	for i, iv := range nb.Output() {
-		if math.Abs(iv.Lo-out[i]) > 1e-9 || math.Abs(iv.Hi-out[i]) > 1e-9 {
-			t.Fatalf("point bounds [%g,%g] != forward %g", iv.Lo, iv.Hi, out[i])
-		}
-	}
-}
-
 func TestStableNeuronsCount(t *testing.T) {
 	// One always-active neuron (bias 10), one dead (bias -10), one unstable.
 	net := &nn.Network{Layers: []*nn.Layer{

@@ -36,7 +36,7 @@ func TestNewPredictorNetShape(t *testing.T) {
 	if err := p.Net.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Net.InputName(highway.NeighborFeature(highway.Left, highway.NPPresence)) != "nbr.left.presence" {
+	if p.Net.InputNames[highway.NeighborFeature(highway.Left, highway.NPPresence)] != "nbr.left.presence" {
 		t.Fatal("input names not wired to highway features")
 	}
 }

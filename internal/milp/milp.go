@@ -174,15 +174,28 @@ type Result struct {
 	Bound float64 // best proven bound on the optimum (model direction)
 	// HasSolution reports whether any incumbent was found.
 	HasSolution bool
-	Nodes       int // branch-and-bound nodes explored
-	LPPivots    int // total simplex iterations across all nodes
+	Elapsed     time.Duration // wall-clock solve time
+	Effort
+}
+
+// Effort is the work one or more searches took: the one record a search's
+// cost travels in, from SolveCtx to every caller's account of it. Every
+// field is deterministic for a fixed worker count.
+type Effort struct {
+	// Solves counts branch-and-bound searches: 1 for one SolveCtx.
+	Solves   int
+	Nodes    int // branch-and-bound nodes explored
+	LPPivots int // total simplex iterations across all nodes
 	// MaxDepth is the deepest explored node (the root is depth 0) and
 	// OpenHighWater the most nodes open at a barrier — on the heap or a
-	// worker's dive child, the root included. Both are deterministic for a fixed
-	// worker count.
+	// worker's dive child, the root included.
 	MaxDepth      int
 	OpenHighWater int
-	Elapsed       time.Duration // wall-clock solve time
+	// FirstIncumbentNode is how many nodes the search had explored when its
+	// first incumbent reached the coordinator, at the barrier that merged
+	// it: exact at one worker, at most one epoch late at more (see
+	// Options.Workers). 0 when the search found none.
+	FirstIncumbentNode int
 	// LP sums the workers' solver counters: how the node relaxations were
 	// solved (warm, cold and why, dual and primal pivots, certificates). It
 	// covers every relaxation solved, including one an interruption cut
@@ -190,13 +203,17 @@ type Result struct {
 	LP lp.Stats
 }
 
-// Gap returns the relative incumbent/bound gap, or +Inf without an incumbent.
-func (r *Result) Gap() float64 {
-	if !r.HasSolution {
-		return math.Inf(1)
-	}
-	denom := math.Max(1e-9, math.Abs(r.Objective))
-	return math.Abs(r.Bound-r.Objective) / denom
+// Add folds the effort of more searches into e: work (Solves, Nodes,
+// LPPivots, LP) is summed, tree shape (MaxDepth, OpenHighWater,
+// FirstIncumbentNode) is the largest seen.
+func (e *Effort) Add(o Effort) {
+	e.Solves += o.Solves
+	e.Nodes += o.Nodes
+	e.LPPivots += o.LPPivots
+	e.LP.Add(o.LP)
+	e.MaxDepth = max(e.MaxDepth, o.MaxDepth)
+	e.OpenHighWater = max(e.OpenHighWater, o.OpenHighWater)
+	e.FirstIncumbentNode = max(e.FirstIncumbentNode, o.FirstIncumbentNode)
 }
 
 // Problem couples an LP model with a set of integer-constrained variables.
@@ -624,7 +641,7 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 		t.rootLo[v], t.rootHi[v] = p.Model.Bounds(v)
 	}
 
-	res := &Result{Bound: math.Inf(-1), OpenHighWater: 1}
+	res := &Result{Bound: math.Inf(-1), Effort: Effort{Solves: 1, OpenHighWater: 1}}
 	if t.maximize {
 		res.Bound = math.Inf(1)
 	}
@@ -870,6 +887,9 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 			}
 		}
 		res.OpenHighWater = max(res.OpenHighWater, openCount())
+		if improved && res.FirstIncumbentNode == 0 {
+			res.FirstIncumbentNode = res.Nodes // the first incumbent lands at this barrier
+		}
 		progress(improved)
 		if stop != nil {
 			if stop.err != nil {

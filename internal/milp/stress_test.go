@@ -109,20 +109,6 @@ func TestManyBinariesBoundedDepth(t *testing.T) {
 	}
 }
 
-// TestGapReporting verifies Result.Gap semantics.
-func TestGapReporting(t *testing.T) {
-	r := &Result{}
-	if !math.IsInf(r.Gap(), 1) {
-		t.Fatal("gap without incumbent should be +Inf")
-	}
-	r.HasSolution = true
-	r.Objective = 10
-	r.Bound = 11
-	if math.Abs(r.Gap()-0.1) > 1e-12 {
-		t.Fatalf("gap = %g, want 0.1", r.Gap())
-	}
-}
-
 // TestRandomMixedProblemsAgainstEnumeration cross-checks mixed binary/
 // continuous problems against brute-force over binary assignments with an
 // LP solve per assignment.

@@ -537,11 +537,3 @@ func (n *Network) ArchString() string {
 	}
 	return s + "]"
 }
-
-// InputName returns the name of input i, or a generated placeholder.
-func (n *Network) InputName(i int) string {
-	if i < len(n.InputNames) {
-		return n.InputNames[i]
-	}
-	return fmt.Sprintf("x%d", i)
-}

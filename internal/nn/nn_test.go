@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -234,8 +235,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("round-trip output differs: %v vs %v", want, got)
 		}
 	}
-	if back.InputName(0) != "a" || back.InputName(5) != "x5" {
-		t.Fatal("names lost or placeholder broken")
+	if !slices.Equal(back.InputNames, net.InputNames) {
+		t.Fatalf("input names %q, want %q", back.InputNames, net.InputNames)
 	}
 }
 

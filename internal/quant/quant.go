@@ -86,36 +86,6 @@ func Quantize(net *nn.Network, bits int) (*nn.Network, *Info, error) {
 	return q, info, nil
 }
 
-// IntWeights returns the integer grid representation of one layer under the
-// given bit width: integers plus the scale such that w ≈ int·scale.
-// It mirrors what a bitvector SMT encoding would operate on.
-func IntWeights(l *nn.Layer, bits int) (ints [][]int64, scale float64, err error) {
-	if bits < 2 || bits > 16 {
-		return nil, 0, fmt.Errorf("quant: bits %d outside [2, 16]", bits)
-	}
-	levels := float64(int(1)<<(bits-1)) - 1
-	maxAbs := 0.0
-	for _, row := range l.W {
-		for _, w := range row {
-			if a := math.Abs(w); a > maxAbs {
-				maxAbs = a
-			}
-		}
-	}
-	scale = maxAbs / levels
-	if scale == 0 {
-		scale = 1
-	}
-	ints = make([][]int64, len(l.W))
-	for r, row := range l.W {
-		ints[r] = make([]int64, len(row))
-		for c, w := range row {
-			ints[r][c] = int64(math.Round(w / scale))
-		}
-	}
-	return ints, scale, nil
-}
-
 // OutputDeviation empirically measures the largest output difference
 // between net and its quantized version over the provided probe inputs.
 func OutputDeviation(net, quantized *nn.Network, probes [][]float64) float64 {

@@ -110,27 +110,6 @@ func TestWeightsOnGrid(t *testing.T) {
 	}
 }
 
-func TestIntWeightsRange(t *testing.T) {
-	net := testNet(6)
-	ints, scale, err := IntWeights(net.Layers[0], 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scale <= 0 {
-		t.Fatalf("scale = %g", scale)
-	}
-	for _, row := range ints {
-		for _, v := range row {
-			if v < -127 || v > 127 {
-				t.Fatalf("int8 weight %d out of range", v)
-			}
-		}
-	}
-	if _, _, err := IntWeights(net.Layers[0], 99); err == nil {
-		t.Fatal("bad bits accepted")
-	}
-}
-
 func TestOutputDeviationShrinksWithBits(t *testing.T) {
 	net := testNet(7)
 	rng := rand.New(rand.NewSource(8))

@@ -73,44 +73,23 @@ func (o Options) milpOptions() milp.Options {
 	}
 }
 
-// Stats describes the effort a query took.
+// Stats describes the effort a query took: its searches' milp.Effort
+// (Solves is 0 when interval bounds alone answered) and the encoding's
+// neuron counts.
 type Stats struct {
 	Elapsed time.Duration
-	// Solves counts the branch-and-bound searches run: 1 per MILP, 0 when
-	// interval bounds alone answered.
-	Solves        int
-	Nodes         int
-	LPPivots      int
+	milp.Effort
 	Binaries      int // unstable neurons that required an indicator
 	StableNeurons int // neurons encoded linearly thanks to interval bounds
 	HiddenNeurons int
-	// LP is the solver's own account of the node relaxations: warm and cold
-	// solves, why warm attempts fell back, pivots by kind, certificates.
-	LP lp.Stats
-	// MaxDepth and OpenHighWater are the shape of the branch-and-bound tree:
-	// the deepest explored node and the most nodes open at a barrier. Over
-	// several searches (one per output) each is the largest.
-	MaxDepth      int
-	OpenHighWater int
-	// FirstIncumbentNode is how many nodes a search had explored when its
-	// first incumbent reached the coordinator: exact at one worker, at most
-	// one epoch late at more (see milp.Options.Workers). 0 when no search
-	// found one; over several searches, the largest.
-	FirstIncumbentNode int
 }
 
-// add folds the effort of one more solve into s: work is summed, tree
-// shape is the largest seen, and the encoding's neuron counts are the
-// latest solve's (they are equal across solves of one encoding).
+// add folds the effort of one more solve into s through milp.Effort.Add,
+// sums the elapsed time, and keeps the latest solve's neuron counts (they
+// are equal across solves of one encoding).
 func (s *Stats) add(r Stats) {
 	s.Elapsed += r.Elapsed
-	s.Solves += r.Solves
-	s.Nodes += r.Nodes
-	s.LPPivots += r.LPPivots
-	s.LP.Add(r.LP)
-	s.MaxDepth = max(s.MaxDepth, r.MaxDepth)
-	s.OpenHighWater = max(s.OpenHighWater, r.OpenHighWater)
-	s.FirstIncumbentNode = max(s.FirstIncumbentNode, r.FirstIncumbentNode)
+	s.Effort.Add(r.Effort)
 	s.Binaries = r.Binaries
 	s.StableNeurons = r.StableNeurons
 	s.HiddenNeurons = r.HiddenNeurons
@@ -173,21 +152,11 @@ func (c *Compiled) search(ctx context.Context, coeffs map[int]float64, floorp *f
 	mo := opts.milpOptions()
 	mo.Heuristic = c.heuristic(enc, coeffs, floor)
 	mo.Score = enc.score
-	firstInc, progress := 0, mo.Progress
-	mo.Progress = func(ev milp.Event) {
-		if firstInc == 0 && ev.HasIncumbent {
-			firstInc = ev.Nodes
-		}
-		if progress != nil {
-			progress(ev)
-		}
-	}
 	res, err := solveObjective(ctx, enc, coeffs, mo)
 	if err != nil {
 		return nil, err
 	}
 	out.Stats = enc.stats(res, start)
-	out.Stats.FirstIncumbentNode = firstInc
 	if res.Status == milp.Infeasible {
 		if !prove {
 			return nil, fmt.Errorf("verify: region is empty (MILP infeasible)")
@@ -347,12 +316,7 @@ func (e *encoding) stats(res *milp.Result, start time.Time) Stats {
 	stable, total := e.nb.StableNeurons()
 	return Stats{
 		Elapsed:       time.Since(start),
-		Solves:        1,
-		Nodes:         res.Nodes,
-		LPPivots:      res.LPPivots,
-		LP:            res.LP,
-		MaxDepth:      res.MaxDepth,
-		OpenHighWater: res.OpenHighWater,
+		Effort:        res.Effort,
 		Binaries:      len(e.binaries),
 		StableNeurons: stable,
 		HiddenNeurons: total,

@@ -34,21 +34,16 @@ type FalsifyResult struct {
 	Evaluations int
 }
 
-// Falsify runs the incomplete, fast counterpart of Verify: PGD ascent with
-// random restarts that maximizes each of the given outputs over the
+// FalsifyCtx runs the incomplete, fast counterpart of Verify: PGD ascent
+// with random restarts that maximizes each of the given outputs over the
 // region. A found violation is a definitive counterexample; finding
 // nothing proves nothing (run a Verify proof for that). It completes the
 // paper's portfolio — formal bounds, threshold proofs, resilience, and
-// falsification — behind the one public API.
-func Falsify(net *Network, region *Region, outputs []int, opts FalsifyOptions) (*FalsifyResult, error) {
-	return FalsifyCtx(context.Background(), net, region, outputs, opts)
-}
-
-// FalsifyCtx is Falsify under a context: cancellation is polled at every
-// PGD restart boundary, and an interrupted attack returns the strongest
-// violating input found so far instead of an error — the same anytime
-// contract Verify has. This is the entry point the vnnd service uses, so
-// a drain or client disconnect stops falsification work too.
+// falsification — behind the one public API. Cancellation is polled at
+// every PGD restart boundary, and an interrupted attack returns the
+// strongest violating input found so far instead of an error — the same
+// anytime contract Verify has. This is the entry point the vnnd service
+// uses, so a drain or client disconnect stops falsification work too.
 func FalsifyCtx(ctx context.Context, net *Network, region *Region, outputs []int, opts FalsifyOptions) (*FalsifyResult, error) {
 	if len(outputs) == 0 {
 		return nil, fmt.Errorf("vnn: Falsify needs at least one output index")

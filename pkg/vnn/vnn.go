@@ -71,6 +71,9 @@ type (
 	LinearConstraint = verify.LinearConstraint
 	// Stats describes the effort a query took.
 	Stats = verify.Stats
+	// Effort is the branch-and-bound work inside Stats; Add folds one
+	// query's into another's.
+	Effort = milp.Effort
 )
 
 // Options tune compilation and the queries run against the compiled

@@ -292,7 +292,7 @@ func TestFalsifyUnderVerifiedMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atk, err := vnn.Falsify(pred.Net, region, pred.MuLatOutputs(), vnn.FalsifyOptions{Restarts: 4, Steps: 30, Seed: 7})
+	atk, err := vnn.FalsifyCtx(context.Background(), pred.Net, region, pred.MuLatOutputs(), vnn.FalsifyOptions{Restarts: 4, Steps: 30, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

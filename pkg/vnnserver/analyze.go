@@ -92,8 +92,8 @@ func buildAnalyses(specs []vnn.AnalysisSpec, net *vnn.Network) ([]vnn.Analysis, 
 // identical sweeps still perform exactly one compile per bit-width. The
 // effort is summed over verification and sweep findings. No analyses (an
 // ungated submission) is no findings.
-func (s *Server) analyze(ctx context.Context, sp *obs.Span, cn *vnn.CompiledNetwork, analyses []vnn.Analysis) ([]*vnn.Finding, effort, error) {
-	var eff effort
+func (s *Server) analyze(ctx context.Context, sp *obs.Span, cn *vnn.CompiledNetwork, analyses []vnn.Analysis) ([]*vnn.Finding, vnn.Effort, error) {
+	var eff vnn.Effort
 	if len(analyses) == 0 {
 		return nil, eff, nil
 	}
@@ -109,12 +109,17 @@ func (s *Server) analyze(ctx context.Context, sp *obs.Span, cn *vnn.CompiledNetw
 	if err != nil {
 		return nil, eff, err
 	}
+	fold := func(results []*vnn.Result) {
+		for _, r := range results {
+			eff.Add(r.Stats.Effort)
+		}
+	}
 	for _, f := range findings {
-		eff.add(f.Verification)
+		fold(f.Verification)
 		if f.QuantSweep != nil {
-			eff.add(f.QuantSweep.Base)
+			fold(f.QuantSweep.Base)
 			for _, pt := range f.QuantSweep.Points {
-				eff.add(pt.Results)
+				fold(pt.Results)
 			}
 		}
 	}
@@ -148,7 +153,7 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest) (*jobPlan, error) {
 			// streams solver progress contributes per-property children
 			// with their analysis index attributed.
 			return s.solve(ctx, jb, root, wl, req.Options, fairWorkers, nil,
-				func(ctx context.Context, sp *obs.Span, cn *vnn.CompiledNetwork) (vnn.Report, effort, error) {
+				func(ctx context.Context, sp *obs.Span, cn *vnn.CompiledNetwork) (vnn.Report, vnn.Effort, error) {
 					findings, eff, err := s.analyze(ctx, sp, cn, analyses)
 					return vnn.NewAnalysisReport(wl.net, findings), eff, err
 				})

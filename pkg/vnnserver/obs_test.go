@@ -52,8 +52,9 @@ func getTrace(t *testing.T, url, id string) obs.TraceJSON {
 func TestVerifyTraceSpanTree(t *testing.T) {
 	pred := core.NewPredictorNet(1, 10, 1, 1)
 	_, ts := newTestServer(t, vnnserver.Config{})
-	body := verifyBody(t, pred.Net,
-		[]vnn.PropertySpec{{Kind: "max", Outputs: pred.MuLatOutputs()}},
+	// Two properties, so the solve span's totals are a sum (checked below).
+	maxLat := vnn.PropertySpec{Kind: "max", Outputs: pred.MuLatOutputs()}
+	body := verifyBody(t, pred.Net, []vnn.PropertySpec{maxLat, maxLat},
 		vnnserver.QueryOptions{Tighten: true, Workers: 1}, nil)
 
 	var vr vnnserver.VerifyResponse
@@ -136,6 +137,14 @@ func TestVerifyTraceSpanTree(t *testing.T) {
 	// ...and how far into the search its first incumbent came.
 	if _, ok := solve.Attrs["bb_first_incumbent_node"]; !ok || attr("bb_first_incumbent_node") > attr("nodes") {
 		t.Fatalf("solve span attrs = %v, want bb_first_incumbent_node <= nodes", solve.Attrs)
+	}
+	// ...and its work totals are the reply's per-result stats summed.
+	var nodes, pivots float64
+	for _, r := range vr.Report.Results {
+		nodes, pivots = nodes+float64(r.Stats.Nodes), pivots+float64(r.Stats.LPPivots)
+	}
+	if attr("nodes") != nodes || attr("lp_pivots") != pivots {
+		t.Fatalf("solve span nodes/lp_pivots %v/%v, reply results sum to %v/%v", attr("nodes"), attr("lp_pivots"), nodes, pivots)
 	}
 
 	// A second identical request hits the cache: no compile child.

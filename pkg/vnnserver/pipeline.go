@@ -18,7 +18,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/lp"
 	"repro/internal/obs"
 	"repro/pkg/vnn"
 )
@@ -145,52 +144,32 @@ func (s *Server) compiled(ctx context.Context, root *obs.Span, wl *workload) (*v
 	return cn, hit, err
 }
 
-// effort is the solver work behind one response.
-type effort struct {
-	solves, nodes, pivots   int64
-	lp                      lp.Stats
-	maxDepth, openHighWater int // largest over the response's searches
-	firstIncumbentNode      int // likewise
-}
-
-func (e *effort) add(results []*vnn.Result) {
-	for _, res := range results {
-		e.solves += int64(res.Stats.Solves)
-		e.nodes += int64(res.Stats.Nodes)
-		e.pivots += int64(res.Stats.LPPivots)
-		e.lp.Add(res.Stats.LP)
-		e.maxDepth = max(e.maxDepth, res.Stats.MaxDepth)
-		e.openHighWater = max(e.openHighWater, res.Stats.OpenHighWater)
-		e.firstIncumbentNode = max(e.firstIncumbentNode, res.Stats.FirstIncumbentNode)
-	}
-}
-
 // annotate puts the effort on the solve span: the two totals /metrics
 // also carries, and the shape of the search tree — with how many nodes it
 // took to the first incumbent — and the LP engine's own account of how the
 // node relaxations were solved, which only the trace shows.
-func (e *effort) annotate(sp *obs.Span) {
-	sp.SetAttr("nodes", e.nodes)
-	sp.SetAttr("lp_pivots", e.pivots)
-	sp.SetAttr("bb_max_depth", e.maxDepth)
-	sp.SetAttr("bb_open_high_water", e.openHighWater)
-	sp.SetAttr("bb_first_incumbent_node", e.firstIncumbentNode)
+func annotate(sp *obs.Span, e vnn.Effort) {
+	sp.SetAttr("nodes", e.Nodes)
+	sp.SetAttr("lp_pivots", e.LPPivots)
+	sp.SetAttr("bb_max_depth", e.MaxDepth)
+	sp.SetAttr("bb_open_high_water", e.OpenHighWater)
+	sp.SetAttr("bb_first_incumbent_node", e.FirstIncumbentNode)
 	for _, a := range []struct {
 		key string
 		n   int
 	}{
-		{"lp_warm_solves", e.lp.WarmSolves},
-		{"lp_cold_solves", e.lp.ColdSolves},
-		{"lp_cold_dead_end", e.lp.ColdDeadEnd},
-		{"lp_cold_stall", e.lp.ColdStall},
-		{"lp_cold_unbounded", e.lp.ColdUnbounded},
-		{"lp_cold_feas_guard", e.lp.ColdFeasGuard},
-		{"lp_dual_pivots", e.lp.DualPivots},
-		{"lp_primal_pivots", e.lp.PrimalPivots},
-		{"lp_bound_flips", e.lp.BoundFlips},
-		{"lp_refactorizations", e.lp.Refactorizations},
-		{"lp_cert_accepted", e.lp.CertAccepted},
-		{"lp_cert_failed", e.lp.CertFailed},
+		{"lp_warm_solves", e.LP.WarmSolves},
+		{"lp_cold_solves", e.LP.ColdSolves},
+		{"lp_cold_dead_end", e.LP.ColdDeadEnd},
+		{"lp_cold_stall", e.LP.ColdStall},
+		{"lp_cold_unbounded", e.LP.ColdUnbounded},
+		{"lp_cold_feas_guard", e.LP.ColdFeasGuard},
+		{"lp_dual_pivots", e.LP.DualPivots},
+		{"lp_primal_pivots", e.LP.PrimalPivots},
+		{"lp_bound_flips", e.LP.BoundFlips},
+		{"lp_refactorizations", e.LP.Refactorizations},
+		{"lp_cert_accepted", e.LP.CertAccepted},
+		{"lp_cert_failed", e.LP.CertFailed},
 	} {
 		sp.SetAttr(a.key, a.n)
 	}
@@ -208,7 +187,7 @@ func (e *effort) annotate(sp *obs.Span) {
 // reads them: qo.Workers, or fairWorkers when that is 0, and MaxNodes.
 func (s *Server) solve(ctx context.Context, jb *job, root *obs.Span, wl *workload, qo QueryOptions, fairWorkers int,
 	compiledReady func(context.Context, *vnn.CompiledNetwork) error,
-	answer func(context.Context, *obs.Span, *vnn.CompiledNetwork) (vnn.Report, effort, error)) (*VerifyResponse, error) {
+	answer func(context.Context, *obs.Span, *vnn.CompiledNetwork) (vnn.Report, vnn.Effort, error)) (*VerifyResponse, error) {
 	cn, hit, err := s.compiled(ctx, root, wl)
 	if err != nil {
 		return nil, err
@@ -235,10 +214,10 @@ func (s *Server) solve(ctx context.Context, jb *job, root *obs.Span, wl *workloa
 	if err != nil {
 		return nil, err
 	}
-	eff.annotate(solveSpan)
-	s.solves.Add(eff.solves)
-	s.nodes.Add(eff.nodes)
-	s.pivots.Add(eff.pivots)
+	annotate(solveSpan, eff)
+	s.solves.Add(int64(eff.Solves))
+	s.nodes.Add(int64(eff.Nodes))
+	s.pivots.Add(int64(eff.LPPivots))
 	return &VerifyResponse{
 		ID:          jb.id,
 		Fingerprint: wl.fingerprint,

@@ -170,7 +170,7 @@ func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*jobPlan, error) {
 					}
 					return err
 				},
-				func(ctx context.Context, sp *obs.Span, cn *vnn.CompiledNetwork) (_ vnn.Report, eff effort, err error) {
+				func(ctx context.Context, sp *obs.Span, cn *vnn.CompiledNetwork) (_ vnn.Report, eff vnn.Effort, err error) {
 					findings, eff, err = s.analyze(ctx, sp, cn, analyses)
 					return vnn.NewAnalysisReport(nil, findings), eff, err
 				})

@@ -489,13 +489,15 @@ func (s *Server) prepare(req *VerifyRequest) (*jobPlan, error) {
 		timeoutMS:   req.TimeoutMS,
 		run: func(ctx context.Context, jb *job, root *obs.Span, fairWorkers int) (any, error) {
 			return s.solve(ctx, jb, root, wl, req.Options, fairWorkers, nil,
-				func(ctx context.Context, _ *obs.Span, cn *vnn.CompiledNetwork) (vnn.Report, effort, error) {
-					var eff effort
+				func(ctx context.Context, _ *obs.Span, cn *vnn.CompiledNetwork) (vnn.Report, vnn.Effort, error) {
+					var eff vnn.Effort
 					results, err := vnn.Verify(ctx, cn, props...)
 					if err != nil {
 						return vnn.Report{}, eff, err
 					}
-					eff.add(results)
+					for _, r := range results {
+						eff.Add(r.Stats.Effort)
+					}
 					return vnn.NewReport(wl.net, results), eff, nil
 				})
 		},

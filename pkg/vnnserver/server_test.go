@@ -352,7 +352,7 @@ func TestServerDrainAnytime(t *testing.T) {
 		t.Fatal("interrupted query carries no finite anytime upper bound")
 	}
 	// Soundness of the anytime bound: no concrete input may beat it.
-	atk, err := vnn.Falsify(pred.Net, vnn.LeftOccupiedRegion(), outs,
+	atk, err := vnn.FalsifyCtx(context.Background(), pred.Net, vnn.LeftOccupiedRegion(), outs,
 		vnn.FalsifyOptions{Restarts: 3, Steps: 40, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
