@@ -13,7 +13,6 @@
 //	vnnd -cache 128 -queue 512     # bigger cache and admission queue
 //	vnnd -timeout 5m               # default per-query budget
 //	vnnd -drain-grace 10s          # patience before interrupting on SIGTERM
-//	vnnd -infer-workers 4          # /v1/infer serving lanes (default GOMAXPROCS)
 //	vnnd -peers http://10.0.0.2:8419,http://10.0.0.3:8419
 //	                               # replicate caches across a static fleet
 //	vnnd -fleet-interval 10s       # reconcile period (default 30s, jittered)
@@ -133,10 +132,8 @@
 //	 "flagged":1}
 //
 // The endpoint is the service's low-latency plane: no admission queue,
-// no SSE jobs, allocation-free batched forward passes. Large batches are
-// sharded across per-core serving lanes (-infer-workers, default
-// GOMAXPROCS) each owning its scratch — worker count changes throughput,
-// never output bits. Omit "monitor" for plain (unsupervised) inference —
+// no SSE jobs, allocation-free batched forward passes on the request's
+// own goroutine. Omit "monitor" for plain (unsupervised) inference —
 // that path never compiles anything.
 //
 // Warm clients drop the network from the wire entirely: every response
@@ -435,7 +432,6 @@ func main() {
 		timeout       = flag.Duration("timeout", 0, "default per-query budget when the request sets none (0 = unlimited)")
 		drainGrace    = flag.Duration("drain-grace", 5*time.Second, "how long a drain lets running queries finish before interrupting them")
 		maxBody       = flag.Int64("max-body", 0, "request body cap in bytes (0 = 32 MiB)")
-		inferWorkers  = flag.Int("infer-workers", 0, "inference serving lanes for /v1/infer batch sharding (0 = GOMAXPROCS; never affects output bits)")
 		peers         = flag.String("peers", "", "comma-separated base URLs of sibling vnnd nodes to replicate caches with (empty = no reconcile loop)")
 		fleetInterval = flag.Duration("fleet-interval", 0, "fleet reconcile period, jittered per round (0 = 30s)")
 		nodeID        = flag.String("node-id", "", "stable node id used in traces, /metrics and /v1/fleet/metrics (empty = hostname plus a random suffix)")
@@ -480,7 +476,6 @@ func main() {
 		QueueDepth:     *queueDepth,
 		DefaultTimeout: *timeout,
 		MaxBodyBytes:   *maxBody,
-		InferWorkers:   *inferWorkers,
 		Peers:          peerList,
 		FleetInterval:  *fleetInterval,
 		NodeID:         *nodeID,

@@ -15,12 +15,11 @@
 // The ladder is checked through the batched path
 // (vnn.Monitor.CheckBatchInto): one fused forward+check pass over the
 // whole batch on the blocked serving kernels, allocation-free in steady
-// state and bit-identical to checking each input alone — batching (and,
-// in vnnd, sharding batches across serving lanes) changes throughput,
-// never verdicts. Everything runs on the public packages (pkg/highway,
-// pkg/vnn); the vnnd service serves the same monitor online through
-// POST /v1/infer, where warm clients can address it purely by
-// fingerprint.
+// state and bit-identical to checking each input alone — batching
+// changes throughput, never verdicts. Everything runs on the public
+// packages (pkg/highway, pkg/vnn); the vnnd service serves the same
+// monitor online through POST /v1/infer, where warm clients can address
+// it purely by fingerprint.
 package main
 
 import (

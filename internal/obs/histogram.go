@@ -4,7 +4,7 @@
 //
 //   - Histogram: a log2-bucketed, sharded-by-core counter set whose hot
 //     path is two atomic adds and zero allocations, cheap enough to sit
-//     inside /v1/infer's per-chunk loop (see BenchmarkObserve and the
+//     on /v1/infer's per-batch path (see BenchmarkObserve and the
 //     allocation pin in histogram_test.go).
 //   - Recorder/Trace/Span: per-request traces with named phases
 //     (admission wait, cache lookup, compile, LP tighten, MILP encode,
@@ -107,19 +107,6 @@ func (h *Histogram) Observe(v int64) {
 		return
 	}
 	sh := &h.shards[rand.Uint64()&h.mask]
-	sh.counts[bucketOf(v)].Add(1)
-	sh.sum.Add(v)
-}
-
-// ObserveShard records one value into a caller-chosen shard. Call sites
-// with a natural lane identity (the infer serving lanes) use their lane
-// index so repeated observations from one goroutine stay on one cache
-// line.
-func (h *Histogram) ObserveShard(lane int, v int64) {
-	if h == nil {
-		return
-	}
-	sh := &h.shards[uint64(lane)&h.mask]
 	sh.counts[bucketOf(v)].Add(1)
 	sh.sum.Add(v)
 }

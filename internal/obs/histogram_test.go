@@ -60,38 +60,20 @@ func TestHistogramSnapshot(t *testing.T) {
 	}
 }
 
-func TestObserveShard(t *testing.T) {
-	h := NewHistogram("lanes", 1)
-	for lane := 0; lane < 10; lane++ {
-		h.ObserveShard(lane, int64(lane+1))
-	}
-	s := h.Snapshot()
-	if s.Count != 10 {
-		t.Fatalf("Count = %d, want 10", s.Count)
-	}
-	if s.Sum != 55 {
-		t.Fatalf("Sum = %d, want 55", s.Sum)
-	}
-}
-
 func TestNilHistogram(t *testing.T) {
 	var h *Histogram
-	h.Observe(42)        // must not panic
-	h.ObserveShard(3, 7) // must not panic
+	h.Observe(42) // must not panic
 	if s := h.Snapshot(); s.Count != 0 {
 		t.Fatalf("nil snapshot Count = %d", s.Count)
 	}
 }
 
 // TestObserveAllocs pins the hot path at zero allocations — the
-// contract that lets histograms sit inside /v1/infer's chunk loop.
+// contract that lets histograms sit on /v1/infer's per-batch path.
 func TestObserveAllocs(t *testing.T) {
 	h := NewHistogram("alloc_pin", 1e-9)
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(12345) }); n != 0 {
 		t.Fatalf("Observe allocates: %.1f allocs/op", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { h.ObserveShard(2, 12345) }); n != 0 {
-		t.Fatalf("ObserveShard allocates: %.1f allocs/op", n)
 	}
 }
 
@@ -100,13 +82,12 @@ func TestHistogramConcurrent(t *testing.T) {
 	done := make(chan struct{})
 	const goroutines, per = 8, 1000
 	for g := 0; g < goroutines; g++ {
-		go func(g int) {
+		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < per; i++ {
 				h.Observe(int64(i))
-				h.ObserveShard(g, int64(i))
 			}
-		}(g)
+		}()
 	}
 	// Concurrent snapshots while observers run (race coverage).
 	for i := 0; i < 100; i++ {
@@ -116,7 +97,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		<-done
 	}
 	s := h.Snapshot()
-	if want := int64(goroutines * per * 2); s.Count != want {
+	if want := int64(goroutines * per); s.Count != want {
 		t.Fatalf("Count = %d, want %d", s.Count, want)
 	}
 }

@@ -42,7 +42,7 @@ type FleetMetrics struct {
 	Errors map[string]string `json:"errors,omitempty"`
 	// Aggregate is the fleet-wide merge: counters summed, histograms
 	// merged bucket-wise, tenants merged by label. Per-node-identity
-	// fields (build, registry, shards, scheduler capacities) are not
+	// fields (build, registry, scheduler capacities) are not
 	// meaningful fleet-wide and stay zero; read them per node.
 	Aggregate Metrics `json:"aggregate"`
 }
@@ -125,7 +125,7 @@ func fleetGet(ctx context.Context, url string) ([]byte, error) {
 // exactly, worst-case gauges take the max, per-node facts stay zero.
 // Analyses sum by kind, histograms merge bucket-wise on (name, route),
 // tenants merge by label through obs.MergeTenants. The structured
-// per-node blocks (Build, Node, Registry, Shards, Peers) are left out.
+// per-node blocks (Build, Node, Registry, Peers) are left out.
 func mergeMetrics(dst *Metrics, src Metrics) {
 	for i := range metricTable {
 		r := &metricTable[i]

@@ -9,15 +9,12 @@
 //   - No scheduler queue and no SSE jobs — a forward pass is microseconds,
 //     so requests run inline on their handler goroutine; only Drain and
 //     the request context interrupt them.
-//   - Batches are sharded across a fixed set of per-core serving lanes
-//     (Config.InferWorkers, default GOMAXPROCS). Each shard owns its
-//     scratch outright — no sync.Pool contention — and runs the batched
-//     kernels (nn.ForwardBatchInto / vnn.Monitor.CheckBatchInto), which
-//     are allocation-free in steady state. Sharding cannot change bits:
-//     every output is produced in the fixed kernel accumulation order
-//     regardless of how the batch is split (see DESIGN.md "Kernel
-//     layer"), so predictions are the bits a one-row batch would yield
-//     and deterministic across worker counts.
+//   - A batch runs on its handler goroutine through the batched kernels
+//     (nn.ForwardBatchInto / vnn.Monitor.CheckBatchInto) with a scratch
+//     borrowed from a fixed free list of GOMAXPROCS entries, so a warm
+//     server allocates no kernel buffers. Every output is produced in the
+//     kernels' fixed accumulation order (see DESIGN.md "Kernel layer"):
+//     predictions are the bits a one-row batch would yield.
 //   - Clients that re-serve a warm workload skip the network upload
 //     entirely: every response echoes the workload fingerprint (and the
 //     monitor fingerprint), and a follow-up request may carry just
@@ -38,10 +35,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -57,13 +53,9 @@ const (
 	// monitor workload).
 	maxMonitorData = 1 << 16
 	// inferCancelStride is how many inputs are evaluated between
-	// context checks (one batched-kernel chunk): batches notice drain
+	// context checks (one batched-kernel call): batches notice drain
 	// promptly without paying a per-input atomic load.
 	inferCancelStride = 256
-	// minShardChunk is the smallest per-shard slice worth a goroutine
-	// handoff: below it, the microseconds-per-input forward is cheaper
-	// than the scheduling, so small batches run on one shard.
-	minShardChunk = 64
 )
 
 // errUnknownFingerprint marks a by-fingerprint request whose artifact is
@@ -262,108 +254,58 @@ func (s *Server) prepareInfer(req *InferRequest) (*preparedInfer, error) {
 	return q, nil
 }
 
-// inferShard is one per-core serving lane: exclusively owned scratch for
-// the batched kernels plus its own throughput counters. Shards are
-// leased through a token channel, so at most len(shards) chunks run at
-// once and a shard's scratch never sees two goroutines.
-type inferShard struct {
-	// idx is the lane number: the shard's fixed position in the set,
-	// used as the histogram shard and the `lane` label/attr in traces
-	// and the Prometheus rendering.
-	idx int
-	// sc serves every batch the lane runs, monitored or not, whatever the
-	// network or monitor: it holds buffers only, grown to the largest
-	// batch seen, so a warmed lane allocates nothing and keeps no
-	// reference to a monitor the cache has evicted.
-	sc vnn.MonitorBatchScratch
-
-	batches atomic.Int64
-	inputs  atomic.Int64
-}
-
-// inferShards is the fixed shard set plus the lease tokens.
-type inferShards struct {
-	shards []*inferShard
-	tokens chan *inferShard
-}
-
-func newInferShards(n int) *inferShards {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+// newInferScratch returns the free list of batched-kernel scratches, one
+// per core: at most that many batches run the kernels at once, and each
+// scratch serves any network or monitor, grown to the largest batch it
+// has seen. It holds buffers only, so it keeps no reference to a monitor
+// the cache has evicted.
+func newInferScratch() chan *vnn.MonitorBatchScratch {
+	n := runtime.GOMAXPROCS(0)
+	free := make(chan *vnn.MonitorBatchScratch, n)
+	for range n {
+		free <- new(vnn.MonitorBatchScratch)
 	}
-	p := &inferShards{shards: make([]*inferShard, n), tokens: make(chan *inferShard, n)}
-	for i := range p.shards {
-		sh := &inferShard{idx: i}
-		p.shards[i] = sh
-		p.tokens <- sh
-	}
-	return p
+	return free
 }
 
-// runInfer evaluates the batch, sharding it across the serving lanes.
-// Outputs (and verdicts, when mon is non-nil) land in the caller's
-// slices; the split cannot change bits — every cell is produced in the
-// kernels' fixed accumulation order whichever shard computes it. Returns
+// runInfer evaluates the batch on the calling goroutine with a borrowed
+// scratch, checking ctx every inferCancelStride inputs. Outputs (and
+// verdicts, when mon is non-nil) land in the caller's slices. Returns
 // ctx.Err() if the batch was interrupted.
-func (s *Server) runInfer(ctx context.Context, sp *obs.Span, net *vnn.Network, mon *vnn.Monitor, inputs, outputs [][]float64, verdicts []vnn.MonitorVerdict) error {
-	batch := len(inputs)
-	chunks := (batch + minShardChunk - 1) / minShardChunk
-	if chunks > len(s.shards.shards) {
-		chunks = len(s.shards.shards)
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	size := (batch + chunks - 1) / chunks
-	var interrupted atomic.Bool
-	run := func(lo, hi int) {
-		sh := <-s.shards.tokens
-		defer func() { s.shards.tokens <- sh }()
-		sh.batches.Add(1)
-		chunkStart := time.Now()
-		for i := lo; i < hi; i += inferCancelStride {
-			if ctx.Err() != nil {
-				interrupted.Store(true)
-				return
-			}
-			j := min(i+inferCancelStride, hi)
-			if mon != nil {
-				mon.CheckBatchInto(outputs[i:j], &sh.sc, inputs[i:j], verdicts[i:j])
-			} else {
-				net.ForwardBatchInto(outputs[i:j], &sh.sc.Forward, inputs[i:j])
-			}
-			sh.inputs.Add(int64(j - i))
-		}
-		// One histogram add and (when traced) one span per chunk — the
-		// per-input loop above stays observation-free.
-		d := time.Since(chunkStart)
-		s.obs.hist[hInferChunk].ObserveShard(sh.idx, int64(d))
-		cs := sp.ChildTimed("chunk", d)
-		cs.SetAttr("lane", sh.idx)
-		cs.SetAttr("inputs", hi-lo)
-	}
-	if chunks == 1 {
-		run(0, batch)
-	} else {
-		var wg sync.WaitGroup
-		for c := 0; c < chunks; c++ {
-			lo := c * size
-			hi := min(lo+size, batch)
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run(lo, hi)
-			}()
-		}
-		wg.Wait()
-	}
-	if interrupted.Load() {
+func (s *Server) runInfer(ctx context.Context, net *vnn.Network, mon *vnn.Monitor, inputs, outputs [][]float64, verdicts []vnn.MonitorVerdict) error {
+	var sc *vnn.MonitorBatchScratch
+	select {
+	case sc = <-s.inferScratch:
+	case <-ctx.Done():
 		return ctx.Err()
 	}
+	defer func() { s.inferScratch <- sc }()
+	start := time.Now()
+	for i := 0; i < len(inputs); i += inferCancelStride {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		j := min(i+inferCancelStride, len(inputs))
+		if mon != nil {
+			mon.CheckBatchInto(outputs[i:j], sc, inputs[i:j], verdicts[i:j])
+		} else {
+			net.ForwardBatchInto(outputs[i:j], &sc.Forward, inputs[i:j])
+		}
+	}
+	observeSince(s.obs.hist[hInferChunk], start)
 	return nil
+}
+
+// firstNonFinite returns the first row holding an Inf or NaN, or -1.
+func firstNonFinite(rows [][]float64) int {
+	for i, row := range rows {
+		for _, v := range row {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
@@ -484,13 +426,19 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 
 	runSpan := root.Child("run")
-	err = s.runInfer(ctx, runSpan, net, mon, req.Inputs, outputs, verdicts)
+	err = s.runInfer(ctx, net, mon, req.Inputs, outputs, verdicts)
 	runSpan.End()
 	if err != nil {
 		// Unlike verification there is no anytime value in half a batch:
 		// predictions are cheap to re-request, so an interrupted batch is
 		// an error (503 on drain/disconnect, 504 on budget).
 		writeError(w, statusFor(err), err.Error())
+		return
+	}
+	// JSON has no Inf or NaN: an overflowed prediction must be refused
+	// before the status line goes out, or the client gets an empty 200.
+	if i := firstNonFinite(outputs); i >= 0 {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("input %d: network output is not finite", i))
 		return
 	}
 	if mon != nil {

@@ -83,25 +83,6 @@ type InferStats struct {
 	Monitors int `json:"monitors"`
 	// Workloads is the number of remembered by-fingerprint workloads.
 	Workloads int `json:"workloads"`
-	// Shards reports per-lane throughput: how many batch chunks and
-	// inputs each serving lane processed. An idle lane means batches
-	// were too small to shard (below the per-chunk minimum), not a bug.
-	Shards []InferShardStats `json:"shards"`
-}
-
-// InferShardStats is one serving lane's cumulative throughput.
-type InferShardStats struct {
-	Batches int64 `json:"batches"`
-	Inputs  int64 `json:"inputs"`
-}
-
-// shardStats snapshots the per-lane inference throughput counters.
-func (s *Server) shardStats() []InferShardStats {
-	out := make([]InferShardStats, len(s.shards.shards))
-	for i, sh := range s.shards.shards {
-		out[i] = InferShardStats{Batches: sh.batches.Load(), Inputs: sh.inputs.Load()}
-	}
-	return out
 }
 
 // Metrics snapshots the server's observable state. Request counters are
@@ -129,7 +110,6 @@ func (s *Server) Metrics() Metrics {
 			Flagged:   s.inferFlagged.Load(),
 			Monitors:  s.monitors.size(),
 			Workloads: s.workloads.size(),
-			Shards:    s.shardStats(),
 		},
 		Fleet:         s.fleet.Stats(),
 		Registry:      s.registry.Snapshot(),
@@ -214,7 +194,7 @@ var metricTable = []metricRow{
 	{at: func(m *Metrics) any { return &m.Infer.Inputs }, prom: "vnnd_infer_inputs_total", help: "Infer inputs served.", typ: counter},
 	{at: func(m *Metrics) any { return &m.Infer.Flagged }, prom: "vnnd_infer_flagged_total", help: "Inputs the runtime monitor flagged.", typ: counter},
 	{at: func(m *Metrics) any { return &m.Infer.Monitors }, prom: "vnnd_infer_monitors", help: "Cached monitor artifacts.", typ: gauge},
-	{at: func(m *Metrics) any { return &m.Infer.Workloads }, prom: "vnnd_infer_workloads", help: "Remembered by-fingerprint workloads.", typ: gauge, then: promShards},
+	{at: func(m *Metrics) any { return &m.Infer.Workloads }, prom: "vnnd_infer_workloads", help: "Remembered by-fingerprint workloads.", typ: gauge},
 
 	{at: func(m *Metrics) any { return &m.Registry.Ready }, prom: "vnnd_registry_ready", help: "1 once registry recovery completed.", typ: gauge, merge: perNode},
 	{at: func(m *Metrics) any { return &m.Registry.Models }, prom: "vnnd_registry_models", help: "Registered models.", typ: gauge, merge: perNode, then: promModelVersions},
@@ -267,7 +247,7 @@ var histFamilies = [numHistFamilies]histFamily{
 	hCompile:         {"vnnd_compile_seconds", "Compile cost on cache misses.", 1e-9},
 	hMonitorBuild:    {"vnnd_monitor_build_seconds", "Monitor build cost on cache misses.", 1e-9},
 	hInferBatch:      {"vnnd_infer_batch_inputs", "Inputs per /v1/infer batch.", 1},
-	hInferChunk:      {"vnnd_infer_chunk_seconds", "Per-lane kernel chunk time.", 1e-9},
+	hInferChunk:      {"vnnd_infer_chunk_seconds", "Kernel time of one infer batch.", 1e-9},
 	hReconcile:       {"vnnd_fleet_reconcile_seconds", "Wall time per fleet reconcile round.", 1e-9},
 	hRequest:         {"vnnd_request_duration_seconds", "Request latency by route.", 1e-9},
 	hTenantRequest:   {obs.TenantLatencyFamily, "Per-tenant request latency by route.", 1e-9},

@@ -32,7 +32,7 @@ func goldenHist(name, route string, scale float64, seed int64) obs.HistogramJSON
 }
 
 // goldenDoc is a hand-built, fully populated Metrics document: every
-// scalar distinct and non-zero, two analysis kinds, two shards, two
+// scalar distinct and non-zero, two analysis kinds, two
 // model versions, two tenants, two histogram families.
 func goldenDoc() Metrics {
 	lastSync := 12.5
@@ -63,7 +63,6 @@ func goldenDoc() Metrics {
 		Analyses:        map[string]int64{"coverage": 303, "quant_sweep": 304},
 		Infer: InferStats{
 			Requests: 401, Inputs: 402, Flagged: 403, Monitors: 404, Workloads: 405,
-			Shards: []InferShardStats{{Batches: 406, Inputs: 407}, {Batches: 408, Inputs: 409}},
 		},
 		Fleet: vnnfleet.Stats{
 			Rounds: 501, EntriesPulled: 504,
@@ -150,7 +149,7 @@ func doubleHist(h obs.HistogramJSON) obs.HistogramJSON {
 // doubledDoc is what merging goldenDoc with itself must produce, field
 // by field and without consulting the table: counters and additive
 // gauges double, worst-case gauges keep their value, facts about one
-// node (identity, capacities, lanes, peers, registry, draining) are
+// node (identity, capacities, peers, registry, draining) are
 // left zero.
 func doubledDoc() Metrics {
 	m := goldenDoc()
@@ -235,7 +234,7 @@ func TestMergeMetricsDoubles(t *testing.T) {
 var perNodeLeaves = []string{
 	"node", "build", "cache.capacity",
 	"scheduler.max_concurrent", "scheduler.queue_depth", "scheduler.cores",
-	"analyses", "infer.shards", "fleet.peers", "registry.by_state", "registry.versions",
+	"analyses", "fleet.peers", "registry.by_state", "registry.versions",
 	"tenants", "histograms",
 }
 

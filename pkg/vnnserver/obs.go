@@ -4,7 +4,7 @@
 // open a root span per request and hang phase children off it —
 // admission wait, cache lookup, compile (with tighten/encode attributed
 // from internal/verify's phase clocks), branch-and-bound, monitor
-// build, per-lane infer chunks — so a single /debug/traces/{id} fetch
+// build, the infer run — so a single /debug/traces/{id} fetch
 // answers "where did this request spend its time". Each phase has one
 // owner (runJob, compiled, solve, buildMonitor, runInfer), so the gate's
 // trace is an analyze batch's and every compile's looks the same.
@@ -28,7 +28,7 @@ type serverObs struct {
 	// hist holds the one-histogram families, indexed like histFamilies:
 	// scheduler queue wait vs run time (their sum ≈ request latency on
 	// scheduled routes), compile and monitor-build cost on cache misses,
-	// infer batch sizes and per-lane chunk times, fleet reconcile rounds.
+	// infer batch sizes and kernel times, fleet reconcile rounds.
 	hist [hRequest]*obs.Histogram
 
 	// Per-route request latency, keyed by latencyRoutes (one histogram

@@ -172,17 +172,6 @@ func promAnalyses(w io.Writer, m *Metrics) {
 	}
 }
 
-func promShards(w io.Writer, m *Metrics) {
-	promFamily(w, "vnnd_infer_shard_batches_total", "Batch chunks per serving lane.", counter)
-	for i, sh := range m.Infer.Shards {
-		fmt.Fprintf(w, "vnnd_infer_shard_batches_total{lane=\"%d\"} %d\n", i, sh.Batches)
-	}
-	promFamily(w, "vnnd_infer_shard_inputs_total", "Inputs per serving lane.", counter)
-	for i, sh := range m.Infer.Shards {
-		fmt.Fprintf(w, "vnnd_infer_shard_inputs_total{lane=\"%d\"} %d\n", i, sh.Inputs)
-	}
-}
-
 func promModelVersions(w io.Writer, m *Metrics) {
 	promFamily(w, "vnnd_model_version_info", "Model version lifecycle state (value is always 1).", gauge)
 	for _, v := range m.Registry.Versions {

@@ -91,10 +91,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxBodyBytes caps request bodies (<= 0 means 32 MiB).
 	MaxBodyBytes int64
-	// InferWorkers is the number of per-core serving lanes /v1/infer
-	// shards batches across (<= 0 means GOMAXPROCS). Each lane owns its
-	// kernel scratch; the count never affects output bits.
-	InferWorkers int
 	// Peers is the static fleet membership: base URLs of sibling vnnd
 	// nodes (e.g. "http://10.0.0.2:8419") whose compile and monitor
 	// caches this server replicates by pulling what their fingerprint
@@ -160,10 +156,9 @@ type Server struct {
 	monitors      *lru[*vnn.Monitor]
 	monitorBuilds *lru[string]
 
-	// shards are the inference plane's per-core serving lanes (see
-	// inferShard): each owns its kernel scratch outright, so the hot
-	// path never contends on a sync.Pool.
-	shards *inferShards
+	// inferScratch is the free list of /v1/infer kernel scratches (see
+	// newInferScratch).
+	inferScratch chan *vnn.MonitorBatchScratch
 	// workloads remembers parsed (network, region, options) triples by
 	// fingerprint, so by-fingerprint /v1/infer requests skip the network
 	// upload and parse. Entries are cheap and stored as soon as a
@@ -248,7 +243,7 @@ func New(cfg Config) *Server {
 		cache:         newLRU[*vnn.CompiledNetwork](cfg.CacheEntries),
 		monitors:      newLRU[*vnn.Monitor](cfg.CacheEntries),
 		monitorBuilds: newLRU[string](cfg.CacheEntries),
-		shards:        newInferShards(cfg.InferWorkers),
+		inferScratch:  newInferScratch(),
 		workloads:     newLRU[*workload](cfg.CacheEntries),
 		sched:         NewScheduler(cfg.MaxConcurrent, cfg.QueueDepth),
 		jobs:          newRegistry(),

@@ -1,24 +1,23 @@
-// Hand-rolled JSON fast paths for the inference plane's bulk payloads.
+// A hand-rolled JSON decoder for the inference plane's bulk payloads.
 //
 // /v1/infer is protocol-bound: once the kernels are allocation-free and
-// the network travels by fingerprint, most of a request's wall clock is
-// encoding/json reflecting over [][]float64. FloatMatrix implements the
-// two hot conversions directly — a byte scanner on decode, a
-// strconv.AppendFloat loop on encode — with no reflection and one
-// allocation for the backing array. The encoded form is byte-identical
-// to encoding/json's (same float formatting rules), so clients see no
-// wire change.
+// the network travels by fingerprint, much of a request's cost is
+// encoding/json reflecting over [][]float64. FloatMatrix decodes with a
+// byte scanner, no reflection and one allocation for the backing array:
+// a 64x84 body takes the same time as encoding/json with 23 allocations
+// instead of 540. Encoding stays with encoding/json: a Marshaler's output
+// is re-scanned and compacted, which made a hand-rolled encoder slower
+// than the reflective path it replaced.
 
 package vnnserver
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 )
 
-// FloatMatrix is a [][]float64 with fast JSON paths. It is the wire type
-// of the inference plane's bulk fields (inputs, monitor datasets,
+// FloatMatrix is a [][]float64 with a fast JSON decoder. It is the wire
+// type of the inference plane's bulk fields (inputs, monitor datasets,
 // outputs); ordinary [][]float64 values assign to and from it directly.
 type FloatMatrix [][]float64
 
@@ -103,60 +102,6 @@ func (m *FloatMatrix) UnmarshalJSON(b []byte) error {
 	}
 	*m = out
 	return nil
-}
-
-// MarshalJSON renders the matrix with encoding/json's exact float
-// formatting, one buffer, no reflection.
-func (m FloatMatrix) MarshalJSON() ([]byte, error) {
-	if m == nil {
-		return []byte("null"), nil
-	}
-	n := 2
-	for _, row := range m {
-		n += 2 + len(row)*12
-	}
-	b := make([]byte, 0, n)
-	b = append(b, '[')
-	for r, row := range m {
-		if r > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, '[')
-		for c, f := range row {
-			if c > 0 {
-				b = append(b, ',')
-			}
-			var err error
-			if b, err = appendJSONFloat(b, f); err != nil {
-				return nil, err
-			}
-		}
-		b = append(b, ']')
-	}
-	return append(b, ']'), nil
-}
-
-// appendJSONFloat appends f exactly as encoding/json would: shortest
-// round-trip form, 'f' format in the human range, 'e' with a trimmed
-// exponent outside it.
-func appendJSONFloat(b []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return nil, fmt.Errorf("float matrix: unsupported value %v", f)
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// Trim "e-09" to "e-9", as encoding/json does.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b, nil
 }
 
 func skipSpace(b []byte, i int) int {
