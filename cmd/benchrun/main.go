@@ -56,13 +56,13 @@ type suite struct {
 }
 
 // suiteSets are the benchmark ladders, keyed by -suite. "infer" walks
-// kernels alone, packed forwards, then the end-to-end HTTP plane —
-// together they localise a regression (a slow /v1/infer with a fast
-// MatVec is protocol overhead, not kernels). "verify" walks the
-// verification path bottom-up the same way: the two update kernels a
-// simplex pivot is made of, one LP re-solve (warm, cold, and a branch-
-// and-bound node on an I2x8-shaped tableau), then whole Table II
-// searches with their node and pivot counts.
+// kernels alone, packed forwards, the request decode, then the end-to-end
+// HTTP plane — together they localise a regression (a slow /v1/infer
+// with a fast MatVec and a fast decode is protocol overhead, not
+// kernels). "verify" walks the verification path bottom-up the same way:
+// the two update kernels a simplex pivot is made of, one LP re-solve
+// (warm, cold, and a branch-and-bound node on an I2x8-shaped tableau),
+// then whole Table II searches with their node and pivot counts.
 var suiteSets = map[string]struct {
 	schema string
 	suites []suite
@@ -71,7 +71,7 @@ var suiteSets = map[string]struct {
 		{pkg: "./internal/linalg/", bench: "BenchmarkMatVec|BenchmarkMatVecDot|BenchmarkMatMulTB"},
 		{pkg: "./internal/nn/", bench: "BenchmarkForwardBatchInto|BenchmarkForward$"},
 		{pkg: "./internal/obs/", bench: "BenchmarkObserve"},
-		{pkg: "./pkg/vnnserver/", bench: "BenchmarkInferHTTP"},
+		{pkg: "./pkg/vnnserver/", bench: "BenchmarkInferHTTP|BenchmarkInferDecode$"},
 	}},
 	"verify": {"bench-verify/v1", []suite{
 		{pkg: "./internal/linalg/", bench: "BenchmarkAxpy|BenchmarkScale"},

@@ -258,6 +258,11 @@ func (n *Network) Validate() error {
 	if len(n.Layers) == 0 {
 		return errors.New("nn: network has no layers")
 	}
+	for i, l := range n.Layers {
+		if l == nil {
+			return fmt.Errorf("nn: layer %d is null", i)
+		}
+	}
 	prev := n.Layers[0].InDim()
 	for i, l := range n.Layers {
 		if l.InDim() != prev {
@@ -266,7 +271,10 @@ func (n *Network) Validate() error {
 		if len(l.B) != l.OutDim() {
 			return fmt.Errorf("nn: layer %d has %d biases for %d neurons", i, len(l.B), l.OutDim())
 		}
-		for _, row := range l.W {
+		for j, row := range l.W {
+			if len(row) != l.InDim() {
+				return fmt.Errorf("nn: layer %d neuron %d has %d weights, neuron 0 has %d", i, j, len(row), l.InDim())
+			}
 			if !linalg.AllFinite(row) {
 				return fmt.Errorf("nn: layer %d has non-finite weights", i)
 			}

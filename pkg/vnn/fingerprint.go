@@ -74,7 +74,7 @@ func Fingerprint(net *Network, region *Region, opts Options) (string, error) {
 	if err := region.Validate(net); err != nil {
 		return "", err
 	}
-	w := fpWriter{h: sha256.New()}
+	w := newFPWriter()
 	w.u64(fingerprintVersion)
 
 	w.u64(uint64(len(net.Layers)))
@@ -121,7 +121,7 @@ func Fingerprint(net *Network, region *Region, opts Options) (string, error) {
 	} else {
 		w.u64(0)
 	}
-	return "vnn1-" + hex.EncodeToString(w.h.Sum(nil)), nil
+	return w.sum("vnn1-"), nil
 }
 
 // MonitorWorkloadFingerprint identifies a monitor-build workload before
@@ -132,9 +132,9 @@ func Fingerprint(net *Network, region *Region, opts Options) (string, error) {
 // same way Fingerprint keys the compile cache. The content hash of the
 // *built* artifact is Monitor.Fingerprint.
 func MonitorWorkloadFingerprint(networkFingerprint string, data [][]float64, opts MonitorOptions) string {
-	w := fpWriter{h: sha256.New()}
+	w := newFPWriter()
 	w.u64(fingerprintVersion)
-	w.h.Write([]byte(networkFingerprint))
+	w.str(networkFingerprint)
 	w.u64(uint64(opts.Gamma))
 	w.u64(uint64(len(opts.Layers)))
 	for _, li := range opts.Layers {
@@ -147,16 +147,54 @@ func MonitorWorkloadFingerprint(networkFingerprint string, data [][]float64, opt
 			w.f64(v)
 		}
 	}
-	return "vnnmw1-" + hex.EncodeToString(w.h.Sum(nil))
+	return w.sum("vnnmw1-")
 }
 
-// fpWriter streams fixed-width little-endian values into a hash.
-type fpWriter struct{ h hash.Hash }
-
-func (w fpWriter) u64(v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	w.h.Write(buf[:])
+// fpWriter streams fixed-width little-endian values into a hash through
+// a fixed block, so hashing a value does not hand a fresh buffer to the
+// hash.Hash interface. The hashed byte stream is the values in order,
+// whatever the block boundaries, so the fingerprints do not depend on
+// them.
+type fpWriter struct {
+	h   hash.Hash
+	buf [512]byte
+	n   int
 }
 
-func (w fpWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
+func newFPWriter() *fpWriter { return &fpWriter{h: sha256.New()} }
+
+func (w *fpWriter) u64(v uint64) {
+	if w.n+8 > len(w.buf) {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], v)
+	w.n += 8
+}
+
+func (w *fpWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
+
+func (w *fpWriter) str(s string) {
+	for len(s) > 0 {
+		if w.n == len(w.buf) {
+			w.flush()
+		}
+		c := copy(w.buf[w.n:], s)
+		w.n += c
+		s = s[c:]
+	}
+}
+
+func (w *fpWriter) flush() {
+	w.h.Write(w.buf[:w.n])
+	w.n = 0
+}
+
+// sum flushes the block and returns prefix followed by the hash in
+// lowercase hex.
+func (w *fpWriter) sum(prefix string) string {
+	w.flush()
+	var sum [sha256.Size]byte
+	out := make([]byte, len(prefix)+hex.EncodedLen(sha256.Size))
+	hex.Encode(out[copy(out, prefix):], w.h.Sum(sum[:0]))
+	return string(out)
+}

@@ -2,6 +2,7 @@ package vnn_test
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -145,5 +146,51 @@ func TestFingerprintValidates(t *testing.T) {
 	pred := core.NewPredictorNet(1, 4, 1, 1)
 	if _, err := vnn.Fingerprint(pred.Net, &vnn.Region{Box: []vnn.Interval{{Lo: 0, Hi: 1}}}, vnn.Options{}); err == nil {
 		t.Fatal("region/network dimension mismatch accepted")
+	}
+}
+
+// pinnedMonitorData is a 37×84 dataset from a fixed seed.
+func pinnedMonitorData(rows int) [][]float64 {
+	rng := rand.New(rand.NewSource(5))
+	data := make([][]float64, rows)
+	for i := range data {
+		data[i] = make([]float64, 84)
+		for j := range data[i] {
+			data[i][j] = rng.NormFloat64()
+		}
+	}
+	return data
+}
+
+// TestFingerprintPinned holds both hashes to values computed before their
+// writer was buffered: a cached or replicated key must not move when the
+// code that computes it does.
+func TestFingerprintPinned(t *testing.T) {
+	net := core.NewPredictorNet(2, 6, 2, 3).Net
+	fp, err := vnn.Fingerprint(net, vnn.LeftOccupiedRegion(), vnn.Options{Tighten: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "vnn1-d0652d44536ffaf2f5f45a89c1a4d67f8dee5ea4a82db138e1400dc3aef9cdca"; fp != want {
+		t.Fatalf("Fingerprint %s, pinned %s", fp, want)
+	}
+	mfp := vnn.MonitorWorkloadFingerprint(fp, pinnedMonitorData(37), vnn.MonitorOptions{Gamma: 2, Layers: []int{0, 1}})
+	if want := "vnnmw1-8fb3bcf17f052e1dbccb2ce067ce2fa57dfaef1388b6c2fafa18d66a57196c8c"; mfp != want {
+		t.Fatalf("MonitorWorkloadFingerprint %s, pinned %s", mfp, want)
+	}
+}
+
+// TestMonitorWorkloadFingerprintAllocs bounds the hash of a build dataset
+// to a constant number of allocations, whatever the data size: it runs on
+// every full-spec /v1/infer request.
+func TestMonitorWorkloadFingerprintAllocs(t *testing.T) {
+	for _, rows := range []int{1, 256} {
+		data := pinnedMonitorData(rows)
+		allocs := testing.AllocsPerRun(20, func() {
+			vnn.MonitorWorkloadFingerprint("vnn1-x", data, vnn.MonitorOptions{Gamma: 1})
+		})
+		if allocs > 6 {
+			t.Fatalf("%d rows: %v allocations, want at most 6", rows, allocs)
+		}
 	}
 }

@@ -230,3 +230,63 @@ func FuzzRegionSpec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzUnmarshalNetwork drives client bytes through the network decoder
+// every request carrying a network goes through. It must never panic, and
+// neither may a one-row serving forward pass on what it accepts. An
+// accepted network re-marshals through MarshalNetwork and decodes again to
+// the same Fingerprint over the unit box.
+func FuzzUnmarshalNetwork(f *testing.F) {
+	valid, err := vnn.MarshalNetwork(fuzzNet())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	wide := `{"name":"w","layers":[{"w":[[` + strings.Repeat("0,", 4096) + `0]],"b":[0],"act":1}]}`
+	for _, seed := range []string{
+		wide,
+		`{"name":"w","layers":[{"w":[[-0,1]],"b":[0],"act":1}]}`,
+		`{"name":"w","layers":[{"w":[[5e-324,1]],"b":[-5e-324],"act":1}]}`,
+		`{"name":"w","layers":[{"w":[[1e308,1e308]],"b":[1e308],"act":0}]}`,
+		`{"name":"w","layers":[{"w":[[1e400]],"b":[0],"act":1}]}`,
+		`{"name":"w","layers":[{"w":[[1,2]],"b":[0]},{"w":[[1,2,3]],"b":[0]}]}`,
+		`{"name":"w","layers":[{"w":[[1,2],[3]],"b":[0,0]}]}`,
+		`{"name":"w","layers":[{"w":[[1]],"b":[0,0]}]}`,
+		`{"name":"w","layers":[]}`,
+		`{"name":"w","layers":[null]}`,
+		`{"name":"w","layers":[{"w":[],"b":[]}]}`,
+		`{"name":"w","layers":[{"w":[[]],"b":[0]}]}`,
+		`{"name":"w","input_names":["a","b","c"],"layers":[{"w":[[1]],"b":[0]}]}`,
+		`{"name":"w","layers":[{"w":[[1]],"b":[0],"act":9223372036854775807}]}`,
+		`{"name":"w","layers":[{"w":[[1]],"b":[0],"act":-1}]}`,
+		`{"name":"w","layers":[{"w":[[1]],"b":[0],"act":7}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		net, err := vnn.UnmarshalNetwork(data)
+		if err != nil {
+			return
+		}
+		box := make([]vnn.Interval, net.InputDim())
+		for i := range box {
+			box[i] = vnn.Interval{Lo: 0, Hi: 1}
+		}
+		region := &vnn.Region{Box: box}
+		out := make([]float64, net.OutputDim())
+		net.ForwardBatchInto([][]float64{out}, net.NewScratch(), [][]float64{make([]float64, net.InputDim())})
+		fp, fpErr := vnn.Fingerprint(net, region, vnn.Options{})
+		again, err := vnn.MarshalNetwork(net)
+		if err != nil {
+			t.Fatalf("%s: accepted network does not marshal: %v", data, err)
+		}
+		back, err := vnn.UnmarshalNetwork(again)
+		if err != nil {
+			t.Fatalf("%s: re-marshalled network %s does not decode: %v", data, again, err)
+		}
+		fp2, fpErr2 := vnn.Fingerprint(back, region, vnn.Options{})
+		if fp != fp2 || (fpErr == nil) != (fpErr2 == nil) {
+			t.Fatalf("%s: fingerprint %s (%v), after a round trip %s (%v)", data, fp, fpErr, fp2, fpErr2)
+		}
+	})
+}

@@ -310,7 +310,7 @@ func firstNonFinite(rows [][]float64) int {
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	var req InferRequest
-	if !s.accept(w, r, &req) {
+	if !s.accept(w, r, func(body []byte) error { return decodeInfer(body, &req) }) {
 		return
 	}
 	modelName := req.Model

@@ -70,15 +70,20 @@ func validateMonitorSpec(m *InferMonitorSpec, net *vnn.Network) (vnn.MonitorOpti
 }
 
 // accept opens every compute request: refuse with 503 while draining,
-// before any side effect, then strictly decode the bounded body into req
-// (400 on failure). It reports whether the handler may proceed.
-func (s *Server) accept(w http.ResponseWriter, r *http.Request, req any) bool {
+// before any side effect or read, then read the bounded body and decode
+// it with decode (413 over the cap, 400 on any other failure). It reports
+// whether the handler may proceed.
+func (s *Server) accept(w http.ResponseWriter, r *http.Request, decode func(body []byte) error) bool {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return false
 	}
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	body, err := readBody(w, r, s.cfg.MaxBodyBytes)
+	if err == nil {
+		err = decode(body)
+	}
+	if err != nil {
+		writeError(w, decodeStatus(err), err.Error())
 		return false
 	}
 	return true
@@ -268,7 +273,7 @@ type jobPlan struct {
 // token. It is taken under drainMu so a request is never admitted after
 // Drain stopped waiting (and wg.Add always precedes Drain's wg.Wait).
 func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, req any, prepare func() (*jobPlan, error)) {
-	if !s.accept(w, r, req) {
+	if !s.accept(w, r, func(body []byte) error { return decodeBody(body, req) }) {
 		return
 	}
 	p, err := prepare()

@@ -253,7 +253,7 @@ func (s *Server) handleModelPromote(w http.ResponseWriter, r *http.Request) {
 	var req ModelPromoteRequest
 	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil && !errors.Is(err, io.EOF) {
 		// An empty body is a plain full promotion.
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, decodeStatus(err), err.Error())
 		return
 	}
 	pct := 100

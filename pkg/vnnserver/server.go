@@ -58,6 +58,7 @@
 package vnnserver
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -89,7 +90,8 @@ type Config struct {
 	// DefaultTimeout applies to requests that set no timeout_ms of their
 	// own; 0 means no deadline.
 	DefaultTimeout time.Duration
-	// MaxBodyBytes caps request bodies (<= 0 means 32 MiB).
+	// MaxBodyBytes caps request bodies (<= 0 means 32 MiB); a larger body
+	// answers 413.
 	MaxBodyBytes int64
 	// Peers is the static fleet membership: base URLs of sibling vnnd
 	// nodes (e.g. "http://10.0.0.2:8419") whose compile and monitor
@@ -672,15 +674,69 @@ func statusFor(err error) int {
 	}
 }
 
-// decodeJSON strictly decodes a bounded request body into v.
+// decodeJSON reads a request body of at most maxBytes and strictly
+// decodes it into v.
 func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	dec := json.NewDecoder(r.Body)
+	body, err := readBody(w, r, maxBytes)
+	if err != nil {
+		return err
+	}
+	return decodeBody(body, v)
+}
+
+// bodyPrealloc caps how much of a client's Content-Length readBody
+// allocates before the bytes arrive.
+const bodyPrealloc = 64 << 10
+
+// readBody reads a request body of at most maxBytes into one buffer; a
+// larger body fails with an error wrapping *http.MaxBytesError (see
+// decodeStatus). The buffer starts at the declared length, up to
+// bodyPrealloc, and doubles when full, but not past the declared length:
+// bytes that have arrived vouch for at most as many again.
+func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, error) {
+	rd, declared := http.MaxBytesReader(w, r.Body, maxBytes), r.ContentLength
+	buf := make([]byte, 0, min(max(declared+1, 512), bodyPrealloc))
+	for {
+		if len(buf) == cap(buf) {
+			more := len(buf)
+			if declared >= int64(len(buf)) {
+				more = int(min(declared+1-int64(len(buf)), int64(more)))
+			}
+			buf = append(make([]byte, 0, len(buf)+more), buf...)
+		}
+		n, err := rd.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("decode request: %w", err)
+		}
+	}
+}
+
+// decodeBody is the strict decoder: one JSON value, no field the target
+// does not declare, and nothing but whitespace after the value.
+func decodeBody(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decode request: %w", err)
 	}
+	if i := skipSpace(body, int(dec.InputOffset())); i < len(body) {
+		return fmt.Errorf("decode request: invalid character %q after top-level value", body[i])
+	}
 	return nil
+}
+
+// decodeStatus is the status of a request that failed to decode: 413 for
+// a body over Config.MaxBodyBytes, 400 for anything else.
+func decodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

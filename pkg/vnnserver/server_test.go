@@ -447,6 +447,52 @@ func TestServerFalsifyAndValidation(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/verify/q99999999", http.StatusNotFound, nil)
 }
 
+// TestRequestBodiesStrict holds every decoding route to the same body
+// rules: a body over MaxBodyBytes answers 413, and anything but
+// whitespace after the JSON value answers 400 before the handler runs.
+func TestRequestBodiesStrict(t *testing.T) {
+	_, ts := newTestServer(t, vnnserver.Config{MaxBodyBytes: 64})
+	oversized := `{"fingerprint":"` + strings.Repeat("x", 64) + `"}`
+	cases := []struct {
+		name, body string
+		status     int
+		want       string // error substring
+	}{
+		{"oversized", oversized, http.StatusRequestEntityTooLarge, "request body too large"},
+		{"oversized whitespace", "{}" + strings.Repeat(" ", 80), http.StatusRequestEntityTooLarge, "request body too large"},
+		{"trailing garbage", `{"fingerprint":"x","inputs":[[1]]} trailing garbage`, http.StatusBadRequest, "invalid character 't' after top-level value"},
+		{"second value", `{} {}`, http.StatusBadRequest, "invalid character '{' after top-level value"},
+	}
+	for _, route := range []string{"/v1/infer", "/v1/verify", "/v1/analyze"} {
+		for _, c := range cases {
+			body := c.body
+			if route != "/v1/infer" {
+				body = strings.Replace(body, `"fingerprint":"x","inputs":[[1]]`, ``, 1)
+			}
+			resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e struct {
+				Error string `json:"error"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("%s %s: decode %s response: %v", route, c.name, resp.Status, err)
+			}
+			if resp.StatusCode != c.status || !strings.Contains(e.Error, c.want) {
+				t.Fatalf("%s %s: %d %q, want %d and %q", route, c.name, resp.StatusCode, e.Error, c.status, c.want)
+			}
+		}
+	}
+	// Trailing whitespace is not trailing data: the infer body reaches
+	// the handler, which does not know the fingerprint.
+	if st := postInfer(t, ts.URL, []byte(`{"fingerprint":"x","inputs":[[1]]}`+" \r\n\t"), nil); st != http.StatusNotFound {
+		t.Fatalf("trailing whitespace: status %d, want 404", st)
+	}
+}
+
 // TestServerMetrics spot-checks the /metrics snapshot after traffic.
 func TestServerMetrics(t *testing.T) {
 	pred := core.NewPredictorNet(1, 10, 1, 4)
