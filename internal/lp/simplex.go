@@ -54,8 +54,6 @@ type Solution struct {
 type Options struct {
 	// MaxIterations bounds total pivots; 0 means 400*(rows+cols)+20000.
 	MaxIterations int
-	// Tol is the feasibility/optimality tolerance; 0 means 1e-7.
-	Tol float64
 	// Cancel, when non-nil, is polled every cancelPeriod pivots; once it
 	// reports true the solve stops and returns IterationLimit. This is how
 	// context cancellation and deadlines reach into a running simplex

@@ -211,10 +211,7 @@ func (s *Solver) Solve(opts Options) (*Solution, error) {
 		s.rebuild()
 	}
 	tb := s.tb
-	tb.tol = opts.Tol
-	if tb.tol <= 0 {
-		tb.tol = defaultTol
-	}
+	tb.tol = defaultTol
 	tb.maxIters = opts.MaxIterations
 	if tb.maxIters <= 0 {
 		tb.maxIters = 400*(tb.m+tb.nTotal) + 20000

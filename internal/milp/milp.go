@@ -45,7 +45,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/lp"
@@ -265,7 +264,6 @@ func (q *nodeQueue) Pop() interface{} {
 type tree struct {
 	ctx            context.Context
 	integers       []int
-	intSet         map[int]bool
 	rootLo, rootHi []float64 // root bounds, for undoing a node's fixes
 	lpOpts         lp.Options
 	maximize       bool
@@ -315,10 +313,8 @@ type epoch struct {
 func (ep *epoch) cutOff(bound float64) bool { return ep.hasInc && bound >= ep.bestMin-1e-9 }
 
 // worker owns one model clone and one persistent warm-started solver.
-// Worker 0 is driven by the coordinator; every other worker has a resident
-// goroutine for the whole solve, which an epoch reaches through ep: the
-// coordinator fills ep and signals work, the goroutine runs it and signals
-// done.
+// Worker 0 runs its epochs on the coordinator; every other worker runs
+// each epoch on a goroutine started for that epoch.
 type worker struct {
 	id      int // its index: worker 0 runs on the coordinator
 	model   *lp.Model
@@ -329,66 +325,7 @@ type worker struct {
 	// solves first in its next epoch; between epochs it is open.
 	dive *node
 
-	ep         epoch
-	exit       bool // set instead of an epoch: the solve is over
-	work, done handoff
-}
-
-// spinFor bounds how long a waiting side of a hand-off spins before it
-// parks. A barrier comes only every epoch, so most waits outlast the spin
-// and park; the spin pays when the workers finish an epoch close together.
-// It is short because spinning is paid in CPU: with a barrier after every
-// node, vnnd's CPU time per table2_cold request was 6 % above parking at
-// once at 50 µs, 14 % at 100 µs and 28 % at 250 µs, with no lower median
-// latency at the longer bounds.
-const spinFor = 50 * time.Microsecond
-
-// Hand-off states.
-const (
-	hoEmpty int32 = iota
-	hoReady
-	hoParked
-)
-
-// handoff is a one-slot signal from one goroutine to one waiter. The waiter
-// spins for spinFor, yielding the processor on each turn so the signaller
-// can run even on one, then parks on a channel; the signaller sends on the
-// channel only when the waiter parked.
-type handoff struct {
-	state atomic.Int32
-	wake  chan struct{}
-}
-
-func (h *handoff) signal() {
-	if h.state.Swap(hoReady) == hoParked {
-		h.wake <- struct{}{}
-	}
-}
-
-func (h *handoff) wait() {
-	for start := time.Now(); h.state.Load() != hoReady; runtime.Gosched() {
-		if time.Since(start) > spinFor {
-			if h.state.CompareAndSwap(hoEmpty, hoParked) {
-				<-h.wake
-			}
-			break
-		}
-	}
-	h.state.Store(hoEmpty)
-}
-
-// run is a resident worker's goroutine: run each posted epoch until the
-// coordinator says the solve is over.
-func (w *worker) run(t *tree) {
-	for {
-		w.work.wait()
-		if w.exit {
-			w.done.signal()
-			return
-		}
-		w.runEpoch(t)
-		w.done.signal()
-	}
+	ep epoch
 }
 
 // begin readies the worker's epoch at a barrier: empty, with the barrier's
@@ -499,7 +436,7 @@ func (w *worker) process(nd *node, sol *lp.Solution, t *tree) bool {
 	if branchVar < 0 {
 		// Integer feasible: candidate incumbent.
 		if nodeBound < ep.bestMin {
-			w.incumbent(nodeBound, sol.Objective, roundIntegers(sol.X, t.intSet))
+			w.incumbent(nodeBound, sol.Objective, roundIntegers(sol.X, t.integers))
 		}
 		return true
 	}
@@ -622,7 +559,6 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 	t := &tree{
 		ctx:       ctx,
 		integers:  p.Integers,
-		intSet:    make(map[int]bool, len(p.Integers)),
 		maximize:  p.Model.Maximizing(),
 		heuristic: opts.Heuristic,
 		score:     opts.Score,
@@ -631,9 +567,6 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 		// Reach into each node's pivot loop: the solve must notice a
 		// cancelled or expired context mid-LP, not at the next node.
 		t.lpOpts.Cancel = func() bool { return ctx.Err() != nil }
-	}
-	for _, v := range p.Integers {
-		t.intSet[v] = true
 	}
 	nVars := p.Model.NumVariables()
 	t.rootLo, t.rootHi = make([]float64, nVars), make([]float64, nVars)
@@ -653,9 +586,7 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 	// forks worker 0's solver, so its first node is a warm re-solve from a
 	// basis of the same tree. Workers are only created at a barrier, when
 	// worker 0 is at rest in the state its last epoch left — a function of
-	// the search so far, not of timing. Every worker but worker 0 starts
-	// its resident goroutine here, and every return path below stops them
-	// all before SolveCtx returns.
+	// the search so far, not of timing.
 	workers := make([]*worker, nWorkers)
 	getWorker := func(i int) *worker {
 		if workers[i] == nil {
@@ -665,22 +596,11 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 				w.solver = lp.NewSolver(m)
 			} else {
 				w.solver = workers[0].solver.Fork(m)
-				w.work.wake, w.done.wake = make(chan struct{}, 1), make(chan struct{}, 1)
-				go w.run(t)
 			}
 			workers[i] = w
 		}
 		return workers[i]
 	}
-	defer func() {
-		for _, w := range workers[1:] {
-			if w != nil {
-				w.exit = true
-				w.work.signal()
-				w.done.wait()
-			}
-		}
-	}()
 
 	var seq int64
 	queue := &nodeQueue{{bound: math.Inf(-1)}}
@@ -771,6 +691,7 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 	prunable := func(nd *node) bool { return res.HasSolution && nd.bound >= bestMin-1e-9 }
 	budgets := make([]int, nWorkers)
 	active := make([]*worker, 0, nWorkers)
+	done := make(chan struct{}, nWorkers)
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -850,15 +771,19 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 		}
 
 		// Run the epoch: the coordinator runs the first active worker's
-		// itself and posts the others to their resident goroutines. Workers
-		// share only the read-only tree, so what each returns is independent
-		// of goroutine scheduling.
+		// itself and every other one on a goroutine of its own, then waits
+		// for all of them, so none outlives the barrier. Workers share only
+		// the read-only tree, so what each returns is independent of
+		// goroutine scheduling.
 		for _, w := range active[1:] {
-			w.work.signal()
+			go func() {
+				w.runEpoch(t)
+				done <- struct{}{}
+			}()
 		}
 		active[0].runEpoch(t)
-		for _, w := range active[1:] {
-			w.done.wait()
+		for range active[1:] {
+			<-done
 		}
 
 		// Merge in worker order — the deterministic part. Every worker's
@@ -933,10 +858,10 @@ func childFixes(parent []fix, nf fix) []fix {
 }
 
 // roundIntegers snaps integer variables of x to the nearest integer.
-func roundIntegers(x []float64, intSet map[int]bool) []float64 {
+func roundIntegers(x []float64, integers []int) []float64 {
 	out := make([]float64, len(x))
 	copy(out, x)
-	for v := range intSet {
+	for _, v := range integers {
 		out[v] = math.Round(out[v])
 	}
 	return out

@@ -13,7 +13,7 @@ import (
 )
 
 // settleGoroutines waits, briefly, for the goroutine count to fall back to
-// want: a resident worker signals its exit just before it returns.
+// want: an epoch's goroutine signals the coordinator just before it returns.
 func settleGoroutines(t *testing.T, want int, what string) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -25,7 +25,7 @@ func settleGoroutines(t *testing.T, want int, what string) {
 	}
 }
 
-// TestResidentWorkerLifecycle drives the resident workers through every
+// TestResidentWorkerLifecycle drives the epoch goroutines through every
 // way a solve ends — concluded, root-infeasible, out of nodes, cancelled
 // mid-batch, expired before it starts, and a node solve failing — and
 // checks that no worker goroutine outlives the call and that a concluded

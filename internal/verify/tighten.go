@@ -25,8 +25,9 @@ import (
 // within a layer only the objective changes between solves, so the saved
 // simplex basis stays primal feasible and phase 1 never reruns. The
 // bounds are therefore a function of (net, region, nb) alone. workers is
-// ignored; the parameter stays only because the benchmark harness, frozen
-// until ROADMAP item 6 lifts the freeze, calls this signature.
+// ignored; the parameter stays only because the benchmark harness calls
+// this signature, and the harness is frozen (ROADMAP "Measurement
+// protocol").
 func TightenLPWorkers(net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, workers int) (*bounds.NetworkBounds, error) {
 	return tightenLP(context.Background(), net, region, nb, new(int))
 }

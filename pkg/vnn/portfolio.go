@@ -130,9 +130,6 @@ func SanitizeData(data []Sample, rules []DataRule) (clean []Sample, removed int)
 	return dataval.Sanitize(data, rules)
 }
 
-// DataStats computes per-feature statistics; empty data yields nil.
-func DataStats(data []Sample) []FeatureStats { return dataval.Stats(data) }
-
 // coverageSource builds the seeded random source Coverage analyses draw
 // from, so CLI and service runs of the same seed generate the same suite.
 func coverageSource(seed int64) rand.Source { return rand.NewSource(seed) }

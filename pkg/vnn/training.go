@@ -49,6 +49,3 @@ func NewAdam(lr float64) Optimizer { return train.NewAdam(lr) }
 func SplitData(data []Sample, valFrac float64, rng *rand.Rand) (trainSet, valSet []Sample) {
 	return train.Split(data, valFrac, rng)
 }
-
-// DecodeGMM decodes raw network outputs into an action distribution.
-func DecodeGMM(raw []float64) Mixture { return gmm.Decode(raw) }

@@ -278,6 +278,12 @@ func TestModelRolloutEndToEnd(t *testing.T) {
 	if doc.Versions[1].Requests == 0 || doc.Versions[1].Inputs == 0 {
 		t.Fatalf("v2 serving counters empty: %+v", doc.Versions[1])
 	}
+	var list vnnserver.ModelsResponse
+	getJSON(t, ts.URL+"/v1/models", http.StatusOK, &list)
+	if len(list.Models) != 1 || list.Models[0].Model != "demo" || list.Models[0].Live != 2 ||
+		len(list.Models[0].Versions) != len(doc.Versions) {
+		t.Fatalf("model list: %+v", list.Models)
+	}
 
 	// Registry metrics surface in both renderings.
 	m := serverMetrics(t, ts.URL)
