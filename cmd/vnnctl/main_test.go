@@ -59,7 +59,7 @@ func topFixture(t *testing.T) (earlier, later vnnserver.FleetMetrics) {
 	t.Helper()
 	h := obs.NewHistogram("vnnd_tenant_request_duration_seconds", 1e-9)
 	h.Observe(int64(time.Millisecond)) // pre-window traffic
-	pre := h.Snapshot().JSON()
+	pre := h.Snapshot()
 	earlier = vnnserver.FleetMetrics{Aggregate: vnnserver.Metrics{
 		Tenants: map[string]obs.TenantSnapshot{
 			"acme": {Routes: map[string]obs.TenantRouteSnapshot{
@@ -70,7 +70,7 @@ func topFixture(t *testing.T) (earlier, later vnnserver.FleetMetrics) {
 	for i := 0; i < 20; i++ {
 		h.Observe(int64(8 * time.Millisecond))
 	}
-	post := h.Snapshot().JSON()
+	post := h.Snapshot()
 	later = vnnserver.FleetMetrics{Aggregate: vnnserver.Metrics{
 		Tenants: map[string]obs.TenantSnapshot{
 			"acme": {Routes: map[string]obs.TenantRouteSnapshot{

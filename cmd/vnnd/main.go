@@ -482,7 +482,6 @@ func main() {
 		TenantCap:      *tenantCap,
 		TraceRing:      *traceRing,
 		SlowRequest:    *slowLog,
-		SlowLog:        log.Printf,
 		EnablePprof:    *pprofOn,
 		DataDir:        *dataDir,
 		DefaultGate:    gate,

@@ -104,7 +104,7 @@ func (tb *tableau) eagerDualIterate() (dualOutcome, int) {
 			deltaJ := deltaB / -row[best]
 			rng := tb.upper[best] - tb.lower[best]
 			if tb.status[best] != free && !math.IsInf(rng, 1) &&
-				math.Abs(deltaB)-math.Abs(row[best])*rng > tb.tol*(1+math.Abs(target)) {
+				math.Abs(deltaB)-math.Abs(row[best])*rng > defaultTol*(1+math.Abs(target)) {
 				var step float64
 				if tb.status[best] == atLower {
 					step = rng

@@ -105,7 +105,6 @@ type tableau struct {
 	rhsInv             []float64 // B⁻¹·b, maintained through pivots
 	iters              int
 	maxIters           int
-	tol                float64
 	cancel             func() bool // optional cooperative-cancellation poll
 	stats              *Stats      // the owning Solver's effort counters
 	cands              []ratioCand // dual ratio-test scratch, capacity nTotal
@@ -211,7 +210,7 @@ func (tb *tableau) refreshReducedCosts() {
 // at optimality. Dantzig pricing normally, Bland's rule when bland is set.
 // The scan stops at width, so retired artificial columns are never priced.
 func (tb *tableau) entering(bland bool) (col int, dir float64) {
-	bestScore := tb.tol
+	bestScore := defaultTol
 	col = -1
 	for j := 0; j < tb.width; j++ {
 		if tb.status[j] == basic || tb.lower[j] == tb.upper[j] {
@@ -411,11 +410,11 @@ func (tb *tableau) computeBasics() {
 
 // violated reports whether column j's value lies outside its bounds beyond
 // tolerance. It is the one feasibility test of the dual simplex — the same
-// tol·(1+|bound|) mostInfeasibleRow ranks rows by — so a row the selection
+// defaultTol·(1+|bound|) mostInfeasibleRow ranks rows by — so a row the selection
 // would not pick is never left "unresolved" over a last-bit residual.
 func (tb *tableau) violated(j int) bool {
 	v, lo, hi := tb.x[j], tb.lower[j], tb.upper[j]
-	return v < lo-tb.tol*(1+math.Abs(lo)) || v > hi+tb.tol*(1+math.Abs(hi))
+	return v < lo-defaultTol*(1+math.Abs(lo)) || v > hi+defaultTol*(1+math.Abs(hi))
 }
 
 // firstInfeasibleRow returns the first row whose basic variable violates its
@@ -436,10 +435,10 @@ func (tb *tableau) mostInfeasibleRow() int {
 	for i := 0; i < tb.m; i++ {
 		bi := tb.basis[i]
 		v := tb.x[bi]
-		if d := (tb.lower[bi] - v) - tb.tol*(1+math.Abs(tb.lower[bi])); d > worst {
+		if d := (tb.lower[bi] - v) - defaultTol*(1+math.Abs(tb.lower[bi])); d > worst {
 			row, worst = i, d
 		}
-		if d := (v - tb.upper[bi]) - tb.tol*(1+math.Abs(tb.upper[bi])); d > worst {
+		if d := (v - tb.upper[bi]) - defaultTol*(1+math.Abs(tb.upper[bi])); d > worst {
 			row, worst = i, d
 		}
 	}
@@ -452,11 +451,11 @@ func (tb *tableau) mostInfeasibleRow() int {
 // bound child case: only bounds changed). The threshold is deliberately
 // loose: the dual simplex is only a pivot rule here — optimality is
 // re-certified by the primal polish afterwards — so near-feasible reduced
-// costs (pricing leaves residuals up to tol, and a fresh refresh can push
+// costs (pricing leaves residuals up to defaultTol, and a fresh refresh can push
 // them slightly past it) just cost a few extra primal pivots, while
 // rejecting them would force a full cold solve.
 func (tb *tableau) dualFeasible() bool {
-	slack := 10 * tb.tol
+	slack := 10 * defaultTol
 	for j := 0; j < tb.width; j++ {
 		if tb.status[j] == basic || tb.lower[j] == tb.upper[j] {
 			continue
@@ -591,7 +590,7 @@ func (tb *tableau) dualIterate() (out dualOutcome, row int) {
 			deltaJ := deltaB / -row[best]
 			rng := tb.upper[best] - tb.lower[best]
 			if tb.status[best] != free && !math.IsInf(rng, 1) &&
-				math.Abs(deltaB)-math.Abs(row[best])*rng > tb.tol*(1+math.Abs(target)) {
+				math.Abs(deltaB)-math.Abs(row[best])*rng > defaultTol*(1+math.Abs(target)) {
 				// Bound flip: the column saturates and the row is still
 				// violated. A column that would bring the row within
 				// tolerance enters instead, even a hair past its own bound:

@@ -211,7 +211,6 @@ func (s *Solver) Solve(opts Options) (*Solution, error) {
 		s.rebuild()
 	}
 	tb := s.tb
-	tb.tol = defaultTol
 	tb.maxIters = opts.MaxIterations
 	if tb.maxIters <= 0 {
 		tb.maxIters = 400*(tb.m+tb.nTotal) + 20000
@@ -330,7 +329,7 @@ func (s *Solver) coldSolve() (*Solution, error) {
 			tb.lower[art], tb.upper[art] = math.Inf(-1), 0
 			tb.cost[art] = -1
 		}
-		if math.Abs(r) > tb.tol {
+		if math.Abs(r) > defaultTol {
 			phase1Needed = true
 		}
 	}
@@ -342,7 +341,7 @@ func (s *Solver) coldSolve() (*Solution, error) {
 		if st == IterationLimit {
 			return &Solution{Status: IterationLimit, Iterations: tb.iters}, nil
 		}
-		if tb.phase1Objective() > 10*tb.tol {
+		if tb.phase1Objective() > 10*defaultTol {
 			return &Solution{Status: Infeasible, Iterations: tb.iters}, nil
 		}
 	}
@@ -392,9 +391,9 @@ func (s *Solver) warmSolve() (*Solution, bool) {
 			switch {
 			case !math.IsInf(lo, -1) && !math.IsInf(hi, 1):
 				switch {
-				case tb.d[j] > tb.tol:
+				case tb.d[j] > defaultTol:
 					tb.status[j], tb.x[j] = atLower, lo
-				case tb.d[j] < -tb.tol:
+				case tb.d[j] < -defaultTol:
 					tb.status[j], tb.x[j] = atUpper, hi
 				case tb.status[j] == atUpper:
 					tb.x[j] = hi
@@ -512,7 +511,7 @@ func (s *Solver) impliedEquality(r int) (c []float64, yMax, beta float64) {
 // data, so its verdict needs no cold confirmation. The margin is the cold
 // path's own: a gap g means every point of the box misses some row by at
 // least g/‖y‖∞, which is what phase 1 would report as residual artificial
-// mass and compare against 10·tol.
+// mass and compare against 10·defaultTol.
 func (s *Solver) provesInfeasible(r int) bool {
 	tb := s.tb
 	c, yMax, beta := s.impliedEquality(r)
@@ -527,7 +526,7 @@ func (s *Solver) provesInfeasible(r int) bool {
 			hi += cj * tb.lower[j]
 		}
 	}
-	margin := 10 * tb.tol * math.Max(1, yMax)
+	margin := 10 * defaultTol * math.Max(1, yMax)
 	return lo > beta+margin || hi < beta-margin
 }
 
@@ -633,7 +632,7 @@ func (s *Solver) repairBasis() bool {
 				bestAny, bestAnyAbs = j, a
 			}
 			nx := tb.x[j] - deltaB/row[j]
-			if nx >= tb.lower[j]-tb.tol && nx <= tb.upper[j]+tb.tol && a > bestInAbs {
+			if nx >= tb.lower[j]-defaultTol && nx <= tb.upper[j]+defaultTol && a > bestInAbs {
 				bestIn, bestInAbs = j, a
 			}
 		}

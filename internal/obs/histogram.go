@@ -111,20 +111,6 @@ func (h *Histogram) Observe(v int64) {
 	sh.sum.Add(v)
 }
 
-// HistogramSnapshot is one consistent-enough read of a histogram:
-// per-bucket counts (not cumulative; the Prometheus renderer
-// accumulates), total count and raw sum. Concurrent observations may
-// land between shard reads, so Count can trail a just-returned Observe,
-// but every counted observation is in exactly one bucket and Sum only
-// includes counted values' shards.
-type HistogramSnapshot struct {
-	Name    string
-	Scale   float64
-	Buckets [NumBuckets + 1]int64
-	Count   int64
-	Sum     int64
-}
-
 // BucketUpper returns bucket k's inclusive upper bound in recorded
 // units (2^k - 1); the overflow bucket has no finite bound and callers
 // render it as +Inf.
@@ -132,11 +118,11 @@ func BucketUpper(k int) int64 {
 	return int64(1)<<uint(k) - 1
 }
 
-// HistogramJSON is the wire form of a snapshot, used by the /metrics
-// JSON document and the fleet federation plane. Buckets are the
-// NumBuckets+1 per-bucket (non-cumulative) counts; two documents with
-// the same name/scale merge by element-wise addition, which is exact —
-// log2 bucket boundaries are identical on every node by construction.
+// HistogramJSON is the one read form of a histogram: Snapshot returns
+// it, the /metrics document and fleet federation carry it, and the
+// Prometheus renderer reads it. Buckets are per-bucket (non-cumulative)
+// counts; a short wire array reads as zero-padded. Merging is exact
+// element-wise addition: log2 boundaries are identical on every node.
 type HistogramJSON struct {
 	Name string `json:"name,omitempty"`
 	// Route labels the request-duration family; empty elsewhere.
@@ -147,33 +133,14 @@ type HistogramJSON struct {
 	Sum     int64   `json:"sum"`
 }
 
-// JSON converts a snapshot to its wire form.
-func (s HistogramSnapshot) JSON() HistogramJSON {
-	out := HistogramJSON{Name: s.Name, Scale: s.Scale, Count: s.Count, Sum: s.Sum}
-	if out.Scale == 0 {
-		out.Scale = 1
-	}
-	out.Buckets = make([]int64, NumBuckets+1)
-	copy(out.Buckets, s.Buckets[:])
-	return out
-}
-
-// Snapshot reconstructs the fixed-array snapshot from the wire form
-// (short or missing bucket arrays read as zero), so one Prometheus
-// renderer serves both live and federated documents.
-func (j HistogramJSON) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Name: j.Name, Scale: j.Scale, Count: j.Count, Sum: j.Sum}
-	if s.Scale == 0 {
-		s.Scale = 1
-	}
-	copy(s.Buckets[:], j.Buckets)
-	return s
-}
-
-// Merge adds o into j bucket-wise. The receiver keeps its name/route;
-// scale mismatches are the caller's bug and are resolved in favour of
-// the receiver (a fleet runs one binary, so scales agree in practice).
+// Merge adds o into j bucket-wise. A receiver with no name first takes
+// o's name, route and scale, so merging into a zero value is a deep
+// copy; otherwise the receiver's win (a fleet runs one binary, so
+// scales agree in practice).
 func (j *HistogramJSON) Merge(o HistogramJSON) {
+	if j.Name == "" {
+		j.Name, j.Route, j.Scale = o.Name, o.Route, o.Scale
+	}
 	if len(j.Buckets) < NumBuckets+1 {
 		b := make([]int64, NumBuckets+1)
 		copy(b, j.Buckets)
@@ -245,12 +212,16 @@ func (j HistogramJSON) Quantile(q float64) float64 {
 	return float64(BucketUpper(NumBuckets-1)) * scale
 }
 
-// Snapshot folds all shards into one view.
-func (h *Histogram) Snapshot() HistogramSnapshot {
+// Snapshot folds all shards into one read: NumBuckets+1 per-bucket
+// counts, their total and the raw sum, with Scale 0 read as 1.
+// Concurrent observations may land between shard reads, so Count can
+// trail a just-returned Observe, but every counted observation is in
+// exactly one bucket and Sum only includes counted values' shards.
+func (h *Histogram) Snapshot() HistogramJSON {
 	if h == nil {
-		return HistogramSnapshot{}
+		return HistogramJSON{}
 	}
-	s := HistogramSnapshot{Name: h.Name, Scale: h.Scale}
+	s := HistogramJSON{Name: h.Name, Scale: h.Scale, Buckets: make([]int64, NumBuckets+1)}
 	if s.Scale == 0 {
 		s.Scale = 1
 	}

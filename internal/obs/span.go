@@ -372,29 +372,6 @@ func (r *Recorder) Slowest() map[string][]TraceSummary {
 	return out
 }
 
-// Get finds a trace by local id — or by 32-hex distributed trace id —
-// in the ring or the reservoir.
-func (r *Recorder) Get(id string) *Trace {
-	if r == nil {
-		return nil
-	}
-	for i := range r.ring {
-		if t := r.ring[i].Load(); t != nil && t.matches(id) {
-			return t
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, list := range r.slowest {
-		for _, t := range list {
-			if t.matches(id) {
-				return t
-			}
-		}
-	}
-	return nil
-}
-
 // Segments returns every retained trace that belongs to the given
 // distributed trace (matched by local id or 32-hex trace id), newest
 // publication first. One propagated trace id can own several local

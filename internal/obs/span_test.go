@@ -103,14 +103,14 @@ func TestRingAndGet(t *testing.T) {
 		t.Fatalf("recent[0] = %s, want %s", recent[0].ID, ids[5])
 	}
 	// Oldest two fell out of the ring...
-	if got := r.Get(ids[0]); got != nil {
-		// ...unless the reservoir kept them; either way Get must agree
+	if got := r.Segments(ids[0]); len(got) > 0 {
+		// ...unless the reservoir kept them; either way Segments must agree
 		// with what the listing shows. ids[0] was among the first slow
 		// entries so it may legitimately be retained.
 		t.Logf("ids[0] retained by reservoir")
 	}
-	if got := r.Get(ids[5]); got == nil {
-		t.Fatalf("Get(%s) = nil, want trace", ids[5])
+	if got := r.Segments(ids[5]); len(got) != 1 {
+		t.Fatalf("Segments(%s) = %d traces, want 1", ids[5], len(got))
 	}
 }
 
@@ -138,12 +138,12 @@ func TestSlowestReservoir(t *testing.T) {
 		t.Fatalf("slowest order: %s, %s (want s2, s1)", slow[0].ID, slow[1].ID)
 	}
 	// The fast trace was evicted from the reservoir but may live in the
-	// ring; the slow ones must be Gettable regardless of ring churn.
+	// ring; the slow ones must be found regardless of ring churn.
 	for i := 0; i < 16; i++ {
 		tr := r.Start("/v1/infer", "")
 		tr.Finish()
 	}
-	if r.Get("s2") == nil {
+	if len(r.Segments("s2")) == 0 {
 		t.Fatal("slowest trace evicted by ring churn")
 	}
 }
@@ -193,7 +193,7 @@ func TestNilSafety(t *testing.T) {
 	if c.Duration() != 0 {
 		t.Fatal("nil span duration")
 	}
-	if r.Recent() != nil || r.Slowest() != nil || r.Get("id") != nil {
+	if r.Recent() != nil || r.Slowest() != nil || r.Segments("id") != nil {
 		t.Fatal("nil recorder listings")
 	}
 	if j := tr.JSON(); j.Root != nil {
@@ -202,7 +202,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 // TestRecorderConcurrent exercises concurrent trace production against
-// concurrent listing/Get — the scrape-vs-traffic pattern the server
+// concurrent listing/Segments — the scrape-vs-traffic pattern the server
 // sees — under the race detector.
 func TestRecorderConcurrent(t *testing.T) {
 	r := NewRecorder(RecorderOptions{Ring: 16, SlowestPerRoute: 4})
@@ -225,7 +225,7 @@ func TestRecorderConcurrent(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			for _, s := range r.Recent() {
-				if tr := r.Get(s.ID); tr != nil {
+				for _, tr := range r.Segments(s.ID) {
 					_ = tr.JSON()
 				}
 			}

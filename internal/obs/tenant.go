@@ -203,9 +203,12 @@ type TenantRouteSnapshot struct {
 }
 
 // Snapshot renders every tenant (overflow included) to wire form.
-// Request counters are read before the latency histograms, so a
-// concurrent request can skew count-vs-histogram only in the benign
-// direction (histogram sees it, counter not yet).
+// Within a tenant every route's request counter is read before its
+// latency histogram, and all of them before inputs, flagged and the
+// queue wait. Writers move the other way (CountInputs before Count,
+// Observe before the counter increment), so a concurrent request can
+// skew a snapshot only in the benign direction: inputs or latency seen
+// for a request the counter does not yet show, never the reverse.
 func (ts *TenantSet) Snapshot() map[string]TenantSnapshot {
 	if ts == nil {
 		return nil
@@ -226,11 +229,7 @@ func (ts *TenantSet) Snapshot() map[string]TenantSnapshot {
 }
 
 func (t *TenantStats) snapshot() TenantSnapshot {
-	s := TenantSnapshot{
-		Inputs:    t.inputs.Load(),
-		Flagged:   t.flagged.Load(),
-		QueueWait: t.queueWait.Snapshot().JSON(),
-	}
+	var s TenantSnapshot
 	for route, r := range t.routes {
 		requests := r.requests.Load()
 		if requests == 0 {
@@ -239,18 +238,23 @@ func (t *TenantStats) snapshot() TenantSnapshot {
 		if s.Routes == nil {
 			s.Routes = make(map[string]TenantRouteSnapshot)
 		}
-		lat := r.latency.Snapshot().JSON()
+		lat := r.latency.Snapshot()
 		lat.Route = route
 		s.Routes[route] = TenantRouteSnapshot{Requests: requests, Latency: lat}
 	}
+	s.Inputs = t.inputs.Load()
+	s.Flagged = t.flagged.Load()
+	s.QueueWait = t.queueWait.Snapshot()
 	return s
 }
 
-// MergeTenants folds src into dst tenant-wise: counters sum, histograms
-// merge bucket-wise, and tenants absent from dst are copied in. Used by
-// the fleet federation aggregate. The per-node cardinality cap bounds
-// the merged label space at nodes × (cap+1) in the worst case; in
-// practice tenants hit every node and the spaces coincide.
+// MergeTenants folds src into dst tenant-wise: counters sum and
+// histograms merge bucket-wise, every tenant and route folding into
+// dst's entry from its zero value, so a label or route dst lacks
+// arrives as a deep copy. Used by the fleet federation aggregate. The
+// per-node cardinality cap bounds the merged label space at nodes ×
+// (cap+1) in the worst case; in practice tenants hit every node and
+// the spaces coincide.
 func MergeTenants(dst map[string]TenantSnapshot, src map[string]TenantSnapshot) map[string]TenantSnapshot {
 	if len(src) == 0 {
 		return dst
@@ -259,25 +263,15 @@ func MergeTenants(dst map[string]TenantSnapshot, src map[string]TenantSnapshot) 
 		dst = make(map[string]TenantSnapshot, len(src))
 	}
 	for label, s := range src {
-		d, ok := dst[label]
-		if !ok {
-			dst[label] = cloneTenantSnapshot(s)
-			continue
-		}
+		d := dst[label]
 		d.Inputs += s.Inputs
 		d.Flagged += s.Flagged
 		d.QueueWait.Merge(s.QueueWait)
 		for route, sr := range s.Routes {
-			dr, ok := d.Routes[route]
-			if !ok {
-				if d.Routes == nil {
-					d.Routes = make(map[string]TenantRouteSnapshot)
-				}
-				lat := HistogramJSON{Name: sr.Latency.Name, Route: route, Scale: sr.Latency.Scale}
-				lat.Merge(sr.Latency)
-				d.Routes[route] = TenantRouteSnapshot{Requests: sr.Requests, Latency: lat}
-				continue
+			if d.Routes == nil {
+				d.Routes = make(map[string]TenantRouteSnapshot)
 			}
+			dr := d.Routes[route]
 			dr.Requests += sr.Requests
 			dr.Latency.Merge(sr.Latency)
 			d.Routes[route] = dr
@@ -285,19 +279,4 @@ func MergeTenants(dst map[string]TenantSnapshot, src map[string]TenantSnapshot) 
 		dst[label] = d
 	}
 	return dst
-}
-
-func cloneTenantSnapshot(s TenantSnapshot) TenantSnapshot {
-	out := TenantSnapshot{Inputs: s.Inputs, Flagged: s.Flagged}
-	out.QueueWait = HistogramJSON{Name: s.QueueWait.Name, Scale: s.QueueWait.Scale}
-	out.QueueWait.Merge(s.QueueWait)
-	for route, r := range s.Routes {
-		if out.Routes == nil {
-			out.Routes = make(map[string]TenantRouteSnapshot)
-		}
-		lat := HistogramJSON{Name: r.Latency.Name, Route: route, Scale: r.Latency.Scale}
-		lat.Merge(r.Latency)
-		out.Routes[route] = TenantRouteSnapshot{Requests: r.Requests, Latency: lat}
-	}
-	return out
 }

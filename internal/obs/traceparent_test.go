@@ -86,10 +86,10 @@ func TestStartRemoteJoinsTrace(t *testing.T) {
 	}
 
 	// Both lookup paths work: job id locally, hex trace id fleet-wide.
-	if got := recA.Get("q00000001"); got != trA {
+	if got := recA.Segments("q00000001"); len(got) != 1 || got[0] != trA {
 		t.Fatal("lookup by job id failed")
 	}
-	if got := recA.Get(trA.HexTraceID()); got != trA {
+	if got := recA.Segments(trA.HexTraceID()); len(got) != 1 || got[0] != trA {
 		t.Fatal("lookup by hex trace id failed")
 	}
 	segs := recB.Segments(trA.HexTraceID())

@@ -6,8 +6,8 @@ import (
 )
 
 // TestHistogramJSONMerge pins the federation arithmetic: bucket-wise
-// element sums, count/sum totals, and the snapshot round trip back to
-// the fixed-array form the Prometheus renderer consumes.
+// element sums, count/sum totals, and a merge into the zero value as the
+// one way to copy a histogram.
 func TestHistogramJSONMerge(t *testing.T) {
 	a := NewHistogram("h", 1e-9)
 	b := NewHistogram("h", 1e-9)
@@ -18,7 +18,7 @@ func TestHistogramJSONMerge(t *testing.T) {
 		b.Observe(v)
 	}
 
-	ja, jb := a.Snapshot().JSON(), b.Snapshot().JSON()
+	ja, jb := a.Snapshot(), b.Snapshot()
 	ja.Merge(jb)
 	if ja.Count != 5 {
 		t.Fatalf("merged count = %d, want 5", ja.Count)
@@ -41,26 +41,39 @@ func TestHistogramJSONMerge(t *testing.T) {
 		t.Fatalf("overflow bucket = %d, want 1", ja.Buckets[NumBuckets])
 	}
 
-	snap := ja.Snapshot()
-	if snap.Count != ja.Count || snap.Sum != ja.Sum || snap.Buckets[bucketOf(100)] != 2 {
-		t.Fatalf("round trip lost data: %+v", snap)
+	// Merge into a zero value is a deep copy that takes the argument's
+	// name, route and scale; a short wire array (forward compat) reads
+	// as zero-padded.
+	short := HistogramJSON{Name: "h", Route: "/r", Scale: 1e-9, Buckets: []int64{1, 2}, Count: 3, Sum: 4}
+	var cp HistogramJSON
+	cp.Merge(short)
+	if cp.Name != "h" || cp.Route != "/r" || cp.Scale != 1e-9 || cp.Count != 3 || cp.Sum != 4 {
+		t.Fatalf("zero-value merge header: %+v", cp)
 	}
-	// Short wire arrays (forward compat) read as zero-padded.
-	short := HistogramJSON{Buckets: []int64{1, 2}, Count: 3}
-	if s := short.Snapshot(); s.Buckets[0] != 1 || s.Buckets[1] != 2 || s.Buckets[2] != 0 {
-		t.Fatalf("short bucket array mis-read: %v", s.Buckets[:4])
+	if len(cp.Buckets) != NumBuckets+1 || cp.Buckets[0] != 1 || cp.Buckets[1] != 2 || cp.Buckets[2] != 0 {
+		t.Fatalf("short bucket array mis-read: %v", cp.Buckets)
+	}
+	cp.Buckets[0] = 99
+	if short.Buckets[0] != 1 {
+		t.Fatal("zero-value merge aliases the argument's buckets")
+	}
+	// A named receiver keeps its own header.
+	named := HistogramJSON{Name: "kept", Scale: 1}
+	named.Merge(short)
+	if named.Name != "kept" || named.Route != "" || named.Scale != 1 || named.Count != 3 {
+		t.Fatalf("named receiver header: %+v", named)
 	}
 }
 
 func TestHistogramJSONDeltaQuantile(t *testing.T) {
 	h := NewHistogram("lat", 1)
 	h.Observe(10)
-	earlier := h.Snapshot().JSON()
+	earlier := h.Snapshot()
 	for i := 0; i < 99; i++ {
 		h.Observe(100)
 	}
 	h.Observe(100000)
-	delta := h.Snapshot().JSON().Delta(earlier)
+	delta := h.Snapshot().Delta(earlier)
 	if delta.Count != 100 {
 		t.Fatalf("delta count = %d, want 100", delta.Count)
 	}

@@ -491,11 +491,11 @@ func TestReconcileTracePropagation(t *testing.T) {
 	if tid == "" {
 		t.Fatal("reconcile trace has no W3C trace id")
 	}
-	round := recFollower.Get(tid)
-	if round == nil {
+	round := recFollower.Segments(tid)
+	if len(round) == 0 {
 		t.Fatal("reconcile trace not addressable by hex trace id")
 	}
-	rootSpan := round.JSON().SpanID
+	rootSpan := round[0].JSON().SpanID
 
 	// A handler finishes its segment after the response is written, so
 	// the last export's can land just after ReconcileOnce returns.

@@ -160,24 +160,19 @@ func mergeNum[T int | int64 | float64](dst *T, src T, rule mergeRule) {
 }
 
 // mergeHistograms folds src's wire-form histograms into dst, matching
-// entries on (name, route) and appending families dst has not seen.
-// Bucket boundaries are identical on every node (log2 by
-// construction), so matched entries add elementwise.
+// entries on (name, route); a family dst has not seen is appended as a
+// zero entry and folded like the rest. Bucket boundaries are identical
+// on every node (log2 by construction), so entries add elementwise.
 func mergeHistograms(dst, src []obs.HistogramJSON) []obs.HistogramJSON {
 	for _, sh := range src {
-		merged := false
-		for i := range dst {
-			if dst[i].Name == sh.Name && dst[i].Route == sh.Route {
-				dst[i].Merge(sh)
-				merged = true
-				break
-			}
+		i := 0
+		for i < len(dst) && (dst[i].Name != sh.Name || dst[i].Route != sh.Route) {
+			i++
 		}
-		if !merged {
-			cp := sh
-			cp.Buckets = append([]int64(nil), sh.Buckets...)
-			dst = append(dst, cp)
+		if i == len(dst) {
+			dst = append(dst, obs.HistogramJSON{})
 		}
+		dst[i].Merge(sh)
 	}
 	return dst
 }

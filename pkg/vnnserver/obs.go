@@ -54,7 +54,7 @@ func newServerObs(cfg Config, node string) *serverObs {
 		rec: obs.NewRecorder(obs.RecorderOptions{
 			Ring:          cfg.TraceRing,
 			SlowThreshold: cfg.SlowRequest,
-			SlowLog:       cfg.SlowLog,
+			SlowLog:       cfg.Log,
 			Node:          node,
 		}),
 		latency: make(map[string]*obs.Histogram, len(latencyRoutes)),
@@ -82,12 +82,12 @@ func observeSince(h *obs.Histogram, start time.Time) {
 func (o *serverObs) histogramsJSON() []obs.HistogramJSON {
 	out := make([]obs.HistogramJSON, 0, len(latencyRoutes)+len(o.hist))
 	for _, route := range latencyRoutes {
-		j := o.latency[route].Snapshot().JSON()
+		j := o.latency[route].Snapshot()
 		j.Route = route
 		out = append(out, j)
 	}
 	for _, h := range o.hist {
-		out = append(out, h.Snapshot().JSON())
+		out = append(out, h.Snapshot())
 	}
 	return out
 }

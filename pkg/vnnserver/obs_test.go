@@ -457,10 +457,10 @@ func anyBuildInfo(samples []promSample) bool {
 // TestMetricsScrapeConsistentUnderTraffic hammers the warm by-fingerprint
 // infer path from several clients while scraping /metrics (both
 // renderings) and /debug/traces concurrently. Under -race this is the
-// data-race probe for the whole observability plane; the assertion per
-// JSON scrape is the documented snapshot guarantee — every batch carries
+// data-race probe for the whole observability plane; the assertions per
+// JSON scrape are the documented snapshot guarantee — every batch carries
 // exactly 2 inputs, so a snapshot may never show fewer than 2×requests
-// inputs.
+// inputs, neither server-wide nor for the anonymous tenant.
 func TestMetricsScrapeConsistentUnderTraffic(t *testing.T) {
 	net := inferNet(11)
 	_, ts := newTestServer(t, vnnserver.Config{TraceRing: 32})
@@ -521,6 +521,12 @@ func TestMetricsScrapeConsistentUnderTraffic(t *testing.T) {
 				if m.Infer.Inputs < 2*m.Infer.Requests {
 					resp.Body.Close()
 					errc <- fmt.Errorf("snapshot skew: %d requests but only %d inputs", m.Infer.Requests, m.Infer.Inputs)
+					return
+				}
+				tn := m.Tenants[obs.AnonymousTenant]
+				if req := tn.Routes["/v1/infer"].Requests; tn.Inputs < 2*req {
+					resp.Body.Close()
+					errc <- fmt.Errorf("tenant snapshot skew: %d requests but only %d inputs", req, tn.Inputs)
 					return
 				}
 			} else {

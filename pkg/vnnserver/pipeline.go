@@ -69,10 +69,10 @@ func validateMonitorSpec(m *InferMonitorSpec, net *vnn.Network) (vnn.MonitorOpti
 	return opts, audit.Validate(net)
 }
 
-// accept opens every compute request: refuse with 503 while draining,
-// before any side effect or read, then read the bounded body and decode
-// it with decode (413 over the cap, 400 on any other failure). It reports
-// whether the handler may proceed.
+// accept opens every request that reads a body: refuse with 503 while
+// draining, before any side effect or read, then read the bounded body
+// and decode it with decode (413 over the cap, 400 on any other
+// failure). It reports whether the handler may proceed.
 func (s *Server) accept(w http.ResponseWriter, r *http.Request, decode func(body []byte) error) bool {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")

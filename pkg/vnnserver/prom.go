@@ -51,11 +51,12 @@ func promFamily(w io.Writer, name, help, typ string) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-// promHistogram renders one histogram snapshot as a labelled series set
-// under an already-written family header: cumulative `_bucket` series,
-// `_sum` and `_count`. labels is the shared label string ("" or
-// `route="/v1/infer"`).
-func promHistogram(w io.Writer, name, labels string, s obs.HistogramSnapshot) {
+// promHistogram renders one histogram as a labelled series set under an
+// already-written family header: cumulative `_bucket` series, `_sum` and
+// `_count`. labels is the shared label string ("" or
+// `route="/v1/infer"`). A short bucket array reads as zero-padded and
+// Scale 0 as 1, so live and federated documents render alike.
+func promHistogram(w io.Writer, name, labels string, h obs.HistogramJSON) {
 	bucketLabels := func(le string) string {
 		if labels == "" {
 			return fmt.Sprintf("{le=%q}", le)
@@ -66,16 +67,22 @@ func promHistogram(w io.Writer, name, labels string, s obs.HistogramSnapshot) {
 	if labels != "" {
 		suffix = "{" + labels + "}"
 	}
+	scale := h.Scale
+	if scale == 0 {
+		scale = 1
+	}
 	var cum int64
 	for k := 0; k <= obs.NumBuckets; k++ {
-		cum += s.Buckets[k]
+		if k < len(h.Buckets) {
+			cum += h.Buckets[k]
+		}
 		le := "+Inf"
 		if k < obs.NumBuckets {
-			le = promFloat(float64(obs.BucketUpper(k)) * s.Scale)
+			le = promFloat(float64(obs.BucketUpper(k)) * scale)
 		}
 		fmt.Fprintf(w, "%s_bucket%s %d\n", name, bucketLabels(le), cum)
 	}
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, suffix, promFloat(float64(s.Sum)*s.Scale))
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, suffix, promFloat(float64(h.Sum)*scale))
 	fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, cum)
 }
 
@@ -126,7 +133,7 @@ func writePromFrom(w io.Writer, m Metrics) {
 		if hj.Route != "" {
 			labels = fmt.Sprintf("route=%q", promEscape(hj.Route))
 		}
-		promHistogram(w, hj.Name, labels, hj.Snapshot())
+		promHistogram(w, hj.Name, labels, hj)
 	}
 }
 
@@ -221,13 +228,13 @@ func promTenants(w io.Writer, m *Metrics) {
 		for _, rt := range sortedKeys(ts.Routes) {
 			promHistogram(w, lat.name,
 				fmt.Sprintf("tenant=%q,route=%q", promEscape(t), promEscape(rt)),
-				ts.Routes[rt].Latency.Snapshot())
+				ts.Routes[rt].Latency)
 		}
 	}
 	wait := histFamilies[hTenantQueueWait]
 	promFamily(w, wait.name, wait.help, histogram)
 	for _, t := range tenants {
 		promHistogram(w, wait.name,
-			fmt.Sprintf("tenant=%q", promEscape(t)), m.Tenants[t].QueueWait.Snapshot())
+			fmt.Sprintf("tenant=%q", promEscape(t)), m.Tenants[t].QueueWait)
 	}
 }

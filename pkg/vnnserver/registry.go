@@ -12,9 +12,7 @@ package vnnserver
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"regexp"
 	"strconv"
@@ -246,14 +244,13 @@ func (s *Server) handleModelEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleModelPromote(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
 	var req ModelPromoteRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil && !errors.Is(err, io.EOF) {
-		// An empty body is a plain full promotion.
-		writeError(w, decodeStatus(err), err.Error())
+	if !s.accept(w, r, func(body []byte) error {
+		if skipSpace(body, 0) == len(body) {
+			return nil // an empty body is a plain full promotion
+		}
+		return decodeBody(body, &req)
+	}) {
 		return
 	}
 	pct := 100

@@ -214,9 +214,12 @@ func TestModelRolloutEndToEnd(t *testing.T) {
 		t.Fatalf("50%% canary routed everything one way: %v", routed)
 	}
 
-	// Full cutover, then one-RTT rollback: v2 serves again bit-identically
-	// with zero new compiles — both artifacts were warm all along.
-	promoteModel(t, ts.URL, "demo", `{}`)
+	// Full cutover by an empty body (a plain full promotion), then
+	// one-RTT rollback: v2 serves again bit-identically with zero new
+	// compiles — both artifacts were warm all along.
+	if cut := promoteModel(t, ts.URL, "demo", ""); cut.State != "live" || cut.Version != 3 {
+		t.Fatalf("empty-body promote: %+v", cut.ModelVersionJSON)
+	}
 	var v3 vnnserver.InferResponse
 	if status := modelInfer(t, ts.URL, "demo", [][]float64{{0.9, 0.1}}, &v3); status != http.StatusOK {
 		t.Fatalf("post-cutover infer status %d", status)

@@ -106,11 +106,9 @@ type Config struct {
 	// means 256; rounded up to a power of two).
 	TraceRing int
 	// SlowRequest, when positive, logs every request at least this slow
-	// through SlowLog (cmd/vnnd's -slow-log flag).
+	// through Log (cmd/vnnd's -slow-log flag); a nil Log disables the
+	// lines even with SlowRequest set.
 	SlowRequest time.Duration
-	// SlowLog receives the structured slow-request lines; nil disables
-	// them even with SlowRequest set.
-	SlowLog func(format string, args ...any)
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (cmd/vnnd's
 	// -pprof flag). Off by default: profiles expose enough about a
 	// node's workload that they are opt-in.
@@ -136,7 +134,7 @@ type Config struct {
 	// under the "other" tenant.
 	TenantCap int
 	// Log receives operational diagnostics (registry recovery and
-	// persistence problems); nil discards them.
+	// persistence problems, slow-request lines); nil discards them.
 	Log func(format string, args ...any)
 }
 
@@ -672,16 +670,6 @@ func statusFor(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
-}
-
-// decodeJSON reads a request body of at most maxBytes and strictly
-// decodes it into v.
-func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
-	body, err := readBody(w, r, maxBytes)
-	if err != nil {
-		return err
-	}
-	return decodeBody(body, v)
 }
 
 // bodyPrealloc caps how much of a client's Content-Length readBody

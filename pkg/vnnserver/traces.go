@@ -70,28 +70,15 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace serves one trace by job id or hex trace id. Lookup order:
-// local primary trace, then local segments of a distributed trace,
-// then (unless ?local=1) a one-hop fetch through the fleet peers.
+// local segments (the newest is the document root, the rest hang under
+// it), then (unless ?local=1) a one-hop fetch through the fleet peers.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	localOnly := r.URL.Query().Get("local") == "1"
 
-	if t := s.obs.rec.Get(id); t != nil {
-		doc := t.JSON()
-		s.attachSegments(r.Context(), &doc, t, localOnly)
-		writeJSON(w, http.StatusOK, doc)
-		return
-	}
-	// No primary trace here, but this node may hold segments of a
-	// distributed trace (e.g. the export side of a fleet pull).
 	if segs := s.obs.rec.Segments(id); len(segs) > 0 {
 		doc := segs[0].JSON()
-		for _, t := range segs[1:] {
-			doc.Segments = append(doc.Segments, t.JSON())
-		}
-		if !localOnly {
-			doc.Segments = append(doc.Segments, s.peerSegments(r.Context(), doc.TraceID, doc.SpanID)...)
-		}
+		s.attachSegments(r.Context(), &doc, segs[0], localOnly)
 		writeJSON(w, http.StatusOK, doc)
 		return
 	}
