@@ -149,8 +149,8 @@
 // — cutting a request from megabytes to kilobytes (unknown fingerprints
 // answer 404; re-send the full request). Repeated monitored requests hit
 // both the compile cache and the monitor cache; /metrics reports the
-// plane under "infer" (requests, inputs, flagged, per-lane shard
-// throughput).
+// plane under "infer" (requests, inputs, flagged, cached monitors and
+// workloads).
 //
 // # Verified rollout: /v1/models, -data-dir, -gate
 //
@@ -209,8 +209,8 @@
 //
 //	curl -s -X POST localhost:8419/v1/models/occupancy/rollback
 //
-// With -data-dir set, registry state (snapshot + append-only transition
-// log) survives restarts: on boot the daemon recompiles every routable
+// With -data-dir set, registry state (one snapshot, each version's
+// transition history inside it) survives restarts: on boot the daemon recompiles every routable
 // version and restores its monitors before /readyz reports ready — a
 // version caught mid-gate by the crash recovers as rejected (its
 // certification never completed; re-submit it). -gate supplies a default
@@ -326,8 +326,8 @@
 //
 // Every request is also traced by an in-memory flight recorder: a root
 // span per request with child spans for each phase (queue wait, compile
-// cache, tighten/encode, branch-and-bound solve, monitor build, infer
-// chunks, fleet rounds). The last -trace-ring completed traces — plus
+// cache, tighten/encode, branch-and-bound solve, monitor build, the
+// infer run, fleet rounds). The last -trace-ring completed traces — plus
 // the slowest few per route, retained past ring churn — are listed at
 // /debug/traces; one trace is fetched by id. For /v1/verify and
 // /v1/analyze the trace id IS the job id the response echoes:

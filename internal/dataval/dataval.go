@@ -157,13 +157,19 @@ type FeatureStats struct {
 	Min, Max, Mean, Std float64
 }
 
-// Stats computes per-feature statistics; empty data yields nil.
+// Stats computes per-feature statistics; empty data yields nil. A feature
+// is summarized over the samples that have it, so ragged data (which
+// DimensionRule reports) is measured rather than refused.
 func Stats(data []train.Sample) []FeatureStats {
 	if len(data) == 0 {
 		return nil
 	}
-	dim := len(data[0].X)
+	dim := 0
+	for _, s := range data {
+		dim = max(dim, len(s.X))
+	}
 	out := make([]FeatureStats, dim)
+	n := make([]float64, dim)
 	for i := range out {
 		out[i].Min = math.Inf(1)
 		out[i].Max = math.Inf(-1)
@@ -177,11 +183,11 @@ func Stats(data []train.Sample) []FeatureStats {
 				out[i].Max = v
 			}
 			out[i].Mean += v
+			n[i]++
 		}
 	}
-	n := float64(len(data))
 	for i := range out {
-		out[i].Mean /= n
+		out[i].Mean /= n[i]
 	}
 	for _, s := range data {
 		for i, v := range s.X {
@@ -190,7 +196,7 @@ func Stats(data []train.Sample) []FeatureStats {
 		}
 	}
 	for i := range out {
-		out[i].Std = math.Sqrt(out[i].Std / n)
+		out[i].Std = math.Sqrt(out[i].Std / n[i])
 	}
 	return out
 }

@@ -129,3 +129,19 @@ func TestStats(t *testing.T) {
 		t.Fatal("empty data should give nil")
 	}
 }
+
+// TestStatsRagged: a sample wider than the first one is measured, not a
+// panic; each feature is summarized over the samples that have it.
+func TestStatsRagged(t *testing.T) {
+	st := Stats([]train.Sample{
+		sample(nil, nil),
+		sample([]float64{1, 5}, nil),
+		sample([]float64{3}, nil),
+	})
+	if len(st) != 2 {
+		t.Fatalf("stats len %d, want 2", len(st))
+	}
+	if st[0].Mean != 2 || st[0].Std != 1 || st[1].Min != 5 || st[1].Mean != 5 || st[1].Std != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}

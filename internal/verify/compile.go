@@ -148,10 +148,10 @@ func (c *Compiled) PreActivationBounds() [][]bounds.Interval {
 }
 
 // checkOutputs validates output indices against the network.
-func (c *Compiled) checkOutputs(outs ...int) error {
+func checkOutputs(net *nn.Network, outs ...int) error {
 	for _, oi := range outs {
-		if oi < 0 || oi >= c.net.OutputDim() {
-			return fmt.Errorf("verify: output index %d of %d", oi, c.net.OutputDim())
+		if oi < 0 || oi >= net.OutputDim() {
+			return fmt.Errorf("verify: output index %d of %d", oi, net.OutputDim())
 		}
 	}
 	return nil
@@ -201,7 +201,7 @@ func (c *Compiled) MaxOverOutputs(ctx context.Context, outIndices []int, opts Op
 	if len(outIndices) == 0 {
 		return nil, fmt.Errorf("verify: MaxOverOutputs needs at least one output index")
 	}
-	if err := c.checkOutputs(outIndices...); err != nil {
+	if err := checkOutputs(c.net, outIndices...); err != nil {
 		return nil, err
 	}
 	best := &MaxResult{Value: math.Inf(-1), UpperBound: math.Inf(-1)}

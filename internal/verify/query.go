@@ -2,6 +2,7 @@ package verify
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -12,6 +13,10 @@ import (
 	"repro/internal/milp"
 	"repro/internal/nn"
 )
+
+// ErrEmptyRegion is a max query's error over a region no input satisfies:
+// the query's fault, not the engine's, though only the search finds it.
+var ErrEmptyRegion = errors.New("verify: region is empty (MILP infeasible)")
 
 // Outcome is the verdict of one query — the one verdict enum of the
 // engine and of pkg/vnn. The constants run from best to worst, an order
@@ -128,7 +133,7 @@ func (c *Compiled) search(ctx context.Context, coeffs map[int]float64, floorp *f
 		return nil, fmt.Errorf("verify: a query needs at least one objective term")
 	}
 	for oi := range coeffs {
-		if err := c.checkOutputs(oi); err != nil {
+		if err := checkOutputs(c.net, oi); err != nil {
 			return nil, err
 		}
 	}
@@ -159,7 +164,7 @@ func (c *Compiled) search(ctx context.Context, coeffs map[int]float64, floorp *f
 	out.Stats = enc.stats(res, start)
 	if res.Status == milp.Infeasible {
 		if !prove {
-			return nil, fmt.Errorf("verify: region is empty (MILP infeasible)")
+			return nil, ErrEmptyRegion
 		}
 		out.Outcome, out.UpperBound = Proved, math.Min(ivb, floor)
 		return out, nil

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/bounds"
+	"repro/internal/nn"
 )
 
 // ResilienceResult reports the outcome of a Resilience query.
@@ -39,6 +40,31 @@ type ResilienceOptions struct {
 	Query Options
 }
 
+// CheckResilience is the precondition of a resilience query on net over
+// region: outIndex names an output, x0 and the region's box have the
+// network's input dimension, x0 lies in the box (the search domain), and
+// the nominal value net(x0)[outIndex] is at most threshold — a NaN
+// threshold fails that check. Resilience refuses a query that fails it,
+// and pkg/vnn's resilience property calls it to refuse the query before
+// any search runs.
+func CheckResilience(net *nn.Network, region *InputRegion, x0 []float64, outIndex int, threshold float64) error {
+	if err := checkOutputs(net, outIndex); err != nil {
+		return err
+	}
+	if len(x0) != net.InputDim() || len(region.Box) != len(x0) {
+		return fmt.Errorf("verify: nominal point dim %d, region box %d, network input %d", len(x0), len(region.Box), net.InputDim())
+	}
+	for i, iv := range region.Box {
+		if !iv.Contains(x0[i]) {
+			return fmt.Errorf("verify: nominal point coordinate %d (%g) outside domain [%g, %g]", i, x0[i], iv.Lo, iv.Hi)
+		}
+	}
+	if v := net.Forward(x0)[outIndex]; !(v <= threshold) {
+		return fmt.Errorf("verify: nominal value %g is not at most the threshold %g", v, threshold)
+	}
+	return nil
+}
+
 // Resilience computes the maximum ℓ∞ perturbation radius around the nominal
 // input x0 under which output[outIndex] provably stays ≤ threshold — the
 // "maximum resilience" measure of Cheng et al. (ATVA 2017) that the paper's
@@ -52,21 +78,10 @@ type ResilienceOptions struct {
 // largest radius certified so far — the anytime answer — with no error.
 func (c *Compiled) Resilience(ctx context.Context, x0 []float64, outIndex int, threshold float64, opts ResilienceOptions) (*ResilienceResult, error) {
 	start := time.Now()
-	if err := c.checkOutputs(outIndex); err != nil {
+	if err := CheckResilience(c.net, c.region, x0, outIndex, threshold); err != nil {
 		return nil, err
 	}
 	domain := c.region.Box
-	if len(x0) != len(domain) {
-		return nil, fmt.Errorf("verify: nominal point dim %d, network input %d", len(x0), len(domain))
-	}
-	for i, iv := range domain {
-		if !iv.Contains(x0[i]) {
-			return nil, fmt.Errorf("verify: nominal point coordinate %d (%g) outside domain [%g, %g]", i, x0[i], iv.Lo, iv.Hi)
-		}
-	}
-	if v := c.net.Forward(x0)[outIndex]; v > threshold {
-		return nil, fmt.Errorf("verify: nominal point already violates the property (%g > %g)", v, threshold)
-	}
 	maxIter := opts.MaxIterations
 	if maxIter <= 0 {
 		maxIter = 10

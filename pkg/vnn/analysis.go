@@ -54,10 +54,11 @@ const (
 type Analysis interface {
 	// Kind names the analysis (one of the Kind* constants).
 	Kind() string
-	// Validate checks the analysis against the network it will run on —
-	// dimensions, index ranges, parameter domains — so callers (and the
-	// service) can reject a malformed request before any work.
-	Validate(net *Network) error
+	// Validate checks the analysis against the network and region it will
+	// run on (a region valid for the network) — dimensions, index ranges,
+	// parameter domains, each property's engine preconditions — so callers
+	// (and the service) can reject a malformed request before any work.
+	Validate(net *Network, region *Region) error
 	// Run executes the analysis. The context carries the anytime
 	// contract: analyses embedding verification queries return their
 	// interval-bound anytime answers when it fires, never a bare error.
@@ -103,7 +104,7 @@ func Analyze(ctx context.Context, cn *CompiledNetwork, analyses ...Analysis) ([]
 		return nil, fmt.Errorf("vnn: Analyze needs at least one analysis")
 	}
 	for i, a := range analyses {
-		if err := a.Validate(cn.Net()); err != nil {
+		if err := a.Validate(cn.Net(), cn.Region()); err != nil {
 			return nil, fmt.Errorf("vnn: analysis %d (%s): %w", i, a.Kind(), err)
 		}
 	}
@@ -152,24 +153,21 @@ type Verification struct {
 // Kind returns KindVerify.
 func (v *Verification) Kind() string { return KindVerify }
 
-// Validate checks the property batch is non-empty and references only
-// outputs the network has.
-func (v *Verification) Validate(net *Network) error {
-	return validateProperties(net, v.Properties)
+// Validate checks the property batch is non-empty and that the engine
+// will answer every property on net over region.
+func (v *Verification) Validate(net *Network, region *Region) error {
+	return validateProperties(net, region, v.Properties)
 }
 
-// validateProperties rejects empty batches and out-of-range output
-// references — before any (possibly expensive) sibling analysis runs.
-func validateProperties(net *Network, props []Property) error {
+// validateProperties rejects an empty batch and any property the engine
+// would refuse, before any search or sibling analysis runs.
+func validateProperties(net *Network, region *Region, props []Property) error {
 	if len(props) == 0 {
 		return fmt.Errorf("needs at least one property")
 	}
-	dim := net.OutputDim()
 	for i, p := range props {
-		for _, o := range propertyOutputs(p) {
-			if o < 0 || o >= dim {
-				return fmt.Errorf("property %d (%s) references output %d of %d", i, p, o, dim)
-			}
+		if err := p.validate(net, region); err != nil {
+			return fmt.Errorf("property %d (%s): %w", i, p, err)
 		}
 	}
 	return nil
@@ -225,7 +223,7 @@ type Coverage struct {
 func (c *Coverage) Kind() string { return KindCoverage }
 
 // Validate checks the dataset dimensions and that the analysis has work.
-func (c *Coverage) Validate(net *Network) error {
+func (c *Coverage) Validate(net *Network, _ *Region) error {
 	if len(c.Data) == 0 && c.MaxTests <= 0 {
 		return fmt.Errorf("coverage needs data or a max_tests generation budget")
 	}
@@ -297,7 +295,7 @@ type Traceability struct {
 func (tr *Traceability) Kind() string { return KindTraceability }
 
 // Validate checks the dataset shape against the network.
-func (tr *Traceability) Validate(net *Network) error {
+func (tr *Traceability) Validate(net *Network, _ *Region) error {
 	if len(tr.Data) == 0 {
 		return fmt.Errorf("traceability needs at least one data point")
 	}
@@ -395,8 +393,9 @@ type QuantSweep struct {
 // Kind returns KindQuantSweep.
 func (q *QuantSweep) Kind() string { return KindQuantSweep }
 
-// Validate checks widths and the property batch.
-func (q *QuantSweep) Validate(net *Network) error {
+// Validate checks widths and the property batch, on the float network and
+// on each quantized one.
+func (q *QuantSweep) Validate(net *Network, region *Region) error {
 	if len(q.Bits) == 0 {
 		return fmt.Errorf("quant sweep needs at least one bit-width")
 	}
@@ -405,8 +404,19 @@ func (q *QuantSweep) Validate(net *Network) error {
 			return fmt.Errorf("quant sweep bit-width %d outside [2, 16]", b)
 		}
 	}
-	if err := validateProperties(net, q.Properties); err != nil {
+	if err := validateProperties(net, region, q.Properties); err != nil {
 		return fmt.Errorf("quant sweep: %w", err)
+	}
+	// Every rung re-verifies the batch on its own quantized network, whose
+	// values (a resilience query's nominal one) are not the float model's.
+	for _, b := range q.Bits {
+		qnet, _, err := quant.Quantize(net, b)
+		if err != nil {
+			return err
+		}
+		if err := validateProperties(qnet, region, q.Properties); err != nil {
+			return fmt.Errorf("quant sweep at %d bits: %w", b, err)
+		}
 	}
 	if q.Base != nil && len(q.Base) != len(q.Properties) {
 		return fmt.Errorf("quant sweep has %d baseline results for %d properties", len(q.Base), len(q.Properties))
@@ -509,7 +519,7 @@ type DataValidation struct {
 func (d *DataValidation) Kind() string { return KindDataValidation }
 
 // Validate checks the analysis has data and rules.
-func (d *DataValidation) Validate(net *Network) error {
+func (d *DataValidation) Validate(*Network, *Region) error {
 	if len(d.Data) == 0 {
 		return fmt.Errorf("data validation needs at least one sample")
 	}
@@ -546,15 +556,12 @@ type Falsification struct {
 func (fa *Falsification) Kind() string { return KindFalsify }
 
 // Validate checks the attacked outputs exist.
-func (fa *Falsification) Validate(net *Network) error {
+func (fa *Falsification) Validate(net *Network, _ *Region) error {
 	if len(fa.Outputs) == 0 {
 		return fmt.Errorf("falsification needs at least one output index")
 	}
-	dim := net.OutputDim()
-	for _, o := range fa.Outputs {
-		if o < 0 || o >= dim {
-			return fmt.Errorf("falsification output %d of %d", o, dim)
-		}
+	if err := checkOutputs(net, fa.Outputs...); err != nil {
+		return fmt.Errorf("falsification %w", err)
 	}
 	if fa.Restarts < 0 || fa.Steps < 0 {
 		return fmt.Errorf("falsification restarts/steps must be non-negative")

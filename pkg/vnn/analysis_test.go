@@ -30,6 +30,16 @@ func unitBoxRegion(dim int) *Region {
 	return &Region{Box: box}
 }
 
+// validateSpec builds the spec's analysis and validates it against net over
+// the unit box: the checks a service makes before admitting the spec.
+func validateSpec(s *AnalysisSpec, net *Network) error {
+	a, err := s.Analysis()
+	if err != nil {
+		return err
+	}
+	return a.Validate(net, unitBoxRegion(net.InputDim()))
+}
+
 func randomInputs(n, dim int, seed int64) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
 	data := make([][]float64, n)
@@ -337,7 +347,7 @@ func TestAnalysisSpecRoundTrip(t *testing.T) {
 		if a.Kind() != specs[i].Kind {
 			t.Fatalf("spec %d kind %q != %q", i, a.Kind(), specs[i].Kind)
 		}
-		if err := specs[i].ValidateFor(net); err != nil {
+		if err := validateSpec(&specs[i], net); err != nil {
 			t.Fatalf("spec %d: %v", i, err)
 		}
 	}
@@ -369,7 +379,7 @@ func TestAnalysisSpecRoundTrip(t *testing.T) {
 		if _, err := badFor[i].Analysis(); err != nil {
 			continue // shape-invalid is fine too
 		}
-		if err := badFor[i].ValidateFor(net); err == nil {
+		if err := validateSpec(&badFor[i], net); err == nil {
 			t.Fatalf("mismatched spec %d accepted for network", i)
 		}
 	}

@@ -36,10 +36,10 @@ func fuzzRegion() *vnn.Region {
 }
 
 // FuzzPropertySpec drives wire bytes through the one answer path: JSON →
-// PropertySpec → Property → ValidateFor → Verify on one compiled artifact.
-// Every accepted spec must be answered, and the answer must keep the
-// Result contract: a sound bracket, a witness in the region that replays
-// bitwise to Value, and verdicts that agree with the threshold.
+// PropertySpec → Property → Validate → Verify on one compiled artifact.
+// Every property Validate accepts must be answered, and the answer must
+// keep the Result contract: a sound bracket, a witness in the region that
+// replays bitwise to Value, and verdicts that agree with the threshold.
 func FuzzPropertySpec(f *testing.F) {
 	net, region := fuzzNet(), fuzzRegion()
 	ctx := context.Background()
@@ -68,6 +68,8 @@ func FuzzPropertySpec(f *testing.F) {
 		`{"kind":"resilience","x0":[0,0,0],"output":0,"threshold":5,"max_iterations":9}`,
 		`{"kind":"resilience","x0":[0.9,0.9,0],"output":1,"threshold":0}`,
 		`{"kind":"resilience","x0":[0,0],"output":0,"threshold":1}`,
+		`{"kind":"resilience","x0":[5,0,0],"output":0,"threshold":1e308}`,
+		`{"kind":"resilience","x0":[0,0,0],"output":0,"threshold":-1e308}`,
 		`{"kind":"resilience","x0":[` + strings.TrimSuffix(strings.Repeat("0.5,", 10000), ",") + `],"output":0,"threshold":1}`,
 		`{"kind":""}`,
 		`{"kind":"nope"}`,
@@ -83,18 +85,12 @@ func FuzzPropertySpec(f *testing.F) {
 			spec.MaxIterations = 2
 		}
 		prop, err := spec.Property()
-		if err != nil || spec.ValidateFor(net) != nil {
-			return
-		}
-		if spec.Kind == "resilience" && !nominalSafe(net, region, spec) {
-			if _, err := vnn.VerifyOne(ctx, cn, prop); err == nil {
-				t.Fatalf("%s: accepted a nominal point outside the domain or above the threshold", data)
-			}
+		if err != nil || (&vnn.Verification{Properties: []vnn.Property{prop}}).Validate(net, region) != nil {
 			return
 		}
 		r, err := vnn.VerifyOne(ctx, cn, prop)
 		if err != nil {
-			t.Fatalf("%s: %v", data, err)
+			t.Fatalf("%s: validated property not answered: %v", data, err)
 		}
 		if err := checkResult(net, region, spec, r); err != nil {
 			t.Fatalf("%s: %v (result %+v)", data, err, r)
@@ -102,15 +98,69 @@ func FuzzPropertySpec(f *testing.F) {
 	})
 }
 
-// nominalSafe reports whether a resilience spec's x0 lies in the region's
-// box (the search domain) and satisfies the property there.
-func nominalSafe(net *vnn.Network, region *vnn.Region, spec vnn.PropertySpec) bool {
-	for i, iv := range region.Box {
-		if !iv.Contains(spec.X0[i]) {
-			return false
-		}
+// FuzzAnalysisSpec drives wire bytes through the portfolio's answer path:
+// JSON → AnalysisSpec → Analysis → Validate → Analyze on one compiled
+// artifact. Every analysis Validate accepts must run without error. The
+// open-ended work parameters are clamped so one input runs in
+// milliseconds; a service caps them per request the same way.
+func FuzzAnalysisSpec(f *testing.F) {
+	net, region := fuzzNet(), fuzzRegion()
+	ctx := context.Background()
+	cn, err := vnn.Compile(ctx, net, region, vnn.Options{Workers: 1, MaxNodes: 64})
+	if err != nil {
+		f.Fatal(err)
 	}
-	return net.Forward(spec.X0)[*spec.Output] <= *spec.Threshold
+	for _, seed := range []string{
+		`{"kind":"verify","properties":[{"kind":"max","outputs":[0,1]},{"kind":"at_most","output":1,"threshold":0.2}]}`,
+		`{"kind":"verify","properties":[{"kind":"resilience","x0":[0,0,0],"output":0,"threshold":5}]}`,
+		`{"kind":"verify","properties":[{"kind":"resilience","x0":[2,0,0],"output":0,"threshold":5}]}`,
+		`{"kind":"verify","properties":[{"kind":"min","output":2}]}`,
+		`{"kind":"verify"}`,
+		`{"kind":"coverage","max_tests":20,"seed":3}`,
+		`{"kind":"coverage","data":[[0,0,0],[1,-1,0]],"target_sign":0.5}`,
+		`{"kind":"coverage","data":[[0,0]]}`,
+		`{"kind":"traceability","data":[[0,0,0],[0.5,0.5,0.5]],"top_k":2}`,
+		`{"kind":"traceability","data":[[0,0,0]],"feature_names":["a","b","c"],"top_k":-1}`,
+		`{"kind":"quant_sweep","bits":[8,2],"properties":[{"kind":"max","outputs":[0]}]}`,
+		`{"kind":"quant_sweep","bits":[2],"properties":[{"kind":"resilience","x0":[0,0,0],"output":0,"threshold":0.4}]}`,
+		`{"kind":"quant_sweep","bits":[8,3],"properties":[{"kind":"resilience","x0":[0.5,-0.7,0.3],"output":0,"threshold":0.105}]}`,
+		`{"kind":"quant_sweep","bits":[1],"properties":[{"kind":"max","outputs":[0]}]}`,
+		`{"kind":"data_validation","data":[[],[0]],"rules":[{"kind":"dimensions","x_dim":1}]}`,
+		`{"kind":"data_validation","data":[[0,0,0],[9,9]],"labels":[[1],[2]],"rules":[{"kind":"finite"},{"kind":"range","lo":-1,"hi":1},{"kind":"dimensions","x_dim":3,"y_dim":1}]}`,
+		`{"kind":"falsify","outputs":[0,1],"restarts":2,"steps":5,"seed":4}`,
+		`{"kind":"falsify","outputs":[2]}`,
+		`{"kind":"monitor_audit","data":[[0,0,0],[0.5,-0.5,0]],"gamma":1,"audit_tests":10}`,
+		`{"kind":"monitor_audit","data":[[0,0,0]],"layers":[1,0]}`,
+		`{"kind":"nope"}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec vnn.AnalysisSpec
+		if json.Unmarshal(data, &spec) != nil {
+			return
+		}
+		for i := range spec.Properties {
+			if p := &spec.Properties[i]; p.Kind == "resilience" && (p.MaxIterations <= 0 || p.MaxIterations > 2) {
+				p.MaxIterations = 2
+			}
+		}
+		if spec.AuditTests == 0 { // 0 means 1000
+			spec.AuditTests = 20
+		}
+		spec.MaxTests, spec.AuditTests = min(spec.MaxTests, 20), min(spec.AuditTests, 20)
+		spec.Restarts, spec.Steps = min(spec.Restarts, 2), min(spec.Steps, 10)
+		if len(spec.Bits) > 2 {
+			spec.Bits = spec.Bits[:2]
+		}
+		a, err := spec.Analysis()
+		if err != nil || a.Validate(net, region) != nil {
+			return
+		}
+		if _, err := vnn.AnalyzeOne(ctx, cn, a); err != nil {
+			t.Fatalf("%s: validated analysis not answered: %v", data, err)
+		}
+	})
 }
 
 // checkResult holds one answer to the Result contract.

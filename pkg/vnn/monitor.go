@@ -32,8 +32,8 @@ type (
 	// MonitorBatchScratch is the per-goroutine state of the serving path
 	// (see Monitor.CheckBatchInto): buffers only, so the zero value is
 	// ready and one scratch serves any monitor over any network — and,
-	// through its Forward field, unmonitored batches too. Servers keep
-	// one per inference shard.
+	// through its Forward field, unmonitored batches too. A server keeps
+	// a free list of them, one per core.
 	MonitorBatchScratch = monitor.BatchScratch
 	// MonitorBuildStats reports what a monitor build did.
 	MonitorBuildStats = monitor.BuildStats
@@ -53,7 +53,7 @@ type MonitorOptions struct {
 // Monitor is a runtime activation-pattern monitor bound to the network of
 // the CompiledNetwork it was built from. It is immutable and safe for
 // concurrent use; the serving hot path checks through CheckBatchInto with
-// per-lane scratch, everything else through Check.
+// a borrowed scratch, everything else through Check.
 type Monitor struct {
 	m *monitor.Monitor
 	// networkFingerprint identifies the compile workload (network, region,
@@ -223,7 +223,7 @@ type MonitorAudit struct {
 func (ma *MonitorAudit) Kind() string { return KindMonitorAudit }
 
 // Validate checks the dataset shape and parameter domains.
-func (ma *MonitorAudit) Validate(net *Network) error {
+func (ma *MonitorAudit) Validate(net *Network, _ *Region) error {
 	if len(ma.Data) == 0 {
 		return fmt.Errorf("monitor audit needs a build dataset")
 	}

@@ -190,25 +190,25 @@ func TestMonitorAuditSpecDecoding(t *testing.T) {
 	if !ok || ma.Gamma != 2 || ma.AuditTests != 10 {
 		t.Fatalf("decoded %+v", a)
 	}
-	if err := spec.ValidateFor(signNet()); err != nil {
-		t.Fatalf("ValidateFor: %v", err)
+	if err := validateSpec(&spec, signNet()); err != nil {
+		t.Fatalf("validate: %v", err)
 	}
 	bad := AnalysisSpec{Kind: KindMonitorAudit}
 	if _, err := bad.Analysis(); err == nil {
 		t.Fatal("spec without data must fail")
 	}
 	wrongDim := AnalysisSpec{Kind: KindMonitorAudit, Data: [][]float64{{1, 2}}}
-	if err := wrongDim.ValidateFor(signNet()); err == nil {
+	if err := validateSpec(&wrongDim, signNet()); err == nil {
 		t.Fatal("wrong data dimension must fail validation")
 	}
 	badLayer := AnalysisSpec{Kind: KindMonitorAudit, Data: [][]float64{{1}}, Layers: []int{1}}
-	if err := badLayer.ValidateFor(signNet()); err == nil {
+	if err := validateSpec(&badLayer, signNet()); err == nil {
 		t.Fatal("non-ReLU monitored layer must fail validation")
 	}
 	// Duplicate/descending layer lists must be a client error (400), not a
 	// late Build failure the service maps to 500.
 	dupLayer := AnalysisSpec{Kind: KindMonitorAudit, Data: [][]float64{{1}}, Layers: []int{0, 0}}
-	if err := dupLayer.ValidateFor(signNet()); err == nil {
+	if err := validateSpec(&dupLayer, signNet()); err == nil {
 		t.Fatal("duplicate monitored layers must fail validation")
 	}
 }

@@ -18,6 +18,11 @@ import (
 type Property interface {
 	// String renders the property for logs and reports.
 	String() string
+	// validate rejects exactly the queries the engine would refuse to
+	// answer on net over region (a region valid for net), so a batch is
+	// refused whole before any search runs. Only an empty region escapes
+	// it: finding one takes an LP (see ErrEmptyRegion).
+	validate(net *Network, region *Region) error
 	// run answers the property against the compiled network. idx tags
 	// progress events with the property's position in the Verify batch.
 	run(ctx context.Context, cn *CompiledNetwork, idx int) (*Result, error)
@@ -70,31 +75,28 @@ func ResilienceRadius(x0 []float64, output int, threshold float64, maxIterations
 	}
 }
 
-// propertyOutputs reports the output indices a property references, so
-// analysis validation can reject out-of-range queries before any work
-// runs (every verify.Compiled method re-checks at query time either way).
-func propertyOutputs(p Property) []int {
-	switch q := p.(type) {
-	case maxProp:
-		return q.outs
-	case minProp:
-		return []int{q.out}
-	case linMaxProp:
-		return coeffKeys(q.coeffs)
-	case proveProp:
-		return coeffKeys(q.coeffs)
-	case resilienceProp:
-		return []int{q.out}
+// checkOutputs rejects output indices the network does not have.
+func checkOutputs(net *Network, outs ...int) error {
+	for _, o := range outs {
+		if o < 0 || o >= net.OutputDim() {
+			return fmt.Errorf("references output %d of %d", o, net.OutputDim())
+		}
 	}
 	return nil
 }
 
-func coeffKeys(coeffs map[int]float64) []int {
-	out := make([]int, 0, len(coeffs))
-	for k := range coeffs {
-		out = append(out, k)
+// checkCoeffs rejects an empty functional and outputs the network does
+// not have.
+func checkCoeffs(net *Network, coeffs map[int]float64) error {
+	if len(coeffs) == 0 {
+		return fmt.Errorf("needs at least one coefficient")
 	}
-	return out
+	for o := range coeffs {
+		if err := checkOutputs(net, o); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func copyCoeffs(coeffs map[int]float64) map[int]float64 {
@@ -131,6 +133,13 @@ func (p maxProp) String() string {
 	return fmt.Sprintf("max over outputs %v", p.outs)
 }
 
+func (p maxProp) validate(net *Network, _ *Region) error {
+	if len(p.outs) == 0 {
+		return fmt.Errorf("needs at least one output")
+	}
+	return checkOutputs(net, p.outs...)
+}
+
 func (p maxProp) run(ctx context.Context, cn *CompiledNetwork, idx int) (*Result, error) {
 	return result(cn.c.MaxOverOutputs(ctx, p.outs, verifyOptions(cn.opts, idx)))
 }
@@ -139,6 +148,8 @@ type linMaxProp struct{ coeffs map[int]float64 }
 
 func (p linMaxProp) String() string { return "max " + renderCoeffs(p.coeffs) }
 
+func (p linMaxProp) validate(net *Network, _ *Region) error { return checkCoeffs(net, p.coeffs) }
+
 func (p linMaxProp) run(ctx context.Context, cn *CompiledNetwork, idx int) (*Result, error) {
 	return result(cn.c.MaxLinear(ctx, p.coeffs, verifyOptions(cn.opts, idx)))
 }
@@ -146,6 +157,8 @@ func (p linMaxProp) run(ctx context.Context, cn *CompiledNetwork, idx int) (*Res
 type minProp struct{ out int }
 
 func (p minProp) String() string { return fmt.Sprintf("min y[%d]", p.out) }
+
+func (p minProp) validate(net *Network, _ *Region) error { return checkOutputs(net, p.out) }
 
 func (p minProp) run(ctx context.Context, cn *CompiledNetwork, idx int) (*Result, error) {
 	// Minimize by maximizing the negated output on the shared encoding.
@@ -172,6 +185,13 @@ func (p proveProp) String() string {
 	return fmt.Sprintf("%s ≤ %g", renderCoeffs(p.coeffs), p.threshold)
 }
 
+func (p proveProp) validate(net *Network, _ *Region) error {
+	if math.IsNaN(p.threshold) {
+		return fmt.Errorf("threshold is NaN")
+	}
+	return checkCoeffs(net, p.coeffs)
+}
+
 func (p proveProp) run(ctx context.Context, cn *CompiledNetwork, idx int) (*Result, error) {
 	return result(cn.c.ProveLinearUpperBound(ctx, p.coeffs, p.threshold, verifyOptions(cn.opts, idx)))
 }
@@ -185,6 +205,10 @@ type resilienceProp struct {
 
 func (p resilienceProp) String() string {
 	return fmt.Sprintf("resilience radius of y[%d] ≤ %g", p.out, p.threshold)
+}
+
+func (p resilienceProp) validate(net *Network, region *Region) error {
+	return verify.CheckResilience(net, region, p.x0, p.out, p.threshold)
 }
 
 func (p resilienceProp) run(ctx context.Context, cn *CompiledNetwork, idx int) (*Result, error) {

@@ -20,6 +20,10 @@ const (
 	Violated     = verify.Violated
 )
 
+// ErrEmptyRegion is a max query's error over a region no input satisfies.
+// Only the search's LP finds that out, so it comes from Verify, not Validate.
+var ErrEmptyRegion = verify.ErrEmptyRegion
+
 // Result is the anytime answer to one property. Whatever the outcome, the
 // proven interval [LowerBound, UpperBound] on the queried quantity is
 // sound at the moment the query ended: an interrupted max query still
@@ -62,10 +66,11 @@ type Result struct {
 // properties return promptly with their interval-analysis anytime bounds
 // rather than being skipped. Verify returns an error only for malformed
 // queries or an unsolvable encoding — running out of budget is not an
-// error, it is an Inconclusive result.
+// error, it is an Inconclusive result. Every property is validated against
+// the compiled network and region before the first search runs.
 func Verify(ctx context.Context, cn *CompiledNetwork, props ...Property) ([]*Result, error) {
-	if len(props) == 0 {
-		return nil, fmt.Errorf("vnn: Verify needs at least one property")
+	if err := validateProperties(cn.Net(), cn.Region(), props); err != nil {
+		return nil, fmt.Errorf("vnn: Verify %w", err)
 	}
 	results := make([]*Result, len(props))
 	for i, p := range props {

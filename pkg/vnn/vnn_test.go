@@ -216,6 +216,29 @@ func TestProgressEvents(t *testing.T) {
 	}
 }
 
+// TestVerifyValidatesBatchFirst: a batch with one unanswerable property
+// fails before its first search runs, so an answerable max query ahead of
+// it streams no progress event. The resilience query's nominal point lies
+// outside the region's box, its search domain.
+func TestVerifyValidatesBatchFirst(t *testing.T) {
+	pred := core.NewPredictorNet(2, 8, 2, 9)
+	events := 0
+	ctx := context.Background()
+	cn, err := vnn.Compile(ctx, pred.Net, vnn.LeftOccupiedRegion(), vnn.Options{Progress: func(vnn.Event) { events++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := pred.MuLatOutputs()
+	x0 := make([]float64, pred.Net.InputDim())
+	x0[0] = 2 // every feature's box is within [0, 1]
+	if _, err := vnn.Verify(ctx, cn, vnn.MaxOverOutputs(out...), vnn.ResilienceRadius(x0, out[0], 10, 2)); err == nil {
+		t.Fatal("nominal point outside the box accepted")
+	}
+	if events != 0 {
+		t.Fatalf("%d progress events before the batch was refused", events)
+	}
+}
+
 // TestResilienceProperty runs the resilience search through the algebra.
 func TestResilienceProperty(t *testing.T) {
 	ctx := context.Background()

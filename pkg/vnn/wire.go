@@ -198,41 +198,6 @@ func (s *PropertySpec) Property() (Property, error) {
 	}
 }
 
-// ValidateFor checks the spec's references against a concrete network —
-// output indices in range, nominal point of the right dimension — so a
-// service can reject a mismatched query as a client error before running
-// anything. Call after Property() has accepted the spec's shape.
-func (s *PropertySpec) ValidateFor(net *Network) error {
-	dim := net.OutputDim()
-	checkOut := func(i int) error {
-		if i < 0 || i >= dim {
-			return fmt.Errorf("vnn: property %q references output %d of %d", s.Kind, i, dim)
-		}
-		return nil
-	}
-	for _, o := range s.Outputs {
-		if err := checkOut(o); err != nil {
-			return err
-		}
-	}
-	if s.Output != nil {
-		if err := checkOut(*s.Output); err != nil {
-			return err
-		}
-	}
-	for k := range s.Coeffs {
-		if i, err := strconv.Atoi(k); err == nil {
-			if err := checkOut(i); err != nil {
-				return err
-			}
-		}
-	}
-	if s.Kind == "resilience" && len(s.X0) != net.InputDim() {
-		return fmt.Errorf("vnn: resilience x0 has dimension %d, network input %d", len(s.X0), net.InputDim())
-	}
-	return nil
-}
-
 // parseCoeffs converts a JSON coefficient object into the index-keyed map
 // the property constructors take.
 func parseCoeffs(raw map[string]float64) (map[int]float64, error) {

@@ -98,8 +98,8 @@ type AnalysisSpec struct {
 }
 
 // Analysis builds the analysis the spec describes. Shape errors (missing
-// parameters, unknown kinds) surface here; network-dependent checks run
-// in ValidateFor and again in Analysis.Validate.
+// parameters, unknown kinds) surface here; what depends on the network
+// and region is the built analysis's Validate.
 func (s *AnalysisSpec) Analysis() (Analysis, error) {
 	switch s.Kind {
 	case KindVerify:
@@ -190,25 +190,6 @@ func (s *AnalysisSpec) properties() ([]Property, error) {
 		props[i] = p
 	}
 	return props, nil
-}
-
-// ValidateFor checks the spec's references against a concrete network:
-// property output indices and nominal-point dimensions (via
-// PropertySpec.ValidateFor), then every network-dependent rule of the
-// built analysis itself (Analysis.Validate — data dimensions, falsified
-// outputs, bit ranges). The per-kind rules live in one place, the
-// analysis, so the wire layer can never drift from the library.
-func (s *AnalysisSpec) ValidateFor(net *Network) error {
-	for i := range s.Properties {
-		if err := s.Properties[i].ValidateFor(net); err != nil {
-			return fmt.Errorf("vnn: property %d: %w", i, err)
-		}
-	}
-	a, err := s.Analysis()
-	if err != nil {
-		return err
-	}
-	return a.Validate(net)
 }
 
 // FeatureScoreJSON is the wire form of one attribution entry.

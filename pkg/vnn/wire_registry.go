@@ -56,8 +56,8 @@ func (g *GateSpec) requireProved() bool {
 }
 
 // Validate checks the gate's shape: at least one analysis, each analysis
-// spec well-formed, thresholds in their domains. Network-dependent checks
-// are ValidateFor's job.
+// spec well-formed, thresholds in their domains. What depends on the
+// network and region is each built analysis's Validate.
 func (g *GateSpec) Validate() error {
 	if len(g.Analyses) == 0 {
 		return fmt.Errorf("vnn: gate needs at least one analysis")
@@ -81,20 +81,6 @@ func (g *GateSpec) Validate() error {
 	}
 	if g.TimeoutMS < 0 {
 		return fmt.Errorf("vnn: gate timeout_ms %d is negative", g.TimeoutMS)
-	}
-	return nil
-}
-
-// ValidateFor checks the gate's analyses against the concrete network they
-// will gate — Validate plus every AnalysisSpec.ValidateFor.
-func (g *GateSpec) ValidateFor(net *Network) error {
-	if err := g.Validate(); err != nil {
-		return err
-	}
-	for i := range g.Analyses {
-		if err := g.Analyses[i].ValidateFor(net); err != nil {
-			return fmt.Errorf("vnn: gate analysis %d: %w", i, err)
-		}
 	}
 	return nil
 }
@@ -223,7 +209,7 @@ func (g *GateSpec) checkQuantSweep(f *QuantSweepFinding) (bool, string) {
 }
 
 // TransitionJSON is one recorded lifecycle transition of a model version —
-// the unit of the registry's append-only audit log.
+// the unit of the version's history in the registry snapshot.
 type TransitionJSON struct {
 	From     string `json:"from"`
 	To       string `json:"to"`

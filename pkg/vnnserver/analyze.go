@@ -59,14 +59,15 @@ type AnalyzeRequest struct {
 type AnalyzeResponse = VerifyResponse
 
 // buildAnalyses turns the analysis specs of a request — an /v1/analyze
-// batch or a model gate — into engine values: each is validated against
-// the network and held to the per-request work caps (see the max*
-// constants). Whatever it rejects is the client's fault.
-func buildAnalyses(specs []vnn.AnalysisSpec, net *vnn.Network) ([]vnn.Analysis, error) {
+// batch or a model gate — into engine values: each is built once, held to
+// the per-request work caps (see the max* constants) and validated
+// against the workload's network and region. Whatever it rejects is the
+// client's fault.
+func buildAnalyses(specs []vnn.AnalysisSpec, wl *workload) ([]vnn.Analysis, error) {
 	analyses := make([]vnn.Analysis, len(specs))
 	for i := range specs {
 		spec := &specs[i]
-		err := spec.ValidateFor(net)
+		a, err := spec.Analysis()
 		switch {
 		case err != nil:
 		case spec.Kind == vnn.KindFalsify && (spec.Restarts > maxFalsifyRestarts || spec.Steps > maxFalsifySteps):
@@ -76,11 +77,12 @@ func buildAnalyses(specs []vnn.AnalysisSpec, net *vnn.Network) ([]vnn.Analysis, 
 		case spec.Kind == vnn.KindQuantSweep && len(spec.Bits) > maxSweepWidths:
 			err = fmt.Errorf("a sweep may request at most %d bit-widths", maxSweepWidths)
 		default:
-			analyses[i], err = spec.Analysis()
+			err = a.Validate(wl.net, wl.region)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("analysis %d: %w", i, err)
 		}
+		analyses[i] = a
 	}
 	return analyses, nil
 }
@@ -138,7 +140,7 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest) (*jobPlan, error) {
 	if len(req.Analyses) == 0 {
 		return nil, fmt.Errorf("request needs at least one analysis")
 	}
-	analyses, err := buildAnalyses(req.Analyses, wl.net)
+	analyses, err := buildAnalyses(req.Analyses, wl)
 	if err != nil {
 		return nil, err
 	}

@@ -258,6 +258,7 @@ func TestAnalyzePortfolioRoundTrip(t *testing.T) {
 func TestAnalyzeValidationErrors(t *testing.T) {
 	net, region := smallNet(t)
 	_, ts := newTestServer(t, vnnserver.Config{})
+	five, low := 5.0, -1e300
 	cases := [][]vnn.AnalysisSpec{
 		nil, // no analyses
 		{{Kind: "nope"}},
@@ -267,6 +268,9 @@ func TestAnalyzeValidationErrors(t *testing.T) {
 		{{Kind: vnn.KindFalsify, Outputs: []int{5}}},           // bad output
 		{{Kind: vnn.KindQuantSweep, Bits: []int{64}, Properties: []vnn.PropertySpec{{Kind: "max", Outputs: []int{0}}}}},
 		{{Kind: vnn.KindVerify, Properties: []vnn.PropertySpec{{Kind: "max", Outputs: []int{9}}}}},
+		// Resilience nominal points outside the box and above the threshold.
+		{{Kind: vnn.KindVerify, Properties: []vnn.PropertySpec{{Kind: "resilience", X0: []float64{2, 0}, Output: new(int), Threshold: &five}}}},
+		{{Kind: vnn.KindQuantSweep, Bits: []int{8}, Properties: []vnn.PropertySpec{{Kind: "resilience", X0: []float64{0.5, 0.5}, Output: new(int), Threshold: &low}}}},
 		// Per-request work caps: the analyze endpoint refuses open-ended
 		// compute.
 		{{Kind: vnn.KindFalsify, Outputs: []int{0}, Restarts: 100000000, Steps: 10}},

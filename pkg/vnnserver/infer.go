@@ -246,7 +246,7 @@ func (s *Server) prepareInfer(req *InferRequest) (*preparedInfer, error) {
 	}
 	if req.Monitor != nil {
 		var err error
-		if q.monitorOpts, err = validateMonitorSpec(req.Monitor, q.net); err != nil {
+		if q.monitorOpts, err = validateMonitorSpec(req.Monitor, q.workload); err != nil {
 			return nil, err
 		}
 		q.monitorFP = vnn.MonitorWorkloadFingerprint(q.fingerprint, req.Monitor.Data, q.monitorOpts)

@@ -53,9 +53,9 @@ func parseWorkload(network json.RawMessage, region vnn.RegionSpec, o QueryOption
 	return wl, nil
 }
 
-// validateMonitorSpec checks a monitor build request against the network
+// validateMonitorSpec checks a monitor build request against the workload
 // it will supervise and returns its build options.
-func validateMonitorSpec(m *InferMonitorSpec, net *vnn.Network) (vnn.MonitorOptions, error) {
+func validateMonitorSpec(m *InferMonitorSpec, wl *workload) (vnn.MonitorOptions, error) {
 	opts := vnn.MonitorOptions{Gamma: m.Gamma, Layers: m.Layers}
 	if len(m.Data) == 0 {
 		return opts, fmt.Errorf("monitor needs a build dataset")
@@ -66,7 +66,7 @@ func validateMonitorSpec(m *InferMonitorSpec, net *vnn.Network) (vnn.MonitorOpti
 	// Network-dependent monitor validation (dims, gamma, layers) is one
 	// copy of the rules: the MonitorAudit analysis owns it.
 	audit := vnn.MonitorAudit{Data: m.Data, Gamma: m.Gamma, Layers: m.Layers}
-	return opts, audit.Validate(net)
+	return opts, audit.Validate(wl.net, wl.region)
 }
 
 // accept opens every request that reads a body: refuse with 503 while

@@ -110,7 +110,7 @@ func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*jobPlan, error) {
 		if err := gate.Validate(); err != nil {
 			return nil, err
 		}
-		if analyses, err = buildAnalyses(gate.Analyses, wl.net); err != nil {
+		if analyses, err = buildAnalyses(gate.Analyses, wl); err != nil {
 			return nil, fmt.Errorf("gate %w", err)
 		}
 		if timeoutMS <= 0 {
@@ -128,7 +128,7 @@ func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*jobPlan, error) {
 		Gate:        gate,
 	}
 	if m := req.Monitor; m != nil {
-		if sub.MonitorOpts, err = validateMonitorSpec(m, wl.net); err != nil {
+		if sub.MonitorOpts, err = validateMonitorSpec(m, wl); err != nil {
 			return nil, err
 		}
 		sub.MonitorFingerprint = vnn.MonitorWorkloadFingerprint(wl.fingerprint, m.Data, sub.MonitorOpts)

@@ -413,6 +413,9 @@ func TestModelSubmitValidation(t *testing.T) {
 		"bad gate":     fmt.Sprintf(`{"model":"m","network":%s,"region":%s,"gate":{"analyses":[{"kind":"verify","properties":[{"kind":"at_most","output":0,"threshold":1}]}],"max_flag_rate":2}}`, netJSON, region),
 		"bad monitor":  fmt.Sprintf(`{"model":"m","network":%s,"region":%s,"monitor":{"data":[]}}`, netJSON, region),
 		"unknown keys": fmt.Sprintf(`{"model":"m","network":%s,"region":%s,"bogus":1}`, netJSON, region),
+		// |x0 - x1| = 1 at the nominal point: refused at submit, not by a
+		// failed gate later.
+		"resilience gate": fmt.Sprintf(`{"model":"m","network":%s,"region":%s,"gate":{"analyses":[{"kind":"verify","properties":[{"kind":"resilience","x0":[1,0],"output":0,"threshold":0.5}]}]}}`, netJSON, region),
 	}
 	for name, body := range cases {
 		if status := post(body); status != http.StatusBadRequest {

@@ -465,17 +465,14 @@ func (s *Server) prepare(req *VerifyRequest) (*jobPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(req.Properties) == 0 {
-		return nil, fmt.Errorf("request needs at least one property")
-	}
-	props := make([]vnn.Property, len(req.Properties))
+	v := &vnn.Verification{Properties: make([]vnn.Property, len(req.Properties))}
 	for i := range req.Properties {
-		if props[i], err = req.Properties[i].Property(); err != nil {
+		if v.Properties[i], err = req.Properties[i].Property(); err != nil {
 			return nil, fmt.Errorf("property %d: %w", i, err)
 		}
-		if err := req.Properties[i].ValidateFor(wl.net); err != nil {
-			return nil, fmt.Errorf("property %d: %w", i, err)
-		}
+	}
+	if err := v.Validate(wl.net, wl.region); err != nil {
+		return nil, err
 	}
 	return &jobPlan{
 		route:       "/v1/verify",
@@ -486,7 +483,7 @@ func (s *Server) prepare(req *VerifyRequest) (*jobPlan, error) {
 			return s.solve(ctx, jb, root, wl, req.Options, fairWorkers, nil,
 				func(ctx context.Context, _ *obs.Span, cn *vnn.CompiledNetwork) (vnn.Report, vnn.Effort, error) {
 					var eff vnn.Effort
-					results, err := vnn.Verify(ctx, cn, props...)
+					results, err := vnn.Verify(ctx, cn, v.Properties...)
 					if err != nil {
 						return vnn.Report{}, eff, err
 					}
@@ -649,12 +646,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // saturation to 429, an expired budget that never got to run to 504,
 // drain/disconnect and a registry that is not ready to 503, an unknown
 // model or version to 404, a model with nothing to serve or an illegal
-// lifecycle change to 409, and anything else to 500 — by this point the
-// request has passed validation (prepare rejects malformed inputs with
-// 400 directly), so a failure here is the server's inability to answer,
-// not the client's fault.
+// lifecycle change to 409, a region no input satisfies to 400, and
+// anything else to 500. By this point the request has passed validation
+// (prepare rejects malformed inputs with 400 directly); an empty region
+// is the one client fault it cannot see, because finding one takes the
+// search's LP. Any other failure is the server's inability to answer.
 func statusFor(err error) int {
 	switch {
+	case errors.Is(err, vnn.ErrEmptyRegion):
+		return http.StatusBadRequest
 	case errors.Is(err, vnnregistry.ErrNotReady):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, vnnregistry.ErrUnknownModel), errors.Is(err, vnnregistry.ErrUnknownVersion):

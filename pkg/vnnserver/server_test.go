@@ -431,6 +431,12 @@ func TestServerFalsifyAndValidation(t *testing.T) {
 		fmt.Sprintf(`{"network":%s,"region":{"box":[[0,1],[0,1]]},"properties":[]}`, netJSON),
 		fmt.Sprintf(`{"network":%s,"region":{"box":[[0,1],[0,1]]},"properties":[{"kind":"sideways"}]}`, netJSON),
 		fmt.Sprintf(`{"network":%s,"region":{"box":[[0,1],[0,1]]},"properties":[{"kind":"max","outputs":[0]}],"surprise":1}`, netJSON),
+		// A resilience nominal point outside the box, one whose value
+		// |x0 - x1| = 1 already exceeds the threshold, and a region no
+		// input satisfies are the client's fault too.
+		fmt.Sprintf(`{"network":%s,"region":{"box":[[0,1],[0,1]]},"properties":[{"kind":"resilience","x0":[2,0],"output":0,"threshold":5}]}`, netJSON),
+		fmt.Sprintf(`{"network":%s,"region":{"box":[[0,1],[0,1]]},"properties":[{"kind":"resilience","x0":[1,0],"output":0,"threshold":0.5}]}`, netJSON),
+		fmt.Sprintf(`{"network":%s,"region":{"box":[[0,1],[0,1]],"linear":[{"coeffs":{"0":1,"1":1},"sense":">=","rhs":5}]},"properties":[{"kind":"max","outputs":[0]}]}`, netJSON),
 	}
 	for i, body := range badBodies {
 		if st := postVerify(t, ts.URL, []byte(body), nil); st != http.StatusBadRequest {
