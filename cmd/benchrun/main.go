@@ -71,7 +71,7 @@ var suiteSets = map[string]struct {
 		{pkg: "./internal/linalg/", bench: "BenchmarkMatVec|BenchmarkMatVecDot|BenchmarkMatMulTB"},
 		{pkg: "./internal/nn/", bench: "BenchmarkForwardBatchInto|BenchmarkForward$"},
 		{pkg: "./internal/obs/", bench: "BenchmarkObserve"},
-		{pkg: "./pkg/vnnserver/", bench: "BenchmarkInferHTTP|BenchmarkInferDecode$"},
+		{pkg: "./pkg/vnnserver/", bench: "BenchmarkInferHTTP|BenchmarkInferDecode(Workload)?$"},
 	}},
 	"verify": {"bench-verify/v1", []suite{
 		{pkg: "./internal/linalg/", bench: "BenchmarkAxpy|BenchmarkScale"},

@@ -8,6 +8,7 @@
 package attack
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,6 +17,11 @@ import (
 	"repro/internal/train"
 	"repro/internal/verify"
 )
+
+// ErrNoStart is Maximize's error when rejection sampling finds no box
+// point that satisfies the region's linear constraints: the region is
+// empty, or too thin a share of its box for sampling to hit.
+var ErrNoStart = errors.New("attack: no starting point satisfied the region's linear constraints")
 
 // Options tune the attack.
 type Options struct {
@@ -125,7 +131,7 @@ func Maximize(net *nn.Network, region *verify.InputRegion, outIndex int, rng *ra
 		if cancelled {
 			return res, nil // stopped before any evaluation: empty anytime answer
 		}
-		return nil, fmt.Errorf("attack: no starting point satisfied the region's linear constraints")
+		return nil, ErrNoStart
 	}
 	return res, nil
 }

@@ -53,9 +53,9 @@ func TestEffortFirstIncumbentNode(t *testing.T) {
 // the largest.
 func TestEffortAdd(t *testing.T) {
 	a := Effort{Solves: 1, Nodes: 10, LPPivots: 100, MaxDepth: 5, OpenHighWater: 3, FirstIncumbentNode: 7,
-		LP: lp.Stats{WarmSolves: 9, DualPivots: 80}}
+		JumpNodes: 4, JumpPivots: 60, LP: lp.Stats{WarmSolves: 9, DualPivots: 80}}
 	b := Effort{Solves: 2, Nodes: 4, LPPivots: 30, MaxDepth: 8, OpenHighWater: 2,
-		LP: lp.Stats{WarmSolves: 3, ColdSolves: 1, CertFailed: 1}}
+		JumpNodes: 1, JumpPivots: 20, LP: lp.Stats{WarmSolves: 3, ColdSolves: 1, CertFailed: 1}}
 	for _, tc := range []struct {
 		name           string
 		into, add, sum Effort
@@ -63,14 +63,32 @@ func TestEffortAdd(t *testing.T) {
 		{"into zero", Effort{}, a, a},
 		{"zero adds nothing", a, Effort{}, a},
 		{"work sums, shape takes the largest", a, b, Effort{Solves: 3, Nodes: 14, LPPivots: 130, MaxDepth: 8, OpenHighWater: 3,
-			FirstIncumbentNode: 7, LP: lp.Stats{WarmSolves: 12, ColdSolves: 1, DualPivots: 80, CertFailed: 1}}},
+			FirstIncumbentNode: 7, JumpNodes: 5, JumpPivots: 80, LP: lp.Stats{WarmSolves: 12, ColdSolves: 1, DualPivots: 80, CertFailed: 1}}},
 		{"order does not matter", b, a, Effort{Solves: 3, Nodes: 14, LPPivots: 130, MaxDepth: 8, OpenHighWater: 3,
-			FirstIncumbentNode: 7, LP: lp.Stats{WarmSolves: 12, ColdSolves: 1, DualPivots: 80, CertFailed: 1}}},
+			FirstIncumbentNode: 7, JumpNodes: 5, JumpPivots: 80, LP: lp.Stats{WarmSolves: 12, ColdSolves: 1, DualPivots: 80, CertFailed: 1}}},
 	} {
 		got := tc.into
 		got.Add(tc.add)
 		if got != tc.sum {
 			t.Errorf("%s: %+v.Add(%+v) = %+v, want %+v", tc.name, tc.into, tc.add, got, tc.sum)
+		}
+	}
+}
+
+// TestEffortJumps pins the split of nodes by kind: the root is a jump,
+// every node is a jump or a dive child, and a search that branches dives
+// at least once; at one worker the dive children are the nodes after a
+// branching that the search did not cut off.
+func TestEffortJumps(t *testing.T) {
+	p := randomReLUNet(rand.New(rand.NewSource(41)), 4, 12)
+	for _, workers := range []int{1, 2} {
+		res := solveOK(t, p, Options{Workers: workers})
+		e := res.Effort
+		if e.JumpNodes < 1 || e.JumpNodes > e.Nodes || e.JumpPivots > e.LPPivots {
+			t.Fatalf("workers=%d: %d jumps (%d pivots) of %d nodes (%d pivots)", workers, e.JumpNodes, e.JumpPivots, e.Nodes, e.LPPivots)
+		}
+		if e.Nodes > 1 && e.JumpNodes == e.Nodes {
+			t.Fatalf("workers=%d: %d nodes, none a dive child", workers, e.Nodes)
 		}
 	}
 }

@@ -195,6 +195,12 @@ type Effort struct {
 	// it: exact at one worker, at most one epoch late at more (see
 	// Options.Workers). 0 when the search found none.
 	FirstIncumbentNode int
+	// JumpNodes and JumpPivots count the nodes, and their pivots, that a
+	// worker took from its open nodes (the root, a node handed out at a
+	// barrier, or the best it held when a dive ended) rather than as the
+	// dive child of the node it solved last, one bound fix from its basis.
+	// The dive children are the rest: Nodes-JumpNodes, LPPivots-JumpPivots.
+	JumpNodes, JumpPivots int
 	// LP sums the workers' solver counters: how the node relaxations were
 	// solved (warm, cold and why, dual and primal pivots, certificates). It
 	// covers every relaxation solved, including one an interruption cut
@@ -203,12 +209,13 @@ type Effort struct {
 }
 
 // Add folds the effort of more searches into e: work (Solves, Nodes,
-// LPPivots, LP) is summed, tree shape (MaxDepth, OpenHighWater,
-// FirstIncumbentNode) is the largest seen.
+// LPPivots, JumpNodes, JumpPivots, LP) is summed, tree shape (MaxDepth,
+// OpenHighWater, FirstIncumbentNode) is the largest seen.
 func (e *Effort) Add(o Effort) {
 	e.Solves += o.Solves
 	e.Nodes += o.Nodes
 	e.LPPivots += o.LPPivots
+	e.JumpNodes, e.JumpPivots = e.JumpNodes+o.JumpNodes, e.JumpPivots+o.JumpPivots
 	e.LP.Add(o.LP)
 	e.MaxDepth = max(e.MaxDepth, o.MaxDepth)
 	e.OpenHighWater = max(e.OpenHighWater, o.OpenHighWater)
@@ -306,6 +313,10 @@ type epoch struct {
 	stop          Status    // why the worker stopped the search, if stopped
 	stopped       bool
 	err           error
+
+	// jumps counts the nodes taken from open rather than as a dive
+	// child, and jumpPivots their pivots.
+	jumps, jumpPivots int
 }
 
 // cutOff reports whether the worker's incumbent prunes a subtree whose
@@ -357,6 +368,7 @@ func (w *worker) runEpoch(t *tree) {
 		}
 		nd := w.dive
 		w.dive = nil
+		jump := nd == nil
 		for nd == nil && ep.handed > 0 {
 			c := heap.Pop(&ep.open).(*node)
 			if c.seq <= ep.base {
@@ -383,6 +395,10 @@ func (w *worker) runEpoch(t *tree) {
 		}
 		ep.nodes++
 		ep.pivots += sol.Iterations
+		if jump {
+			ep.jumps++
+			ep.jumpPivots += sol.Iterations
+		}
 		ep.maxDepth = max(ep.maxDepth, nd.depth)
 		if !w.process(nd, sol, t) {
 			return
@@ -795,6 +811,8 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 			ep := &w.ep
 			res.Nodes += ep.nodes
 			res.LPPivots += ep.pivots
+			res.JumpNodes += ep.jumps
+			res.JumpPivots += ep.jumpPivots
 			res.MaxDepth = max(res.MaxDepth, ep.maxDepth)
 			droppedBound = math.Min(droppedBound, ep.dropped)
 			if ep.improved && ep.bestMin < bestMin {

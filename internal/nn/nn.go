@@ -108,10 +108,26 @@ type Layer struct {
 	dense *linalg.Dense // flat row-major W for the serving kernels
 }
 
+// PackedLayer returns the layer act(W·in + b) whose weights are the r×c
+// row-major matrix data, adopted as its flat serving matrix without a
+// copy: the rows of W are cut from data, so the layer is packed. It
+// panics unless len(data) == r*c.
+func PackedLayer(data []float64, r, c int, b []float64, act Activation) *Layer {
+	if r < 0 || c < 0 || len(data) != r*c {
+		panic(fmt.Sprintf("nn: PackedLayer of %d values as %dx%d", len(data), r, c))
+	}
+	l := &Layer{W: make([][]float64, r), B: b, Act: act, dense: &linalg.Dense{Rows: r, Cols: c, Data: data}}
+	for i := range l.W {
+		l.W[i] = data[i*c : (i+1)*c : (i+1)*c]
+	}
+	return l
+}
+
 // Pack builds the layer's flat serving matrix and re-points the rows of
 // W into its backing array (write-through aliasing). Construction and
-// unmarshal call it eagerly; packed() re-packs lazily when a layer was
-// built literally or a whole row of W was replaced.
+// every decoder (Decode, vnn.UnmarshalNetwork) call it eagerly, or build
+// the layer packed; packed() re-packs lazily when a layer was built
+// literally or a whole row of W was replaced.
 func (l *Layer) Pack() {
 	d := linalg.DenseFromRows(l.W)
 	c := d.Cols

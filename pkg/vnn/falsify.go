@@ -20,6 +20,11 @@ type FalsifyOptions struct {
 	Seed int64
 }
 
+// ErrNoStartingPoint is a falsification's error over a region whose
+// linear constraints no sampled point of its box meets: an empty region,
+// or one too thin a share of its box to sample.
+var ErrNoStartingPoint = attack.ErrNoStart
+
 // FalsifyResult reports the strongest violating input found.
 type FalsifyResult struct {
 	// Value is the largest output value reached across all outputs — a

@@ -37,8 +37,22 @@ func MarshalNetwork(net *Network) ([]byte, error) {
 
 // UnmarshalNetwork parses a network from its JSON form and validates it —
 // the inverse of MarshalNetwork and the single decode path requests into
-// the verification service go through.
+// the verification service go through. The network it returns is packed
+// (see nn.Network.Pack), so it may be served from many goroutines at once.
+//
+// A document in MarshalNetwork's canonical shape is decoded in one pass
+// (decodeNetwork); anything else, and anything that pass refuses, is
+// decoded by encoding/json, which stays the reference for what a document
+// means and for every error text.
 func UnmarshalNetwork(data []byte) (*Network, error) {
+	if n, ok := decodeNetwork(data); ok {
+		return n, nil
+	}
+	return unmarshalNetworkJSON(data)
+}
+
+// unmarshalNetworkJSON is UnmarshalNetwork by encoding/json.
+func unmarshalNetworkJSON(data []byte) (*Network, error) {
 	var n nn.Network
 	if err := json.Unmarshal(data, &n); err != nil {
 		return nil, fmt.Errorf("vnn: unmarshal network: %w", err)
@@ -46,6 +60,9 @@ func UnmarshalNetwork(data []byte) (*Network, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
+	// The lazy re-pack inside the forward pass is not synchronized, and a
+	// decoded network may go straight to concurrent serving.
+	n.Pack()
 	return &n, nil
 }
 

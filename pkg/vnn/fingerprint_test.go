@@ -1,8 +1,11 @@
 package vnn_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -45,6 +48,72 @@ func TestMarshalNetworkRoundTrip(t *testing.T) {
 	if _, err := vnn.UnmarshalNetwork([]byte(
 		`{"name":"bad","layers":[{"w":[[1,2]],"b":[0,0],"act":1}]}`)); err == nil {
 		t.Fatal("invalid network accepted")
+	}
+}
+
+// TestUnmarshalNetworkTakesCanonicalDocuments pins that the one-pass
+// decoder is the one taken for what MarshalNetwork writes, indented too,
+// and that it gives encoding/json's network (FuzzUnmarshalNetwork only
+// proves the two agree where both decode).
+func TestUnmarshalNetworkTakesCanonicalDocuments(t *testing.T) {
+	for _, net := range []*vnn.Network{core.NewPredictorNet(2, 8, 2, 11).Net, fuzzNet()} {
+		data, err := vnn.MarshalNetwork(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, data, "", "\t"); err != nil {
+			t.Fatal(err)
+		}
+		for _, doc := range [][]byte{data, indented.Bytes()} {
+			fast, ok := vnn.DecodeNetworkOnePass(doc)
+			if !ok {
+				t.Fatalf("%s: one-pass decoder gave up", net.Name)
+			}
+			ref, err := vnn.UnmarshalNetworkJSON(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameNetwork(fast, ref); err != nil {
+				t.Fatalf("%s: %v", net.Name, err)
+			}
+		}
+	}
+}
+
+// TestUnmarshalNetworkServesConcurrently is the data race a lazily packed
+// network gave: vnnd caches a decoded workload before its first forward
+// pass, so two requests may run the first passes at once. Each path of
+// UnmarshalNetwork must return the network packed; run under -race.
+func TestUnmarshalNetworkServesConcurrently(t *testing.T) {
+	data, err := vnn.MarshalNetwork(fuzzNet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An escaped key is not canonical: encoding/json decodes this one.
+	escaped := bytes.Replace(data, []byte(`"name"`), []byte(`"n\u0061me"`), 1)
+	if _, ok := vnn.DecodeNetworkOnePass(escaped); ok {
+		t.Fatal("the one-pass decoder took an escaped key")
+	}
+	for _, doc := range [][]byte{data, escaped} {
+		net, err := vnn.UnmarshalNetwork(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := [][]float64{{0.1, -0.2, 0.3}}
+		outs := [2][][]float64{{make([]float64, 2)}, {make([]float64, 2)}}
+		var wg sync.WaitGroup
+		for g := range outs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				net.ForwardBatchInto(outs[g], net.NewScratch(), x)
+			}()
+		}
+		wg.Wait()
+		if math.Float64bits(outs[0][0][0]) != math.Float64bits(outs[1][0][0]) {
+			t.Fatalf("two passes disagree: %v, %v", outs[0], outs[1])
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -281,11 +282,45 @@ func FuzzRegionSpec(f *testing.F) {
 	})
 }
 
+// sameNetwork reports how two decoded networks differ: names (a nil list
+// is not an empty one), layer shapes, every weight's and bias's bits, and
+// each activation.
+func sameNetwork(a, b *vnn.Network) error {
+	if a.Name != b.Name || !reflect.DeepEqual(a.InputNames, b.InputNames) || !reflect.DeepEqual(a.OutputNames, b.OutputNames) {
+		return fmt.Errorf("names %q %q %q against %q %q %q", a.Name, a.InputNames, a.OutputNames, b.Name, b.InputNames, b.OutputNames)
+	}
+	if len(a.Layers) != len(b.Layers) {
+		return fmt.Errorf("%d layers against %d", len(a.Layers), len(b.Layers))
+	}
+	for i, la := range a.Layers {
+		lb := b.Layers[i]
+		if la.Act != lb.Act || len(la.W) != len(lb.W) {
+			return fmt.Errorf("layer %d: act %d, %d rows against act %d, %d rows", i, la.Act, len(la.W), lb.Act, len(lb.W))
+		}
+		x := append([][]float64{la.B}, la.W...)
+		y := append([][]float64{lb.B}, lb.W...)
+		for r := range x {
+			if len(x[r]) != len(y[r]) {
+				return fmt.Errorf("layer %d row %d (0 is b): %d values against %d", i, r, len(x[r]), len(y[r]))
+			}
+			for j := range x[r] {
+				if math.Float64bits(x[r][j]) != math.Float64bits(y[r][j]) {
+					return fmt.Errorf("layer %d row %d (0 is b) [%d]: %v against %v", i, r, j, x[r][j], y[r][j])
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // FuzzUnmarshalNetwork drives client bytes through the network decoder
-// every request carrying a network goes through. It must never panic, and
-// neither may a one-row serving forward pass on what it accepts. An
-// accepted network re-marshals through MarshalNetwork and decodes again to
-// the same Fingerprint over the unit box.
+// every request carrying a network goes through. Whatever the one-pass
+// path decodes, encoding/json must decode to the identical network, and
+// UnmarshalNetwork must agree with encoding/json on success, on the error
+// text and on the network. It must never panic, and neither may a one-row
+// serving forward pass on what it accepts. An accepted network re-marshals
+// through MarshalNetwork and decodes again to the same Fingerprint over
+// the unit box.
 func FuzzUnmarshalNetwork(f *testing.F) {
 	valid, err := vnn.MarshalNetwork(fuzzNet())
 	if err != nil {
@@ -310,13 +345,40 @@ func FuzzUnmarshalNetwork(f *testing.F) {
 		`{"name":"w","layers":[{"w":[[1]],"b":[0],"act":9223372036854775807}]}`,
 		`{"name":"w","layers":[{"w":[[1]],"b":[0],"act":-1}]}`,
 		`{"name":"w","layers":[{"w":[[1]],"b":[0],"act":7}]}`,
+		`{"name":"w","layers":[{"w":[[1,2],[3,4]],"b":[0,1],"act":1},{"w":[[1,2]],"b":[0]}]}`,
+		`{"layers":[{"act":-0,"b":[1e-7],"w":[[9007199254740993]]}],"output_names":["o"],"name":"x","input_names":["i"]}`,
+		`{"name":"w","layers":[{"w":[[1]],"b":[0],"act":1.0}]}`,
+		`{"name":"w","layers":[{"w":[[1]],"b":[0],"act":1,"act":0}]}`,
+		`{"name":"w","layers":[{"W":[[1]],"b":[0]}]}`,
+		`{"name":"w\u0041","input_names":[],"layers":[{"w":[[1]],"b":[0]}]} `,
+		`{"name":"w","input_names":null,"layers":[{"w":[[1]],"b":[0]}]}`,
+		`{"name":"w","layers":[{"w":[[1,2],[3]],"b":[0,0],"act":0}]}`,
+		"{\"name\":\"\xff\",\"layers\":[{\"w\":[[1]],\"b\":[0]}]}",
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		ref, refErr := vnn.UnmarshalNetworkJSON(data)
+		if fast, ok := vnn.DecodeNetworkOnePass(data); ok {
+			if refErr != nil {
+				t.Fatalf("%s: one-pass decode accepts it, encoding/json says %v", data, refErr)
+			}
+			if err := sameNetwork(fast, ref); err != nil {
+				t.Fatalf("%s: one-pass against encoding/json: %v", data, err)
+			}
+		}
 		net, err := vnn.UnmarshalNetwork(data)
-		if err != nil {
+		switch {
+		case (err == nil) != (refErr == nil):
+			t.Fatalf("%s: UnmarshalNetwork %v, encoding/json %v", data, err, refErr)
+		case err != nil:
+			if err.Error() != refErr.Error() {
+				t.Fatalf("%s: error %q, encoding/json %q", data, err, refErr)
+			}
 			return
+		}
+		if err := sameNetwork(net, ref); err != nil {
+			t.Fatalf("%s: UnmarshalNetwork against encoding/json: %v", data, err)
 		}
 		box := make([]vnn.Interval, net.InputDim())
 		for i := range box {

@@ -286,6 +286,22 @@ func TestAnalyzeValidationErrors(t *testing.T) {
 	}
 }
 
+// TestAnalyzeFalsifyEmptyRegion: a falsify analysis over a region no box
+// point satisfies — x0 + x1 ≥ 5 over the unit box — finds no starting
+// point. That is the request's fault, so it answers 400, not 500.
+func TestAnalyzeFalsifyEmptyRegion(t *testing.T) {
+	net, region := smallNet(t)
+	region.Linear = []vnn.LinearConstraintSpec{{Coeffs: map[string]float64{"0": 1, "1": 1}, Sense: ">=", RHS: 5}}
+	_, ts := newTestServer(t, vnnserver.Config{})
+	body := analyzeBody(t, net, region, []vnn.AnalysisSpec{
+		{Kind: vnn.KindFalsify, Outputs: []int{0}, Restarts: 2, Steps: 5},
+	}, vnnserver.QueryOptions{Workers: 1}, nil)
+	st, raw := post(t, ts.URL+"/v1/analyze", body)
+	if st != http.StatusBadRequest || !bytes.Contains(raw, []byte("no starting point")) {
+		t.Fatalf("status %d body %s, want 400 naming the missing starting point", st, raw)
+	}
+}
+
 // TestAnalyzeFalsifyCutShort pins what a falsify analysis answers when
 // the budget fires before its first PGD evaluation: the attack has no
 // value at all then (-Inf, which JSON cannot carry), so every attempt is a

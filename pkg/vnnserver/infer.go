@@ -116,6 +116,10 @@ type InferRequest struct {
 	// TimeoutMS bounds the whole request including any compile or
 	// monitor build it triggers; 0 falls back to the server's default.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
+
+	// network is Network decoded by the one-pass body decoder (nil when
+	// it was not), so that prepareInfer does not decode it again.
+	network *vnn.Network
 }
 
 // VerdictJSON is the wire form of one monitor verdict.
@@ -212,7 +216,13 @@ func (s *Server) prepareInfer(req *InferRequest) (*preparedInfer, error) {
 	q := &preparedInfer{monitorContentFP: req.MonitorFingerprint}
 	switch {
 	case len(req.Network) > 0:
-		wl, err := parseWorkload(req.Network, req.Region, req.Options)
+		var wl *workload
+		var err error
+		if req.network != nil {
+			wl, err = newWorkload(req.network, req.Region, req.Options)
+		} else {
+			wl, err = parseWorkload(req.Network, req.Region, req.Options)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -138,6 +138,9 @@ func TestVerifyTraceSpanTree(t *testing.T) {
 	if _, ok := solve.Attrs["bb_first_incumbent_node"]; !ok || attr("bb_first_incumbent_node") > attr("nodes") {
 		t.Fatalf("solve span attrs = %v, want bb_first_incumbent_node <= nodes", solve.Attrs)
 	}
+	if _, ok := solve.Attrs["bb_jump_nodes"]; !ok || attr("bb_jump_nodes") > attr("nodes") || attr("bb_jump_pivots") > attr("lp_pivots") {
+		t.Fatalf("solve span attrs = %v, want bb_jump_nodes <= nodes and bb_jump_pivots <= lp_pivots", solve.Attrs)
+	}
 	// ...and its work totals are the reply's per-result stats summed.
 	var nodes, pivots float64
 	for _, r := range vr.Report.Results {

@@ -42,6 +42,11 @@ func parseWorkload(network json.RawMessage, region vnn.RegionSpec, o QueryOption
 	if err != nil {
 		return nil, err
 	}
+	return newWorkload(net, region, o)
+}
+
+// newWorkload is parseWorkload for a network already decoded.
+func newWorkload(net *vnn.Network, region vnn.RegionSpec, o QueryOptions) (*workload, error) {
 	reg, err := region.Region()
 	if err != nil {
 		return nil, err
@@ -151,14 +156,17 @@ func (s *Server) compiled(ctx context.Context, root *obs.Span, wl *workload) (*v
 
 // annotate puts the effort on the solve span: the two totals /metrics
 // also carries, and the shape of the search tree — with how many nodes it
-// took to the first incumbent — and the LP engine's own account of how the
-// node relaxations were solved, which only the trace shows.
+// took to the first incumbent, and how many nodes and pivots went to
+// jumps rather than dive children — and the LP engine's own account of
+// how the node relaxations were solved, which only the trace shows.
 func annotate(sp *obs.Span, e vnn.Effort) {
 	sp.SetAttr("nodes", e.Nodes)
 	sp.SetAttr("lp_pivots", e.LPPivots)
 	sp.SetAttr("bb_max_depth", e.MaxDepth)
 	sp.SetAttr("bb_open_high_water", e.OpenHighWater)
 	sp.SetAttr("bb_first_incumbent_node", e.FirstIncumbentNode)
+	sp.SetAttr("bb_jump_nodes", e.JumpNodes)
+	sp.SetAttr("bb_jump_pivots", e.JumpPivots)
 	for _, a := range []struct {
 		key string
 		n   int

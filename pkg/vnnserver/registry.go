@@ -17,6 +17,7 @@ import (
 	"regexp"
 	"strconv"
 
+	"repro/internal/jsonscan"
 	"repro/internal/obs"
 	"repro/pkg/vnn"
 	"repro/pkg/vnnregistry"
@@ -246,7 +247,7 @@ func (s *Server) handleModelEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleModelPromote(w http.ResponseWriter, r *http.Request) {
 	var req ModelPromoteRequest
 	if !s.accept(w, r, func(body []byte) error {
-		if skipSpace(body, 0) == len(body) {
+		if jsonscan.SkipSpace(body, 0) == len(body) {
 			return nil // an empty body is a plain full promotion
 		}
 		return decodeBody(body, &req)

@@ -72,6 +72,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/jsonscan"
 	"repro/internal/obs"
 	"repro/pkg/vnn"
 	"repro/pkg/vnnfleet"
@@ -653,7 +654,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // search's LP. Any other failure is the server's inability to answer.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, vnn.ErrEmptyRegion):
+	case errors.Is(err, vnn.ErrEmptyRegion), errors.Is(err, vnn.ErrNoStartingPoint):
 		return http.StatusBadRequest
 	case errors.Is(err, vnnregistry.ErrNotReady):
 		return http.StatusServiceUnavailable
@@ -711,7 +712,7 @@ func decodeBody(body []byte, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decode request: %w", err)
 	}
-	if i := skipSpace(body, int(dec.InputOffset())); i < len(body) {
+	if i := jsonscan.SkipSpace(body, int(dec.InputOffset())); i < len(body) {
 		return fmt.Errorf("decode request: invalid character %q after top-level value", body[i])
 	}
 	return nil

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/jsonscan"
 	"repro/internal/nn"
 	"repro/pkg/vnn"
 )
@@ -76,6 +77,49 @@ func fullBody() []byte {
 	return body
 }
 
+// churnBody is an infer_churn-shaped request: the whole workload in the
+// body. The network is 84 inputs, two hidden layers of 8 and 10 outputs,
+// He-initialised and named as a predictor is (a 19 KB document); the
+// region is the unit box with one coordinate widened; 64 inputs and a
+// 256-row monitor dataset are hotBody's rows.
+func churnBody(seed int64) []byte {
+	names := func(prefix string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = prefix + strconv.Itoa(i)
+		}
+		return out
+	}
+	net := nn.New(nn.Config{
+		Name: "I2x8", InputDim: 84, Hidden: []int{8, 8}, OutputDim: 10,
+		HiddenAct: nn.ReLU, OutputAct: nn.Identity,
+		InputNames: names("feature_", 84), OutputNames: names("mdn_", 10),
+	}, rand.New(rand.NewSource(seed)))
+	netJSON, err := vnn.MarshalNetwork(net)
+	if err != nil {
+		panic(err)
+	}
+	box := make([][2]float64, 84)
+	for i := range box {
+		box[i] = [2]float64{0, 1}
+	}
+	box[5][0] = -0.0017360423
+	var hot, data InferRequest
+	if json.Unmarshal(hotBody(64, seed), &hot) != nil || json.Unmarshal(hotBody(256, seed+1), &data) != nil {
+		panic("hot body")
+	}
+	body, err := json.Marshal(InferRequest{
+		Network: netJSON,
+		Region:  vnn.RegionSpec{Box: box},
+		Inputs:  hot.Inputs,
+		Monitor: &InferMonitorSpec{Data: data.Inputs, Gamma: 1},
+	})
+	if err != nil {
+		panic(err)
+	}
+	return body
+}
+
 // sameMatrix compares two decoded matrices bit for bit, nil-ness of the
 // matrix and of every row included.
 func sameMatrix(a, b FloatMatrix) error {
@@ -95,10 +139,39 @@ func sameMatrix(a, b FloatMatrix) error {
 	return nil
 }
 
+// sameNetwork compares two decoded networks: names, shapes, every
+// weight's and bias's bits and each activation.
+func sameNetwork(a, b *vnn.Network) error {
+	if a.Name != b.Name || !reflect.DeepEqual(a.InputNames, b.InputNames) || !reflect.DeepEqual(a.OutputNames, b.OutputNames) || len(a.Layers) != len(b.Layers) {
+		return fmt.Errorf("network %q %q %q (%d layers) against %q %q %q (%d layers)",
+			a.Name, a.InputNames, a.OutputNames, len(a.Layers), b.Name, b.InputNames, b.OutputNames, len(b.Layers))
+	}
+	for i, la := range a.Layers {
+		lb := b.Layers[i]
+		if la.Act != lb.Act {
+			return fmt.Errorf("layer %d: act %d against %d", i, la.Act, lb.Act)
+		}
+		if err := sameMatrix(append(FloatMatrix{la.B}, la.W...), append(FloatMatrix{lb.B}, lb.W...)); err != nil {
+			return fmt.Errorf("layer %d (row 0 is b): %w", i, err)
+		}
+	}
+	return nil
+}
+
 // sameRequest reports how two decoded requests differ: matrices bit for
 // bit, everything else by reflect.DeepEqual, which tells a nil slice from
-// an empty one.
+// an empty one. b is the strict decode, which leaves the network raw; a
+// network a holds decoded must be UnmarshalNetwork's of b's bytes.
 func sameRequest(a, b *InferRequest) error {
+	if a.network != nil {
+		want, err := vnn.UnmarshalNetwork(b.Network)
+		if err != nil {
+			return fmt.Errorf("network decoded in the pass, strict bytes refused: %v", err)
+		}
+		if err := sameNetwork(a.network, want); err != nil {
+			return fmt.Errorf("network: %w", err)
+		}
+	}
 	if err := sameMatrix(a.Inputs, b.Inputs); err != nil {
 		return fmt.Errorf("inputs: %w", err)
 	}
@@ -117,6 +190,7 @@ func sameRequest(a, b *InferRequest) error {
 	}
 	ar, br := *a, *b
 	ar.Inputs, br.Inputs, ar.Monitor, br.Monitor = nil, nil, nil, nil
+	ar.network, br.network = nil, nil
 	if !reflect.DeepEqual(ar, br) {
 		return fmt.Errorf("request %+v against %+v", ar, br)
 	}
@@ -156,20 +230,34 @@ func FuzzInferRequest(f *testing.F) {
 		`{"fingerprint":"a\"b\\u0041","model":"é"}`,
 		`{"fingerprint":"\xff"}`,
 		``, `null`, `[]`, `{}`, `{"gamma":1}`, `{"timeout_ms":1.5}`,
+		`{"network":{"name":"n","layers":[{"w":[[1,2]],"b":[0],"act":1}]},"inputs":[[1,2]]}`,
+		`{"network":{"name":"n","layers":[{"w":[[1,2]],"b":[0,0],"act":1}]},"inputs":[[1,2]]}`,
+		`{"network":{"name":"n","layers":[{"w":[[1,2]],"b":[0],"act":1}]}}`,
+		`{"network":{"name":"n","layers":[{"W":[[1,2]],"b":[0]}]},"inputs":[[1,2]]}`,
+		`{"network":null,"inputs":[[1,2]]}`,
+		`{"network":{"name":"n","layers":[{"w":[[1e400]],"b":[0]}]}}`,
 	} {
 		f.Add([]byte(seed))
 	}
+	f.Add(churnBody(1))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var want InferRequest
 		wantErr := decodeBody(body, &want)
 
 		var fast InferRequest
-		if d := (inferDecoder{b: body}); d.request(&fast) {
+		if d := (inferDecoder{Walker: jsonscan.Walker{B: body}}); d.request(&fast) {
 			if wantErr != nil {
 				t.Fatalf("%q: one-pass decoder accepts it, strict decoder says %v", body, wantErr)
 			}
 			if err := sameRequest(&fast, &want); err != nil {
 				t.Fatalf("%q: one-pass against strict: %v", body, err)
+			}
+			// The pass leaves a network raw only if UnmarshalNetwork
+			// refuses it.
+			if fast.network == nil && len(fast.Network) > 0 {
+				if _, err := vnn.UnmarshalNetwork(fast.Network); err == nil {
+					t.Fatalf("%q: the pass left a decodable network raw", body)
+				}
 			}
 		}
 
@@ -192,16 +280,25 @@ func FuzzInferRequest(f *testing.F) {
 
 // TestInferDecoderTakesCanonicalBodies pins that the fast path is the one
 // taken for what clients send: the harness-shaped and full bodies, also
-// indented, never fall back to the strict decoder.
+// indented, never fall back to the strict decoder, and a network they
+// carry is decoded in the pass, by UnmarshalNetwork's own one pass.
 func TestInferDecoderTakesCanonicalBodies(t *testing.T) {
 	var indented bytes.Buffer
 	if err := json.Indent(&indented, fullBody(), " ", "\t"); err != nil {
 		t.Fatal(err)
 	}
-	for name, body := range map[string][]byte{"hot": hotBody(64, 1), "full": fullBody(), "indented": indented.Bytes()} {
+	for name, body := range map[string][]byte{"hot": hotBody(64, 1), "full": fullBody(), "indented": indented.Bytes(), "churn": churnBody(1)} {
 		var req InferRequest
-		if d := (inferDecoder{b: body}); !d.request(&req) {
+		if d := (inferDecoder{Walker: jsonscan.Walker{B: body}}); !d.request(&req) {
 			t.Fatalf("%s body: one-pass decoder gave up", name)
+		}
+		if len(req.Network) > 0 && req.network == nil {
+			t.Fatalf("%s body: the network was left for prepareInfer to decode", name)
+		}
+		if name == "churn" {
+			if req.network == nil || len(req.Network) < 17<<10 || len(req.Monitor.Data) != 256 {
+				t.Fatalf("churn body: network %d bytes (decoded %v), %d monitor rows", len(req.Network), req.network != nil, len(req.Monitor.Data))
+			}
 		}
 	}
 }
@@ -241,40 +338,18 @@ func TestInferDecodeAllocationBounded(t *testing.T) {
 	}
 }
 
-// TestParseNumberMatchesStrconv compares the number routine with
-// strconv.ParseFloat on the cases either side of the exact path's limits.
-func TestParseNumberMatchesStrconv(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	cases := []string{
-		"0", "-0", "1", "-1", "0.1", "0.225", "1e22", "1e23", "1e-22", "1e-23",
-		"9007199254740991", "9007199254740992", "9007199254740993", "123456789012345678901234567890",
-		"0.30000000000000004", "2.2250738585072014e-308", "4.9e-324", "1.7976931348623157e308",
-		"1e400", "-1e400", "1e-400", "0e999999", "0.000000000000000000000000001", "100000000000000000000000",
-		"1.5E+3", "2.5e-3",
-	}
-	for range 2000 {
-		v := math.Float64frombits(rng.Uint64())
-		if !math.IsInf(v, 0) && !math.IsNaN(v) {
-			cases = append(cases, strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		cases = append(cases, strconv.FormatFloat(rng.Float64(), 'f', -1, 64))
-	}
-	for _, c := range cases {
-		want, wantErr := strconv.ParseFloat(c, 64)
-		got, end, err := parseNumber([]byte(c), 0)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("%s: error %v, strconv %v", c, err, wantErr)
-		}
-		if err != nil {
-			continue
-		}
-		if end != len(c) || math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s: %v (end %d), strconv %v", c, got, end, want)
-		}
-	}
-	for _, bad := range []string{"-", "01", "1.", ".5", "1e", "1e+", "+1", "-x", "1.e5"} {
-		if _, end, err := parseNumber([]byte(bad), 0); err == nil && end == len(bad) {
-			t.Fatalf("%q parsed as a whole JSON number", bad)
+// BenchmarkInferDecodeWorkload decodes an infer_churn-shaped body, the
+// whole workload with a 19 KB network, through decodeInfer, the handler's
+// decode, the network's decode included.
+func BenchmarkInferDecodeWorkload(b *testing.B) {
+	body := churnBody(1)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var req InferRequest
+		if err := decodeInfer(body, &req); err != nil || req.network == nil {
+			b.Fatal(err)
 		}
 	}
 }
