@@ -109,17 +109,12 @@ func TestForkTracksOrigin(t *testing.T) {
 }
 
 // TestForkWithoutBasis: a solver that has nothing live to copy — never
-// solved, invalidated, or fresh from a cold Infeasible — forks into a plain
+// solved, or fresh from a cold Infeasible — forks into a plain
 // new solver, whose first solve is cold and agrees with a one-shot Solve.
 func TestForkWithoutBasis(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	m := randomBoxLP(rng, 8, 6)
 	unsolved := NewSolver(m)
-	invalidated := NewSolver(m)
-	if _, err := invalidated.Solve(Options{}); err != nil {
-		t.Fatal(err)
-	}
-	invalidated.Invalidate()
 
 	empty := NewModel()
 	x := empty.AddVariable(0, 1, "x")
@@ -129,7 +124,7 @@ func TestForkWithoutBasis(t *testing.T) {
 		t.Fatalf("setup: %v %v", sol, err)
 	}
 
-	for name, s := range map[string]*Solver{"unsolved": unsolved, "invalidated": invalidated, "infeasible": infeasible} {
+	for name, s := range map[string]*Solver{"unsolved": unsolved, "infeasible": infeasible} {
 		clone := s.Model().Clone()
 		f := s.Fork(clone)
 		got, err := f.Solve(Options{})

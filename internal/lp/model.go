@@ -55,14 +55,12 @@ type Constraint struct {
 	Terms []Term
 	Sense Sense
 	RHS   float64
-	Name  string
 }
 
 // Variable describes one decision variable.
 type Variable struct {
 	Lower, Upper float64
 	Obj          float64 // objective coefficient
-	Name         string
 }
 
 // Model is a linear program under construction. The zero value is not
@@ -85,12 +83,13 @@ func (m *Model) SetMaximize(max bool) { m.maximize = max }
 func (m *Model) Maximizing() bool { return m.maximize }
 
 // AddVariable adds a variable with the given bounds and returns its index.
-// Bounds may be ±Inf. It panics if lower > upper.
+// Bounds may be ±Inf. It panics if lower > upper; name only labels that
+// panic and is not stored.
 func (m *Model) AddVariable(lower, upper float64, name string) int {
 	if lower > upper {
 		panic(fmt.Sprintf("lp: variable %q has lower %g > upper %g", name, lower, upper))
 	}
-	m.vars = append(m.vars, Variable{Lower: lower, Upper: upper, Name: name})
+	m.vars = append(m.vars, Variable{Lower: lower, Upper: upper})
 	return len(m.vars) - 1
 }
 
@@ -127,7 +126,8 @@ func (m *Model) NumConstraints() int { return len(m.cons) }
 // entries summed (in the order given) and zero coefficients dropped, so a
 // row — and every rounding of EvalRow and FeasibilityError over it — is a
 // function of the terms as a set, not of the order they arrived in. terms
-// is not retained. It panics on a term that references an unknown variable.
+// is not retained. It panics on a term that references an unknown variable;
+// name only labels that panic and is not stored.
 func (m *Model) AddConstraint(terms []Term, sense Sense, rhs float64, name string) int {
 	increasing, prev := true, -1
 	for _, t := range terms {
@@ -159,7 +159,7 @@ func (m *Model) AddConstraint(terms []Term, sense Sense, rhs float64, name strin
 			nonzero++
 		}
 	}
-	row := Constraint{Sense: sense, RHS: rhs, Name: name}
+	row := Constraint{Sense: sense, RHS: rhs}
 	if nonzero > 0 {
 		row.Terms = make([]Term, 0, nonzero) // exact: the row lives as long as the model
 		for _, t := range terms {

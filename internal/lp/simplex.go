@@ -50,10 +50,9 @@ type Solution struct {
 	Iterations int // total simplex pivots across both phases
 }
 
-// Options tune the solver. The zero value selects sensible defaults.
+// Options tune the solver. The zero value selects sensible defaults. A
+// solve stops with IterationLimit after 400*(rows+cols)+20000 pivots.
 type Options struct {
-	// MaxIterations bounds total pivots; 0 means 400*(rows+cols)+20000.
-	MaxIterations int
 	// Cancel, when non-nil, is polled every cancelPeriod pivots; once it
 	// reports true the solve stops and returns IterationLimit. This is how
 	// context cancellation and deadlines reach into a running simplex

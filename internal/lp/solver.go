@@ -16,19 +16,24 @@ const (
 
 // Solver is a persistent simplex engine bound to one Model. It allocates
 // the tableau once and re-solves after bound or objective mutations by
-// restarting from the previous basis instead of rebuilding everything:
+// restarting from the previous basis instead of rebuilding everything.
+// A warm re-solve keeps the basis and does the same thing whatever changed:
+// it loads the new bounds and objective, prices the basis under the new
+// objective, rests each nonbasic boxed column on the bound its reduced cost
+// prefers and recomputes the basic values. Then:
 //
-//   - objective-only changes keep the basis primal feasible, so phase 1 is
-//     skipped outright and phase 2 re-optimizes from the previous vertex
-//     (the bound-tightening access pattern);
-//   - bound changes under an unchanged objective leave the basis dual
-//     feasible, so dual simplex pivots restore primal feasibility without
-//     a phase-1 restart (the branch-and-bound access pattern, where
-//     children differ by one binary bound fix); a child with no feasible
-//     point is reported Infeasible warm, on a Farkas certificate computed
-//     from the model's own constraint data, and the basis stays live;
-//   - anything the warm path cannot certify degrades to a cold solve; the
-//     warm machinery can cost time, never correctness.
+//   - a primal feasible basis goes straight to primal phase 2;
+//   - a primal infeasible, dual feasible basis is restored by dual simplex
+//     pivots, then polished by phase 2. Bound changes under an unchanged
+//     objective always land here (the branch-and-bound access pattern,
+//     where children differ by one binary bound fix); a child with no
+//     feasible point is reported Infeasible warm, on a Farkas certificate
+//     computed from the model's own constraint data, and the basis stays
+//     live;
+//   - a basis that is neither primal nor dual feasible — an objective
+//     change that moved a column off its bound, the LP-tightening access
+//     pattern — and anything else the warm path cannot certify is solved
+//     cold; the warm machinery can cost time, never correctness.
 //
 // The bound model's structure — its variables and constraints — must not
 // change between solves; bounds and objective coefficients may. Adding
@@ -67,9 +72,6 @@ func NewSolver(m *Model) *Solver {
 // Model returns the bound model, whose bounds/objective may be mutated
 // between solves.
 func (s *Solver) Model() *Model { return s.model }
-
-// Invalidate discards the saved basis; the next solve starts cold.
-func (s *Solver) Invalidate() { s.hasBasis = false }
 
 // Stats returns the effort counters accumulated over the solver's life.
 func (s *Solver) Stats() Stats { return s.stats }
@@ -211,10 +213,7 @@ func (s *Solver) Solve(opts Options) (*Solution, error) {
 		s.rebuild()
 	}
 	tb := s.tb
-	tb.maxIters = opts.MaxIterations
-	if tb.maxIters <= 0 {
-		tb.maxIters = 400*(tb.m+tb.nTotal) + 20000
-	}
+	tb.maxIters = 400*(tb.m+tb.nTotal) + 20000
 	tb.cancel = opts.Cancel
 	tb.iters = 0
 
@@ -358,10 +357,10 @@ func (s *Solver) coldSolve() (*Solution, error) {
 }
 
 // warmSolve re-solves from the live basis: refresh bounds and costs,
-// restore primal feasibility if a bound change broke it (dual simplex when
-// the reduced costs allow, heuristic bound repair otherwise), then run
-// phase 2 only. Returns ok=false when the warm path cannot certify a
-// trustworthy answer; the caller then solves cold.
+// restore primal feasibility if the refresh broke it (dual simplex, when
+// the reduced costs are dual feasible), then run phase 2 only. Returns
+// ok=false when the warm path cannot certify a trustworthy answer; the
+// caller then solves cold.
 func (s *Solver) warmSolve() (*Solution, bool) {
 	tb := s.tb
 	m := s.model
@@ -425,35 +424,33 @@ func (s *Solver) warmSolve() (*Solution, bool) {
 	installIters := tb.iters // refactorization pivots, already in pivotsSinceRef
 
 	if tb.firstInfeasibleRow() >= 0 {
-		// A bound mutation broke primal feasibility. When the reduced costs
-		// are still dual feasible — always true under an unchanged
-		// objective, the branch-and-bound case — dual simplex restores
-		// feasibility directly. Otherwise fall back to the heuristic bound
-		// repair.
-		if tb.dualFeasible() {
-			switch out, r := tb.dualIterate(); out {
-			case dualDeadEnd:
-				if !s.provesInfeasible(r) {
-					s.stats.CertFailed++
-					s.stats.ColdDeadEnd++
-					return nil, false
-				}
-				// Infeasible, with the basis left live: the next solve re-rests
-				// the columns this row flipped and starts its dual pass here.
-				s.stats.CertAccepted++
-				s.pivotsSinceRef += tb.iters - installIters
-				return &Solution{Status: Infeasible, Iterations: tb.iters}, true
-			case dualStalled:
-				s.stats.ColdStall++
-				return nil, false
-			case dualInterrupted:
-				// No X: mid-pass the vertex is not primal feasible.
-				s.pivotsSinceRef += tb.iters - installIters
-				return &Solution{Status: IterationLimit, Iterations: tb.iters}, true
-			}
-		} else if !s.repairBasis() {
+		// The refresh broke primal feasibility. When the reduced costs are
+		// still dual feasible — always true under an unchanged objective,
+		// the branch-and-bound case — dual simplex restores feasibility
+		// directly. Otherwise the cold solve is the one way back.
+		if !tb.dualFeasible() {
 			s.stats.ColdDeadEnd++
 			return nil, false
+		}
+		switch out, r := tb.dualIterate(); out {
+		case dualDeadEnd:
+			if !s.provesInfeasible(r) {
+				s.stats.CertFailed++
+				s.stats.ColdDeadEnd++
+				return nil, false
+			}
+			// Infeasible, with the basis left live: the next solve re-rests
+			// the columns this row flipped and starts its dual pass here.
+			s.stats.CertAccepted++
+			s.pivotsSinceRef += tb.iters - installIters
+			return &Solution{Status: Infeasible, Iterations: tb.iters}, true
+		case dualStalled:
+			s.stats.ColdStall++
+			return nil, false
+		case dualInterrupted:
+			// No X: mid-pass the vertex is not primal feasible.
+			s.pivotsSinceRef += tb.iters - installIters
+			return &Solution{Status: IterationLimit, Iterations: tb.iters}, true
 		}
 	}
 
@@ -595,60 +592,4 @@ func (s *Solver) refactorize() {
 		cols = deferred
 	}
 	s.pivotsSinceRef = installed
-}
-
-// repairBasis tries to restore primal feasibility after bound mutations by
-// pivoting out-of-bounds basic variables onto their violated bound, letting
-// a nonbasic column with a stable pivot absorb the residual. This is the
-// fallback when the reduced costs do not admit dual pivoting (objective
-// and bounds changed together). Reports whether the basis ended feasible.
-func (s *Solver) repairBasis() bool {
-	tb := s.tb
-	for attempt := 0; attempt < 4; attempt++ {
-		r := tb.firstInfeasibleRow()
-		if r < 0 {
-			return true
-		}
-		bi := tb.basis[r]
-		target, stat := tb.lower[bi], atLower
-		if tb.x[bi] > tb.upper[bi] {
-			target, stat = tb.upper[bi], atUpper
-		}
-		// Entering column: prefer the largest stable pivot whose new value
-		// stays inside its own bounds; fall back to the largest pivot.
-		row := tb.t[r]
-		deltaB := target - tb.x[bi]
-		bestIn, bestInAbs := -1, installPivotTol
-		bestAny, bestAnyAbs := -1, installPivotTol
-		for j := 0; j < tb.width; j++ {
-			if tb.status[j] == basic || tb.lower[j] == tb.upper[j] {
-				continue
-			}
-			a := math.Abs(row[j])
-			if a <= bestAnyAbs && a <= bestInAbs {
-				continue
-			}
-			if a > bestAnyAbs {
-				bestAny, bestAnyAbs = j, a
-			}
-			nx := tb.x[j] - deltaB/row[j]
-			if nx >= tb.lower[j]-defaultTol && nx <= tb.upper[j]+defaultTol && a > bestInAbs {
-				bestIn, bestInAbs = j, a
-			}
-		}
-		j := bestIn
-		if j < 0 {
-			j = bestAny
-		}
-		if j < 0 {
-			return false
-		}
-		newXj := tb.x[j] - deltaB/row[j]
-		tb.status[bi] = stat
-		tb.x[bi] = target
-		tb.pivot(r, j, newXj)
-		tb.iters++
-		tb.computeBasics()
-	}
-	return tb.firstInfeasibleRow() < 0
 }

@@ -14,7 +14,10 @@ type Stats struct {
 	ColdSolves int
 
 	// Warm attempts abandoned to a cold solve, by reason.
-	ColdDeadEnd   int // no entering column restores feasibility and no certificate proves there is none
+	// ColdDeadEnd: the refreshed basis was primal infeasible and either not
+	// dual feasible, or its dual pass found a row no entering column can
+	// fix and no certificate proves infeasible.
+	ColdDeadEnd   int
 	ColdStall     int // the dual pass ran out of its step budget
 	ColdUnbounded int // the primal polish reported an unbounded ray
 	ColdFeasGuard int // the warm optimum violated the model by more than warmFeasGuard

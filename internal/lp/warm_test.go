@@ -33,8 +33,8 @@ func checkAgainstCold(t *testing.T, s *Solver, tag string) {
 }
 
 // TestWarmObjectiveMutations re-solves one model under a stream of
-// objective changes — the LP-tightening access pattern, where the saved basis
-// always stays primal feasible and phase 1 must never run again.
+// objective changes — the LP-tightening access pattern — and checks every
+// answer against a cold solve.
 func TestWarmObjectiveMutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 8; trial++ {
@@ -183,6 +183,87 @@ func TestWarmManySolvesDriftGuard(t *testing.T) {
 				t.Fatalf("step %d: objective %.12g vs %.12g", step, warm.Objective, cold.Objective)
 			}
 		}
+	}
+}
+
+// contractCase solves a random box LP once and then mutates it for
+// TestWarmPathContract: it halves the box of one variable the optimum
+// holds strictly inside its bounds, towards the lower bound, so the
+// optimum is cut off; with newObjective it also draws a fresh objective.
+// ok is false when the first solve is not Optimal or no variable is
+// interior.
+func contractCase(seed int64, newObjective bool) (s *Solver, m *Model, ok bool) {
+	rng := rand.New(rand.NewSource(seed))
+	m = randomBoxLP(rng, 6+rng.Intn(5), 3+rng.Intn(4))
+	s = NewSolver(m)
+	sol, err := s.Solve(Options{})
+	if err != nil || sol.Status != Optimal {
+		return s, m, false
+	}
+	if newObjective {
+		for v := 0; v < m.NumVariables(); v++ {
+			m.SetObjective(v, rng.Float64()*2-1)
+		}
+	}
+	for _, v := range rng.Perm(m.NumVariables()) {
+		if lo, hi := m.Bounds(v); sol.X[v] > lo+1e-6 && sol.X[v] < hi-1e-6 {
+			m.SetBounds(v, lo, (lo+sol.X[v])/2)
+			return s, m, true
+		}
+	}
+	return s, m, false
+}
+
+// Seeds of contractCase: the bound case needs dual pivots; in the mixed
+// case the re-rested basis is neither primal nor dual feasible, and
+// pivoting its violated basics onto their bounds would restore it, so the
+// case tells a cold recovery from a heuristic repair.
+const contractBoundSeed, contractMixedSeed = 1, 1
+
+// TestWarmPathContract pins the two ways a warm re-solve recovers a basis
+// the refresh left primal infeasible. Under an unchanged objective the
+// basis stays dual feasible and the dual pass restores it warm. With a new
+// objective as well it may be neither primal nor dual feasible: that
+// re-solve is cold, counted in ColdDeadEnd, and answers bit for bit what a
+// new solver on the same model does.
+func TestWarmPathContract(t *testing.T) {
+	s, m, ok := contractCase(contractBoundSeed, false)
+	if !ok {
+		t.Fatal("bound case: setup")
+	}
+	before := s.Stats()
+	sol, err := s.Solve(Options{})
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("bound case: %v %v", sol, err)
+	}
+	st := s.Stats()
+	if st.ColdSolves != before.ColdSolves || st.WarmSolves != before.WarmSolves+1 || st.DualPivots == before.DualPivots {
+		t.Fatalf("bound case: not a warm dual pass: %+v after %+v", st, before)
+	}
+	cold, err := NewSolver(m.Clone()).Solve(Options{})
+	if err != nil || math.Abs(sol.Objective-cold.Objective) > 1e-9 {
+		t.Fatalf("bound case: warm objective %.17g, cold %.17g (%v)", sol.Objective, cold.Objective, err)
+	}
+
+	s, m, ok = contractCase(contractMixedSeed, true)
+	if !ok {
+		t.Fatal("objective-and-bound case: setup")
+	}
+	before = s.Stats()
+	clone := m.Clone()
+	got, err := s.Solve(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewSolver(clone).Solve(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSolution(t, "objective-and-bound case", got, want)
+	st = s.Stats()
+	if st.ColdSolves != before.ColdSolves+1 || st.ColdDeadEnd != before.ColdDeadEnd+1 ||
+		st.CertFailed != before.CertFailed || st.WarmSolves != before.WarmSolves {
+		t.Fatalf("objective-and-bound case: not one cold dead end: %+v after %+v", st, before)
 	}
 }
 

@@ -40,37 +40,43 @@ func (tp TraceParent) HexTraceID() string {
 	return hex.EncodeToString(tp.TraceID[:])
 }
 
-// ParseTraceparent parses a traceparent header value. Unknown versions
-// are accepted if the four version-00 fields parse (per the spec's
-// forward-compatibility rule, trailing fields are ignored); malformed
-// or all-zero ids are rejected.
+// ParseTraceparent parses a traceparent header value. Every field is
+// lowercase hex. A version-00 header is exactly its four fields; a later
+// version is accepted if those four fields parse, and anything after them
+// must start with '-' (the spec's forward-compatibility rule; trailing
+// fields are ignored). Version ff and all-zero ids are rejected.
 func ParseTraceparent(s string) (TraceParent, bool) {
 	// version(2) - traceid(32) - spanid(16) - flags(2)
-	if len(s) < 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' {
+	if len(s) < 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' ||
+		!lowerHex(s[0:2]) || !lowerHex(s[3:35]) || !lowerHex(s[36:52]) || !lowerHex(s[53:55]) {
 		return TraceParent{}, false
 	}
-	if s[0] == 'f' && s[1] == 'f' { // version 0xff is forbidden
-		return TraceParent{}, false
-	}
-	if len(s) > 55 && s[55] != '-' { // longer forms must continue with -suffix
+	switch {
+	case s[:2] == "ff", // forbidden
+		s[:2] == "00" && len(s) != 55,
+		len(s) > 55 && s[55] != '-':
 		return TraceParent{}, false
 	}
 	var tp TraceParent
-	if _, err := hex.Decode(tp.TraceID[:], []byte(s[3:35])); err != nil {
-		return TraceParent{}, false
-	}
-	if _, err := hex.Decode(tp.SpanID[:], []byte(s[36:52])); err != nil {
-		return TraceParent{}, false
-	}
-	flags, err := hex.DecodeString(s[53:55])
-	if err != nil {
-		return TraceParent{}, false
-	}
-	tp.Flags = flags[0]
+	var flags [1]byte
+	hex.Decode(tp.TraceID[:], []byte(s[3:35]))
+	hex.Decode(tp.SpanID[:], []byte(s[36:52]))
+	hex.Decode(flags[:], []byte(s[53:55]))
 	if !tp.Valid() {
 		return TraceParent{}, false
 	}
+	tp.Flags = flags[0]
 	return tp, true
+}
+
+// lowerHex reports whether s is all lowercase hex digits.
+func lowerHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // mintTraceParent makes a fresh sampled trace identity from the

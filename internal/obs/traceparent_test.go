@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -23,6 +24,21 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// hostileTraceparents are header values W3C Trace Context forbids.
+var hostileTraceparents = []string{
+	"",
+	"00",
+	"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331",          // no flags
+	"00-00000000000000000000000000000000-b7ad6b7169203331-01",       // zero trace id
+	"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",       // zero span id
+	"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",       // forbidden version
+	"00-0af7651916cd43dd8448eb211c80319X-b7ad6b7169203331-01",       // bad hex
+	"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01xx",     // junk suffix
+	"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01",       // uppercase hex
+	"zz-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",       // non-hex version
+	"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra", // suffix on version 00
+}
+
 func TestTraceparentParseRejects(t *testing.T) {
 	valid := "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
 	if _, ok := ParseTraceparent(valid); !ok {
@@ -32,20 +48,51 @@ func TestTraceparentParseRejects(t *testing.T) {
 	if _, ok := ParseTraceparent("cc-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra"); !ok {
 		t.Fatal("future-version header with -suffix rejected")
 	}
-	for _, bad := range []string{
-		"",
-		"00",
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331",      // no flags
-		"00-00000000000000000000000000000000-b7ad6b7169203331-01",   // zero trace id
-		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",   // zero span id
-		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",   // forbidden version
-		"00-0af7651916cd43dd8448eb211c80319X-b7ad6b7169203331-01",   // bad hex
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01xx", // junk suffix
-	} {
+	for _, bad := range hostileTraceparents {
 		if _, ok := ParseTraceparent(bad); ok {
 			t.Errorf("ParseTraceparent(%q) accepted", bad)
 		}
 	}
+}
+
+// traceparentGrammar is the reference the fuzz target checks the parser
+// against: four lowercase-hex fields, then anything after a '-'.
+var traceparentGrammar = regexp.MustCompile(`(?s)^([0-9a-f]{2})-([0-9a-f]{32})-([0-9a-f]{16})-[0-9a-f]{2}(-.*)?$`)
+
+// FuzzParseTraceparent: the parser never panics, accepts a header exactly
+// when the reference grammar does — version not ff, non-zero ids, no
+// suffix on version 00 — and re-renders an accepted header's fields as
+// the caller sent them.
+func FuzzParseTraceparent(f *testing.F) {
+	valid := "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
+	for _, seed := range append(hostileTraceparents,
+		valid,
+		"cc-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra",
+		valid[:54],
+		valid+"-",
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-0é",
+		"00-0af7651916cd43dd8448eb211c8031é-b7ad6b7169203331-01",
+	) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tp, ok := ParseTraceparent(s)
+		m := traceparentGrammar.FindStringSubmatch(s)
+		want := m != nil && m[1] != "ff" && !(m[1] == "00" && m[4] != "") &&
+			m[2] != strings.Repeat("0", 32) && m[3] != strings.Repeat("0", 16)
+		if ok != want {
+			t.Fatalf("ParseTraceparent(%q) ok=%v, reference grammar %v", s, ok, want)
+		}
+		if !ok {
+			if tp != (TraceParent{}) {
+				t.Fatalf("ParseTraceparent(%q) rejected but returned %+v", s, tp)
+			}
+			return
+		}
+		if got := tp.String(); got[3:] != s[3:55] {
+			t.Fatalf("ParseTraceparent(%q) re-renders as %q", s, got)
+		}
+	})
 }
 
 // TestStartRemoteJoinsTrace pins segment semantics: a segment started

@@ -186,8 +186,8 @@ func encode(net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, opt 
 
 	e := &encoding{model: lp.NewModel(), nb: nb}
 	// Input variables bounded by the region box.
-	for i, iv := range region.Box {
-		e.inputs = append(e.inputs, e.model.AddVariable(iv.Lo, iv.Hi, fmt.Sprintf("x%d", i)))
+	for _, iv := range region.Box {
+		e.inputs = append(e.inputs, e.model.AddVariable(iv.Lo, iv.Hi, ""))
 	}
 	// Linear scenario constraints.
 	for _, lc := range region.Linear {
@@ -195,7 +195,7 @@ func encode(net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, opt 
 		for v, c := range lc.Coeffs {
 			terms = append(terms, lp.Term{Var: e.inputs[v], Coeff: c})
 		}
-		e.model.AddConstraint(terms, lc.Sense, lc.RHS, lc.Name)
+		e.model.AddConstraint(terms, lc.Sense, lc.RHS, "")
 	}
 
 	prev := e.inputs
@@ -206,7 +206,6 @@ func encode(net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, opt 
 		vars := make([]int, layer.OutDim())
 		for j, row := range layer.W {
 			pre := lb.Pre[j]
-			name := fmt.Sprintf("l%dn%d", li, j)
 			// Affine expression terms: Σ w·prev + b.
 			affine := func(extra ...lp.Term) []lp.Term {
 				terms := make([]lp.Term, 0, len(row)+len(extra))
@@ -219,20 +218,20 @@ func encode(net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, opt 
 			}
 			if isOutput {
 				// y = Σ w·prev + b exactly.
-				y := e.model.AddVariable(pre.Lo, pre.Hi, name)
-				e.model.AddConstraint(affine(lp.Term{Var: y, Coeff: -1}), lp.EQ, -layer.B[j], name+"=aff")
+				y := e.model.AddVariable(pre.Lo, pre.Hi, "")
+				e.model.AddConstraint(affine(lp.Term{Var: y, Coeff: -1}), lp.EQ, -layer.B[j], "")
 				vars[j] = y
 				continue
 			}
 			switch {
 			case pre.Hi <= 0:
 				// Dead neuron: post is identically zero.
-				vars[j] = e.model.AddVariable(0, 0, name)
+				vars[j] = e.model.AddVariable(0, 0, "")
 				e.stable++
 			case pre.Lo >= 0:
 				// Always-active neuron: post equals the affine form.
-				p := e.model.AddVariable(pre.Lo, pre.Hi, name)
-				e.model.AddConstraint(affine(lp.Term{Var: p, Coeff: -1}), lp.EQ, -layer.B[j], name+"=aff")
+				p := e.model.AddVariable(pre.Lo, pre.Hi, "")
+				e.model.AddConstraint(affine(lp.Term{Var: p, Coeff: -1}), lp.EQ, -layer.B[j], "")
 				vars[j] = p
 				e.stable++
 			default:
@@ -241,11 +240,11 @@ func encode(net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, opt 
 				//   p ≤ aff − Lo·(1−d)    (p - aff - Lo·d ≤ -Lo)
 				//   p ≤ Hi·d              (p - Hi·d ≤ 0)
 				//   0 ≤ p ≤ max(0,Hi)
-				p := e.model.AddVariable(0, pre.Hi, name)
-				d := e.model.AddVariable(0, 1, name+".d")
-				e.model.AddConstraint(affine(lp.Term{Var: p, Coeff: -1}), lp.LE, -layer.B[j], name+">=aff")
-				e.model.AddConstraint(affine(lp.Term{Var: p, Coeff: -1}, lp.Term{Var: d, Coeff: pre.Lo}), lp.GE, -layer.B[j]+pre.Lo, name+"<=aff-L(1-d)")
-				e.model.AddConstraint([]lp.Term{{Var: p, Coeff: 1}, {Var: d, Coeff: -pre.Hi}}, lp.LE, 0, name+"<=U*d")
+				p := e.model.AddVariable(0, pre.Hi, "")
+				d := e.model.AddVariable(0, 1, "")
+				e.model.AddConstraint(affine(lp.Term{Var: p, Coeff: -1}), lp.LE, -layer.B[j], "")
+				e.model.AddConstraint(affine(lp.Term{Var: p, Coeff: -1}, lp.Term{Var: d, Coeff: pre.Lo}), lp.GE, -layer.B[j]+pre.Lo, "")
+				e.model.AddConstraint([]lp.Term{{Var: p, Coeff: 1}, {Var: d, Coeff: -pre.Hi}}, lp.LE, 0, "")
 				if !opt.relaxBinaries {
 					e.binaries = append(e.binaries, d)
 					e.relus = append(e.relus, relu{post: p, prev: prev, w: row, b: layer.B[j]})

@@ -305,7 +305,7 @@ func (e *encoding) addFloor(coeffs map[int]float64, floor float64) {
 		e.model.SetBounds(y, math.Max(lo, floor), math.Max(hi, floor))
 		return
 	}
-	e.model.AddConstraint(terms, lp.GE, floor, "prove.floor")
+	e.model.AddConstraint(terms, lp.GE, floor, "")
 }
 
 func extractWitness(e *encoding, x []float64) []float64 {
