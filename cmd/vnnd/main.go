@@ -112,7 +112,8 @@
 // activation-pattern monitor is built from the given dataset against the
 // compiled network's proven pre-activation bounds (patterns the bounds
 // prove unreachable over the region are rejected at build time — see
-// "monitor_rejected"), cached under its content fingerprint, and
+// "monitor_rejected"), stored under its name ("monitor_fingerprint",
+// which covers the workload it serves), and
 // every input whose pattern is farther than "gamma" (Hamming distance,
 // per monitored layer) from anything the dataset exercised is flagged
 // before its prediction is trusted:
@@ -124,7 +125,7 @@
 //	  "monitor": {"data": [[0.5, 0.5, ...], ...], "gamma": 2}
 //	}'
 //	{"fingerprint":"vnn1-...","cache_hit":true,
-//	 "monitor_fingerprint":"vnnm1-...","monitor_cache_hit":true,
+//	 "monitor_fingerprint":"vnnm1-...",
 //	 "monitor_patterns":412,"monitor_rejected":3,
 //	 "outputs":[[...], ...],
 //	 "verdicts":[{"ok":true,"layer":3,"distance":1},
@@ -145,12 +146,16 @@
 //	  "monitor_fingerprint": "vnnm1-...",
 //	  "inputs": [[0.5, 0.5, ...], ...]
 //	}'
+//	{"fingerprint":"vnn1-...","cache_hit":false,
+//	 "monitor_fingerprint":"vnnm1-...","monitor_cache_hit":true, ...}
 //
 // — cutting a request from megabytes to kilobytes (unknown fingerprints
-// answer 404; re-send the full request). Repeated monitored requests hit
-// both the compile cache and the monitor cache; /metrics reports the
-// plane under "infer" (requests, inputs, flagged, cached monitors and
-// workloads).
+// answer 404; re-send the full request). A model version's
+// "monitor_fingerprint" (GET /v1/models/{name}) works the same way under
+// the version's "fingerprint". A repeated full request hits the compile
+// cache and builds its monitor again ("monitor_cache_hit" is true only
+// when no build ran); /metrics reports the plane under "infer" (requests,
+// inputs, flagged, cached monitors and workloads).
 //
 // # Verified rollout: /v1/models, -data-dir, -gate
 //
@@ -436,7 +441,7 @@ func main() {
 		fleetInterval = flag.Duration("fleet-interval", 0, "fleet reconcile period, jittered per round (0 = 30s)")
 		nodeID        = flag.String("node-id", "", "stable node id used in traces, /metrics and /v1/fleet/metrics (empty = hostname plus a random suffix)")
 		tenantCap     = flag.Int("tenant-cap", 0, fmt.Sprintf("distinct tenant labels tracked per node before new API keys fold into \"other\" (0 = %d)", obs.DefaultTenantCap))
-		traceRing     = flag.Int("trace-ring", 0, "completed traces kept for /debug/traces (0 = 256, rounded up to a power of two)")
+		traceRing     = flag.Int("trace-ring", 0, "completed traces kept for /debug/traces (0 = 256)")
 		slowLog       = flag.Duration("slow-log", 0, "log any request slower than this, with its trace id (0 = off)")
 		pprofOn       = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default; profiling endpoints expose internals)")
 		dataDir       = flag.String("data-dir", "", "model registry persistence directory (empty = in-memory registry, lost on restart)")

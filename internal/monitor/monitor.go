@@ -339,6 +339,19 @@ func (m *Monitor) PatternCount() int {
 	return n
 }
 
+// SizeBytes estimates the monitor's resident size: each stored pattern
+// as bytes, as packed words and as an index entry (key plus a flat
+// per-entry charge), plus a flat overhead. It is a deterministic
+// accounting figure, not a malloc census.
+func (m *Monitor) SizeBytes() int64 {
+	const fixedOverhead, perEntry = 1 << 10, 48
+	var n int64 = fixedOverhead
+	for _, set := range m.sets {
+		n += int64(len(set.pats)) * int64(2*set.nbytes+8*set.nwords+perEntry)
+	}
+	return n
+}
+
 // Check classifies one input as a batch of one, allocating its own
 // transient state — the convenience form for tests and offline use.
 func (m *Monitor) Check(x []float64) Verdict {

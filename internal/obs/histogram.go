@@ -9,8 +9,8 @@
 //   - Recorder/Trace/Span: per-request traces with named phases
 //     (admission wait, cache lookup, compile, LP tighten, MILP encode,
 //     branch-and-bound, monitor build, fleet reconcile/pull) kept in a
-//     fixed-size lock-free ring of recent traces plus an always-retained
-//     slowest-K-per-route reservoir.
+//     fixed-size ring of recent traces plus an always-retained
+//     slowest-K-per-route reservoir, both under the recorder's mutex.
 //
 // Everything in the package is nil-safe: a nil *Histogram, *Recorder,
 // *Trace or *Span no-ops on every method, so call sites thread

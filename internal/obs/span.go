@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -209,8 +208,8 @@ func (t *Trace) Duration() time.Duration {
 
 // RecorderOptions configures a Recorder. The zero value is usable.
 type RecorderOptions struct {
-	// Ring is the capacity of the recent-traces ring (rounded up to a
-	// power of two; default 256).
+	// Ring is the capacity of the recent-traces ring: the last Ring
+	// finished traces are kept (default 256).
 	Ring int
 	// SlowestPerRoute is how many slowest traces are retained per route
 	// regardless of ring churn (default 8).
@@ -226,22 +225,20 @@ type RecorderOptions struct {
 	Node string
 }
 
-// Recorder owns the completed-trace ring and the slowest-K reservoir.
-// The ring is lock-free: Finish claims a slot with an atomic counter
-// and stores the *Trace with an atomic pointer, so a burst of finishing
-// requests never serialises on a recorder lock (the reservoir does take
-// a short mutex, amortised by its small K).
+// Recorder owns the completed-trace ring and the slowest-K reservoir,
+// both under one mutex: publish files a finished trace into each with a
+// few stores, so a burst of finishing requests holds the lock only
+// briefly.
 type Recorder struct {
-	ring []atomic.Pointer[Trace]
-	mask uint64
-	seq  atomic.Uint64
-	ids  atomic.Uint64
+	ids atomic.Uint64
 
 	slowThreshold time.Duration
 	slowLog       func(format string, args ...any)
 	node          string
 
 	mu       sync.Mutex
+	ring     []*Trace // ring[next] is the oldest slot once the ring is full
+	next     int
 	slowestK int
 	slowest  map[string][]*Trace // per route, sorted slowest-first
 }
@@ -252,17 +249,12 @@ func NewRecorder(opts RecorderOptions) *Recorder {
 	if ring <= 0 {
 		ring = 256
 	}
-	n := 1
-	for n < ring {
-		n <<= 1
-	}
 	k := opts.SlowestPerRoute
 	if k <= 0 {
 		k = 8
 	}
 	return &Recorder{
-		ring:          make([]atomic.Pointer[Trace], n),
-		mask:          uint64(n - 1),
+		ring:          make([]*Trace, ring),
 		slowThreshold: opts.SlowThreshold,
 		slowLog:       opts.SlowLog,
 		node:          opts.Node,
@@ -306,18 +298,21 @@ func (r *Recorder) publish(t *Trace) {
 	if r == nil {
 		return
 	}
-	slot := (r.seq.Add(1) - 1) & r.mask
-	r.ring[slot].Store(t)
-
 	r.mu.Lock()
+	r.ring[r.next] = t
+	r.next = (r.next + 1) % len(r.ring)
+	// Insert t into the slowest-first list: into a new last slot while
+	// the list is below K, else over its fastest entry if t is slower.
 	list := r.slowest[t.route]
 	if len(list) < r.slowestK {
-		list = append(list, t)
-		sort.Slice(list, func(i, j int) bool { return list[i].dur > list[j].dur })
+		list = append(list, nil)
+	}
+	if i := len(list) - 1; list[i] == nil || t.dur > list[i].dur {
+		for ; i > 0 && list[i-1].dur < t.dur; i-- {
+			list[i] = list[i-1]
+		}
+		list[i] = t
 		r.slowest[t.route] = list
-	} else if t.dur > list[len(list)-1].dur {
-		list[len(list)-1] = t
-		sort.Slice(list, func(i, j int) bool { return list[i].dur > list[j].dur })
 	}
 	r.mu.Unlock()
 
@@ -340,15 +335,22 @@ func (r *Recorder) Recent() []TraceSummary {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var out []TraceSummary
-	n := uint64(len(r.ring))
-	head := r.seq.Load()
-	for i := uint64(0); i < n; i++ {
-		t := r.ring[(head-1-i)&r.mask].Load()
-		if t == nil {
-			continue
-		}
+	for _, t := range r.recentLocked() {
 		out = append(out, t.summary())
+	}
+	return out
+}
+
+// recentLocked lists the ring's traces, newest first. Callers hold r.mu.
+func (r *Recorder) recentLocked() []*Trace {
+	var out []*Trace
+	for i := 1; i <= len(r.ring); i++ {
+		if t := r.ring[(r.next-i+len(r.ring))%len(r.ring)]; t != nil {
+			out = append(out, t)
+		}
 	}
 	return out
 }
@@ -381,17 +383,16 @@ func (r *Recorder) Segments(id string) []*Trace {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	seen := make(map[*Trace]bool)
 	var out []*Trace
-	head := r.seq.Load()
-	for i := uint64(0); i < uint64(len(r.ring)); i++ {
-		if t := r.ring[(head-1-i)&r.mask].Load(); t != nil && t.matches(id) && !seen[t] {
+	for _, t := range r.recentLocked() {
+		if t.matches(id) && !seen[t] {
 			seen[t] = true
 			out = append(out, t)
 		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for _, list := range r.slowest {
 		for _, t := range list {
 			if t.matches(id) && !seen[t] {

@@ -114,6 +114,46 @@ func TestRingAndGet(t *testing.T) {
 	}
 }
 
+// TestRingKeepsExactlyN: a ring of 3 keeps the last 3 traces, newest
+// first — the capacity is not rounded up.
+func TestRingKeepsExactlyN(t *testing.T) {
+	r := NewRecorder(RecorderOptions{Ring: 3})
+	var ids []string
+	for i := 0; i < 5; i++ {
+		tr := r.Start("/v1/infer", "")
+		ids = append(ids, tr.ID())
+		tr.Finish()
+	}
+	var got []string
+	for _, s := range r.Recent() {
+		got = append(got, s.ID)
+	}
+	if want := []string{ids[4], ids[3], ids[2]}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recent %v, want %v", got, want)
+	}
+}
+
+// TestSlowestReservoirOrder files traces of known durations: each route
+// keeps its K slowest, slowest first, and a tie with the fastest kept
+// trace does not displace it.
+func TestSlowestReservoirOrder(t *testing.T) {
+	r := NewRecorder(RecorderOptions{Ring: 2, SlowestPerRoute: 3})
+	for i, d := range []time.Duration{3, 1, 4, 1, 5, 9, 2, 6, 5} {
+		r.publish(&Trace{id: fmt.Sprintf("t%d", i), route: "/r", dur: d})
+	}
+	r.publish(&Trace{id: "other", route: "/o", dur: 1})
+	var got []string
+	for _, tr := range r.slowest["/r"] {
+		got = append(got, fmt.Sprintf("%s:%d", tr.id, tr.dur))
+	}
+	if want := "[t5:9 t7:6 t4:5]"; fmt.Sprint(got) != want {
+		t.Fatalf("reservoir %v, want %s", got, want)
+	}
+	if o := r.slowest["/o"]; len(o) != 1 || o[0].id != "other" {
+		t.Fatalf("second route's reservoir %v", o)
+	}
+}
+
 func TestSlowestReservoir(t *testing.T) {
 	r := NewRecorder(RecorderOptions{Ring: 4, SlowestPerRoute: 2})
 	// Three traces with distinct durations; only the slowest two stay.

@@ -71,7 +71,7 @@ func Compile(ctx context.Context, net *nn.Network, region *InputRegion, tighten 
 		ph.Tighten, ph.TightenPasses = time.Since(t0), 1
 	}
 	t0 := time.Now()
-	enc, err := encode(net, region, nb, encodeOptions{prefixLayers: -1})
+	enc, err := encode(net, region, nb, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +104,7 @@ func CompileWithBounds(net *nn.Network, region *InputRegion, nb *bounds.NetworkB
 		return nil, fmt.Errorf("verify: bounds shape %d layers / %d inputs, network %d / %d",
 			len(nb.Layers), len(nb.Input), len(net.Layers), net.InputDim())
 	}
-	enc, err := encode(net, region, nb, encodeOptions{prefixLayers: -1})
+	enc, err := encode(net, region, nb, -1)
 	if err != nil {
 		return nil, err
 	}

@@ -151,27 +151,21 @@ func (e *encoding) withModelClone() *encoding {
 	return &out
 }
 
-// encodeOptions tune the encoding.
-type encodeOptions struct {
-	// relaxBinaries makes phase indicators continuous in [0,1]
-	// (used for LP-based bound tightening and relaxation-only analysis).
-	relaxBinaries bool
-	// prefixLayers, when >= 0, encodes only the first prefixLayers layers
-	// (0 encodes just the input region). -1 encodes the whole network.
-	prefixLayers int
-}
-
 // encode builds the MILP for net restricted to region, using nb for big-M
 // constants. nb must come from bounds.Propagate over the same region box
-// (or a tightened refinement of it).
-func encode(net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, opt encodeOptions) (*encoding, error) {
+// (or a tightened refinement of it). prefixLayers, when >= 0, encodes
+// only the first prefixLayers layers (0 encodes just the input region);
+// -1 encodes the whole network. Phase indicators are continuous [0,1]
+// model variables either way: branch-and-bound reads which of them are
+// binary from the encoding's binaries, and LP tightening reads neither.
+func encode(net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, prefixLayers int) (*encoding, error) {
 	if err := region.Validate(net); err != nil {
 		return nil, err
 	}
 	lastLayer := len(net.Layers) - 1
 	stopAt := lastLayer
-	if opt.prefixLayers >= 0 && opt.prefixLayers <= lastLayer {
-		stopAt = opt.prefixLayers - 1
+	if prefixLayers >= 0 && prefixLayers <= lastLayer {
+		stopAt = prefixLayers - 1
 	}
 	for li := 0; li <= stopAt; li++ {
 		act := net.Layers[li].Act
@@ -245,10 +239,8 @@ func encode(net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, opt 
 				e.model.AddConstraint(affine(lp.Term{Var: p, Coeff: -1}), lp.LE, -layer.B[j], "")
 				e.model.AddConstraint(affine(lp.Term{Var: p, Coeff: -1}, lp.Term{Var: d, Coeff: pre.Lo}), lp.GE, -layer.B[j]+pre.Lo, "")
 				e.model.AddConstraint([]lp.Term{{Var: p, Coeff: 1}, {Var: d, Coeff: -pre.Hi}}, lp.LE, 0, "")
-				if !opt.relaxBinaries {
-					e.binaries = append(e.binaries, d)
-					e.relus = append(e.relus, relu{post: p, prev: prev, w: row, b: layer.B[j]})
-				}
+				e.binaries = append(e.binaries, d)
+				e.relus = append(e.relus, relu{post: p, prev: prev, w: row, b: layer.B[j]})
 				vars[j] = p
 			}
 		}

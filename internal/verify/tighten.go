@@ -53,7 +53,7 @@ func tightenLP(ctx context.Context, net *nn.Network, region *InputRegion, nb *bo
 		if cancelled() {
 			return cur, nil // sound: every completed layer only tightened
 		}
-		enc, err := encode(net, region, cur, encodeOptions{relaxBinaries: true, prefixLayers: li})
+		enc, err := encode(net, region, cur, li)
 		if err != nil {
 			return nil, err
 		}

@@ -141,30 +141,20 @@ func Fingerprint(net *Network, region *Region, opts Options) (string, error) {
 	return w.sum("vnn1-"), nil
 }
 
-// MonitorWorkloadFingerprint identifies a monitor-build workload before
-// the build runs: the compile workload the monitor attaches to (its
-// Fingerprint), the build dataset (floats hashed as IEEE-754 bits, order
-// included — pattern sets are insertion-ordered) and the monitor options.
-// It is the key the vnnd monitor cache deduplicates builds under, the
-// same way Fingerprint keys the compile cache. The content hash of the
-// *built* artifact is Monitor.Fingerprint.
-func MonitorWorkloadFingerprint(networkFingerprint string, data [][]float64, opts MonitorOptions) string {
+// monitorName is a monitor's one name: the compile workload it serves
+// and the content it stores (internal/monitor's hash over γ, layers and
+// every pattern), hashed under fingerprintVersion. Binding the workload
+// in keeps two workloads whose monitors store the same patterns from
+// sharing a name, so a name always resolves to a monitor for its own
+// workload.
+func monitorName(networkFingerprint, content string) string {
 	w := newFPWriter()
 	w.u64(fingerprintVersion)
+	w.u64(uint64(len(networkFingerprint)))
 	w.str(networkFingerprint)
-	w.u64(uint64(opts.Gamma))
-	w.u64(uint64(len(opts.Layers)))
-	for _, li := range opts.Layers {
-		w.u64(uint64(li))
-	}
-	w.u64(uint64(len(data)))
-	for _, row := range data {
-		w.u64(uint64(len(row)))
-		for _, v := range row {
-			w.f64(v)
-		}
-	}
-	return w.sum("vnnmw1-")
+	w.u64(uint64(len(content)))
+	w.str(content)
+	return w.sum("vnnm1-")
 }
 
 // fpWriter streams fixed-width little-endian values into a hash through

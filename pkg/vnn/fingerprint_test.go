@@ -2,6 +2,7 @@ package vnn_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -231,35 +232,29 @@ func pinnedMonitorData(rows int) [][]float64 {
 	return data
 }
 
-// TestFingerprintPinned holds both hashes to values computed before their
-// writer was buffered: a cached or replicated key must not move when the
-// code that computes it does.
+// TestFingerprintPinned holds the compile fingerprint to a value computed
+// before its writer was buffered, and a monitor's name to the value it
+// got when the name came to cover the workload: a cached or replicated
+// key must not move when the code that computes it does.
 func TestFingerprintPinned(t *testing.T) {
 	net := core.NewPredictorNet(2, 6, 2, 3).Net
-	fp, err := vnn.Fingerprint(net, vnn.LeftOccupiedRegion(), vnn.Options{Tighten: true})
+	opts := vnn.Options{Tighten: true}
+	fp, err := vnn.Fingerprint(net, vnn.LeftOccupiedRegion(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := "vnn1-d0652d44536ffaf2f5f45a89c1a4d67f8dee5ea4a82db138e1400dc3aef9cdca"; fp != want {
 		t.Fatalf("Fingerprint %s, pinned %s", fp, want)
 	}
-	mfp := vnn.MonitorWorkloadFingerprint(fp, pinnedMonitorData(37), vnn.MonitorOptions{Gamma: 2, Layers: []int{0, 1}})
-	if want := "vnnmw1-8fb3bcf17f052e1dbccb2ce067ce2fa57dfaef1388b6c2fafa18d66a57196c8c"; mfp != want {
-		t.Fatalf("MonitorWorkloadFingerprint %s, pinned %s", mfp, want)
+	cn, err := vnn.Compile(context.Background(), net, vnn.LeftOccupiedRegion(), opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestMonitorWorkloadFingerprintAllocs bounds the hash of a build dataset
-// to a constant number of allocations, whatever the data size: it runs on
-// every full-spec /v1/infer request.
-func TestMonitorWorkloadFingerprintAllocs(t *testing.T) {
-	for _, rows := range []int{1, 256} {
-		data := pinnedMonitorData(rows)
-		allocs := testing.AllocsPerRun(20, func() {
-			vnn.MonitorWorkloadFingerprint("vnn1-x", data, vnn.MonitorOptions{Gamma: 1})
-		})
-		if allocs > 6 {
-			t.Fatalf("%d rows: %v allocations, want at most 6", rows, allocs)
-		}
+	mon, err := vnn.BuildMonitor(cn, pinnedMonitorData(37), vnn.MonitorOptions{Gamma: 2, Layers: []int{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "vnnm1-5c539a3928b3710872d443847e56b31a6afa8f67dc3dbcfae4100e563dbc405c"; mon.Fingerprint() != want {
+		t.Fatalf("monitor name %s, pinned %s", mon.Fingerprint(), want)
 	}
 }

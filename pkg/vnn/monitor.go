@@ -60,8 +60,8 @@ type Monitor struct {
 	// compile options) the monitor belongs to; the wire form carries it so
 	// a service never pairs a monitor with the wrong artifact.
 	networkFingerprint string
-	// fingerprint is the content hash (a SHA-256 over every stored
-	// pattern), computed once: the monitor never changes.
+	// fingerprint is the monitor's name (see Fingerprint), computed once:
+	// the monitor never changes.
 	fingerprint string
 }
 
@@ -83,7 +83,7 @@ func BuildMonitor(cn *CompiledNetwork, data [][]float64, opts MonitorOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	return &Monitor{m: m, networkFingerprint: fp, fingerprint: m.Fingerprint()}, nil
+	return &Monitor{m: m, networkFingerprint: fp, fingerprint: monitorName(fp, m.Fingerprint())}, nil
 }
 
 // Check classifies one input as a batch of one, allocating its own
@@ -117,10 +117,18 @@ func (m *Monitor) Layers() []int { return m.m.Layers() }
 // PatternCount returns the total number of stored patterns.
 func (m *Monitor) PatternCount() int { return m.m.PatternCount() }
 
-// Fingerprint returns the content hash of the monitor artifact itself:
-// identical builds hash identically, any admitted-pattern or γ difference
-// changes the hash.
+// Fingerprint returns the monitor's one name (vnnm1-): a hash over the
+// compile workload it serves and its content (γ, layers, every stored
+// pattern). Identical builds for one workload share it; any
+// admitted-pattern or γ difference, or another workload, changes it. The
+// server's store, the fleet, the registry and by-fingerprint /v1/infer
+// requests all use this name.
 func (m *Monitor) Fingerprint() string { return m.fingerprint }
+
+// SizeBytes estimates the monitor's resident size (its stored patterns
+// and their index), a deterministic accounting figure for cache byte
+// budgets like CompiledNetwork.SizeBytes.
+func (m *Monitor) SizeBytes() int64 { return m.m.SizeBytes() }
 
 // NetworkFingerprint returns the fingerprint of the compile workload the
 // monitor was built against (the vnnd cache key of its network).
@@ -168,14 +176,14 @@ func UnmarshalMonitor(data []byte, cn *CompiledNetwork) (*Monitor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vnn: unmarshal monitor: %w", err)
 	}
-	return &Monitor{m: m, networkFingerprint: fp, fingerprint: m.Fingerprint()}, nil
+	return &Monitor{m: m, networkFingerprint: fp, fingerprint: monitorName(fp, m.Fingerprint())}, nil
 }
 
 // MonitorFinding is the runtime-monitoring row of the portfolio: what the
 // monitor remembered at build time and how much of freshly generated
 // region traffic it flags.
 type MonitorFinding struct {
-	// Fingerprint is the content hash of the built monitor.
+	// Fingerprint is the built monitor's name (Monitor.Fingerprint).
 	Fingerprint string
 	// Gamma is the Hamming relaxation the monitor was built with.
 	Gamma int

@@ -82,6 +82,44 @@ func TestMonitorMarshalRoundTripAndWorkloadBinding(t *testing.T) {
 	}
 }
 
+// TestMonitorNameCoversWorkload: two workloads whose monitors store the
+// same patterns get two names, and a monitor's size is a function of
+// what it stores.
+func TestMonitorNameCoversWorkload(t *testing.T) {
+	data := [][]float64{{1.5}, {2.5}}
+	var names []string
+	var docs []json.RawMessage
+	var sizes []int64
+	for _, hi := range []float64{3, 3.001} {
+		cn, err := Compile(context.Background(), signNet(), &Region{Box: []Interval{{Lo: 1, Hi: hi}}}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mon, err := BuildMonitor(cn, data, MonitorOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := MarshalMonitor(mon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc MonitorDocJSON
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		names, docs, sizes = append(names, mon.Fingerprint()), append(docs, doc.Monitor), append(sizes, mon.SizeBytes())
+	}
+	if !bytes.Equal(docs[0], docs[1]) {
+		t.Fatal("the two monitors store different patterns (the scenario under test)")
+	}
+	if names[0] == names[1] {
+		t.Fatalf("two workloads share the monitor name %s", names[0])
+	}
+	if sizes[0] <= 0 || sizes[0] != sizes[1] {
+		t.Fatalf("sizes %v, want one positive figure for equal contents", sizes)
+	}
+}
+
 func TestMonitorBuildDeterministicAcrossBuilds(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	net := NewNetwork(NetworkConfig{

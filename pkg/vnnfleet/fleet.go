@@ -80,7 +80,7 @@ type WorkloadExport struct {
 // implement fakes.
 type Store interface {
 	// FleetFingerprints snapshots every replicable fingerprint
-	// (compile workloads and built-monitor content hashes).
+	// (compile workloads and monitor names).
 	FleetFingerprints() []string
 	// ExportEntry renders one cached entry for a pulling peer;
 	// ErrNotFound when the fingerprint is no longer cached.

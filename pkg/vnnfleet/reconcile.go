@@ -206,7 +206,8 @@ func propagate(req *http.Request, tr *obs.Trace) {
 }
 
 // Fingerprint namespaces the fleet replicates: compile workloads and
-// built-monitor content hashes, each followed by 64 lowercase hex digits.
+// monitor names (vnn.Monitor.Fingerprint), each followed by 64 lowercase
+// hex digits.
 const (
 	compilePrefix = "vnn1-"
 	monitorPrefix = "vnnm1-"
@@ -231,8 +232,9 @@ func validFingerprint(fp string) bool {
 }
 
 // list fetches the peer's fingerprint list. It is outside input: the
-// body is size-capped, the entry count is capped, and one element off
-// the fingerprint grammar fails the whole round.
+// body is size-capped and must be one JSON object with only whitespace
+// after it (unknown fields are allowed), the entry count is capped, and
+// one element off the fingerprint grammar fails the whole round.
 func (p *Peer) list(ctx context.Context, base string, tr *obs.Trace) ([]string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/fleet/fingerprints", nil)
 	if err != nil {
@@ -248,8 +250,18 @@ func (p *Peer) list(ctx context.Context, base string, tr *obs.Trace) ([]string, 
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("list %s: HTTP %d", base, resp.StatusCode)
 	}
-	var lr listResponse
-	if err := json.NewDecoder(http.MaxBytesReader(nil, resp.Body, maxListBytes)).Decode(&lr); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(nil, resp.Body, maxListBytes))
+	var lr *listResponse
+	if err := dec.Decode(&lr); err != nil {
+		return nil, fmt.Errorf("list %s: %w", base, err)
+	}
+	if lr == nil {
+		return nil, fmt.Errorf("list %s: null is not a fingerprint list", base)
+	}
+	if tok, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("%v after the fingerprint list", tok)
+		}
 		return nil, fmt.Errorf("list %s: %w", base, err)
 	}
 	if len(lr.Fingerprints) > maxListEntries {

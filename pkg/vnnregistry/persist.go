@@ -47,22 +47,19 @@ type modelSnapshotJSON struct {
 // restores the exact serving monitor without its build dataset. Fields
 // an older snapshot carries that this struct no longer has are ignored.
 type versionSnapshotJSON struct {
-	Version            int                   `json:"version"`
-	State              State                 `json:"state"`
-	Fingerprint        string                `json:"fingerprint"`
-	Network            json.RawMessage       `json:"network"`
-	Region             vnn.RegionSpec        `json:"region"`
-	Tighten            bool                  `json:"tighten,omitempty"`
-	CanaryPercent      int                   `json:"canary_percent,omitempty"`
-	Gate               *vnn.GateSpec         `json:"gate,omitempty"`
-	Decision           *vnn.GateDecisionJSON `json:"decision,omitempty"`
-	GateError          string                `json:"gate_error,omitempty"`
-	Monitor            json.RawMessage       `json:"monitor,omitempty"`
-	MonitorFingerprint string                `json:"monitor_fingerprint,omitempty"`
-	MonitorGamma       int                   `json:"monitor_gamma,omitempty"`
-	MonitorLayers      []int                 `json:"monitor_layers,omitempty"`
-	SubmittedUnixMS    int64                 `json:"submitted_unix_ms"`
-	Transitions        []vnn.TransitionJSON  `json:"transitions,omitempty"`
+	Version         int                   `json:"version"`
+	State           State                 `json:"state"`
+	Fingerprint     string                `json:"fingerprint"`
+	Network         json.RawMessage       `json:"network"`
+	Region          vnn.RegionSpec        `json:"region"`
+	Tighten         bool                  `json:"tighten,omitempty"`
+	CanaryPercent   int                   `json:"canary_percent,omitempty"`
+	Gate            *vnn.GateSpec         `json:"gate,omitempty"`
+	Decision        *vnn.GateDecisionJSON `json:"decision,omitempty"`
+	GateError       string                `json:"gate_error,omitempty"`
+	Monitor         json.RawMessage       `json:"monitor,omitempty"`
+	SubmittedUnixMS int64                 `json:"submitted_unix_ms"`
+	Transitions     []vnn.TransitionJSON  `json:"transitions,omitempty"`
 }
 
 // saveLocked writes the snapshot atomically. Persistence failures are
@@ -83,22 +80,19 @@ func (r *Registry) saveLocked() {
 		ms := modelSnapshotJSON{Name: m.name, PrevLive: m.prevLive}
 		for _, v := range m.versions {
 			ms.Versions = append(ms.Versions, versionSnapshotJSON{
-				Version:            v.seq,
-				State:              v.state,
-				Fingerprint:        v.fingerprint,
-				Network:            v.networkJSON,
-				Region:             v.regionSpec,
-				Tighten:            v.tighten,
-				CanaryPercent:      v.canaryPercent,
-				Gate:               v.gate,
-				Decision:           v.decision,
-				GateError:          v.gateErr,
-				Monitor:            v.monitorDoc,
-				MonitorFingerprint: v.monitorFP,
-				MonitorGamma:       v.monitorOpts.Gamma,
-				MonitorLayers:      v.monitorOpts.Layers,
-				SubmittedUnixMS:    v.submitted.UnixMilli(),
-				Transitions:        v.transitions,
+				Version:         v.seq,
+				State:           v.state,
+				Fingerprint:     v.fingerprint,
+				Network:         v.networkJSON,
+				Region:          v.regionSpec,
+				Tighten:         v.tighten,
+				CanaryPercent:   v.canaryPercent,
+				Gate:            v.gate,
+				Decision:        v.decision,
+				GateError:       v.gateErr,
+				Monitor:         v.monitorDoc,
+				SubmittedUnixMS: v.submitted.UnixMilli(),
+				Transitions:     v.transitions,
 			})
 		}
 		snap.Models = append(snap.Models, ms)
@@ -209,8 +203,6 @@ func (r *Registry) loadVersion(ctx context.Context, modelName string, vs *versio
 		decision:      vs.Decision,
 		gateErr:       vs.GateError,
 		monitorDoc:    vs.Monitor,
-		monitorFP:     vs.MonitorFingerprint,
-		monitorOpts:   vnn.MonitorOptions{Gamma: vs.MonitorGamma, Layers: vs.MonitorLayers},
 		submitted:     time.UnixMilli(vs.SubmittedUnixMS),
 		transitions:   vs.Transitions,
 		net:           net,

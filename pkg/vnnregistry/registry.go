@@ -104,9 +104,7 @@ type Version struct {
 	submitted     time.Time
 	transitions   []vnn.TransitionJSON
 
-	monitorOpts vnn.MonitorOptions
-	monitorDoc  json.RawMessage // marshaled monitor, persisted for recovery
-	monitorFP   string
+	monitorDoc json.RawMessage // marshaled monitor, persisted for recovery
 
 	jobID string // gate job id (trace id); process-local
 
@@ -237,11 +235,6 @@ type Submission struct {
 	Fingerprint string
 	Tighten     bool
 	Gate        *vnn.GateSpec // nil admits without analysis (ungated)
-	// MonitorFingerprint keys the serving-monitor build workload (see
-	// vnn.MonitorWorkloadFingerprint) and MonitorOpts are its options;
-	// both zero when the submission carries no monitor.
-	MonitorFingerprint string
-	MonitorOpts        vnn.MonitorOptions
 	// GateJob is the job/trace id of the host's gate run, recorded with
 	// the version so its events are addressable from the moment it exists.
 	GateJob string
@@ -274,8 +267,6 @@ func (r *Registry) Submit(sub Submission) (*Version, error) {
 		regionSpec:  sub.RegionSpec,
 		tighten:     sub.Tighten,
 		gate:        sub.Gate,
-		monitorFP:   sub.MonitorFingerprint,
-		monitorOpts: sub.MonitorOpts,
 		jobID:       sub.GateJob,
 		submitted:   time.Now(),
 		net:         sub.Net,
@@ -508,18 +499,20 @@ func routeHash(inputs [][]float64) uint64 {
 // docLocked renders a version's wire document. Callers hold r.mu.
 func (r *Registry) docLocked(v *Version) vnn.ModelVersionJSON {
 	doc := vnn.ModelVersionJSON{
-		Model:              v.model,
-		Version:            v.seq,
-		State:              string(v.state),
-		Fingerprint:        v.fingerprint,
-		MonitorFingerprint: v.monitorFP,
-		Gate:               v.decision,
-		GateError:          v.gateErr,
-		SubmittedUnixMS:    v.submitted.UnixMilli(),
-		Transitions:        append([]vnn.TransitionJSON(nil), v.transitions...),
-		Requests:           v.requests.Load(),
-		Inputs:             v.inputs.Load(),
-		Flagged:            v.flagged.Load(),
+		Model:           v.model,
+		Version:         v.seq,
+		State:           string(v.state),
+		Fingerprint:     v.fingerprint,
+		Gate:            v.decision,
+		GateError:       v.gateErr,
+		SubmittedUnixMS: v.submitted.UnixMilli(),
+		Transitions:     append([]vnn.TransitionJSON(nil), v.transitions...),
+		Requests:        v.requests.Load(),
+		Inputs:          v.inputs.Load(),
+		Flagged:         v.flagged.Load(),
+	}
+	if v.monitor != nil {
+		doc.MonitorFingerprint = v.monitor.Fingerprint()
 	}
 	if v.state == StateCanary {
 		doc.CanaryPercent = v.canaryPercent

@@ -1,6 +1,7 @@
 package vnnregistry
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -120,7 +121,7 @@ func admit(t *testing.T, r *Registry, sub Submission, data [][]float64, findings
 	}
 	var mon *vnn.Monitor
 	if data != nil {
-		if mon, err = vnn.BuildMonitor(cn, data, sub.MonitorOpts); err != nil {
+		if mon, err = vnn.BuildMonitor(cn, data, vnn.MonitorOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -370,11 +371,10 @@ func TestPersistenceRecovery(t *testing.T) {
 	dir := t.TempDir()
 	r1 := newReady(t, testConfig(dir, nil))
 	// Version 1 passes a real gate and carries a serving monitor: decision,
-	// monitor document and monitor fingerprint must all survive the restart.
+	// monitor document and monitor name must all survive the restart.
 	monData := [][]float64{{0.9, 0.1}, {0.1, 0.9}}
 	sub1 := submission(t, "m", absNet(), gateSpec(t,
 		`{"analyses":[{"kind":"verify","properties":[{"kind":"at_most","output":0,"threshold":1.5}]}]}`))
-	sub1.MonitorFingerprint = vnn.MonitorWorkloadFingerprint(sub1.Fingerprint, monData, sub1.MonitorOpts)
 	v1 := admit(t, r1, sub1, monData, verifyFinding(vnn.Proved))
 	if _, err := r1.Promote("m", 1, 100); err != nil {
 		t.Fatal(err)
@@ -458,8 +458,8 @@ func TestPersistenceRecovery(t *testing.T) {
 		t.Fatalf("recovery ran %d compiles, want 2", n)
 	}
 	rv1 := md.Versions[0]
-	if rv1.Gate == nil || !rv1.Gate.Pass || rv1.MonitorFingerprint != sub1.MonitorFingerprint {
-		t.Fatalf("recovered v1 lost its gate decision or monitor fingerprint: %+v", rv1)
+	if rv1.Gate == nil || !rv1.Gate.Pass || rv1.MonitorFingerprint != before.Monitor.Fingerprint() {
+		t.Fatalf("recovered v1 lost its gate decision or monitor name: %+v", rv1)
 	}
 	// Three quarters of the hash space still routes to the live v1.
 	var after *Resolved
@@ -470,6 +470,59 @@ func TestPersistenceRecovery(t *testing.T) {
 	}
 	if after.Version.Seq() != 1 || after.CN == nil || after.Monitor == nil || after.Monitor.Fingerprint() != before.Monitor.Fingerprint() {
 		t.Fatalf("recovered v1 serves without its monitor: %+v", after)
+	}
+}
+
+// TestRecoveryIgnoresLegacyMonitorFingerprint: snapshots written while a
+// version's monitor_fingerprint was its build-memo key (vnnmw1-) still
+// recover. The old field is ignored, the version reports the name of the
+// monitor restored from its document, and the recovery save drops it.
+func TestRecoveryIgnoresLegacyMonitorFingerprint(t *testing.T) {
+	dir := t.TempDir()
+	r1 := newReady(t, testConfig(dir, nil))
+	monData := [][]float64{{0.9, 0.1}, {0.1, 0.9}}
+	admit(t, r1, submission(t, "m", absNet(), nil), monData)
+	if _, err := r1.Promote("m", 1, 100); err != nil {
+		t.Fatal(err)
+	}
+	live, err := r1.Resolve("m", monData[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := live.Monitor.Fingerprint()
+
+	path := filepath.Join(dir, snapshotFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]any
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	const legacy = "vnnmw1-8fb3bcf17f052e1dbccb2ce067ce2fa57dfaef1388b6c2fafa18d66a57196c8c"
+	snap["models"].([]any)[0].(map[string]any)["versions"].([]any)[0].(map[string]any)["monitor_fingerprint"] = legacy
+	if raw, err = json.Marshal(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r2 := newReady(t, testConfig(dir, nil))
+	md, err := r2.Model("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := md.Versions[0].MonitorFingerprint; got != name {
+		t.Fatalf("recovered version reports monitor %q, want %s", got, name)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(saved, []byte(`"monitor_fingerprint"`)) {
+		t.Fatalf("recovery save kept the legacy monitor key:\n%s", saved)
 	}
 }
 

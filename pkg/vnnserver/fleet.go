@@ -1,6 +1,6 @@
 // Fleet plane: the Server as a vnnfleet.Store. The replicable set is
 // the union of the compile cache (vnn1- workload fingerprints) and the
-// built monitors (vnnm1- content fingerprints); exports render the
+// stored monitors (vnnm1- names); exports render the
 // canonical wire documents, imports re-verify everything and insert
 // through the same singleflight caches local requests use — so a
 // concurrent local compile and a remote pull collapse to one entry,
@@ -62,8 +62,8 @@ func (s *Server) ExportEntry(fingerprint string) (*vnnfleet.WorkloadExport, erro
 // ImportEntry verifies one pulled entry and inserts it. Compiles are
 // reconstructed without recompiling (vnn.UnmarshalCompiled recomputes
 // the fingerprint from content and containment-checks the bounds);
-// monitors re-derive their content hash and need their compile
-// workload cached first (ErrDependency otherwise — a later round
+// monitors re-derive their name and need their compile workload cached
+// first (ErrDependency otherwise — a later round
 // retries once the compile has replicated).
 func (s *Server) ImportEntry(_ context.Context, exp *vnnfleet.WorkloadExport) error {
 	if s.draining.Load() {
@@ -91,14 +91,15 @@ func (s *Server) ImportEntry(_ context.Context, exp *vnnfleet.WorkloadExport) er
 			return fmt.Errorf("monitor %s needs workload %s: %w", exp.Fingerprint, doc.NetworkFingerprint, vnnfleet.ErrDependency)
 		}
 		// UnmarshalMonitor re-checks the workload binding against cn; the
-		// content hash is then recomputed from the decoded patterns, so a
-		// tampered monitor cannot enter the cache under a healthy key.
+		// name is then recomputed from the workload and the decoded
+		// patterns, so a tampered monitor cannot enter the cache under a
+		// healthy key, and neither can one named by content alone.
 		mon, err := vnn.UnmarshalMonitor(exp.Monitor, cn)
 		if err != nil {
 			return fmt.Errorf("%w: %v", vnnfleet.ErrVerify, err)
 		}
 		if mon.Fingerprint() != exp.Fingerprint {
-			return fmt.Errorf("%w: monitor content hashes to %s, export claims %s", vnnfleet.ErrVerify, mon.Fingerprint(), exp.Fingerprint)
+			return fmt.Errorf("%w: monitor is named %s, export claims %s", vnnfleet.ErrVerify, mon.Fingerprint(), exp.Fingerprint)
 		}
 		s.monitors.add(mon.Fingerprint(), mon)
 		return nil

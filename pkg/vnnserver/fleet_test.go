@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/monitor"
 	"repro/internal/nn"
 	"repro/pkg/vnn"
 	"repro/pkg/vnnfleet"
@@ -248,6 +249,65 @@ func TestFleetRejectsCorruptedPull(t *testing.T) {
 	}
 }
 
+// TestFleetRejectsContentOnlyMonitorName: a peer that still names a
+// monitor by its content alone (vnnm1- over the patterns, the name before
+// it covered the workload) offers a monitor whose name does not verify.
+// The import counts as rejected and stores nothing; the compile still
+// replicates.
+func TestFleetRejectsContentOnlyMonitorName(t *testing.T) {
+	_, lts := newTestServer(t, vnnserver.Config{})
+	follower, fts := newTestServer(t, vnnserver.Config{})
+	net := inferNet(210)
+	rng := rand.New(rand.NewSource(3))
+	body := inferBody(t, net, randRows(rng, 2, net.InputDim(), 1), &vnnserver.InferMonitorSpec{Data: randRows(rng, 16, net.InputDim(), 1)})
+	var ir vnnserver.InferResponse
+	if status := postInfer(t, lts.URL, body, &ir); status != http.StatusOK {
+		t.Fatalf("prime leader: HTTP %d", status)
+	}
+	var doc vnn.MonitorDocJSON
+	if err := json.Unmarshal(getExportDoc(t, lts.URL, ir.MonitorFingerprint).Monitor, &doc); err != nil {
+		t.Fatal(err)
+	}
+	content, err := monitor.Unmarshal(doc.Monitor, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldName := content.Fingerprint()
+
+	// The old peer: the leader's entries with the monitor renamed.
+	monExp := getExportDoc(t, lts.URL, ir.MonitorFingerprint)
+	monExp.Fingerprint = oldName
+	routes := map[string]any{
+		"/v1/fleet/fingerprints":          map[string][]string{"fingerprints": {ir.Fingerprint, oldName}},
+		"/v1/workloads/" + ir.Fingerprint: getExportDoc(t, lts.URL, ir.Fingerprint),
+		"/v1/workloads/" + oldName:        monExp,
+	}
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		out, ok := routes[r.URL.Path]
+		if !ok {
+			http.NotFound(w, r)
+			return
+		}
+		json.NewEncoder(w).Encode(out)
+	}))
+	t.Cleanup(old.Close)
+
+	rs, err := follower.Fleet().ReconcileOnce(context.Background(), old.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Pulled != 1 || rs.Rejected != 1 {
+		t.Fatalf("round stats %+v, want the compile pulled and the monitor rejected", rs)
+	}
+	if got := follower.Metrics().Infer.Monitors; got != 0 {
+		t.Fatalf("follower stores %d monitors", got)
+	}
+	var got vnnserver.InferResponse
+	if status := postInfer(t, fts.URL, byFingerprintBody(t, ir.Fingerprint, "", [][]float64{randRows(rng, 1, net.InputDim(), 1)[0]}), &got); status != http.StatusOK {
+		t.Fatalf("replicated compile by fingerprint: HTTP %d", status)
+	}
+}
+
 // TestFleetDrain: a draining node neither starts rounds, serves fleet
 // requests, nor accepts imports — no new inserts after drain starts.
 func TestFleetDrain(t *testing.T) {
@@ -378,6 +438,16 @@ func TestFleetExportIndependentOfWorkers(t *testing.T) {
 }
 
 // getExport fetches a cached workload's export document, byte for byte.
+// getExportDoc is getExport decoded.
+func getExportDoc(t *testing.T, url, fp string) *vnnfleet.WorkloadExport {
+	t.Helper()
+	var exp vnnfleet.WorkloadExport
+	if err := json.Unmarshal(getExport(t, url, fp), &exp); err != nil {
+		t.Fatal(err)
+	}
+	return &exp
+}
+
 func getExport(t *testing.T, url, fp string) []byte {
 	t.Helper()
 	resp, err := http.Get(url + "/v1/workloads/" + fp)

@@ -17,16 +17,16 @@
 //     predictions are the bits a one-row batch would yield.
 //   - Clients that re-serve a warm workload skip the network upload
 //     entirely: every response echoes the workload fingerprint (and the
-//     monitor fingerprint), and a follow-up request may carry just
+//     monitor's name), and a follow-up request may carry just
 //     "fingerprint" — plus "monitor_fingerprint" for monitored inference
 //     — to run against the cached artifacts. That removes the dominant
 //     per-request cost (re-parsing the network JSON) from the hot path.
-//   - Artifacts are cached and deduplicated exactly like compiles: the
-//     monitor's bounds cross-check needs the compiled network, which
+//   - The monitor's bounds cross-check needs the compiled network, which
 //     routes through the fingerprint-keyed compile cache (singleflight),
-//     and built monitors live in their own LRU keyed by content hash,
-//     with a build memo deduplicating builds, so N concurrent identical
-//     monitored-infer requests build one monitor over one compile.
+//     so N concurrent identical monitored-infer requests share one
+//     compile. A request that carries a monitor spec builds its monitor
+//     (a build costs about what hashing its dataset would) and stores it
+//     under its one name, which covers the workload it serves.
 
 package vnnserver
 
@@ -49,8 +49,7 @@ const (
 	// maxInferBatch bounds the inputs one request may carry.
 	maxInferBatch = 4096
 	// maxMonitorData bounds the monitor-build dataset one request may
-	// carry (builds are cached, so this is paid once per distinct
-	// monitor workload).
+	// carry.
 	maxMonitorData = 1 << 16
 	// inferCancelStride is how many inputs are evaluated between
 	// context checks (one batched-kernel call): batches notice drain
@@ -64,8 +63,8 @@ const (
 var errUnknownFingerprint = errors.New("fingerprint not cached")
 
 // InferMonitorSpec asks for runtime monitoring of an infer batch: a
-// monitor is built (or fetched from the monitor cache) from Data over the
-// request's compiled network and checks every input.
+// monitor is built from Data over the request's compiled network, checks
+// every input and is stored for later monitor_fingerprint requests.
 type InferMonitorSpec struct {
 	// Data is the build dataset (e.g. the training set).
 	Data FloatMatrix `json:"data"`
@@ -105,9 +104,10 @@ type InferRequest struct {
 	// Monitor, when present, requests per-input runtime verdicts.
 	Monitor *InferMonitorSpec `json:"monitor,omitempty"`
 	// MonitorFingerprint requests monitored inference through a monitor
-	// this server already built — the monitor_fingerprint echoed in an
-	// earlier response. Mutually exclusive with Monitor; requires the
-	// workload (Network or Fingerprint) the monitor was built against.
+	// this server holds, by its name: the monitor_fingerprint echoed in
+	// an earlier response, or a model version's. Mutually exclusive with
+	// Monitor; requires the workload (Network or Fingerprint) the monitor
+	// was built against — the name covers that workload.
 	MonitorFingerprint string `json:"monitor_fingerprint,omitempty"`
 	// Options affect only the compile the monitor cross-checks against
 	// (Tighten tightens the bounds patterns are validated by); they are
@@ -144,8 +144,11 @@ type InferResponse struct {
 	Model        string `json:"model,omitempty"`
 	ModelVersion int    `json:"model_version,omitempty"`
 	Route        string `json:"route,omitempty"`
-	// MonitorFingerprint is the content hash of the monitor that checked
-	// this batch; MonitorCacheHit reports whether it was reused.
+	// MonitorFingerprint is the name of the monitor that checked this
+	// batch (vnn.Monitor.Fingerprint); send it back as the request's
+	// monitor_fingerprint to reuse the monitor. MonitorCacheHit is true
+	// exactly when no build ran: a lookup by monitor_fingerprint, or a
+	// registry-served request.
 	MonitorFingerprint string `json:"monitor_fingerprint,omitempty"`
 	MonitorCacheHit    bool   `json:"monitor_cache_hit,omitempty"`
 	// MonitorPatterns and MonitorRejected echo the monitor build: stored
@@ -166,12 +169,10 @@ type InferResponse struct {
 // preparedInfer is a parsed, validated infer request.
 type preparedInfer struct {
 	*workload
-	// monitorFP is the build-workload key (vnnmw1-) of a monitor spec.
-	monitorFP   string
 	monitorOpts vnn.MonitorOptions
-	// monitorContentFP is set for by-fingerprint monitored requests: the
-	// content hash of an already-built monitor to serve through.
-	monitorContentFP string
+	// monitorName is set for by-fingerprint monitored requests: the name
+	// of a stored monitor to serve through.
+	monitorName string
 }
 
 // validateInputs checks an infer batch against the serving network.
@@ -213,7 +214,7 @@ func (s *Server) prepareModelInfer(req *InferRequest, name string) (*preparedInf
 
 // prepareInfer validates everything that can be the client's fault.
 func (s *Server) prepareInfer(req *InferRequest) (*preparedInfer, error) {
-	q := &preparedInfer{monitorContentFP: req.MonitorFingerprint}
+	q := &preparedInfer{monitorName: req.MonitorFingerprint}
 	switch {
 	case len(req.Network) > 0:
 		var wl *workload
@@ -259,7 +260,6 @@ func (s *Server) prepareInfer(req *InferRequest) (*preparedInfer, error) {
 		if q.monitorOpts, err = validateMonitorSpec(req.Monitor, q.workload); err != nil {
 			return nil, err
 		}
-		q.monitorFP = vnn.MonitorWorkloadFingerprint(q.fingerprint, req.Monitor.Data, q.monitorOpts)
 	}
 	return q, nil
 }
@@ -374,32 +374,30 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		// compile routes through the same fingerprint-keyed singleflight
 		// cache as /v1/verify, under the server's lifetime context (shared
 		// work only drain may interrupt). The built monitor is then stored
-		// under its content hash, the key by-fingerprint requests send.
+		// under its name, the key by-fingerprint requests send.
 		cn, hit, err := s.compiled(ctx, root, q.workload)
 		if err != nil {
 			writeError(w, statusFor(err), err.Error())
 			return
 		}
 		resp.CacheHit = hit
-		mon, hit, err = s.buildMonitor(ctx, root, q.monitorFP, cn, req.Monitor.Data, q.monitorOpts)
-		if err != nil {
+		if mon, err = s.buildMonitor(root, cn, req.Monitor.Data, q.monitorOpts); err != nil {
 			writeError(w, statusFor(err), err.Error())
 			return
 		}
-		resp.MonitorCacheHit = hit
-	case q.monitorContentFP != "":
+	case q.monitorName != "":
 		var ok bool
-		mon, ok = s.monitors.lookup(q.monitorContentFP, true)
+		mon, ok = s.monitors.lookup(q.monitorName, true)
 		if !ok {
 			writeError(w, http.StatusNotFound,
-				fmt.Sprintf("monitor %s: %s (send the full monitor spec once to rebuild it)", q.monitorContentFP, errUnknownFingerprint))
+				fmt.Sprintf("monitor %s: %s (send the full monitor spec once to rebuild it)", q.monitorName, errUnknownFingerprint))
 			return
 		}
 		// A monitor describes one certified artifact; refuse to run it
 		// against a different workload.
 		if mon.NetworkFingerprint() != q.fingerprint {
 			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("monitor %s belongs to workload %s, not %s", q.monitorContentFP, mon.NetworkFingerprint(), q.fingerprint))
+				fmt.Sprintf("monitor %s belongs to workload %s, not %s", q.monitorName, mon.NetworkFingerprint(), q.fingerprint))
 			return
 		}
 		resp.MonitorCacheHit = true
@@ -409,7 +407,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		// construction (compiled at gate time or recovery), so routed
 		// requests never compile on the hot path.
 		mon = sv.Monitor
-		resp.CacheHit = true
+		resp.CacheHit, resp.MonitorCacheHit = true, mon != nil
 		resp.Model = sv.Version.Model()
 		resp.ModelVersion = sv.Version.Seq()
 		resp.Route = sv.Route
@@ -479,38 +477,21 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// buildMonitor returns the monitor for the build workload wfp and records
-// the "monitor" span under root. The build memo (wfp → content
-// fingerprint) deduplicates concurrent identical builds; the monitor
-// itself lives in the store under its content fingerprint, the one key
-// every reader uses. A memo hit whose monitor the store has since evicted
-// rebuilds it, so resident monitors stay bounded by the store. /v1/infer
-// and the model gate share this path, so a version's serving monitor is
-// also reusable by monitor_fingerprint requests and fleet replication.
-// Only actual builds feed the histogram.
-func (s *Server) buildMonitor(ctx context.Context, root *obs.Span, wfp string, cn *vnn.CompiledNetwork, data [][]float64, opts vnn.MonitorOptions) (*vnn.Monitor, bool, error) {
+// buildMonitor builds the monitor over cn, stores it under its name and
+// returns the monitor it built, recording the "monitor" span under root
+// and the build histogram. /v1/infer and the model gate share this path,
+// so a version's serving monitor is also reusable by monitor_fingerprint
+// requests and fleet replication. If the store already holds a monitor
+// under the name, that entry stays: the two are identical.
+func (s *Server) buildMonitor(root *obs.Span, cn *vnn.CompiledNetwork, data [][]float64, opts vnn.MonitorOptions) (*vnn.Monitor, error) {
 	sp := root.Child("monitor")
 	defer sp.End()
-	var built *vnn.Monitor
-	build := func() (string, error) {
-		buildStart := time.Now()
-		mon, err := vnn.BuildMonitor(cn, data, opts)
-		observeSince(s.obs.hist[hMonitorBuild], buildStart)
-		if err != nil {
-			return "", err
-		}
-		s.monitors.add(mon.Fingerprint(), mon)
-		built = mon
-		return mon.Fingerprint(), nil
+	buildStart := time.Now()
+	mon, err := vnn.BuildMonitor(cn, data, opts)
+	observeSince(s.obs.hist[hMonitorBuild], buildStart)
+	if err != nil {
+		return nil, err
 	}
-	fp, hit, err := s.monitorBuilds.getOrCompute(ctx, wfp, build)
-	if err == nil && hit {
-		var ok bool
-		if built, ok = s.monitors.lookup(fp, true); !ok {
-			hit = false
-			_, err = build()
-		}
-	}
-	sp.SetAttr("hit", hit)
-	return built, hit, err
+	s.monitors.add(mon.Fingerprint(), mon)
+	return mon, nil
 }

@@ -98,8 +98,7 @@ const inferTol = 1e-10
 // plane's acceptance contract: 64 concurrent monitored clients against
 // one warm server receive predictions bit-identical to a direct one-row
 // nn.ForwardBatchInto (and within documented tolerance of nn.Forward),
-// identical deterministic verdicts, and the monitor is built exactly once
-// (singleflight over the monitor cache).
+// identical deterministic verdicts, and one monitor name.
 func TestInfer64ConcurrentBitIdenticalAndDeterministic(t *testing.T) {
 	net := inferNet(1)
 	rng := rand.New(rand.NewSource(2))
@@ -145,7 +144,6 @@ func TestInfer64ConcurrentBitIdenticalAndDeterministic(t *testing.T) {
 	if first == nil {
 		t.Fatal("no successful responses")
 	}
-	builds := 0
 	for c, ir := range responses {
 		if ir == nil {
 			t.Fatalf("client %d got no response", c)
@@ -166,12 +164,6 @@ func TestInfer64ConcurrentBitIdenticalAndDeterministic(t *testing.T) {
 		if ir.MonitorFingerprint != first.MonitorFingerprint {
 			t.Fatalf("client %d: monitor fingerprint drifted", c)
 		}
-		if !ir.MonitorCacheHit {
-			builds++
-		}
-	}
-	if builds != 1 {
-		t.Fatalf("%d monitor builds for %d identical concurrent requests, want 1", builds, clients)
 	}
 	// Out-of-distribution probes must actually be flagged.
 	if first.Flagged == 0 {
@@ -186,8 +178,9 @@ func TestInfer64ConcurrentBitIdenticalAndDeterministic(t *testing.T) {
 	if ir.Flagged != 0 {
 		t.Fatalf("%d dataset rows flagged by the monitor that learned them", ir.Flagged)
 	}
-	if !ir.MonitorCacheHit || !ir.CacheHit {
-		t.Fatal("warm server re-built the monitor or recompiled")
+	// The compile is cached; a monitor spec always builds.
+	if ir.MonitorCacheHit || !ir.CacheHit {
+		t.Fatalf("warm server: cache_hit=%v monitor_cache_hit=%v, want a compile hit and a build", ir.CacheHit, ir.MonitorCacheHit)
 	}
 }
 
@@ -310,10 +303,10 @@ func TestInferValidation(t *testing.T) {
 }
 
 // TestInferContentIdenticalMonitorsDistinctInstances: "layers": null and
-// an explicit all-layers list are distinct monitor-cache workloads that
-// build content-identical monitors (equal fingerprints), and a pooled
-// scratch goes from one instance to the other: scratch must carry nothing
-// that ties it to the monitor it last served.
+// an explicit all-layers list build content-identical monitors (one name)
+// as two instances, and a pooled scratch goes from one instance to the
+// other: scratch must carry nothing that ties it to the monitor it last
+// served.
 func TestInferContentIdenticalMonitorsDistinctInstances(t *testing.T) {
 	net := inferNet(13)
 	rng := rand.New(rand.NewSource(14))
@@ -335,7 +328,7 @@ func TestInferContentIdenticalMonitorsDistinctInstances(t *testing.T) {
 		t.Fatal("expected content-identical monitors (the scenario under test)")
 	}
 	if b.MonitorCacheHit {
-		t.Fatal("expected distinct monitor-cache workloads (the scenario under test)")
+		t.Fatal("expected a second build (the scenario under test)")
 	}
 	for i := range a.Verdicts {
 		if a.Verdicts[i] != b.Verdicts[i] {

@@ -15,9 +15,8 @@ import (
 const defaultCacheEntries = 64
 
 // lru is the service's one artifact cache: a string-keyed LRU with
-// singleflight semantics. The compile cache, the monitor store, the
-// monitor build memo and the by-fingerprint workload cache are all
-// instances of it, used bare.
+// singleflight semantics. The compile cache, the monitor store and the
+// by-fingerprint workload cache are all instances of it, used bare.
 //
 // N concurrent getOrCompute calls for the same key run compute exactly
 // once — the first caller computes, the rest wait on the same entry and
@@ -36,7 +35,7 @@ type lru[V any] struct {
 
 	// sizeOf is each value's accounted size (zero unless the owner sets
 	// it); the sum over completed entries is the cache's bytes figure. It
-	// runs outside mu.
+	// runs once per inserted value, and must not touch the cache.
 	sizeOf func(V) int64
 
 	hits      atomic.Int64
@@ -141,13 +140,13 @@ func (c *lru[V]) getOrCompute(ctx context.Context, key string, compute func() (V
 // miss (nothing was computed here). If key is already cached or in flight
 // the existing entry wins — it is touched, and add reports false.
 func (c *lru[V]) add(key string, v V) bool {
-	size := c.sizeOf(v)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
 		return false
 	}
+	size := c.sizeOf(v)
 	// Accounted before inserted: if everything older is still in flight
 	// the insert evicts the new entry itself.
 	c.bytes.Add(size)
@@ -241,8 +240,9 @@ type CacheStats struct {
 	Evictions int64 `json:"evictions"`
 	Size      int   `json:"size"`
 	Capacity  int   `json:"capacity"`
-	// Bytes is the accounted resident size of completed entries
-	// (vnn.CompiledNetwork.SizeBytes summed over the cache).
+	// Bytes is the accounted resident size of completed entries (the
+	// owner's sizeOf summed over the cache: vnn.CompiledNetwork.SizeBytes
+	// for the compile cache).
 	Bytes int64 `json:"bytes"`
 }
 

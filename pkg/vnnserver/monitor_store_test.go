@@ -90,8 +90,8 @@ func (n *monitorStoreNode) build(seed int64) InferResponse {
 
 // TestMonitorImportedThenBuiltSurvivesEviction: a fleet import and a
 // local build of the same monitor are one stored artifact under one name,
-// so evicting the build's entry cannot orphan the monitor — a
-// monitor_fingerprint request still resolves it.
+// counted once, and a monitor_fingerprint request resolves it while other
+// builds churn the store.
 func TestMonitorImportedThenBuiltSurvivesEviction(t *testing.T) {
 	a := newMonitorStoreNode(t, 2)
 	first := a.build(1)
@@ -112,8 +112,8 @@ func TestMonitorImportedThenBuiltSurvivesEviction(t *testing.T) {
 	if got := b.s.Metrics().Infer.Monitors; got != 1 {
 		t.Fatalf("infer.monitors = %d after import and build of one monitor, want 1", got)
 	}
-	// Keep the monitor most recently used while two other builds push the
-	// first build's entry out of the capacity-2 caches.
+	// Keep the monitor most recently used while two other builds churn
+	// the capacity-2 caches.
 	for _, seed := range []int64{2, 3} {
 		b.s.monitors.lookup(first.MonitorFingerprint, true)
 		b.build(seed)
@@ -124,33 +124,47 @@ func TestMonitorImportedThenBuiltSurvivesEviction(t *testing.T) {
 	}
 }
 
-// TestMonitorBuildMemoOutlivesStore: a build memo entry whose monitor the
-// store has since evicted rebuilds it (a miss), then serves it (a hit).
-func TestMonitorBuildMemoOutlivesStore(t *testing.T) {
-	n := newMonitorStoreNode(t, 2)
-	first := n.build(1)
-	cn, ok := n.s.cache.lookup(first.Fingerprint, false)
-	if !ok {
-		t.Fatal("compile not cached")
+// TestMonitorNameCoversWorkload: two workloads share a network and a
+// dataset, and their regions differ in one box coordinate, so their
+// monitors store the same patterns. Each still gets its own name, and
+// each name serves its own workload by fingerprint.
+func TestMonitorNameCoversWorkload(t *testing.T) {
+	n := newMonitorStoreNode(t, 8)
+	var built []InferResponse
+	for _, lo := range []float64{-1, -1.001} {
+		n.box[0][0] = lo
+		built = append(built, n.build(1))
 	}
-	for _, seed := range []int64{2, 3} {
-		mon, err := vnn.BuildMonitor(cn, monitorData(seed), vnn.MonitorOptions{})
+	a, b := built[0], built[1]
+	if a.Fingerprint == b.Fingerprint {
+		t.Fatal("the two regions are one workload (the scenario under test)")
+	}
+	var docs [2]json.RawMessage
+	for i, resp := range built {
+		mon, ok := n.s.monitors.lookup(resp.MonitorFingerprint, false)
+		if !ok {
+			t.Fatalf("monitor %s not stored", resp.MonitorFingerprint)
+		}
+		raw, err := vnn.MarshalMonitor(mon)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.s.monitors.add(mon.Fingerprint(), mon)
-	}
-	if _, ok := n.s.monitors.lookup(first.MonitorFingerprint, false); ok {
-		t.Fatal("store still holds the first monitor (the scenario under test)")
-	}
-	for i, wantHit := range []bool{false, true} {
-		resp := n.build(1)
-		if resp.MonitorFingerprint != first.MonitorFingerprint || resp.MonitorCacheHit != wantHit {
-			t.Fatalf("request %d: monitor %s hit=%v, want %s hit=%v",
-				i, resp.MonitorFingerprint, resp.MonitorCacheHit, first.MonitorFingerprint, wantHit)
+		var doc vnn.MonitorDocJSON
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
 		}
+		docs[i] = doc.Monitor
 	}
-	if _, ok := n.s.monitors.lookup(first.MonitorFingerprint, false); !ok {
-		t.Fatal("rebuilt monitor not stored")
+	if !bytes.Equal(docs[0], docs[1]) {
+		t.Fatal("the two monitors store different patterns (the scenario under test)")
+	}
+	if a.MonitorFingerprint == b.MonitorFingerprint {
+		t.Fatalf("two workloads share the monitor name %s", a.MonitorFingerprint)
+	}
+	for _, resp := range built {
+		status, got := n.infer(InferRequest{Fingerprint: resp.Fingerprint, MonitorFingerprint: resp.MonitorFingerprint})
+		if status != http.StatusOK || !got.MonitorCacheHit || got.MonitorFingerprint != resp.MonitorFingerprint {
+			t.Fatalf("workload %s by its monitor %s: HTTP %d, %+v", resp.Fingerprint, resp.MonitorFingerprint, status, got)
+		}
 	}
 }

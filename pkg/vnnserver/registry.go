@@ -128,11 +128,11 @@ func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*jobPlan, error) {
 		Tighten:     req.Options.Tighten,
 		Gate:        gate,
 	}
+	var monOpts vnn.MonitorOptions
 	if m := req.Monitor; m != nil {
-		if sub.MonitorOpts, err = validateMonitorSpec(m, wl); err != nil {
+		if monOpts, err = validateMonitorSpec(m, wl); err != nil {
 			return nil, err
 		}
-		sub.MonitorFingerprint = vnn.MonitorWorkloadFingerprint(wl.fingerprint, m.Data, sub.MonitorOpts)
 	}
 	var v *vnnregistry.Version // set by submit
 	return &jobPlan{
@@ -165,7 +165,7 @@ func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*jobPlan, error) {
 				func(ctx context.Context, compiled *vnn.CompiledNetwork) (err error) {
 					cn = compiled
 					if m := req.Monitor; m != nil {
-						mon, _, err = s.buildMonitor(ctx, root, sub.MonitorFingerprint, cn, m.Data, sub.MonitorOpts)
+						mon, err = s.buildMonitor(root, cn, m.Data, monOpts)
 					}
 					return err
 				},

@@ -488,8 +488,50 @@ func TestModelRestartRecovery(t *testing.T) {
 	if len(after.Verdicts) != 1 || after.Verdicts[0] != before.Verdicts[0] {
 		t.Fatalf("recovered monitor verdicts %+v, want %+v", after.Verdicts, before.Verdicts)
 	}
+	// A registry-served request builds nothing.
+	if !before.MonitorCacheHit || !after.MonitorCacheHit || after.MonitorFingerprint != before.MonitorFingerprint {
+		t.Fatalf("routed requests: monitor %s hit=%v, then %s hit=%v", before.MonitorFingerprint, before.MonitorCacheHit, after.MonitorFingerprint, after.MonitorCacheHit)
+	}
 	if !bytes.Equal(getExport(t, ts2.URL, tight.Fingerprint), tightBefore) {
 		t.Fatal("recovered tightened artifact differs from the one the gate compiled")
+	}
+}
+
+// TestModelMonitorNameServesInfer: a gated version's monitor_fingerprint
+// is its serving monitor's name, so a by-fingerprint /v1/infer under the
+// version's workload fingerprint runs through that monitor — before and
+// after a restart onto the same data dir.
+func TestModelMonitorNameServesInfer(t *testing.T) {
+	dir := t.TempDir()
+	mon := &vnnserver.InferMonitorSpec{Data: [][]float64{{0.9, 0.1}, {0.1, 0.9}}}
+	var name string
+	for restart := 0; restart < 2; restart++ {
+		srv, ts := newTestServer(t, vnnserver.Config{DataDir: dir})
+		waitRegistryReady(t, srv)
+		if restart == 0 {
+			sub := submitModel(t, ts.URL, "demo", rolloutNet(), gateAtMost(1.5), mon)
+			if name = sub.MonitorFingerprint; sub.State != "admitted" || !strings.HasPrefix(name, "vnnm1-") {
+				t.Fatalf("gated version %+v, want admitted with a vnnm1- monitor", sub.ModelVersionJSON)
+			}
+		}
+		var md struct {
+			Versions []vnn.ModelVersionJSON `json:"versions"`
+		}
+		getJSON(t, ts.URL+"/v1/models/demo", http.StatusOK, &md)
+		v := md.Versions[0]
+		if v.MonitorFingerprint != name {
+			t.Fatalf("restart %d: version reports monitor %q, want %s", restart, v.MonitorFingerprint, name)
+		}
+		body, err := json.Marshal(vnnserver.InferRequest{Fingerprint: v.Fingerprint, MonitorFingerprint: v.MonitorFingerprint, Inputs: [][]float64{{0.9, 0.1}, {0.5, 0.5}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ir vnnserver.InferResponse
+		if status := postInfer(t, ts.URL, body, &ir); status != http.StatusOK || !ir.MonitorCacheHit || ir.MonitorFingerprint != name || len(ir.Verdicts) != 2 {
+			t.Fatalf("restart %d: by-fingerprint infer through the version's monitor: HTTP %d, %+v", restart, status, ir)
+		}
+		srv.Drain(time.Second)
+		ts.Close()
 	}
 }
 

@@ -103,8 +103,8 @@ type Config struct {
 	Peers []string
 	// FleetInterval is the reconcile loop period (<= 0 means 30s).
 	FleetInterval time.Duration
-	// TraceRing caps the flight recorder's recent-trace ring (<= 0
-	// means 256; rounded up to a power of two).
+	// TraceRing is how many recent traces the flight recorder keeps
+	// (<= 0 means 256).
 	TraceRing int
 	// SlowRequest, when positive, logs every request at least this slow
 	// through Log (cmd/vnnd's -slow-log flag); a nil Log disables the
@@ -151,11 +151,9 @@ type Server struct {
 	mux    *http.ServeMux
 	start  time.Time
 
-	// monitors holds built monitors under their content fingerprint
-	// (vnnm1-); monitorBuilds memoises each build workload (vnnmw1-) to
-	// the content fingerprint it built (see buildMonitor).
-	monitors      *lru[*vnn.Monitor]
-	monitorBuilds *lru[string]
+	// monitors holds built and imported monitors under their one name
+	// (vnnm1-, vnn.Monitor.Fingerprint).
+	monitors *lru[*vnn.Monitor]
 
 	// inferScratch is the free list of /v1/infer kernel scratches (see
 	// newInferScratch).
@@ -243,7 +241,6 @@ func New(cfg Config) *Server {
 		nodeID:        nodeID,
 		cache:         newLRU[*vnn.CompiledNetwork](cfg.CacheEntries),
 		monitors:      newLRU[*vnn.Monitor](cfg.CacheEntries),
-		monitorBuilds: newLRU[string](cfg.CacheEntries),
 		inferScratch:  newInferScratch(),
 		workloads:     newLRU[*workload](cfg.CacheEntries),
 		sched:         NewScheduler(cfg.MaxConcurrent, cfg.QueueDepth),
@@ -255,14 +252,7 @@ func New(cfg Config) *Server {
 		analysisKinds: make(map[string]int64),
 	}
 	s.cache.sizeOf = (*vnn.CompiledNetwork).SizeBytes
-	// A monitor's bytes (its marshaled document) feed GET /v1/workloads.
-	s.monitors.sizeOf = func(m *vnn.Monitor) int64 {
-		doc, err := vnn.MarshalMonitor(m)
-		if err != nil {
-			return 0
-		}
-		return int64(len(doc))
-	}
+	s.monitors.sizeOf = (*vnn.Monitor).SizeBytes
 	// The scheduler reports its wait/run decomposition into the shared
 	// histograms (set before any traffic can reach RunAdmitted).
 	s.sched.queueWait = s.obs.hist[hQueueWait]

@@ -18,13 +18,13 @@ import (
 type WorkloadIndexEntry struct {
 	// Fingerprint is the artifact's cache key, the one GET
 	// /v1/workloads/{fingerprint} exports it under: a vnn1- compile
-	// workload or a vnnm1- monitor content hash (the namespaces are
-	// disjoint).
+	// workload or a vnnm1- monitor name (the namespaces are disjoint).
 	Fingerprint string `json:"fingerprint"`
 	// Kind is "compile" or "monitor".
 	Kind string `json:"kind"`
-	// Bytes is the artifact's accounted size (compiled-network resident
-	// size, or the marshaled monitor document length).
+	// Bytes is the artifact's accounted resident size, a deterministic
+	// estimate of the same kind for both kinds
+	// (vnn.CompiledNetwork.SizeBytes, vnn.Monitor.SizeBytes).
 	Bytes int64 `json:"bytes"`
 	// AgeMS is how long the artifact has been cached on this node.
 	AgeMS float64 `json:"age_ms"`
